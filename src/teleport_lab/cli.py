@@ -9,6 +9,7 @@ import sys
 from . import harness, pathfinder, svgplot
 from .channels import NoiseModel, confusion_matrix
 from .harness import ExperimentSpec
+from .mitigation import MitigationError
 
 log = logging.getLogger("teleport_lab")
 
@@ -34,6 +35,8 @@ def _parse_delays(text: str) -> list[float]:
     """Accept 'LO:HI:STEP' or a comma list, in microseconds."""
     if ":" in text:
         lo, hi, step = (float(p) for p in text.split(":"))
+        if not step > 0:
+            raise ValueError(f"delay step must be positive, got {step:g}")
         out = []
         t = lo
         while t <= hi + 1e-9:
@@ -218,7 +221,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (pathfinder.DeviceSchemaError, FileNotFoundError, ValueError) as exc:
+    except (pathfinder.DeviceSchemaError, FileNotFoundError, ValueError, MitigationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

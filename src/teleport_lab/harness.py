@@ -48,8 +48,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         self.hops = tuple(int(h) for h in self.hops)
-        if any(h < 1 for h in self.hops):
-            raise ValueError("hop counts must be >= 1")
+        if any(not 1 <= h <= 60 for h in self.hops):  # hops + 2 key bits must fit an int64
+            raise ValueError("hop counts must be between 1 and 60")
         if self.shots <= 0:
             raise ValueError("shots must be positive")
         if self.qrem not in ("on", "off", "both"):
@@ -112,21 +112,6 @@ def path_noise_model(device: DeviceModel, path: PathSpec,
     return NoiseModel(**params)
 
 
-def _parity_of_masked(idx: np.ndarray, mask: int) -> np.ndarray:
-    x = idx & mask
-    for shift in (32, 16, 8, 4, 2, 1):
-        x = x ^ (x >> shift)
-    return x & 1
-
-
-def _dense_joint(result: TransportResult, pair: tuple[str, str]) -> np.ndarray:
-    total = result.shots_per_basis
-    dense = np.zeros(1 << result.n)
-    for outcome, count in result.counts_by_basis[pair].items():
-        dense[outcome] = count / total
-    return dense
-
-
 def mitigated_pair_distributions(result: TransportResult, qrem: bool,
                                  calibration: Sequence[np.ndarray]) -> dict:
     """Pair outcome distributions per basis for dynamic / swap results.
@@ -148,32 +133,43 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
                                      calibration: Sequence[np.ndarray]) -> dict:
     """Post-selected per-configuration distributions after full-path mitigation.
 
-    Pipeline per basis: joint frequencies over all measured qubits, QREM
-    over every qubit axis, categorisation by the parity discriminator, then
-    the simplex projection of each configuration's two-qubit outcome
-    vector. Projecting the conditional vectors (the objects fed to the
-    reconstruction) rather than the sparse 2^n joint keeps the projection
-    from clipping away shot-starved bins at long path lengths.
+    Matrix-free, as in M3 (Nation et al., PRX Quantum 2, 040326, 2021): the
+    observed keys of all nine bases go, as one batch, through the per-qubit
+    inverse confusion matrices (identities without QREM) straight into the
+    16 (Z parity, X parity, t0, t1) bins, in O(distinct outcomes x n) time
+    and memory. A key's bin vector is the outer product of inv_0[:, x_0],
+    inv_{n-1}[:, x_{n-1}] and (prod s+ +- prod s-) / 2 over the odd and over
+    the even intermediate positions, with s+- = inv_i[0, x_i] +- inv_i[1, x_i].
+    Each configuration's conditional vector per basis is then projected onto
+    the simplex, which keeps shot-starved bins at long path lengths from
+    being clipped away as a projection of the sparse joint would.
     Returns {config: {"weight", "probs_by_basis"}}.
     """
     n = result.n
-    intermediates = list(result.intermediate_positions())
-    odd_mask = sum(1 << pos for pos in intermediates if pos % 2 == 1)
-    even_mask = sum(1 << pos for pos in intermediates if pos % 2 == 0)
-    idx = np.arange(1 << n, dtype=np.int64)
-    z = _parity_of_masked(idx, odd_mask)
-    x = _parity_of_masked(idx, even_mask)
-    t = (idx & 1) | (((idx >> (n - 1)) & 1) << 1)
-    bins = (z | (x << 1) | (t << 2)).astype(np.int64)
+    if qrem and len(calibration) != n:
+        raise ValueError(f"expected {n} confusion matrices, got {len(calibration)}")
+    inverses = (np.stack([mitigation.confusion_inverse(a, i) for i, a in enumerate(calibration)])
+                if qrem else np.broadcast_to(np.eye(2), (n, 2, 2)))
+    counts = [result.counts_by_basis[pair] for pair in tomography.BASIS_PAIRS]
+    keys = np.array([key for c in counts for key in c], dtype=np.int64)
+    freqs = np.array([w for c in counts for w in c.values()], dtype=float) / result.shots_per_basis
+    basis = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
+    bits = (keys >> np.arange(n)[:, None]) & 1  # one row per path position
+    slot = bits + np.arange(0, 2 * n, 2)[:, None]  # (position, bit) in a flat (n, 2) table
+    s_plus = (inverses[:, 0] + inverses[:, 1]).reshape(-1)[slot]
+    s_minus = (inverses[:, 0] - inverses[:, 1]).reshape(-1)[slot]
+    z, x = (np.stack([s_plus[rows].prod(axis=0) + sign * s_minus[rows].prod(axis=0)
+                      for sign in (1, -1)]) / 2 for rows in (slice(1, -1, 2), slice(2, -1, 2)))
+    # bin z | x << 1 | t0 << 2 | t1 << 3 of each key, laid out as (t1, t0, x, z)
+    pair = freqs * inverses[-1][:, bits[-1]][:, None] * inverses[0][:, bits[0]]
+    vecs = pair.reshape(4, 1, -1) * (x[:, None] * z).reshape(1, 4, -1)
+    bin_index = np.arange(16)[:, None] * len(counts) + basis
+    by_basis = np.bincount(bin_index.ravel(), vecs.ravel(), 16 * len(counts)).reshape(16, -1).T
 
     configs = protocols.reachable_configurations(result.path.hops)
     acc = {c: {} for c in configs}
     weights = {c: [] for c in configs}
-    for pair in tomography.BASIS_PAIRS:
-        dense = _dense_joint(result, pair)
-        if qrem:
-            dense = mitigation.qrem_correct(dense, calibration)
-        grouped = np.bincount(bins, weights=dense, minlength=16)
+    for pair, grouped in zip(tomography.BASIS_PAIRS, by_basis):
         for zc, xc in configs:
             vec = grouped[np.array([zc | (xc << 1) | (tt << 2) for tt in range(4)])]
             weight = float(vec.sum())
@@ -182,11 +178,8 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
                 acc[(zc, xc)][pair] = mitigation.michelot_project(vec / weight)
             else:
                 acc[(zc, xc)][pair] = np.full(4, 0.25)
-    out = {}
-    for config in configs:
-        out[config] = {"weight": max(float(np.mean(weights[config])), 0.0),
-                       "probs_by_basis": acc[config]}
-    return out
+    return {c: {"weight": max(float(np.mean(weights[c])), 0.0), "probs_by_basis": acc[c]}
+            for c in configs}
 
 
 # ---------------------------------------------------------------------------

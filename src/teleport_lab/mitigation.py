@@ -17,6 +17,15 @@ class MitigationError(RuntimeError):
     """Raised when readout mitigation cannot be applied."""
 
 
+def confusion_inverse(a: np.ndarray, qubit: int) -> np.ndarray:
+    """Inverse of one qubit's 2x2 readout confusion matrix; MitigationError if singular."""
+    a = check_confusion_matrix(a)
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    if abs(det) <= 1e-6:
+        raise MitigationError(f"confusion matrix for qubit {qubit} is singular")
+    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
+
+
 def qrem_correct(p_meas: np.ndarray, confusion: Sequence[np.ndarray]) -> np.ndarray:
     """Invert per-qubit readout confusion, one tensor axis at a time.
 
@@ -28,11 +37,7 @@ def qrem_correct(p_meas: np.ndarray, confusion: Sequence[np.ndarray]) -> np.ndar
     if p.shape != (1 << k,):
         raise ValueError(f"expected {1 << k} outcomes for {k} confusion matrices")
     for i, a in enumerate(confusion):
-        a = check_confusion_matrix(a)
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        if abs(det) <= 1e-6:
-            raise MitigationError(f"confusion matrix for qubit {i} is singular")
-        inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
+        inv = confusion_inverse(a, i)
         lo = 1 << i
         view = p.reshape(-1, 2, lo)
         p = np.einsum("ij,ajb->aib", inv, view).reshape(-1)

@@ -381,9 +381,6 @@ class TransportResult:
     def n(self) -> int:
         return self.path.n
 
-    def intermediate_positions(self) -> range:
-        return range(1, self.n - 1)
-
     def pair_tomography(self) -> TomographySet:
         """Counts marginalized onto the surviving pair (positions 0 and n-1)."""
         tset = TomographySet(shots_per_basis=self.shots_per_basis)
@@ -399,7 +396,7 @@ class TransportResult:
                for c in reachable_configurations(self.path.hops)}
         for pair, counts in self.counts_by_basis.items():
             for outcome, weight in counts.items():
-                s = [(outcome >> pos) & 1 for pos in self.intermediate_positions()]
+                s = [(outcome >> pos) & 1 for pos in range(1, self.n - 1)]
                 config = discriminator(s)
                 k = (outcome & 1) | (((outcome >> (self.n - 1)) & 1) << 1)
                 out.setdefault(config, TomographySet(shots_per_basis=self.shots_per_basis)).add(pair, k, weight)

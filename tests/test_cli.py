@@ -24,6 +24,14 @@ def test_parse_delays_forms():
     assert _parse_delays("0,2.5") == [0.0, 2.5]
 
 
+def test_parse_delays_rejects_non_positive_step(tmp_path, capsys):
+    for text in ("0:1:0", "0:1:-0.5", "0:1:nan"):
+        with pytest.raises(ValueError, match="step"):
+            _parse_delays(text)
+    assert main(["decay", "--delays", "0:1:0", "--out", str(tmp_path / "d.csv")]) == 2
+    assert "delay step must be positive" in capsys.readouterr().err
+
+
 # --- full pipeline ----------------------------------------------------------------
 
 
@@ -127,6 +135,20 @@ def test_schema_error_exits_nonzero(workdir, capsys):
 
 def test_missing_device_file_exits_nonzero(workdir, capsys):
     assert main(["find-paths", "--device", str(workdir / "nope.json"), "-n", "3"]) == 2
+
+
+def test_singular_readout_calibration_exits_nonzero(workdir, capsys):
+    dev = workdir / "dev.json"
+    payload = json.loads(dev.read_text())
+    for qubit in payload["qubits"]:
+        qubit["readout_err_0to1"] = qubit["readout_err_1to0"] = 0.5
+    singular = workdir / "singular.json"
+    singular.write_text(json.dumps(payload))
+    assert main(["decay", "--device", str(singular), "--delays", "0,1",
+                 "--out", str(workdir / "singular.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: confusion matrix for qubit") and "singular" in err
+    assert err.count("\n") == 1
 
 
 # --- svg rendering -----------------------------------------------------------------

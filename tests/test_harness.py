@@ -11,8 +11,9 @@ from teleport_lab.harness import (ExperimentSpec, ResultRow,
                                   plan_cells, read_csv_rows, rows_to_csv, run_decay_experiment,
                                   run_experiment, write_csv)
 from teleport_lab.metrics import negativity
+from teleport_lab.mitigation import MitigationError, michelot_project
 from teleport_lab.pathfinder import synthesize_device
-from teleport_lab.protocols import PathSpec
+from teleport_lab.protocols import PathSpec, TransportResult
 from teleport_lab.tomography import BASIS_PAIRS, reconstruct
 
 NOISELESS_OVERRIDES = {
@@ -39,6 +40,13 @@ def test_spec_validation():
         ExperimentSpec(protocols=("negativity",))
     with pytest.raises(ValueError, match="mode"):
         ExperimentSpec(modes=("teleport",))
+
+
+def test_spec_rejects_paths_beyond_int64_outcome_keys():
+    assert ExperimentSpec(hops=(1, 60)).hops == (1, 60)
+    for hops in ((61,), (1, 200)):
+        with pytest.raises(ValueError, match="between 1 and 60"):
+            ExperimentSpec(hops=hops)
 
 
 def test_spec_json_roundtrip():
@@ -122,6 +130,92 @@ def test_category_pipeline_qrem_recovers_flipped_categories():
     n_fixed = negativity(reconstruct(fixed[config]["probs_by_basis"]))
     assert n_fixed > n_raw + 0.1
     assert n_fixed > 0.42
+
+
+def random_counts_result(n: int, shots: int, distinct: int,
+                         rng: np.random.Generator) -> TransportResult:
+    """Hand-built postselect result with random outcome keys in every basis."""
+    counts_by_basis = {}
+    for pair in BASIS_PAIRS:
+        keys = rng.choice(1 << n, size=distinct, replace=False)
+        hits = rng.multinomial(shots, rng.dirichlet(np.ones(distinct)))
+        counts_by_basis[pair] = {int(k): int(c) for k, c in zip(keys, hits) if c}
+    return TransportResult("postselect", PathSpec.line(n), shots, counts_by_basis)
+
+
+def dense_category_oracle(result: TransportResult, qrem: bool, calibration) -> dict:
+    """Full 2^n route: Kronecker-product inverse on the joint vector, then parity bins."""
+    n = result.n
+    joint_inverse = np.eye(1)
+    if qrem:
+        for a in calibration:  # qubit i is bit i, so qubit 0 is the last factor
+            joint_inverse = np.kron(np.linalg.inv(a), joint_inverse)
+    bins = []
+    for idx in range(1 << n):
+        s = [(idx >> pos) & 1 for pos in range(1, n - 1)]
+        z, x = protocols.discriminator(s)
+        t = (idx & 1) | (((idx >> (n - 1)) & 1) << 1)
+        bins.append((z, x, t))
+    configs = protocols.reachable_configurations(n - 2)
+    out = {c: {"weight": 0.0, "probs_by_basis": {}} for c in configs}
+    for pair in BASIS_PAIRS:
+        joint = np.zeros(1 << n)
+        for key, count in result.counts_by_basis[pair].items():
+            joint[key] = count / result.shots_per_basis
+        if qrem:
+            joint = joint_inverse @ joint
+        grouped = {c: np.zeros(4) for c in configs}
+        for (z, x, t), p in zip(bins, joint):
+            grouped[(z, x)][t] += p
+        for config, vec in grouped.items():
+            weight = vec.sum()
+            out[config]["weight"] += weight / len(BASIS_PAIRS)
+            out[config]["probs_by_basis"][pair] = (michelot_project(vec / weight)
+                                                   if weight > 1e-12 else np.full(4, 0.25))
+    for payload in out.values():
+        payload["weight"] = max(payload["weight"], 0.0)
+    return out
+
+
+def test_category_pipeline_matches_dense_oracle(rng):
+    for n in range(3, 8):
+        for _ in range(3):
+            result = random_counts_result(n, shots=500, distinct=min(1 << n, 40), rng=rng)
+            calibration = [confusion_matrix(*rng.uniform(0.01, 0.3, size=2)) for _ in range(n)]
+            for qrem in (False, True):
+                got = mitigated_category_distributions(result, qrem, calibration)
+                want = dense_category_oracle(result, qrem, calibration)
+                assert got.keys() == want.keys()
+                for config, payload in want.items():
+                    assert abs(got[config]["weight"] - payload["weight"]) < 1e-12
+                    for pair, probs in payload["probs_by_basis"].items():
+                        assert np.max(np.abs(got[config]["probs_by_basis"][pair] - probs)) < 1e-12
+
+
+def test_category_pipeline_is_linear_in_path_length(rng):
+    # a dense joint vector would need 2^50 entries per basis
+    n = 50
+    result = random_counts_result(n, shots=64, distinct=5, rng=rng)
+    calibration = [confusion_matrix(*rng.uniform(0.01, 0.05, size=2)) for _ in range(n)]
+    raw = result.categorize()
+    total = len(BASIS_PAIRS) * 64
+    for qrem in (False, True):
+        cats = mitigated_category_distributions(result, qrem, calibration)
+        for config, payload in cats.items():
+            assert np.isfinite(payload["weight"]) and payload["weight"] >= 0.0
+            for probs in payload["probs_by_basis"].values():
+                assert abs(probs.sum() - 1.0) < 1e-12 and probs.min() >= 0.0
+            if not qrem:
+                assert abs(payload["weight"] - raw[config].total_shots() / total) < 1e-12
+
+
+def test_category_pipeline_rejects_singular_calibration(rng):
+    result = random_counts_result(5, shots=100, distinct=10, rng=rng)
+    calibration = [np.eye(2)] * 5
+    calibration[2] = confusion_matrix(0.5, 0.5)
+    with pytest.raises(MitigationError, match="qubit 2 is singular"):
+        mitigated_category_distributions(result, True, calibration)
+    mitigated_category_distributions(result, False, calibration)
 
 
 # --- sweep --------------------------------------------------------------------------
