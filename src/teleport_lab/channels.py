@@ -1,9 +1,10 @@
-"""Stochastic noise channels applied per shot to pure states.
+"""Noise parameters and exact noise channels.
 
-Noise is unravelled as quantum trajectories: every call maps a pure state
-to a pure state by sampling one Kraus branch with its Born probability.
-Shot averages converge to the exact channel output, which the density
-helpers at the bottom compute directly for small systems.
+`NoiseModel` holds the error rates that the trajectory engine
+(`protocols.ShotBatch`) samples per shot; `decay_probabilities` gives the
+Kraus branch weights of its idle decay. The exact channel forms at the
+bottom act on density matrices of small systems: they serve the analytic
+routes and are the oracles the sampled engine is tested against.
 """
 from __future__ import annotations
 
@@ -13,10 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .simulator import Gate, GATE_MATRICES, PureState, _apply_single, _marginal_probability_one
-
-#: Mean two-qubit gate duration on the modelled device family, ns.
-DEFAULT_GATE_TIME_2Q_NS = 533.0
+from .simulator import Gate, GATE_MATRICES
 
 #: Idle-decay constants fitted so that a two-qubit graph state loses
 #: negativity 0.474 -> 0.376 in about 2 us. These reproduce the observed
@@ -60,8 +58,6 @@ class NoiseModel:
     two_qubit_depol: float = 0.0
     t1_us: float = FITTED_T1_US
     t2_us: float = FITTED_T2_US
-    gate_time_1q_ns: float = 35.0
-    gate_time_2q_ns: float = DEFAULT_GATE_TIME_2Q_NS
     dynamic_correction_latency_us: float = DEFAULT_LATENCY_US
     readout: list = field(default_factory=list)
     two_qubit_depol_per_edge: list | None = None
@@ -73,8 +69,7 @@ class NoiseModel:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name}={p} outside [0, 1]")
-        for name in ("t1_us", "t2_us", "gate_time_1q_ns", "gate_time_2q_ns",
-                     "dynamic_correction_latency_us"):
+        for name in ("t1_us", "t2_us", "dynamic_correction_latency_us"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.t2_us > 2.0 * self.t1_us + 1e-12:
@@ -84,18 +79,6 @@ class NoiseModel:
                 if t2 > 2.0 * t1 + 1e-12:
                     raise ValueError(f"per-qubit t2 ({t2}) exceeds 2*t1 ({2 * t1})")
         self.readout = [check_confusion_matrix(a) for a in self.readout]
-
-    @classmethod
-    def noiseless(cls) -> "NoiseModel":
-        return cls()
-
-    @property
-    def is_noiseless(self) -> bool:
-        if self.one_qubit_depol or self.two_qubit_depol:
-            return False
-        if self.two_qubit_depol_per_edge and any(self.two_qubit_depol_per_edge):
-            return False
-        return all(np.allclose(a, np.eye(2)) for a in self.readout)
 
     def edge_depol(self, edge_index: int) -> float:
         if self.two_qubit_depol_per_edge is not None:
@@ -116,24 +99,6 @@ class NoiseModel:
 _PAULI_GATES = (Gate.X, Gate.Y, Gate.Z)
 
 
-def apply_depolarizing(state: PureState, qubits: Sequence[int], p: float,
-                       rng: np.random.Generator) -> PureState:
-    """With probability p apply a uniformly random non-identity Pauli string."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing probability {p} outside [0, 1]")
-    if rng.random() >= p:
-        return state
-    n_paulis = 4 ** len(qubits)
-    word = int(rng.integers(1, n_paulis))
-    amps = state.amplitudes
-    for q in qubits:
-        k = word & 3
-        word >>= 2
-        if k:
-            amps = _apply_single(amps, GATE_MATRICES[_PAULI_GATES[k - 1]], q, state.num_qubits)
-    return PureState(state.num_qubits, amps)
-
-
 def decay_probabilities(duration_us: float, t1_us: float, t2_us: float) -> tuple[float, float]:
     """(gamma, p_z): amplitude-damping branch weight and phase-flip probability."""
     if duration_us < 0:
@@ -147,46 +112,6 @@ def decay_probabilities(duration_us: float, t1_us: float, t2_us: float) -> tuple
     rate_phi = max(1.0 / t2_us - 0.5 / t1_us, 0.0) if t2_us > 0 else float("inf")
     p_z = 0.5 * (1.0 - exp(-duration_us * rate_phi))
     return gamma, p_z
-
-
-def apply_idle_decay(state: PureState, qubits: Sequence[int], duration_us: float,
-                     t1_us: float, t2_us: float, rng: np.random.Generator) -> PureState:
-    """Amplitude damping plus pure dephasing on each listed qubit, trajectory-sampled."""
-    gamma, p_z = decay_probabilities(duration_us, t1_us, t2_us)
-    if gamma == 0.0 and p_z == 0.0:
-        return state
-    amps = state.amplitudes
-    n = state.num_qubits
-    sqrt_keep = sqrt(1.0 - gamma)
-    for q in qubits:
-        p_excited = _marginal_probability_one(amps, q)
-        p_jump = gamma * p_excited
-        lo = 1 << q
-        view = amps.reshape(-1, 2, lo)
-        if rng.random() < p_jump:
-            # relaxation branch: |1> component falls to |0>
-            new = np.zeros_like(view)
-            new[:, 0, :] = view[:, 1, :]
-            amps = (new / sqrt(p_excited)).reshape(-1)
-        else:
-            new = view.copy()
-            new[:, 1, :] *= sqrt_keep
-            amps = (new / sqrt(1.0 - p_jump)).reshape(-1)
-        if rng.random() < p_z:
-            amps = _apply_single(amps, GATE_MATRICES[Gate.Z], q, n)
-    return PureState(n, amps)
-
-
-def apply_readout_noise(true_bits: Sequence[int], confusion: Sequence[np.ndarray],
-                        rng: np.random.Generator) -> tuple[int, ...]:
-    """Independently flip each classical bit per its confusion matrix column."""
-    if len(true_bits) != len(confusion):
-        raise ValueError("need one confusion matrix per measured bit")
-    out = []
-    for b, a in zip(true_bits, confusion):
-        p_read1 = a[1][int(b)]
-        out.append(1 if rng.random() < p_read1 else 0)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

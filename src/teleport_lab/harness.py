@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from math import sqrt
@@ -48,8 +49,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         self.hops = tuple(int(h) for h in self.hops)
-        if any(not 1 <= h <= 60 for h in self.hops):  # hops + 2 key bits must fit an int64
-            raise ValueError("hop counts must be between 1 and 60")
+        max_hops = protocols.MAX_PATH_QUBITS - 2
+        if any(not 1 <= h <= max_hops for h in self.hops):
+            raise ValueError(f"hop counts must be between 1 and {max_hops}")
         if self.shots <= 0:
             raise ValueError("shots must be positive")
         if self.qrem not in ("on", "off", "both"):
@@ -60,6 +62,10 @@ class ExperimentSpec:
         for mode in self.modes:
             if mode not in protocols.MODES:
                 raise ValueError(f"unknown mode {mode}")
+        try:
+            NoiseModel(**self.noise_overrides)
+        except TypeError as exc:
+            raise ValueError(f"invalid noise override: {exc}") from None
 
     @property
     def qrem_flags(self) -> tuple[bool, ...]:
@@ -97,9 +103,14 @@ class ResultRow:
 
 def path_noise_model(device: DeviceModel, path: PathSpec,
                      overrides: dict | None = None) -> NoiseModel:
-    """Path-local noise model; position i carries the calibration of label i."""
-    by_id = {q.id: q for q in device.qubits}
-    cals = [by_id[label] for label in path.qubit_labels]
+    """Path-local noise model; position i carries the calibration of label i.
+
+    A scalar override replaces the device's per-position values:
+    ``two_qubit_depol`` drops the per-edge gate errors, and ``t1_us`` or
+    ``t2_us`` drops both per-qubit T1 and T2 lists.
+    """
+    overrides = overrides or {}
+    cals = [device.qubit(label) for label in path.qubit_labels]
     params = dict(
         one_qubit_depol=DEFAULT_ONE_QUBIT_DEPOL,
         readout=[confusion_matrix(c.readout_err_0to1, c.readout_err_1to0) for c in cals],
@@ -108,7 +119,11 @@ def path_noise_model(device: DeviceModel, path: PathSpec,
         t1_per_qubit_us=[c.t1_us for c in cals],
         t2_per_qubit_us=[c.t2_us for c in cals],
     )
-    params.update(overrides or {})
+    if "two_qubit_depol" in overrides:
+        del params["two_qubit_depol_per_edge"]
+    if "t1_us" in overrides or "t2_us" in overrides:
+        del params["t1_per_qubit_us"], params["t2_per_qubit_us"]
+    params.update(overrides)
     return NoiseModel(**params)
 
 
@@ -178,8 +193,10 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
                 acc[(zc, xc)][pair] = mitigation.michelot_project(vec / weight)
             else:
                 acc[(zc, xc)][pair] = np.full(4, 0.25)
-    return {c: {"weight": max(float(np.mean(weights[c])), 0.0), "probs_by_basis": acc[c]}
-            for c in configs}
+    # project the mean weights, like each basis vector, so they stay a distribution
+    mean_weights = mitigation.michelot_project(np.array([np.mean(weights[c]) for c in configs]))
+    return {c: {"weight": float(w), "probs_by_basis": acc[c]}
+            for c, w in zip(configs, mean_weights)}
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +261,13 @@ def _path_str(path: PathSpec) -> str:
     return "-".join(str(q) for q in path.qubit_labels)
 
 
-def _cell_worker(args) -> list[ResultRow]:
+def _cell_worker(args) -> tuple[list[ResultRow], str | None]:
+    """(rows, None) for a finished cell, ([], traceback text) for a failed one."""
     device, spec, cell = args
-    return _cell_rows(device, spec, cell)
+    try:
+        return _cell_rows(device, spec, cell), None
+    except Exception:  # noqa: BLE001 - a failed cell must not kill the sweep
+        return [], traceback.format_exc()
 
 
 def _worker_count() -> int:
@@ -286,21 +307,20 @@ def plan_cells(device: DeviceModel, spec: ExperimentSpec) -> list[_Cell]:
 
 
 def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> list[ResultRow]:
-    """Execute the sweep; per-cell failures are logged and skipped."""
+    """Execute the sweep; a failed cell is logged and skipped, serial or pooled."""
     cells = plan_cells(device, spec)
+    jobs = ((device, spec, c) for c in cells)
     workers = _worker_count()
-    rows: list[ResultRow] = []
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cell, result in zip(cells, pool.map(_cell_worker,
-                                                    ((device, spec, c) for c in cells))):
-                rows.extend(result)
+            outcomes = list(pool.map(_cell_worker, jobs))
     else:
-        for cell in cells:
-            try:
-                rows.extend(_cell_rows(device, spec, cell))
-            except Exception:  # noqa: BLE001 - a failed cell must not kill the sweep
-                log.exception("cell %s failed; skipping", cell)
+        outcomes = map(_cell_worker, jobs)
+    rows: list[ResultRow] = []
+    for cell, (cell_rows, error) in zip(cells, outcomes):
+        if error is not None:
+            log.error("cell %s failed; skipping\n%s", cell, error.rstrip())
+        rows.extend(cell_rows)
     return rows
 
 

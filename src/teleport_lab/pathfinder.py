@@ -53,32 +53,25 @@ class DeviceModel:
     name: str = "device"
 
     def __post_init__(self):
-        ids = [q.id for q in self.qubits]
-        if len(set(ids)) != len(ids):
+        self._qubit_by_id = {q.id: q for q in self.qubits}
+        if len(self._qubit_by_id) != len(self.qubits):
             raise DeviceSchemaError("duplicate qubit ids")
-        known = set(ids)
-        seen = {}
+        self._edge_by_key = {}
         for e in self.edges:
             if e.a == e.b:
                 raise DeviceSchemaError(f"self-loop on qubit {e.a}")
-            if e.a not in known or e.b not in known:
+            if e.a not in self._qubit_by_id or e.b not in self._qubit_by_id:
                 raise DeviceSchemaError(f"edge ({e.a}, {e.b}) references unknown qubits")
             key = (min(e.a, e.b), max(e.a, e.b))
-            if key in seen:
+            if key in self._edge_by_key:
                 raise DeviceSchemaError(f"edge ({e.a}, {e.b}) appears twice")
-            seen[key] = e
+            self._edge_by_key[key] = e
 
     def qubit(self, qubit_id: int) -> QubitCal:
-        for q in self.qubits:
-            if q.id == qubit_id:
-                return q
-        raise KeyError(f"unknown qubit {qubit_id}")
+        return self._qubit_by_id[qubit_id]
 
     def edge(self, a: int, b: int) -> EdgeCal:
-        for e in self.edges:
-            if {e.a, e.b} == {a, b}:
-                return e
-        raise KeyError(f"no edge ({a}, {b})")
+        return self._edge_by_key[(min(a, b), max(a, b))]
 
     def adjacency(self) -> dict:
         adj: dict[int, set] = {q.id: set() for q in self.qubits}

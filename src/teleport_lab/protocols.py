@@ -11,8 +11,14 @@ Three modes are implemented:
 * ``swap``         - the pair qubit is physically moved with SWAP chains,
   three CNOTs per hop.
 
-Sampled runs use a sliding-window trajectory engine (`ShotBatch`) that keeps
-at most a handful of live qubits per shot regardless of path length: a path
+All three, and the idling pair of the decay experiment, are sampled by one
+per-basis schedule (`_sample_basis`): prepare the pair, one hop per
+intermediate qubit (CZ teleport step or three-CNOT swap step, then
+measure, read out and drop), a tail (dynamic correction, sequential or
+simplified, or an idle), and the tomography layer. The trajectories are
+Monte-Carlo wave-function unravellings (Dalibard, Castin and Molmer, PRL
+68, 580, 1992) run by `ShotBatch`, a sliding-window engine that keeps at
+most a handful of live qubits per shot regardless of path length: a path
 qubit enters the window when first entangled and leaves right after its
 measurement collapses it. Measuring a qubit early is exactly equivalent to
 the deferred hardware schedule because nothing acts on it afterwards.
@@ -33,6 +39,10 @@ from .simulator import (GATE_MATRICES, Gate, GateOp, MAX_QUBITS, PureState, appl
 from .tomography import BASIS_PAIRS, TomographySet, rotation_gates, tomography_rotations
 
 MODES = ("dynamic", "postselect", "swap")
+
+#: Longest path the sampler accepts: outcome keys are int64 with one bit per
+#: path position.
+MAX_PATH_QUBITS = 62
 
 
 @dataclass(frozen=True)
@@ -243,20 +253,12 @@ class ShotBatch:
         grown[:, :self.dim] = self.amps
         self.amps = grown
 
-    def apply_matrix(self, pos: int, matrix: np.ndarray, mask: np.ndarray | None = None):
-        lo = 1 << self._axis(pos)
-        if mask is None:
-            view = self.amps.reshape(self.shots, -1, 2, lo)
-            self.amps = np.einsum("ij,sajb->saib", matrix, view).reshape(self.shots, -1)
-            return
-        if not mask.any():
-            return
-        k = int(mask.sum())
-        sub = self.amps[mask].reshape(k, -1, 2, lo)
-        self.amps[mask] = np.einsum("ij,sajb->saib", matrix, sub).reshape(k, -1)
+    def apply_matrix(self, pos: int, matrix: np.ndarray):
+        view = self.amps.reshape(self.shots, -1, 2, 1 << self._axis(pos))
+        self.amps = np.einsum("ij,sajb->saib", matrix, view).reshape(self.shots, -1)
 
-    def apply_gate(self, pos: int, gate: Gate, mask: np.ndarray | None = None):
-        self.apply_matrix(pos, GATE_MATRICES[gate], mask)
+    def apply_gate(self, pos: int, gate: Gate):
+        self.apply_matrix(pos, GATE_MATRICES[gate])
 
     def apply_cz(self, pos1: int, pos2: int):
         b1, b2 = self._axis(pos1), self._axis(pos2)
@@ -311,13 +313,13 @@ class ShotBatch:
 
     def measure_z(self, pos: int, rng: np.random.Generator) -> np.ndarray:
         """Sample and collapse a Z measurement; returns per-shot bits."""
-        p1 = self.probability_one(pos)
+        view = self.amps.reshape(self.shots, -1, 2, 1 << self._axis(pos))
+        pr = np.abs(view) ** 2
+        p1 = pr[:, :, 1, :].sum(axis=(1, 2))
         bits = (rng.random(self.shots) < p1).astype(np.int8)
-        p_keep = np.where(bits == 1, p1, 1.0 - p1)
+        p_keep = np.where(bits == 1, p1, pr[:, :, 0, :].sum(axis=(1, 2)))
         if np.any(p_keep < 1e-15):
             raise RuntimeError("measurement probabilities underflow; state is corrupted")
-        lo = 1 << self._axis(pos)
-        view = self.amps.reshape(self.shots, -1, 2, lo)
         sel = np.zeros((self.shots, 1, 2, 1))
         sel[np.arange(self.shots), 0, bits, 0] = 1.0
         collapsed = (view * sel).reshape(self.shots, -1)
@@ -409,9 +411,23 @@ def _count(ints: np.ndarray) -> dict[int, int]:
 
 
 def _gate_with_noise(batch: ShotBatch, pos: int, gate: Gate, noise: NoiseModel,
-                     rng: np.random.Generator, mask: np.ndarray | None = None):
-    batch.apply_gate(pos, gate, mask)
-    batch.depolarize([pos], noise.one_qubit_depol, rng, active=mask)
+                     rng: np.random.Generator):
+    batch.apply_gate(pos, gate)
+    batch.depolarize([pos], noise.one_qubit_depol, rng)
+
+
+def _conditional_pauli(batch: ShotBatch, pos: int, cond: np.ndarray, pauli: int,
+                       noise: NoiseModel, rng: np.random.Generator):
+    """Pauli (1: X, 3: Z) and its gate noise on the shots where cond holds."""
+    batch.apply_pauli_indexed(pos, np.where(cond, pauli, 0))
+    batch.depolarize([pos], noise.one_qubit_depol, rng, active=cond)
+
+
+def _idle(batch: ShotBatch, positions: Sequence[int], duration_us: float, noise: NoiseModel,
+          rng: np.random.Generator):
+    for pos in positions:
+        t1, t2 = noise.qubit_t1t2(pos)
+        batch.idle_decay(pos, duration_us, t1, t2, rng)
 
 
 def _entangle_pair(batch: ShotBatch, noise: NoiseModel, rng: np.random.Generator):
@@ -434,80 +450,68 @@ def _tomography_layer(batch: ShotBatch, basis_pair: tuple[str, str], first: int,
     return read_first, read_last
 
 
-def _teleport_one_basis(n: int, mode: str, noise: NoiseModel, shots: int,
-                        basis_pair: tuple[str, str], rng: np.random.Generator,
-                        simplified_correction: bool) -> np.ndarray:
+def _sample_basis(n: int, mode: str, noise: NoiseModel, shots: int,
+                  basis_pair: tuple[str, str], rng: np.random.Generator,
+                  simplified_correction: bool, delay_us: float) -> np.ndarray:
+    """Outcome keys of one tomography basis: prepare, hop, correct or idle, read out."""
     batch = ShotBatch(shots)
     _entangle_pair(batch, noise, rng)
+    last = n - 1
     read = {}
-    for i in range(1, n - 1):
+    for i in range(1, last):
         batch.add_qubit(i + 1)
-        _gate_with_noise(batch, i + 1, Gate.H, noise, rng)
-        batch.apply_cz(i, i + 1)
-        batch.depolarize([i, i + 1], noise.edge_depol(i), rng)
-        _gate_with_noise(batch, i, Gate.H, noise, rng)  # X-basis measurement rotation
+        p_edge = noise.edge_depol(i)
+        if mode == "swap":
+            for control, target in ((i, i + 1), (i + 1, i), (i, i + 1)):
+                batch.apply_cnot(control, target)
+                batch.depolarize([i, i + 1], p_edge, rng)
+        else:
+            _gate_with_noise(batch, i + 1, Gate.H, noise, rng)
+            batch.apply_cz(i, i + 1)
+            batch.depolarize([i, i + 1], p_edge, rng)
+            _gate_with_noise(batch, i, Gate.H, noise, rng)  # X-basis measurement rotation
         bits = batch.measure_z(i, rng)
         read[i] = batch.readout(bits, noise.qubit_confusion(i), rng)
         batch.drop_qubit(i, bits)
 
-    if mode == "dynamic":
-        latency = noise.dynamic_correction_latency_us
-        last = n - 1
+    if mode == "idle":
+        _idle(batch, (0, last), delay_us, noise, rng)
+    elif mode == "dynamic" and simplified_correction:
+        _idle(batch, (0, last), noise.dynamic_correction_latency_us, noise, rng)
+        zero = np.zeros(shots, dtype=np.int8)
+        z = reduce(np.bitwise_xor, (read[i] for i in range(1, last, 2)), zero)
+        x = reduce(np.bitwise_xor, (read[i] for i in range(2, last, 2)), zero)
+        if n % 2:
+            _gate_with_noise(batch, last, Gate.H, noise, rng)
+        _conditional_pauli(batch, last, z == 1, 3, noise, rng)
+        _conditional_pauli(batch, last, x == 1, 1, noise, rng)
+    elif mode == "dynamic":
+        for i in range(last - 1, 0, -1):
+            _idle(batch, (0, last), noise.dynamic_correction_latency_us, noise, rng)
+            _conditional_pauli(batch, last, read[i] == 1, 1, noise, rng)
+            _gate_with_noise(batch, last, Gate.H, noise, rng)
 
-        def idle_layer():
-            for pos in (0, last):
-                t1, t2 = noise.qubit_t1t2(pos)
-                batch.idle_decay(pos, latency, t1, t2, rng)
-
-        if simplified_correction:
-            idle_layer()
-            z = np.zeros(shots, dtype=np.int8)
-            x = np.zeros(shots, dtype=np.int8)
-            for i in range(1, n - 1):
-                if i % 2:
-                    z ^= read[i]
-                else:
-                    x ^= read[i]
-            if n % 2:
-                _gate_with_noise(batch, last, Gate.H, noise, rng)
-            batch.apply_pauli_indexed(last, np.where(z == 1, 3, 0))
-            batch.depolarize([last], noise.one_qubit_depol, rng, active=z == 1)
-            batch.apply_pauli_indexed(last, np.where(x == 1, 1, 0))
-            batch.depolarize([last], noise.one_qubit_depol, rng, active=x == 1)
-        else:
-            for i in range(n - 2, 0, -1):
-                idle_layer()
-                cond = read[i] == 1
-                batch.apply_pauli_indexed(last, np.where(cond, 1, 0))
-                batch.depolarize([last], noise.one_qubit_depol, rng, active=cond)
-                _gate_with_noise(batch, last, Gate.H, noise, rng)
-
-    read_first, read_last = _tomography_layer(batch, basis_pair, 0, n - 1, noise, rng)
-    ints = read_first.astype(np.int64) + (read_last.astype(np.int64) << (n - 1))
-    for i in range(1, n - 1):
-        ints += read[i].astype(np.int64) << i
-    return ints
+    read[0], read[last] = _tomography_layer(batch, basis_pair, 0, last, noise, rng)
+    keys = np.zeros(shots, dtype=np.int64)
+    for pos, bits in read.items():
+        keys |= bits.astype(np.int64) << pos
+    return keys
 
 
-def _swap_one_basis(n: int, noise: NoiseModel, shots: int, basis_pair: tuple[str, str],
-                    rng: np.random.Generator) -> np.ndarray:
-    batch = ShotBatch(shots)
-    _entangle_pair(batch, noise, rng)
-    read = {}
-    for k in range(1, n - 1):
-        batch.add_qubit(k + 1)
-        p_edge = noise.edge_depol(k)
-        for control, target in ((k, k + 1), (k + 1, k), (k, k + 1)):
-            batch.apply_cnot(control, target)
-            batch.depolarize([k, k + 1], p_edge, rng)
-        bits = batch.measure_z(k, rng)
-        read[k] = batch.readout(bits, noise.qubit_confusion(k), rng)
-        batch.drop_qubit(k, bits)
-    read_first, read_last = _tomography_layer(batch, basis_pair, 0, n - 1, noise, rng)
-    ints = read_first.astype(np.int64) + (read_last.astype(np.int64) << (n - 1))
-    for i in range(1, n - 1):
-        ints += read[i].astype(np.int64) << i
-    return ints
+def _sample(path: PathSpec, mode: str, noise: NoiseModel, shots: int, rng: np.random.Generator,
+            simplified_correction: bool = False, delay_us: float = 0.0) -> TransportResult:
+    """Run every tomography basis on its own child stream and count the outcome keys."""
+    if shots <= 0:
+        raise ValueError("shot budget must be positive")
+    if path.n > MAX_PATH_QUBITS:
+        raise ValueError(f"path of {path.n} qubits exceeds the {MAX_PATH_QUBITS}-qubit "
+                         "limit of 64-bit outcome keys")
+    result = TransportResult(mode, path, shots)
+    for pair, basis_rng in zip(BASIS_PAIRS, rng.spawn(len(BASIS_PAIRS))):
+        keys = _sample_basis(path.n, mode, noise, shots, pair, basis_rng,
+                             simplified_correction, delay_us)
+        result.counts_by_basis[pair] = _count(keys)
+    return result
 
 
 def run_teleportation(path, mode: str, noise: NoiseModel, shots: int,
@@ -517,51 +521,24 @@ def run_teleportation(path, mode: str, noise: NoiseModel, shots: int,
     path = _as_path(path)
     if mode not in ("dynamic", "postselect"):
         raise ValueError(f"mode must be dynamic or postselect, got {mode}")
-    if shots <= 0:
-        raise ValueError("shot budget must be positive")
     if path.hops < 1:
         raise ValueError("teleportation needs at least one intermediate qubit")
-    result = TransportResult(mode, path, shots)
-    basis_rngs = rng.spawn(len(BASIS_PAIRS))
-    for pair, basis_rng in zip(BASIS_PAIRS, basis_rngs):
-        ints = _teleport_one_basis(path.n, mode, noise, shots, pair, basis_rng,
-                                   simplified_correction)
-        result.counts_by_basis[pair] = _count(ints)
-    return result
+    return _sample(path, mode, noise, shots, rng, simplified_correction=simplified_correction)
 
 
 def run_swap_transport(path, noise: NoiseModel, shots: int,
                        rng: np.random.Generator) -> TransportResult:
     """Move the pair qubit with SWAP chains (three noisy CNOTs per hop)."""
     path = _as_path(path)
-    if shots <= 0:
-        raise ValueError("shot budget must be positive")
     if path.hops < 1:
         raise ValueError("swap transport needs at least one intermediate qubit")
-    result = TransportResult("swap", path, shots)
-    basis_rngs = rng.spawn(len(BASIS_PAIRS))
-    for pair, basis_rng in zip(BASIS_PAIRS, basis_rngs):
-        ints = _swap_one_basis(path.n, noise, shots, pair, basis_rng)
-        result.counts_by_basis[pair] = _count(ints)
-    return result
+    return _sample(path, "swap", noise, shots, rng)
 
 
 def run_idle_pair(delay_us: float, noise: NoiseModel, shots: int,
                   rng: np.random.Generator) -> TransportResult:
     """Prepare the two-qubit graph state, idle both qubits, then run tomography."""
-    if shots <= 0:
-        raise ValueError("shot budget must be positive")
-    result = TransportResult("idle", PathSpec.line(2), shots)
-    for pair, basis_rng in zip(BASIS_PAIRS, rng.spawn(len(BASIS_PAIRS))):
-        batch = ShotBatch(shots)
-        _entangle_pair(batch, noise, basis_rng)
-        for pos in (0, 1):
-            t1, t2 = noise.qubit_t1t2(pos)
-            batch.idle_decay(pos, delay_us, t1, t2, basis_rng)
-        read_first, read_last = _tomography_layer(batch, pair, 0, 1, noise, basis_rng)
-        ints = read_first.astype(np.int64) + (read_last.astype(np.int64) << 1)
-        result.counts_by_basis[pair] = _count(ints)
-    return result
+    return _sample(PathSpec.line(2), "idle", noise, shots, rng, delay_us=delay_us)
 
 
 def noisy_pair_density(gate_error: float, one_qubit_depol: float = 0.0) -> np.ndarray:

@@ -125,14 +125,6 @@ class PureState:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    qubit: int
-    basis: str
-    bit: int
-    post_state: PureState
-
-
 def index_of_bits(bits: Sequence[int]) -> int:
     """Amplitude index of the basis state with bits[q] on qubit q."""
     return sum((int(b) & 1) << q for q, b in enumerate(bits))
@@ -206,40 +198,11 @@ def _marginal_probability_one(amps: np.ndarray, qubit: int) -> float:
     return float(view[:, 1, :].sum())
 
 
-def _branch_weights(amps: np.ndarray, qubit: int) -> tuple[float, float]:
-    lo = 1 << qubit
-    view = np.abs(amps.reshape(-1, 2, lo)) ** 2
-    return float(view[:, 0, :].sum()), float(view[:, 1, :].sum())
-
-
 def _collapse(amps: np.ndarray, qubit: int, bit: int, prob: float) -> np.ndarray:
     lo = 1 << qubit
     out = amps.reshape(-1, 2, lo).copy()
     out[:, 1 - bit, :] = 0.0
     return (out / sqrt(prob)).reshape(-1)
-
-
-def measure(state: PureState, qubit: int, basis: str, rng: np.random.Generator) -> MeasurementOutcome:
-    """Projective measurement of one qubit in the Z or X basis.
-
-    X-basis measurement is a Hadamard on the target followed by a Z
-    measurement; the post-state keeps the measured qubit collapsed in the
-    computational basis, mirroring how hardware realizes it.
-    """
-    basis = basis.upper()
-    if basis not in ("Z", "X"):
-        raise ValueError(f"measurement basis must be Z or X, got {basis}")
-    _check_targets(state, [qubit])
-    amps = state.amplitudes
-    if basis == "X":
-        amps = _apply_single(amps, GATE_MATRICES[Gate.H], qubit, state.num_qubits)
-    p0, p1 = _branch_weights(amps, qubit)
-    if p0 < 1e-15 and p1 < 1e-15:
-        raise RuntimeError("measurement probabilities underflow; state is corrupted")
-    bit = 1 if rng.random() < p1 else 0
-    prob = p1 if bit else p0
-    post = PureState(state.num_qubits, _collapse(amps, qubit, bit, prob))
-    return MeasurementOutcome(qubit, basis, bit, post)
 
 
 def postselect(state: PureState, qubit: int, basis: str, bit: int) -> tuple[PureState, float]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from teleport_lab.protocols import ShotBatch
 from teleport_lab.simulator import PureState
 
 
@@ -12,6 +13,15 @@ def rng():
 def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:
     amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
     return PureState(num_qubits, amps / np.linalg.norm(amps))
+
+
+def shot_batch(state: PureState, shots: int) -> ShotBatch:
+    """Trajectory batch holding `shots` copies of a state; path position q is qubit q."""
+    batch = ShotBatch(shots)
+    for q in range(state.num_qubits):
+        batch.add_qubit(q)
+    batch.amps[:] = state.amplitudes
+    return batch
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

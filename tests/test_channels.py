@@ -1,17 +1,17 @@
-"""Stochastic noise channels and their exact-channel counterparts."""
+"""Noise channels: trajectory sampling by ShotBatch against the exact channel forms."""
 import numpy as np
 import pytest
 
-from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, apply_depolarizing,
-                                   apply_idle_decay, apply_readout_noise,
+from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus,
                                    check_confusion_matrix, confusion_matrix,
                                    decay_probabilities, depolarizing_channel,
                                    idle_decay_channel, idle_kraus_ops, phase_flip_kraus,
                                    readout_channel)
 from teleport_lab.metrics import density_from_state, negativity
+from teleport_lab.protocols import ShotBatch
 from teleport_lab.simulator import PureState, apply_gates, op
 
-from conftest import random_state, trace_distance
+from conftest import random_state, shot_batch, trace_distance
 
 BELL = PureState(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
@@ -42,45 +42,40 @@ def test_noise_model_validation():
     assert NoiseModel(two_qubit_depol=0.01).edge_depol(5) == 0.01
 
 
-# --- depolarizing ---------------------------------------------------------------
+# --- depolarizing (trajectory engine) -------------------------------------------
+
+
+def ensemble_density(batch: ShotBatch) -> np.ndarray:
+    return np.einsum("si,sj->ij", batch.amps, batch.amps.conj()) / batch.shots
 
 
 def test_depolarizing_p0_is_identity(rng):
     state = random_state(3, rng)
-    out = apply_depolarizing(state, (0, 2), 0.0, rng)
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    batch = shot_batch(state, 64)
+    batch.depolarize([0, 2], 0.0, rng)
+    assert np.array_equal(batch.amps, np.tile(state.amplitudes, (64, 1)))
 
 
 def test_depolarizing_p1_uniform_paulis(rng):
     # p=1 on one qubit: X, Y, Z each with frequency 1/3
     shots = 30_000
-    counts = {"X": 0, "Y": 0, "Z": 0}
-    plus = apply_gates(PureState.zero(1), [op("H", 0)])
-    for _ in range(shots):
-        out = apply_depolarizing(PureState.zero(1), (0,), 1.0, rng)
-        if abs(out.amplitudes[1]) > 0.5:
-            counts["X" if out.amplitudes[1].real > 0.5 else "Y"] += 1
-        else:
-            counts["Z"] += 1
+    zero = shot_batch(PureState.zero(1), shots)
+    zero.depolarize([0], 1.0, rng)
+    x_or_y = int((np.abs(zero.amps[:, 1]) > 0.5).sum())
     # Z is invisible on |0>; check via |+> where Z flips the relative sign
-    z_like = 0
-    for _ in range(shots):
-        out = apply_depolarizing(plus, (0,), 1.0, rng)
-        if out.amplitudes[0].real * out.amplitudes[1].real < -1e-12:
-            z_like += 1
+    plus = shot_batch(apply_gates(PureState.zero(1), [op("H", 0)]), shots)
+    plus.depolarize([0], 1.0, rng)
+    z_like = int((plus.amps[:, 0].real * plus.amps[:, 1].real < -1e-12).sum())
     sigma = np.sqrt(shots * (1 / 3) * (2 / 3))
-    assert abs(counts["X"] + counts["Y"] - 2 * shots / 3) < 5 * sigma
+    assert abs(x_or_y - 2 * shots / 3) < 5 * sigma
     assert abs(z_like - shots / 3) < 5 * sigma
 
 
 def test_depolarized_bell_ensemble_matches_exact_channel(rng):
     p = 0.1
-    shots = 100_000
-    acc = np.zeros((4, 4), dtype=complex)
-    for _ in range(shots):
-        out = apply_depolarizing(BELL, (0, 1), p, rng)
-        acc += np.outer(out.amplitudes, out.amplitudes.conj())
-    ensemble = acc / shots
+    batch = shot_batch(BELL, 100_000)
+    batch.depolarize([0, 1], p, rng)
+    ensemble = ensemble_density(batch)
     exact = depolarizing_channel(density_from_state(BELL.amplitudes), (0, 1), p)
     assert trace_distance(ensemble, exact) < 0.01
     assert abs(negativity(ensemble / np.trace(ensemble).real) - negativity(exact)) < 0.01
@@ -102,17 +97,16 @@ def test_two_qubit_depolarizing_channel_closed_form():
 
 def test_idle_zero_duration_is_identity(rng):
     state = random_state(2, rng)
-    out = apply_idle_decay(state, (0, 1), 0.0, 30.0, 20.0, rng)
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    batch = shot_batch(state, 64)
+    for q in (0, 1):
+        batch.idle_decay(q, 0.0, 30.0, 20.0, rng)
+    assert np.array_equal(batch.amps, np.tile(state.amplitudes, (64, 1)))
 
 
 def test_idle_long_duration_relaxes_to_ground(rng):
-    one = PureState.from_bits((1,))
-    hits = 0
-    for _ in range(200):
-        out = apply_idle_decay(one, (0,), 1e5, 30.0, 20.0, rng)
-        hits += abs(out.amplitudes[0]) > 0.999
-    assert hits == 200
+    batch = shot_batch(PureState.from_bits((1,)), 200)
+    batch.idle_decay(0, 1e5, 30.0, 20.0, rng)
+    assert np.all(np.abs(batch.amps[:, 0]) > 0.999)
 
 
 def test_decay_probabilities_reject_bad_t2():
@@ -130,14 +124,11 @@ def test_trajectory_matches_exact_kraus_channel(rng):
     # shot-averaged idle-decay trajectories versus the exact channel
     duration, t1, t2 = 8.0, 30.0, 20.0
     state = apply_gates(PureState.zero(2), [op("H", 0), op("CNOT", 0, 1)])
-    shots = 100_000
-    acc = np.zeros((4, 4), dtype=complex)
-    for _ in range(shots):
-        out = apply_idle_decay(state, (0, 1), duration, t1, t2, rng)
-        acc += np.outer(out.amplitudes, out.amplitudes.conj())
-    ensemble = acc / shots
+    batch = shot_batch(state, 100_000)
+    for q in (0, 1):
+        batch.idle_decay(q, duration, t1, t2, rng)
     exact = idle_decay_channel(density_from_state(state.amplitudes), (0, 1), duration, t1, t2)
-    assert trace_distance(ensemble, exact) < 0.01
+    assert trace_distance(ensemble_density(batch), exact) < 0.01
 
 
 def test_exact_idle_decay_coherence_rate():
@@ -154,15 +145,14 @@ def test_exact_idle_decay_coherence_rate():
 
 
 def test_readout_identity_matrices(rng):
-    eye = np.eye(2)
-    bits = (0, 1, 1, 0)
-    assert apply_readout_noise(bits, [eye] * 4, rng) == bits
+    bits = np.array([0, 1, 1, 0], dtype=np.int8)
+    assert np.array_equal(ShotBatch(bits.size).readout(bits, np.eye(2), rng), bits)
 
 
 def test_readout_flip_rates(rng):
     a = confusion_matrix(0.1, 0.2)
     shots = 100_000
-    flips = sum(apply_readout_noise((0,), [a], rng)[0] for _ in range(shots))
+    flips = int(ShotBatch(shots).readout(np.zeros(shots, dtype=np.int8), a, rng).sum())
     sigma = np.sqrt(shots * 0.1 * 0.9)
     assert abs(flips - shots * 0.1) < 5 * sigma
 
@@ -171,10 +161,10 @@ def test_readout_joint_equals_tensor_of_marginals(rng):
     a = confusion_matrix(0.1, 0.05)
     b = confusion_matrix(0.02, 0.3)
     shots = 100_000
-    counts = np.zeros(4)
-    for _ in range(shots):
-        r = apply_readout_noise((0, 1), [a, b], rng)
-        counts[r[0] + 2 * r[1]] += 1
+    batch = ShotBatch(shots)
+    r0 = batch.readout(np.zeros(shots, dtype=np.int8), a, rng)
+    r1 = batch.readout(np.ones(shots, dtype=np.int8), b, rng)
+    counts = np.bincount(r0 + 2 * r1, minlength=4)
     # analytic joint: prepared (0, 1)
     expected = np.kron(b[:, 1], a[:, 0])
     chi2 = ((counts - shots * expected) ** 2 / (shots * expected)).sum()
@@ -188,11 +178,10 @@ def test_readout_channel_matches_sampler(rng):
     noisy = readout_channel(probs, [a, b])
     assert abs(noisy.sum() - 1.0) < 1e-12
     shots = 200_000
-    counts = np.zeros(4)
     outcomes = rng.choice(4, size=shots, p=probs)
-    for k in outcomes:
-        r = apply_readout_noise((k & 1, k >> 1), [a, b], rng)
-        counts[r[0] + 2 * r[1]] += 1
+    batch = ShotBatch(shots)
+    counts = np.bincount(batch.readout(outcomes & 1, a, rng)
+                         + 2 * batch.readout(outcomes >> 1, b, rng), minlength=4)
     for k in range(4):
         sigma = np.sqrt(shots * noisy[k] * (1 - noisy[k]))
         assert abs(counts[k] - shots * noisy[k]) < 5 * sigma
@@ -204,12 +193,10 @@ def test_seeded_streams_are_deterministic():
 
     def run(seed):
         rng = np.random.default_rng(seed)
-        bits = []
-        for _ in range(50):
-            out = apply_depolarizing(state, (0, 1), 0.3, rng)
-            out = apply_idle_decay(out, (0,), 2.0, 30.0, 20.0, rng)
-            bits.append(apply_readout_noise((0, 1), [a, a], rng))
-        return bits
+        batch = shot_batch(state, 50)
+        batch.depolarize([0, 1], 0.3, rng)
+        batch.idle_decay(0, 2.0, 30.0, 20.0, rng)
+        return np.stack([batch.readout(batch.measure_z(q, rng), a, rng) for q in (0, 1)])
 
-    assert run(99) == run(99)
-    assert run(99) != run(100)
+    assert np.array_equal(run(99), run(99))
+    assert not np.array_equal(run(99), run(100))

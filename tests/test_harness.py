@@ -49,6 +49,15 @@ def test_spec_rejects_paths_beyond_int64_outcome_keys():
             ExperimentSpec(hops=hops)
 
 
+def test_spec_rejects_bad_noise_overrides():
+    # unknown keys (here a removed field) and invalid values fail at spec time
+    with pytest.raises(ValueError, match="gate_time_2q_ns"):
+        ExperimentSpec(noise_overrides={"gate_time_2q_ns": 533.0})
+    with pytest.raises(ValueError, match="outside"):
+        ExperimentSpec(noise_overrides={"one_qubit_depol": 1.5})
+    assert ExperimentSpec(noise_overrides=NOISELESS_OVERRIDES).noise_overrides
+
+
 def test_spec_json_roundtrip():
     spec = ExperimentSpec(hops=(1, 3), protocols=("neg",), modes=("swap",), shots=128,
                           seed=7, noise_overrides={"two_qubit_depol": 0.01})
@@ -84,6 +93,27 @@ def test_path_noise_model_overrides():
     assert noise.one_qubit_depol == 0.0
     assert noise.edge_depol(0) == 0.0
     assert np.allclose(noise.qubit_confusion(1), np.eye(2))
+
+
+def test_scalar_gate_error_override_replaces_edge_calibration():
+    device = small_device()
+    noise = path_noise_model(device, PathSpec((0, 1, 2, 3)), {"two_qubit_depol": 0.03})
+    assert noise.two_qubit_depol_per_edge is None
+    assert [noise.edge_depol(i) for i in range(3)] == [0.03] * 3
+
+
+def test_scalar_t1_override_replaces_qubit_calibration():
+    device = small_device()
+    noise = path_noise_model(device, PathSpec((0, 1, 2)), {"t1_us": 40.0})
+    assert noise.t1_per_qubit_us is None and noise.t2_per_qubit_us is None
+    assert [noise.qubit_t1t2(i) for i in range(3)] == [(40.0, NoiseModel().t2_us)] * 3
+
+
+def test_scalar_t2_override_replaces_qubit_calibration():
+    device = small_device()
+    noise = path_noise_model(device, PathSpec((0, 1, 2)), {"t2_us": 10.0})
+    assert noise.t1_per_qubit_us is None and noise.t2_per_qubit_us is None
+    assert [noise.qubit_t1t2(i) for i in range(3)] == [(NoiseModel().t1_us, 10.0)] * 3
 
 
 # --- mitigation pipelines ----------------------------------------------------------
@@ -172,8 +202,9 @@ def dense_category_oracle(result: TransportResult, qrem: bool, calibration) -> d
             out[config]["weight"] += weight / len(BASIS_PAIRS)
             out[config]["probs_by_basis"][pair] = (michelot_project(vec / weight)
                                                    if weight > 1e-12 else np.full(4, 0.25))
-    for payload in out.values():
-        payload["weight"] = max(payload["weight"], 0.0)
+    weights = michelot_project(np.array([payload["weight"] for payload in out.values()]))
+    for payload, weight in zip(out.values(), weights):
+        payload["weight"] = weight
     return out
 
 
@@ -207,6 +238,18 @@ def test_category_pipeline_is_linear_in_path_length(rng):
                 assert abs(probs.sum() - 1.0) < 1e-12 and probs.min() >= 0.0
             if not qrem:
                 assert abs(payload["weight"] - raw[config].total_shots() / total) < 1e-12
+
+
+def test_category_weights_are_a_distribution(rng):
+    # full-path QREM on a long path gives some configurations negative mean
+    # weight; the projected weights still sum to 1 and never overstate shots
+    n, shots = 50, 64
+    result = random_counts_result(n, shots=shots, distinct=5, rng=rng)
+    calibration = [confusion_matrix(*rng.uniform(0.01, 0.05, size=2)) for _ in range(n)]
+    cats = mitigated_category_distributions(result, True, calibration)
+    weights = np.array([payload["weight"] for payload in cats.values()])
+    assert abs(weights.sum() - 1.0) < 1e-12 and weights.min() >= 0.0
+    assert all(round(w * shots) <= shots for w in weights)
 
 
 def test_category_pipeline_rejects_singular_calibration(rng):
@@ -256,9 +299,10 @@ def test_absent_configurations_not_reported_at_one_hop():
 
 
 def test_failed_cells_are_skipped(monkeypatch, caplog):
+    # serial and pooled sweeps share one policy: log the traceback, skip the cell
     device = small_device()
     spec = ExperimentSpec(hops=(1,), protocols=("neg",), modes=("swap", "postselect"),
-                          paths_per_hop=1, trials=1, shots=64, qrem="off", seed=5)
+                          paths_per_hop=2, trials=1, shots=64, qrem="off", seed=5)
 
     real = harness._cell_rows
 
@@ -268,9 +312,18 @@ def test_failed_cells_are_skipped(monkeypatch, caplog):
         return real(dev, sp, cell)
 
     monkeypatch.setattr(harness, "_cell_rows", flaky)
-    rows = run_experiment(device, spec)
-    assert rows
-    assert all(row.mode == "postselect" for row in rows)
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        caplog.clear()
+        rows = run_experiment(device, spec)
+        failures = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        runs.append((rows_to_csv(rows), failures))
+        assert rows
+        assert all(row.mode == "postselect" for row in rows)
+        assert len(failures) == 2
+        assert all("RuntimeError: boom" in f for f in failures)
+    assert runs[0] == runs[1]
 
 
 def test_parallel_run_matches_serial(monkeypatch):

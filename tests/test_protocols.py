@@ -7,10 +7,11 @@ import pytest
 from teleport_lab.channels import (NoiseModel, confusion_matrix, depolarizing_channel,
                                    idle_decay_channel)
 from teleport_lab.metrics import density_from_state, fidelity, negativity
-from teleport_lab.protocols import (PathSpec, ShotBatch, analytic_swap,
+from teleport_lab.protocols import (MAX_PATH_QUBITS, PathSpec, ShotBatch, analytic_swap,
                                     analytic_teleportation, byproduct_sequence,
                                     canonical_state, configuration_unitary,
-                                    correction_sequence, discriminator, phi_p2,
+                                    correction_sequence, discriminator,
+                                    exact_pair_distributions, noisy_pair_density, phi_p2,
                                     phi_p2_projector, prepare_path_graph_state,
                                     reachable_configurations, representative_outcomes,
                                     run_idle_pair, run_swap_transport, run_teleportation,
@@ -370,6 +371,26 @@ def test_dynamic_corrections_follow_noisy_readout():
     assert fidelity(rho, phi_p2_projector()) < 0.85
 
 
+def test_idle_pair_matches_exact_channel_under_noise():
+    # gate depolarizing, readout flips and T1/T2 decay together: every
+    # basis's counts against the exact channel applied to the same pair
+    noise = NoiseModel(one_qubit_depol=0.01, two_qubit_depol=0.05, t1_us=30.0, t2_us=20.0,
+                       readout=[confusion_matrix(0.03, 0.06), confusion_matrix(0.05, 0.02)])
+    delay, shots = 6.0, 20_000
+    result = run_idle_pair(delay, noise, shots, np.random.default_rng(19))
+    rho = noisy_pair_density(noise.edge_depol(0), noise.one_qubit_depol)
+    for q in (0, 1):
+        rho = idle_decay_channel(rho, (q,), delay, *noise.qubit_t1t2(q))
+    exact = exact_pair_distributions(rho, [noise.qubit_confusion(0), noise.qubit_confusion(1)],
+                                     noise.one_qubit_depol)
+    for pair, probs in exact.items():
+        counts = result.counts_by_basis[pair]
+        assert sum(counts.values()) == shots
+        for k in range(4):
+            sigma = np.sqrt(shots * probs[k] * (1 - probs[k]))
+            assert abs(counts.get(k, 0) - shots * probs[k]) <= 5 * max(sigma, 1.0)
+
+
 def test_idle_pair_run():
     rng = np.random.default_rng(2)
     still = run_idle_pair(0.0, NOISELESS, 2048, rng)
@@ -405,6 +426,17 @@ def test_run_argument_errors():
         run_teleportation(2, "dynamic", NOISELESS, 16, rng)
     with pytest.raises(ValueError, match="intermediate"):
         run_swap_transport(2, NOISELESS, 16, rng)
+
+
+def test_paths_beyond_int64_outcome_keys_are_rejected():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="64-bit outcome keys"):
+        run_teleportation(70, "postselect", NOISELESS, 4, rng)
+    with pytest.raises(ValueError, match="64-bit outcome keys"):
+        run_swap_transport(70, NOISELESS, 4, rng)
+    longest = run_teleportation(MAX_PATH_QUBITS, "postselect", NOISELESS, 4, rng)
+    keys = [k for counts in longest.counts_by_basis.values() for k in counts]
+    assert min(keys) >= 0 and max(keys) < 1 << MAX_PATH_QUBITS
 
 
 def test_teleport_pure_argument_check():

@@ -1,14 +1,17 @@
-"""Statevector core: gates, measurement, exact outcome distributions."""
+"""Statevector core: gates, measurement, exact outcome distributions.
+
+Sampled measurement lives in the trajectory engine (`ShotBatch.measure_z`);
+its tests here check it against the Born rule of the dense core.
+"""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teleport_lab.simulator import (Gate, GateOp, MeasurementOutcome, PureState, add_qubit,
-                                    apply_gate, apply_gates, bits_of_index,
-                                    born_probabilities, index_of_bits, measure, op,
-                                    postselect, remove_qubit, states_equal)
+from teleport_lab.simulator import (Gate, GateOp, PureState, add_qubit, apply_gate,
+                                    apply_gates, bits_of_index, born_probabilities,
+                                    index_of_bits, op, postselect, remove_qubit, states_equal)
 
-from conftest import random_state
+from conftest import random_state, shot_batch
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -60,10 +63,10 @@ def test_index_of_bits_is_little_endian():
 
 
 def test_measure_underflow_reports_corrupted_state(rng):
-    state = PureState.zero(1)
-    state.amplitudes = np.zeros(2, dtype=complex)  # corrupt in place
+    batch = shot_batch(PureState.zero(1), 8)
+    batch.amps[3] = 0.0  # corrupt one trajectory in place
     with pytest.raises(RuntimeError, match="corrupted"):
-        measure(state, 0, "Z", rng)
+        batch.measure_z(0, rng)
 
 
 # --- gate actions -------------------------------------------------------------
@@ -130,26 +133,26 @@ def test_norm_preserved_over_random_sequences(rng):
 
 
 def test_measure_plus_in_x_is_deterministic(rng):
-    state = apply_gate(PureState.zero(1), op("H", 0))
-    for _ in range(5):
-        out = measure(state, 0, "X", rng)
-        assert out.bit == 0
+    # an X measurement is a Hadamard followed by a Z measurement
+    batch = shot_batch(apply_gate(PureState.zero(1), op("H", 0)), 1000)
+    batch.apply_gate(0, Gate.H)
+    assert not batch.measure_z(0, rng).any()
 
 
 def test_measure_zero_in_z_is_deterministic(rng):
-    out = measure(PureState.zero(1), 0, "Z", rng)
-    assert out.bit == 0
-    assert isinstance(out, MeasurementOutcome)
+    assert not shot_batch(PureState.zero(1), 1000).measure_z(0, rng).any()
 
 
 def test_remeasure_same_bit(rng):
     # after collapse the measured qubit is a computational eigenstate, so a
     # Z re-measurement reproduces the recorded bit with certainty
     for basis in ("Z", "X"):
-        state = random_state(3, rng)
-        out = measure(state, 1, basis, rng)
-        again = measure(out.post_state, 1, "Z", rng)
-        assert again.bit == out.bit
+        batch = shot_batch(random_state(3, rng), 1000)
+        if basis == "X":
+            batch.apply_gate(1, Gate.H)
+        bits = batch.measure_z(1, rng)
+        assert 0 < bits.sum() < bits.size
+        assert np.array_equal(batch.measure_z(1, rng), bits)
 
 
 def test_measure_teleports_single_qubit(rng):
@@ -166,11 +169,10 @@ def test_measurement_statistics_match_born(rng):
     state = apply_gates(PureState.zero(2), [op("H", 0), op("CNOT", 0, 1), op("H", 1)])
     probs = born_probabilities(state, (0, 1), ("Z", "Z"))
     shots = 100_000
-    counts = np.zeros(4)
-    for _ in range(shots):
-        m0 = measure(state, 0, "Z", rng)
-        m1 = measure(m0.post_state, 1, "Z", rng)
-        counts[m0.bit + 2 * m1.bit] += 1
+    batch = shot_batch(state, shots)
+    m0 = batch.measure_z(0, rng)
+    m1 = batch.measure_z(1, rng)
+    counts = np.bincount(m0 + 2 * m1, minlength=4)
     for k in range(4):
         sigma = np.sqrt(shots * probs[k] * (1 - probs[k]))
         assert abs(counts[k] - shots * probs[k]) < 5 * max(sigma, 1.0)
