@@ -11,7 +11,7 @@ import logging
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from math import sqrt
 from typing import Sequence
 
@@ -63,9 +63,13 @@ class ExperimentSpec:
             if mode not in protocols.MODES:
                 raise ValueError(f"unknown mode {mode}")
         try:
-            NoiseModel(**self.noise_overrides)
+            noise = NoiseModel(**self.noise_overrides)
         except TypeError as exc:
             raise ValueError(f"invalid noise override: {exc}") from None
+        longest = max(self.hops, default=0) + 2
+        if noise.readout and len(noise.readout) < longest:
+            raise ValueError(f"noise override readout has {len(noise.readout)} confusion "
+                             f"matrices; paths of {longest} qubits need one per qubit")
 
     @property
     def qrem_flags(self) -> tuple[bool, ...]:
@@ -77,7 +81,15 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
         payload = json.loads(text)
-        return cls(**payload)
+        if not isinstance(payload, dict):
+            raise ValueError("an ExperimentSpec must be a JSON object")
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown ExperimentSpec keys: {', '.join(unknown)}")
+        try:
+            return cls(**payload)
+        except TypeError as exc:  # a value of the wrong JSON type
+            raise ValueError(f"invalid ExperimentSpec value: {exc}") from None
 
 
 @dataclass

@@ -226,70 +226,75 @@ def teleport_pure(path, outcomes: Sequence[int]) -> PureState:
 class ShotBatch:
     """Vectorized pure-state trajectories over a sliding window of qubits.
 
-    Row s of ``amps`` is the window statevector of shot s; ``axis_of`` maps a
-    path position to its bit in the window index (bit 0 is least significant).
+    ``axis_of`` maps a path position to its bit in the window index (bit 0
+    is least significant). Amplitudes are stored shot-minor, as a
+    ``(dim, shots)`` array: row i holds every shot's amplitude of window
+    basis state i in one contiguous run, so each gate, measurement and
+    noise step acts on whole contiguous slabs of shots. ``amps`` is the
+    per-shot ``(shots, dim)`` view of that storage (row s is the window
+    statevector of shot s); writes through it change the batch.
     """
 
     def __init__(self, shots: int):
         if shots <= 0:
             raise ValueError("shot budget must be positive")
         self.shots = shots
-        self.amps = np.ones((shots, 1), dtype=complex)
+        self._amps = np.ones((1, shots), dtype=complex)
         self.axis_of: dict[int, int] = {}
 
     @property
-    def dim(self) -> int:
-        return self.amps.shape[1]
+    def amps(self) -> np.ndarray:
+        return self._amps.T
 
-    def _axis(self, pos: int) -> int:
-        return self.axis_of[pos]
+    @property
+    def dim(self) -> int:
+        return self._amps.shape[0]
+
+    def _halves(self, pos: int) -> np.ndarray:
+        """View (high bits, bit of pos, low bits, shots) of the storage."""
+        return self._amps.reshape(-1, 2, 1 << self.axis_of[pos], self.shots)
 
     def add_qubit(self, pos: int):
         """Attach one |0> qubit at the given path position."""
         if pos in self.axis_of:
             raise ValueError(f"position {pos} already live")
         self.axis_of[pos] = len(self.axis_of)
-        grown = np.zeros((self.shots, self.dim * 2), dtype=complex)
-        grown[:, :self.dim] = self.amps
-        self.amps = grown
+        grown = np.zeros((self.dim * 2, self.shots), dtype=complex)
+        grown[:self.dim] = self._amps
+        self._amps = grown
 
     def apply_matrix(self, pos: int, matrix: np.ndarray):
-        view = self.amps.reshape(self.shots, -1, 2, 1 << self._axis(pos))
-        self.amps = np.einsum("ij,sajb->saib", matrix, view).reshape(self.shots, -1)
+        lo = 1 << self.axis_of[pos]
+        view = self._amps.reshape(-1, 2, lo * self.shots)
+        self._amps = (matrix @ view).reshape(self.dim, self.shots)
 
     def apply_gate(self, pos: int, gate: Gate):
         self.apply_matrix(pos, GATE_MATRICES[gate])
 
     def apply_cz(self, pos1: int, pos2: int):
-        b1, b2 = self._axis(pos1), self._axis(pos2)
-        idx = np.arange(self.dim)
-        mask = (((idx >> b1) & (idx >> b2)) & 1).astype(bool)
-        self.amps[:, mask] *= -1.0
+        low, high = sorted((self.axis_of[pos1], self.axis_of[pos2]))
+        view = self._amps.reshape(-1, 2, 1 << (high - low - 1), 2, (1 << low) * self.shots)
+        view[:, 1, :, 1, :] *= -1.0
 
     def apply_cnot(self, control: int, target: int):
-        bc, bt = self._axis(control), self._axis(target)
+        bc, bt = self.axis_of[control], self.axis_of[target]
         idx = np.arange(self.dim)
         perm = np.where(((idx >> bc) & 1) == 1, idx ^ (1 << bt), idx)
-        self.amps = self.amps[:, perm]
+        self._amps = self._amps[perm]
 
     def apply_pauli_indexed(self, pos: int, which: np.ndarray):
         """Per-shot Pauli: which[s] in {0: none, 1: X, 2: Y, 3: Z}."""
-        b = self._axis(pos)
-        idx = np.arange(self.dim)
-        bit = (idx >> b) & 1
-        flip = idx ^ (1 << b)
-        for k in (1, 2, 3):
-            mask = which == k
-            if not mask.any():
-                continue
-            if k == 1:
-                self.amps[mask] = self.amps[mask][:, flip]
-            elif k == 2:
-                phase = np.where(bit == 1, 1j, -1j)
-                self.amps[mask] = self.amps[mask][:, flip] * phase
-            else:
-                sign = np.where(bit == 1, -1.0, 1.0)
-                self.amps[mask] = self.amps[mask] * sign
+        hit = np.flatnonzero(which)
+        if not hit.size:
+            return
+        kind = which[hit]
+        view = self._halves(pos)
+        flip = hit[kind != 3]
+        view[..., flip] = view[:, ::-1, :, flip]
+        y = hit[kind == 2]
+        view[:, 0, :, y] *= -1j
+        view[:, 1, :, y] *= 1j
+        view[:, 1, :, hit[kind == 3]] *= -1.0
 
     def depolarize(self, positions: Sequence[int], p: float, rng: np.random.Generator,
                    active: np.ndarray | None = None):
@@ -307,32 +312,28 @@ class ShotBatch:
             word >>= 2
 
     def probability_one(self, pos: int) -> np.ndarray:
-        lo = 1 << self._axis(pos)
-        pr = np.abs(self.amps.reshape(self.shots, -1, 2, lo)) ** 2
-        return pr[:, :, 1, :].sum(axis=(1, 2))
+        return (np.abs(self._halves(pos)[:, 1]) ** 2).sum(axis=(0, 1))
 
     def measure_z(self, pos: int, rng: np.random.Generator) -> np.ndarray:
         """Sample and collapse a Z measurement; returns per-shot bits."""
-        view = self.amps.reshape(self.shots, -1, 2, 1 << self._axis(pos))
+        view = self._halves(pos)
         pr = np.abs(view) ** 2
-        p1 = pr[:, :, 1, :].sum(axis=(1, 2))
+        p1 = pr[:, 1].sum(axis=(0, 1))
         bits = (rng.random(self.shots) < p1).astype(np.int8)
-        p_keep = np.where(bits == 1, p1, pr[:, :, 0, :].sum(axis=(1, 2)))
+        p_keep = np.where(bits == 1, p1, pr[:, 0].sum(axis=(0, 1)))
         if np.any(p_keep < 1e-15):
             raise RuntimeError("measurement probabilities underflow; state is corrupted")
-        sel = np.zeros((self.shots, 1, 2, 1))
-        sel[np.arange(self.shots), 0, bits, 0] = 1.0
-        collapsed = (view * sel).reshape(self.shots, -1)
-        self.amps = collapsed / np.sqrt(p_keep)[:, None]
+        collapsed = np.zeros_like(view)
+        np.divide(view, np.sqrt(p_keep), out=collapsed,
+                  where=np.stack([bits == 0, bits == 1])[:, None, :])
+        self._amps = collapsed.reshape(self.dim, self.shots)
         return bits
 
     def drop_qubit(self, pos: int, bits: np.ndarray):
         """Remove a collapsed qubit whose per-shot computational value is known."""
-        b = self._axis(pos)
-        lo = 1 << b
-        view = self.amps.reshape(self.shots, -1, 2, lo)
-        taken = np.take_along_axis(view, bits.astype(np.intp)[:, None, None, None], axis=2)
-        self.amps = np.ascontiguousarray(taken[:, :, 0, :].reshape(self.shots, -1))
+        b = self.axis_of[pos]
+        view = self._halves(pos)
+        self._amps = np.where(bits == 1, view[:, 1], view[:, 0]).reshape(-1, self.shots)
         del self.axis_of[pos]
         for p, axis in self.axis_of.items():
             if axis > b:
@@ -345,15 +346,13 @@ class ShotBatch:
         if gamma > 0.0:
             p1 = self.probability_one(pos)
             jump = rng.random(self.shots) < gamma * p1
-            lo = 1 << self._axis(pos)
-            view = self.amps.reshape(self.shots, -1, 2, lo)
-            out = view.copy()
-            out[jump, :, 0, :] = view[jump, :, 1, :]
-            out[jump, :, 1, :] = 0.0
-            out[~jump, :, 1, :] *= sqrt(1.0 - gamma)
-            norm = np.where(jump, np.sqrt(np.maximum(p1, 1e-300)),
-                            np.sqrt(np.maximum(1.0 - gamma * p1, 1e-300)))
-            self.amps = (out / norm[:, None, None, None]).reshape(self.shots, -1)
+            view = self._halves(pos)
+            out = np.empty_like(view)
+            out[:, 0] = np.where(jump, view[:, 1], view[:, 0])
+            out[:, 1] = np.where(jump, 0.0, view[:, 1] * sqrt(1.0 - gamma))
+            out /= np.where(jump, np.sqrt(np.maximum(p1, 1e-300)),
+                           np.sqrt(np.maximum(1.0 - gamma * p1, 1e-300)))
+            self._amps = out.reshape(self.dim, self.shots)
         if p_z > 0.0:
             flip = rng.random(self.shots) < p_z
             self.apply_pauli_indexed(pos, np.where(flip, 3, 0))

@@ -101,6 +101,22 @@ def test_run_with_spec_file(workdir):
     assert {r.mode for r in rows} == {"swap"}
 
 
+def test_run_rejects_bad_spec_inputs_with_one_line_error(workdir, capsys):
+    dev = workdir / "dev.json"
+    spec_file = workdir / "bogus_spec.json"
+    spec_file.write_text('{"hops": [1], "bogus": 1}')
+    out = workdir / "never.csv"
+    assert main(["run", "--device", str(dev), "--spec", str(spec_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown ExperimentSpec keys: bogus\n"
+    short_readout = json.dumps({"readout": [[[1, 0], [0, 1]]]})
+    assert main(["run", "--device", str(dev), "--hops", "1", "--noise-overrides", short_readout,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise override readout has 1") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_is_byte_deterministic(workdir):
     dev = workdir / "dev.json"
     a = workdir / "det_a.csv"

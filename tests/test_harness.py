@@ -58,6 +58,27 @@ def test_spec_rejects_bad_noise_overrides():
     assert ExperimentSpec(noise_overrides=NOISELESS_OVERRIDES).noise_overrides
 
 
+def test_spec_rejects_readout_override_shorter_than_longest_path():
+    # each path position reads its own confusion matrix, so a short list
+    # would fail every cell of the sweep instead of the spec
+    three = [confusion_matrix(0.01, 0.02)] * 3
+    assert ExperimentSpec(hops=(1,), noise_overrides={"readout": three}).noise_overrides
+    with pytest.raises(ValueError, match="readout has 3 confusion matrices"):
+        ExperimentSpec(hops=(1, 2), noise_overrides={"readout": three})
+    assert ExperimentSpec(hops=(5,), noise_overrides={"readout": []}).noise_overrides == {
+        "readout": []}
+
+
+def test_spec_json_rejects_unknown_keys_and_bad_values():
+    with pytest.raises(ValueError, match="unknown ExperimentSpec keys: bogus, extra"):
+        ExperimentSpec.from_json('{"hops": [1], "extra": 0, "bogus": 1}')
+    with pytest.raises(ValueError, match="JSON object"):
+        ExperimentSpec.from_json("[1, 2]")
+    for text in ('{"hops": 5}', '{"hops": [1], "shots": "many"}'):
+        with pytest.raises(ValueError, match="invalid ExperimentSpec value"):
+            ExperimentSpec.from_json(text)
+
+
 def test_spec_json_roundtrip():
     spec = ExperimentSpec(hops=(1, 3), protocols=("neg",), modes=("swap",), shots=128,
                           seed=7, noise_overrides={"two_qubit_depol": 0.01})

@@ -1,4 +1,5 @@
 """Transport protocols: identities, categorisation, engines against oracles."""
+import hashlib
 import itertools
 
 import numpy as np
@@ -16,11 +17,12 @@ from teleport_lab.protocols import (MAX_PATH_QUBITS, PathSpec, ShotBatch, analyt
                                     reachable_configurations, representative_outcomes,
                                     run_idle_pair, run_swap_transport, run_teleportation,
                                     sequence_unitary, teleport_pure)
-from teleport_lab.simulator import (Gate, PureState, apply_gates, born_probabilities,
-                                    index_of_bits, op, states_equal)
+from teleport_lab.simulator import (PAULI_MATRICES, Gate, GateOp, PureState, apply_gate,
+                                    apply_gates, born_probabilities, index_of_bits, op,
+                                    postselect, remove_qubit, states_equal)
 from teleport_lab.tomography import reconstruct, tomography_rotations
 
-from conftest import trace_distance
+from conftest import random_state, trace_distance
 
 NOISELESS = NoiseModel(dynamic_correction_latency_us=0.0)
 
@@ -244,6 +246,76 @@ def test_batch_idle_decay_matches_exact_channel():
     assert trace_distance(ensemble, exact) < 0.01
 
 
+# A 3-qubit window whose path positions differ from their window axes, so a
+# primitive that confuses the two fails; each shot holds its own random state.
+WINDOW_POSITIONS = (4, 2, 7)
+
+
+def _random_window(rng: np.random.Generator, shots: int = 8):
+    states = [random_state(3, rng) for _ in range(shots)]
+    batch = ShotBatch(shots)
+    for pos in WINDOW_POSITIONS:
+        batch.add_qubit(pos)
+    batch.amps[:] = [s.amplitudes for s in states]
+    return batch, states
+
+
+def _assert_shots_equal(batch: ShotBatch, states):
+    want = np.array([s.amplitudes for s in states])
+    assert batch.amps.shape == want.shape
+    assert np.max(np.abs(batch.amps - want)) < 1e-12
+
+
+def _on_axis(matrix: np.ndarray, axis: int) -> np.ndarray:
+    """Dense 3-qubit operator of a 1-qubit matrix on one axis (bit 0 least significant)."""
+    return np.kron(np.eye(1 << (2 - axis)), np.kron(matrix, np.eye(1 << axis)))
+
+
+def test_batch_gates_match_dense_simulator_on_every_axis():
+    rng = np.random.default_rng(71)
+    for axis, pos in enumerate(WINDOW_POSITIONS):
+        for gate in (Gate.H, Gate.X, Gate.Y, Gate.Z, Gate.S, Gate.SDG):
+            batch, states = _random_window(rng)
+            batch.apply_gate(pos, gate)
+            _assert_shots_equal(batch, [apply_gate(s, GateOp(gate, (axis,))) for s in states])
+
+
+def test_batch_two_qubit_gates_match_dense_simulator_in_both_orders():
+    rng = np.random.default_rng(72)
+    for a, b in itertools.permutations(range(3), 2):
+        pa, pb = WINDOW_POSITIONS[a], WINDOW_POSITIONS[b]
+        batch, states = _random_window(rng)
+        batch.apply_cz(pa, pb)
+        _assert_shots_equal(batch, [apply_gate(s, GateOp(Gate.CZ, (a, b))) for s in states])
+        batch, states = _random_window(rng)
+        batch.apply_cnot(pa, pb)
+        _assert_shots_equal(batch, [apply_gate(s, GateOp(Gate.CNOT, (a, b))) for s in states])
+
+
+def test_batch_per_shot_paulis_match_dense_operators():
+    rng = np.random.default_rng(73)
+    which = np.array([0, 1, 2, 3, 3, 2, 1, 0])
+    for axis, pos in enumerate(WINDOW_POSITIONS):
+        batch, states = _random_window(rng, shots=which.size)
+        batch.apply_pauli_indexed(pos, which)
+        want = [PureState(3, _on_axis(PAULI_MATRICES["IXYZ"[w]], axis) @ s.amplitudes)
+                for w, s in zip(which, states)]
+        _assert_shots_equal(batch, want)
+
+
+def test_batch_drop_qubit_matches_dense_removal():
+    rng = np.random.default_rng(74)
+    bits = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.int8)
+    for axis, pos in enumerate(WINDOW_POSITIONS):
+        batch, states = _random_window(rng, shots=bits.size)
+        collapsed = [postselect(s, axis, "Z", int(bit))[0] for s, bit in zip(states, bits)]
+        batch.amps[:] = [c.amplitudes for c in collapsed]
+        batch.drop_qubit(pos, bits)
+        _assert_shots_equal(batch, [remove_qubit(c, axis) for c in collapsed])
+        rest = [p for p in WINDOW_POSITIONS if p != pos]
+        assert batch.axis_of == {p: i for i, p in enumerate(rest)}
+
+
 def test_batch_measure_collapses_and_renormalizes():
     rng = np.random.default_rng(3)
     batch = ShotBatch(1000)
@@ -399,6 +471,41 @@ def test_idle_pair_run():
     decayed = run_idle_pair(200.0, NoiseModel(t1_us=33.0, t2_us=25.0), 2048, rng)
     rho = reconstruct(decayed.pair_tomography().frequencies())
     assert negativity(rho) < 0.1
+
+
+# Digests of the sorted counts recorded before the engine's storage layout
+# changed; a change to the order or size of any random draw changes them.
+DIGEST_NOISE = NoiseModel(one_qubit_depol=0.01, two_qubit_depol=0.03, t1_us=30.0, t2_us=20.0,
+                          dynamic_correction_latency_us=1.5,
+                          readout=[confusion_matrix(0.02 + 0.005 * q, 0.04 - 0.003 * q)
+                                   for q in range(7)])
+COUNT_DIGESTS = {
+    "dynamic": "c3528f0b31e7c62301bfef53c7acb8bd6178fc65b670be614d37ca70e3423aea",
+    "dynamic-simplified": "9e68bfc4e55cea718910f0104fb87d4c4a1ac88b51814922d9004192baa16291",
+    "postselect": "a71899eb247cd3e44d2272f6e6505b2e49151ea14077c10a2d05a53ee4a3210f",
+    "swap": "f2624dfc7a6ebd17c5450bbc7944470559bcac7246714cb593ebf3fe8c5a2e97",
+    "idle": "f7a6857bba3db51938cb70a7ee7d28b1f65c1840194e32c738c6b20748faa5df",
+}
+
+
+def _sampled_for_digest(case: str, size: int):
+    rng = np.random.default_rng(1000 + size)
+    if case == "idle":
+        return run_idle_pair(float(size), DIGEST_NOISE, 300, rng)
+    if case == "swap":
+        return run_swap_transport(size, DIGEST_NOISE, 300, rng)
+    mode, _, simplified = case.partition("-")
+    return run_teleportation(size, mode, DIGEST_NOISE, 300, rng,
+                             simplified_correction=bool(simplified))
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_DIGESTS))
+def test_sampled_counts_match_recorded_digest(case):
+    # n = 3 and 7 for the transport modes, delays of 3 and 7 us for the idle pair
+    results = [_sampled_for_digest(case, size) for size in (3, 7)]
+    counts = [sorted((pair, sorted(c.items())) for pair, c in r.counts_by_basis.items())
+              for r in results]
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == COUNT_DIGESTS[case]
 
 
 # --- interfaces -------------------------------------------------------------------
