@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channels, mitigation, pathfinder, protocols, tomography
 from .channels import NoiseModel, confusion_matrix
-from .metrics import fidelity, negativity
+from .metrics import density_from_state, fidelity, negativity
 from .pathfinder import DeviceModel
 from .protocols import PathSpec, TransportResult
 
@@ -49,11 +49,14 @@ class ExperimentSpec:
 
     def __post_init__(self):
         self.hops = tuple(int(h) for h in self.hops)
+        if not self.hops:
+            raise ValueError("hops must list at least one hop count")
         max_hops = protocols.MAX_PATH_QUBITS - 2
         if any(not 1 <= h <= max_hops for h in self.hops):
             raise ValueError(f"hop counts must be between 1 and {max_hops}")
-        if self.shots <= 0:
-            raise ValueError("shots must be positive")
+        for name in ("shots", "trials", "paths_per_hop", "qrem_calibration_shots"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.qrem not in ("on", "off", "both"):
             raise ValueError("qrem must be on, off or both")
         for p in self.protocols:
@@ -240,7 +243,13 @@ def _cell_rows(device: DeviceModel, spec: ExperimentSpec, cell: _Cell) -> list[R
         spec.qrem_calibration_shots, rng)
 
     rows: list[ResultRow] = []
-    ideal_pair = protocols.phi_p2_projector()
+    path_label = _path_str(path)
+    if cell.mode == "postselect":
+        # ideal projector of each configuration, shared by both QREM flags
+        ideals = {c: density_from_state(protocols.canonical_state(c, path.n).amplitudes)
+                  for c in protocols.reachable_configurations(path.hops)}
+    else:
+        ideal_pair = protocols.phi_p2_projector()
     for qrem in spec.qrem_flags:
         flag = "on" if qrem else "off"
         if cell.mode == "postselect":
@@ -249,21 +258,19 @@ def _cell_rows(device: DeviceModel, spec: ExperimentSpec, cell: _Cell) -> list[R
                 config_label = f"{config[0]}{config[1]}"
                 eff_shots = int(round(payload["weight"] * spec.shots))
                 if eff_shots < 1:
-                    rows.append(ResultRow(cell.mode, cell.protocol, cell.hops,
-                                          _path_str(path), cell.trial, flag, config_label,
+                    rows.append(ResultRow(cell.mode, cell.protocol, cell.hops, path_label,
+                                          cell.trial, flag, config_label,
                                           None, None, 0, cell.seed))
                     continue
                 rho = tomography.reconstruct(payload["probs_by_basis"])
-                ideal = protocols.canonical_state(config, path.n)
                 rows.append(ResultRow(
-                    cell.mode, cell.protocol, cell.hops, _path_str(path), cell.trial,
-                    flag, config_label, negativity(rho),
-                    fidelity(rho, np.outer(ideal.amplitudes, ideal.amplitudes.conj())),
+                    cell.mode, cell.protocol, cell.hops, path_label, cell.trial,
+                    flag, config_label, negativity(rho), fidelity(rho, ideals[config]),
                     eff_shots, cell.seed))
         else:
             probs = mitigated_pair_distributions(result, qrem, calibration)
             rho = tomography.reconstruct(probs)
-            rows.append(ResultRow(cell.mode, cell.protocol, cell.hops, _path_str(path),
+            rows.append(ResultRow(cell.mode, cell.protocol, cell.hops, path_label,
                                   cell.trial, flag, "", negativity(rho),
                                   fidelity(rho, ideal_pair), spec.shots, cell.seed))
     return rows
@@ -285,9 +292,12 @@ def _cell_worker(args) -> tuple[list[ResultRow], str | None]:
 def _worker_count() -> int:
     raw = os.environ.get("TELEPORT_LAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"TELEPORT_LAB_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def plan_cells(device: DeviceModel, spec: ExperimentSpec) -> list[_Cell]:
@@ -320,9 +330,9 @@ def plan_cells(device: DeviceModel, spec: ExperimentSpec) -> list[_Cell]:
 
 def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> list[ResultRow]:
     """Execute the sweep; a failed cell is logged and skipped, serial or pooled."""
+    workers = _worker_count()
     cells = plan_cells(device, spec)
     jobs = ((device, spec, c) for c in cells)
-    workers = _worker_count()
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_cell_worker, jobs))

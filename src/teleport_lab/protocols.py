@@ -13,16 +13,17 @@ Three modes are implemented:
 
 All three, and the idling pair of the decay experiment, are sampled by one
 per-basis schedule (`_sample_basis`): prepare the pair, one hop per
-intermediate qubit (CZ teleport step or three-CNOT swap step, then
-measure, read out and drop), a tail (dynamic correction, sequential or
-simplified, or an idle), and the tomography layer. The trajectories are
-Monte-Carlo wave-function unravellings (Dalibard, Castin and Molmer, PRL
-68, 580, 1992) run by `ShotBatch`, a sliding-window engine that keeps at
-most a handful of live qubits per shot regardless of path length: a path
-qubit enters the window when first entangled and leaves right after its
-measurement collapses it. Measuring a qubit early is exactly equivalent to
-the deferred hardware schedule because nothing acts on it afterwards.
-The dense simulator provides the independent analytic route.
+intermediate qubit (CZ teleport step or three-CNOT swap step, then a
+measurement that also drops the qubit, and its readout), a tail (dynamic
+correction, sequential or simplified, or an idle), and the tomography
+layer. The trajectories are Monte-Carlo wave-function unravellings
+(Dalibard, Castin and Molmer, PRL 68, 580, 1992) run by `ShotBatch`, a
+sliding-window engine that keeps at most a handful of live qubits per shot
+regardless of path length: a path qubit enters the window when first
+entangled and leaves with the measurement that collapses it. Measuring a
+qubit early is exactly equivalent to the deferred hardware schedule
+because nothing acts on it afterwards. The dense simulator provides the
+independent analytic route.
 """
 from __future__ import annotations
 
@@ -185,7 +186,8 @@ def prepare_path_graph_state(path) -> PureState:
 
 
 def phi_p2() -> PureState:
-    return prepare_path_graph_state(2)
+    """Two-qubit graph state CZ|++>, as `prepare_path_graph_state(2)` gives it."""
+    return PureState(2, np.array([0.5, 0.5, 0.5, -0.5], dtype=complex))
 
 
 def phi_p2_projector() -> np.ndarray:
@@ -223,6 +225,12 @@ def teleport_pure(path, outcomes: Sequence[int]) -> PureState:
 # Sampled trajectories
 
 
+# Per letter (I, X, Y, Z): whether the Pauli swaps the |0> and |1> halves,
+# and the phases it then puts on the |0> half (row 0) and the |1> half.
+_PAULI_FLIPS = np.array([False, True, True, False])
+_PAULI_PHASES = np.array([[1, 1, -1j, 1], [1, 1, 1j, -1]], dtype=complex)
+
+
 class ShotBatch:
     """Vectorized pure-state trajectories over a sliding window of qubits.
 
@@ -233,6 +241,12 @@ class ShotBatch:
     noise step acts on whole contiguous slabs of shots. ``amps`` is the
     per-shot ``(shots, dim)`` view of that storage (row s is the window
     statevector of shot s); writes through it change the batch.
+
+    Measurement removes the measured qubit: `measure_z` samples the bits,
+    keeps each shot's half of the window for its bit and renormalizes it,
+    which halves the window. Per-shot Paulis (depolarizing, outcome-
+    conditioned corrections, dephasing) go through one sparse kernel,
+    `apply_paulis`, that touches only the listed shots.
     """
 
     def __init__(self, shots: int):
@@ -282,19 +296,22 @@ class ShotBatch:
         perm = np.where(((idx >> bc) & 1) == 1, idx ^ (1 << bt), idx)
         self._amps = self._amps[perm]
 
-    def apply_pauli_indexed(self, pos: int, which: np.ndarray):
-        """Per-shot Pauli: which[s] in {0: none, 1: X, 2: Y, 3: Z}."""
-        hit = np.flatnonzero(which)
-        if not hit.size:
+    def apply_paulis(self, positions: Sequence[int], shots: np.ndarray, letters: np.ndarray):
+        """Pauli letters[j, k] (0: none, 1: X, 2: Y, 3: Z) on positions[j] of shot shots[k].
+
+        ``shots`` holds distinct shot indices. Only their columns are
+        gathered, changed for every position in turn and written back, so
+        the cost follows the number of listed shots, not the batch size.
+        """
+        if not shots.size:
             return
-        kind = which[hit]
-        view = self._halves(pos)
-        flip = hit[kind != 3]
-        view[..., flip] = view[:, ::-1, :, flip]
-        y = hit[kind == 2]
-        view[:, 0, :, y] *= -1j
-        view[:, 1, :, y] *= 1j
-        view[:, 1, :, hit[kind == 3]] *= -1.0
+        sub = np.take(self._amps, shots, axis=1)
+        for pos, letter in zip(positions, letters):
+            view = sub.reshape(-1, 2, 1 << self.axis_of[pos], shots.size)
+            view[:] = np.where(_PAULI_FLIPS[letter], view[:, ::-1], view)
+            view[:, 0] *= _PAULI_PHASES[0, letter]
+            view[:, 1] *= _PAULI_PHASES[1, letter]
+        self._amps[:, shots] = sub
 
     def depolarize(self, positions: Sequence[int], p: float, rng: np.random.Generator,
                    active: np.ndarray | None = None):
@@ -306,16 +323,18 @@ class ShotBatch:
             hit &= active
         n_words = 4 ** len(positions)
         word = rng.integers(1, n_words, size=self.shots)
-        word = np.where(hit, word, 0)
-        for pos in positions:
-            self.apply_pauli_indexed(pos, word & 3)
-            word >>= 2
-
-    def probability_one(self, pos: int) -> np.ndarray:
-        return (np.abs(self._halves(pos)[:, 1]) ** 2).sum(axis=(0, 1))
+        idx = np.flatnonzero(hit)
+        # letter of positions[j] is bits 2j and 2j + 1 of the word
+        letters = (word[idx] >> 2 * np.arange(len(positions))[:, None]) & 3
+        self.apply_paulis(positions, idx, letters)
 
     def measure_z(self, pos: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample and collapse a Z measurement; returns per-shot bits."""
+        """Sample a Z measurement, collapse onto it and remove the qubit.
+
+        Returns the per-shot bits; the other live qubits keep their positions
+        and move down one window axis if they sat above the removed one.
+        """
+        b = self.axis_of[pos]
         view = self._halves(pos)
         pr = np.abs(view) ** 2
         p1 = pr[:, 1].sum(axis=(0, 1))
@@ -323,39 +342,35 @@ class ShotBatch:
         p_keep = np.where(bits == 1, p1, pr[:, 0].sum(axis=(0, 1)))
         if np.any(p_keep < 1e-15):
             raise RuntimeError("measurement probabilities underflow; state is corrupted")
-        collapsed = np.zeros_like(view)
-        np.divide(view, np.sqrt(p_keep), out=collapsed,
-                  where=np.stack([bits == 0, bits == 1])[:, None, :])
-        self._amps = collapsed.reshape(self.dim, self.shots)
-        return bits
-
-    def drop_qubit(self, pos: int, bits: np.ndarray):
-        """Remove a collapsed qubit whose per-shot computational value is known."""
-        b = self.axis_of[pos]
-        view = self._halves(pos)
-        self._amps = np.where(bits == 1, view[:, 1], view[:, 0]).reshape(-1, self.shots)
+        kept = np.where(bits == 1, view[:, 1], view[:, 0])
+        # numpy divides a complex number by a real one as a product with the
+        # reciprocal, so this gives the bits of a division at a quarter of its cost
+        kept *= 1.0 / np.sqrt(p_keep)
+        self._amps = kept.reshape(-1, self.shots)
         del self.axis_of[pos]
         for p, axis in self.axis_of.items():
             if axis > b:
                 self.axis_of[p] = axis - 1
+        return bits
 
     def idle_decay(self, pos: int, duration_us: float, t1_us: float, t2_us: float,
                    rng: np.random.Generator):
         """Trajectory-sampled amplitude damping plus pure dephasing."""
         gamma, p_z = decay_probabilities(duration_us, t1_us, t2_us)
         if gamma > 0.0:
-            p1 = self.probability_one(pos)
-            jump = rng.random(self.shots) < gamma * p1
             view = self._halves(pos)
-            out = np.empty_like(view)
-            out[:, 0] = np.where(jump, view[:, 1], view[:, 0])
-            out[:, 1] = np.where(jump, 0.0, view[:, 1] * sqrt(1.0 - gamma))
-            out /= np.where(jump, np.sqrt(np.maximum(p1, 1e-300)),
-                           np.sqrt(np.maximum(1.0 - gamma * p1, 1e-300)))
-            self._amps = out.reshape(self.dim, self.shots)
+            ground, excited = view[:, 0], view[:, 1]
+            p1 = (np.abs(excited) ** 2).sum(axis=(0, 1))
+            jump = np.flatnonzero(rng.random(self.shots) < gamma * p1)
+            decayed = excited[..., jump]  # a copy, taken before the scaling below
+            excited *= sqrt(1.0 - gamma)
+            view *= 1.0 / np.sqrt(np.maximum(1.0 - gamma * p1, 1e-300))  # as in measure_z
+            ground[..., jump] = decayed * (1.0 / np.sqrt(np.maximum(p1[jump], 1e-300)))
+            excited[..., jump] = 0.0
         if p_z > 0.0:
             flip = rng.random(self.shots) < p_z
-            self.apply_pauli_indexed(pos, np.where(flip, 3, 0))
+            idx = np.flatnonzero(flip)
+            self.apply_paulis([pos], idx, np.full((1, idx.size), 3))
 
     def readout(self, bits: np.ndarray, confusion: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
@@ -386,9 +401,10 @@ class TransportResult:
         """Counts marginalized onto the surviving pair (positions 0 and n-1)."""
         tset = TomographySet(shots_per_basis=self.shots_per_basis)
         for pair, counts in self.counts_by_basis.items():
-            for outcome, weight in counts.items():
-                k = (outcome & 1) | (((outcome >> (self.n - 1)) & 1) << 1)
-                tset.add(pair, k, weight)
+            keys = np.fromiter(counts, np.int64, len(counts))
+            weights = np.fromiter(counts.values(), float, len(counts))
+            k = (keys & 1) | (((keys >> (self.n - 1)) & 1) << 1)
+            tset.counts[pair] = np.bincount(k, weights, 4)
         return tset
 
     def categorize(self) -> dict[tuple[int, int], TomographySet]:
@@ -406,7 +422,7 @@ class TransportResult:
 
 def _count(ints: np.ndarray) -> dict[int, int]:
     values, counts = np.unique(ints, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def _gate_with_noise(batch: ShotBatch, pos: int, gate: Gate, noise: NoiseModel,
@@ -418,7 +434,8 @@ def _gate_with_noise(batch: ShotBatch, pos: int, gate: Gate, noise: NoiseModel,
 def _conditional_pauli(batch: ShotBatch, pos: int, cond: np.ndarray, pauli: int,
                        noise: NoiseModel, rng: np.random.Generator):
     """Pauli (1: X, 3: Z) and its gate noise on the shots where cond holds."""
-    batch.apply_pauli_indexed(pos, np.where(cond, pauli, 0))
+    idx = np.flatnonzero(cond)
+    batch.apply_paulis([pos], idx, np.full((1, idx.size), pauli))
     batch.depolarize([pos], noise.one_qubit_depol, rng, active=cond)
 
 
@@ -471,7 +488,6 @@ def _sample_basis(n: int, mode: str, noise: NoiseModel, shots: int,
             _gate_with_noise(batch, i, Gate.H, noise, rng)  # X-basis measurement rotation
         bits = batch.measure_z(i, rng)
         read[i] = batch.readout(bits, noise.qubit_confusion(i), rng)
-        batch.drop_qubit(i, bits)
 
     if mode == "idle":
         _idle(batch, (0, last), delay_us, noise, rng)

@@ -117,6 +117,27 @@ def test_run_rejects_bad_spec_inputs_with_one_line_error(workdir, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_empty_sweeps_and_bad_worker_counts(workdir, capsys, monkeypatch):
+    # each of these used to write a header-only CSV and exit 0
+    dev = workdir / "dev.json"
+    out = workdir / "never_empty.csv"
+    base = ["run", "--device", str(dev), "--out", str(out)]
+    zero_calibration = workdir / "zero_calibration.json"
+    zero_calibration.write_text('{"hops": [1], "qrem_calibration_shots": 0}')
+    for extra, field in ((["--trials", "0"], "trials"), (["--paths", "0"], "paths_per_hop"),
+                         (["--hops", "5..1"], "hops"),
+                         (["--spec", str(zero_calibration)], "qrem_calibration_shots")):
+        assert main(base + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1
+    for raw in ("abc", "0", "-2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", raw)
+        assert main(base + ["--hops", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: TELEPORT_LAB_THREADS") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_is_byte_deterministic(workdir):
     dev = workdir / "dev.json"
     a = workdir / "det_a.csv"

@@ -69,6 +69,30 @@ def test_spec_rejects_readout_override_shorter_than_longest_path():
         "readout": []}
 
 
+@pytest.mark.parametrize("field, value", [("trials", 0), ("paths_per_hop", 0),
+                                          ("qrem_calibration_shots", 0), ("hops", ())])
+def test_spec_rejects_empty_sweep_fields(field, value):
+    # each of these used to plan no cell, or fail every cell, and exit 0
+    # with a header-only CSV
+    with pytest.raises(ValueError, match=field):
+        ExperimentSpec(**{field: value})
+    if field != "hops":
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec(**{field: -3})
+        assert getattr(ExperimentSpec(**{field: 1}), field) == 1
+
+
+def test_worker_count_accepts_only_positive_integers(monkeypatch):
+    monkeypatch.delenv("TELEPORT_LAB_THREADS", raising=False)
+    assert harness._worker_count() == 1
+    monkeypatch.setenv("TELEPORT_LAB_THREADS", "3")
+    assert harness._worker_count() == 3
+    for raw in ("abc", "0", "-2", "1.5", ""):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", raw)
+        with pytest.raises(ValueError, match="TELEPORT_LAB_THREADS"):
+            harness._worker_count()
+
+
 def test_spec_json_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ValueError, match="unknown ExperimentSpec keys: bogus, extra"):
         ExperimentSpec.from_json('{"hops": [1], "extra": 0, "bogus": 1}')

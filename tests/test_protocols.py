@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from teleport_lab.channels import (NoiseModel, confusion_matrix, depolarizing_channel,
+from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, confusion_matrix,
+                                   decay_probabilities, depolarizing_channel,
                                    idle_decay_channel)
 from teleport_lab.metrics import density_from_state, fidelity, negativity
 from teleport_lab.protocols import (MAX_PATH_QUBITS, PathSpec, ShotBatch, analytic_swap,
@@ -37,6 +38,7 @@ def noiseless_unitary_states_equal(a, b):
 def test_two_qubit_graph_state_amplitudes():
     state = prepare_path_graph_state(2)
     assert np.allclose(state.amplitudes, np.array([1, 1, 1, -1]) / 2, atol=1e-12)
+    assert np.array_equal(phi_p2().amplitudes, state.amplitudes)
 
 
 def test_three_qubit_graph_state_signs():
@@ -296,37 +298,124 @@ def test_batch_per_shot_paulis_match_dense_operators():
     rng = np.random.default_rng(73)
     which = np.array([0, 1, 2, 3, 3, 2, 1, 0])
     for axis, pos in enumerate(WINDOW_POSITIONS):
+        # every shot listed, identity letters included
         batch, states = _random_window(rng, shots=which.size)
-        batch.apply_pauli_indexed(pos, which)
+        batch.apply_paulis([pos], np.arange(which.size), which[None])
         want = [PureState(3, _on_axis(PAULI_MATRICES["IXYZ"[w]], axis) @ s.amplitudes)
                 for w, s in zip(which, states)]
         _assert_shots_equal(batch, want)
+        # only some shots listed; the rest are untouched
+        for letter in (1, 2, 3):
+            batch, states = _random_window(rng, shots=which.size)
+            listed = np.flatnonzero(which == letter)
+            batch.apply_paulis([pos], listed, np.full((1, listed.size), letter))
+            pauli = _on_axis(PAULI_MATRICES["IXYZ"[letter]], axis)
+            want = [PureState(3, pauli @ s.amplitudes) if k in listed else s
+                    for k, s in enumerate(states)]
+            _assert_shots_equal(batch, want)
 
 
 def test_batch_drop_qubit_matches_dense_removal():
+    # the fused measurement leaves each shot equal to the dense collapse onto
+    # that shot's bit followed by removal of the measured qubit
     rng = np.random.default_rng(74)
-    bits = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.int8)
     for axis, pos in enumerate(WINDOW_POSITIONS):
-        batch, states = _random_window(rng, shots=bits.size)
-        collapsed = [postselect(s, axis, "Z", int(bit))[0] for s, bit in zip(states, bits)]
-        batch.amps[:] = [c.amplitudes for c in collapsed]
-        batch.drop_qubit(pos, bits)
-        _assert_shots_equal(batch, [remove_qubit(c, axis) for c in collapsed])
+        batch, states = _random_window(rng, shots=16)
+        bits = batch.measure_z(pos, rng)
+        assert 0 < bits.sum() < bits.size
+        want = [remove_qubit(postselect(s, axis, "Z", int(bit))[0], axis)
+                for s, bit in zip(states, bits)]
+        _assert_shots_equal(batch, want)
         rest = [p for p in WINDOW_POSITIONS if p != pos]
         assert batch.axis_of == {p: i for i, p in enumerate(rest)}
 
 
+def test_batch_measure_bits_follow_born_rule_on_every_axis():
+    rng = np.random.default_rng(75)
+    shots = 20_000
+    state = random_state(3, rng)
+    for axis, pos in enumerate(WINDOW_POSITIONS):
+        batch = ShotBatch(shots)
+        for p in WINDOW_POSITIONS:
+            batch.add_qubit(p)
+        batch.amps[:] = state.amplitudes
+        p1 = born_probabilities(state, (axis,), ("Z",))[1]
+        ones = int(batch.measure_z(pos, rng).sum())
+        assert abs(ones - shots * p1) < 5 * np.sqrt(shots * p1 * (1 - p1))
+
+
 def test_batch_measure_collapses_and_renormalizes():
+    # measuring one half of a Bell pair removes it and leaves the partner,
+    # renormalized, in the recorded bit, so measuring the partner repeats it
     rng = np.random.default_rng(3)
     batch = ShotBatch(1000)
     batch.add_qubit(0)
+    batch.add_qubit(1)
     batch.apply_gate(0, Gate.H)
+    batch.apply_cnot(0, 1)
     bits = batch.measure_z(0, rng)
-    assert set(np.unique(bits)) <= {0, 1}
+    assert set(np.unique(bits)) == {0, 1}
+    assert batch.axis_of == {1: 0}
     norms = np.linalg.norm(batch.amps, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    again = batch.measure_z(0, rng)
+    assert np.max(np.abs(np.abs(batch.amps[np.arange(bits.size), bits]) - 1.0)) < 1e-12
+    again = batch.measure_z(1, rng)
     assert np.array_equal(bits, again)
+    assert batch.axis_of == {} and batch.dim == 1
+
+
+def test_batch_two_qubit_depolarize_at_p1_applies_one_non_identity_string():
+    # each shot gets exactly one of the 15 non-identity Pauli strings on the
+    # two targets, identity letters leave their qubit alone, and all 15 occur
+    rng = np.random.default_rng(76)
+    for a, b in itertools.permutations(range(3), 2):
+        batch, states = _random_window(rng, shots=240)
+        batch.depolarize([WINDOW_POSITIONS[a], WINDOW_POSITIONS[b]], 1.0, rng)
+        strings = [(la, lb) for la in "IXYZ" for lb in "IXYZ" if (la, lb) != ("I", "I")]
+        ops = [_on_axis(PAULI_MATRICES[la], a) @ _on_axis(PAULI_MATRICES[lb], b)
+               for la, lb in strings]
+        seen = set()
+        for got, s in zip(batch.amps, states):
+            match = [k for k, o in enumerate(ops)
+                     if np.max(np.abs(got - o @ s.amplitudes)) < 1e-12]
+            assert len(match) == 1
+            seen.add(match[0])
+        assert seen == set(range(len(strings)))
+
+
+class _ScriptedUniforms:
+    """Stands in for a Generator whose `random` calls return preset arrays."""
+
+    def __init__(self, *draws):
+        self._draws = list(draws)
+
+    def random(self, size):
+        out = self._draws.pop(0)
+        assert out.shape == (size,)
+        return out
+
+
+def test_batch_idle_decay_forced_branches_match_normalized_kraus_operators():
+    rng = np.random.default_rng(77)
+    duration, t1, t2 = 10.0, 30.0, 20.0
+    gamma, p_z = decay_probabilities(duration, t1, t2)
+    assert gamma > 0 and p_z > 0
+    k0, k1 = amplitude_damping_kraus(gamma)
+    jump = np.array([1, 0, 0, 1, 1, 0, 1, 0], dtype=bool)
+    flip = np.array([0, 0, 1, 1, 0, 1, 1, 0], dtype=bool)
+    for axis, pos in enumerate(WINDOW_POSITIONS):
+        batch, states = _random_window(rng, shots=jump.size)
+        # uniforms of 0 force a branch and uniforms of 1 forbid it
+        batch.idle_decay(pos, duration, t1, t2,
+                         _ScriptedUniforms(np.where(jump, 0.0, 1.0), np.where(flip, 0.0, 1.0)))
+        want = []
+        for s, j, f in zip(states, jump, flip):
+            v = _on_axis(k1 if j else k0, axis) @ s.amplitudes
+            v = v / np.linalg.norm(v)
+            if f:
+                v = _on_axis(PAULI_MATRICES["Z"], axis) @ v
+            want.append(PureState(3, v))
+        _assert_shots_equal(batch, want)
 
 
 # --- sampled runs -----------------------------------------------------------------

@@ -144,15 +144,22 @@ def test_measure_zero_in_z_is_deterministic(rng):
 
 
 def test_remeasure_same_bit(rng):
-    # after collapse the measured qubit is a computational eigenstate, so a
-    # Z re-measurement reproduces the recorded bit with certainty
+    # measurement removes the qubit, so its value is first copied onto an
+    # ancilla (position 3) with a CNOT; after the collapse the rest of the
+    # shot is the dense collapse onto the recorded bit, and a Z measurement
+    # of the copy reproduces that bit with certainty
     for basis in ("Z", "X"):
-        batch = shot_batch(random_state(3, rng), 1000)
+        state = random_state(3, rng)
         if basis == "X":
-            batch.apply_gate(1, Gate.H)
+            state = apply_gate(state, op("H", 1))
+        state = apply_gate(add_qubit(state), op("CNOT", 1, 3))
+        batch = shot_batch(state, 1000)
         bits = batch.measure_z(1, rng)
         assert 0 < bits.sum() < bits.size
-        assert np.array_equal(batch.measure_z(1, rng), bits)
+        for bit in (0, 1):
+            want = remove_qubit(postselect(state, 1, "Z", bit)[0], 1).amplitudes
+            assert np.max(np.abs(batch.amps[bits == bit] - want)) < 1e-12
+        assert np.array_equal(batch.measure_z(3, rng), bits)
 
 
 def test_measure_teleports_single_qubit(rng):
