@@ -3,8 +3,10 @@
 `NoiseModel` holds the error rates that the trajectory engine
 (`protocols.ShotBatch`) samples per shot; `decay_probabilities` gives the
 Kraus branch weights of its idle decay. The exact channel forms at the
-bottom act on density matrices of small systems: they serve the analytic
-routes and are the oracles the sampled engine is tested against.
+bottom act on small density matrices by reshaping, without embedding any
+operator in the full space. `exact_pair_distributions` is the one exact
+two-qubit route: `gen-device` edge negativities, `decay --shots 0` and the
+oracle of the sampled idle pair all come from it.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .simulator import Gate, GATE_MATRICES
+from .tomography import BASIS_PAIRS, rotation_gates
 
 #: Idle-decay constants fitted so that a two-qubit graph state loses
 #: negativity 0.474 -> 0.376 in about 2 us. These reproduce the observed
@@ -96,9 +99,6 @@ class NoiseModel:
         return self.readout[qubit]
 
 
-_PAULI_GATES = (Gate.X, Gate.Y, Gate.Z)
-
-
 def decay_probabilities(duration_us: float, t1_us: float, t2_us: float) -> tuple[float, float]:
     """(gamma, p_z): amplitude-damping branch weight and phase-flip probability."""
     if duration_us < 0:
@@ -115,7 +115,8 @@ def decay_probabilities(duration_us: float, t1_us: float, t2_us: float) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# Exact channel forms, used by the analytic paths and as test oracles.
+# Exact channel forms on density matrices. Qubit q is bit q of the matrix
+# index, as in the simulator.
 
 def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
     return [np.array([[1.0, 0.0], [0.0, sqrt(1.0 - gamma)]], dtype=complex),
@@ -132,39 +133,41 @@ def idle_kraus_ops(duration_us: float, t1_us: float, t2_us: float) -> list[np.nd
     return [kz @ ka for ka in amplitude_damping_kraus(gamma) for kz in phase_flip_kraus(p_z)]
 
 
-def _embed_single(k: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    out = np.array([[1.0]], dtype=complex)
-    for q in range(num_qubits):
-        out = np.kron(k if q == qubit else np.eye(2, dtype=complex), out)
-    return out
+def _split(rho: np.ndarray, qubit: int) -> np.ndarray:
+    """View of a 2^n x 2^n matrix with qubit's row and column bits on axes 1 and 4."""
+    n = rho.shape[0].bit_length() - 1
+    hi, lo = 1 << (n - 1 - qubit), 1 << qubit
+    return rho.reshape(hi, 2, lo, hi, 2, lo)
 
 
 def apply_kraus_channel(rho: np.ndarray, kraus: Sequence[np.ndarray], qubit: int) -> np.ndarray:
     """Exact single-qubit Kraus channel on a multi-qubit density matrix."""
-    n = int(np.log2(rho.shape[0]))
-    out = np.zeros_like(rho, dtype=complex)
-    for k in kraus:
-        full = _embed_single(np.asarray(k, dtype=complex), qubit, n)
-        out += full @ rho @ full.conj().T
-    return out
+    view = _split(np.asarray(rho, dtype=complex), qubit)
+    out = sum(np.einsum("ij,ajbckd,lk->aibcld", k, view, np.conj(k)) for k in kraus)
+    return out.reshape(rho.shape)
+
+
+def _twirl(rho: np.ndarray, qubit: int) -> np.ndarray:
+    """(rho + X rho X + Y rho Y + Z rho Z) / 4, which is Tr_q(rho) (x) I_q / 2."""
+    view = _split(rho, qubit)
+    half = (view[:, 0, :, :, 0] + view[:, 1, :, :, 1]) / 2
+    out = np.zeros_like(view)
+    out[:, 0, :, :, 0] = out[:, 1, :, :, 1] = half
+    return out.reshape(rho.shape)
 
 
 def depolarizing_channel(rho: np.ndarray, qubits: Sequence[int], p: float) -> np.ndarray:
-    """Exact uniform depolarizing channel over the listed qubits."""
-    n = int(np.log2(rho.shape[0]))
-    paulis = [np.eye(2, dtype=complex)] + [GATE_MATRICES[g] for g in _PAULI_GATES]
+    """Exact uniform depolarizing channel over the listed qubits.
+
+    The 4^k Pauli strings on the k targets Q sum to 4^k T, with T =
+    Tr_Q(rho) (x) I_Q / 2^k, so the channel is (1 - p) rho + p / (4^k - 1) (4^k T - rho).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    twirl = rho
+    for q in qubits:
+        twirl = _twirl(twirl, q)
     n_words = 4 ** len(qubits)
-    acc = np.zeros_like(rho, dtype=complex)
-    for word in range(1, n_words):
-        full = np.eye(rho.shape[0], dtype=complex)
-        w = word
-        for q in qubits:
-            k = w & 3
-            w >>= 2
-            if k:
-                full = _embed_single(paulis[k], q, n) @ full
-        acc += full @ rho @ full.conj().T
-    return (1.0 - p) * rho + p / (n_words - 1) * acc
+    return (1.0 - p) * rho + p / (n_words - 1) * (n_words * twirl - rho)
 
 
 def idle_decay_channel(rho: np.ndarray, qubits: Sequence[int], duration_us: float,
@@ -175,18 +178,50 @@ def idle_decay_channel(rho: np.ndarray, qubits: Sequence[int], duration_us: floa
     return rho
 
 
-def readout_channel(probs: np.ndarray, confusion: Sequence[np.ndarray]) -> np.ndarray:
-    """Exact action of per-qubit readout confusion on an outcome distribution.
+def per_qubit_transform(probs: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """Apply one 2x2 matrix per measured qubit, one tensor axis at a time.
 
-    Outcome index bit i (weight 2^i) belongs to the i-th confusion matrix.
+    Outcome index bit i (weight 2^i) belongs to the i-th matrix.
     """
-    k = len(confusion)
-    if probs.shape != (1 << k,):
-        raise ValueError("distribution length must be 2^(number of matrices)")
+    k = len(matrices)
     out = np.asarray(probs, dtype=float)
-    for i, a in enumerate(confusion):
-        a = check_confusion_matrix(a)
-        lo = 1 << i
-        view = out.reshape(-1, 2, lo)
-        out = np.einsum("ij,ajb->aib", a, view).reshape(-1)
+    if out.shape != (1 << k,):
+        raise ValueError(f"expected {1 << k} outcomes for {k} per-qubit matrices")
+    for i, a in enumerate(matrices):
+        out = np.einsum("ij,ajb->aib", a, out.reshape(-1, 2, 1 << i)).reshape(-1)
+    return out
+
+
+def readout_channel(probs: np.ndarray, confusion: Sequence[np.ndarray]) -> np.ndarray:
+    """Exact action of per-qubit readout confusion on an outcome distribution."""
+    return per_qubit_transform(probs, [check_confusion_matrix(a) for a in confusion])
+
+
+def exact_pair_distributions(noise: NoiseModel, delay_us: float = 0.0) -> dict:
+    """Exact per-basis outcome distributions of `protocols.run_idle_pair`.
+
+    Noisy CZ|++> preparation, an idle of both qubits for ``delay_us``, the
+    tomography rotations with their 1-qubit depolarizing, and readout.
+    """
+    plus = np.full(4, 0.5, dtype=complex)
+    rho = np.outer(plus, plus)
+    for q in (0, 1):
+        rho = depolarizing_channel(rho, (q,), noise.one_qubit_depol)
+    cz_signs = np.array([1.0, 1.0, 1.0, -1.0])
+    rho = depolarizing_channel(rho * np.outer(cz_signs, cz_signs), (0, 1), noise.edge_depol(0))
+    for q in (0, 1):
+        rho = idle_decay_channel(rho, (q,), delay_us, *noise.qubit_t1t2(q))
+    confusion = [noise.qubit_confusion(0), noise.qubit_confusion(1)]
+    # 4x4 products, not apply_kraus_channel: its other summation order moves
+    # gen-device negativities by up to 5e-16
+    eye = np.eye(2, dtype=complex)
+    out = {}
+    for pair in BASIS_PAIRS:
+        rotated = rho
+        for q, axis in enumerate(pair):
+            for g in rotation_gates(axis):
+                u = np.kron(GATE_MATRICES[g], eye) if q == 1 else np.kron(eye, GATE_MATRICES[g])
+                rotated = depolarizing_channel(u @ rotated @ u.conj().T, (q,),
+                                               noise.one_qubit_depol)
+        out[pair] = readout_channel(np.real(np.diag(rotated)), confusion)
     return out

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -82,19 +83,30 @@ def cmd_find_paths(args) -> int:
     return 0
 
 
+#: `run` sweep flags (argparse dest) and the ExperimentSpec field each sets.
+_SWEEP_FLAGS = {"protocol": "protocols", "mode": "modes", "hops": "hops",
+                "paths": "paths_per_hop", "trials": "trials", "shots": "shots",
+                "qrem": "qrem", "noise_overrides": "noise_overrides",
+                "simplified_correction": "simplified_correction"}
+
+
 def _spec_from_args(args) -> ExperimentSpec:
+    given = {flag: getattr(args, flag) for flag in _SWEEP_FLAGS
+             if getattr(args, flag) is not None}
     if args.spec:
+        if given:
+            flags = ", ".join("--" + flag.replace("_", "-") for flag in given)
+            raise ValueError(f"{flags} cannot be combined with --spec; put the value in "
+                             "the spec file")
         with open(args.spec) as fh:
             spec = ExperimentSpec.from_json(fh.read())
-        if args.seed is not None:
-            spec.seed = args.seed
-        return spec
-    overrides = json.loads(args.noise_overrides) if args.noise_overrides else {}
-    return ExperimentSpec(
-        hops=args.hops, protocols=_csv_list(args.protocol), modes=_csv_list(args.mode),
-        paths_per_hop=args.paths, trials=args.trials, shots=args.shots, qrem=args.qrem,
-        noise_overrides=overrides, simplified_correction=args.simplified_correction,
-        seed=args.seed if args.seed is not None else 0)
+    else:
+        if "noise_overrides" in given:
+            given["noise_overrides"] = json.loads(given["noise_overrides"])
+        spec = ExperimentSpec(**{_SWEEP_FLAGS[flag]: value for flag, value in given.items()})
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
+    return spec
 
 
 def cmd_run(args) -> int:
@@ -103,6 +115,9 @@ def cmd_run(args) -> int:
     rows = harness.run_experiment(device, spec)
     harness.write_csv(rows, args.out)
     print(f"wrote {args.out}: {len(rows)} rows")
+    if rows.failed:
+        print(f"error: {rows.failed} of {rows.planned} cells failed", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -181,27 +196,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional JSON listing")
     p.set_defaults(func=cmd_find_paths)
 
-    p = sub.add_parser("run", help="run a transport sweep and write CSV rows")
+    p = sub.add_parser("run", help="run a transport sweep and write CSV rows",
+                       description="Sweep flags left out take the ExperimentSpec defaults.")
     p.add_argument("--device", required=True)
-    p.add_argument("--spec", help="JSON ExperimentSpec file (flags below are ignored)")
-    p.add_argument("--protocol", default="neg,neg_qrem,gate_fid")
-    p.add_argument("--mode", default="dynamic,postselect,swap")
-    p.add_argument("--hops", type=_parse_hops, default=tuple(range(1, 20)),
-                   help="A..B, A..B..STEP or comma list")
-    p.add_argument("--paths", type=int, default=4)
-    p.add_argument("--trials", type=int, default=4)
-    p.add_argument("--shots", type=int, default=4096)
-    p.add_argument("--qrem", default="both", choices=("on", "off", "both"))
+    p.add_argument("--spec", help="JSON ExperimentSpec file; no sweep flag may be given with "
+                                  "it, only --seed, which overrides the spec's seed")
+    p.add_argument("--protocol", type=_csv_list, help="comma list of weighting protocols")
+    p.add_argument("--mode", type=_csv_list, help="comma list of transport modes")
+    p.add_argument("--hops", type=_parse_hops, help="A..B, A..B..STEP or comma list")
+    p.add_argument("--paths", type=int, help="paths per hop count")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--shots", type=int)
+    p.add_argument("--qrem", choices=("on", "off", "both"))
     p.add_argument("--noise-overrides", help="JSON object of NoiseModel overrides")
-    p.add_argument("--simplified-correction", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--simplified-correction", action="store_true", default=None)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("decay", help="idling pair negativity versus delay")
     p.add_argument("--device", help="optional calibration file; default fitted noise")
     p.add_argument("--delays", default="0:6:0.25", help="LO:HI:STEP in us, or comma list")
-    p.add_argument("--shots", type=int, default=0, help="0 = exact channel")
+    p.add_argument("--shots", type=int, default=0,
+                   help="shots per tomography basis; 0 = exact channel")
     p.add_argument("--qrem", default="on", choices=("on", "off"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

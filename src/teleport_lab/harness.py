@@ -31,6 +31,10 @@ CSV_COLUMNS = ("mode", "protocol", "hops", "path", "trial", "qrem", "configurati
                "negativity", "fidelity", "shots", "seed")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentSpec:
     """Declarative sweep configuration."""
@@ -48,7 +52,14 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.hops = tuple(int(h) for h in self.hops)
+        self.hops = tuple(self.hops)
+        if not all(_is_int(h) for h in self.hops):
+            raise ValueError(f"invalid ExperimentSpec value: hops must be integers, "
+                             f"got {list(self.hops)}")
+        for name in ("shots", "trials", "paths_per_hop", "qrem_calibration_shots", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"invalid ExperimentSpec value: {name} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
         if not self.hops:
             raise ValueError("hops must list at least one hop count")
         max_hops = protocols.MAX_PATH_QUBITS - 2
@@ -149,14 +160,8 @@ def mitigated_pair_distributions(result: TransportResult, qrem: bool,
     Intermediate bits are marginalized out first (exactly commutes with the
     per-qubit correction), then the pair readout is inverted and projected.
     """
-    tset = result.pair_tomography()
-    pair_calib = [calibration[0], calibration[-1]]
-    out = {}
-    for pair, vec in tset.frequencies().items():
-        if qrem:
-            vec = mitigation.qrem_correct(vec, pair_calib)
-        out[pair] = mitigation.michelot_project(vec)
-    return out
+    return mitigation.mitigate_distributions(result.pair_tomography().frequencies(), qrem,
+                                             [calibration[0], calibration[-1]])
 
 
 def mitigated_category_distributions(result: TransportResult, qrem: bool,
@@ -328,8 +333,17 @@ def plan_cells(device: DeviceModel, spec: ExperimentSpec) -> list[_Cell]:
     return cells
 
 
-def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> list[ResultRow]:
-    """Execute the sweep; a failed cell is logged and skipped, serial or pooled."""
+class SweepRows(list):
+    """Rows of a sweep's finished cells, with the counts of cells planned and failed."""
+
+    def __init__(self, planned: int):
+        super().__init__()
+        self.planned = planned
+        self.failed = 0
+
+
+def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
+    """Execute the sweep; a failed cell is logged, counted and skipped, serial or pooled."""
     workers = _worker_count()
     cells = plan_cells(device, spec)
     jobs = ((device, spec, c) for c in cells)
@@ -338,10 +352,11 @@ def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> list[ResultRow]
             outcomes = list(pool.map(_cell_worker, jobs))
     else:
         outcomes = map(_cell_worker, jobs)
-    rows: list[ResultRow] = []
+    rows = SweepRows(len(cells))
     for cell, (cell_rows, error) in zip(cells, outcomes):
         if error is not None:
             log.error("cell %s failed; skipping\n%s", cell, error.rstrip())
+            rows.failed += 1
         rows.extend(cell_rows)
     return rows
 
@@ -352,17 +367,9 @@ def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> list[ResultRow]
 
 def exact_decay_negativity(delay_us: float, noise: NoiseModel, qrem: bool = True) -> float:
     """Infinite-shot negativity of an idling two-qubit graph state."""
-    rho = protocols.noisy_pair_density(noise.edge_depol(0), noise.one_qubit_depol)
-    for q in (0, 1):
-        t1, t2 = noise.qubit_t1t2(q)
-        rho = channels.idle_decay_channel(rho, (q,), delay_us, t1, t2)
-    confusion = [noise.qubit_confusion(0), noise.qubit_confusion(1)]
-    dists = protocols.exact_pair_distributions(rho, confusion, noise.one_qubit_depol)
-    probs = {}
-    for pair, vec in dists.items():
-        if qrem:
-            vec = mitigation.qrem_correct(vec, confusion)
-        probs[pair] = mitigation.michelot_project(vec)
+    probs = mitigation.mitigate_distributions(channels.exact_pair_distributions(noise, delay_us),
+                                              qrem, [noise.qubit_confusion(0),
+                                                     noise.qubit_confusion(1)])
     return negativity(tomography.reconstruct(probs))
 
 
@@ -407,9 +414,11 @@ DECAY_LEVEL_END = 0.376
 def run_decay_experiment(delays_us: Sequence[float], noise: NoiseModel, shots: int = 0,
                          seed: int = 0, qrem: bool = True) -> DecayResult:
     """Negativity of an idling pair versus delay; shots=0 runs the exact channel."""
+    if shots < 0:
+        raise ValueError(f"shots must be 0 (exact channel) or positive, got {shots}")
     values = []
     for i, delay in enumerate(delays_us):
-        if shots <= 0:
+        if shots == 0:
             values.append(exact_decay_negativity(delay, noise, qrem))
         else:
             child = np.random.SeedSequence(entropy=seed, spawn_key=(i,))

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import check_confusion_matrix
+from .channels import check_confusion_matrix, per_qubit_transform
 
 
 class MitigationError(RuntimeError):
@@ -29,19 +29,15 @@ def confusion_inverse(a: np.ndarray, qubit: int) -> np.ndarray:
 def qrem_correct(p_meas: np.ndarray, confusion: Sequence[np.ndarray]) -> np.ndarray:
     """Invert per-qubit readout confusion, one tensor axis at a time.
 
-    Never materializes the 2^k x 2^k joint matrix; the result keeps unit
-    sum but may contain negative entries.
+    The result keeps unit sum but may contain negative entries.
     """
-    k = len(confusion)
-    p = np.asarray(p_meas, dtype=float)
-    if p.shape != (1 << k,):
-        raise ValueError(f"expected {1 << k} outcomes for {k} confusion matrices")
-    for i, a in enumerate(confusion):
-        inv = confusion_inverse(a, i)
-        lo = 1 << i
-        view = p.reshape(-1, 2, lo)
-        p = np.einsum("ij,ajb->aib", inv, view).reshape(-1)
-    return p
+    return per_qubit_transform(p_meas, [confusion_inverse(a, i) for i, a in enumerate(confusion)])
+
+
+def mitigate_distributions(dists: dict, qrem: bool, confusion: Sequence[np.ndarray]) -> dict:
+    """Project each basis's distribution onto the simplex, after QREM when ``qrem`` is set."""
+    return {pair: michelot_project(qrem_correct(vec, confusion) if qrem else vec)
+            for pair, vec in dists.items()}
 
 
 def michelot_project(v: np.ndarray) -> np.ndarray:

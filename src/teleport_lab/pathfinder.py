@@ -15,7 +15,6 @@ import numpy as np
 
 from . import channels, mitigation, tomography
 from .metrics import negativity
-from .protocols import exact_pair_distributions, noisy_pair_density
 
 PROTOCOLS = ("neg", "neg_qrem", "gate_fid")
 
@@ -319,18 +318,15 @@ def pair_negativities(gate_error: float, confusion_a: np.ndarray, confusion_b: n
                       one_qubit_depol: float = 0.0) -> tuple[float, float]:
     """Exact (neg, neg_qrem) of a noisy two-qubit graph state on one edge.
 
-    Mirrors the measurement pipeline: prepare the pair state through the
-    exact depolarizing channels, push the tomography distributions through
-    the readout confusion, then reconstruct with and without correction.
+    Mirrors the measurement pipeline: the exact tomography distributions of
+    the noisily prepared pair through readout confusion, reconstructed
+    without and with readout correction.
     """
-    rho = noisy_pair_density(gate_error, one_qubit_depol)
-    confusion = [confusion_a, confusion_b]
-    noisy = exact_pair_distributions(rho, confusion, one_qubit_depol)
-    raw_probs = {pair: mitigation.michelot_project(vec) for pair, vec in noisy.items()}
-    corrected_probs = {pair: mitigation.michelot_project(mitigation.qrem_correct(vec, confusion))
-                       for pair, vec in noisy.items()}
-    neg = negativity(tomography.reconstruct(raw_probs))
-    neg_qrem = negativity(tomography.reconstruct(corrected_probs))
+    noise = channels.NoiseModel(one_qubit_depol=one_qubit_depol, two_qubit_depol=gate_error,
+                                readout=[confusion_a, confusion_b])
+    dists = channels.exact_pair_distributions(noise)
+    neg, neg_qrem = (negativity(tomography.reconstruct(
+        mitigation.mitigate_distributions(dists, qrem, noise.readout))) for qrem in (False, True))
     return neg, neg_qrem
 
 

@@ -34,10 +34,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import NoiseModel, decay_probabilities, depolarizing_channel, readout_channel
+from .channels import NoiseModel, decay_probabilities
 from .simulator import (GATE_MATRICES, Gate, GateOp, MAX_QUBITS, PureState, apply_gate,
                         apply_gates, born_probabilities, postselect, remove_qubit)
-from .tomography import BASIS_PAIRS, TomographySet, rotation_gates, tomography_rotations
+from .tomography import BASIS_PAIRS, TomographySet, tomography_rotations
 
 MODES = ("dynamic", "postselect", "swap")
 
@@ -554,33 +554,6 @@ def run_idle_pair(delay_us: float, noise: NoiseModel, shots: int,
                   rng: np.random.Generator) -> TransportResult:
     """Prepare the two-qubit graph state, idle both qubits, then run tomography."""
     return _sample(PathSpec.line(2), "idle", noise, shots, rng, delay_us=delay_us)
-
-
-def noisy_pair_density(gate_error: float, one_qubit_depol: float = 0.0) -> np.ndarray:
-    """Exact-channel density matrix of the noisily prepared two-qubit graph state."""
-    plus = np.full(4, 0.5, dtype=complex)
-    rho = np.outer(plus, plus.conj())
-    for q in (0, 1):
-        rho = depolarizing_channel(rho, (q,), one_qubit_depol)
-    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    rho = cz @ rho @ cz.conj().T
-    return depolarizing_channel(rho, (0, 1), gate_error)
-
-
-def exact_pair_distributions(rho: np.ndarray, confusion: Sequence[np.ndarray],
-                             one_qubit_depol: float = 0.0) -> dict:
-    """Per-basis outcome distributions of a two-qubit state through noisy readout."""
-    eye = np.eye(2, dtype=complex)
-    out = {}
-    for pair in BASIS_PAIRS:
-        rotated = rho
-        for q, axis in enumerate(pair):
-            for g in rotation_gates(axis):
-                u = np.kron(GATE_MATRICES[g], eye) if q == 1 else np.kron(eye, GATE_MATRICES[g])
-                rotated = u @ rotated @ u.conj().T
-                rotated = depolarizing_channel(rotated, (q,), one_qubit_depol)
-        out[pair] = readout_channel(np.real(np.diag(rotated)), confusion)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,22 @@
-"""Noise channels: trajectory sampling by ShotBatch against the exact channel forms."""
+"""Noise channels: trajectory sampling by ShotBatch against the exact channel forms,
+and the exact forms against their Kronecker-product definitions."""
+import itertools
+
 import numpy as np
 import pytest
 
-from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus,
+from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, apply_kraus_channel,
                                    check_confusion_matrix, confusion_matrix,
                                    decay_probabilities, depolarizing_channel,
-                                   idle_decay_channel, idle_kraus_ops, phase_flip_kraus,
-                                   readout_channel)
+                                   exact_pair_distributions, idle_decay_channel, idle_kraus_ops,
+                                   phase_flip_kraus, readout_channel)
 from teleport_lab.metrics import density_from_state, negativity
 from teleport_lab.protocols import ShotBatch
-from teleport_lab.simulator import PureState, apply_gates, op
+from teleport_lab.simulator import GATE_MATRICES, PAULI_MATRICES, PureState, apply_gates, op
+from teleport_lab.tomography import BASIS_PAIRS, rotation_gates
 
-from conftest import random_state, shot_batch, trace_distance
+from conftest import (random_density_matrix, random_state, random_unitary, shot_batch,
+                      trace_distance)
 
 BELL = PureState(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
@@ -135,10 +140,95 @@ def test_exact_idle_decay_coherence_rate():
     # off-diagonal elements of a |+> projector decay as exp(-t/T2)
     t1, t2, t = 30.0, 20.0, 5.0
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    from teleport_lab.channels import apply_kraus_channel
-
     out = apply_kraus_channel(plus, idle_kraus_ops(t, t1, t2), 0)
     assert abs(out[0, 1] - 0.5 * np.exp(-t / t2)) < 1e-12
+
+
+# --- exact forms against Kronecker-product oracles ----------------------------------
+
+
+def embed_single(k: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
+    """A 1-qubit operator on one qubit of a register, as a full-space matrix."""
+    out = np.array([[1.0]], dtype=complex)
+    for q in range(num_qubits):
+        out = np.kron(k if q == qubit else np.eye(2, dtype=complex), out)
+    return out
+
+
+def kraus_oracle(rho: np.ndarray, kraus, qubit: int) -> np.ndarray:
+    n = int(np.log2(rho.shape[0]))
+    out = np.zeros_like(rho, dtype=complex)
+    for k in kraus:
+        full = embed_single(np.asarray(k, dtype=complex), qubit, n)
+        out += full @ rho @ full.conj().T
+    return out
+
+
+def depolarizing_oracle(rho: np.ndarray, qubits, p: float) -> np.ndarray:
+    """Sum over every non-identity Pauli string on the targets."""
+    n = int(np.log2(rho.shape[0]))
+    paulis = [PAULI_MATRICES[a] for a in "IXYZ"]
+    n_words = 4 ** len(qubits)
+    acc = np.zeros_like(rho, dtype=complex)
+    for word in range(1, n_words):
+        full = np.eye(rho.shape[0], dtype=complex)
+        w = word
+        for q in qubits:
+            k = w & 3
+            w >>= 2
+            if k:
+                full = embed_single(paulis[k], q, n) @ full
+        acc += full @ rho @ full.conj().T
+    return (1.0 - p) * rho + p / (n_words - 1) * acc
+
+
+@pytest.mark.parametrize("num_qubits", (2, 3))
+@pytest.mark.parametrize("p", (0.0, 0.3, 1.0))
+def test_depolarizing_closed_form_matches_pauli_sum(num_qubits, p, rng):
+    # every 1-qubit target and every ordered pair, non-adjacent and reversed included
+    rho = random_density_matrix(1 << num_qubits, rng)
+    targets = ([(q,) for q in range(num_qubits)]
+               + list(itertools.permutations(range(num_qubits), 2)))
+    for qubits in targets:
+        diff = depolarizing_channel(rho, qubits, p) - depolarizing_oracle(rho, qubits, p)
+        assert np.max(np.abs(diff)) < 1e-15, qubits
+
+
+@pytest.mark.parametrize("num_qubits", (2, 3))
+def test_reshaped_kraus_matches_embedded_operators(num_qubits, rng):
+    rho = random_density_matrix(1 << num_qubits, rng)
+    kraus_sets = (idle_kraus_ops(3.0, 30.0, 20.0), amplitude_damping_kraus(0.4),
+                  [random_unitary(2, rng)])
+    for qubit in range(num_qubits):
+        for kraus in kraus_sets:
+            diff = apply_kraus_channel(rho, kraus, qubit) - kraus_oracle(rho, kraus, qubit)
+            assert np.max(np.abs(diff)) < 1e-15, qubit
+
+
+def test_exact_pair_distributions_match_oracle_pipeline():
+    # preparation, idle, noisy rotations and readout, each step through an oracle
+    noise = NoiseModel(one_qubit_depol=0.01, two_qubit_depol=0.05, t1_per_qubit_us=[30.0, 40.0],
+                       t2_per_qubit_us=[20.0, 50.0],
+                       readout=[confusion_matrix(0.03, 0.06), confusion_matrix(0.05, 0.02)])
+    delay = 4.0
+    plus = np.full(4, 0.5, dtype=complex)
+    rho = np.outer(plus, plus)
+    for q in (0, 1):
+        rho = depolarizing_oracle(rho, (q,), noise.one_qubit_depol)
+    cz = np.diag([1.0, 1.0, 1.0, -1.0])
+    rho = depolarizing_oracle(cz @ rho @ cz, (0, 1), noise.edge_depol(0))
+    for q in (0, 1):
+        rho = kraus_oracle(rho, idle_kraus_ops(delay, *noise.qubit_t1t2(q)), q)
+    exact = exact_pair_distributions(noise, delay)
+    assert list(exact) == list(BASIS_PAIRS)
+    for pair in BASIS_PAIRS:
+        rotated = rho
+        for q, axis in enumerate(pair):
+            for g in rotation_gates(axis):
+                rotated = kraus_oracle(rotated, [GATE_MATRICES[g]], q)
+                rotated = depolarizing_oracle(rotated, (q,), noise.one_qubit_depol)
+        expected = readout_channel(np.real(np.diag(rotated)), noise.readout)
+        assert np.max(np.abs(exact[pair] - expected)) < 1e-15, pair
 
 
 # --- readout --------------------------------------------------------------------

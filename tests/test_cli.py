@@ -138,6 +138,60 @@ def test_run_rejects_empty_sweeps_and_bad_worker_counts(workdir, capsys, monkeyp
     assert not out.exists()
 
 
+def test_run_rejects_sweep_flags_with_spec(workdir, capsys):
+    # these flags used to be dropped without a word
+    dev = workdir / "dev.json"
+    spec_file = workdir / "flag_spec.json"
+    spec_file.write_text('{"hops": [1], "shots": 64}')
+    out = workdir / "flag_spec.csv"
+    assert main(["run", "--device", str(dev), "--spec", str(spec_file), "--shots", "9999",
+                 "--trials", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: --trials, --shots cannot be combined with --spec; "
+                   "put the value in the spec file\n")
+    assert not out.exists()
+
+
+def test_run_seed_overrides_spec(workdir):
+    dev = workdir / "dev.json"
+    outs = []
+    for spec_seed, flag in ((3, ["--seed", "8"]), (8, [])):
+        spec_file = workdir / f"seed_spec_{spec_seed}.json"
+        spec_file.write_text(ExperimentSpec(hops=(1,), protocols=("neg",), modes=("swap",),
+                                            paths_per_hop=1, trials=1, shots=64, qrem="off",
+                                            seed=spec_seed).to_json())
+        outs.append(workdir / f"seed_spec_{spec_seed}.csv")
+        assert main(["run", "--device", str(dev), "--spec", str(spec_file), *flag,
+                     "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_run_exits_1_when_cells_fail(workdir, capsys, monkeypatch):
+    # every cell failing used to leave a header-only CSV and exit status 0
+    from teleport_lab import harness
+
+    real = harness._cell_rows
+
+    def flaky(dev, spec, cell):
+        if cell.mode == "swap":
+            raise RuntimeError("boom")
+        return real(dev, spec, cell)
+
+    monkeypatch.setattr(harness, "_cell_rows", flaky)
+    dev = workdir / "dev.json"
+    summaries = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        out = workdir / f"failed_cells_{workers}.csv"
+        assert main(["run", "--device", str(dev), "--hops", "1", "--protocol", "neg",
+                     "--mode", "swap,postselect", "--paths", "2", "--trials", "1",
+                     "--shots", "64", "--qrem", "off", "--out", str(out)]) == 1
+        summaries.append(capsys.readouterr().err.splitlines()[-1])
+        rows = read_csv_rows(str(out))
+        assert rows and {r.mode for r in rows} == {"postselect"}
+    assert summaries == ["error: 2 of 4 cells failed"] * 2
+
+
 def test_run_is_byte_deterministic(workdir):
     dev = workdir / "dev.json"
     a = workdir / "det_a.csv"
@@ -161,6 +215,15 @@ def test_decay_command(workdir, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "# teleport-lab decay v1"
     assert len(lines) == 2 + 9
+
+
+def test_decay_rejects_negative_shots(workdir, capsys):
+    # --shots -5 used to run the exact channel and record shots=-5
+    out = workdir / "negative_shots.csv"
+    assert main(["decay", "--delays", "0,1", "--shots", "-5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shots") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_schema_error_exits_nonzero(workdir, capsys):

@@ -1,4 +1,6 @@
 """Sweep orchestration, mitigation pipelines, CSV and decay experiment."""
+import json
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,18 @@ def test_spec_rejects_empty_sweep_fields(field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentSpec(**{field: -3})
         assert getattr(ExperimentSpec(**{field: 1}), field) == 1
+
+
+@pytest.mark.parametrize("field, value", [("hops", [1.7]), ("shots", 2.5), ("trials", True),
+                                          ("paths_per_hop", 2.0),
+                                          ("qrem_calibration_shots", "8192"), ("seed", False)])
+def test_spec_rejects_non_integer_counts(field, value):
+    # "shots": 2.5 used to fail every cell, "hops": [1.7] ran hop 1 and
+    # "trials": true ran one trial
+    with pytest.raises(ValueError, match=field):
+        ExperimentSpec(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        ExperimentSpec.from_json(json.dumps({field: value}))
 
 
 def test_worker_count_accepts_only_positive_integers(monkeypatch):
@@ -366,6 +380,7 @@ def test_failed_cells_are_skipped(monkeypatch, caplog):
         runs.append((rows_to_csv(rows), failures))
         assert rows
         assert all(row.mode == "postselect" for row in rows)
+        assert (rows.failed, rows.planned) == (2, 4)
         assert len(failures) == 2
         assert all("RuntimeError: boom" in f for f in failures)
     assert runs[0] == runs[1]

@@ -7,13 +7,12 @@ import pytest
 
 from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, confusion_matrix,
                                    decay_probabilities, depolarizing_channel,
-                                   idle_decay_channel)
+                                   exact_pair_distributions, idle_decay_channel)
 from teleport_lab.metrics import density_from_state, fidelity, negativity
 from teleport_lab.protocols import (MAX_PATH_QUBITS, PathSpec, ShotBatch, analytic_swap,
                                     analytic_teleportation, byproduct_sequence,
                                     canonical_state, configuration_unitary,
-                                    correction_sequence, discriminator,
-                                    exact_pair_distributions, noisy_pair_density, phi_p2,
+                                    correction_sequence, discriminator, phi_p2,
                                     phi_p2_projector, prepare_path_graph_state,
                                     reachable_configurations, representative_outcomes,
                                     run_idle_pair, run_swap_transport, run_teleportation,
@@ -539,11 +538,7 @@ def test_idle_pair_matches_exact_channel_under_noise():
                        readout=[confusion_matrix(0.03, 0.06), confusion_matrix(0.05, 0.02)])
     delay, shots = 6.0, 20_000
     result = run_idle_pair(delay, noise, shots, np.random.default_rng(19))
-    rho = noisy_pair_density(noise.edge_depol(0), noise.one_qubit_depol)
-    for q in (0, 1):
-        rho = idle_decay_channel(rho, (q,), delay, *noise.qubit_t1t2(q))
-    exact = exact_pair_distributions(rho, [noise.qubit_confusion(0), noise.qubit_confusion(1)],
-                                     noise.one_qubit_depol)
+    exact = exact_pair_distributions(noise, delay)
     for pair, probs in exact.items():
         counts = result.counts_by_basis[pair]
         assert sum(counts.values()) == shots
