@@ -139,10 +139,10 @@ def cmd_decay(args) -> int:
     noise = _decay_noise(args)
     delays = _parse_delays(args.delays)
     result = harness.run_decay_experiment(delays, noise, shots=args.shots,
-                                          seed=args.seed or 0, qrem=args.qrem == "on")
+                                          seed=args.seed, qrem=args.qrem == "on")
     lines = ["# teleport-lab decay v1", "delay_us,negativity,shots,seed"]
     for t, v in zip(result.delays_us, result.negativities):
-        lines.append(f"{t:.12g},{v:.12g},{args.shots},{args.seed or 0}")
+        lines.append(f"{t:.12g},{v:.12g},{args.shots},{args.seed}")
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     window = result.crossing_window_us

@@ -68,8 +68,14 @@ class ExperimentSpec:
         for name in ("shots", "trials", "paths_per_hop", "qrem_calibration_shots"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.qrem not in ("on", "off", "both"):
             raise ValueError("qrem must be on, off or both")
+        if not self.protocols:
+            raise ValueError("protocols must list at least one weighting protocol")
+        if not self.modes:
+            raise ValueError("modes must list at least one transport mode")
         for p in self.protocols:
             if p not in pathfinder.PROTOCOLS:
                 raise ValueError(f"unknown weighting protocol {p}")
@@ -251,7 +257,7 @@ def _cell_rows(device: DeviceModel, spec: ExperimentSpec, cell: _Cell) -> list[R
     path_label = _path_str(path)
     if cell.mode == "postselect":
         # ideal projector of each configuration, shared by both QREM flags
-        ideals = {c: density_from_state(protocols.canonical_state(c, path.n).amplitudes)
+        ideals = {c: density_from_state(protocols.canonical_state(c, path.n))
                   for c in protocols.reachable_configurations(path.hops)}
     else:
         ideal_pair = protocols.phi_p2_projector()
@@ -416,6 +422,8 @@ def run_decay_experiment(delays_us: Sequence[float], noise: NoiseModel, shots: i
     """Negativity of an idling pair versus delay; shots=0 runs the exact channel."""
     if shots < 0:
         raise ValueError(f"shots must be 0 (exact channel) or positive, got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     values = []
     for i, delay in enumerate(delays_us):
         if shots == 0:

@@ -72,13 +72,6 @@ class DeviceModel:
     def edge(self, a: int, b: int) -> EdgeCal:
         return self._edge_by_key[(min(a, b), max(a, b))]
 
-    def adjacency(self) -> dict:
-        adj: dict[int, set] = {q.id: set() for q in self.qubits}
-        for e in self.edges:
-            adj[e.a].add(e.b)
-            adj[e.b].add(e.a)
-        return adj
-
 
 def _require(record: dict, field_name: str, context: str, optional: bool = False):
     if field_name not in record or record[field_name] is None:
@@ -339,6 +332,10 @@ def synthesize_device(topology: str = "heavy-hex-127", seed: int = 0,
                       undefined_edges: int = 0,
                       name: str | None = None) -> DeviceModel:
     """Generate a calibration with drawn noise statistics and simulated negativities."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if undefined_edges < 0:
+        raise ValueError(f"undefined_edges must be non-negative, got {undefined_edges}")
     edges_list = _topology_edges(topology)
     qubit_ids = sorted({q for e in edges_list for q in e})
     rng = np.random.default_rng(seed)

@@ -22,21 +22,19 @@ sliding-window engine that keeps at most a handful of live qubits per shot
 regardless of path length: a path qubit enters the window when first
 entangled and leaves with the measurement that collapses it. Measuring a
 qubit early is exactly equivalent to the deferred hardware schedule
-because nothing acts on it afterwards. The dense simulator provides the
-independent analytic route.
+because nothing acts on it afterwards.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
 from math import sqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .channels import NoiseModel, decay_probabilities
-from .simulator import (GATE_MATRICES, Gate, GateOp, MAX_QUBITS, PureState, apply_gate,
-                        apply_gates, born_probabilities, postselect, remove_qubit)
+from .simulator import GATE_MATRICES, Gate
 from .tomography import BASIS_PAIRS, TomographySet, tomography_rotations
 
 MODES = ("dynamic", "postselect", "swap")
@@ -72,12 +70,6 @@ class PathSpec:
     def hops(self) -> int:
         return len(self.qubit_labels) - 2
 
-    def validate_on(self, adjacency: dict) -> None:
-        """Check that consecutive labels are coupled on the device."""
-        for a, b in zip(self.qubit_labels, self.qubit_labels[1:]):
-            if b not in adjacency.get(a, ()):
-                raise ValueError(f"({a}, {b}) is not an edge of the device graph")
-
 
 def _as_path(path) -> PathSpec:
     if isinstance(path, PathSpec):
@@ -87,18 +79,6 @@ def _as_path(path) -> PathSpec:
     return PathSpec(tuple(path))
 
 
-def discriminator(outcomes: Sequence[int]) -> tuple[int, int]:
-    """Parity pair (odd-indexed XOR, even-indexed XOR) classifying the byproduct.
-
-    Outcome i of the sequence is the X measurement of the i-th intermediate
-    qubit (1-based in the parity convention).
-    """
-    bits = [int(b) & 1 for b in outcomes]
-    z = reduce(lambda a, b: a ^ b, bits[0::2], 0)
-    x = reduce(lambda a, b: a ^ b, bits[1::2], 0)
-    return z, x
-
-
 def reachable_configurations(hops: int) -> tuple[tuple[int, int], ...]:
     """With a single hop only the X-free configurations occur."""
     if hops < 1:
@@ -106,51 +86,6 @@ def reachable_configurations(hops: int) -> tuple[tuple[int, int], ...]:
     if hops == 1:
         return ((0, 0), (1, 0))
     return ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def representative_outcomes(config: tuple[int, int], hops: int) -> tuple[int, ...]:
-    """Smallest outcome vector mapping to the given configuration."""
-    z, x = config
-    if (z, x) not in reachable_configurations(hops):
-        raise ValueError(f"configuration {config} is unreachable with {hops} hop(s)")
-    s = [0] * hops
-    if z:
-        s[0] = 1
-    if x:
-        s[1] = 1
-    return tuple(s)
-
-
-def byproduct_sequence(outcomes: Sequence[int], target: int = 1) -> list[GateOp]:
-    """Gates acquired by the receiving qubit, in temporal order of the hops."""
-    ops = []
-    for s in outcomes:
-        ops.append(GateOp(Gate.H, (target,)))
-        if int(s):
-            ops.append(GateOp(Gate.X, (target,)))
-    return ops
-
-
-def correction_sequence(outcomes: Sequence[int], target: int = 1,
-                        simplified: bool = False) -> list[GateOp]:
-    """Gate list undoing the acquired byproduct, in application order.
-
-    The default form mirrors the sequential hardware correction (one
-    conditional X and one H per hop, reversed); the simplified form is the
-    constant-depth equivalent derived from the discriminator.
-    """
-    if simplified:
-        z, x = discriminator(outcomes)
-        n = len(outcomes) + 2
-        ops = []
-        if n % 2:
-            ops.append(GateOp(Gate.H, (target,)))
-        if z:
-            ops.append(GateOp(Gate.Z, (target,)))
-        if x:
-            ops.append(GateOp(Gate.X, (target,)))
-        return ops
-    return list(reversed(byproduct_sequence(outcomes, target)))
 
 
 def configuration_unitary(config: tuple[int, int], n: int) -> np.ndarray:
@@ -166,59 +101,21 @@ def configuration_unitary(config: tuple[int, int], n: int) -> np.ndarray:
     return u
 
 
-def sequence_unitary(ops: Iterable[GateOp]) -> np.ndarray:
-    """2x2 unitary of single-qubit gates applied in temporal order."""
-    u = np.eye(2, dtype=complex)
-    for o in ops:
-        u = GATE_MATRICES[o.kind] @ u
-    return u
-
-
-def prepare_path_graph_state(path) -> PureState:
-    """|+...+> entangled with CZ along consecutive path positions."""
-    path = _as_path(path)
-    if path.n > MAX_QUBITS:
-        raise ValueError(f"path of {path.n} qubits exceeds the {MAX_QUBITS}-qubit cap")
-    state = PureState.plus(path.n)
-    for i in range(path.n - 1):
-        state = apply_gate(state, GateOp(Gate.CZ, (i, i + 1)))
-    return state
-
-
-def phi_p2() -> PureState:
-    """Two-qubit graph state CZ|++>, as `prepare_path_graph_state(2)` gives it."""
-    return PureState(2, np.array([0.5, 0.5, 0.5, -0.5], dtype=complex))
+def phi_p2() -> np.ndarray:
+    """Amplitudes of the two-qubit graph state CZ|++>."""
+    return np.array([0.5, 0.5, 0.5, -0.5], dtype=complex)
 
 
 def phi_p2_projector() -> np.ndarray:
-    v = phi_p2().amplitudes
+    v = phi_p2()
     return np.outer(v, v.conj())
 
 
-def canonical_state(config: tuple[int, int], n: int) -> PureState:
-    """Two-qubit state of a configuration: (I x U_config) |phi(P2)>."""
+def canonical_state(config: tuple[int, int], n: int) -> np.ndarray:
+    """Amplitudes of a configuration's two-qubit state: (I x U_config) |phi(P2)>."""
     u = configuration_unitary(config, n)
     full = np.kron(u, np.eye(2, dtype=complex))  # second qubit is the high bit
-    return PureState(2, full @ phi_p2().amplitudes)
-
-
-def teleport_pure(path, outcomes: Sequence[int]) -> PureState:
-    """Exact teleported pair state for forced intermediate outcomes.
-
-    Dense-statevector evaluation: prepares the path graph state, projects
-    every intermediate qubit onto its X outcome, and returns the remaining
-    (first, last) pair as a 2-qubit state, byproduct still attached.
-    """
-    path = _as_path(path)
-    n = path.n
-    if len(outcomes) != n - 2:
-        raise ValueError(f"expected {n - 2} outcomes, got {len(outcomes)}")
-    state = prepare_path_graph_state(path)
-    for i in range(1, n - 1):
-        state, _ = postselect(state, i, "X", int(outcomes[i - 1]))
-    for i in range(n - 2, 0, -1):
-        state = remove_qubit(state, i)
-    return state
+    return full @ phi_p2()
 
 
 # ---------------------------------------------------------------------------
@@ -399,25 +296,13 @@ class TransportResult:
 
     def pair_tomography(self) -> TomographySet:
         """Counts marginalized onto the surviving pair (positions 0 and n-1)."""
-        tset = TomographySet(shots_per_basis=self.shots_per_basis)
+        tset = TomographySet()
         for pair, counts in self.counts_by_basis.items():
             keys = np.fromiter(counts, np.int64, len(counts))
             weights = np.fromiter(counts.values(), float, len(counts))
             k = (keys & 1) | (((keys >> (self.n - 1)) & 1) << 1)
             tset.counts[pair] = np.bincount(k, weights, 4)
         return tset
-
-    def categorize(self) -> dict[tuple[int, int], TomographySet]:
-        """Split pair counts by the discriminator of the recorded outcomes."""
-        out = {c: TomographySet(shots_per_basis=self.shots_per_basis)
-               for c in reachable_configurations(self.path.hops)}
-        for pair, counts in self.counts_by_basis.items():
-            for outcome, weight in counts.items():
-                s = [(outcome >> pos) & 1 for pos in range(1, self.n - 1)]
-                config = discriminator(s)
-                k = (outcome & 1) | (((outcome >> (self.n - 1)) & 1) << 1)
-                out.setdefault(config, TomographySet(shots_per_basis=self.shots_per_basis)).add(pair, k, weight)
-        return out
 
 
 def _count(ints: np.ndarray) -> dict[int, int]:
@@ -554,55 +439,3 @@ def run_idle_pair(delay_us: float, noise: NoiseModel, shots: int,
                   rng: np.random.Generator) -> TransportResult:
     """Prepare the two-qubit graph state, idle both qubits, then run tomography."""
     return _sample(PathSpec.line(2), "idle", noise, shots, rng, delay_us=delay_us)
-
-
-# ---------------------------------------------------------------------------
-# Analytic (infinite-shot, noiseless) evaluation
-
-
-def _exact_probs(state: PureState) -> dict[tuple[str, str], np.ndarray]:
-    return {pair: born_probabilities(state, (0, 1), pair) for pair in BASIS_PAIRS}
-
-
-def analytic_teleportation(path, mode: str, simplified_correction: bool = False,
-                           rng: np.random.Generator | None = None) -> dict:
-    """Exact noiseless teleportation outputs.
-
-    For ``dynamic`` the corrected pair state is outcome-independent, so a
-    single branch is evaluated (sampled when an rng is given). For
-    ``postselect`` one representative branch per reachable configuration is
-    evaluated together with its exact weight.
-    """
-    path = _as_path(path)
-    hops = path.hops
-    if hops < 1:
-        raise ValueError("teleportation needs at least one intermediate qubit")
-    if mode == "dynamic":
-        if rng is None:
-            outcomes = (0,) * hops
-        else:
-            outcomes = tuple(int(b) for b in rng.integers(0, 2, size=hops))
-        state = teleport_pure(path, outcomes)
-        state = apply_gates(state, correction_sequence(outcomes, target=1,
-                                                       simplified=simplified_correction))
-        return {"state": state, "probs_by_basis": _exact_probs(state)}
-    if mode == "postselect":
-        configs = reachable_configurations(hops)
-        branches = {}
-        for config in configs:
-            outcomes = representative_outcomes(config, hops)
-            state = teleport_pure(path, outcomes)
-            branches[config] = {
-                "weight": 1.0 / len(configs),
-                "state": state,
-                "probs_by_basis": _exact_probs(state),
-            }
-        return {"configurations": branches}
-    raise ValueError(f"mode must be dynamic or postselect, got {mode}")
-
-
-def analytic_swap(path) -> dict:
-    """Noiseless SWAP transport leaves the pair state exactly in place."""
-    path = _as_path(path)
-    state = phi_p2()
-    return {"state": state, "probs_by_basis": _exact_probs(state)}

@@ -25,13 +25,8 @@ def rotation_gates(axis: str) -> tuple[Gate, ...]:
 
 def tomography_rotations(basis_pair: tuple[str, str], qubits: tuple[int, int]) -> list[GateOp]:
     """Gates mapping the requested Pauli eigenbases onto Z before measurement."""
-    ops = []
-    for axis, qubit in zip(basis_pair, qubits):
-        axis = axis.upper()
-        if axis not in _ROTATIONS:
-            raise ValueError(f"unknown Pauli axis {axis}")
-        ops.extend(GateOp(g, (qubit,)) for g in _ROTATIONS[axis])
-    return ops
+    return [GateOp(g, (qubit,)) for axis, qubit in zip(basis_pair, qubits)
+            for g in rotation_gates(axis)]
 
 
 @dataclass
@@ -41,12 +36,7 @@ class TomographySet:
     Count vectors are indexed by ``b_first + 2 * b_second``.
     """
 
-    shots_per_basis: int = 0
     counts: dict = field(default_factory=dict)
-
-    def add(self, basis_pair: tuple[str, str], outcome: int, weight: int = 1):
-        vec = self.counts.setdefault(tuple(basis_pair), np.zeros(4))
-        vec[outcome] += weight
 
     def frequencies(self) -> dict[tuple[str, str], np.ndarray]:
         out = {}
@@ -54,16 +44,6 @@ class TomographySet:
             total = vec.sum()
             out[pair] = vec / total if total > 0 else np.full(4, 0.25)
         return out
-
-    def total_shots(self) -> int:
-        return int(sum(vec.sum() for vec in self.counts.values()))
-
-    def validate_raw(self):
-        if set(self.counts) != set(BASIS_PAIRS):
-            raise ValueError("tomography set must cover all 9 basis pairs")
-        for pair, vec in self.counts.items():
-            if int(vec.sum()) != self.shots_per_basis:
-                raise ValueError(f"basis {pair} holds {vec.sum()} shots, expected {self.shots_per_basis}")
 
 
 _SIGN_FIRST = np.array([1.0, -1.0, 1.0, -1.0])

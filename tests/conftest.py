@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from teleport_lab.protocols import ShotBatch
-from teleport_lab.simulator import PureState
+
+from dense_oracle import PureState
 
 
 @pytest.fixture

@@ -1,0 +1,365 @@
+"""Dense statevector oracle: the independent reference of the tests.
+
+Full-register statevectors, forced measurement branches, the byproduct
+and correction algebra of the teleportation chain and exact noiseless
+transport, against which the sampled engine (`protocols.ShotBatch`) and
+acceptance criteria 1-3 are checked. Nothing here samples or comes from
+the engine. Qubit ``q`` is bit q, least significant first, of the
+amplitude index; global phase is kept (compare with `states_equal`);
+registers are capped at 24 qubits.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import reduce
+from math import sqrt
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from teleport_lab.protocols import phi_p2, reachable_configurations
+from teleport_lab.simulator import GATE_MATRICES, Gate, GateOp
+from teleport_lab.tomography import BASIS_PAIRS, TomographySet
+
+MAX_QUBITS = 24
+
+
+def op(kind: Gate | str, *targets: int) -> GateOp:
+    if isinstance(kind, str):
+        kind = Gate(kind.upper())
+    return GateOp(kind, tuple(targets))
+
+
+@dataclass
+class PureState:
+    """Normalized amplitude vector over ``num_qubits`` qubits."""
+
+    num_qubits: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        if not 1 <= self.num_qubits <= MAX_QUBITS:
+            raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {self.num_qubits}")
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.shape != (1 << self.num_qubits,):
+            raise ValueError(f"expected {1 << self.num_qubits} amplitudes, got shape {amps.shape}")
+        norm = np.linalg.norm(amps)
+        if abs(norm - 1.0) > 1e-6:
+            raise ValueError(f"state is not normalized (norm={norm})")
+        self.amplitudes = amps
+
+    @classmethod
+    def zero(cls, num_qubits: int) -> "PureState":
+        amps = np.zeros(1 << num_qubits, dtype=complex)
+        amps[0] = 1.0
+        return cls(num_qubits, amps)
+
+    @classmethod
+    def plus(cls, num_qubits: int) -> "PureState":
+        dim = 1 << num_qubits
+        return cls(num_qubits, np.full(dim, 1.0 / sqrt(dim), dtype=complex))
+
+    @classmethod
+    def from_bits(cls, bits: Sequence[int]) -> "PureState":
+        """Computational basis state; bits[q] is the value of qubit q."""
+        n = len(bits)
+        amps = np.zeros(1 << n, dtype=complex)
+        amps[index_of_bits(bits)] = 1.0
+        return cls(n, amps)
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+
+def index_of_bits(bits: Sequence[int]) -> int:
+    """Amplitude index of the basis state with bits[q] on qubit q."""
+    return sum((int(b) & 1) << q for q, b in enumerate(bits))
+
+
+def bits_of_index(index: int, num_qubits: int) -> tuple[int, ...]:
+    return tuple((index >> q) & 1 for q in range(num_qubits))
+
+
+def _check_targets(state: PureState, targets: Iterable[int]):
+    for t in targets:
+        if not 0 <= t < state.num_qubits:
+            raise ValueError(f"qubit {t} out of range for {state.num_qubits}-qubit state")
+
+
+def _apply_single(amps: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
+    # View as (high bits, this qubit, low bits) and contract the middle axis.
+    view = amps.reshape(-1, 2, 1 << qubit)
+    return np.einsum("ij,ajb->aib", matrix, view).reshape(-1)
+
+
+def _apply_cz(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
+    idx = np.arange(amps.size)
+    mask = ((idx >> q1) & 1).astype(bool) & ((idx >> q2) & 1).astype(bool)
+    out = amps.copy()
+    out[mask] *= -1
+    return out
+
+
+def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
+    idx = np.arange(amps.size)
+    perm = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
+    return amps[perm]
+
+
+def _apply_swap(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
+    idx = np.arange(amps.size)
+    b1 = (idx >> q1) & 1
+    b2 = (idx >> q2) & 1
+    perm = np.where(b1 != b2, idx ^ (1 << q1) ^ (1 << q2), idx)
+    return amps[perm]
+
+
+def apply_gate(state: PureState, gate_op: GateOp) -> PureState:
+    """Unitary action of the named gate; all other qubits untouched."""
+    _check_targets(state, gate_op.targets)
+    amps = state.amplitudes
+    kind = gate_op.kind
+    if kind.num_targets == 1:
+        out = _apply_single(amps, GATE_MATRICES[kind], gate_op.targets[0])
+    elif kind is Gate.CZ:
+        out = _apply_cz(amps, *gate_op.targets)
+    elif kind is Gate.CNOT:
+        out = _apply_cnot(amps, *gate_op.targets)
+    else:
+        out = _apply_swap(amps, *gate_op.targets)
+    return PureState(state.num_qubits, out)
+
+
+def apply_gates(state: PureState, ops: Iterable[GateOp]) -> PureState:
+    for o in ops:
+        state = apply_gate(state, o)
+    return state
+
+
+def postselect(state: PureState, qubit: int, basis: str, bit: int) -> tuple[PureState, float]:
+    """Force a measurement branch; returns (renormalized post-state, branch probability)."""
+    basis = basis.upper()
+    _check_targets(state, [qubit])
+    amps = state.amplitudes
+    if basis == "X":
+        amps = _apply_single(amps, GATE_MATRICES[Gate.H], qubit)
+    elif basis != "Z":
+        raise ValueError(f"basis must be Z or X, got {basis}")
+    p1 = float((np.abs(amps.reshape(-1, 2, 1 << qubit)) ** 2)[:, 1, :].sum())
+    prob = p1 if bit else 1.0 - p1
+    if prob < 1e-15:
+        raise ValueError(f"branch (qubit={qubit}, bit={bit}) has zero probability")
+    out = amps.reshape(-1, 2, 1 << qubit).copy()
+    out[:, 1 - bit, :] = 0.0
+    return PureState(state.num_qubits, (out / sqrt(prob)).reshape(-1)), prob
+
+
+_BASIS_ROTATIONS = {
+    "Z": [],
+    "X": [Gate.H],
+    "Y": [Gate.SDG, Gate.H],
+}
+
+
+def born_probabilities(state: PureState, qubits: Sequence[int], bases: Sequence[str]) -> np.ndarray:
+    """Exact joint outcome distribution for the listed qubits and bases.
+
+    Outcome index k encodes bit i (for the i-th listed qubit) at weight 2^i.
+    Bases may be X, Y or Z.
+    """
+    if len(qubits) != len(bases):
+        raise ValueError("qubits and bases must have equal length")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate qubits {qubits}")
+    _check_targets(state, qubits)
+    amps = state.amplitudes
+    for q, b in zip(qubits, bases):
+        for g in _BASIS_ROTATIONS[b.upper()]:
+            amps = _apply_single(amps, GATE_MATRICES[g], q)
+    probs = np.abs(amps) ** 2
+    idx = np.arange(probs.size)
+    key = np.zeros(probs.size, dtype=np.int64)
+    for i, q in enumerate(qubits):
+        key |= ((idx >> q) & 1) << i
+    return np.bincount(key, weights=probs, minlength=1 << len(qubits))
+
+
+def add_qubit(state: PureState, amplitudes=(1.0, 0.0)) -> PureState:
+    """Append one qubit (as the new highest index) in the given 1-qubit state."""
+    vec = np.asarray(amplitudes, dtype=complex)
+    if vec.shape != (2,):
+        raise ValueError("new qubit needs exactly 2 amplitudes")
+    return PureState(state.num_qubits + 1, np.kron(vec, state.amplitudes))
+
+
+def remove_qubit(state: PureState, qubit: int) -> PureState:
+    """Drop a qubit that is in a definite computational state (e.g. just measured)."""
+    view = state.amplitudes.reshape(-1, 2, 1 << qubit)
+    w0 = float(np.abs(view[:, 0, :]).sum())
+    w1 = float(np.abs(view[:, 1, :]).sum())
+    bit = int(w1 > w0)
+    if min(w0, w1) > 1e-9:
+        raise ValueError(f"qubit {qubit} is not in a definite computational state")
+    return PureState(state.num_qubits - 1, view[:, bit, :].reshape(-1).copy())
+
+
+def states_equal(a: PureState | np.ndarray, b: PureState | np.ndarray, tol: float = 1e-9) -> bool:
+    """Equality of normalized states up to global phase."""
+    va = a.amplitudes if isinstance(a, PureState) else np.asarray(a)
+    vb = b.amplitudes if isinstance(b, PureState) else np.asarray(b)
+    if va.shape != vb.shape:
+        return False
+    return abs(abs(np.vdot(va, vb)) - 1.0) < tol
+
+
+# ---------------------------------------------------------------------------
+# Byproduct algebra of the teleportation chain
+
+
+def discriminator(outcomes: Sequence[int]) -> tuple[int, int]:
+    """Parity pair (odd-indexed XOR, even-indexed XOR) classifying the byproduct.
+
+    Outcome i of the sequence is the X measurement of the i-th intermediate
+    qubit (1-based in the parity convention).
+    """
+    bits = [int(b) & 1 for b in outcomes]
+    z = reduce(lambda a, b: a ^ b, bits[0::2], 0)
+    x = reduce(lambda a, b: a ^ b, bits[1::2], 0)
+    return z, x
+
+
+def representative_outcomes(config: tuple[int, int], hops: int) -> tuple[int, ...]:
+    """Smallest outcome vector mapping to the given configuration."""
+    z, x = config
+    if (z, x) not in reachable_configurations(hops):
+        raise ValueError(f"configuration {config} is unreachable with {hops} hop(s)")
+    s = [0] * hops
+    if z:
+        s[0] = 1
+    if x:
+        s[1] = 1
+    return tuple(s)
+
+
+def byproduct_sequence(outcomes: Sequence[int], target: int = 1) -> list[GateOp]:
+    """Gates acquired by the receiving qubit, in temporal order of the hops."""
+    ops = []
+    for s in outcomes:
+        ops.append(GateOp(Gate.H, (target,)))
+        if int(s):
+            ops.append(GateOp(Gate.X, (target,)))
+    return ops
+
+
+def correction_sequence(outcomes: Sequence[int], target: int = 1,
+                        simplified: bool = False) -> list[GateOp]:
+    """Gate list undoing the acquired byproduct, in application order.
+
+    The default form mirrors the sequential hardware correction (one
+    conditional X and one H per hop, reversed); the simplified form is the
+    constant-depth equivalent derived from the discriminator.
+    """
+    if simplified:
+        z, x = discriminator(outcomes)
+        n = len(outcomes) + 2
+        ops = []
+        if n % 2:
+            ops.append(GateOp(Gate.H, (target,)))
+        if z:
+            ops.append(GateOp(Gate.Z, (target,)))
+        if x:
+            ops.append(GateOp(Gate.X, (target,)))
+        return ops
+    return list(reversed(byproduct_sequence(outcomes, target)))
+
+
+def sequence_unitary(ops: Iterable[GateOp]) -> np.ndarray:
+    """2x2 unitary of single-qubit gates applied in temporal order."""
+    u = np.eye(2, dtype=complex)
+    for o in ops:
+        u = GATE_MATRICES[o.kind] @ u
+    return u
+
+
+# ---------------------------------------------------------------------------
+# Exact noiseless transport
+
+
+def prepare_path_graph_state(n: int) -> PureState:
+    """|+...+> on an n-qubit path, entangled with CZ along consecutive positions."""
+    if n > MAX_QUBITS:
+        raise ValueError(f"path of {n} qubits exceeds the {MAX_QUBITS}-qubit cap")
+    state = PureState.plus(n)
+    for i in range(n - 1):
+        state = apply_gate(state, GateOp(Gate.CZ, (i, i + 1)))
+    return state
+
+
+def teleport_pure(n: int, outcomes: Sequence[int]) -> PureState:
+    """Exact teleported pair state for forced intermediate outcomes.
+
+    Prepares the n-qubit path graph state, projects every intermediate
+    qubit onto its X outcome, and returns the remaining (first, last) pair
+    as a 2-qubit state, byproduct still attached.
+    """
+    if len(outcomes) != n - 2:
+        raise ValueError(f"expected {n - 2} outcomes, got {len(outcomes)}")
+    state = prepare_path_graph_state(n)
+    for i in range(1, n - 1):
+        state, _ = postselect(state, i, "X", int(outcomes[i - 1]))
+    for i in range(n - 2, 0, -1):
+        state = remove_qubit(state, i)
+    return state
+
+
+def _exact_probs(state: PureState) -> dict[tuple[str, str], np.ndarray]:
+    return {pair: born_probabilities(state, (0, 1), pair) for pair in BASIS_PAIRS}
+
+
+def analytic_teleportation(n: int, mode: str, simplified_correction: bool = False) -> dict:
+    """Exact noiseless teleportation outputs on an n-qubit path.
+
+    For ``dynamic`` the corrected pair state is outcome-independent, so the
+    all-zero branch is evaluated. For ``postselect`` one representative
+    branch per reachable configuration is evaluated together with its exact
+    weight.
+    """
+    hops = n - 2
+    if hops < 1:
+        raise ValueError("teleportation needs at least one intermediate qubit")
+    if mode == "dynamic":
+        outcomes = (0,) * hops
+        state = teleport_pure(n, outcomes)
+        state = apply_gates(state, correction_sequence(outcomes, target=1,
+                                                       simplified=simplified_correction))
+        return {"state": state, "probs_by_basis": _exact_probs(state)}
+    if mode == "postselect":
+        configs = reachable_configurations(hops)
+        branches = {}
+        for config in configs:
+            state = teleport_pure(n, representative_outcomes(config, hops))
+            branches[config] = {
+                "weight": 1.0 / len(configs),
+                "state": state,
+                "probs_by_basis": _exact_probs(state),
+            }
+        return {"configurations": branches}
+    raise ValueError(f"mode must be dynamic or postselect, got {mode}")
+
+
+def analytic_swap() -> dict:
+    """Noiseless SWAP transport leaves the pair state exactly in place, on any path."""
+    state = PureState(2, phi_p2())
+    return {"state": state, "probs_by_basis": _exact_probs(state)}
+
+
+def categorize(result) -> dict[tuple[int, int], TomographySet]:
+    """Pair counts of a transport result split by the discriminator, one key at a time."""
+    n = result.n
+    out = {c: TomographySet() for c in reachable_configurations(result.path.hops)}
+    for pair, counts in result.counts_by_basis.items():
+        for outcome, weight in counts.items():
+            config = discriminator([(outcome >> pos) & 1 for pos in range(1, n - 1)])
+            k = (outcome & 1) | (((outcome >> (n - 1)) & 1) << 1)
+            out[config].counts.setdefault(pair, np.zeros(4))[k] += weight
+    return out

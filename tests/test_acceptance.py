@@ -13,14 +13,13 @@ from teleport_lab.channels import NoiseModel, confusion_matrix, readout_channel
 from teleport_lab.harness import ExperimentSpec, aggregate_by_hops, run_decay_experiment
 from teleport_lab.metrics import fidelity, nearest_physical, negativity
 from teleport_lab.mitigation import michelot_project, qrem_correct
-from teleport_lab.protocols import (analytic_teleportation, byproduct_sequence,
-                                    configuration_unitary, discriminator,
-                                    phi_p2_projector, run_teleportation,
-                                    sequence_unitary, teleport_pure)
-from teleport_lab.simulator import apply_gates, states_equal
+from teleport_lab.protocols import configuration_unitary, phi_p2_projector, run_teleportation
 from teleport_lab.tomography import reconstruct
 
 from conftest import random_density_matrix, random_unitary
+from dense_oracle import (PureState, analytic_swap, analytic_teleportation, apply_gates,
+                          byproduct_sequence, discriminator, sequence_unitary, states_equal,
+                          teleport_pure)
 
 NOISELESS = NoiseModel(dynamic_correction_latency_us=0.0)
 
@@ -40,7 +39,7 @@ def test_criterion_01_noiseless_exactness():
     for hops in range(1, 9):
         for s in itertools.product((0, 1), repeat=hops):
             got = teleport_pure(hops + 2, s)
-            want = apply_gates(protocols.phi_p2(), byproduct_sequence(s, target=1))
+            want = apply_gates(PureState(2, protocols.phi_p2()), byproduct_sequence(s, target=1))
             if not states_equal(got, want, 1e-9):
                 exhaustive_ok = False
     _verdict("criterion 1a: teleported state matches byproduct form (hops 1..8, all outcomes)",
@@ -100,7 +99,7 @@ def test_criterion_03_mode_equivalence():
             undo = np.kron(u.conj().T, np.eye(2))
             rotated = undo @ rho @ undo.conj().T
             worst = max(worst, abs(fidelity(rotated, ideal) - 1.0))
-        swap = reconstruct(protocols.analytic_swap(n)["probs_by_basis"])
+        swap = reconstruct(analytic_swap()["probs_by_basis"])
         worst = max(worst, abs(fidelity(swap, ideal) - 1.0))
     _verdict("criterion 3: all modes reach the pair state with fidelity 1 +/- 1e-6",
              worst < 1e-6, f"worst deviation {worst:.2e}")

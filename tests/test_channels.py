@@ -12,11 +12,12 @@ from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, apply_kr
                                    phase_flip_kraus, readout_channel)
 from teleport_lab.metrics import density_from_state, negativity
 from teleport_lab.protocols import ShotBatch
-from teleport_lab.simulator import GATE_MATRICES, PAULI_MATRICES, PureState, apply_gates, op
+from teleport_lab.simulator import GATE_MATRICES, PAULI_MATRICES
 from teleport_lab.tomography import BASIS_PAIRS, rotation_gates
 
 from conftest import (random_density_matrix, random_state, random_unitary, shot_batch,
                       trace_distance)
+from dense_oracle import PureState, apply_gates, op
 
 BELL = PureState(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 

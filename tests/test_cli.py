@@ -51,6 +51,14 @@ def test_gen_device_and_find_paths(workdir, capsys):
     listing = json.loads((workdir / "paths.json").read_text())
     assert len(listing["paths"]) == 2
     assert listing["complete"]
+    # negative values used to fail with messages that named no field
+    rejected = workdir / "rejected_dev.json"
+    for flag, field in (("--seed", "seed"), ("--undefined-edges", "undefined_edges")):
+        assert main(["gen-device", "--topology", "line:7", flag, "-1",
+                     "--out", str(rejected)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1
+    assert not rejected.exists()
 
 
 def test_find_paths_warns_when_too_few(workdir, capsys):
@@ -124,9 +132,15 @@ def test_run_rejects_empty_sweeps_and_bad_worker_counts(workdir, capsys, monkeyp
     base = ["run", "--device", str(dev), "--out", str(out)]
     zero_calibration = workdir / "zero_calibration.json"
     zero_calibration.write_text('{"hops": [1], "qrem_calibration_shots": 0}')
+    negative_seed = workdir / "negative_seed.json"
+    negative_seed.write_text('{"hops": [1], "seed": -1}')
     for extra, field in ((["--trials", "0"], "trials"), (["--paths", "0"], "paths_per_hop"),
                          (["--hops", "5..1"], "hops"),
-                         (["--spec", str(zero_calibration)], "qrem_calibration_shots")):
+                         (["--spec", str(zero_calibration)], "qrem_calibration_shots"),
+                         (["--hops", "1", "--protocol", ""], "protocols"),
+                         (["--hops", "1", "--mode", " "], "modes"),
+                         (["--spec", str(negative_seed)], "seed"),
+                         (["--hops", "1", "--seed", "-3"], "seed")):
         assert main(base + extra) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
@@ -218,11 +232,13 @@ def test_decay_command(workdir, capsys):
 
 
 def test_decay_rejects_negative_shots(workdir, capsys):
-    # --shots -5 used to run the exact channel and record shots=-5
+    # --shots -5 used to run the exact channel and record shots=-5, and
+    # --seed -1 failed with a message that named no field
     out = workdir / "negative_shots.csv"
-    assert main(["decay", "--delays", "0,1", "--shots", "-5", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: shots") and err.count("\n") == 1
+    for flag, field in (("--shots", "shots"), ("--seed", "seed")):
+        assert main(["decay", "--delays", "0,1", flag, "-5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -18,6 +18,8 @@ from teleport_lab.pathfinder import synthesize_device
 from teleport_lab.protocols import PathSpec, TransportResult
 from teleport_lab.tomography import BASIS_PAIRS, reconstruct
 
+from dense_oracle import categorize, discriminator
+
 NOISELESS_OVERRIDES = {
     "one_qubit_depol": 0.0,
     "two_qubit_depol_per_edge": None,
@@ -72,13 +74,17 @@ def test_spec_rejects_readout_override_shorter_than_longest_path():
 
 
 @pytest.mark.parametrize("field, value", [("trials", 0), ("paths_per_hop", 0),
-                                          ("qrem_calibration_shots", 0), ("hops", ())])
+                                          ("qrem_calibration_shots", 0), ("hops", ()),
+                                          ("protocols", ()), ("modes", ()), ("seed", -1)])
 def test_spec_rejects_empty_sweep_fields(field, value):
     # each of these used to plan no cell, or fail every cell, and exit 0
-    # with a header-only CSV
+    # with a header-only CSV; a negative seed failed in plan_cells with a
+    # message that named no field
     with pytest.raises(ValueError, match=field):
         ExperimentSpec(**{field: value})
-    if field != "hops":
+    with pytest.raises(ValueError, match=field):
+        ExperimentSpec.from_json(json.dumps({field: value}))
+    if field not in ("hops", "protocols", "modes"):
         with pytest.raises(ValueError, match=field):
             ExperimentSpec(**{field: -3})
         assert getattr(ExperimentSpec(**{field: 1}), field) == 1
@@ -194,10 +200,11 @@ def test_category_pipeline_matches_manual_recomputation():
     result = protocols.run_teleportation(4, "postselect", noise, 2048, rng)
     cats = mitigated_category_distributions(result, qrem=False,
                                             calibration=[np.eye(2)] * 4)
-    raw = result.categorize()
+    raw = categorize(result)
     total = 9 * 2048
     for config, tset in raw.items():
-        assert abs(cats[config]["weight"] - tset.total_shots() / total) < 1e-12
+        shots = sum(vec.sum() for vec in tset.counts.values())
+        assert abs(cats[config]["weight"] - shots / total) < 1e-12
         freqs = tset.frequencies()
         for pair in BASIS_PAIRS:
             assert np.allclose(cats[config]["probs_by_basis"][pair], freqs[pair], atol=1e-12)
@@ -242,7 +249,7 @@ def dense_category_oracle(result: TransportResult, qrem: bool, calibration) -> d
     bins = []
     for idx in range(1 << n):
         s = [(idx >> pos) & 1 for pos in range(1, n - 1)]
-        z, x = protocols.discriminator(s)
+        z, x = discriminator(s)
         t = (idx & 1) | (((idx >> (n - 1)) & 1) << 1)
         bins.append((z, x, t))
     configs = protocols.reachable_configurations(n - 2)
@@ -287,7 +294,7 @@ def test_category_pipeline_is_linear_in_path_length(rng):
     n = 50
     result = random_counts_result(n, shots=64, distinct=5, rng=rng)
     calibration = [confusion_matrix(*rng.uniform(0.01, 0.05, size=2)) for _ in range(n)]
-    raw = result.categorize()
+    raw = categorize(result)
     total = len(BASIS_PAIRS) * 64
     for qrem in (False, True):
         cats = mitigated_category_distributions(result, qrem, calibration)
@@ -296,7 +303,8 @@ def test_category_pipeline_is_linear_in_path_length(rng):
             for probs in payload["probs_by_basis"].values():
                 assert abs(probs.sum() - 1.0) < 1e-12 and probs.min() >= 0.0
             if not qrem:
-                assert abs(payload["weight"] - raw[config].total_shots() / total) < 1e-12
+                shots = sum(vec.sum() for vec in raw[config].counts.values())
+                assert abs(payload["weight"] - shots / total) < 1e-12
 
 
 def test_category_weights_are_a_distribution(rng):

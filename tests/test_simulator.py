@@ -1,17 +1,18 @@
-"""Statevector core: gates, measurement, exact outcome distributions.
+"""Dense oracle and gate tables: gates, measurement, exact outcome distributions.
 
 Sampled measurement lives in the trajectory engine (`ShotBatch.measure_z`);
-its tests here check it against the Born rule of the dense core.
+its tests here check it against the Born rule of the dense oracle.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teleport_lab.simulator import (Gate, GateOp, PureState, add_qubit, apply_gate,
-                                    apply_gates, bits_of_index, born_probabilities,
-                                    index_of_bits, op, postselect, remove_qubit, states_equal)
+from teleport_lab.simulator import Gate, GateOp
 
 from conftest import random_state, shot_batch
+from dense_oracle import (PureState, add_qubit, apply_gate, apply_gates, bits_of_index,
+                          born_probabilities, index_of_bits, op, postselect, remove_qubit,
+                          states_equal)
 
 SQ2 = 1 / np.sqrt(2)
 
