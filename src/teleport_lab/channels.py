@@ -75,6 +75,12 @@ class NoiseModel:
         for name in ("t1_us", "t2_us", "dynamic_correction_latency_us"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        for p in self.two_qubit_depol_per_edge or ():
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"two_qubit_depol_per_edge value {p} outside [0, 1]")
+        for name in ("t1_per_qubit_us", "t2_per_qubit_us"):
+            if any(t < 0 for t in getattr(self, name) or ()):
+                raise ValueError(f"{name} values must be non-negative")
         if self.t2_us > 2.0 * self.t1_us + 1e-12:
             raise ValueError(f"t2 ({self.t2_us}) must not exceed 2*t1 ({2 * self.t1_us})")
         if self.t1_per_qubit_us is not None and self.t2_per_qubit_us is not None:

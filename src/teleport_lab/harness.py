@@ -11,9 +11,9 @@ import logging
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from math import sqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,6 +90,12 @@ class ExperimentSpec:
         if noise.readout and len(noise.readout) < longest:
             raise ValueError(f"noise override readout has {len(noise.readout)} confusion "
                              f"matrices; paths of {longest} qubits need one per qubit")
+        for name, need in (("two_qubit_depol_per_edge", longest - 1),
+                           ("t1_per_qubit_us", longest), ("t2_per_qubit_us", longest)):
+            values = getattr(noise, name)
+            if values is not None and len(values) < need:
+                raise ValueError(f"noise override {name} has {len(values)} values; paths of "
+                                 f"{longest} qubits need {need}")
 
     @property
     def qrem_flags(self) -> tuple[bool, ...]:
@@ -208,21 +214,18 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     by_basis = np.bincount(bin_index.ravel(), vecs.ravel(), 16 * len(counts)).reshape(16, -1).T
 
     configs = protocols.reachable_configurations(result.path.hops)
-    acc = {c: {} for c in configs}
-    weights = {c: [] for c in configs}
-    for pair, grouped in zip(tomography.BASIS_PAIRS, by_basis):
-        for zc, xc in configs:
-            vec = grouped[np.array([zc | (xc << 1) | (tt << 2) for tt in range(4)])]
-            weight = float(vec.sum())
-            weights[(zc, xc)].append(weight)
-            if weight > 1e-12:
-                acc[(zc, xc)][pair] = mitigation.michelot_project(vec / weight)
-            else:
-                acc[(zc, xc)][pair] = np.full(4, 0.25)
-    # project the mean weights, like each basis vector, so they stay a distribution
-    mean_weights = mitigation.michelot_project(np.array([np.mean(weights[c]) for c in configs]))
-    return {c: {"weight": float(w), "probs_by_basis": acc[c]}
-            for c, w in zip(configs, mean_weights)}
+    # (basis, configuration, t) bins of each configuration's four pair outcomes
+    vecs = by_basis[:, [[zc | (xc << 1) | (tt << 2) for tt in range(4)] for zc, xc in configs]]
+    weights = vecs.sum(axis=-1)
+    probs = np.full(vecs.shape, 0.25)
+    seen = weights > 1e-12
+    probs[seen] = mitigation.michelot_project(vecs[seen] / weights[seen][:, None])
+    # project the mean weights, like each basis vector, so they stay a distribution;
+    # each configuration's mean runs over a contiguous row, as np.mean of a list does
+    mean_weights = mitigation.michelot_project(np.ascontiguousarray(weights.T).mean(axis=-1))
+    return {c: {"weight": float(w),
+                "probs_by_basis": dict(zip(tomography.BASIS_PAIRS, probs[:, i]))}
+            for i, (c, w) in enumerate(zip(configs, mean_weights))}
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +243,17 @@ class _Cell:
     seed: int
 
 
-def _cell_rows(device: DeviceModel, spec: ExperimentSpec, cell: _Cell) -> list[ResultRow]:
+class _CellRows(NamedTuple):
+    """One cell's result rows before reconstruction, with what scoring them needs."""
+
+    rows: list[ResultRow]  # negativity and fidelity still None
+    scored: list[int]  # the rows that get metrics: all but empty post-selected categories
+    probs: np.ndarray  # (scored, 9, 4) mitigated distributions in BASIS_PAIRS order
+    ideals: np.ndarray  # (scored, 4) ideal pair states the fidelities are taken against
+
+
+def _cell_rows(device: DeviceModel, spec: ExperimentSpec, cell: _Cell) -> _CellRows:
+    """Transport, calibration and mitigation of one cell; `_score_rows` does the rest."""
     path = PathSpec(cell.path_labels)
     noise = path_noise_model(device, path, spec.noise_overrides)
     rng = np.random.default_rng(np.random.SeedSequence(cell.seed))
@@ -253,51 +266,70 @@ def _cell_rows(device: DeviceModel, spec: ExperimentSpec, cell: _Cell) -> list[R
         [noise.qubit_confusion(i) for i in range(path.n)],
         spec.qrem_calibration_shots, rng)
 
-    rows: list[ResultRow] = []
+    rows, scored, probs, ideals = [], [], [], []
     path_label = _path_str(path)
     if cell.mode == "postselect":
-        # ideal projector of each configuration, shared by both QREM flags
-        ideals = {c: density_from_state(protocols.canonical_state(c, path.n))
-                  for c in protocols.reachable_configurations(path.hops)}
-    else:
-        ideal_pair = protocols.phi_p2_projector()
+        # ideal state of each configuration, shared by both QREM flags
+        config_ideals = {c: protocols.canonical_state(c, path.n)
+                         for c in protocols.reachable_configurations(path.hops)}
     for qrem in spec.qrem_flags:
         flag = "on" if qrem else "off"
         if cell.mode == "postselect":
             categories = mitigated_category_distributions(result, qrem, calibration)
             for config, payload in sorted(categories.items()):
-                config_label = f"{config[0]}{config[1]}"
                 eff_shots = int(round(payload["weight"] * spec.shots))
-                if eff_shots < 1:
-                    rows.append(ResultRow(cell.mode, cell.protocol, cell.hops, path_label,
-                                          cell.trial, flag, config_label,
-                                          None, None, 0, cell.seed))
-                    continue
-                rho = tomography.reconstruct(payload["probs_by_basis"])
-                rows.append(ResultRow(
-                    cell.mode, cell.protocol, cell.hops, path_label, cell.trial,
-                    flag, config_label, negativity(rho), fidelity(rho, ideals[config]),
-                    eff_shots, cell.seed))
+                if eff_shots:  # a configuration with no effective shot keeps empty metrics
+                    scored.append(len(rows))
+                    probs.append(payload["probs_by_basis"])
+                    ideals.append(config_ideals[config])
+                rows.append(ResultRow(cell.mode, cell.protocol, cell.hops, path_label,
+                                      cell.trial, flag, f"{config[0]}{config[1]}", None, None,
+                                      eff_shots, cell.seed))
         else:
-            probs = mitigated_pair_distributions(result, qrem, calibration)
-            rho = tomography.reconstruct(probs)
-            rows.append(ResultRow(cell.mode, cell.protocol, cell.hops, path_label,
-                                  cell.trial, flag, "", negativity(rho),
-                                  fidelity(rho, ideal_pair), spec.shots, cell.seed))
-    return rows
+            scored.append(len(rows))
+            probs.append(mitigated_pair_distributions(result, qrem, calibration))
+            ideals.append(protocols.phi_p2())
+            rows.append(ResultRow(cell.mode, cell.protocol, cell.hops, path_label, cell.trial,
+                                  flag, "", None, None, spec.shots, cell.seed))
+    by_basis = [[p[pair] for pair in tomography.BASIS_PAIRS] for p in probs]
+    return _CellRows(rows, scored, np.array(by_basis).reshape(-1, 9, 4),
+                     np.array(ideals).reshape(-1, 4))
+
+
+def _score_rows(cells: Sequence[_CellRows]) -> list[ResultRow]:
+    """Reconstruct and score the rows of all given cells as one stack, in order."""
+    if not cells:
+        return []
+    # inputs are built inside each call, so the stacks are freed before the next one
+    rhos = tomography.reconstruct(dict(zip(
+        tomography.BASIS_PAIRS, np.concatenate([c.probs for c in cells]).transpose(1, 0, 2))))
+    negs = negativity(rhos)
+    fids = fidelity(rhos, density_from_state(np.concatenate([c.ideals for c in cells])))
+    metrics = zip(negs, fids)
+    out = []
+    for cell in cells:
+        rows = list(cell.rows)
+        for i, (neg, fid) in zip(cell.scored, metrics):  # takes len(cell.scored) items
+            rows[i] = replace(rows[i], negativity=float(neg), fidelity=float(fid))
+        out.extend(rows)
+    return out
 
 
 def _path_str(path: PathSpec) -> str:
     return "-".join(str(q) for q in path.qubit_labels)
 
 
-def _cell_worker(args) -> tuple[list[ResultRow], str | None]:
-    """(rows, None) for a finished cell, ([], traceback text) for a failed one."""
-    device, spec, cell = args
+def _guarded(fn, *args) -> tuple:
+    """(fn(*args), None), or (None, traceback text) when it raises."""
     try:
-        return _cell_rows(device, spec, cell), None
+        return fn(*args), None
     except Exception:  # noqa: BLE001 - a failed cell must not kill the sweep
-        return [], traceback.format_exc()
+        return None, traceback.format_exc()
+
+
+def _cell_worker(args) -> tuple[_CellRows | None, str | None]:
+    """(rows, None) for a finished cell, (None, traceback text) for a failed one."""
+    return _guarded(_cell_rows, *args)
 
 
 def _worker_count() -> int:
@@ -349,7 +381,13 @@ class SweepRows(list):
 
 
 def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
-    """Execute the sweep; a failed cell is logged, counted and skipped, serial or pooled."""
+    """Execute the sweep; a failed cell is logged, counted and skipped, serial or pooled.
+
+    Cells run one per task, serially or in a process pool. The main process
+    then reconstructs and scores the rows of every finished cell in one
+    stacked call; if that raises, it scores each cell alone and skips the
+    ones that fail.
+    """
     workers = _worker_count()
     cells = plan_cells(device, spec)
     jobs = ((device, spec, c) for c in cells)
@@ -359,11 +397,27 @@ def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
     else:
         outcomes = map(_cell_worker, jobs)
     rows = SweepRows(len(cells))
+
+    def skip(cell, error):
+        log.error("cell %s failed; skipping\n%s", cell, error.rstrip())
+        rows.failed += 1
+
+    finished = []
     for cell, (cell_rows, error) in zip(cells, outcomes):
-        if error is not None:
-            log.error("cell %s failed; skipping\n%s", cell, error.rstrip())
-            rows.failed += 1
-        rows.extend(cell_rows)
+        if error is None:
+            finished.append((cell, cell_rows))
+        else:
+            skip(cell, error)
+    scored, error = _guarded(_score_rows, [cell_rows for _, cell_rows in finished])
+    if error is not None:
+        scored = []
+        for cell, cell_rows in finished:
+            one, error = _guarded(_score_rows, [cell_rows])
+            if error is None:
+                scored.extend(one)
+            else:
+                skip(cell, error)
+    rows.extend(scored)
     return rows
 
 
@@ -371,12 +425,19 @@ def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
 # Idle-decay experiment
 
 
-def exact_decay_negativity(delay_us: float, noise: NoiseModel, qrem: bool = True) -> float:
-    """Infinite-shot negativity of an idling two-qubit graph state."""
-    probs = mitigation.mitigate_distributions(channels.exact_pair_distributions(noise, delay_us),
-                                              qrem, [noise.qubit_confusion(0),
-                                                     noise.qubit_confusion(1)])
-    return negativity(tomography.reconstruct(probs))
+def exact_decay_negativity(delay_us, noise: NoiseModel, qrem: bool = True):
+    """Infinite-shot negativity of an idling two-qubit graph state.
+
+    A float for one delay; for a list of delays, an array from one stacked
+    reconstruction.
+    """
+    confusion = [noise.qubit_confusion(0), noise.qubit_confusion(1)]
+    probs = [mitigation.mitigate_distributions(channels.exact_pair_distributions(noise, float(d)),
+                                               qrem, confusion)
+             for d in np.atleast_1d(delay_us)]
+    negs = negativity(tomography.reconstruct({pair: np.reshape([p[pair] for p in probs], (-1, 4))
+                                              for pair in tomography.BASIS_PAIRS}))
+    return float(negs[0]) if np.ndim(delay_us) == 0 else negs
 
 
 def sampled_decay_negativity(delay_us: float, noise: NoiseModel, shots: int,
@@ -424,11 +485,11 @@ def run_decay_experiment(delays_us: Sequence[float], noise: NoiseModel, shots: i
         raise ValueError(f"shots must be 0 (exact channel) or positive, got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    values = []
-    for i, delay in enumerate(delays_us):
-        if shots == 0:
-            values.append(exact_decay_negativity(delay, noise, qrem))
-        else:
+    if shots == 0:
+        values = [float(v) for v in exact_decay_negativity(list(delays_us), noise, qrem)]
+    else:
+        values = []
+        for i, delay in enumerate(delays_us):
             child = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
             rng = np.random.default_rng(child)
             values.append(sampled_decay_negativity(delay, noise, shots, rng, qrem))

@@ -2,7 +2,8 @@
 
 Density matrices are plain 4x4 complex ndarrays indexed with the same
 bit convention as the simulator: the first qubit of the pair is the
-least significant bit of the row/column index.
+least significant bit of the row/column index. Every function here also
+takes a stack of them along a leading axis and treats each on its own.
 """
 from __future__ import annotations
 
@@ -13,141 +14,177 @@ TRACE_TOL = 1e-9
 
 
 def check_density_matrix(rho: np.ndarray, atol: float = HERMITICITY_TOL) -> np.ndarray:
+    """A 4x4 density matrix, or a stack of them, checked for hermiticity and unit trace."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
+    if np.any(np.max(np.abs(rho - _dagger(rho)), axis=(-2, -1)) > atol):
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > max(atol, TRACE_TOL) or abs(np.trace(rho).imag) > atol:
-        raise ValueError(f"density matrix trace is {np.trace(rho)}, expected 1")
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    bad = (np.abs(trace.real - 1.0) > max(atol, TRACE_TOL)) | (np.abs(trace.imag) > atol)
+    if np.any(bad):
+        raise ValueError(f"density matrix trace is {trace[bad].flat[0]}, expected 1")
     return rho
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def density_from_state(amplitudes: np.ndarray) -> np.ndarray:
+    """Projector |v><v| of a state vector, or of each vector in a stack."""
     v = np.asarray(amplitudes, dtype=complex)
-    return np.outer(v, v.conj())
+    return v[..., :, None] * v.conj()[..., None, :]  # np.outer, over the last axis
 
 
 def hermitian_eigensystem(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
     """Eigenvalues and eigenvectors of a Hermitian matrix by cyclic Jacobi rotations.
 
-    Returns (eigenvalues ascending, eigenvectors as columns). Self-contained so
-    that library eigensolvers remain available as independent test oracles.
+    Takes one (n, n) matrix or a (k, n, n) stack and returns (eigenvalues
+    ascending, eigenvectors as columns) with the same leading shape. Each
+    matrix of a stack gets its own rotations, skips and convergence test,
+    exactly as if it were solved alone. Self-contained so that library
+    eigensolvers remain available as independent test oracles.
     """
     a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    n = a.shape[-1]
+    if a.ndim != 3 or a.shape[1] != n:
         raise ValueError("matrix must be square")
-    if np.max(np.abs(a - a.conj().T)) > 1e-8 * max(1.0, np.max(np.abs(a))):
+    magnitude = np.maximum(np.max(np.abs(a), axis=(1, 2)), 1.0)
+    if np.any(np.max(np.abs(a - _dagger(a)), axis=(1, 2)) > 1e-8 * magnitude):
         raise ValueError("matrix is not Hermitian")
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    scale = max(np.max(np.abs(a)), 1e-300)
+    a += _dagger(a)
+    a /= 2.0
+    v = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
+    threshold = tol * np.maximum(np.max(np.abs(a), axis=(1, 2)), 1e-300)
+    live = np.arange(len(a))  # matrices still sweeping
     for _ in range(max_sweeps):
-        off = 0.0
+        if not live.size:
+            break
+        off = np.zeros(live.size)
         for p in range(n - 1):
             for q in range(p + 1, n):
-                beta = abs(a[p, q])
-                off = max(off, beta)
-                if beta <= tol * scale:
+                apq = a[live, p, q]
+                beta = np.hypot(apq.real, apq.imag)  # bit for bit abs() of one entry
+                off = np.maximum(off, beta)
+                rotate = beta > threshold[live]
+                if not rotate.any():
                     continue
-                phase = a[p, q] / beta
-                app, aqq = a[p, p].real, a[q, q].real
-                if app == aqq:
-                    t = 1.0
-                else:
-                    tau = (app - aqq) / (2.0 * beta)
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
+                m = live[rotate]
+                beta = beta[rotate]
+                phase = apq[rotate] / beta
+                app, aqq = a[m, p, p].real, a[m, q, q].real
+                tau = (app - aqq) / (2.0 * beta)
+                t = np.where(app == aqq, 1.0,
+                             np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)))
+                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                s = t[:, None] * c
+                phase = phase[:, None]
                 # Plane rotation R: R[p,p]=c, R[p,q]=-s*phase, R[q,p]=s*conj(phase), R[q,q]=c
-                rp = c * a[:, p] + s * np.conj(phase) * a[:, q]
-                rq = -s * phase * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rp, rq
-                rp = c * a[p, :] + s * phase * a[q, :]
-                rq = -s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rp, rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = c * v[:, p] + s * np.conj(phase) * v[:, q]
-                vq = -s * phase * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-        if off <= tol * scale:
-            break
-    eigvals = np.real(np.diag(a))
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], v[:, order]
+                ap, aq = a[m, :, p], a[m, :, q]
+                a[m, :, p] = c * ap + s * np.conj(phase) * aq
+                a[m, :, q] = -s * phase * ap + c * aq
+                ap, aq = a[m, p, :], a[m, q, :]
+                a[m, p, :] = c * ap + s * phase * aq
+                a[m, q, :] = -s * np.conj(phase) * ap + c * aq
+                a[m, p, q] = 0.0
+                a[m, q, p] = 0.0
+                vp, vq = v[m, :, p], v[m, :, q]
+                v[m, :, p] = c * vp + s * np.conj(phase) * vq
+                v[m, :, q] = -s * phase * vp + c * vq
+        live = live[off > threshold[live]]
+    eigvals = np.real(np.diagonal(a, axis1=1, axis2=2))
+    order = np.argsort(eigvals, axis=-1, kind="stable")
+    eigvals = np.take_along_axis(eigvals, order, axis=-1)
+    vecs = np.take_along_axis(v, order[:, None, :], axis=-1)
+    return (eigvals[0], vecs[0]) if single else (eigvals, vecs)
 
 
 def partial_transpose(rho: np.ndarray, subsystem: int = 0) -> np.ndarray:
-    """Transpose the indices of one qubit of a two-qubit density matrix."""
+    """Transpose the indices of one qubit of a two-qubit density matrix (or of each in a stack)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError("partial_transpose expects a 4x4 matrix")
     if subsystem not in (0, 1):
         raise ValueError("subsystem must be 0 or 1")
-    # reshape axes: (row hi bit, row lo bit, col hi bit, col lo bit)
-    t = rho.reshape(2, 2, 2, 2)
-    if subsystem == 0:  # low bit
-        t = t.transpose(0, 3, 2, 1)
-    else:
-        t = t.transpose(2, 1, 0, 3)
-    return t.reshape(4, 4)
+    # last four axes: (row hi bit, row lo bit, col hi bit, col lo bit)
+    t = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    t = t.swapaxes(-3, -1) if subsystem == 0 else t.swapaxes(-4, -2)  # low bit, high bit
+    return t.reshape(rho.shape)
 
 
-def negativity(rho: np.ndarray) -> float:
+def negativity(rho: np.ndarray):
     """Absolute sum of negative eigenvalues of the partial transpose (first qubit).
 
     Eigenvalues within the eigensolver tolerance of zero do not count, so
-    separable product states report exactly 0.
+    separable product states report exactly 0. A float for one matrix, an
+    array for a stack.
     """
     rho = check_density_matrix(rho)
     eigvals, _ = hermitian_eigensystem(partial_transpose(rho, 0))
-    neg = abs(float(eigvals[eigvals < -1e-12].sum()))
-    return float(min(neg, 0.5))
+    # ascending, so the counted eigenvalues lead each row and the zeros trail them
+    neg = np.minimum(np.abs(np.where(eigvals < -1e-12, eigvals, 0.0).sum(axis=-1)), 0.5)
+    return float(neg) if neg.ndim == 0 else neg
 
 
-def fidelity(rho: np.ndarray, ideal: np.ndarray) -> float:
-    """Overlap tr(rho . ideal) against a pure-state projector."""
+def fidelity(rho: np.ndarray, ideal: np.ndarray):
+    """Overlap tr(rho . ideal) against a pure-state projector.
+
+    A float for one matrix, an array for a stack of them (each with its
+    own projector, or one shared by all).
+    """
     rho = check_density_matrix(rho, atol=1e-6)
     ideal = np.asarray(ideal, dtype=complex)
-    if np.max(np.abs(ideal @ ideal - ideal)) > 1e-6:
+    if np.any(np.max(np.abs(ideal @ ideal - ideal), axis=(-2, -1)) > 1e-6):
         raise ValueError("ideal state must be an idempotent (pure) projector")
-    value = np.trace(rho @ ideal)
-    if abs(value.imag) > 1e-9:
+    value = np.trace(rho @ ideal, axis1=-2, axis2=-1)
+    if np.any(np.abs(value.imag) > 1e-9):
         raise ValueError(f"fidelity has a non-real value {value}")
-    return float(min(max(value.real, 0.0), 1.0))
+    overlap = np.minimum(np.maximum(value.real, 0.0), 1.0)
+    return float(overlap) if overlap.ndim == 0 else overlap
 
 
 def project_eigenvalues(eigvals: np.ndarray) -> np.ndarray:
-    """Closest probability-simplex point to a unit-sum eigenvalue list.
+    """Closest probability-simplex point to a unit-sum eigenvalue list, sorted descending.
 
     Repeatedly zeroes the most negative eigenvalue and spreads the deficit
-    uniformly over the remaining ones.
+    uniformly over the remaining ones. Takes one list or a stack of them
+    along the last axis.
     """
-    vals = sorted((float(x) for x in eigvals), reverse=True)
-    d = len(vals)
-    out = [0.0] * d
-    acc = 0.0
-    i = d
-    while i > 0 and vals[i - 1] + acc / i < 0:
-        acc += vals[i - 1]
-        i -= 1
-    for j in range(i):
-        out[j] = vals[j] + acc / i
-    return np.array(out)
+    vals = np.sort(np.asarray(eigvals, dtype=float), axis=-1)[..., ::-1]
+    d = vals.shape[-1]
+    acc = np.zeros(vals.shape[:-1])
+    kept = np.full(vals.shape[:-1], d)
+    for i in range(d, 0, -1):
+        drop = (kept == i) & (vals[..., i - 1] + acc / i < 0)
+        acc = np.where(drop, acc + vals[..., i - 1], acc)
+        kept = np.where(drop, i - 1, kept)
+    spread = acc / np.maximum(kept, 1)
+    return np.where(np.arange(d) < kept[..., None], vals + spread[..., None], 0.0)
 
 
 def nearest_physical(rho_raw: np.ndarray) -> np.ndarray:
-    """Closest PSD unit-trace matrix in Frobenius norm, eigenvectors unchanged."""
+    """Closest PSD unit-trace matrix in Frobenius norm, eigenvectors unchanged.
+
+    Takes one matrix or a stack; a matrix that is already PSD comes back
+    symmetrized, the others have their spectrum projected.
+    """
     rho_raw = np.asarray(rho_raw, dtype=complex)
-    if np.max(np.abs(rho_raw - rho_raw.conj().T)) > 1e-6:
+    if np.any(np.max(np.abs(rho_raw - _dagger(rho_raw)), axis=(-2, -1)) > 1e-6):
         raise ValueError("input must be Hermitian within 1e-6")
-    if abs(np.trace(rho_raw) - 1.0) > 1e-6:
+    if np.any(np.abs(np.trace(rho_raw, axis1=-2, axis2=-1) - 1.0) > 1e-6):
         raise ValueError("input must have unit trace within 1e-6")
     eigvals, vecs = hermitian_eigensystem(rho_raw)  # ascending
-    if eigvals[0] >= 0:
-        return (rho_raw + rho_raw.conj().T) / 2.0
-    clipped = project_eigenvalues(eigvals)[::-1].astype(complex)  # back to ascending
-    rho = vecs @ np.diag(clipped) @ vecs.conj().T
-    return (rho + rho.conj().T) / 2.0
+    out = rho_raw.copy()
+    fix = eigvals[..., 0] < 0
+    if np.any(fix):
+        clipped = project_eigenvalues(eigvals[fix])[..., ::-1]  # back to ascending
+        vecs = vecs[fix]
+        out[fix] = (vecs * clipped[:, None, :]) @ _dagger(vecs)  # V diag(clipped) V^dagger
+    out += _dagger(out)
+    out /= 2.0
+    return out

@@ -35,36 +35,43 @@ def qrem_correct(p_meas: np.ndarray, confusion: Sequence[np.ndarray]) -> np.ndar
 
 
 def mitigate_distributions(dists: dict, qrem: bool, confusion: Sequence[np.ndarray]) -> dict:
-    """Project each basis's distribution onto the simplex, after QREM when ``qrem`` is set."""
-    return {pair: michelot_project(qrem_correct(vec, confusion) if qrem else vec)
-            for pair, vec in dists.items()}
+    """Project each basis's distribution onto the simplex, after QREM when ``qrem`` is set.
+
+    The projections of all bases run as one stack.
+    """
+    vecs = [qrem_correct(vec, confusion) if qrem else vec for vec in dists.values()]
+    return dict(zip(dists, michelot_project(np.array(vecs))))
 
 
 def michelot_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex.
+    """Euclidean projection onto the probability simplex, of one vector or of each row of a stack.
 
     Iteratively shifts the active entries by the common slack and drops
     the ones that fall to zero or below, until all retained entries
-    exceed the shift.
+    exceed the shift. Each row keeps its own active set and stops on its
+    own.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("input must be a non-empty 1-d vector")
+    if v.ndim not in (1, 2) or v.shape[-1] == 0:
+        raise ValueError("input must be a non-empty 1-d vector or a 2-d stack of them")
     if not np.all(np.isfinite(v)):
         raise ValueError("input must be finite")
-    active = np.ones(v.size, dtype=bool)
-    n_active = v.size
-    while True:
-        shift = (v[active].sum() - 1.0) / n_active
-        keep = v > shift
-        keep &= active
-        n_keep = int(keep.sum())
-        if n_keep == n_active or n_keep == 0:
-            break
-        active = keep
-        n_active = n_keep
-    out = np.where(active, np.maximum(v - shift, 0.0), 0.0)
-    return out
+    rows = v.reshape(-1, v.shape[-1])
+    active = np.ones(rows.shape, dtype=bool)
+    n_active = np.full(len(rows), rows.shape[-1])
+    shift = np.zeros(len(rows))
+    live = np.arange(len(rows))  # rows whose active set may still shrink
+    while live.size:
+        # masked-out entries add exact zeros, so each sum equals that of the active entries
+        shift[live] = (np.where(active[live], rows[live], 0.0).sum(axis=-1) - 1.0) / n_active[live]
+        keep = (rows[live] > shift[live, None]) & active[live]
+        n_keep = keep.sum(axis=-1)
+        shrink = (n_keep != n_active[live]) & (n_keep != 0)
+        live, keep, n_keep = live[shrink], keep[shrink], n_keep[shrink]
+        active[live] = keep
+        n_active[live] = n_keep
+    out = np.where(active, np.maximum(rows - shift[:, None], 0.0), 0.0)
+    return out.reshape(v.shape)
 
 
 def estimate_confusion_matrices(true_confusion: Sequence[np.ndarray], shots: int,

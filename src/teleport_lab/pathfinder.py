@@ -307,20 +307,28 @@ def _topology_edges(topology: str) -> list[tuple[int, int]]:
     raise ValueError(f"unknown topology {topology!r}")
 
 
-def pair_negativities(gate_error: float, confusion_a: np.ndarray, confusion_b: np.ndarray,
-                      one_qubit_depol: float = 0.0) -> tuple[float, float]:
-    """Exact (neg, neg_qrem) of a noisy two-qubit graph state on one edge.
+def pair_negativities(gate_error, confusion_a, confusion_b, one_qubit_depol: float = 0.0):
+    """Exact (neg, neg_qrem) of a noisy two-qubit graph state on one edge, or on each of several.
 
     Mirrors the measurement pipeline: the exact tomography distributions of
     the noisily prepared pair through readout confusion, reconstructed
-    without and with readout correction.
+    without and with readout correction. Given a list of gate errors and
+    one confusion matrix per edge in each list, it reconstructs every edge
+    in one stacked call and returns two arrays.
     """
-    noise = channels.NoiseModel(one_qubit_depol=one_qubit_depol, two_qubit_depol=gate_error,
-                                readout=[confusion_a, confusion_b])
-    dists = channels.exact_pair_distributions(noise)
-    neg, neg_qrem = (negativity(tomography.reconstruct(
-        mitigation.mitigate_distributions(dists, qrem, noise.readout))) for qrem in (False, True))
-    return neg, neg_qrem
+    probs = []
+    for eps, a, b in zip(np.atleast_1d(gate_error), np.reshape(confusion_a, (-1, 2, 2)),
+                         np.reshape(confusion_b, (-1, 2, 2))):
+        noise = channels.NoiseModel(one_qubit_depol=one_qubit_depol, two_qubit_depol=float(eps),
+                                    readout=[a, b])
+        dists = channels.exact_pair_distributions(noise)
+        probs += [mitigation.mitigate_distributions(dists, qrem, noise.readout)
+                  for qrem in (False, True)]
+    negs = negativity(tomography.reconstruct({pair: np.reshape([p[pair] for p in probs], (-1, 4))
+                                              for pair in tomography.BASIS_PAIRS})).reshape(-1, 2)
+    if np.ndim(gate_error) == 0:
+        return float(negs[0, 0]), float(negs[0, 1])
+    return negs[:, 0], negs[:, 1]
 
 
 def synthesize_device(topology: str = "heavy-hex-127", seed: int = 0,
@@ -345,23 +353,24 @@ def synthesize_device(topology: str = "heavy-hex-127", seed: int = 0,
         e10 = float(np.clip(rng.normal(readout_mean * 1.4, readout_sd), 5e-4, 0.4))
         qubits.append(QubitCal(id=qid, readout_err_0to1=e01, readout_err_1to0=e10,
                                t1_us=t1_us, t2_us=t2_us))
-    by_id = {q.id: q for q in qubits}
     undefined = set()
     if undefined_edges:
         chosen = rng.choice(len(edges_list), size=min(undefined_edges, len(edges_list)),
                             replace=False)
         undefined = {int(i) for i in chosen}
+    gate_errors = [1.0 if i in undefined else
+                   float(np.clip(rng.normal(gate_error_mean, gate_error_sd), 1e-4, 0.45))
+                   for i in range(len(edges_list))]
+    defined = [i for i in range(len(edges_list)) if i not in undefined]
+    confusion = {q.id: channels.confusion_matrix(q.readout_err_0to1, q.readout_err_1to0)
+                 for q in qubits}
+    # every defined edge in one stacked reconstruction; undefined edges read 0
+    measured = dict(zip(defined, zip(*pair_negativities(
+        [gate_errors[i] for i in defined], [confusion[edges_list[i][0]] for i in defined],
+        [confusion[edges_list[i][1]] for i in defined], one_qubit_depol))))
     edges = []
     for i, (a, b) in enumerate(edges_list):
-        if i in undefined:
-            edges.append(EdgeCal(a=a, b=b, gate_error=1.0, neg=0.0, neg_qrem=0.0))
-            continue
-        eps = float(np.clip(rng.normal(gate_error_mean, gate_error_sd), 1e-4, 0.45))
-        qa, qb = by_id[a], by_id[b]
-        neg, neg_qrem = pair_negativities(
-            eps,
-            channels.confusion_matrix(qa.readout_err_0to1, qa.readout_err_1to0),
-            channels.confusion_matrix(qb.readout_err_0to1, qb.readout_err_1to0),
-            one_qubit_depol)
-        edges.append(EdgeCal(a=a, b=b, gate_error=eps, neg=neg, neg_qrem=neg_qrem))
+        neg, neg_qrem = measured.get(i, (0.0, 0.0))
+        edges.append(EdgeCal(a=a, b=b, gate_error=gate_errors[i], neg=float(neg),
+                             neg_qrem=float(neg_qrem)))
     return DeviceModel(qubits=qubits, edges=edges, name=name or topology)

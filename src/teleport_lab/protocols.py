@@ -106,11 +106,6 @@ def phi_p2() -> np.ndarray:
     return np.array([0.5, 0.5, 0.5, -0.5], dtype=complex)
 
 
-def phi_p2_projector() -> np.ndarray:
-    v = phi_p2()
-    return np.outer(v, v.conj())
-
-
 def canonical_state(config: tuple[int, int], n: int) -> np.ndarray:
     """Amplitudes of a configuration's two-qubit state: (I x U_config) |phi(P2)>."""
     u = configuration_unitary(config, n)
@@ -343,7 +338,7 @@ def _entangle_pair(batch: ShotBatch, noise: NoiseModel, rng: np.random.Generator
 def _tomography_layer(batch: ShotBatch, basis_pair: tuple[str, str], first: int, last: int,
                       noise: NoiseModel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     for op in tomography_rotations(basis_pair, (first, last)):
-        _gate_with_noise(batch, op.targets[0], op.kind, noise, rng)
+        _gate_with_noise(batch, op.target, op.kind, noise, rng)
     bits_first = batch.measure_z(first, rng)
     read_first = batch.readout(bits_first, noise.qubit_confusion(first), rng)
     bits_last = batch.measure_z(last, rng)

@@ -1,9 +1,10 @@
 """Gate tables shared by the transport engine and tomography.
 
-`GATE_MATRICES` holds the 2x2 matrix of every single-qubit `Gate`, in the
-basis (|0>, |1>); `PAULI_MATRICES` maps I, X, Y and Z to theirs. `GateOp`
-binds a gate to its target qubits, as `tomography.tomography_rotations`
-lists the basis rotations.
+`GATE_MATRICES` holds the 2x2 matrix of every `Gate`, all of them
+single-qubit, in the basis (|0>, |1>); `PAULI_MATRICES` maps I, X, Y and Z
+to theirs. `GateOp` binds a gate to its target qubit, as
+`tomography.tomography_rotations` lists the basis rotations. The engine
+applies its two-qubit gates with `ShotBatch.apply_cz` and `apply_cnot`.
 """
 from __future__ import annotations
 
@@ -23,13 +24,6 @@ class Gate(Enum):
     Z = "Z"
     S = "S"
     SDG = "SDG"
-    CZ = "CZ"
-    CNOT = "CNOT"
-    SWAP = "SWAP"
-
-    @property
-    def num_targets(self) -> int:
-        return 2 if self in (Gate.CZ, Gate.CNOT, Gate.SWAP) else 1
 
 
 GATE_MATRICES = {
@@ -51,16 +45,8 @@ PAULI_MATRICES = {
 
 @dataclass(frozen=True)
 class GateOp:
-    """A named gate bound to target qubits."""
+    """A named gate bound to its target qubit."""
 
     kind: Gate
-    targets: tuple[int, ...]
-
-    def __post_init__(self):
-        targets = tuple(self.targets)
-        object.__setattr__(self, "targets", targets)
-        if len(targets) != self.kind.num_targets:
-            raise ValueError(f"{self.kind.value} expects {self.kind.num_targets} targets, got {targets}")
-        if len(set(targets)) != len(targets):
-            raise ValueError(f"duplicate targets {targets} for {self.kind.value}")
+    target: int
 

@@ -11,6 +11,7 @@ registers are capped at 24 qubits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from functools import reduce
 from math import sqrt
 from typing import Iterable, Sequence
@@ -24,10 +25,38 @@ from teleport_lab.tomography import BASIS_PAIRS, TomographySet
 MAX_QUBITS = 24
 
 
-def op(kind: Gate | str, *targets: int) -> GateOp:
-    if isinstance(kind, str):
-        kind = Gate(kind.upper())
-    return GateOp(kind, tuple(targets))
+class TwoQubitGate(Enum):
+    """Two-qubit gates of the oracle; the engine has its own CZ and CNOT kernels."""
+
+    CZ = "CZ"
+    CNOT = "CNOT"
+    SWAP = "SWAP"
+
+
+@dataclass(frozen=True)
+class TwoQubitOp:
+    """A two-qubit gate bound to two distinct target qubits."""
+
+    kind: TwoQubitGate
+    targets: tuple[int, int]
+
+    def __post_init__(self):
+        targets = tuple(self.targets)
+        object.__setattr__(self, "targets", targets)
+        if len(targets) != 2:
+            raise ValueError(f"{self.kind.value} expects 2 targets, got {targets}")
+        if targets[0] == targets[1]:
+            raise ValueError(f"duplicate targets {targets} for {self.kind.value}")
+
+
+def op(kind: Gate | TwoQubitGate | str, *targets: int) -> GateOp | TwoQubitOp:
+    """A gate bound to its targets: one for a `Gate`, two for a `TwoQubitGate`."""
+    name = (kind if isinstance(kind, str) else kind.value).upper()
+    if name in TwoQubitGate.__members__:
+        return TwoQubitOp(TwoQubitGate(name), targets)
+    if len(targets) != 1:
+        raise ValueError(f"{name} expects 1 target, got {targets}")
+    return GateOp(Gate(name), targets[0])
 
 
 @dataclass
@@ -114,23 +143,22 @@ def _apply_swap(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
     return amps[perm]
 
 
-def apply_gate(state: PureState, gate_op: GateOp) -> PureState:
+_TWO_QUBIT_KERNELS = {TwoQubitGate.CZ: _apply_cz, TwoQubitGate.CNOT: _apply_cnot,
+                      TwoQubitGate.SWAP: _apply_swap}
+
+
+def apply_gate(state: PureState, gate_op: GateOp | TwoQubitOp) -> PureState:
     """Unitary action of the named gate; all other qubits untouched."""
-    _check_targets(state, gate_op.targets)
-    amps = state.amplitudes
-    kind = gate_op.kind
-    if kind.num_targets == 1:
-        out = _apply_single(amps, GATE_MATRICES[kind], gate_op.targets[0])
-    elif kind is Gate.CZ:
-        out = _apply_cz(amps, *gate_op.targets)
-    elif kind is Gate.CNOT:
-        out = _apply_cnot(amps, *gate_op.targets)
+    if isinstance(gate_op, GateOp):
+        _check_targets(state, [gate_op.target])
+        out = _apply_single(state.amplitudes, GATE_MATRICES[gate_op.kind], gate_op.target)
     else:
-        out = _apply_swap(amps, *gate_op.targets)
+        _check_targets(state, gate_op.targets)
+        out = _TWO_QUBIT_KERNELS[gate_op.kind](state.amplitudes, *gate_op.targets)
     return PureState(state.num_qubits, out)
 
 
-def apply_gates(state: PureState, ops: Iterable[GateOp]) -> PureState:
+def apply_gates(state: PureState, ops: Iterable[GateOp | TwoQubitOp]) -> PureState:
     for o in ops:
         state = apply_gate(state, o)
     return state
@@ -245,9 +273,9 @@ def byproduct_sequence(outcomes: Sequence[int], target: int = 1) -> list[GateOp]
     """Gates acquired by the receiving qubit, in temporal order of the hops."""
     ops = []
     for s in outcomes:
-        ops.append(GateOp(Gate.H, (target,)))
+        ops.append(GateOp(Gate.H, target))
         if int(s):
-            ops.append(GateOp(Gate.X, (target,)))
+            ops.append(GateOp(Gate.X, target))
     return ops
 
 
@@ -264,11 +292,11 @@ def correction_sequence(outcomes: Sequence[int], target: int = 1,
         n = len(outcomes) + 2
         ops = []
         if n % 2:
-            ops.append(GateOp(Gate.H, (target,)))
+            ops.append(GateOp(Gate.H, target))
         if z:
-            ops.append(GateOp(Gate.Z, (target,)))
+            ops.append(GateOp(Gate.Z, target))
         if x:
-            ops.append(GateOp(Gate.X, (target,)))
+            ops.append(GateOp(Gate.X, target))
         return ops
     return list(reversed(byproduct_sequence(outcomes, target)))
 
@@ -291,7 +319,7 @@ def prepare_path_graph_state(n: int) -> PureState:
         raise ValueError(f"path of {n} qubits exceeds the {MAX_QUBITS}-qubit cap")
     state = PureState.plus(n)
     for i in range(n - 1):
-        state = apply_gate(state, GateOp(Gate.CZ, (i, i + 1)))
+        state = apply_gate(state, op("CZ", i, i + 1))
     return state
 
 

@@ -1,0 +1,152 @@
+"""One-matrix-at-a-time reference of the tomography and metric functions.
+
+The program's `hermitian_eigensystem`, `project_eigenvalues`,
+`nearest_physical`, `negativity`, `fidelity`, `pauli_expectations`,
+`reconstruct` and `michelot_project` each take a stack of inputs with a leading axis. These
+are their single-input forms, kept unchanged so that the stacked
+functions can be checked against them bit for bit.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from teleport_lab.metrics import check_density_matrix, partial_transpose
+from teleport_lab.simulator import PAULI_MATRICES
+from teleport_lab.tomography import BASIS_PAIRS, PAULI_AXES
+
+_SIGN_FIRST = np.array([1.0, -1.0, 1.0, -1.0])
+_SIGN_SECOND = np.array([1.0, 1.0, -1.0, -1.0])
+_SIGN_BOTH = _SIGN_FIRST * _SIGN_SECOND
+
+
+def hermitian_eigensystem(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
+    """Eigenvalues ascending and eigenvectors as columns, by cyclic Jacobi rotations."""
+    a = np.array(matrix, dtype=complex)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("matrix must be square")
+    if np.max(np.abs(a - a.conj().T)) > 1e-8 * max(1.0, np.max(np.abs(a))):
+        raise ValueError("matrix is not Hermitian")
+    a = (a + a.conj().T) / 2.0
+    v = np.eye(n, dtype=complex)
+    scale = max(np.max(np.abs(a)), 1e-300)
+    for _ in range(max_sweeps):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                beta = abs(a[p, q])
+                off = max(off, beta)
+                if beta <= tol * scale:
+                    continue
+                phase = a[p, q] / beta
+                app, aqq = a[p, p].real, a[q, q].real
+                if app == aqq:
+                    t = 1.0
+                else:
+                    tau = (app - aqq) / (2.0 * beta)
+                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                rp = c * a[:, p] + s * np.conj(phase) * a[:, q]
+                rq = -s * phase * a[:, p] + c * a[:, q]
+                a[:, p], a[:, q] = rp, rq
+                rp = c * a[p, :] + s * phase * a[q, :]
+                rq = -s * np.conj(phase) * a[p, :] + c * a[q, :]
+                a[p, :], a[q, :] = rp, rq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vp = c * v[:, p] + s * np.conj(phase) * v[:, q]
+                vq = -s * phase * v[:, p] + c * v[:, q]
+                v[:, p], v[:, q] = vp, vq
+        if off <= tol * scale:
+            break
+    eigvals = np.real(np.diag(a))
+    order = np.argsort(eigvals, kind="stable")
+    return eigvals[order], v[:, order]
+
+
+def project_eigenvalues(eigvals: np.ndarray) -> np.ndarray:
+    vals = sorted((float(x) for x in eigvals), reverse=True)
+    d = len(vals)
+    out = [0.0] * d
+    acc = 0.0
+    i = d
+    while i > 0 and vals[i - 1] + acc / i < 0:
+        acc += vals[i - 1]
+        i -= 1
+    for j in range(i):
+        out[j] = vals[j] + acc / i
+    return np.array(out)
+
+
+def nearest_physical(rho_raw: np.ndarray) -> np.ndarray:
+    rho_raw = np.asarray(rho_raw, dtype=complex)
+    if np.max(np.abs(rho_raw - rho_raw.conj().T)) > 1e-6:
+        raise ValueError("input must be Hermitian within 1e-6")
+    if abs(np.trace(rho_raw) - 1.0) > 1e-6:
+        raise ValueError("input must have unit trace within 1e-6")
+    eigvals, vecs = hermitian_eigensystem(rho_raw)
+    if eigvals[0] >= 0:
+        return (rho_raw + rho_raw.conj().T) / 2.0
+    clipped = project_eigenvalues(eigvals)[::-1].astype(complex)
+    rho = vecs @ np.diag(clipped) @ vecs.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+def negativity(rho: np.ndarray) -> float:
+    rho = check_density_matrix(rho)
+    eigvals, _ = hermitian_eigensystem(partial_transpose(rho, 0))
+    neg = abs(float(eigvals[eigvals < -1e-12].sum()))
+    return float(min(neg, 0.5))
+
+
+def fidelity(rho: np.ndarray, ideal: np.ndarray) -> float:
+    rho = check_density_matrix(rho, atol=1e-6)
+    ideal = np.asarray(ideal, dtype=complex)
+    if np.max(np.abs(ideal @ ideal - ideal)) > 1e-6:
+        raise ValueError("ideal state must be an idempotent (pure) projector")
+    value = np.trace(rho @ ideal)
+    if abs(value.imag) > 1e-9:
+        raise ValueError(f"fidelity has a non-real value {value}")
+    return float(min(max(value.real, 0.0), 1.0))
+
+
+def pauli_expectations(probs_by_basis: dict) -> dict[tuple[str, str], float]:
+    exp: dict[tuple[str, str], float] = {("I", "I"): 1.0}
+    for pair in BASIS_PAIRS:
+        exp[pair] = float(np.asarray(probs_by_basis[pair], dtype=float) @ _SIGN_BOTH)
+    for axis in PAULI_AXES:
+        first = [np.asarray(probs_by_basis[(axis, other)], dtype=float) @ _SIGN_FIRST
+                 for other in PAULI_AXES]
+        exp[(axis, "I")] = float(np.mean(first))
+        second = [np.asarray(probs_by_basis[(other, axis)], dtype=float) @ _SIGN_SECOND
+                  for other in PAULI_AXES]
+        exp[("I", axis)] = float(np.mean(second))
+    return exp
+
+
+def reconstruct(probs_by_basis: dict) -> np.ndarray:
+    exp = pauli_expectations(probs_by_basis)
+    rho = np.zeros((4, 4), dtype=complex)
+    for first in ("I",) + PAULI_AXES:
+        for second in ("I",) + PAULI_AXES:
+            term = np.kron(PAULI_MATRICES[second], PAULI_MATRICES[first])
+            rho += exp[(first, second)] * term
+    rho /= 4.0
+    return nearest_physical(rho)
+
+
+def michelot_project(v: np.ndarray) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    active = np.ones(v.size, dtype=bool)
+    n_active = v.size
+    while True:
+        shift = (v[active].sum() - 1.0) / n_active
+        keep = v > shift
+        keep &= active
+        n_keep = int(keep.sum())
+        if n_keep == n_active or n_keep == 0:
+            break
+        active = keep
+        n_active = n_keep
+    return np.where(active, np.maximum(v - shift, 0.0), 0.0)

@@ -11,9 +11,9 @@ import pytest
 from teleport_lab import harness, pathfinder, protocols
 from teleport_lab.channels import NoiseModel, confusion_matrix, readout_channel
 from teleport_lab.harness import ExperimentSpec, aggregate_by_hops, run_decay_experiment
-from teleport_lab.metrics import fidelity, nearest_physical, negativity
+from teleport_lab.metrics import density_from_state, fidelity, nearest_physical, negativity
 from teleport_lab.mitigation import michelot_project, qrem_correct
-from teleport_lab.protocols import configuration_unitary, phi_p2_projector, run_teleportation
+from teleport_lab.protocols import configuration_unitary, phi_p2, run_teleportation
 from teleport_lab.tomography import reconstruct
 
 from conftest import random_density_matrix, random_unitary
@@ -87,7 +87,7 @@ def test_criterion_02_discriminator_classes():
 
 
 def test_criterion_03_mode_equivalence():
-    ideal = phi_p2_projector()
+    ideal = density_from_state(phi_p2())
     worst = 0.0
     for n in (3, 4, 5, 6):
         dyn = reconstruct(analytic_teleportation(n, "dynamic")["probs_by_basis"])

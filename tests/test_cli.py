@@ -122,6 +122,17 @@ def test_run_rejects_bad_spec_inputs_with_one_line_error(workdir, capsys):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: noise override readout has 1") and err.count("\n") == 1
+    # per-edge gate errors outside [0, 1], short per-edge or per-qubit lists and
+    # negative per-qubit times used to run silently or fail every cell
+    for field, value in (("two_qubit_depol_per_edge", [-0.5] * 8),
+                         ("two_qubit_depol_per_edge", [1.7] * 8),
+                         ("two_qubit_depol_per_edge", [0.01]), ("t1_per_qubit_us", [30]),
+                         ("t2_per_qubit_us", [20]), ("t1_per_qubit_us", [-30] * 8)):
+        overrides = json.dumps({field: value})
+        assert main(["run", "--device", str(dev), "--hops", "1", "--noise-overrides", overrides,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -73,6 +73,26 @@ def test_spec_rejects_readout_override_shorter_than_longest_path():
         "readout": []}
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("two_qubit_depol_per_edge", [-0.5, 0.01], "outside"),
+    ("two_qubit_depol_per_edge", [1.7, 0.01], "outside"),
+    ("two_qubit_depol_per_edge", [0.01], "has 1 values"),
+    ("two_qubit_depol_per_edge", [], "has 0 values"),
+    ("t1_per_qubit_us", [30.0], "has 1 values"),
+    ("t2_per_qubit_us", [20.0], "has 1 values"),
+    ("t1_per_qubit_us", [-30.0, 30.0, 30.0], "non-negative"),
+    ("t2_per_qubit_us", [20.0, -1.0, 20.0], "non-negative")])
+def test_spec_rejects_bad_per_position_noise_overrides(field, value, message):
+    # out-of-range gate errors used to run as p = 0 or p = 1, and short lists
+    # or negative times failed every cell instead of the spec
+    with pytest.raises(ValueError, match=f"{field}.*{message}"):
+        ExperimentSpec(hops=(1,), noise_overrides={field: value})
+    with pytest.raises(ValueError, match=field):
+        ExperimentSpec.from_json(json.dumps({"hops": [1], "noise_overrides": {field: value}}))
+    fits = [0.01] * 2 if field == "two_qubit_depol_per_edge" else [30.0] * 3
+    assert ExperimentSpec(hops=(1,), noise_overrides={field: fits}).noise_overrides
+
+
 @pytest.mark.parametrize("field, value", [("trials", 0), ("paths_per_hop", 0),
                                           ("qrem_calibration_shots", 0), ("hops", ()),
                                           ("protocols", ()), ("modes", ()), ("seed", -1)])
@@ -391,6 +411,38 @@ def test_failed_cells_are_skipped(monkeypatch, caplog):
         assert (rows.failed, rows.planned) == (2, 4)
         assert len(failures) == 2
         assert all("RuntimeError: boom" in f for f in failures)
+    assert runs[0] == runs[1]
+
+
+def test_failure_in_stacked_scoring_fails_only_its_cell(monkeypatch, caplog):
+    # every finished row is reconstructed in one stacked call; when that
+    # call raises, each cell is scored alone and only the offending one fails
+    device = small_device()
+    spec = ExperimentSpec(hops=(1,), protocols=("neg",), modes=("dynamic", "postselect"),
+                          paths_per_hop=2, trials=1, shots=64, qrem="both", seed=5)
+    monkeypatch.delenv("TELEPORT_LAB_THREADS", raising=False)
+    clean = run_experiment(device, spec)
+    bad = plan_cells(device, spec)[2]
+    real = harness._cell_rows
+
+    def unphysical(dev, sp, cell):
+        out = real(dev, sp, cell)
+        if cell == bad:
+            out.probs[-1, 1] = np.nan  # one basis of the cell's last row
+        return out
+
+    monkeypatch.setattr(harness, "_cell_rows", unphysical)
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        caplog.clear()
+        rows = run_experiment(device, spec)
+        failures = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        runs.append((rows_to_csv(rows), (rows.failed, rows.planned), failures))
+        assert (rows.failed, rows.planned) == (1, 4)
+        assert len(failures) == 1 and str(bad) in failures[0]
+        assert "_score_rows" in failures[0]  # failed in the stacked stage, not in the cell
+        assert rows == [row for row in clean if row.seed != bad.seed]
     assert runs[0] == runs[1]
 
 

@@ -1,8 +1,10 @@
 """Layout guard: every module-level function and class in src/ serves the program.
 
 A definition is in use when another top-level statement of the package
-(outside ``__init__.py``) or a perfbench script names it. Definitions used
-only by tests belong in the tests, as the dense oracle does.
+(outside ``__init__.py``) or a perfbench script names it; an ``Enum``
+member is in use when a top-level statement outside its own class reads
+it. Definitions used only by tests belong in the tests, as the dense
+oracle does.
 """
 import ast
 import re
@@ -25,14 +27,17 @@ def _reads(tree: ast.AST, strings: bool = False) -> set[str]:
     return names
 
 
+def _top_level_statements() -> list[tuple[str, ast.stmt]]:
+    """(module name, statement) for every top-level statement of the package."""
+    return [(path.stem, node) for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py" for node in ast.parse(path.read_text()).body]
+
+
 def _unused_definitions() -> list[str]:
     statements = []  # (defined name or None, "module.name", identifiers read)
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text()).body:
-            name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
-            statements.append((name, f"{path.stem}.{name}", _reads(node)))
+    for module, node in _top_level_statements():
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        statements.append((name, f"{module}.{name}", _reads(node)))
     bench = set()
     for path in (ROOT / "perfbench").glob("*.py"):
         bench |= _reads(ast.parse(path.read_text()), strings=True)
@@ -53,3 +58,21 @@ def _unused_definitions() -> list[str]:
 
 def test_no_definition_in_src_is_used_only_by_tests():
     assert _unused_definitions() == []
+
+
+def _unused_enum_members() -> list[str]:
+    statements = _top_level_statements()
+    flagged = []
+    for module, node in statements:
+        if not (isinstance(node, ast.ClassDef)
+                and any(isinstance(b, ast.Name) and b.id == "Enum" for b in node.bases)):
+            continue
+        elsewhere = set().union(*(_reads(other) for _, other in statements if other is not node))
+        members = [t.id for item in node.body if isinstance(item, ast.Assign)
+                   for t in item.targets if isinstance(t, ast.Name)]
+        flagged += [f"{module}.{node.name}.{m}" for m in members if m not in elsewhere]
+    return flagged
+
+
+def test_no_enum_member_in_src_is_used_only_by_tests():
+    assert _unused_enum_members() == []

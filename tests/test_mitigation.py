@@ -82,8 +82,11 @@ def test_michelot_matches_enumeration_oracle(rng):
 def test_michelot_rejects_bad_input():
     with pytest.raises(ValueError, match="finite"):
         michelot_project(np.array([1.0, np.nan]))
+    # one vector or a 2-d stack of them; a 2x2 array is a stack of two
     with pytest.raises(ValueError, match="1-d"):
-        michelot_project(np.zeros((2, 2)))
+        michelot_project(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="1-d"):
+        michelot_project(np.zeros(0))
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,9 +10,8 @@ from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, confusio
                                    exact_pair_distributions, idle_decay_channel)
 from teleport_lab.metrics import density_from_state, fidelity, negativity
 from teleport_lab.protocols import (MAX_PATH_QUBITS, PathSpec, ShotBatch, canonical_state,
-                                    configuration_unitary, phi_p2, phi_p2_projector,
-                                    reachable_configurations, run_idle_pair,
-                                    run_swap_transport, run_teleportation)
+                                    configuration_unitary, phi_p2, reachable_configurations,
+                                    run_idle_pair, run_swap_transport, run_teleportation)
 from teleport_lab.simulator import PAULI_MATRICES, Gate, GateOp
 from teleport_lab.tomography import reconstruct, tomography_rotations
 
@@ -159,13 +158,13 @@ def test_analytic_dynamic_is_exact():
         out = analytic_teleportation(n, "dynamic")
         rho = reconstruct(out["probs_by_basis"])
         assert abs(negativity(rho) - 0.5) < 1e-6
-        assert abs(fidelity(rho, phi_p2_projector()) - 1.0) < 1e-6
+        assert abs(fidelity(rho, density_from_state(phi_p2())) - 1.0) < 1e-6
 
 
 def test_analytic_dynamic_simplified_correction():
     out = analytic_teleportation(6, "dynamic", simplified_correction=True)
     rho = reconstruct(out["probs_by_basis"])
-    assert abs(fidelity(rho, phi_p2_projector()) - 1.0) < 1e-6
+    assert abs(fidelity(rho, density_from_state(phi_p2())) - 1.0) < 1e-6
 
 
 def test_analytic_postselect_categories():
@@ -184,7 +183,7 @@ def test_analytic_postselect_categories():
 def test_analytic_swap_is_identity():
     out = analytic_swap()
     rho = reconstruct(out["probs_by_basis"])
-    assert abs(fidelity(rho, phi_p2_projector()) - 1.0) < 1e-9
+    assert abs(fidelity(rho, density_from_state(phi_p2())) - 1.0) < 1e-9
 
 
 # --- batch engine against dense oracles -------------------------------------------
@@ -277,7 +276,7 @@ def test_batch_gates_match_dense_simulator_on_every_axis():
         for gate in (Gate.H, Gate.X, Gate.Y, Gate.Z, Gate.S, Gate.SDG):
             batch, states = _random_window(rng)
             batch.apply_gate(pos, gate)
-            _assert_shots_equal(batch, [apply_gate(s, GateOp(gate, (axis,))) for s in states])
+            _assert_shots_equal(batch, [apply_gate(s, GateOp(gate, axis)) for s in states])
 
 
 def test_batch_two_qubit_gates_match_dense_simulator_in_both_orders():
@@ -286,10 +285,10 @@ def test_batch_two_qubit_gates_match_dense_simulator_in_both_orders():
         pa, pb = WINDOW_POSITIONS[a], WINDOW_POSITIONS[b]
         batch, states = _random_window(rng)
         batch.apply_cz(pa, pb)
-        _assert_shots_equal(batch, [apply_gate(s, GateOp(Gate.CZ, (a, b))) for s in states])
+        _assert_shots_equal(batch, [apply_gate(s, op("CZ", a, b)) for s in states])
         batch, states = _random_window(rng)
         batch.apply_cnot(pa, pb)
-        _assert_shots_equal(batch, [apply_gate(s, GateOp(Gate.CNOT, (a, b))) for s in states])
+        _assert_shots_equal(batch, [apply_gate(s, op("CNOT", a, b)) for s in states])
 
 
 def test_batch_per_shot_paulis_match_dense_operators():
@@ -424,7 +423,7 @@ def test_sampled_noiseless_dynamic_close_to_ideal():
     result = run_teleportation(5, "dynamic", NOISELESS, 4096, rng)
     rho = reconstruct(result.pair_tomography().frequencies())
     assert negativity(rho) > 0.47
-    assert fidelity(rho, phi_p2_projector()) > 0.97
+    assert fidelity(rho, density_from_state(phi_p2())) > 0.97
 
 
 def test_sampled_noiseless_postselect_categories():
@@ -462,7 +461,7 @@ def test_swap_noiseless_keeps_intermediates_in_ground():
                 assert (outcome >> pos) & 1 == 0
     rho = reconstruct(result.pair_tomography().frequencies())
     assert negativity(rho) > 0.47
-    assert fidelity(rho, phi_p2_projector()) > 0.97
+    assert fidelity(rho, density_from_state(phi_p2())) > 0.97
 
 
 def test_swap_degrades_faster_than_postselect_under_gate_noise():
@@ -527,7 +526,7 @@ def test_dynamic_corrections_follow_noisy_readout():
     rng = np.random.default_rng(17)
     result = run_teleportation(3, "dynamic", bad_readout, 4096, rng)
     rho = reconstruct(result.pair_tomography().frequencies())
-    assert fidelity(rho, phi_p2_projector()) < 0.85
+    assert fidelity(rho, density_from_state(phi_p2())) < 0.85
 
 
 def test_idle_pair_matches_exact_channel_under_noise():

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from teleport_lab.simulator import Gate, GateOp
 
 from conftest import random_state, shot_batch
-from dense_oracle import (PureState, add_qubit, apply_gate, apply_gates, bits_of_index,
-                          born_probabilities, index_of_bits, op, postselect, remove_qubit,
-                          states_equal)
+from dense_oracle import (PureState, TwoQubitGate, TwoQubitOp, add_qubit, apply_gate,
+                          apply_gates, bits_of_index, born_probabilities, index_of_bits, op,
+                          postselect, remove_qubit, states_equal)
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -44,9 +44,9 @@ def test_rejects_too_many_qubits():
 
 def test_gateop_arity_checks():
     with pytest.raises(ValueError, match="expects"):
-        GateOp(Gate.H, (0, 1))
+        op(Gate.H, 0, 1)
     with pytest.raises(ValueError, match="duplicate"):
-        GateOp(Gate.CZ, (1, 1))
+        op("CZ", 1, 1)
 
 
 def test_apply_gate_target_out_of_range():
@@ -101,8 +101,8 @@ def test_gate_algebra_conjugations(rng):
     # HXH = Z and HZH = X, checked by action on random states
     for inner, outer in ((Gate.X, Gate.Z), (Gate.Z, Gate.X)):
         state = random_state(2, rng)
-        lhs = apply_gates(state, [op("H", 0), GateOp(inner, (0,)), op("H", 0)])
-        rhs = apply_gate(state, GateOp(outer, (0,)))
+        lhs = apply_gates(state, [op("H", 0), GateOp(inner, 0), op("H", 0)])
+        rhs = apply_gate(state, GateOp(outer, 0))
         assert np.max(np.abs(lhs.amplitudes - rhs.amplitudes)) < 1e-12
 
 
@@ -115,18 +115,18 @@ def test_swap_equals_three_cnots(rng):
 
 def test_norm_preserved_over_random_sequences(rng):
     kinds_1q = [Gate.H, Gate.X, Gate.Y, Gate.Z, Gate.S, Gate.SDG]
-    kinds_2q = [Gate.CZ, Gate.CNOT, Gate.SWAP]
+    kinds_2q = [TwoQubitGate.CZ, TwoQubitGate.CNOT, TwoQubitGate.SWAP]
     for _ in range(10_000):
         n = int(rng.integers(2, 7))
         state = random_state(n, rng)
         for _ in range(10):
             if rng.random() < 0.5:
                 state = apply_gate(state, GateOp(kinds_1q[rng.integers(len(kinds_1q))],
-                                                 (int(rng.integers(n)),)))
+                                                 int(rng.integers(n))))
             else:
                 a, b = rng.choice(n, size=2, replace=False)
-                state = apply_gate(state, GateOp(kinds_2q[rng.integers(len(kinds_2q))],
-                                                 (int(a), int(b))))
+                state = apply_gate(state, TwoQubitOp(kinds_2q[rng.integers(len(kinds_2q))],
+                                                     (int(a), int(b))))
         assert abs(state.norm() - 1.0) < 1e-9
 
 

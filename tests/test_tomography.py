@@ -39,7 +39,7 @@ def test_zz_needs_no_rotation():
 def test_xz_rotates_first_qubit_only():
     ops = tomography_rotations(("X", "Z"), (0, 1))
     assert len(ops) == 1
-    assert ops[0].kind is Gate.H and ops[0].targets == (0,)
+    assert ops[0].kind is Gate.H and ops[0].target == 0
 
 
 def test_y_rotation_diagonalizes_y():
