@@ -203,8 +203,8 @@ def readout_channel(probs: np.ndarray, confusion: Sequence[np.ndarray]) -> np.nd
     return per_qubit_transform(probs, [check_confusion_matrix(a) for a in confusion])
 
 
-def exact_pair_distributions(noise: NoiseModel, delay_us: float = 0.0) -> dict:
-    """Exact per-basis outcome distributions of `protocols.run_idle_pair`.
+def exact_pair_distributions(noise: NoiseModel, delay_us: float = 0.0) -> np.ndarray:
+    """Exact (9, 4) tomography distributions of `protocols.run_idle_pair`.
 
     Noisy CZ|++> preparation, an idle of both qubits for ``delay_us``, the
     tomography rotations with their 1-qubit depolarizing, and readout.
@@ -221,13 +221,13 @@ def exact_pair_distributions(noise: NoiseModel, delay_us: float = 0.0) -> dict:
     # 4x4 products, not apply_kraus_channel: its other summation order moves
     # gen-device negativities by up to 5e-16
     eye = np.eye(2, dtype=complex)
-    out = {}
-    for pair in BASIS_PAIRS:
+    out = np.empty((len(BASIS_PAIRS), 4))
+    for row, pair in zip(out, BASIS_PAIRS):
         rotated = rho
         for q, axis in enumerate(pair):
             for g in rotation_gates(axis):
                 u = np.kron(GATE_MATRICES[g], eye) if q == 1 else np.kron(eye, GATE_MATRICES[g])
                 rotated = depolarizing_channel(u @ rotated @ u.conj().T, (q,),
                                                noise.one_qubit_depol)
-        out[pair] = readout_channel(np.real(np.diag(rotated)), confusion)
+        row[:] = readout_channel(np.real(np.diag(rotated)), confusion)
     return out

@@ -35,7 +35,10 @@ def _parse_hops(text: str) -> tuple[int, ...]:
 def _parse_delays(text: str) -> list[float]:
     """Accept 'LO:HI:STEP' or a comma list, in microseconds."""
     if ":" in text:
-        lo, hi, step = (float(p) for p in text.split(":"))
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"delay range {text!r} must have the form LO:HI:STEP")
+        lo, hi, step = (float(p) for p in parts)
         if not step > 0:
             raise ValueError(f"delay step must be positive, got {step:g}")
         out = []

@@ -166,18 +166,18 @@ def path_noise_model(device: DeviceModel, path: PathSpec,
 
 
 def mitigated_pair_distributions(result: TransportResult, qrem: bool,
-                                 calibration: Sequence[np.ndarray]) -> dict:
-    """Pair outcome distributions per basis for dynamic / swap results.
+                                 calibration: Sequence[np.ndarray]) -> np.ndarray:
+    """(9, 4) pair outcome distributions of dynamic / swap results.
 
     Intermediate bits are marginalized out first (exactly commutes with the
     per-qubit correction), then the pair readout is inverted and projected.
     """
-    return mitigation.mitigate_distributions(result.pair_tomography().frequencies(), qrem,
+    return mitigation.mitigate_distributions(result.pair_frequencies(), qrem,
                                              [calibration[0], calibration[-1]])
 
 
 def mitigated_category_distributions(result: TransportResult, qrem: bool,
-                                     calibration: Sequence[np.ndarray]) -> dict:
+                                     calibration: Sequence[np.ndarray]) -> tuple:
     """Post-selected per-configuration distributions after full-path mitigation.
 
     Matrix-free, as in M3 (Nation et al., PRX Quantum 2, 040326, 2021): the
@@ -190,7 +190,8 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     Each configuration's conditional vector per basis is then projected onto
     the simplex, which keeps shot-starved bins at long path lengths from
     being clipped away as a projection of the sparse joint would.
-    Returns {config: {"weight", "probs_by_basis"}}.
+    Returns (configurations, weights, probs), with the (configs, 9, 4)
+    distributions in the order of `protocols.reachable_configurations`.
     """
     n = result.n
     if qrem and len(calibration) != n:
@@ -223,9 +224,7 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     # project the mean weights, like each basis vector, so they stay a distribution;
     # each configuration's mean runs over a contiguous row, as np.mean of a list does
     mean_weights = mitigation.michelot_project(np.ascontiguousarray(weights.T).mean(axis=-1))
-    return {c: {"weight": float(w),
-                "probs_by_basis": dict(zip(tomography.BASIS_PAIRS, probs[:, i]))}
-            for i, (c, w) in enumerate(zip(configs, mean_weights))}
+    return configs, mean_weights, probs.swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,7 @@ class _CellRows(NamedTuple):
 
     rows: list[ResultRow]  # negativity and fidelity still None
     scored: list[int]  # the rows that get metrics: all but empty post-selected categories
-    probs: np.ndarray  # (scored, 9, 4) mitigated distributions in BASIS_PAIRS order
+    probs: np.ndarray  # (scored, 9, 4) mitigated tomography distributions
     ideals: np.ndarray  # (scored, 4) ideal pair states the fidelities are taken against
 
 
@@ -268,20 +267,17 @@ def _cell_rows(device: DeviceModel, spec: ExperimentSpec, cell: _Cell) -> _CellR
 
     rows, scored, probs, ideals = [], [], [], []
     path_label = _path_str(path)
-    if cell.mode == "postselect":
-        # ideal state of each configuration, shared by both QREM flags
-        config_ideals = {c: protocols.canonical_state(c, path.n)
-                         for c in protocols.reachable_configurations(path.hops)}
     for qrem in spec.qrem_flags:
         flag = "on" if qrem else "off"
         if cell.mode == "postselect":
-            categories = mitigated_category_distributions(result, qrem, calibration)
-            for config, payload in sorted(categories.items()):
-                eff_shots = int(round(payload["weight"] * spec.shots))
+            configs, weights, config_probs = mitigated_category_distributions(result, qrem,
+                                                                              calibration)
+            for config, weight, config_prob in zip(configs, weights, config_probs):
+                eff_shots = int(round(weight * spec.shots))
                 if eff_shots:  # a configuration with no effective shot keeps empty metrics
                     scored.append(len(rows))
-                    probs.append(payload["probs_by_basis"])
-                    ideals.append(config_ideals[config])
+                    probs.append(config_prob)
+                    ideals.append(protocols.canonical_state(config, path.n))
                 rows.append(ResultRow(cell.mode, cell.protocol, cell.hops, path_label,
                                       cell.trial, flag, f"{config[0]}{config[1]}", None, None,
                                       eff_shots, cell.seed))
@@ -291,8 +287,7 @@ def _cell_rows(device: DeviceModel, spec: ExperimentSpec, cell: _Cell) -> _CellR
             ideals.append(protocols.phi_p2())
             rows.append(ResultRow(cell.mode, cell.protocol, cell.hops, path_label, cell.trial,
                                   flag, "", None, None, spec.shots, cell.seed))
-    by_basis = [[p[pair] for pair in tomography.BASIS_PAIRS] for p in probs]
-    return _CellRows(rows, scored, np.array(by_basis).reshape(-1, 9, 4),
+    return _CellRows(rows, scored, np.array(probs).reshape(-1, 9, 4),
                      np.array(ideals).reshape(-1, 4))
 
 
@@ -301,8 +296,7 @@ def _score_rows(cells: Sequence[_CellRows]) -> list[ResultRow]:
     if not cells:
         return []
     # inputs are built inside each call, so the stacks are freed before the next one
-    rhos = tomography.reconstruct(dict(zip(
-        tomography.BASIS_PAIRS, np.concatenate([c.probs for c in cells]).transpose(1, 0, 2))))
+    rhos = tomography.reconstruct(np.concatenate([c.probs for c in cells]))
     negs = negativity(rhos)
     fids = fidelity(rhos, density_from_state(np.concatenate([c.ideals for c in cells])))
     metrics = zip(negs, fids)
@@ -383,13 +377,20 @@ class SweepRows(list):
 def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
     """Execute the sweep; a failed cell is logged, counted and skipped, serial or pooled.
 
-    Cells run one per task, serially or in a process pool. The main process
-    then reconstructs and scores the rows of every finished cell in one
-    stacked call; if that raises, it scores each cell alone and skips the
-    ones that fail.
+    The noise model of every planned path is built first, so that a noise
+    conflict raises ValueError before any cell runs. Cells run one per
+    task, serially or in a process pool. The main process then
+    reconstructs and scores the rows of every finished cell in one stacked
+    call; if that raises, it scores each cell alone and skips the ones
+    that fail.
     """
     workers = _worker_count()
     cells = plan_cells(device, spec)
+    for path in dict.fromkeys(PathSpec(c.path_labels) for c in cells):
+        try:
+            path_noise_model(device, path, spec.noise_overrides)
+        except ValueError as exc:
+            raise ValueError(f"noise on path {_path_str(path)}: {exc}") from None
     jobs = ((device, spec, c) for c in cells)
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -425,19 +426,14 @@ def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
 # Idle-decay experiment
 
 
-def exact_decay_negativity(delay_us, noise: NoiseModel, qrem: bool = True):
-    """Infinite-shot negativity of an idling two-qubit graph state.
-
-    A float for one delay; for a list of delays, an array from one stacked
-    reconstruction.
-    """
+def exact_decay_negativity(delays_us: Sequence[float], noise: NoiseModel,
+                           qrem: bool = True) -> np.ndarray:
+    """Infinite-shot negativities of an idling graph-state pair, in one stacked reconstruction."""
     confusion = [noise.qubit_confusion(0), noise.qubit_confusion(1)]
     probs = [mitigation.mitigate_distributions(channels.exact_pair_distributions(noise, float(d)),
                                                qrem, confusion)
-             for d in np.atleast_1d(delay_us)]
-    negs = negativity(tomography.reconstruct({pair: np.reshape([p[pair] for p in probs], (-1, 4))
-                                              for pair in tomography.BASIS_PAIRS}))
-    return float(negs[0]) if np.ndim(delay_us) == 0 else negs
+             for d in delays_us]
+    return negativity(tomography.reconstruct(np.reshape(probs, (-1, 9, 4))))
 
 
 def sampled_decay_negativity(delay_us: float, noise: NoiseModel, shots: int,

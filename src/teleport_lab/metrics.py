@@ -14,10 +14,12 @@ TRACE_TOL = 1e-9
 
 
 def check_density_matrix(rho: np.ndarray, atol: float = HERMITICITY_TOL) -> np.ndarray:
-    """A 4x4 density matrix, or a stack of them, checked for hermiticity and unit trace."""
+    """A 4x4 density matrix, or a stack of them, checked to be finite, Hermitian, unit-trace."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has a non-finite entry")
     if np.any(np.max(np.abs(rho - _dagger(rho)), axis=(-2, -1)) > atol):
         raise ValueError("density matrix is not Hermitian within tolerance")
     trace = np.trace(rho, axis1=-2, axis2=-1)
@@ -54,6 +56,8 @@ def hermitian_eigensystem(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: in
     n = a.shape[-1]
     if a.ndim != 3 or a.shape[1] != n:
         raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has a non-finite entry")
     magnitude = np.maximum(np.max(np.abs(a), axis=(1, 2)), 1.0)
     if np.any(np.max(np.abs(a - _dagger(a)), axis=(1, 2)) > 1e-8 * magnitude):
         raise ValueError("matrix is not Hermitian")
@@ -174,6 +178,8 @@ def nearest_physical(rho_raw: np.ndarray) -> np.ndarray:
     symmetrized, the others have their spectrum projected.
     """
     rho_raw = np.asarray(rho_raw, dtype=complex)
+    if not np.all(np.isfinite(rho_raw)):
+        raise ValueError("input has a non-finite entry")
     if np.any(np.max(np.abs(rho_raw - _dagger(rho_raw)), axis=(-2, -1)) > 1e-6):
         raise ValueError("input must be Hermitian within 1e-6")
     if np.any(np.abs(np.trace(rho_raw, axis1=-2, axis2=-1) - 1.0) > 1e-6):

@@ -34,13 +34,14 @@ def qrem_correct(p_meas: np.ndarray, confusion: Sequence[np.ndarray]) -> np.ndar
     return per_qubit_transform(p_meas, [confusion_inverse(a, i) for i, a in enumerate(confusion)])
 
 
-def mitigate_distributions(dists: dict, qrem: bool, confusion: Sequence[np.ndarray]) -> dict:
-    """Project each basis's distribution onto the simplex, after QREM when ``qrem`` is set.
+def mitigate_distributions(probs: np.ndarray, qrem: bool,
+                           confusion: Sequence[np.ndarray]) -> np.ndarray:
+    """Project each row of (9, 4) distributions onto the simplex, after QREM if ``qrem`` is set.
 
     The projections of all bases run as one stack.
     """
-    vecs = [qrem_correct(vec, confusion) if qrem else vec for vec in dists.values()]
-    return dict(zip(dists, michelot_project(np.array(vecs))))
+    return michelot_project(np.array([qrem_correct(vec, confusion) for vec in probs])
+                            if qrem else probs)
 
 
 def michelot_project(v: np.ndarray) -> np.ndarray:

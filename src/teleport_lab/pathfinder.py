@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass, asdict
+from typing import Sequence
 
 import numpy as np
 
@@ -300,34 +301,32 @@ def _topology_edges(topology: str) -> list[tuple[int, int]]:
     if topology in TOPOLOGIES:
         return TOPOLOGIES[topology]()
     kind, _, arg = topology.partition(":")
-    if kind == "line" and arg.isdigit():
-        return line_edges(int(arg))
-    if kind == "ring" and arg.isdigit():
-        return ring_edges(int(arg))
-    raise ValueError(f"unknown topology {topology!r}")
+    smallest = {"line": 2, "ring": 3}.get(kind)
+    if smallest is None or not arg.isdigit():
+        raise ValueError(f"unknown topology {topology!r}")
+    if int(arg) < smallest:
+        raise ValueError(f"topology {topology!r} needs at least {smallest} qubits")
+    return (line_edges if kind == "line" else ring_edges)(int(arg))
 
 
-def pair_negativities(gate_error, confusion_a, confusion_b, one_qubit_depol: float = 0.0):
-    """Exact (neg, neg_qrem) of a noisy two-qubit graph state on one edge, or on each of several.
+def pair_negativities(gate_errors: Sequence[float], confusions_a: Sequence[np.ndarray],
+                      confusions_b: Sequence[np.ndarray], one_qubit_depol: float = 0.0):
+    """Exact (neg, neg_qrem) arrays of a noisy two-qubit graph state on each given edge.
 
     Mirrors the measurement pipeline: the exact tomography distributions of
     the noisily prepared pair through readout confusion, reconstructed
-    without and with readout correction. Given a list of gate errors and
-    one confusion matrix per edge in each list, it reconstructs every edge
-    in one stacked call and returns two arrays.
+    without and with readout correction. Takes one gate error and one
+    confusion matrix per qubit of each edge, and reconstructs every edge
+    in one stacked call.
     """
     probs = []
-    for eps, a, b in zip(np.atleast_1d(gate_error), np.reshape(confusion_a, (-1, 2, 2)),
-                         np.reshape(confusion_b, (-1, 2, 2))):
+    for eps, a, b in zip(gate_errors, confusions_a, confusions_b):
         noise = channels.NoiseModel(one_qubit_depol=one_qubit_depol, two_qubit_depol=float(eps),
                                     readout=[a, b])
         dists = channels.exact_pair_distributions(noise)
         probs += [mitigation.mitigate_distributions(dists, qrem, noise.readout)
                   for qrem in (False, True)]
-    negs = negativity(tomography.reconstruct({pair: np.reshape([p[pair] for p in probs], (-1, 4))
-                                              for pair in tomography.BASIS_PAIRS})).reshape(-1, 2)
-    if np.ndim(gate_error) == 0:
-        return float(negs[0, 0]), float(negs[0, 1])
+    negs = negativity(tomography.reconstruct(np.reshape(probs, (-1, 9, 4)))).reshape(-1, 2)
     return negs[:, 0], negs[:, 1]
 
 

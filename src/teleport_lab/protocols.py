@@ -35,7 +35,7 @@ import numpy as np
 
 from .channels import NoiseModel, decay_probabilities
 from .simulator import GATE_MATRICES, Gate
-from .tomography import BASIS_PAIRS, TomographySet, tomography_rotations
+from .tomography import BASIS_PAIRS, tomography_rotations
 
 MODES = ("dynamic", "postselect", "swap")
 
@@ -289,15 +289,16 @@ class TransportResult:
     def n(self) -> int:
         return self.path.n
 
-    def pair_tomography(self) -> TomographySet:
-        """Counts marginalized onto the surviving pair (positions 0 and n-1)."""
-        tset = TomographySet()
-        for pair, counts in self.counts_by_basis.items():
+    def pair_frequencies(self) -> np.ndarray:
+        """(9, 4) outcome frequencies of the surviving pair (positions 0 and n-1)."""
+        out = np.empty((len(BASIS_PAIRS), 4))
+        for row, pair in zip(out, BASIS_PAIRS):
+            counts = self.counts_by_basis[pair]
             keys = np.fromiter(counts, np.int64, len(counts))
             weights = np.fromiter(counts.values(), float, len(counts))
             k = (keys & 1) | (((keys >> (self.n - 1)) & 1) << 1)
-            tset.counts[pair] = np.bincount(k, weights, 4)
-        return tset
+            row[:] = np.bincount(k, weights, 4)
+        return out / self.shots_per_basis
 
 
 def _count(ints: np.ndarray) -> dict[int, int]:

@@ -1,8 +1,13 @@
-"""Two-qubit state tomography: basis rotations, counts, linear inversion."""
+"""Two-qubit state tomography: basis rotations and linear inversion.
+
+Tomography distributions are float arrays of shape (..., 9, 4): one row
+per basis pair in `BASIS_PAIRS` order, and outcome index
+``b_first + 2 * b_second`` within a row. Leading axes stack independent
+pairs.
+"""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,51 +34,31 @@ def tomography_rotations(basis_pair: tuple[str, str], qubits: tuple[int, int]) -
             for g in rotation_gates(axis)]
 
 
-@dataclass
-class TomographySet:
-    """Outcome counts for each of the 9 two-qubit Pauli basis pairs.
-
-    Count vectors are indexed by ``b_first + 2 * b_second``.
-    """
-
-    counts: dict = field(default_factory=dict)
-
-    def frequencies(self) -> dict[tuple[str, str], np.ndarray]:
-        out = {}
-        for pair, vec in self.counts.items():
-            total = vec.sum()
-            out[pair] = vec / total if total > 0 else np.full(4, 0.25)
-        return out
-
-
 _SIGN_FIRST = np.array([1.0, -1.0, 1.0, -1.0])
 _SIGN_SECOND = np.array([1.0, 1.0, -1.0, -1.0])
 _SIGN_BOTH = _SIGN_FIRST * _SIGN_SECOND
 
 
-def pauli_expectations(probs_by_basis: dict) -> dict[tuple[str, str], np.ndarray]:
-    """All 16 two-qubit Pauli expectation values from 9 outcome distributions.
+def pauli_expectations(probs) -> dict[tuple[str, str], np.ndarray]:
+    """All 16 two-qubit Pauli expectation values from a (..., 9, 4) distribution array.
 
-    Each basis maps to one distribution of 4 outcomes or a stack of them
-    along a leading axis; the expectations have that leading shape.
-    Expectations involving an identity are averaged over every basis pair
-    that marginalizes to them.
+    The expectations have the array's leading shape. Expectations
+    involving an identity are averaged over every basis pair that
+    marginalizes to them.
     """
-    missing = [p for p in BASIS_PAIRS if p not in probs_by_basis]
-    if missing:
-        raise ValueError(f"missing tomography bases: {missing}")
-    probs = {pair: np.asarray(probs_by_basis[pair], dtype=float) for pair in BASIS_PAIRS}
-    for pair, p in probs.items():
-        if p.shape[-1:] != (4,) or p.shape != probs[BASIS_PAIRS[0]].shape:
-            raise ValueError(f"basis {pair} distribution must have 4 outcomes")
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape[-2:] != (len(BASIS_PAIRS), 4):
+        raise ValueError(f"expected tomography distributions of shape (..., 9, 4), "
+                         f"got {probs.shape}")
+    by_pair = dict(zip(BASIS_PAIRS, np.moveaxis(probs, -2, 0)))  # (..., 4) views
     # (p * sign).sum adds the four signed outcomes in order, as a 1-d dot product does
-    exp = {("I", "I"): np.ones(probs[BASIS_PAIRS[0]].shape[:-1])}
+    exp = {("I", "I"): np.ones(probs.shape[:-2])}
     for pair in BASIS_PAIRS:
-        exp[pair] = (probs[pair] * _SIGN_BOTH).sum(axis=-1)
+        exp[pair] = (by_pair[pair] * _SIGN_BOTH).sum(axis=-1)
     for axis in PAULI_AXES:
-        first = [(probs[(axis, other)] * _SIGN_FIRST).sum(axis=-1) for other in PAULI_AXES]
+        first = [(by_pair[(axis, other)] * _SIGN_FIRST).sum(axis=-1) for other in PAULI_AXES]
         exp[(axis, "I")] = np.mean(first, axis=0)
-        second = [(probs[(other, axis)] * _SIGN_SECOND).sum(axis=-1) for other in PAULI_AXES]
+        second = [(by_pair[(other, axis)] * _SIGN_SECOND).sum(axis=-1) for other in PAULI_AXES]
         exp[("I", axis)] = np.mean(second, axis=0)
     return exp
 
@@ -86,15 +71,14 @@ _TERM_MATRICES = (_PAULIS[None, :, :, None, :, None]
                   * _PAULIS[:, None, None, :, None, :]).reshape(16, 4, 4)
 
 
-def reconstruct(probs_by_basis: dict) -> np.ndarray:
-    """Linear-inversion density matrix from mitigated outcome distributions.
+def reconstruct(probs) -> np.ndarray:
+    """Linear-inversion density matrix from mitigated (..., 9, 4) distributions.
 
-    Each basis maps to one distribution or a stack of them (see
-    `pauli_expectations`); the result is one 4x4 matrix or a stack. The
-    raw inversion is projected to the nearest physical state before being
+    One (9, 4) array gives one 4x4 matrix, a stack gives a stack. The raw
+    inversion is projected to the nearest physical state before being
     returned.
     """
-    exp = pauli_expectations(probs_by_basis)
+    exp = pauli_expectations(probs)
     rho = np.zeros(exp[("I", "I")].shape + (4, 4), dtype=complex)
     for term, matrix in zip(_TERMS, _TERM_MATRICES):
         rho += exp[term][..., None, None] * matrix

@@ -20,7 +20,7 @@ import numpy as np
 
 from teleport_lab.protocols import phi_p2, reachable_configurations
 from teleport_lab.simulator import GATE_MATRICES, Gate, GateOp
-from teleport_lab.tomography import BASIS_PAIRS, TomographySet
+from teleport_lab.tomography import BASIS_PAIRS
 
 MAX_QUBITS = 24
 
@@ -340,8 +340,8 @@ def teleport_pure(n: int, outcomes: Sequence[int]) -> PureState:
     return state
 
 
-def _exact_probs(state: PureState) -> dict[tuple[str, str], np.ndarray]:
-    return {pair: born_probabilities(state, (0, 1), pair) for pair in BASIS_PAIRS}
+def _exact_probs(state: PureState) -> np.ndarray:
+    return np.array([born_probabilities(state, (0, 1), pair) for pair in BASIS_PAIRS])
 
 
 def analytic_teleportation(n: int, mode: str, simplified_correction: bool = False) -> dict:
@@ -360,7 +360,7 @@ def analytic_teleportation(n: int, mode: str, simplified_correction: bool = Fals
         state = teleport_pure(n, outcomes)
         state = apply_gates(state, correction_sequence(outcomes, target=1,
                                                        simplified=simplified_correction))
-        return {"state": state, "probs_by_basis": _exact_probs(state)}
+        return {"state": state, "probs": _exact_probs(state)}
     if mode == "postselect":
         configs = reachable_configurations(hops)
         branches = {}
@@ -369,7 +369,7 @@ def analytic_teleportation(n: int, mode: str, simplified_correction: bool = Fals
             branches[config] = {
                 "weight": 1.0 / len(configs),
                 "state": state,
-                "probs_by_basis": _exact_probs(state),
+                "probs": _exact_probs(state),
             }
         return {"configurations": branches}
     raise ValueError(f"mode must be dynamic or postselect, got {mode}")
@@ -378,16 +378,22 @@ def analytic_teleportation(n: int, mode: str, simplified_correction: bool = Fals
 def analytic_swap() -> dict:
     """Noiseless SWAP transport leaves the pair state exactly in place, on any path."""
     state = PureState(2, phi_p2())
-    return {"state": state, "probs_by_basis": _exact_probs(state)}
+    return {"state": state, "probs": _exact_probs(state)}
 
 
-def categorize(result) -> dict[tuple[int, int], TomographySet]:
-    """Pair counts of a transport result split by the discriminator, one key at a time."""
+def categorize(result) -> dict[tuple[int, int], np.ndarray]:
+    """(9, 4) pair counts of a transport result split by the discriminator, one key at a time."""
     n = result.n
-    out = {c: TomographySet() for c in reachable_configurations(result.path.hops)}
-    for pair, counts in result.counts_by_basis.items():
-        for outcome, weight in counts.items():
+    out = {c: np.zeros((len(BASIS_PAIRS), 4)) for c in reachable_configurations(result.path.hops)}
+    for b, pair in enumerate(BASIS_PAIRS):
+        for outcome, weight in result.counts_by_basis[pair].items():
             config = discriminator([(outcome >> pos) & 1 for pos in range(1, n - 1)])
             k = (outcome & 1) | (((outcome >> (n - 1)) & 1) << 1)
-            out[config].counts.setdefault(pair, np.zeros(4))[k] += weight
+            out[config][b, k] += weight
     return out
+
+
+def frequencies(counts: np.ndarray) -> np.ndarray:
+    """Each basis's counts over its total; uniform where a basis saw no shot."""
+    totals = counts.sum(axis=-1, keepdims=True)
+    return np.divide(counts, totals, out=np.full(counts.shape, 0.25), where=totals > 0)

@@ -50,7 +50,7 @@ def test_criterion_01_noiseless_exactness():
     for hops in range(1, 20):
         out = analytic_teleportation(hops + 2, "dynamic")
         worst_analytic = max(worst_analytic,
-                             abs(negativity(reconstruct(out["probs_by_basis"])) - 0.5))
+                             abs(negativity(reconstruct(out["probs"])) - 0.5))
     _verdict("criterion 1b: analytic negativity 0.5 +/- 1e-6 (hops 1..19)",
              worst_analytic < 1e-6, f"worst deviation {worst_analytic:.2e}")
 
@@ -59,7 +59,7 @@ def test_criterion_01_noiseless_exactness():
     for hops in range(1, 20, 3):
         rng = np.random.default_rng(1000 + hops)
         result = run_teleportation(hops + 2, "dynamic", NOISELESS, 4096, rng)
-        neg = negativity(reconstruct(result.pair_tomography().frequencies()))
+        neg = negativity(reconstruct(result.pair_frequencies()))
         worst_sampled = max(worst_sampled, abs(neg - 0.5))
     elapsed = time.time() - start
     _verdict("criterion 1c: sampled negativity 0.5 +/- 0.02 (4096 shots)",
@@ -90,16 +90,16 @@ def test_criterion_03_mode_equivalence():
     ideal = density_from_state(phi_p2())
     worst = 0.0
     for n in (3, 4, 5, 6):
-        dyn = reconstruct(analytic_teleportation(n, "dynamic")["probs_by_basis"])
+        dyn = reconstruct(analytic_teleportation(n, "dynamic")["probs"])
         worst = max(worst, abs(fidelity(dyn, ideal) - 1.0))
         branches = analytic_teleportation(n, "postselect")["configurations"]
         for config, payload in branches.items():
-            rho = reconstruct(payload["probs_by_basis"])
+            rho = reconstruct(payload["probs"])
             u = configuration_unitary(config, n)
             undo = np.kron(u.conj().T, np.eye(2))
             rotated = undo @ rho @ undo.conj().T
             worst = max(worst, abs(fidelity(rotated, ideal) - 1.0))
-        swap = reconstruct(analytic_swap()["probs_by_basis"])
+        swap = reconstruct(analytic_swap()["probs"])
         worst = max(worst, abs(fidelity(swap, ideal) - 1.0))
     _verdict("criterion 3: all modes reach the pair state with fidelity 1 +/- 1e-6",
              worst < 1e-6, f"worst deviation {worst:.2e}")

@@ -30,6 +30,12 @@ def test_parse_delays_rejects_non_positive_step(tmp_path, capsys):
             _parse_delays(text)
     assert main(["decay", "--delays", "0:1:0", "--out", str(tmp_path / "d.csv")]) == 2
     assert "delay step must be positive" in capsys.readouterr().err
+    # a range without exactly three parts used to fail with "not enough values to unpack"
+    for text in ("0:2", "0:2:0.5:1"):
+        assert main(["decay", "--delays", text, "--out", str(tmp_path / "d.csv")]) == 2
+        assert capsys.readouterr().err == (f"error: delay range {text!r} must have the form "
+                                           "LO:HI:STEP\n")
+    assert not (tmp_path / "d.csv").exists()
 
 
 # --- full pipeline ----------------------------------------------------------------
@@ -58,7 +64,15 @@ def test_gen_device_and_find_paths(workdir, capsys):
                      "--out", str(rejected)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
+    # line:0 and line:1 used to write a device without qubits, and ring:1 and
+    # ring:2 failed on an internal edge check
+    for topology, smallest in (("line:0", 2), ("line:1", 2), ("ring:1", 3), ("ring:2", 3)):
+        assert main(["gen-device", "--topology", topology, "--out", str(rejected)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: topology {topology!r} needs at least {smallest} qubits\n"
     assert not rejected.exists()
+    for topology in ("line:2", "ring:3"):
+        assert main(["gen-device", "--topology", topology, "--out", str(rejected)]) == 0
 
 
 def test_find_paths_warns_when_too_few(workdir, capsys):
@@ -160,6 +174,21 @@ def test_run_rejects_empty_sweeps_and_bad_worker_counts(workdir, capsys, monkeyp
         assert main(base + ["--hops", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: TELEPORT_LAB_THREADS") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_rejects_path_noise_conflict_before_any_cell(workdir, capsys, monkeypatch):
+    # a T1 override below half the device T2 used to fail every cell and exit 1
+    dev = workdir / "dev.json"
+    out = workdir / "noise_conflict.csv"
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        assert main(["run", "--device", str(dev), "--hops", "1", "--protocol", "neg",
+                     "--noise-overrides", '{"t1_per_qubit_us": [5, 5, 5]}',
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise on path ") and err.count("\n") == 1
+        assert "per-qubit t2 (25.0) exceeds 2*t1 (10)" in err
     assert not out.exists()
 
 

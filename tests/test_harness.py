@@ -18,7 +18,7 @@ from teleport_lab.pathfinder import synthesize_device
 from teleport_lab.protocols import PathSpec, TransportResult
 from teleport_lab.tomography import BASIS_PAIRS, reconstruct
 
-from dense_oracle import categorize, discriminator
+from dense_oracle import categorize, discriminator, frequencies
 
 NOISELESS_OVERRIDES = {
     "one_qubit_depol": 0.0,
@@ -218,16 +218,14 @@ def test_category_pipeline_matches_manual_recomputation():
     noise = NoiseModel(dynamic_correction_latency_us=0.0)
     rng = np.random.default_rng(8)
     result = protocols.run_teleportation(4, "postselect", noise, 2048, rng)
-    cats = mitigated_category_distributions(result, qrem=False,
-                                            calibration=[np.eye(2)] * 4)
+    configs, weights, probs = mitigated_category_distributions(result, qrem=False,
+                                                               calibration=[np.eye(2)] * 4)
     raw = categorize(result)
     total = 9 * 2048
-    for config, tset in raw.items():
-        shots = sum(vec.sum() for vec in tset.counts.values())
-        assert abs(cats[config]["weight"] - shots / total) < 1e-12
-        freqs = tset.frequencies()
-        for pair in BASIS_PAIRS:
-            assert np.allclose(cats[config]["probs_by_basis"][pair], freqs[pair], atol=1e-12)
+    assert list(configs) == list(raw)
+    for counts, weight, config_probs in zip(raw.values(), weights, probs):
+        assert abs(weight - counts.sum() / total) < 1e-12
+        assert np.allclose(config_probs, frequencies(counts), atol=1e-12)
 
 
 def test_category_pipeline_qrem_recovers_flipped_categories():
@@ -239,11 +237,12 @@ def test_category_pipeline_qrem_recovers_flipped_categories():
     rng = np.random.default_rng(12)
     result = protocols.run_teleportation(4, "postselect", noise, 20_000, rng)
     calibration = [np.eye(2), flipper, np.eye(2), np.eye(2)]
-    raw = mitigated_category_distributions(result, qrem=False, calibration=calibration)
-    fixed = mitigated_category_distributions(result, qrem=True, calibration=calibration)
-    config = (0, 0)
-    n_raw = negativity(reconstruct(raw[config]["probs_by_basis"]))
-    n_fixed = negativity(reconstruct(fixed[config]["probs_by_basis"]))
+    configs, _, raw = mitigated_category_distributions(result, qrem=False,
+                                                       calibration=calibration)
+    _, _, fixed = mitigated_category_distributions(result, qrem=True, calibration=calibration)
+    config = configs.index((0, 0))
+    n_raw = negativity(reconstruct(raw[config]))
+    n_fixed = negativity(reconstruct(fixed[config]))
     assert n_fixed > n_raw + 0.1
     assert n_fixed > 0.42
 
@@ -273,8 +272,8 @@ def dense_category_oracle(result: TransportResult, qrem: bool, calibration) -> d
         t = (idx & 1) | (((idx >> (n - 1)) & 1) << 1)
         bins.append((z, x, t))
     configs = protocols.reachable_configurations(n - 2)
-    out = {c: {"weight": 0.0, "probs_by_basis": {}} for c in configs}
-    for pair in BASIS_PAIRS:
+    out = {c: {"weight": 0.0, "probs": np.zeros((len(BASIS_PAIRS), 4))} for c in configs}
+    for b, pair in enumerate(BASIS_PAIRS):
         joint = np.zeros(1 << n)
         for key, count in result.counts_by_basis[pair].items():
             joint[key] = count / result.shots_per_basis
@@ -286,8 +285,8 @@ def dense_category_oracle(result: TransportResult, qrem: bool, calibration) -> d
         for config, vec in grouped.items():
             weight = vec.sum()
             out[config]["weight"] += weight / len(BASIS_PAIRS)
-            out[config]["probs_by_basis"][pair] = (michelot_project(vec / weight)
-                                                   if weight > 1e-12 else np.full(4, 0.25))
+            out[config]["probs"][b] = (michelot_project(vec / weight)
+                                       if weight > 1e-12 else np.full(4, 0.25))
     weights = michelot_project(np.array([payload["weight"] for payload in out.values()]))
     for payload, weight in zip(out.values(), weights):
         payload["weight"] = weight
@@ -300,13 +299,13 @@ def test_category_pipeline_matches_dense_oracle(rng):
             result = random_counts_result(n, shots=500, distinct=min(1 << n, 40), rng=rng)
             calibration = [confusion_matrix(*rng.uniform(0.01, 0.3, size=2)) for _ in range(n)]
             for qrem in (False, True):
-                got = mitigated_category_distributions(result, qrem, calibration)
+                configs, weights, probs = mitigated_category_distributions(result, qrem,
+                                                                           calibration)
                 want = dense_category_oracle(result, qrem, calibration)
-                assert got.keys() == want.keys()
-                for config, payload in want.items():
-                    assert abs(got[config]["weight"] - payload["weight"]) < 1e-12
-                    for pair, probs in payload["probs_by_basis"].items():
-                        assert np.max(np.abs(got[config]["probs_by_basis"][pair] - probs)) < 1e-12
+                assert list(configs) == list(want)
+                for payload, weight, config_probs in zip(want.values(), weights, probs):
+                    assert abs(weight - payload["weight"]) < 1e-12
+                    assert np.max(np.abs(config_probs - payload["probs"])) < 1e-12
 
 
 def test_category_pipeline_is_linear_in_path_length(rng):
@@ -317,14 +316,13 @@ def test_category_pipeline_is_linear_in_path_length(rng):
     raw = categorize(result)
     total = len(BASIS_PAIRS) * 64
     for qrem in (False, True):
-        cats = mitigated_category_distributions(result, qrem, calibration)
-        for config, payload in cats.items():
-            assert np.isfinite(payload["weight"]) and payload["weight"] >= 0.0
-            for probs in payload["probs_by_basis"].values():
-                assert abs(probs.sum() - 1.0) < 1e-12 and probs.min() >= 0.0
+        configs, weights, probs = mitigated_category_distributions(result, qrem, calibration)
+        for config, weight, config_probs in zip(configs, weights, probs):
+            assert np.isfinite(weight) and weight >= 0.0
+            assert np.all(np.abs(config_probs.sum(axis=-1) - 1.0) < 1e-12)
+            assert config_probs.min() >= 0.0
             if not qrem:
-                shots = sum(vec.sum() for vec in raw[config].counts.values())
-                assert abs(payload["weight"] - shots / total) < 1e-12
+                assert abs(weight - raw[config].sum() / total) < 1e-12
 
 
 def test_category_weights_are_a_distribution(rng):
@@ -333,8 +331,7 @@ def test_category_weights_are_a_distribution(rng):
     n, shots = 50, 64
     result = random_counts_result(n, shots=shots, distinct=5, rng=rng)
     calibration = [confusion_matrix(*rng.uniform(0.01, 0.05, size=2)) for _ in range(n)]
-    cats = mitigated_category_distributions(result, True, calibration)
-    weights = np.array([payload["weight"] for payload in cats.values()])
+    _, weights, _ = mitigated_category_distributions(result, True, calibration)
     assert abs(weights.sum() - 1.0) < 1e-12 and weights.min() >= 0.0
     assert all(round(w * shots) <= shots for w in weights)
 
@@ -552,6 +549,6 @@ def test_sampled_decay_tracks_exact():
 
 def test_qrem_off_decay_is_lower():
     noise = NoiseModel(readout=[confusion_matrix(0.05, 0.08)] * 2)
-    with_qrem = exact_decay_negativity(0.5, noise, qrem=True)
-    without = exact_decay_negativity(0.5, noise, qrem=False)
+    [with_qrem] = exact_decay_negativity([0.5], noise, qrem=True)
+    [without] = exact_decay_negativity([0.5], noise, qrem=False)
     assert with_qrem > without + 0.02

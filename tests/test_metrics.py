@@ -5,6 +5,7 @@ import pytest
 from teleport_lab.metrics import (check_density_matrix, density_from_state, fidelity,
                                   hermitian_eigensystem, nearest_physical, negativity,
                                   partial_transpose, project_eigenvalues)
+from teleport_lab.tomography import reconstruct
 
 from conftest import random_density_matrix, random_unitary
 
@@ -103,6 +104,22 @@ def test_negativity_rejects_non_hermitian():
     bad[0, 1] += 0.01
     with pytest.raises(ValueError, match="Hermitian"):
         negativity(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entries_are_rejected(bad):
+    # every comparison with NaN is False, so each range check alone would let it through
+    rho = np.eye(4, dtype=complex) / 4
+    rho[1, 2] = rho[2, 1] = bad
+    for check in (check_density_matrix, hermitian_eigensystem, nearest_physical, negativity,
+                  lambda r: fidelity(r, density_from_state(BELL))):
+        for matrix in (rho, np.full((4, 4), bad), np.stack([np.eye(4) / 4, rho])):
+            with pytest.raises(ValueError, match="non-finite"):
+                check(matrix)
+    probs = np.full((2, 9, 4), 0.25)
+    probs[1, 4, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        reconstruct(probs)
 
 
 def test_density_validator_rejects_bad_trace():

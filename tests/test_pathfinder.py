@@ -276,16 +276,16 @@ def test_tie_break_is_lexicographic():
 
 def test_pair_negativities_noiseless_are_maximal():
     eye = np.eye(2)
-    neg, neg_qrem = pair_negativities(0.0, eye, eye)
+    [neg], [neg_qrem] = pair_negativities([0.0], [eye], [eye])
     assert abs(neg - 0.5) < 1e-9
     assert abs(neg_qrem - 0.5) < 1e-9
 
 
 def test_pair_negativities_qrem_recovers_readout():
     a = confusion_matrix(0.05, 0.08)
-    neg, neg_qrem = pair_negativities(0.01, a, a)
+    [neg], [neg_qrem] = pair_negativities([0.01], [a], [a])
     assert neg < neg_qrem < 0.5
-    gate_only, _ = pair_negativities(0.01, np.eye(2), np.eye(2))
+    [gate_only], _ = pair_negativities([0.01], [np.eye(2)], [np.eye(2)])
     assert abs(neg_qrem - gate_only) < 1e-6
 
 

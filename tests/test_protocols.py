@@ -13,12 +13,13 @@ from teleport_lab.protocols import (MAX_PATH_QUBITS, PathSpec, ShotBatch, canoni
                                     configuration_unitary, phi_p2, reachable_configurations,
                                     run_idle_pair, run_swap_transport, run_teleportation)
 from teleport_lab.simulator import PAULI_MATRICES, Gate, GateOp
-from teleport_lab.tomography import reconstruct, tomography_rotations
+from teleport_lab.tomography import BASIS_PAIRS, reconstruct, tomography_rotations
 
 from conftest import random_state, trace_distance
 from dense_oracle import (PureState, analytic_swap, analytic_teleportation, apply_gate,
                           apply_gates, born_probabilities, byproduct_sequence, categorize,
-                          correction_sequence, discriminator, index_of_bits, op, postselect,
+                          correction_sequence, discriminator, frequencies, index_of_bits, op,
+                          postselect,
                           prepare_path_graph_state, remove_qubit, representative_outcomes,
                           sequence_unitary, states_equal, teleport_pure)
 
@@ -156,14 +157,14 @@ def test_discriminator_soundness():
 def test_analytic_dynamic_is_exact():
     for n in (3, 5, 8):
         out = analytic_teleportation(n, "dynamic")
-        rho = reconstruct(out["probs_by_basis"])
+        rho = reconstruct(out["probs"])
         assert abs(negativity(rho) - 0.5) < 1e-6
         assert abs(fidelity(rho, density_from_state(phi_p2())) - 1.0) < 1e-6
 
 
 def test_analytic_dynamic_simplified_correction():
     out = analytic_teleportation(6, "dynamic", simplified_correction=True)
-    rho = reconstruct(out["probs_by_basis"])
+    rho = reconstruct(out["probs"])
     assert abs(fidelity(rho, density_from_state(phi_p2())) - 1.0) < 1e-6
 
 
@@ -173,7 +174,7 @@ def test_analytic_postselect_categories():
         branches = out["configurations"]
         assert set(branches) == set(reachable_configurations(n - 2))
         for config, payload in branches.items():
-            rho = reconstruct(payload["probs_by_basis"])
+            rho = reconstruct(payload["probs"])
             assert abs(negativity(rho) - 0.5) < 1e-6
             ideal = canonical_state(config, n)
             assert abs(fidelity(rho, density_from_state(ideal)) - 1.0) < 1e-6
@@ -182,7 +183,7 @@ def test_analytic_postselect_categories():
 
 def test_analytic_swap_is_identity():
     out = analytic_swap()
-    rho = reconstruct(out["probs_by_basis"])
+    rho = reconstruct(out["probs"])
     assert abs(fidelity(rho, density_from_state(phi_p2())) - 1.0) < 1e-9
 
 
@@ -421,7 +422,7 @@ def test_batch_idle_decay_forced_branches_match_normalized_kraus_operators():
 def test_sampled_noiseless_dynamic_close_to_ideal():
     rng = np.random.default_rng(0)
     result = run_teleportation(5, "dynamic", NOISELESS, 4096, rng)
-    rho = reconstruct(result.pair_tomography().frequencies())
+    rho = reconstruct(result.pair_frequencies())
     assert negativity(rho) > 0.47
     assert fidelity(rho, density_from_state(phi_p2())) > 0.97
 
@@ -431,8 +432,8 @@ def test_sampled_noiseless_postselect_categories():
     result = run_teleportation(4, "postselect", NOISELESS, 4096, rng)
     categories = categorize(result)
     assert set(categories) == set(reachable_configurations(2))
-    for config, tset in categories.items():
-        rho = reconstruct(tset.frequencies())
+    for config, counts in categories.items():
+        rho = reconstruct(frequencies(counts))
         assert negativity(rho) > 0.45
         ideal = canonical_state(config, 4)
         assert fidelity(rho, density_from_state(ideal)) > 0.95
@@ -448,8 +449,8 @@ def test_categorize_matches_manual_classification():
             s = tuple((outcome >> pos) & 1 for pos in (1, 2, 3))
             key = discriminator(s)
             manual[key] = manual.get(key, 0) + c
-    for config, tset in categories.items():
-        assert sum(vec.sum() for vec in tset.counts.values()) == manual.get(config, 0)
+    for config, counts in categories.items():
+        assert counts.sum() == manual.get(config, 0)
 
 
 def test_swap_noiseless_keeps_intermediates_in_ground():
@@ -459,7 +460,7 @@ def test_swap_noiseless_keeps_intermediates_in_ground():
         for outcome in counts:
             for pos in (1, 2, 3):
                 assert (outcome >> pos) & 1 == 0
-    rho = reconstruct(result.pair_tomography().frequencies())
+    rho = reconstruct(result.pair_frequencies())
     assert negativity(rho) > 0.47
     assert fidelity(rho, density_from_state(phi_p2())) > 0.97
 
@@ -469,9 +470,9 @@ def test_swap_degrades_faster_than_postselect_under_gate_noise():
     rng = np.random.default_rng(21)
     hops = 4
     swap = run_swap_transport(hops + 2, noise, 4096, rng)
-    n_swap = negativity(reconstruct(swap.pair_tomography().frequencies()))
+    n_swap = negativity(reconstruct(swap.pair_frequencies()))
     post = run_teleportation(hops + 2, "postselect", noise, 4096, rng)
-    negs = [negativity(reconstruct(t.frequencies())) for t in categorize(post).values()]
+    negs = [negativity(reconstruct(frequencies(c))) for c in categorize(post).values()]
     assert n_swap < float(np.mean(negs))
 
 
@@ -482,8 +483,8 @@ def test_dynamic_latency_costs_negativity():
     rng_b = np.random.default_rng(33)
     fast_run = run_teleportation(5, "dynamic", quiet, 2048, rng_a)
     slow_run = run_teleportation(5, "dynamic", slow, 2048, rng_b)
-    n_fast = negativity(reconstruct(fast_run.pair_tomography().frequencies()))
-    n_slow = negativity(reconstruct(slow_run.pair_tomography().frequencies()))
+    n_fast = negativity(reconstruct(fast_run.pair_frequencies()))
+    n_slow = negativity(reconstruct(slow_run.pair_frequencies()))
     assert n_slow < n_fast - 0.05
 
 
@@ -494,14 +495,14 @@ def test_simplified_correction_sampled_and_cheaper():
     quiet = NoiseModel(dynamic_correction_latency_us=0.0)
     rng = np.random.default_rng(44)
     exact = run_teleportation(5, "dynamic", quiet, 2048, rng, simplified_correction=True)
-    n_exact = negativity(reconstruct(exact.pair_tomography().frequencies()))
+    n_exact = negativity(reconstruct(exact.pair_frequencies()))
     assert n_exact > 0.45
     sequential = run_teleportation(5, "dynamic", noise, 2048,
                                    np.random.default_rng(45))
     simplified = run_teleportation(5, "dynamic", noise, 2048,
                                    np.random.default_rng(45), simplified_correction=True)
-    n_seq = negativity(reconstruct(sequential.pair_tomography().frequencies()))
-    n_simp = negativity(reconstruct(simplified.pair_tomography().frequencies()))
+    n_seq = negativity(reconstruct(sequential.pair_frequencies()))
+    n_simp = negativity(reconstruct(simplified.pair_frequencies()))
     assert n_simp > n_seq + 0.05
 
 
@@ -513,8 +514,8 @@ def test_flipped_intermediate_readout_swaps_categories():
                        readout=[np.eye(2), always_flip, np.eye(2), np.eye(2)])
     rng = np.random.default_rng(6)
     result = run_teleportation(4, "postselect", noise, 4096, rng)
-    for config, tset in categorize(result).items():
-        rho = reconstruct(tset.frequencies())
+    for config, counts in categorize(result).items():
+        rho = reconstruct(frequencies(counts))
         actual = canonical_state((config[0] ^ 1, config[1]), 4)
         assert fidelity(rho, density_from_state(actual)) > 0.95
 
@@ -525,7 +526,7 @@ def test_dynamic_corrections_follow_noisy_readout():
                              readout=[np.eye(2), confusion_matrix(0.4, 0.4), np.eye(2)])
     rng = np.random.default_rng(17)
     result = run_teleportation(3, "dynamic", bad_readout, 4096, rng)
-    rho = reconstruct(result.pair_tomography().frequencies())
+    rho = reconstruct(result.pair_frequencies())
     assert fidelity(rho, density_from_state(phi_p2())) < 0.85
 
 
@@ -537,7 +538,7 @@ def test_idle_pair_matches_exact_channel_under_noise():
     delay, shots = 6.0, 20_000
     result = run_idle_pair(delay, noise, shots, np.random.default_rng(19))
     exact = exact_pair_distributions(noise, delay)
-    for pair, probs in exact.items():
+    for pair, probs in zip(BASIS_PAIRS, exact):
         counts = result.counts_by_basis[pair]
         assert sum(counts.values()) == shots
         for k in range(4):
@@ -548,10 +549,10 @@ def test_idle_pair_matches_exact_channel_under_noise():
 def test_idle_pair_run():
     rng = np.random.default_rng(2)
     still = run_idle_pair(0.0, NOISELESS, 2048, rng)
-    rho = reconstruct(still.pair_tomography().frequencies())
+    rho = reconstruct(still.pair_frequencies())
     assert negativity(rho) > 0.47
     decayed = run_idle_pair(200.0, NoiseModel(t1_us=33.0, t2_us=25.0), 2048, rng)
-    rho = reconstruct(decayed.pair_tomography().frequencies())
+    rho = reconstruct(decayed.pair_frequencies())
     assert negativity(rho) < 0.1
 
 

@@ -101,15 +101,14 @@ def test_stacked_reconstruct_matches_scalar_reconstruct(rng):
     probs = rng.dirichlet(np.full(4, 0.5), size=(k, 9))  # mostly unphysical inversions
     probs[::3] = rng.dirichlet(np.full(4, 50.0), size=(len(probs[::3]), 9))
     probs[1] = 0.25  # maximally mixed: PSD, so nearest_physical returns early
-    by_basis = {pair: probs[:, j] for j, pair in enumerate(BASIS_PAIRS)}
-    rhos = reconstruct(by_basis)
+    rhos = reconstruct(probs)
     negs = negativity(rhos)
     ideals = np.array([density_from_state(random_state(2, rng).amplitudes) for _ in range(k)])
     fids = fidelity(rhos, ideals)
     for i in range(k):
         one = {pair: probs[i, j] for j, pair in enumerate(BASIS_PAIRS)}
         _assert_same(rhos[i], ref.reconstruct(one))
-        _assert_same(reconstruct(one), rhos[i])
+        _assert_same(reconstruct(probs[i]), rhos[i])
         assert negs[i] == ref.negativity(rhos[i])
         assert fids[i] == ref.fidelity(rhos[i], ideals[i]) == fidelity(rhos[i], ideals[i])
 
@@ -133,12 +132,13 @@ def test_stacked_edges_and_delays_match_one_at_a_time(rng):
                   for _ in range(2)]
     negs, negs_qrem = pair_negativities(errors, *confusions, one_qubit_depol=2e-4)
     for i, eps in enumerate(errors):
-        one = pair_negativities(eps, confusions[0][i], confusions[1][i], one_qubit_depol=2e-4)
-        assert one == (negs[i], negs_qrem[i])
+        [neg], [neg_qrem] = pair_negativities([eps], [confusions[0][i]], [confusions[1][i]],
+                                              one_qubit_depol=2e-4)
+        assert (neg, neg_qrem) == (negs[i], negs_qrem[i])
     assert [len(x) for x in pair_negativities([], [], [])] == [0, 0]
     noise = NoiseModel(one_qubit_depol=2e-4, two_qubit_depol=0.01,
                        readout=[confusion_matrix(0.01, 0.02), confusion_matrix(0.02, 0.03)])
     delays = [0.0, 0.5, 1.25, 4.0]
     for qrem in (False, True):
         stacked = exact_decay_negativity(delays, noise, qrem)
-        assert list(stacked) == [exact_decay_negativity(d, noise, qrem) for d in delays]
+        assert list(stacked) == [exact_decay_negativity([d], noise, qrem)[0] for d in delays]

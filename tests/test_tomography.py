@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from teleport_lab.metrics import fidelity
+from teleport_lab.protocols import PathSpec, TransportResult
 from teleport_lab.simulator import Gate
-from teleport_lab.tomography import (BASIS_PAIRS, TomographySet, pauli_expectations,
-                                     reconstruct, rotation_gates, tomography_rotations)
+from teleport_lab.tomography import (BASIS_PAIRS, pauli_expectations, reconstruct,
+                                     rotation_gates, tomography_rotations)
 
 from conftest import random_density_matrix, trace_distance
 from dense_oracle import PureState, apply_gates, born_probabilities
@@ -13,19 +14,19 @@ from dense_oracle import PureState, apply_gates, born_probabilities
 BELL = PureState(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
 
-def exact_probs_from_density(rho: np.ndarray) -> dict:
+def exact_probs_from_density(rho: np.ndarray) -> np.ndarray:
     """Oracle distributions: rotate the density matrix and read the diagonal."""
     from teleport_lab.simulator import GATE_MATRICES
 
-    out = {}
+    out = np.empty((len(BASIS_PAIRS), 4))
     eye = np.eye(2, dtype=complex)
-    for pair in BASIS_PAIRS:
+    for row, pair in zip(out, BASIS_PAIRS):
         rotated = rho
         for q, axis in enumerate(pair):
             for g in rotation_gates(axis):
                 u = np.kron(GATE_MATRICES[g], eye) if q == 1 else np.kron(eye, GATE_MATRICES[g])
                 rotated = u @ rotated @ u.conj().T
-        out[pair] = np.real(np.diag(rotated))
+        row[:] = np.real(np.diag(rotated))
     return out
 
 
@@ -65,8 +66,12 @@ def test_unknown_axis_rejected():
 # --- reconstruction -------------------------------------------------------------
 
 
+def bell_probs() -> np.ndarray:
+    return np.array([born_probabilities(BELL, (0, 1), pair) for pair in BASIS_PAIRS])
+
+
 def test_reconstruct_bell_exactly():
-    probs = {pair: born_probabilities(BELL, (0, 1), pair) for pair in BASIS_PAIRS}
+    probs = bell_probs()
     rho = reconstruct(probs)
     ideal = np.outer(BELL.amplitudes, BELL.amplitudes.conj())
     assert abs(fidelity(rho, ideal) - 1.0) < 1e-9
@@ -74,7 +79,7 @@ def test_reconstruct_bell_exactly():
 
 
 def test_reconstruct_maximally_mixed():
-    probs = {pair: np.full(4, 0.25) for pair in BASIS_PAIRS}
+    probs = np.full((len(BASIS_PAIRS), 4), 0.25)
     assert trace_distance(reconstruct(probs), np.eye(4) / 4) < 1e-9
 
 
@@ -87,8 +92,7 @@ def test_reconstruct_random_states_exactly(rng):
 
 def test_reconstruct_is_physical(rng):
     # sampled counts produce a PSD unit-trace matrix after projection
-    probs_exact = {pair: born_probabilities(BELL, (0, 1), pair) for pair in BASIS_PAIRS}
-    counts = {pair: rng.multinomial(512, p) / 512 for pair, p in probs_exact.items()}
+    counts = np.array([rng.multinomial(512, p) / 512 for p in bell_probs()])
     rho = reconstruct(counts)
     eigs = np.linalg.eigvalsh(rho)
     assert eigs[0] > -1e-9
@@ -96,11 +100,11 @@ def test_reconstruct_is_physical(rng):
 
 
 def test_finite_shot_fidelity_typical(rng):
-    probs_exact = {pair: born_probabilities(BELL, (0, 1), pair) for pair in BASIS_PAIRS}
+    probs_exact = bell_probs()
     ideal = np.outer(BELL.amplitudes, BELL.amplitudes.conj())
     fids = []
     for _ in range(100):
-        sampled = {pair: rng.multinomial(4096, p) / 4096 for pair, p in probs_exact.items()}
+        sampled = np.array([rng.multinomial(4096, p) / 4096 for p in probs_exact])
         fids.append(fidelity(reconstruct(sampled), ideal))
     assert min(fids) >= 0.98
 
@@ -108,22 +112,25 @@ def test_finite_shot_fidelity_typical(rng):
 def test_identity_expectation_consistency(rng):
     # <IZ> estimated from the (X,Z), (Y,Z), (Z,Z) bases agrees within shot noise
     shots = 20_000
-    probs_exact = {pair: born_probabilities(BELL, (0, 1), pair) for pair in BASIS_PAIRS}
-    sampled = {pair: rng.multinomial(shots, p) / shots for pair, p in probs_exact.items()}
+    sampled = np.array([rng.multinomial(shots, p) / shots for p in bell_probs()])
     sign_second = np.array([1, 1, -1, -1])
-    estimates = [float(sampled[(first, "Z")] @ sign_second) for first in ("X", "Y", "Z")]
+    estimates = [float(sampled[BASIS_PAIRS.index((first, "Z"))] @ sign_second)
+                 for first in ("X", "Y", "Z")]
     sigma = 1 / np.sqrt(shots)
     assert max(estimates) - min(estimates) < 5 * sigma
 
 
 def test_pauli_expectations_reports_missing_basis():
-    with pytest.raises(ValueError, match="missing"):
-        pauli_expectations({("Z", "Z"): np.full(4, 0.25)})
+    # one row per basis pair and four outcomes per row, or the input is rejected
+    for shape in [(4,), (1, 4), (8, 4), (9, 3), (4, 9), (2, 3, 3, 4)]:
+        with pytest.raises(ValueError, match=r"shape \(\.\.\., 9, 4\)"):
+            pauli_expectations(np.full(shape, 0.25))
+        with pytest.raises(ValueError, match=r"shape \(\.\.\., 9, 4\)"):
+            reconstruct(np.full(shape, 0.25))
 
 
 def test_expectations_of_bell():
-    probs = {pair: born_probabilities(BELL, (0, 1), pair) for pair in BASIS_PAIRS}
-    exp = pauli_expectations(probs)
+    exp = pauli_expectations(bell_probs())
     assert abs(exp[("X", "X")] - 1.0) < 1e-12
     assert abs(exp[("Y", "Y")] + 1.0) < 1e-12
     assert abs(exp[("Z", "Z")] - 1.0) < 1e-12
@@ -134,10 +141,10 @@ def test_expectations_of_bell():
 
 
 def test_tomography_set_accumulates():
-    tset = TomographySet()
-    for pair in BASIS_PAIRS:
-        for outcome in (0, 1, 2, 3):
-            tset.counts.setdefault(pair, np.zeros(4))[outcome] += 1
-    freqs = tset.frequencies()
-    assert np.allclose(freqs[("X", "Y")], 0.25)
-    assert sum(vec.sum() for vec in tset.counts.values()) == 36
+    # outcome keys of a 3-qubit path: the pair is bits 0 and 2, bit 1 is marginalized
+    counts = {pair: {0b010: 1, 0b011: 1, 0b100: 1, 0b111: 1} for pair in BASIS_PAIRS}
+    result = TransportResult("postselect", PathSpec.line(3), 4, counts)
+    freqs = result.pair_frequencies()
+    assert freqs.shape == (len(BASIS_PAIRS), 4)
+    assert np.allclose(freqs[BASIS_PAIRS.index(("X", "Y"))], 0.25)
+    assert freqs.sum() * result.shots_per_basis == 36
