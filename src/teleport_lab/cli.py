@@ -46,6 +46,8 @@ def _parse_delays(text: str) -> list[float]:
         while t <= hi + 1e-9:
             out.append(round(t, 9))
             t += step
+        if not out:
+            raise ValueError(f"delay range {text!r} holds no delay")
         return out
     return [float(p) for p in text.split(",")]
 

@@ -251,10 +251,9 @@ class _CellRows(NamedTuple):
     ideals: np.ndarray  # (scored, 4) ideal pair states the fidelities are taken against
 
 
-def _cell_rows(device: DeviceModel, spec: ExperimentSpec, cell: _Cell) -> _CellRows:
+def _cell_rows(noise: NoiseModel, spec: ExperimentSpec, cell: _Cell) -> _CellRows:
     """Transport, calibration and mitigation of one cell; `_score_rows` does the rest."""
     path = PathSpec(cell.path_labels)
-    noise = path_noise_model(device, path, spec.noise_overrides)
     rng = np.random.default_rng(np.random.SeedSequence(cell.seed))
     if cell.mode == "swap":
         result = protocols.run_swap_transport(path, noise, spec.shots, rng)
@@ -321,9 +320,23 @@ def _guarded(fn, *args) -> tuple:
         return None, traceback.format_exc()
 
 
-def _cell_worker(args) -> tuple[_CellRows | None, str | None]:
+def _run_cell(spec: ExperimentSpec, noise_models: dict,
+              cell: _Cell) -> tuple[_CellRows | None, str | None]:
     """(rows, None) for a finished cell, (None, traceback text) for a failed one."""
-    return _guarded(_cell_rows, *args)
+    return _guarded(_cell_rows, noise_models[cell.path_labels], spec, cell)
+
+
+# (spec, noise models by path) of a pool worker process, set once by _init_worker
+_worker_sweep: tuple | None = None
+
+
+def _init_worker(spec: ExperimentSpec, noise_models: dict):
+    global _worker_sweep
+    _worker_sweep = (spec, noise_models)
+
+
+def _pooled_cell(cell: _Cell) -> tuple[_CellRows | None, str | None]:
+    return _run_cell(*_worker_sweep, cell)
 
 
 def _worker_count() -> int:
@@ -377,26 +390,30 @@ class SweepRows(list):
 def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
     """Execute the sweep; a failed cell is logged, counted and skipped, serial or pooled.
 
-    The noise model of every planned path is built first, so that a noise
-    conflict raises ValueError before any cell runs. Cells run one per
-    task, serially or in a process pool. The main process then
+    The noise model of every planned path is built first, once, so that a
+    noise conflict raises ValueError before any cell runs; each cell runs
+    on its path's model. Cells run one per task, serially or in a process
+    pool whose workers receive the spec and the models once, at start-up,
+    so that a task carries only its `_Cell`. The main process then
     reconstructs and scores the rows of every finished cell in one stacked
     call; if that raises, it scores each cell alone and skips the ones
     that fail.
     """
     workers = _worker_count()
     cells = plan_cells(device, spec)
-    for path in dict.fromkeys(PathSpec(c.path_labels) for c in cells):
+    noise_models = {}
+    for labels in dict.fromkeys(c.path_labels for c in cells):
+        path = PathSpec(labels)
         try:
-            path_noise_model(device, path, spec.noise_overrides)
+            noise_models[labels] = path_noise_model(device, path, spec.noise_overrides)
         except ValueError as exc:
             raise ValueError(f"noise on path {_path_str(path)}: {exc}") from None
-    jobs = ((device, spec, c) for c in cells)
     if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_cell_worker, jobs))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(spec, noise_models)) as pool:
+            outcomes = list(pool.map(_pooled_cell, cells))
     else:
-        outcomes = map(_cell_worker, jobs)
+        outcomes = [_run_cell(spec, noise_models, cell) for cell in cells]
     rows = SweepRows(len(cells))
 
     def skip(cell, error):
@@ -477,6 +494,8 @@ DECAY_LEVEL_END = 0.376
 def run_decay_experiment(delays_us: Sequence[float], noise: NoiseModel, shots: int = 0,
                          seed: int = 0, qrem: bool = True) -> DecayResult:
     """Negativity of an idling pair versus delay; shots=0 runs the exact channel."""
+    if len(delays_us) == 0:
+        raise ValueError("delays must list at least one delay")
     if shots < 0:
         raise ValueError(f"shots must be 0 (exact channel) or positive, got {shots}")
     if seed < 0:

@@ -12,36 +12,49 @@ Three modes are implemented:
   three CNOTs per hop.
 
 All three, and the idling pair of the decay experiment, are sampled by one
-per-basis schedule (`_sample_basis`): prepare the pair, one hop per
-intermediate qubit (CZ teleport step or three-CNOT swap step, then a
-measurement that also drops the qubit, and its readout), a tail (dynamic
-correction, sequential or simplified, or an idle), and the tomography
-layer. The trajectories are Monte-Carlo wave-function unravellings
-(Dalibard, Castin and Molmer, PRL 68, 580, 1992) run by `ShotBatch`, a
-sliding-window engine that keeps at most a handful of live qubits per shot
-regardless of path length: a path qubit enters the window when first
-entangled and leaves with the measurement that collapses it. Measuring a
-qubit early is exactly equivalent to the deferred hardware schedule
-because nothing acts on it afterwards.
+schedule (`_sample_group`): prepare the pair, one hop per intermediate
+qubit (CZ teleport step or three-CNOT swap step, then a measurement that
+also drops the qubit, and its readout), a tail (dynamic correction,
+sequential or simplified, or an idle), and the tomography layer. The
+trajectories are Monte-Carlo wave-function unravellings (Dalibard, Castin
+and Molmer, PRL 68, 580, 1992) run by `ShotBatch`, a sliding-window engine
+that keeps at most a handful of live qubits per shot regardless of path
+length: a path qubit enters the window when first entangled and leaves
+with the measurement that collapses it. Measuring a qubit early is exactly
+equivalent to the deferred hardware schedule because nothing acts on it
+afterwards.
+
+The nine tomography bases differ only in their last rotations, so they
+share one run of the schedule: `_sample` splits them into the fewest
+groups of about `MAX_BATCH_COLUMNS` columns (all nine at 1,024 shots, five
+and four at 2,048), and each group runs as one batch whose column slab b
+belongs to the group's basis b. Every basis keeps its own child stream of
+the run's generator (`BasisStreams`): a draw for the whole batch joins
+one draw per basis, in the order and size a batch of that basis alone
+would make, so the counts do not depend on how the bases are grouped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from math import sqrt
+from math import ceil, sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .channels import NoiseModel, decay_probabilities
 from .simulator import GATE_MATRICES, Gate
-from .tomography import BASIS_PAIRS, tomography_rotations
+from .tomography import BASIS_PAIRS, PAULI_AXES, rotation_gates
 
 MODES = ("dynamic", "postselect", "swap")
 
 #: Longest path the sampler accepts: outcome keys are int64 with one bit per
 #: path position.
 MAX_PATH_QUBITS = 62
+
+#: Column budget of one sampled batch: `_sample` runs the nine bases in
+#: ceil(9 * shots / MAX_BATCH_COLUMNS) groups of as near equal size as can be.
+MAX_BATCH_COLUMNS = 9 * 1024
 
 
 @dataclass(frozen=True)
@@ -123,6 +136,41 @@ _PAULI_FLIPS = np.array([False, True, True, False])
 _PAULI_PHASES = np.array([[1, 1, -1j, 1], [1, 1, 1j, -1]], dtype=complex)
 
 
+class BasisStreams:
+    """Random draws for a batch whose column slab b belongs to stream b.
+
+    `random` and `integers` take the `np.random.Generator` arguments that
+    `ShotBatch` passes. A draw of ``size`` numbers joins one draw of
+    ``shots`` numbers from each stream, in slab order, so slab b gets
+    exactly the numbers its stream would give a batch of its own.
+    """
+
+    def __init__(self, streams: Sequence[np.random.Generator], shots: int):
+        self.streams = list(streams)
+        self.shots = shots
+
+    def _check(self, size: int):
+        if size != len(self.streams) * self.shots:
+            raise ValueError(f"a draw of {size} numbers does not cover "
+                             f"{len(self.streams)} slabs of {self.shots} shots")
+
+    def random(self, size: int) -> np.ndarray:
+        self._check(size)
+        out = np.empty(size)
+        for stream, slab in zip(self.streams, out.reshape(len(self.streams), self.shots)):
+            stream.random(out=slab)
+        return out
+
+    def integers(self, low: int, high: int, size: int) -> np.ndarray:
+        self._check(size)
+        return np.concatenate([stream.integers(low, high, size=self.shots)
+                               for stream in self.streams])
+
+    def select(self, slabs: slice) -> "BasisStreams":
+        """The streams of the chosen slabs, for a step that acts on those slabs alone."""
+        return BasisStreams(self.streams[slabs], self.shots)
+
+
 class ShotBatch:
     """Vectorized pure-state trajectories over a sliding window of qubits.
 
@@ -139,12 +187,22 @@ class ShotBatch:
     which halves the window. Per-shot Paulis (depolarizing, outcome-
     conditioned corrections, dephasing) go through one sparse kernel,
     `apply_paulis`, that touches only the listed shots.
+
+    A batch may hold several tomography bases side by side, ``slabs`` equal
+    column slabs of ``shots // slabs`` shots, drawing from a `BasisStreams`.
+    `apply_matrix`, `apply_gate` and `depolarize` take a slice of slabs for
+    a step that belongs to some bases only. `apply_matrix` works in place,
+    one (2, slab shots) block per slab and window index, so no product is
+    wider than the shots of one basis, as in a batch of that basis alone.
     """
 
-    def __init__(self, shots: int):
+    def __init__(self, shots: int, slabs: int = 1):
         if shots <= 0:
             raise ValueError("shot budget must be positive")
+        if slabs < 1 or shots % slabs:
+            raise ValueError(f"{shots} shots do not split into {slabs} equal slabs")
         self.shots = shots
+        self.slabs = slabs
         self._amps = np.ones((1, shots), dtype=complex)
         self.axis_of: dict[int, int] = {}
 
@@ -169,13 +227,16 @@ class ShotBatch:
         grown[:self.dim] = self._amps
         self._amps = grown
 
-    def apply_matrix(self, pos: int, matrix: np.ndarray):
+    def apply_matrix(self, pos: int, matrix: np.ndarray, slabs: slice = slice(None)):
+        """The 2x2 matrix on one position of every shot of the chosen slabs, in place."""
         lo = 1 << self.axis_of[pos]
-        view = self._amps.reshape(-1, 2, lo * self.shots)
-        self._amps = (matrix @ view).reshape(self.dim, self.shots)
+        # (high bits, low bits, slab, bit of pos, shot of the slab) view of the chosen slabs
+        view = self._amps.reshape(-1, 2, lo, self.slabs, self.shots // self.slabs)
+        view = view[:, :, :, slabs].transpose(0, 2, 3, 1, 4)
+        np.matmul(matrix, view, out=view)
 
-    def apply_gate(self, pos: int, gate: Gate):
-        self.apply_matrix(pos, GATE_MATRICES[gate])
+    def apply_gate(self, pos: int, gate: Gate, slabs: slice = slice(None)):
+        self.apply_matrix(pos, GATE_MATRICES[gate], slabs)
 
     def apply_cz(self, pos1: int, pos2: int):
         low, high = sorted((self.axis_of[pos1], self.axis_of[pos2]))
@@ -205,22 +266,33 @@ class ShotBatch:
             view[:, 1] *= _PAULI_PHASES[1, letter]
         self._amps[:, shots] = sub
 
-    def depolarize(self, positions: Sequence[int], p: float, rng: np.random.Generator,
-                   active: np.ndarray | None = None):
-        """Uniform non-identity Pauli string on the targets with probability p."""
+    def depolarize(self, positions: Sequence[int], p: float,
+                   rng: np.random.Generator | BasisStreams, active: np.ndarray | None = None,
+                   slabs: slice = slice(None)):
+        """Uniform non-identity Pauli string on the targets with probability p.
+
+        Only the shots of the chosen slabs are drawn for and hit; ``active``
+        masks those shots, in slab order.
+        """
         if p <= 0.0:
             return
-        hit = rng.random(self.shots) < p
+        chosen = np.arange(self.slabs)[slabs]
+        slab_shots = self.shots // self.slabs
+        width = chosen.size * slab_shots
+        hit = rng.random(width) < p
         if active is not None:
             hit &= active
         n_words = 4 ** len(positions)
-        word = rng.integers(1, n_words, size=self.shots)
+        word = rng.integers(1, n_words, size=width)
         idx = np.flatnonzero(hit)
         # letter of positions[j] is bits 2j and 2j + 1 of the word
         letters = (word[idx] >> 2 * np.arange(len(positions))[:, None]) & 3
+        if width < self.shots:
+            # hit index within the chosen slabs -> column of the whole batch
+            idx = chosen[idx // slab_shots] * slab_shots + idx % slab_shots
         self.apply_paulis(positions, idx, letters)
 
-    def measure_z(self, pos: int, rng: np.random.Generator) -> np.ndarray:
+    def measure_z(self, pos: int, rng: np.random.Generator | BasisStreams) -> np.ndarray:
         """Sample a Z measurement, collapse onto it and remove the qubit.
 
         Returns the per-shot bits; the other live qubits keep their positions
@@ -246,7 +318,7 @@ class ShotBatch:
         return bits
 
     def idle_decay(self, pos: int, duration_us: float, t1_us: float, t2_us: float,
-                   rng: np.random.Generator):
+                   rng: np.random.Generator | BasisStreams):
         """Trajectory-sampled amplitude damping plus pure dephasing."""
         gamma, p_z = decay_probabilities(duration_us, t1_us, t2_us)
         if gamma > 0.0:
@@ -265,7 +337,7 @@ class ShotBatch:
             self.apply_paulis([pos], idx, np.full((1, idx.size), 3))
 
     def readout(self, bits: np.ndarray, confusion: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
+                rng: np.random.Generator | BasisStreams) -> np.ndarray:
         """Classical readout flips per the confusion matrix column."""
         p_read1 = np.where(bits == 1, confusion[1, 1], confusion[1, 0])
         return (rng.random(self.shots) < p_read1).astype(np.int8)
@@ -307,13 +379,13 @@ def _count(ints: np.ndarray) -> dict[int, int]:
 
 
 def _gate_with_noise(batch: ShotBatch, pos: int, gate: Gate, noise: NoiseModel,
-                     rng: np.random.Generator):
+                     rng: BasisStreams):
     batch.apply_gate(pos, gate)
     batch.depolarize([pos], noise.one_qubit_depol, rng)
 
 
 def _conditional_pauli(batch: ShotBatch, pos: int, cond: np.ndarray, pauli: int,
-                       noise: NoiseModel, rng: np.random.Generator):
+                       noise: NoiseModel, rng: BasisStreams):
     """Pauli (1: X, 3: Z) and its gate noise on the shots where cond holds."""
     idx = np.flatnonzero(cond)
     batch.apply_paulis([pos], idx, np.full((1, idx.size), pauli))
@@ -321,13 +393,13 @@ def _conditional_pauli(batch: ShotBatch, pos: int, cond: np.ndarray, pauli: int,
 
 
 def _idle(batch: ShotBatch, positions: Sequence[int], duration_us: float, noise: NoiseModel,
-          rng: np.random.Generator):
+          rng: BasisStreams):
     for pos in positions:
         t1, t2 = noise.qubit_t1t2(pos)
         batch.idle_decay(pos, duration_us, t1, t2, rng)
 
 
-def _entangle_pair(batch: ShotBatch, noise: NoiseModel, rng: np.random.Generator):
+def _entangle_pair(batch: ShotBatch, noise: NoiseModel, rng: BasisStreams):
     batch.add_qubit(0)
     batch.add_qubit(1)
     _gate_with_noise(batch, 0, Gate.H, noise, rng)
@@ -336,10 +408,36 @@ def _entangle_pair(batch: ShotBatch, noise: NoiseModel, rng: np.random.Generator
     batch.depolarize([0, 1], noise.edge_depol(0), rng)
 
 
-def _tomography_layer(batch: ShotBatch, basis_pair: tuple[str, str], first: int, last: int,
-                      noise: NoiseModel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    for op in tomography_rotations(basis_pair, (first, last)):
-        _gate_with_noise(batch, op.target, op.kind, noise, rng)
+def _slab_slice(slabs: list[int]) -> slice:
+    """The slice selecting exactly the listed slabs, which must be evenly spaced.
+
+    In `BASIS_PAIRS` order the bases sharing a first-qubit axis are
+    adjacent and those sharing a last-qubit axis are three apart.
+    """
+    step = slabs[1] - slabs[0] if len(slabs) > 1 else 1
+    if slabs != list(range(slabs[0], slabs[-1] + 1, step)):
+        raise ValueError(f"slabs {slabs} are not evenly spaced")
+    return slice(slabs[0], slabs[-1] + 1, step)
+
+
+def _tomography_layer(batch: ShotBatch, bases: Sequence[tuple[str, str]], first: int,
+                      last: int, noise: NoiseModel,
+                      rng: BasisStreams) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each slab into its basis pair, then measure and read out the whole batch.
+
+    The rotation gates of the first qubit come before those of the last,
+    and each gate's noise is drawn from the streams of the slabs it acts
+    on, as a batch of one basis would draw it.
+    """
+    for side, pos in enumerate((first, last)):
+        for axis in PAULI_AXES:
+            members = [b for b, pair in enumerate(bases) if pair[side] == axis]
+            if not members:
+                continue
+            slabs = _slab_slice(members)
+            for gate in rotation_gates(axis):
+                batch.apply_gate(pos, gate, slabs)
+                batch.depolarize([pos], noise.one_qubit_depol, rng.select(slabs), slabs=slabs)
     bits_first = batch.measure_z(first, rng)
     read_first = batch.readout(bits_first, noise.qubit_confusion(first), rng)
     bits_last = batch.measure_z(last, rng)
@@ -347,11 +445,12 @@ def _tomography_layer(batch: ShotBatch, basis_pair: tuple[str, str], first: int,
     return read_first, read_last
 
 
-def _sample_basis(n: int, mode: str, noise: NoiseModel, shots: int,
-                  basis_pair: tuple[str, str], rng: np.random.Generator,
-                  simplified_correction: bool, delay_us: float) -> np.ndarray:
-    """Outcome keys of one tomography basis: prepare, hop, correct or idle, read out."""
-    batch = ShotBatch(shots)
+def _sample_group(n: int, mode: str, noise: NoiseModel, bases: Sequence[tuple[str, str]],
+                  rng: BasisStreams, simplified_correction: bool,
+                  delay_us: float) -> np.ndarray:
+    """Outcome keys of a group of bases, slab by slab: prepare, hop, correct or idle, read out."""
+    batch = ShotBatch(len(bases) * rng.shots, len(bases))
+    shots = batch.shots
     _entangle_pair(batch, noise, rng)
     last = n - 1
     read = {}
@@ -387,7 +486,7 @@ def _sample_basis(n: int, mode: str, noise: NoiseModel, shots: int,
             _conditional_pauli(batch, last, read[i] == 1, 1, noise, rng)
             _gate_with_noise(batch, last, Gate.H, noise, rng)
 
-    read[0], read[last] = _tomography_layer(batch, basis_pair, 0, last, noise, rng)
+    read[0], read[last] = _tomography_layer(batch, bases, 0, last, noise, rng)
     keys = np.zeros(shots, dtype=np.int64)
     for pos, bits in read.items():
         keys |= bits.astype(np.int64) << pos
@@ -396,17 +495,22 @@ def _sample_basis(n: int, mode: str, noise: NoiseModel, shots: int,
 
 def _sample(path: PathSpec, mode: str, noise: NoiseModel, shots: int, rng: np.random.Generator,
             simplified_correction: bool = False, delay_us: float = 0.0) -> TransportResult:
-    """Run every tomography basis on its own child stream and count the outcome keys."""
+    """Run the tomography bases in groups, each basis on its own child stream, and count keys."""
     if shots <= 0:
         raise ValueError("shot budget must be positive")
     if path.n > MAX_PATH_QUBITS:
         raise ValueError(f"path of {path.n} qubits exceeds the {MAX_PATH_QUBITS}-qubit "
                          "limit of 64-bit outcome keys")
     result = TransportResult(mode, path, shots)
-    for pair, basis_rng in zip(BASIS_PAIRS, rng.spawn(len(BASIS_PAIRS))):
-        keys = _sample_basis(path.n, mode, noise, shots, pair, basis_rng,
+    streams = rng.spawn(len(BASIS_PAIRS))
+    n_groups = min(len(BASIS_PAIRS), ceil(len(BASIS_PAIRS) * shots / MAX_BATCH_COLUMNS))
+    for group in np.array_split(np.arange(len(BASIS_PAIRS)), n_groups):
+        bases = [BASIS_PAIRS[b] for b in group]
+        keys = _sample_group(path.n, mode, noise, bases,
+                             BasisStreams([streams[b] for b in group], shots),
                              simplified_correction, delay_us)
-        result.counts_by_basis[pair] = _count(keys)
+        for pair, slab in zip(bases, keys.reshape(len(bases), shots)):
+            result.counts_by_basis[pair] = _count(slab)
     return result
 
 

@@ -2,13 +2,11 @@
 
 `GATE_MATRICES` holds the 2x2 matrix of every `Gate`, all of them
 single-qubit, in the basis (|0>, |1>); `PAULI_MATRICES` maps I, X, Y and Z
-to theirs. `GateOp` binds a gate to its target qubit, as
-`tomography.tomography_rotations` lists the basis rotations. The engine
-applies its two-qubit gates with `ShotBatch.apply_cz` and `apply_cnot`.
+to theirs. The engine applies its two-qubit gates with `ShotBatch.apply_cz`
+and `apply_cnot`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
 
@@ -41,12 +39,3 @@ PAULI_MATRICES = {
     "Y": GATE_MATRICES[Gate.Y],
     "Z": GATE_MATRICES[Gate.Z],
 }
-
-
-@dataclass(frozen=True)
-class GateOp:
-    """A named gate bound to its target qubit."""
-
-    kind: Gate
-    target: int
-

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from .metrics import nearest_physical
-from .simulator import Gate, GateOp, PAULI_MATRICES
+from .simulator import Gate, PAULI_MATRICES
 
 PAULI_AXES = ("X", "Y", "Z")
 BASIS_PAIRS: tuple[tuple[str, str], ...] = tuple(itertools.product(PAULI_AXES, PAULI_AXES))
@@ -26,12 +26,6 @@ def rotation_gates(axis: str) -> tuple[Gate, ...]:
         return _ROTATIONS[axis.upper()]
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis}") from None
-
-
-def tomography_rotations(basis_pair: tuple[str, str], qubits: tuple[int, int]) -> list[GateOp]:
-    """Gates mapping the requested Pauli eigenbases onto Z before measurement."""
-    return [GateOp(g, qubit) for axis, qubit in zip(basis_pair, qubits)
-            for g in rotation_gates(axis)]
 
 
 _SIGN_FIRST = np.array([1.0, -1.0, 1.0, -1.0])

@@ -19,10 +19,24 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from teleport_lab.protocols import phi_p2, reachable_configurations
-from teleport_lab.simulator import GATE_MATRICES, Gate, GateOp
-from teleport_lab.tomography import BASIS_PAIRS
+from teleport_lab.simulator import GATE_MATRICES, Gate
+from teleport_lab.tomography import BASIS_PAIRS, rotation_gates
 
 MAX_QUBITS = 24
+
+
+@dataclass(frozen=True)
+class GateOp:
+    """A one-qubit gate bound to its target qubit."""
+
+    kind: Gate
+    target: int
+
+
+def tomography_rotations(basis_pair: tuple[str, str], qubits: tuple[int, int]) -> list[GateOp]:
+    """Gates mapping the requested Pauli eigenbases onto Z before measurement."""
+    return [GateOp(g, qubit) for axis, qubit in zip(basis_pair, qubits)
+            for g in rotation_gates(axis)]
 
 
 class TwoQubitGate(Enum):

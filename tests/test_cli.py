@@ -38,6 +38,19 @@ def test_parse_delays_rejects_non_positive_step(tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists()
 
 
+def test_decay_rejects_empty_delay_range(tmp_path, capsys):
+    # a range with HI below LO used to write a header-only CSV and exit 0
+    for text in ("0:-1:1", "5:4.5:0.25"):
+        for shots in ("0", "64"):
+            assert main(["decay", "--delays", text, "--shots", shots,
+                         "--out", str(tmp_path / "d.csv")]) == 2
+            assert capsys.readouterr().err == f"error: delay range {text!r} holds no delay\n"
+    assert not (tmp_path / "d.csv").exists()
+    # a one-point range still runs
+    assert main(["decay", "--delays", "1:1:0.5", "--out", str(tmp_path / "d.csv")]) == 0
+    assert len((tmp_path / "d.csv").read_text().splitlines()) == 3
+
+
 # --- full pipeline ----------------------------------------------------------------
 
 
@@ -226,10 +239,10 @@ def test_run_exits_1_when_cells_fail(workdir, capsys, monkeypatch):
 
     real = harness._cell_rows
 
-    def flaky(dev, spec, cell):
+    def flaky(noise, spec, cell):
         if cell.mode == "swap":
             raise RuntimeError("boom")
-        return real(dev, spec, cell)
+        return real(noise, spec, cell)
 
     monkeypatch.setattr(harness, "_cell_rows", flaky)
     dev = workdir / "dev.json"

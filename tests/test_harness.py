@@ -1,5 +1,6 @@
 """Sweep orchestration, mitigation pipelines, CSV and decay experiment."""
 import json
+import os
 
 import numpy as np
 import pytest
@@ -390,10 +391,10 @@ def test_failed_cells_are_skipped(monkeypatch, caplog):
 
     real = harness._cell_rows
 
-    def flaky(dev, sp, cell):
+    def flaky(noise, sp, cell):
         if cell.mode == "swap":
             raise RuntimeError("boom")
-        return real(dev, sp, cell)
+        return real(noise, sp, cell)
 
     monkeypatch.setattr(harness, "_cell_rows", flaky)
     runs = []
@@ -422,8 +423,8 @@ def test_failure_in_stacked_scoring_fails_only_its_cell(monkeypatch, caplog):
     bad = plan_cells(device, spec)[2]
     real = harness._cell_rows
 
-    def unphysical(dev, sp, cell):
-        out = real(dev, sp, cell)
+    def unphysical(noise, sp, cell):
+        out = real(noise, sp, cell)
         if cell == bad:
             out.probs[-1, 1] = np.nan  # one basis of the cell's last row
         return out
@@ -441,6 +442,35 @@ def test_failure_in_stacked_scoring_fails_only_its_cell(monkeypatch, caplog):
         assert "_score_rows" in failures[0]  # failed in the stacked stage, not in the cell
         assert rows == [row for row in clean if row.seed != bad.seed]
     assert runs[0] == runs[1]
+
+
+def test_each_path_noise_model_is_built_once_in_the_main_process(monkeypatch):
+    # every cell of a path runs on the one model the pre-flight check built;
+    # a pool worker that built its own would fail its cells here
+    device = small_device()
+    spec = ExperimentSpec(hops=(1, 2), protocols=("neg",), modes=("swap", "postselect"),
+                          paths_per_hop=2, trials=2, shots=64, qrem="off", seed=4)
+    paths = {cell.path_labels for cell in plan_cells(device, spec)}
+    main_pid = os.getpid()
+    real = harness.path_noise_model
+    built = []
+
+    def counted(dev, path, overrides=None):
+        if os.getpid() != main_pid:
+            raise RuntimeError("noise model built in a worker")
+        built.append(path.qubit_labels)
+        return real(dev, path, overrides)
+
+    monkeypatch.setattr(harness, "path_noise_model", counted)
+    csvs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        built.clear()
+        rows = run_experiment(device, spec)
+        assert (rows.failed, rows.planned) == (0, 16)
+        assert sorted(built) == sorted(paths)
+        csvs.append(rows_to_csv(rows))
+    assert csvs[0] == csvs[1]
 
 
 def test_parallel_run_matches_serial(monkeypatch):
@@ -536,6 +566,13 @@ def test_exact_decay_monotone_and_window():
     assert np.all(diffs <= 1e-12)
     assert result.crossing_window_us is not None
     assert 1.5 <= result.crossing_window_us <= 2.5
+
+
+def test_decay_rejects_empty_delay_list():
+    noise = NoiseModel(readout=[confusion_matrix(0.01, 0.02)] * 2)
+    for shots in (0, 64):
+        with pytest.raises(ValueError, match="at least one delay"):
+            run_decay_experiment([], noise, shots=shots)
 
 
 def test_sampled_decay_tracks_exact():

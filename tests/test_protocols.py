@@ -9,19 +9,20 @@ from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, confusio
                                    decay_probabilities, depolarizing_channel,
                                    exact_pair_distributions, idle_decay_channel)
 from teleport_lab.metrics import density_from_state, fidelity, negativity
-from teleport_lab.protocols import (MAX_PATH_QUBITS, PathSpec, ShotBatch, canonical_state,
-                                    configuration_unitary, phi_p2, reachable_configurations,
-                                    run_idle_pair, run_swap_transport, run_teleportation)
-from teleport_lab.simulator import PAULI_MATRICES, Gate, GateOp
-from teleport_lab.tomography import BASIS_PAIRS, reconstruct, tomography_rotations
+from teleport_lab.protocols import (MAX_PATH_QUBITS, BasisStreams, PathSpec,
+                                    ShotBatch, canonical_state, configuration_unitary, phi_p2,
+                                    reachable_configurations, run_idle_pair, run_swap_transport,
+                                    run_teleportation)
+from teleport_lab.simulator import PAULI_MATRICES, Gate
+from teleport_lab.tomography import BASIS_PAIRS, reconstruct
 
 from conftest import random_state, trace_distance
-from dense_oracle import (PureState, analytic_swap, analytic_teleportation, apply_gate,
-                          apply_gates, born_probabilities, byproduct_sequence, categorize,
-                          correction_sequence, discriminator, frequencies, index_of_bits, op,
-                          postselect,
-                          prepare_path_graph_state, remove_qubit, representative_outcomes,
-                          sequence_unitary, states_equal, teleport_pure)
+from dense_oracle import (GateOp, PureState, analytic_swap, analytic_teleportation,
+                          apply_gate, apply_gates, born_probabilities, byproduct_sequence,
+                          categorize, correction_sequence, discriminator, frequencies,
+                          index_of_bits, op, postselect, prepare_path_graph_state,
+                          remove_qubit, representative_outcomes, sequence_unitary,
+                          states_equal, teleport_pure, tomography_rotations)
 
 NOISELESS = NoiseModel(dynamic_correction_latency_us=0.0)
 
@@ -313,6 +314,80 @@ def test_batch_per_shot_paulis_match_dense_operators():
             _assert_shots_equal(batch, want)
 
 
+def _random_slabs(rng: np.random.Generator, slabs: int, slab_shots: int) -> ShotBatch:
+    batch = ShotBatch(slabs * slab_shots, slabs)
+    for pos in WINDOW_POSITIONS:
+        batch.add_qubit(pos)
+    batch.amps[:] = rng.normal(size=batch.amps.shape) + 1j * rng.normal(size=batch.amps.shape)
+    return batch
+
+
+def _slab_copy(batch: ShotBatch, slab: int) -> ShotBatch:
+    """One slab of a batch as a batch of its own."""
+    width = batch.shots // batch.slabs
+    alone = ShotBatch(width)
+    for pos in WINDOW_POSITIONS:
+        alone.add_qubit(pos)
+    alone.amps[:] = batch.amps[slab * width:(slab + 1) * width]
+    return alone
+
+
+def test_wide_batch_gates_equal_per_slab_batches_bit_for_bit():
+    # nine slabs of 1,024 shots, 9,216 columns in all, the widest group
+    rng = np.random.default_rng(75)
+    for pos in WINDOW_POSITIONS:
+        for gate in (Gate.H, Gate.SDG, Gate.X):
+            wide = _random_slabs(rng, 9, 1024)
+            alone = [_slab_copy(wide, b) for b in range(9)]
+            wide.apply_gate(pos, gate)
+            for b, one in enumerate(alone):
+                one.apply_gate(pos, gate)
+                assert np.array_equal(wide.amps[b * 1024:(b + 1) * 1024], one.amps)
+
+
+def test_slab_gates_and_noise_leave_other_slabs_untouched():
+    # a step on some slabs equals the same step on each chosen slab alone,
+    # drawing from that slab's own stream, and leaves every other column as it was
+    rng = np.random.default_rng(78)
+    slabs, width = 5, 300
+    for pos in WINDOW_POSITIONS:
+        for chosen in (slice(1, 2), slice(0, 5, 3), slice(2, 5), slice(None)):
+            wide = _random_slabs(rng, slabs, width)
+            before = wide.amps.copy()
+            picked = range(slabs)[chosen]
+            alone = {b: _slab_copy(wide, b) for b in picked}
+            seeds = np.random.SeedSequence(int(rng.integers(1 << 30))).spawn(slabs)
+            streams = BasisStreams([np.random.default_rng(q) for q in seeds], width)
+            wide.apply_gate(pos, Gate.SDG, chosen)
+            wide.apply_gate(pos, Gate.H, chosen)
+            wide.depolarize([pos], 0.5, streams.select(chosen), slabs=chosen)
+            for b in range(slabs):
+                cols = slice(b * width, (b + 1) * width)
+                if b in alone:
+                    one = alone[b]
+                    one.apply_gate(pos, Gate.SDG)
+                    one.apply_gate(pos, Gate.H)
+                    one.depolarize([pos], 0.5, np.random.default_rng(seeds[b]))
+                    assert np.array_equal(wide.amps[cols], one.amps)
+                    assert not np.array_equal(wide.amps[cols], before[cols])
+                else:
+                    assert np.array_equal(wide.amps[cols], before[cols])
+
+
+def test_basis_streams_join_one_draw_per_stream():
+    seeds = np.random.SeedSequence(5).spawn(3)
+    streams = BasisStreams([np.random.default_rng(q) for q in seeds], 4)
+    joined = np.concatenate([streams.random(12), streams.integers(1, 16, 12)])
+    alone = [np.random.default_rng(q) for q in seeds]
+    want = np.concatenate([np.concatenate([g.random(4) for g in alone]),
+                           np.concatenate([g.integers(1, 16, size=4) for g in alone])])
+    assert np.array_equal(joined, want)
+    with pytest.raises(ValueError, match="does not cover"):
+        streams.random(8)
+    with pytest.raises(ValueError, match="equal slabs"):
+        ShotBatch(10, 3)
+
+
 def test_batch_drop_qubit_matches_dense_removal():
     # the fused measurement leaves each shot equal to the dense collapse onto
     # that shot's bit followed by removal of the measured qubit
@@ -571,24 +646,52 @@ COUNT_DIGESTS = {
 }
 
 
-def _sampled_for_digest(case: str, size: int):
+# Digests at shot counts that split the nine bases into a group of five and
+# one of four, recorded with one batch per basis before the bases were
+# sampled in groups.
+MULTI_GROUP_DIGESTS = {
+    ("dynamic", 1500): "3bfa9e2d8d227d3f856440fba408828bb6b21c5d7850238da159ae600c6e4475",
+    ("dynamic", 2048): "688eaeaf0fafbf4deda2697c1bec82176455e5fd1a52e4bbb0bcc05429bd977f",
+    ("dynamic-simplified", 1500):
+        "f793ee648c47dee289b8c678d12f0442f7226e5b57a940f68a82d342294d95ed",
+    ("dynamic-simplified", 2048):
+        "2808fe3ee1d107d954012a468fc71690ea685a2ae7b5d7dc2df115ed6d3a52ea",
+    ("idle", 1500): "ff08d8dc7d5b4678c2d34dc4325c3c046eccc6d27dce2bf5075e9077552a593c",
+    ("idle", 2048): "603493c6cbb2e2490f919f0b2071cd441476e8f017ebec14cec09d59f38f0309",
+    ("postselect", 1500): "81953015fc146e97d65daa22e97b0d4444fd49168e13414c5714bc690426ec94",
+    ("postselect", 2048): "d1e7c17fe148da137bd2388cc075b8f75a490e45a710f079fc101af205dfe6c2",
+    ("swap", 1500): "ad3c4b35ef39f900bc23c3f46a08409cd84bee0c703c96722d66084bc1471d1d",
+    ("swap", 2048): "0bccf20ebd88dd701172a248db00e552df1eaaf77f0fd1df3c1b5d983387edf6",
+}
+
+
+def _sampled_for_digest(case: str, size: int, shots: int):
     rng = np.random.default_rng(1000 + size)
     if case == "idle":
-        return run_idle_pair(float(size), DIGEST_NOISE, 300, rng)
+        return run_idle_pair(float(size), DIGEST_NOISE, shots, rng)
     if case == "swap":
-        return run_swap_transport(size, DIGEST_NOISE, 300, rng)
+        return run_swap_transport(size, DIGEST_NOISE, shots, rng)
     mode, _, simplified = case.partition("-")
-    return run_teleportation(size, mode, DIGEST_NOISE, 300, rng,
+    return run_teleportation(size, mode, DIGEST_NOISE, shots, rng,
                              simplified_correction=bool(simplified))
+
+
+def _counts_digest(case: str, shots: int) -> str:
+    # n = 3 and 7 for the transport modes, delays of 3 and 7 us for the idle pair
+    results = [_sampled_for_digest(case, size, shots) for size in (3, 7)]
+    counts = [sorted((pair, sorted(c.items())) for pair, c in r.counts_by_basis.items())
+              for r in results]
+    return hashlib.sha256(repr(counts).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(COUNT_DIGESTS))
 def test_sampled_counts_match_recorded_digest(case):
-    # n = 3 and 7 for the transport modes, delays of 3 and 7 us for the idle pair
-    results = [_sampled_for_digest(case, size) for size in (3, 7)]
-    counts = [sorted((pair, sorted(c.items())) for pair, c in r.counts_by_basis.items())
-              for r in results]
-    assert hashlib.sha256(repr(counts).encode()).hexdigest() == COUNT_DIGESTS[case]
+    assert _counts_digest(case, 300) == COUNT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case, shots", sorted(MULTI_GROUP_DIGESTS))
+def test_multi_group_counts_match_recorded_digest(case, shots):
+    assert _counts_digest(case, shots) == MULTI_GROUP_DIGESTS[(case, shots)]
 
 
 # --- interfaces -------------------------------------------------------------------

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teleport_lab.simulator import Gate, GateOp
+from teleport_lab.simulator import Gate
 
 from conftest import random_state, shot_batch
-from dense_oracle import (PureState, TwoQubitGate, TwoQubitOp, add_qubit, apply_gate,
+from dense_oracle import (GateOp, PureState, TwoQubitGate, TwoQubitOp, add_qubit, apply_gate,
                           apply_gates, bits_of_index, born_probabilities, index_of_bits, op,
                           postselect, remove_qubit, states_equal)
 

@@ -5,11 +5,10 @@ import pytest
 from teleport_lab.metrics import fidelity
 from teleport_lab.protocols import PathSpec, TransportResult
 from teleport_lab.simulator import Gate
-from teleport_lab.tomography import (BASIS_PAIRS, pauli_expectations, reconstruct,
-                                     rotation_gates, tomography_rotations)
+from teleport_lab.tomography import BASIS_PAIRS, pauli_expectations, reconstruct, rotation_gates
 
 from conftest import random_density_matrix, trace_distance
-from dense_oracle import PureState, apply_gates, born_probabilities
+from dense_oracle import PureState, apply_gates, born_probabilities, tomography_rotations
 
 BELL = PureState(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
