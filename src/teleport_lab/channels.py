@@ -41,7 +41,7 @@ def check_confusion_matrix(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != (2, 2):
         raise ValueError("confusion matrix must be 2x2")
-    if np.any(a < -1e-12) or np.any(a > 1 + 1e-12):
+    if not np.all((a >= -1e-12) & (a <= 1 + 1e-12)):  # NaN fails both comparisons
         raise ValueError("confusion matrix entries must be probabilities")
     if np.max(np.abs(a.sum(axis=0) - 1.0)) > 1e-12:
         raise ValueError("confusion matrix columns must sum to 1")
@@ -72,22 +72,27 @@ class NoiseModel:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name}={p} outside [0, 1]")
+        # written as `not t >= 0` so that NaN, for which every comparison is False, fails
         for name in ("t1_us", "t2_us", "dynamic_correction_latency_us"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         for p in self.two_qubit_depol_per_edge or ():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"two_qubit_depol_per_edge value {p} outside [0, 1]")
         for name in ("t1_per_qubit_us", "t2_per_qubit_us"):
-            if any(t < 0 for t in getattr(self, name) or ()):
-                raise ValueError(f"{name} values must be non-negative")
+            bad = [t for t in getattr(self, name) or () if not t >= 0]
+            if bad:
+                raise ValueError(f"{name} values must be non-negative, got {bad[0]}")
         if self.t2_us > 2.0 * self.t1_us + 1e-12:
             raise ValueError(f"t2 ({self.t2_us}) must not exceed 2*t1 ({2 * self.t1_us})")
         if self.t1_per_qubit_us is not None and self.t2_per_qubit_us is not None:
             for t1, t2 in zip(self.t1_per_qubit_us, self.t2_per_qubit_us):
                 if t2 > 2.0 * t1 + 1e-12:
                     raise ValueError(f"per-qubit t2 ({t2}) exceeds 2*t1 ({2 * t1})")
-        self.readout = [check_confusion_matrix(a) for a in self.readout]
+        try:
+            self.readout = [check_confusion_matrix(a) for a in self.readout]
+        except ValueError as exc:
+            raise ValueError(f"readout: {exc}") from None
 
     def edge_depol(self, edge_index: int) -> float:
         if self.two_qubit_depol_per_edge is not None:

@@ -184,9 +184,12 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     observed keys of all nine bases go, as one batch, through the per-qubit
     inverse confusion matrices (identities without QREM) straight into the
     16 (Z parity, X parity, t0, t1) bins, in O(distinct outcomes x n) time
-    and memory. A key's bin vector is the outer product of inv_0[:, x_0],
-    inv_{n-1}[:, x_{n-1}] and (prod s+ +- prod s-) / 2 over the odd and over
-    the even intermediate positions, with s+- = inv_i[0, x_i] +- inv_i[1, x_i].
+    and O(distinct outcomes) memory. A key's bin vector is the outer product
+    of inv_0[:, x_0], inv_{n-1}[:, x_{n-1}] and (prod s+ +- prod s-) / 2 over
+    the odd and over the even intermediate positions, with s+- = inv_i[0, x_i]
+    +- inv_i[1, x_i]. The products run over the positions in order and each
+    bin is summed per basis by one `np.bincount`, so only arrays of one entry
+    per key are built.
     Each configuration's conditional vector per basis is then projected onto
     the simplex, which keeps shot-starved bins at long path lengths from
     being clipped away as a projection of the sparse joint would.
@@ -202,17 +205,23 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     keys = np.array([key for c in counts for key in c], dtype=np.int64)
     freqs = np.array([w for c in counts for w in c.values()], dtype=float) / result.shots_per_basis
     basis = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
-    bits = (keys >> np.arange(n)[:, None]) & 1  # one row per path position
-    slot = bits + np.arange(0, 2 * n, 2)[:, None]  # (position, bit) in a flat (n, 2) table
-    s_plus = (inverses[:, 0] + inverses[:, 1]).reshape(-1)[slot]
-    s_minus = (inverses[:, 0] - inverses[:, 1]).reshape(-1)[slot]
-    z, x = (np.stack([s_plus[rows].prod(axis=0) + sign * s_minus[rows].prod(axis=0)
-                      for sign in (1, -1)]) / 2 for rows in (slice(1, -1, 2), slice(2, -1, 2)))
-    # bin z | x << 1 | t0 << 2 | t1 << 3 of each key, laid out as (t1, t0, x, z)
-    pair = freqs * inverses[-1][:, bits[-1]][:, None] * inverses[0][:, bits[0]]
-    vecs = pair.reshape(4, 1, -1) * (x[:, None] * z).reshape(1, 4, -1)
-    bin_index = np.arange(16)[:, None] * len(counts) + basis
-    by_basis = np.bincount(bin_index.ravel(), vecs.ravel(), 16 * len(counts)).reshape(16, -1).T
+    s_plus, s_minus = inverses[:, 0] + inverses[:, 1], inverses[:, 0] - inverses[:, 1]
+    parities = []  # (parity 0, parity 1) factors of the odd and of the even positions
+    for positions in (range(1, n - 1, 2), range(2, n - 1, 2)):
+        plus, minus = np.ones(keys.size), np.ones(keys.size)
+        for pos in positions:
+            bit = (keys >> pos) & 1
+            plus *= s_plus[pos][bit]
+            minus *= s_minus[pos][bit]
+        parities.append(((plus + minus) / 2, (plus - minus) / 2))
+    z, x = parities
+    first, last = keys & 1, (keys >> (n - 1)) & 1
+    by_basis = np.empty((len(counts), 16))
+    for t in range(4):  # bin z | x << 1 | t0 << 2 | t1 << 3, with t = t0 | t1 << 1
+        pair = freqs * inverses[-1][t >> 1, last] * inverses[0][t & 1, first]
+        for xz in range(4):
+            by_basis[:, 4 * t + xz] = np.bincount(basis, pair * (x[xz >> 1] * z[xz & 1]),
+                                                  len(counts))
 
     configs = protocols.reachable_configurations(result.path.hops)
     # (basis, configuration, t) bins of each configuration's four pair outcomes

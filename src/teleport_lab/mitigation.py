@@ -29,9 +29,14 @@ def confusion_inverse(a: np.ndarray, qubit: int) -> np.ndarray:
 def qrem_correct(p_meas: np.ndarray, confusion: Sequence[np.ndarray]) -> np.ndarray:
     """Invert per-qubit readout confusion, one tensor axis at a time.
 
+    Corrects one outcome vector or each row of a stack of them. Each matrix
+    is checked and inverted once per call, however many rows there are.
     The result keeps unit sum but may contain negative entries.
     """
-    return per_qubit_transform(p_meas, [confusion_inverse(a, i) for i, a in enumerate(confusion)])
+    inverses = [confusion_inverse(a, i) for i, a in enumerate(confusion)]
+    p_meas = np.atleast_1d(np.asarray(p_meas, dtype=float))
+    rows = p_meas.reshape(-1, p_meas.shape[-1])
+    return np.array([per_qubit_transform(vec, inverses) for vec in rows]).reshape(p_meas.shape)
 
 
 def mitigate_distributions(probs: np.ndarray, qrem: bool,
@@ -40,8 +45,7 @@ def mitigate_distributions(probs: np.ndarray, qrem: bool,
 
     The projections of all bases run as one stack.
     """
-    return michelot_project(np.array([qrem_correct(vec, confusion) for vec in probs])
-                            if qrem else probs)
+    return michelot_project(qrem_correct(probs, confusion) if qrem else probs)
 
 
 def michelot_project(v: np.ndarray) -> np.ndarray:
@@ -85,10 +89,9 @@ def estimate_confusion_matrices(true_confusion: Sequence[np.ndarray], shots: int
     if shots <= 0:
         raise ValueError("calibration needs a positive shot count")
     k = len(true_confusion)
-    p_read1_prep0 = np.array([check_confusion_matrix(a)[1, 0] for a in true_confusion])
-    p_read1_prep1 = np.array([check_confusion_matrix(a)[1, 1] for a in true_confusion])
-    flips0 = (rng.random((shots, k)) < p_read1_prep0).sum(axis=0)
-    flips1 = (rng.random((shots, k)) >= p_read1_prep1).sum(axis=0)
+    p_read1 = np.array([check_confusion_matrix(a)[1] for a in true_confusion])  # (k, prepared)
+    flips0 = (rng.random((shots, k)) < p_read1[:, 0]).sum(axis=0)
+    flips1 = (rng.random((shots, k)) >= p_read1[:, 1]).sum(axis=0)
     out = []
     for q in range(k):
         e01 = flips0[q] / shots

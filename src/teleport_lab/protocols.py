@@ -52,6 +52,11 @@ MODES = ("dynamic", "postselect", "swap")
 #: path position.
 MAX_PATH_QUBITS = 62
 
+#: Buffers of released `ShotBatch`es, taken by the next batch of this process.
+#: A batch overwrites whatever a buffer held before it reads it, so what an
+#: earlier batch left behind never reaches a result.
+_FREE_BUFFERS: list[list[np.ndarray]] = []
+
 #: Column budget of one sampled batch: `_sample` runs the nine bases in
 #: ceil(9 * shots / MAX_BATCH_COLUMNS) groups of as near equal size as can be.
 MAX_BATCH_COLUMNS = 9 * 1024
@@ -180,7 +185,8 @@ class ShotBatch:
     basis state i in one contiguous run, so each gate, measurement and
     noise step acts on whole contiguous slabs of shots. ``amps`` is the
     per-shot ``(shots, dim)`` view of that storage (row s is the window
-    statevector of shot s); writes through it change the batch.
+    statevector of shot s); writes through it change the batch, and one
+    taken before a step may no longer be the batch's storage after it.
 
     Measurement removes the measured qubit: `measure_z` samples the bits,
     keeps each shot's half of the window for its bit and renormalizes it,
@@ -191,9 +197,16 @@ class ShotBatch:
     A batch may hold several tomography bases side by side, ``slabs`` equal
     column slabs of ``shots // slabs`` shots, drawing from a `BasisStreams`.
     `apply_matrix`, `apply_gate` and `depolarize` take a slice of slabs for
-    a step that belongs to some bases only. `apply_matrix` works in place,
-    one (2, slab shots) block per slab and window index, so no product is
-    wider than the shots of one basis, as in a batch of that basis alone.
+    a step that belongs to some bases only. `apply_matrix` multiplies one
+    (2, slab shots) block per slab and window index, so no product is wider
+    than the shots of one basis, as in a batch of that basis alone.
+
+    The storage lives in kept flat buffers: the live amplitudes, a spare
+    complex buffer that steps write their result into before the two swap,
+    and a real scratch buffer for probabilities. `release` hands them to a
+    per-process free list that the next batch takes them from, so a run
+    reuses memory that earlier runs already faulted in; a batch that is
+    never released simply lets them go.
     """
 
     def __init__(self, shots: int, slabs: int = 1):
@@ -203,8 +216,36 @@ class ShotBatch:
             raise ValueError(f"{shots} shots do not split into {slabs} equal slabs")
         self.shots = shots
         self.slabs = slabs
-        self._amps = np.ones((1, shots), dtype=complex)
+        try:
+            self._buffers = _FREE_BUFFERS.pop()
+        except IndexError:
+            self._buffers = [np.empty(0, complex), np.empty(0, complex), np.empty(0)]
+        self._amps = self._buffer(0, 1)
+        self._amps[:] = 1.0
         self.axis_of: dict[int, int] = {}
+
+    def _buffer(self, i: int, rows: int) -> np.ndarray:
+        """(rows, shots) view of the start of buffer i (0 live, 1 spare, 2 scratch).
+
+        A buffer that is too small is replaced by a larger copy of itself.
+        """
+        size = rows * self.shots
+        buf = self._buffers[i]
+        if buf.size < size:
+            grown = np.empty(size, buf.dtype)
+            grown[:buf.size] = buf
+            self._buffers[i] = buf = grown
+        return buf[:size].reshape(rows, self.shots)
+
+    def _swap(self, amps: np.ndarray):
+        """Make the spare buffer, which holds ``amps``, the live one."""
+        self._buffers[0], self._buffers[1] = self._buffers[1], self._buffers[0]
+        self._amps = amps.reshape(-1, self.shots)
+
+    def release(self):
+        """Hand the buffers to the next batch of this process; the batch is unusable after."""
+        _FREE_BUFFERS.append(self._buffers)
+        self._buffers = self._amps = None
 
     @property
     def amps(self) -> np.ndarray:
@@ -223,17 +264,27 @@ class ShotBatch:
         if pos in self.axis_of:
             raise ValueError(f"position {pos} already live")
         self.axis_of[pos] = len(self.axis_of)
-        grown = np.zeros((self.dim * 2, self.shots), dtype=complex)
-        grown[:self.dim] = self._amps
-        self._amps = grown
+        dim = self.dim
+        # the new qubit is the top bit of the window index: its |1> rows follow the old ones
+        self._amps = self._buffer(0, 2 * dim)
+        self._amps[dim:] = 0.0
 
     def apply_matrix(self, pos: int, matrix: np.ndarray, slabs: slice = slice(None)):
-        """The 2x2 matrix on one position of every shot of the chosen slabs, in place."""
+        """The 2x2 matrix on one position of every shot of the chosen slabs.
+
+        The product goes into the spare buffer, which becomes the live one;
+        a step on some slabs only copies its slabs back instead.
+        """
         lo = 1 << self.axis_of[pos]
-        # (high bits, low bits, slab, bit of pos, shot of the slab) view of the chosen slabs
-        view = self._amps.reshape(-1, 2, lo, self.slabs, self.shots // self.slabs)
-        view = view[:, :, :, slabs].transpose(0, 2, 3, 1, 4)
-        np.matmul(matrix, view, out=view)
+        spare = self._buffer(1, self.dim)
+        # (high bits, low bits, slab, bit of pos, shot of the slab) views of the chosen slabs
+        view, out = (a.reshape(-1, 2, lo, self.slabs, self.shots // self.slabs)[:, :, :, slabs]
+                     .transpose(0, 2, 3, 1, 4) for a in (self._amps, spare))
+        np.matmul(matrix, view, out=out)
+        if range(self.slabs)[slabs] == range(self.slabs):
+            self._swap(spare)
+        else:
+            view[...] = out
 
     def apply_gate(self, pos: int, gate: Gate, slabs: slice = slice(None)):
         self.apply_matrix(pos, GATE_MATRICES[gate], slabs)
@@ -247,7 +298,8 @@ class ShotBatch:
         bc, bt = self.axis_of[control], self.axis_of[target]
         idx = np.arange(self.dim)
         perm = np.where(((idx >> bc) & 1) == 1, idx ^ (1 << bt), idx)
-        self._amps = self._amps[perm]
+        # perm is in range; mode="raise" would gather into a temporary first
+        self._swap(np.take(self._amps, perm, axis=0, out=self._buffer(1, self.dim), mode="clip"))
 
     def apply_paulis(self, positions: Sequence[int], shots: np.ndarray, letters: np.ndarray):
         """Pauli letters[j, k] (0: none, 1: X, 2: Y, 3: Z) on positions[j] of shot shots[k].
@@ -300,17 +352,23 @@ class ShotBatch:
         """
         b = self.axis_of[pos]
         view = self._halves(pos)
-        pr = np.abs(view) ** 2
+        pr = self._buffer(2, self.dim).reshape(view.shape)
+        np.abs(view, out=pr)
+        np.square(pr, out=pr)
         p1 = pr[:, 1].sum(axis=(0, 1))
         bits = (rng.random(self.shots) < p1).astype(np.int8)
         p_keep = np.where(bits == 1, p1, pr[:, 0].sum(axis=(0, 1)))
         if np.any(p_keep < 1e-15):
             raise RuntimeError("measurement probabilities underflow; state is corrupted")
-        kept = np.where(bits == 1, view[:, 1], view[:, 0])
+        # each shot's half for its bit; a masked copy is several times faster
+        # than np.choose(out=) or a masked np.multiply here
+        kept = self._buffer(1, self.dim // 2).reshape(view[:, 0].shape)
+        np.copyto(kept, view[:, 0])
+        np.copyto(kept, view[:, 1], where=bits == 1)
         # numpy divides a complex number by a real one as a product with the
         # reciprocal, so this gives the bits of a division at a quarter of its cost
         kept *= 1.0 / np.sqrt(p_keep)
-        self._amps = kept.reshape(-1, self.shots)
+        self._swap(kept)
         del self.axis_of[pos]
         for p, axis in self.axis_of.items():
             if axis > b:
@@ -324,7 +382,9 @@ class ShotBatch:
         if gamma > 0.0:
             view = self._halves(pos)
             ground, excited = view[:, 0], view[:, 1]
-            p1 = (np.abs(excited) ** 2).sum(axis=(0, 1))
+            pr = self._buffer(2, self.dim // 2).reshape(excited.shape)
+            np.abs(excited, out=pr)
+            p1 = np.square(pr, out=pr).sum(axis=(0, 1))
             jump = np.flatnonzero(rng.random(self.shots) < gamma * p1)
             decayed = excited[..., jump]  # a copy, taken before the scaling below
             excited *= sqrt(1.0 - gamma)
@@ -487,6 +547,7 @@ def _sample_group(n: int, mode: str, noise: NoiseModel, bases: Sequence[tuple[st
             _gate_with_noise(batch, last, Gate.H, noise, rng)
 
     read[0], read[last] = _tomography_layer(batch, bases, 0, last, noise, rng)
+    batch.release()
     keys = np.zeros(shots, dtype=np.int64)
     for pos, bits in read.items():
         keys |= bits.astype(np.int64) << pos

@@ -1,15 +1,20 @@
-"""One-matrix-at-a-time reference of the tomography and metric functions.
+"""Earlier forms of program functions, kept unchanged as bit-for-bit references.
 
 The program's `hermitian_eigensystem`, `project_eigenvalues`,
 `nearest_physical`, `negativity`, `fidelity`, `pauli_expectations`,
 `reconstruct` and `michelot_project` each take a stack of inputs with a leading axis. These
 are their single-input forms, kept unchanged so that the stacked
 functions can be checked against them bit for bit.
+
+`stacked_category_distributions` is the post-selection route before it
+streamed its bins: it builds (positions, keys) and (16, keys) arrays, so
+its memory grows with path length times distinct outcomes.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from teleport_lab import mitigation, protocols, tomography
 from teleport_lab.metrics import check_density_matrix, partial_transpose
 from teleport_lab.simulator import PAULI_MATRICES
 from teleport_lab.tomography import BASIS_PAIRS, PAULI_AXES
@@ -150,3 +155,35 @@ def michelot_project(v: np.ndarray) -> np.ndarray:
         active = keep
         n_active = n_keep
     return np.where(active, np.maximum(v - shift, 0.0), 0.0)
+
+
+def stacked_category_distributions(result, qrem: bool, calibration) -> tuple:
+    n = result.n
+    if qrem and len(calibration) != n:
+        raise ValueError(f"expected {n} confusion matrices, got {len(calibration)}")
+    inverses = (np.stack([mitigation.confusion_inverse(a, i) for i, a in enumerate(calibration)])
+                if qrem else np.broadcast_to(np.eye(2), (n, 2, 2)))
+    counts = [result.counts_by_basis[pair] for pair in tomography.BASIS_PAIRS]
+    keys = np.array([key for c in counts for key in c], dtype=np.int64)
+    freqs = np.array([w for c in counts for w in c.values()], dtype=float) / result.shots_per_basis
+    basis = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
+    bits = (keys >> np.arange(n)[:, None]) & 1  # one row per path position
+    slot = bits + np.arange(0, 2 * n, 2)[:, None]  # (position, bit) in a flat (n, 2) table
+    s_plus = (inverses[:, 0] + inverses[:, 1]).reshape(-1)[slot]
+    s_minus = (inverses[:, 0] - inverses[:, 1]).reshape(-1)[slot]
+    z, x = (np.stack([s_plus[rows].prod(axis=0) + sign * s_minus[rows].prod(axis=0)
+                      for sign in (1, -1)]) / 2 for rows in (slice(1, -1, 2), slice(2, -1, 2)))
+    # bin z | x << 1 | t0 << 2 | t1 << 3 of each key, laid out as (t1, t0, x, z)
+    pair = freqs * inverses[-1][:, bits[-1]][:, None] * inverses[0][:, bits[0]]
+    vecs = pair.reshape(4, 1, -1) * (x[:, None] * z).reshape(1, 4, -1)
+    bin_index = np.arange(16)[:, None] * len(counts) + basis
+    by_basis = np.bincount(bin_index.ravel(), vecs.ravel(), 16 * len(counts)).reshape(16, -1).T
+
+    configs = protocols.reachable_configurations(result.path.hops)
+    vecs = by_basis[:, [[zc | (xc << 1) | (tt << 2) for tt in range(4)] for zc, xc in configs]]
+    weights = vecs.sum(axis=-1)
+    probs = np.full(vecs.shape, 0.25)
+    seen = weights > 1e-12
+    probs[seen] = mitigation.michelot_project(vecs[seen] / weights[seen][:, None])
+    mean_weights = mitigation.michelot_project(np.ascontiguousarray(weights.T).mean(axis=-1))
+    return configs, mean_weights, probs.swapaxes(0, 1)

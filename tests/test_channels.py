@@ -36,6 +36,9 @@ def test_confusion_matrix_validation():
         check_confusion_matrix(np.array([[0.9, 0.3], [0.2, 0.7]]))
     with pytest.raises(ValueError, match="probabilities"):
         check_confusion_matrix(np.array([[1.2, 0.0], [-0.2, 1.0]]))
+    # every comparison with NaN is False, so range checks must be written to fail on it
+    with pytest.raises(ValueError, match="probabilities"):
+        check_confusion_matrix(np.array([[np.nan, 0.0], [1.0, 1.0]]))
 
 
 def test_noise_model_validation():
@@ -44,8 +47,22 @@ def test_noise_model_validation():
     with pytest.raises(ValueError, match="outside"):
         NoiseModel(one_qubit_depol=1.5)
     model = NoiseModel(two_qubit_depol=0.01, two_qubit_depol_per_edge=[0.1, 0.2])
+    assert NoiseModel(t1_us=np.inf, t2_us=25.0).qubit_t1t2(0) == (np.inf, 25.0)
     assert model.edge_depol(1) == 0.2
     assert NoiseModel(two_qubit_depol=0.01).edge_depol(5) == 0.01
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t1_us", NAN), ("t2_us", NAN), ("dynamic_correction_latency_us", NAN),
+    ("t1_per_qubit_us", [30.0, NAN]), ("t2_per_qubit_us", [NAN, 20.0]),
+    ("readout", [np.eye(2), [[1.0, 0.0], [0.0, NAN]]])])
+def test_noise_model_rejects_nan(field, value):
+    # a NaN T1 used to run as gamma = 1 and a NaN latency as no latency
+    with pytest.raises(ValueError, match=field):
+        NoiseModel(**{field: value})
 
 
 # --- depolarizing (trajectory engine) -------------------------------------------

@@ -163,6 +163,32 @@ def test_run_rejects_bad_spec_inputs_with_one_line_error(workdir, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_nan_noise_inputs(tmp_path, capsys):
+    # NaN passes every `<` check: a NaN T1 used to write negativity 0 and exit 0
+    dev = tmp_path / "line6.json"
+    assert main(["gen-device", "--topology", "line:6", "--out", str(dev)]) == 0
+    out = tmp_path / "never_nan.csv"
+    nan, eye = float("nan"), [[1, 0], [0, 1]]
+    for field, value in (("t1_us", nan), ("t2_us", nan), ("dynamic_correction_latency_us", nan),
+                         ("t1_per_qubit_us", [30, nan, 30, 30, 30, 30]),
+                         ("t2_per_qubit_us", [20, 20, 20, 20, 20, nan]),
+                         ("readout", [eye] * 3 + [[[1, 0], [0, nan]]] + [eye] * 2)):
+        overrides = json.dumps({field: value})  # NaN is written as the bare literal NaN
+        assert main(["run", "--device", str(dev), "--hops", "1..4", "--shots", "64",
+                     "--noise-overrides", overrides, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1
+    # a device file reaches the same checks
+    payload = json.loads(dev.read_text())
+    payload["qubits"][2]["t1_us"] = float("nan")
+    nan_dev = tmp_path / "line6_nan.json"
+    nan_dev.write_text(json.dumps(payload))
+    assert main(["run", "--device", str(nan_dev), "--hops", "1", "--shots", "64",
+                 "--out", str(out)]) == 2
+    assert "t1_per_qubit_us" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_empty_sweeps_and_bad_worker_counts(workdir, capsys, monkeypatch):
     # each of these used to write a header-only CSV and exit 0
     dev = workdir / "dev.json"

@@ -1,6 +1,8 @@
 """Sweep orchestration, mitigation pipelines, CSV and decay experiment."""
+import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from teleport_lab.protocols import PathSpec, TransportResult
 from teleport_lab.tomography import BASIS_PAIRS, reconstruct
 
 from dense_oracle import categorize, discriminator, frequencies
+from scalar_reference import stacked_category_distributions
 
 NOISELESS_OVERRIDES = {
     "one_qubit_depol": 0.0,
@@ -346,6 +349,45 @@ def test_category_pipeline_rejects_singular_calibration(rng):
     mitigated_category_distributions(result, False, calibration)
 
 
+def test_streamed_category_route_equals_stacked_reference(rng):
+    # running products in position order and one bincount per bin add every
+    # term in the order of the (16, keys) route, so the bits agree
+    noise = NoiseModel(one_qubit_depol=0.01, two_qubit_depol=0.02,
+                       readout=[confusion_matrix(0.03, 0.05)] * 11)
+    sampled = protocols.run_teleportation(11, "postselect", noise, 1024, rng)
+    results = [random_counts_result(n, shots=3000, distinct=min(1 << n, 300), rng=rng)
+               for n in range(3, 26)] + [sampled]
+    for result in results:
+        calibration = [confusion_matrix(*rng.uniform(0.01, 0.3, size=2))
+                       for _ in range(result.n)]
+        for qrem in (False, True):
+            configs, weights, probs = mitigated_category_distributions(result, qrem, calibration)
+            want_configs, want_weights, want_probs = stacked_category_distributions(
+                result, qrem, calibration)
+            assert configs == want_configs
+            assert np.array_equal(weights, want_weights)
+            assert np.array_equal(probs, want_probs)
+
+
+def test_category_route_memory_does_not_grow_with_path_length(rng):
+    # 18,000 distinct keys: the stacked route peaked at about 19 MB at n = 20
+    # and 41 MB at n = 60, the streamed one at about 2 MB at both
+    peaks = []
+    for n in (20, 60):
+        keys = rng.choice(1 << n, size=(len(BASIS_PAIRS), 2000), replace=False)
+        result = TransportResult("postselect", PathSpec.line(n), 2000,
+                                 {pair: dict.fromkeys(row.tolist(), 1)
+                                  for pair, row in zip(BASIS_PAIRS, keys)})
+        calibration = [confusion_matrix(0.02, 0.03)] * n
+        tracemalloc.start()
+        try:
+            mitigated_category_distributions(result, True, calibration)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1.2 * min(peaks), peaks
+
+
 # --- sweep --------------------------------------------------------------------------
 
 
@@ -481,6 +523,21 @@ def test_parallel_run_matches_serial(monkeypatch):
     monkeypatch.setenv("TELEPORT_LAB_THREADS", "2")
     parallel = rows_to_csv(run_experiment(device, spec))
     assert serial == parallel
+
+
+#: SHA-256 of the CSV text of `test_sweep_csv_matches_recorded_digest`, recorded
+#: before the post-selection bins were streamed and the engine kept its buffers.
+SWEEP_DIGEST = "c8cc5c9afb9bc9f8332ec45f4f0146afbfc8af369a6dca72ebc8b60035c87fa2"
+
+
+def test_sweep_csv_matches_recorded_digest():
+    # every mode with qrem both, up to 17 hops, at 1,024 shots (the nine bases
+    # in one group) and 2,048 (two groups)
+    device = synthesize_device("heavy-hex-127", seed=7)
+    text = "".join(rows_to_csv(run_experiment(device, ExperimentSpec(
+        hops=(1, 9, 17), protocols=("neg",), paths_per_hop=1, trials=1, shots=shots,
+        qrem="both", seed=3))) for shots in (1024, 2048))
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGEST
 
 
 # --- CSV -----------------------------------------------------------------------------

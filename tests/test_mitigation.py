@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teleport_lab.channels import confusion_matrix, readout_channel
+from teleport_lab import mitigation
+from teleport_lab.channels import confusion_matrix, per_qubit_transform, readout_channel
 from teleport_lab.mitigation import (MitigationError, estimate_confusion_matrices,
-                                     michelot_project, qrem_correct)
+                                     michelot_project, mitigate_distributions, qrem_correct)
 
 
 def simplex_sort_oracle(v: np.ndarray) -> np.ndarray:
@@ -141,6 +142,41 @@ def test_qrem_rejects_singular_matrix():
     singular = np.array([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(MitigationError, match="singular"):
         qrem_correct(np.array([0.5, 0.5]), [singular])
+
+
+def test_each_confusion_matrix_is_checked_and_inverted_once_per_call(monkeypatch, rng):
+    # nine basis rows used to check and invert both pair matrices nine times,
+    # and calibration checked each matrix twice
+    mats = [confusion_matrix(0.1, 0.2), confusion_matrix(0.05, 0.15)]
+    probs = rng.dirichlet(np.ones(4), size=9)
+    want = np.array([per_qubit_transform(vec, [np.linalg.inv(a) for a in mats])
+                     for vec in probs])
+    calls = {"check": 0, "inverse": 0}
+    real_check, real_inverse = mitigation.check_confusion_matrix, mitigation.confusion_inverse
+
+    def check(a):
+        calls["check"] += 1
+        return real_check(a)
+
+    def inverse(a, qubit):
+        calls["inverse"] += 1
+        return real_inverse(a, qubit)
+
+    monkeypatch.setattr(mitigation, "check_confusion_matrix", check)
+    monkeypatch.setattr(mitigation, "confusion_inverse", inverse)
+    corrected = qrem_correct(probs, mats)
+    assert calls == {"check": 2, "inverse": 2}
+    assert np.allclose(corrected, want, atol=1e-12)
+    assert np.array_equal(corrected, [qrem_correct(vec, mats) for vec in probs])
+    assert np.array_equal(mitigate_distributions(probs, True, mats), michelot_project(corrected))
+    calls.update(check=0, inverse=0)
+    estimate_confusion_matrices(mats * 3, 100, rng)
+    assert calls == {"check": 6, "inverse": 0}
+    # each check still runs on every matrix
+    with pytest.raises(MitigationError, match="qubit 1 is singular"):
+        mitigate_distributions(probs, True, [mats[0], confusion_matrix(0.5, 0.5)])
+    with pytest.raises(ValueError, match="probabilities"):
+        estimate_confusion_matrices([mats[0], np.array([[1.2, 0.0], [-0.2, 1.0]])], 100, rng)
 
 
 def test_qrem_shape_check():

@@ -1,6 +1,7 @@
 """Transport protocols: identities, categorisation, engines against oracles."""
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, confusion_matrix,
                                    decay_probabilities, depolarizing_channel,
                                    exact_pair_distributions, idle_decay_channel)
+from teleport_lab.harness import path_noise_model
 from teleport_lab.metrics import density_from_state, fidelity, negativity
-from teleport_lab.protocols import (MAX_PATH_QUBITS, BasisStreams, PathSpec,
+from teleport_lab.pathfinder import synthesize_device
+from teleport_lab.protocols import (MAX_PATH_QUBITS, MODES, BasisStreams, PathSpec,
                                     ShotBatch, canonical_state, configuration_unitary, phi_p2,
                                     reachable_configurations, run_idle_pair, run_swap_transport,
                                     run_teleportation)
@@ -386,6 +389,79 @@ def test_basis_streams_join_one_draw_per_stream():
         streams.random(8)
     with pytest.raises(ValueError, match="equal slabs"):
         ShotBatch(10, 3)
+
+
+def _every_step(batch: ShotBatch, rng: np.random.Generator, bits: list):
+    """Each kind of engine step on a two-slab batch, yielding after every one."""
+    for step in (lambda: batch.add_qubit(0), lambda: batch.add_qubit(1),
+                 lambda: batch.apply_gate(0, Gate.H), lambda: batch.apply_cz(0, 1),
+                 lambda: batch.add_qubit(2), lambda: batch.apply_gate(2, Gate.H),
+                 lambda: batch.apply_cnot(1, 2), lambda: batch.depolarize([1, 2], 0.3, rng),
+                 lambda: batch.apply_gate(2, Gate.SDG, slice(1, 2)),
+                 lambda: batch.idle_decay(0, 2.0, 30.0, 25.0, rng),
+                 lambda: bits.append(batch.measure_z(1, rng)),
+                 lambda: batch.apply_paulis([2], np.arange(0, batch.shots, 3),
+                                            np.full((1, batch.shots // 3), 2)),
+                 lambda: bits.append(batch.measure_z(0, rng))):
+        step()
+        yield
+
+
+def test_batches_stepped_in_turn_equal_batches_run_alone():
+    # live batches never share a buffer, and a batch on buffers that an
+    # earlier batch released gives the bits of one on fresh buffers
+    alone = []
+    for seed in (1, 2):
+        batch, bits = ShotBatch(600, 2), []
+        for _ in _every_step(batch, np.random.default_rng(seed), bits):
+            pass
+        alone.append((batch.amps.copy(), bits))
+        batch.release()
+    batches = [ShotBatch(600, 2), ShotBatch(600, 2)]
+    bits = [[], []]
+    steps = [_every_step(b, np.random.default_rng(seed), out)
+             for b, seed, out in zip(batches, (1, 2), bits)]
+    for _ in zip(*steps):
+        assert not any(np.shares_memory(a, b)
+                       for a in batches[0]._buffers for b in batches[1]._buffers)
+    for batch, batch_bits, (amps, want_bits) in zip(batches, bits, alone):
+        assert np.array_equal(batch.amps, amps)
+        assert len(batch_bits) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(batch_bits, want_bits))
+
+
+def test_released_buffers_go_to_the_next_batch():
+    first = ShotBatch(64)
+    first.add_qubit(0)
+    kept = first._buffers
+    first.release()
+    second = ShotBatch(32)
+    assert second._buffers is kept
+    assert np.array_equal(second.amps, np.ones((32, 1)))
+
+
+def test_second_sampled_run_reuses_the_engine_buffers():
+    # the nine bases of 1,024 shots run as one batch of 9,216 columns; once a
+    # first run has sized the buffers, a second allocates none of them again
+    path = PathSpec.line(7)
+    noise = path_noise_model(synthesize_device("line:7", seed=2), path)
+
+    def run(mode: str, seed: int):
+        rng = np.random.default_rng(seed)
+        if mode == "swap":
+            return run_swap_transport(path, noise, 1024, rng)
+        return run_teleportation(path, mode, noise, 1024, rng)
+
+    for mode in MODES:
+        run(mode, 0)
+    for mode in MODES:
+        tracemalloc.start()
+        try:
+            run(mode, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, (mode, peak)
 
 
 def test_batch_drop_qubit_matches_dense_removal():
