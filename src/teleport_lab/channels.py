@@ -11,7 +11,7 @@ oracle of the sampled idle pair all come from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, sqrt
+from math import exp, inf, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +76,8 @@ class NoiseModel:
         for name in ("t1_us", "t2_us", "dynamic_correction_latency_us"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.dynamic_correction_latency_us == inf:
+            raise ValueError("dynamic_correction_latency_us must be finite, got inf")
         for p in self.two_qubit_depol_per_edge or ():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"two_qubit_depol_per_edge value {p} outside [0, 1]")
@@ -112,8 +114,8 @@ class NoiseModel:
 
 def decay_probabilities(duration_us: float, t1_us: float, t2_us: float) -> tuple[float, float]:
     """(gamma, p_z): amplitude-damping branch weight and phase-flip probability."""
-    if duration_us < 0:
-        raise ValueError("duration must be non-negative")
+    if not 0 <= duration_us < inf:  # NaN fails too
+        raise ValueError(f"duration must be finite and non-negative, got {duration_us}")
     if t2_us > 2.0 * t1_us + 1e-12:
         raise ValueError("t2 must not exceed 2*t1")
     if duration_us == 0.0:

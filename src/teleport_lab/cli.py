@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 
 from . import harness, pathfinder, svgplot
@@ -33,12 +34,15 @@ def _parse_hops(text: str) -> tuple[int, ...]:
 
 
 def _parse_delays(text: str) -> list[float]:
-    """Accept 'LO:HI:STEP' or a comma list, in microseconds."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"delay range {text!r} must have the form LO:HI:STEP")
-        lo, hi, step = (float(p) for p in parts)
+    """Accept 'LO:HI:STEP' or a comma list, in microseconds; every number must be finite."""
+    ranged = ":" in text
+    values = [float(p) for p in text.split(":" if ranged else ",")]
+    if ranged and len(values) != 3:
+        raise ValueError(f"delay range {text!r} must have the form LO:HI:STEP")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"every delay and delay step must be finite, got {text!r}")
+    if ranged:
+        lo, hi, step = values
         if not step > 0:
             raise ValueError(f"delay step must be positive, got {step:g}")
         out = []
@@ -49,7 +53,7 @@ def _parse_delays(text: str) -> list[float]:
         if not out:
             raise ValueError(f"delay range {text!r} holds no delay")
         return out
-    return [float(p) for p in text.split(",")]
+    return values
 
 
 def _csv_list(text: str) -> tuple[str, ...]:

@@ -11,24 +11,22 @@ Three modes are implemented:
 * ``swap``         - the pair qubit is physically moved with SWAP chains,
   three CNOTs per hop.
 
-All three, and the idling pair of the decay experiment, are sampled by one
-schedule (`_sample_group`): prepare the pair, one hop per intermediate
-qubit (CZ teleport step or three-CNOT swap step, then a measurement that
-also drops the qubit, and its readout), a tail (dynamic correction,
-sequential or simplified, or an idle), and the tomography layer. The
-trajectories are Monte-Carlo wave-function unravellings (Dalibard, Castin
-and Molmer, PRL 68, 580, 1992) run by `ShotBatch`, a sliding-window engine
-that keeps at most a handful of live qubits per shot regardless of path
-length: a path qubit enters the window when first entangled and leaves
-with the measurement that collapses it. Measuring a qubit early is exactly
-equivalent to the deferred hardware schedule because nothing acts on it
-afterwards.
+All three, and the idling pair of the decay experiment, exist once, as
+data: `schedule` lists a run's operations as plain records that carry
+their own error rates, and `_sample_group` is the one loop that applies
+them to a `ShotBatch`. The trajectories are Monte-Carlo wave-function
+unravellings (Dalibard, Castin and Molmer, PRL 68, 580, 1992) run by
+`ShotBatch`, a sliding-window engine that keeps at most a handful of live
+qubits per shot regardless of path length: a path qubit enters the window
+when first entangled and leaves with the measurement that collapses it.
+Measuring a qubit early is exactly equivalent to the deferred hardware
+schedule because nothing acts on it afterwards.
 
 The nine tomography bases differ only in their last rotations, so they
-share one run of the schedule: `_sample` splits them into the fewest
-groups of about `MAX_BATCH_COLUMNS` columns (all nine at 1,024 shots, five
-and four at 2,048), and each group runs as one batch whose column slab b
-belongs to the group's basis b. Every basis keeps its own child stream of
+share one run of the schedule: `_sample` builds it once and splits the
+bases into the fewest groups of about `MAX_BATCH_COLUMNS` columns (all
+nine at 1,024 shots, five and four at 2,048), and each group runs as one
+batch whose column slab b belongs to the group's basis b. Every basis keeps its own child stream of
 the run's generator (`BasisStreams`): a draw for the whole batch joins
 one draw per basis, in the order and size a batch of that basis alone
 would make, so the counts do not depend on how the bases are grouped.
@@ -90,11 +88,7 @@ class PathSpec:
 
 
 def _as_path(path) -> PathSpec:
-    if isinstance(path, PathSpec):
-        return path
-    if isinstance(path, int):
-        return PathSpec.line(path)
-    return PathSpec(tuple(path))
+    return path if isinstance(path, PathSpec) else PathSpec(tuple(path))
 
 
 def reachable_configurations(hops: int) -> tuple[tuple[int, int], ...]:
@@ -183,10 +177,7 @@ class ShotBatch:
     is least significant). Amplitudes are stored shot-minor, as a
     ``(dim, shots)`` array: row i holds every shot's amplitude of window
     basis state i in one contiguous run, so each gate, measurement and
-    noise step acts on whole contiguous slabs of shots. ``amps`` is the
-    per-shot ``(shots, dim)`` view of that storage (row s is the window
-    statevector of shot s); writes through it change the batch, and one
-    taken before a step may no longer be the batch's storage after it.
+    noise step acts on whole contiguous slabs of shots.
 
     Measurement removes the measured qubit: `measure_z` samples the bits,
     keeps each shot's half of the window for its bit and renormalizes it,
@@ -196,10 +187,10 @@ class ShotBatch:
 
     A batch may hold several tomography bases side by side, ``slabs`` equal
     column slabs of ``shots // slabs`` shots, drawing from a `BasisStreams`.
-    `apply_matrix`, `apply_gate` and `depolarize` take a slice of slabs for
-    a step that belongs to some bases only. `apply_matrix` multiplies one
-    (2, slab shots) block per slab and window index, so no product is wider
-    than the shots of one basis, as in a batch of that basis alone.
+    `apply_matrix` and `depolarize` take a slice of slabs for a step that
+    belongs to some bases only. `apply_matrix` multiplies one (2, slab
+    shots) block per slab and window index, so no product is wider than
+    the shots of one basis, as in a batch of that basis alone.
 
     The storage lives in kept flat buffers: the live amplitudes, a spare
     complex buffer that steps write their result into before the two swap,
@@ -248,10 +239,6 @@ class ShotBatch:
         self._buffers = self._amps = None
 
     @property
-    def amps(self) -> np.ndarray:
-        return self._amps.T
-
-    @property
     def dim(self) -> int:
         return self._amps.shape[0]
 
@@ -285,9 +272,6 @@ class ShotBatch:
             self._swap(spare)
         else:
             view[...] = out
-
-    def apply_gate(self, pos: int, gate: Gate, slabs: slice = slice(None)):
-        self.apply_matrix(pos, GATE_MATRICES[gate], slabs)
 
     def apply_cz(self, pos1: int, pos2: int):
         low, high = sorted((self.axis_of[pos1], self.axis_of[pos2]))
@@ -438,34 +422,64 @@ def _count(ints: np.ndarray) -> dict[int, int]:
     return dict(zip(values.tolist(), counts.tolist()))
 
 
-def _gate_with_noise(batch: ShotBatch, pos: int, gate: Gate, noise: NoiseModel,
-                     rng: BasisStreams):
-    batch.apply_gate(pos, gate)
-    batch.depolarize([pos], noise.one_qubit_depol, rng)
+# ---------------------------------------------------------------------------
+# The schedule. A record is a plain tuple led by its kind, and it carries all
+# it needs, so no interpreter reads a NoiseModel:
+#   ("add", pos)                              a |0> qubit joins the window
+#   ("gate", pos, matrix), ("cz", a, b), ("cnot", control, target)
+#   ("depolarize", positions, p)              a non-identity Pauli string with probability p
+#   ("measure", pos, confusion)               Z measurement that drops the qubit, then its
+#                                             readout; records the read bit under pos
+#   ("idle", pos, duration_us, t1_us, t2_us)  amplitude damping and dephasing
+#   ("pauli_if", pos, letter, p, parity_of)   Pauli letter (1: X, 3: Z) and its gate noise p
+#                                             where the XOR of the bits read at parity_of is 1
+#   ("tomography", first, last, p)            each basis's rotations, first qubit then last,
+#                                             each gate followed by depolarizing p
 
 
-def _conditional_pauli(batch: ShotBatch, pos: int, cond: np.ndarray, pauli: int,
-                       noise: NoiseModel, rng: BasisStreams):
-    """Pauli (1: X, 3: Z) and its gate noise on the shots where cond holds."""
-    idx = np.flatnonzero(cond)
-    batch.apply_paulis([pos], idx, np.full((1, idx.size), pauli))
-    batch.depolarize([pos], noise.one_qubit_depol, rng, active=cond)
+def schedule(n: int, mode: str, noise: NoiseModel, simplified_correction: bool = False,
+             delay_us: float = 0.0) -> tuple:
+    """The operations of one run on an n-qubit path, in order, as records.
 
+    Prepare the pair; per intermediate qubit a CZ teleport step or a
+    three-CNOT swap step, then its measurement; dynamic correction,
+    sequential or simplified, or for mode ``idle`` an idle of ``delay_us``;
+    the tomography layer and the two last measurements.
+    """
+    if mode not in (*MODES, "idle"):
+        raise ValueError(f"unknown transport mode {mode!r}")
+    last, p1 = n - 1, noise.one_qubit_depol
 
-def _idle(batch: ShotBatch, positions: Sequence[int], duration_us: float, noise: NoiseModel,
-          rng: BasisStreams):
-    for pos in positions:
-        t1, t2 = noise.qubit_t1t2(pos)
-        batch.idle_decay(pos, duration_us, t1, t2, rng)
+    def hadamard(pos):
+        return [("gate", pos, GATE_MATRICES[Gate.H]), ("depolarize", (pos,), p1)]
 
+    def idle(duration_us):
+        return [("idle", pos, duration_us, *noise.qubit_t1t2(pos)) for pos in (0, last)]
 
-def _entangle_pair(batch: ShotBatch, noise: NoiseModel, rng: BasisStreams):
-    batch.add_qubit(0)
-    batch.add_qubit(1)
-    _gate_with_noise(batch, 0, Gate.H, noise, rng)
-    _gate_with_noise(batch, 1, Gate.H, noise, rng)
-    batch.apply_cz(0, 1)
-    batch.depolarize([0, 1], noise.edge_depol(0), rng)
+    steps = [("add", 0), ("add", 1), *hadamard(0), *hadamard(1), ("cz", 0, 1),
+             ("depolarize", (0, 1), noise.edge_depol(0))]
+    for i in range(1, last):
+        edge = (i, i + 1)
+        steps.append(("add", i + 1))
+        if mode == "swap":
+            for control, target in (edge, edge[::-1], edge):
+                steps += [("cnot", control, target), ("depolarize", edge, noise.edge_depol(i))]
+        else:  # the last Hadamard rotates qubit i for its X-basis measurement
+            steps += [*hadamard(i + 1), ("cz", *edge), ("depolarize", edge, noise.edge_depol(i)),
+                      *hadamard(i)]
+        steps.append(("measure", i, noise.qubit_confusion(i)))
+    latency = noise.dynamic_correction_latency_us
+    if mode == "idle":
+        steps += idle(delay_us)
+    elif mode == "dynamic" and simplified_correction:
+        steps += idle(latency) + (hadamard(last) if n % 2 else [])
+        steps += [("pauli_if", last, 3, p1, tuple(range(1, last, 2))),
+                  ("pauli_if", last, 1, p1, tuple(range(2, last, 2)))]
+    elif mode == "dynamic":
+        for i in range(last - 1, 0, -1):
+            steps += [*idle(latency), ("pauli_if", last, 1, p1, (i,)), *hadamard(last)]
+    return (*steps, ("tomography", 0, last, p1), ("measure", 0, noise.qubit_confusion(0)),
+            ("measure", last, noise.qubit_confusion(last)))
 
 
 def _slab_slice(slabs: list[int]) -> slice:
@@ -480,75 +494,52 @@ def _slab_slice(slabs: list[int]) -> slice:
     return slice(slabs[0], slabs[-1] + 1, step)
 
 
-def _tomography_layer(batch: ShotBatch, bases: Sequence[tuple[str, str]], first: int,
-                      last: int, noise: NoiseModel,
-                      rng: BasisStreams) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each slab into its basis pair, then measure and read out the whole batch.
-
-    The rotation gates of the first qubit come before those of the last,
-    and each gate's noise is drawn from the streams of the slabs it acts
-    on, as a batch of one basis would draw it.
-    """
-    for side, pos in enumerate((first, last)):
+def _rotate_into_bases(batch: ShotBatch, bases: Sequence[tuple[str, str]],
+                       positions: tuple[int, int], p: float, rng: BasisStreams):
+    """Rotate each slab's first, then last qubit into its basis; noise draws from its streams."""
+    for side, pos in enumerate(positions):
         for axis in PAULI_AXES:
             members = [b for b, pair in enumerate(bases) if pair[side] == axis]
             if not members:
                 continue
             slabs = _slab_slice(members)
             for gate in rotation_gates(axis):
-                batch.apply_gate(pos, gate, slabs)
-                batch.depolarize([pos], noise.one_qubit_depol, rng.select(slabs), slabs=slabs)
-    bits_first = batch.measure_z(first, rng)
-    read_first = batch.readout(bits_first, noise.qubit_confusion(first), rng)
-    bits_last = batch.measure_z(last, rng)
-    read_last = batch.readout(bits_last, noise.qubit_confusion(last), rng)
-    return read_first, read_last
+                batch.apply_matrix(pos, GATE_MATRICES[gate], slabs)
+                batch.depolarize([pos], p, rng.select(slabs), slabs=slabs)
 
 
-def _sample_group(n: int, mode: str, noise: NoiseModel, bases: Sequence[tuple[str, str]],
-                  rng: BasisStreams, simplified_correction: bool,
-                  delay_us: float) -> np.ndarray:
-    """Outcome keys of a group of bases, slab by slab: prepare, hop, correct or idle, read out."""
+def _sample_group(steps: Sequence[tuple], bases: Sequence[tuple[str, str]],
+                  rng: BasisStreams) -> np.ndarray:
+    """Outcome keys of a group of bases, slab by slab: the schedule's records in order."""
     batch = ShotBatch(len(bases) * rng.shots, len(bases))
-    shots = batch.shots
-    _entangle_pair(batch, noise, rng)
-    last = n - 1
-    read = {}
-    for i in range(1, last):
-        batch.add_qubit(i + 1)
-        p_edge = noise.edge_depol(i)
-        if mode == "swap":
-            for control, target in ((i, i + 1), (i + 1, i), (i, i + 1)):
+    read, zero = {}, np.zeros(batch.shots, dtype=np.int8)
+    for step in steps:
+        match step:
+            case ("add", pos):
+                batch.add_qubit(pos)
+            case ("gate", pos, matrix):
+                batch.apply_matrix(pos, matrix)
+            case ("cz", a, b):
+                batch.apply_cz(a, b)
+            case ("cnot", control, target):
                 batch.apply_cnot(control, target)
-                batch.depolarize([i, i + 1], p_edge, rng)
-        else:
-            _gate_with_noise(batch, i + 1, Gate.H, noise, rng)
-            batch.apply_cz(i, i + 1)
-            batch.depolarize([i, i + 1], p_edge, rng)
-            _gate_with_noise(batch, i, Gate.H, noise, rng)  # X-basis measurement rotation
-        bits = batch.measure_z(i, rng)
-        read[i] = batch.readout(bits, noise.qubit_confusion(i), rng)
-
-    if mode == "idle":
-        _idle(batch, (0, last), delay_us, noise, rng)
-    elif mode == "dynamic" and simplified_correction:
-        _idle(batch, (0, last), noise.dynamic_correction_latency_us, noise, rng)
-        zero = np.zeros(shots, dtype=np.int8)
-        z = reduce(np.bitwise_xor, (read[i] for i in range(1, last, 2)), zero)
-        x = reduce(np.bitwise_xor, (read[i] for i in range(2, last, 2)), zero)
-        if n % 2:
-            _gate_with_noise(batch, last, Gate.H, noise, rng)
-        _conditional_pauli(batch, last, z == 1, 3, noise, rng)
-        _conditional_pauli(batch, last, x == 1, 1, noise, rng)
-    elif mode == "dynamic":
-        for i in range(last - 1, 0, -1):
-            _idle(batch, (0, last), noise.dynamic_correction_latency_us, noise, rng)
-            _conditional_pauli(batch, last, read[i] == 1, 1, noise, rng)
-            _gate_with_noise(batch, last, Gate.H, noise, rng)
-
-    read[0], read[last] = _tomography_layer(batch, bases, 0, last, noise, rng)
+            case ("depolarize", positions, p):
+                batch.depolarize(positions, p, rng)
+            case ("measure", pos, confusion):
+                read[pos] = batch.readout(batch.measure_z(pos, rng), confusion, rng)
+            case ("idle", pos, duration_us, t1_us, t2_us):
+                batch.idle_decay(pos, duration_us, t1_us, t2_us, rng)
+            case ("pauli_if", pos, letter, p, parity_of):
+                cond = reduce(np.bitwise_xor, (read[q] for q in parity_of), zero) == 1
+                idx = np.flatnonzero(cond)
+                batch.apply_paulis([pos], idx, np.full((1, idx.size), letter))
+                batch.depolarize([pos], p, rng, active=cond)
+            case ("tomography", first, last, p):
+                _rotate_into_bases(batch, bases, (first, last), p, rng)
+            case _:
+                raise ValueError(f"unknown schedule record {step!r}")
     batch.release()
-    keys = np.zeros(shots, dtype=np.int64)
+    keys = np.zeros(zero.size, dtype=np.int64)
     for pos, bits in read.items():
         keys |= bits.astype(np.int64) << pos
     return keys
@@ -563,13 +554,12 @@ def _sample(path: PathSpec, mode: str, noise: NoiseModel, shots: int, rng: np.ra
         raise ValueError(f"path of {path.n} qubits exceeds the {MAX_PATH_QUBITS}-qubit "
                          "limit of 64-bit outcome keys")
     result = TransportResult(mode, path, shots)
+    steps = schedule(path.n, mode, noise, simplified_correction, delay_us)
     streams = rng.spawn(len(BASIS_PAIRS))
     n_groups = min(len(BASIS_PAIRS), ceil(len(BASIS_PAIRS) * shots / MAX_BATCH_COLUMNS))
     for group in np.array_split(np.arange(len(BASIS_PAIRS)), n_groups):
         bases = [BASIS_PAIRS[b] for b in group]
-        keys = _sample_group(path.n, mode, noise, bases,
-                             BasisStreams([streams[b] for b in group], shots),
-                             simplified_correction, delay_us)
+        keys = _sample_group(steps, bases, BasisStreams([streams[b] for b in group], shots))
         for pair, slab in zip(bases, keys.reshape(len(bases), shots)):
             result.counts_by_basis[pair] = _count(slab)
     return result

@@ -21,7 +21,7 @@ def shot_batch(state: PureState, shots: int) -> ShotBatch:
     batch = ShotBatch(shots)
     for q in range(state.num_qubits):
         batch.add_qubit(q)
-    batch.amps[:] = state.amplitudes
+    batch._amps[:] = state.amplitudes[:, None]  # (dim, shots) storage
     return batch
 
 

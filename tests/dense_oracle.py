@@ -3,13 +3,16 @@
 Full-register statevectors, forced measurement branches, the byproduct
 and correction algebra of the teleportation chain and exact noiseless
 transport, against which the sampled engine (`protocols.ShotBatch`) and
-acceptance criteria 1-3 are checked. Nothing here samples or comes from
-the engine. Qubit ``q`` is bit q, least significant first, of the
-amplitude index; global phase is kept (compare with `states_equal`);
-registers are capped at 24 qubits.
+acceptance criteria 1-3 are checked. Under noise, `schedule_distributions`
+interprets the records of `protocols.schedule` on density matrices with
+its own channel forms, as the exact reference of the sampler. Nothing here
+samples or comes from the engine. Qubit ``q`` is bit q, least significant
+first, of the amplitude index; global phase is kept (compare with
+`states_equal`); registers are capped at 24 qubits.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -19,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from teleport_lab.protocols import phi_p2, reachable_configurations
-from teleport_lab.simulator import GATE_MATRICES, Gate
+from teleport_lab.simulator import GATE_MATRICES, PAULI_MATRICES, Gate
 from teleport_lab.tomography import BASIS_PAIRS, rotation_gates
 
 MAX_QUBITS = 24
@@ -411,3 +414,128 @@ def frequencies(counts: np.ndarray) -> np.ndarray:
     """Each basis's counts over its total; uniform where a basis saw no shot."""
     totals = counts.sum(axis=-1, keepdims=True)
     return np.divide(counts, totals, out=np.full(counts.shape, 0.25), where=totals > 0)
+
+
+# ---------------------------------------------------------------------------
+# Exact interpretation of a transport schedule under noise
+
+
+def _idle_kraus(duration_us: float, t1_us: float, t2_us: float) -> list[np.ndarray]:
+    """Amplitude damping, then pure dephasing at rate 1/T2 - 1/(2 T1)."""
+    gamma = 1.0 - np.exp(-duration_us / t1_us)
+    p_z = 0.5 * (1.0 - np.exp(-duration_us * max(1.0 / t2_us - 0.5 / t1_us, 0.0)))
+    damp = [np.array([[1.0, 0.0], [0.0, sqrt(1.0 - gamma)]]),
+            np.array([[0.0, sqrt(gamma)], [0.0, 0.0]])]
+    dephase = [sqrt(1.0 - p_z) * np.eye(2), sqrt(p_z) * np.diag([1.0, -1.0])]
+    return [z @ a for a in damp for z in dephase]
+
+
+class _Window:
+    """Unnormalized density matrices of the live qubits, one per tuple of read bits.
+
+    ``live[q]`` is the path position on bit q of the window index (least
+    significant first); ``recorded`` lists the positions of the read bits
+    in the order of each branch's key.
+    """
+
+    def __init__(self):
+        self.live: list[int] = []
+        self.recorded: list[int] = []
+        self.branches: dict[tuple[int, ...], np.ndarray] = {(): np.ones((1, 1), dtype=complex)}
+
+    def bits(self, pos: int) -> np.ndarray:
+        """Bit of ``pos`` in each window index."""
+        return (np.arange(1 << len(self.live)) >> self.live.index(pos)) & 1
+
+    def on(self, pos: int, matrix: np.ndarray) -> np.ndarray:
+        """Dense window operator of a one-qubit matrix on one position."""
+        axis, k = self.live.index(pos), len(self.live)
+        return np.kron(np.eye(1 << (k - 1 - axis)), np.kron(matrix, np.eye(1 << axis)))
+
+    def channel(self, kraus: Sequence[np.ndarray], keys: set | None = None):
+        """A Kraus channel on every branch, or on the branches of the listed keys."""
+        for key, rho in self.branches.items():
+            if keys is None or key in keys:
+                self.branches[key] = sum(k @ rho @ k.conj().T for k in kraus)
+
+    def depolarize(self, positions: Sequence[int], p: float, keys: set | None = None):
+        """(1 - p) rho + p / (4^k - 1) times the sum of P rho P over non-identity strings P."""
+        strings = list(itertools.product("IXYZ", repeat=len(positions)))[1:]
+        ops = [reduce(np.matmul, (self.on(pos, PAULI_MATRICES[letter])
+                                  for pos, letter in zip(positions, word))) for word in strings]
+        for key, rho in self.branches.items():
+            if keys is None or key in keys:
+                noisy = sum(o @ rho @ o.conj().T for o in ops) / len(strings)
+                self.branches[key] = (1.0 - p) * rho + p * noisy
+
+    def parity(self, key: tuple[int, ...], positions: Sequence[int]) -> int:
+        return reduce(lambda a, b: a ^ b, (key[self.recorded.index(q)] for q in positions), 0)
+
+    def measure(self, pos: int, confusion: np.ndarray):
+        """Project onto each bit, drop the qubit, and split every branch by its read bit."""
+        axis, k = self.live.index(pos), len(self.live)
+        hi, lo = 1 << (k - 1 - axis), 1 << axis
+        branches = {}
+        for key, rho in self.branches.items():
+            view = rho.reshape(hi, 2, lo, hi, 2, lo)
+            for bit in (0, 1):
+                part = view[:, bit, :, :, bit, :].reshape(hi * lo, hi * lo)
+                for read in (0, 1):
+                    branches[key + (read,)] = (branches.get(key + (read,), 0)
+                                               + confusion[read, bit] * part)
+        self.branches = branches
+        self.live.remove(pos)
+        self.recorded.append(pos)
+
+
+def _interpret(steps: Sequence[tuple], pair: tuple[str, str]) -> dict[int, float]:
+    """Exact distribution of the outcome key of a schedule in one basis pair."""
+    w = _Window()
+    for step in steps:
+        match step:
+            case ("add", pos):
+                w.live.append(pos)
+                w.branches = {key: np.kron(np.diag([1.0, 0.0]), rho)
+                              for key, rho in w.branches.items()}
+            case ("gate", pos, matrix):
+                w.channel([w.on(pos, matrix)])
+            case ("cz", a, b):
+                w.channel([np.diag(1.0 - 2.0 * (w.bits(a) & w.bits(b)))])
+            case ("cnot", control, target):
+                flipped = np.arange(1 << len(w.live)) ^ (w.bits(control) << w.live.index(target))
+                w.channel([np.eye(1 << len(w.live))[flipped]])
+            case ("depolarize", positions, p):
+                w.depolarize(positions, p)
+            case ("measure", pos, confusion):
+                w.measure(pos, confusion)
+            case ("idle", pos, duration_us, t1_us, t2_us):
+                w.channel([w.on(pos, k) for k in _idle_kraus(duration_us, t1_us, t2_us)])
+            case ("pauli_if", pos, letter, p, parity_of):
+                fires = {key for key in w.branches if w.parity(key, parity_of)}
+                w.channel([w.on(pos, PAULI_MATRICES["IXYZ"[letter]])], fires)
+                w.depolarize([pos], p, fires)
+            case ("tomography", first, last, p):
+                for pos, axis in zip((first, last), pair):
+                    for gate in rotation_gates(axis):
+                        w.channel([w.on(pos, GATE_MATRICES[gate])])
+                        w.depolarize([pos], p)
+            case _:
+                raise ValueError(f"unknown schedule record {step!r}")
+    assert not w.live, "a schedule must measure every qubit it adds"
+    return {sum(bit << pos for bit, pos in zip(key, w.recorded)): float(rho[0, 0].real)
+            for key, rho in w.branches.items()}
+
+
+def schedule_distributions(steps: Sequence[tuple]) -> np.ndarray:
+    """Exact (9, 2^n) distributions of the full outcome key of a schedule, one row per basis.
+
+    A density-matrix interpreter of the records of `protocols.schedule`,
+    with its own dense channel forms: one branch per tuple of read bits,
+    so it is meant for paths of at most five qubits.
+    """
+    n = 1 + max(step[1] for step in steps if step[0] == "add")
+    out = np.zeros((len(BASIS_PAIRS), 1 << n))
+    for row, pair in zip(out, BASIS_PAIRS):
+        for key, weight in _interpret(steps, pair).items():
+            row[key] += weight
+    return out

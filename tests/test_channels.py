@@ -1,5 +1,6 @@
 """Noise channels: trajectory sampling by ShotBatch against the exact channel forms,
 and the exact forms against their Kronecker-product definitions."""
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,14 +11,16 @@ from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, apply_kr
                                    decay_probabilities, depolarizing_channel,
                                    exact_pair_distributions, idle_decay_channel, idle_kraus_ops,
                                    phase_flip_kraus, readout_channel)
+from teleport_lab.harness import path_noise_model
 from teleport_lab.metrics import density_from_state, negativity
-from teleport_lab.protocols import ShotBatch
+from teleport_lab.pathfinder import synthesize_device
+from teleport_lab.protocols import PathSpec, ShotBatch, schedule
 from teleport_lab.simulator import GATE_MATRICES, PAULI_MATRICES
 from teleport_lab.tomography import BASIS_PAIRS, rotation_gates
 
 from conftest import (random_density_matrix, random_state, random_unitary, shot_batch,
                       trace_distance)
-from dense_oracle import PureState, apply_gates, op
+from dense_oracle import PureState, apply_gates, op, schedule_distributions
 
 BELL = PureState(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
@@ -48,6 +51,8 @@ def test_noise_model_validation():
         NoiseModel(one_qubit_depol=1.5)
     model = NoiseModel(two_qubit_depol=0.01, two_qubit_depol_per_edge=[0.1, 0.2])
     assert NoiseModel(t1_us=np.inf, t2_us=25.0).qubit_t1t2(0) == (np.inf, 25.0)
+    with pytest.raises(ValueError, match="dynamic_correction_latency_us must be finite"):
+        NoiseModel(dynamic_correction_latency_us=np.inf)
     assert model.edge_depol(1) == 0.2
     assert NoiseModel(two_qubit_depol=0.01).edge_depol(5) == 0.01
 
@@ -69,14 +74,14 @@ def test_noise_model_rejects_nan(field, value):
 
 
 def ensemble_density(batch: ShotBatch) -> np.ndarray:
-    return np.einsum("si,sj->ij", batch.amps, batch.amps.conj()) / batch.shots
+    return np.einsum("is,js->ij", batch._amps, batch._amps.conj()) / batch.shots
 
 
 def test_depolarizing_p0_is_identity(rng):
     state = random_state(3, rng)
     batch = shot_batch(state, 64)
     batch.depolarize([0, 2], 0.0, rng)
-    assert np.array_equal(batch.amps, np.tile(state.amplitudes, (64, 1)))
+    assert np.array_equal(batch._amps, np.tile(state.amplitudes[:, None], 64))
 
 
 def test_depolarizing_p1_uniform_paulis(rng):
@@ -84,11 +89,11 @@ def test_depolarizing_p1_uniform_paulis(rng):
     shots = 30_000
     zero = shot_batch(PureState.zero(1), shots)
     zero.depolarize([0], 1.0, rng)
-    x_or_y = int((np.abs(zero.amps[:, 1]) > 0.5).sum())
+    x_or_y = int((np.abs(zero._amps[1]) > 0.5).sum())
     # Z is invisible on |0>; check via |+> where Z flips the relative sign
     plus = shot_batch(apply_gates(PureState.zero(1), [op("H", 0)]), shots)
     plus.depolarize([0], 1.0, rng)
-    z_like = int((plus.amps[:, 0].real * plus.amps[:, 1].real < -1e-12).sum())
+    z_like = int((plus._amps[0].real * plus._amps[1].real < -1e-12).sum())
     sigma = np.sqrt(shots * (1 / 3) * (2 / 3))
     assert abs(x_or_y - 2 * shots / 3) < 5 * sigma
     assert abs(z_like - shots / 3) < 5 * sigma
@@ -123,18 +128,27 @@ def test_idle_zero_duration_is_identity(rng):
     batch = shot_batch(state, 64)
     for q in (0, 1):
         batch.idle_decay(q, 0.0, 30.0, 20.0, rng)
-    assert np.array_equal(batch.amps, np.tile(state.amplitudes, (64, 1)))
+    assert np.array_equal(batch._amps, np.tile(state.amplitudes[:, None], 64))
 
 
 def test_idle_long_duration_relaxes_to_ground(rng):
     batch = shot_batch(PureState.from_bits((1,)), 200)
     batch.idle_decay(0, 1e5, 30.0, 20.0, rng)
-    assert np.all(np.abs(batch.amps[:, 0]) > 0.999)
+    assert np.all(np.abs(batch._amps[0]) > 0.999)
 
 
 def test_decay_probabilities_reject_bad_t2():
     with pytest.raises(ValueError, match="t2"):
         decay_probabilities(1.0, 10.0, 25.0)
+
+
+def test_decay_probabilities_reject_non_finite_durations():
+    # a NaN duration used to pass the `< 0` check and run as no decay
+    for duration in (NAN, np.inf, -1.0):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            decay_probabilities(duration, 30.0, 20.0)
+    # infinite T1 and T2 mean no decay
+    assert decay_probabilities(5.0, np.inf, np.inf) == (0.0, 0.0)
 
 
 def test_kraus_sets_are_trace_preserving():
@@ -247,6 +261,22 @@ def test_exact_pair_distributions_match_oracle_pipeline():
                 rotated = depolarizing_oracle(rotated, (q,), noise.one_qubit_depol)
         expected = readout_channel(np.real(np.diag(rotated)), noise.readout)
         assert np.max(np.abs(got - expected)) < 1e-15, pair
+
+
+def test_exact_pair_route_equals_dense_idle_schedule():
+    # the hand-written exact route and the records of `schedule(2, "idle")`
+    # describe one protocol: device edges with their gate and readout errors,
+    # per-qubit T1 and T2 drawn around the device's, and random delays
+    device = synthesize_device("heavy-hex-127", seed=7)
+    rng = np.random.default_rng(23)
+    for edge in device.edges[::12]:
+        t1 = rng.uniform(15.0, 60.0, size=2)
+        noise = dataclasses.replace(path_noise_model(device, PathSpec((edge.a, edge.b))),
+                                    t1_per_qubit_us=list(t1),
+                                    t2_per_qubit_us=list(t1 * rng.uniform(0.3, 2.0, size=2)))
+        for delay in (0.0, *rng.uniform(0.0, 8.0, size=3)):
+            want = schedule_distributions(schedule(2, "idle", noise, delay_us=delay))
+            assert np.max(np.abs(exact_pair_distributions(noise, delay) - want)) < 1e-14
 
 
 # --- readout --------------------------------------------------------------------

@@ -38,6 +38,18 @@ def test_parse_delays_rejects_non_positive_step(tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists()
 
 
+def test_decay_rejects_non_finite_delays(tmp_path, capsys):
+    # `nan,0` and `inf,0` used to write a row for the bad delay and exit 0,
+    # and `0:inf:1` never returned
+    out = tmp_path / "d.csv"
+    for text in ("nan,0", "inf,0", "0,-inf", "0:inf:1", "nan:1:0.5", "0:1:inf"):
+        for shots in ("0", "64"):
+            assert main(["decay", f"--delays={text}", "--shots", shots, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == ("error: every delay and delay step must be "
+                                               f"finite, got {text!r}\n")
+    assert not out.exists()
+
+
 def test_decay_rejects_empty_delay_range(tmp_path, capsys):
     # a range with HI below LO used to write a header-only CSV and exit 0
     for text in ("0:-1:1", "5:4.5:0.25"):
@@ -186,6 +198,18 @@ def test_run_rejects_nan_noise_inputs(tmp_path, capsys):
     assert main(["run", "--device", str(nan_dev), "--hops", "1", "--shots", "64",
                  "--out", str(out)]) == 2
     assert "t1_per_qubit_us" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_infinite_latency(tmp_path, capsys):
+    # JSON reads 1e400 as infinity; an infinite latency used to run and exit 0
+    dev = tmp_path / "line6.json"
+    assert main(["gen-device", "--topology", "line:6", "--out", str(dev)]) == 0
+    out = tmp_path / "never.csv"
+    assert main(["run", "--device", str(dev), "--hops", "1", "--shots", "64", "--noise-overrides",
+                 '{"dynamic_correction_latency_us": 1e400}', "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: dynamic_correction_latency_us must be finite, "
+                                       "got inf\n")
     assert not out.exists()
 
 

@@ -211,7 +211,7 @@ def test_scalar_t2_override_replaces_qubit_calibration():
 def test_pair_pipeline_matches_exact_distribution():
     noise = NoiseModel(dynamic_correction_latency_us=0.0)
     rng = np.random.default_rng(4)
-    result = protocols.run_teleportation(4, "dynamic", noise, 8192, rng)
+    result = protocols.run_teleportation(PathSpec.line(4), "dynamic", noise, 8192, rng)
     probs = mitigated_pair_distributions(result, qrem=False,
                                          calibration=[np.eye(2)] * 4)
     rho = reconstruct(probs)
@@ -221,7 +221,7 @@ def test_pair_pipeline_matches_exact_distribution():
 def test_category_pipeline_matches_manual_recomputation():
     noise = NoiseModel(dynamic_correction_latency_us=0.0)
     rng = np.random.default_rng(8)
-    result = protocols.run_teleportation(4, "postselect", noise, 2048, rng)
+    result = protocols.run_teleportation(PathSpec.line(4), "postselect", noise, 2048, rng)
     configs, weights, probs = mitigated_category_distributions(result, qrem=False,
                                                                calibration=[np.eye(2)] * 4)
     raw = categorize(result)
@@ -239,7 +239,7 @@ def test_category_pipeline_qrem_recovers_flipped_categories():
     noise = NoiseModel(dynamic_correction_latency_us=0.0,
                        readout=[np.eye(2), flipper, np.eye(2), np.eye(2)])
     rng = np.random.default_rng(12)
-    result = protocols.run_teleportation(4, "postselect", noise, 20_000, rng)
+    result = protocols.run_teleportation(PathSpec.line(4), "postselect", noise, 20_000, rng)
     calibration = [np.eye(2), flipper, np.eye(2), np.eye(2)]
     configs, _, raw = mitigated_category_distributions(result, qrem=False,
                                                        calibration=calibration)
@@ -354,7 +354,7 @@ def test_streamed_category_route_equals_stacked_reference(rng):
     # term in the order of the (16, keys) route, so the bits agree
     noise = NoiseModel(one_qubit_depol=0.01, two_qubit_depol=0.02,
                        readout=[confusion_matrix(0.03, 0.05)] * 11)
-    sampled = protocols.run_teleportation(11, "postselect", noise, 1024, rng)
+    sampled = protocols.run_teleportation(PathSpec.line(11), "postselect", noise, 1024, rng)
     results = [random_counts_result(n, shots=3000, distinct=min(1 << n, 300), rng=rng)
                for n in range(3, 26)] + [sampled]
     for result in results:

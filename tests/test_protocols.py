@@ -1,4 +1,5 @@
 """Transport protocols: identities, categorisation, engines against oracles."""
+import dataclasses
 import hashlib
 import itertools
 import tracemalloc
@@ -11,12 +12,12 @@ from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, confusio
                                    exact_pair_distributions, idle_decay_channel)
 from teleport_lab.harness import path_noise_model
 from teleport_lab.metrics import density_from_state, fidelity, negativity
-from teleport_lab.pathfinder import synthesize_device
+from teleport_lab.pathfinder import edge_weights, find_best_paths, synthesize_device
 from teleport_lab.protocols import (MAX_PATH_QUBITS, MODES, BasisStreams, PathSpec,
                                     ShotBatch, canonical_state, configuration_unitary, phi_p2,
                                     reachable_configurations, run_idle_pair, run_swap_transport,
-                                    run_teleportation)
-from teleport_lab.simulator import PAULI_MATRICES, Gate
+                                    run_teleportation, schedule)
+from teleport_lab.simulator import GATE_MATRICES, PAULI_MATRICES, Gate
 from teleport_lab.tomography import BASIS_PAIRS, reconstruct
 
 from conftest import random_state, trace_distance
@@ -24,8 +25,8 @@ from dense_oracle import (GateOp, PureState, analytic_swap, analytic_teleportati
                           apply_gate, apply_gates, born_probabilities, byproduct_sequence,
                           categorize, correction_sequence, discriminator, frequencies,
                           index_of_bits, op, postselect, prepare_path_graph_state,
-                          remove_qubit, representative_outcomes, sequence_unitary,
-                          states_equal, teleport_pure, tomography_rotations)
+                          remove_qubit, representative_outcomes, schedule_distributions,
+                          sequence_unitary, states_equal, teleport_pure, tomography_rotations)
 
 NOISELESS = NoiseModel(dynamic_correction_latency_us=0.0)
 
@@ -206,7 +207,7 @@ def _postselect_joint_oracle(n: int, pair) -> np.ndarray:
 def test_batch_postselect_matches_dense_joint_distribution():
     n, shots = 4, 20_000
     rng = np.random.default_rng(42)
-    result = run_teleportation(n, "postselect", NOISELESS, shots, rng)
+    result = run_teleportation(PathSpec.line(n), "postselect", NOISELESS, shots, rng)
     for pair in (("Z", "Z"), ("X", "Y"), ("Y", "X")):
         expected = _postselect_joint_oracle(n, pair)
         counts = np.zeros(1 << n)
@@ -224,11 +225,11 @@ def test_batch_depolarize_matches_exact_channel():
     batch = ShotBatch(shots)
     batch.add_qubit(0)
     batch.add_qubit(1)
-    batch.apply_gate(0, Gate.H)
+    batch.apply_matrix(0, GATE_MATRICES[Gate.H])
     batch.apply_cnot(0, 1)
     before = density_from_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
     batch.depolarize([0, 1], 0.2, rng)
-    ensemble = np.einsum("si,sj->ij", batch.amps, batch.amps.conj()) / shots
+    ensemble = np.einsum("is,js->ij", batch._amps, batch._amps.conj()) / shots
     exact = depolarizing_channel(before, (0, 1), 0.2)
     assert trace_distance(ensemble, exact) < 0.01
 
@@ -239,13 +240,13 @@ def test_batch_idle_decay_matches_exact_channel():
     batch = ShotBatch(shots)
     batch.add_qubit(0)
     batch.add_qubit(1)
-    batch.apply_gate(0, Gate.H)
+    batch.apply_matrix(0, GATE_MATRICES[Gate.H])
     batch.apply_cnot(0, 1)
     before = density_from_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
     duration, t1, t2 = 10.0, 30.0, 20.0
     for q in (0, 1):
         batch.idle_decay(q, duration, t1, t2, rng)
-    ensemble = np.einsum("si,sj->ij", batch.amps, batch.amps.conj()) / shots
+    ensemble = np.einsum("is,js->ij", batch._amps, batch._amps.conj()) / shots
     exact = idle_decay_channel(before, (0, 1), duration, t1, t2)
     assert trace_distance(ensemble, exact) < 0.01
 
@@ -260,14 +261,14 @@ def _random_window(rng: np.random.Generator, shots: int = 8):
     batch = ShotBatch(shots)
     for pos in WINDOW_POSITIONS:
         batch.add_qubit(pos)
-    batch.amps[:] = [s.amplitudes for s in states]
+    batch._amps[:] = np.transpose([s.amplitudes for s in states])
     return batch, states
 
 
 def _assert_shots_equal(batch: ShotBatch, states):
-    want = np.array([s.amplitudes for s in states])
-    assert batch.amps.shape == want.shape
-    assert np.max(np.abs(batch.amps - want)) < 1e-12
+    want = np.transpose([s.amplitudes for s in states])
+    assert batch._amps.shape == want.shape
+    assert np.max(np.abs(batch._amps - want)) < 1e-12
 
 
 def _on_axis(matrix: np.ndarray, axis: int) -> np.ndarray:
@@ -280,7 +281,7 @@ def test_batch_gates_match_dense_simulator_on_every_axis():
     for axis, pos in enumerate(WINDOW_POSITIONS):
         for gate in (Gate.H, Gate.X, Gate.Y, Gate.Z, Gate.S, Gate.SDG):
             batch, states = _random_window(rng)
-            batch.apply_gate(pos, gate)
+            batch.apply_matrix(pos, GATE_MATRICES[gate])
             _assert_shots_equal(batch, [apply_gate(s, GateOp(gate, axis)) for s in states])
 
 
@@ -321,7 +322,7 @@ def _random_slabs(rng: np.random.Generator, slabs: int, slab_shots: int) -> Shot
     batch = ShotBatch(slabs * slab_shots, slabs)
     for pos in WINDOW_POSITIONS:
         batch.add_qubit(pos)
-    batch.amps[:] = rng.normal(size=batch.amps.shape) + 1j * rng.normal(size=batch.amps.shape)
+    batch._amps[:] = rng.normal(size=batch._amps.shape) + 1j * rng.normal(size=batch._amps.shape)
     return batch
 
 
@@ -331,7 +332,7 @@ def _slab_copy(batch: ShotBatch, slab: int) -> ShotBatch:
     alone = ShotBatch(width)
     for pos in WINDOW_POSITIONS:
         alone.add_qubit(pos)
-    alone.amps[:] = batch.amps[slab * width:(slab + 1) * width]
+    alone._amps[:] = batch._amps[:, slab * width:(slab + 1) * width]
     return alone
 
 
@@ -342,10 +343,10 @@ def test_wide_batch_gates_equal_per_slab_batches_bit_for_bit():
         for gate in (Gate.H, Gate.SDG, Gate.X):
             wide = _random_slabs(rng, 9, 1024)
             alone = [_slab_copy(wide, b) for b in range(9)]
-            wide.apply_gate(pos, gate)
+            wide.apply_matrix(pos, GATE_MATRICES[gate])
             for b, one in enumerate(alone):
-                one.apply_gate(pos, gate)
-                assert np.array_equal(wide.amps[b * 1024:(b + 1) * 1024], one.amps)
+                one.apply_matrix(pos, GATE_MATRICES[gate])
+                assert np.array_equal(wide._amps[:, b * 1024:(b + 1) * 1024], one._amps)
 
 
 def test_slab_gates_and_noise_leave_other_slabs_untouched():
@@ -356,25 +357,25 @@ def test_slab_gates_and_noise_leave_other_slabs_untouched():
     for pos in WINDOW_POSITIONS:
         for chosen in (slice(1, 2), slice(0, 5, 3), slice(2, 5), slice(None)):
             wide = _random_slabs(rng, slabs, width)
-            before = wide.amps.copy()
+            before = wide._amps.copy()
             picked = range(slabs)[chosen]
             alone = {b: _slab_copy(wide, b) for b in picked}
             seeds = np.random.SeedSequence(int(rng.integers(1 << 30))).spawn(slabs)
             streams = BasisStreams([np.random.default_rng(q) for q in seeds], width)
-            wide.apply_gate(pos, Gate.SDG, chosen)
-            wide.apply_gate(pos, Gate.H, chosen)
+            wide.apply_matrix(pos, GATE_MATRICES[Gate.SDG], chosen)
+            wide.apply_matrix(pos, GATE_MATRICES[Gate.H], chosen)
             wide.depolarize([pos], 0.5, streams.select(chosen), slabs=chosen)
             for b in range(slabs):
                 cols = slice(b * width, (b + 1) * width)
                 if b in alone:
                     one = alone[b]
-                    one.apply_gate(pos, Gate.SDG)
-                    one.apply_gate(pos, Gate.H)
+                    one.apply_matrix(pos, GATE_MATRICES[Gate.SDG])
+                    one.apply_matrix(pos, GATE_MATRICES[Gate.H])
                     one.depolarize([pos], 0.5, np.random.default_rng(seeds[b]))
-                    assert np.array_equal(wide.amps[cols], one.amps)
-                    assert not np.array_equal(wide.amps[cols], before[cols])
+                    assert np.array_equal(wide._amps[:, cols], one._amps)
+                    assert not np.array_equal(wide._amps[:, cols], before[:, cols])
                 else:
-                    assert np.array_equal(wide.amps[cols], before[cols])
+                    assert np.array_equal(wide._amps[:, cols], before[:, cols])
 
 
 def test_basis_streams_join_one_draw_per_stream():
@@ -393,11 +394,12 @@ def test_basis_streams_join_one_draw_per_stream():
 
 def _every_step(batch: ShotBatch, rng: np.random.Generator, bits: list):
     """Each kind of engine step on a two-slab batch, yielding after every one."""
+    h, sdg = GATE_MATRICES[Gate.H], GATE_MATRICES[Gate.SDG]
     for step in (lambda: batch.add_qubit(0), lambda: batch.add_qubit(1),
-                 lambda: batch.apply_gate(0, Gate.H), lambda: batch.apply_cz(0, 1),
-                 lambda: batch.add_qubit(2), lambda: batch.apply_gate(2, Gate.H),
+                 lambda: batch.apply_matrix(0, h), lambda: batch.apply_cz(0, 1),
+                 lambda: batch.add_qubit(2), lambda: batch.apply_matrix(2, h),
                  lambda: batch.apply_cnot(1, 2), lambda: batch.depolarize([1, 2], 0.3, rng),
-                 lambda: batch.apply_gate(2, Gate.SDG, slice(1, 2)),
+                 lambda: batch.apply_matrix(2, sdg, slice(1, 2)),
                  lambda: batch.idle_decay(0, 2.0, 30.0, 25.0, rng),
                  lambda: bits.append(batch.measure_z(1, rng)),
                  lambda: batch.apply_paulis([2], np.arange(0, batch.shots, 3),
@@ -415,7 +417,7 @@ def test_batches_stepped_in_turn_equal_batches_run_alone():
         batch, bits = ShotBatch(600, 2), []
         for _ in _every_step(batch, np.random.default_rng(seed), bits):
             pass
-        alone.append((batch.amps.copy(), bits))
+        alone.append((batch._amps.copy(), bits))
         batch.release()
     batches = [ShotBatch(600, 2), ShotBatch(600, 2)]
     bits = [[], []]
@@ -425,7 +427,7 @@ def test_batches_stepped_in_turn_equal_batches_run_alone():
         assert not any(np.shares_memory(a, b)
                        for a in batches[0]._buffers for b in batches[1]._buffers)
     for batch, batch_bits, (amps, want_bits) in zip(batches, bits, alone):
-        assert np.array_equal(batch.amps, amps)
+        assert np.array_equal(batch._amps, amps)
         assert len(batch_bits) == 2
         assert all(np.array_equal(a, b) for a, b in zip(batch_bits, want_bits))
 
@@ -437,7 +439,7 @@ def test_released_buffers_go_to_the_next_batch():
     first.release()
     second = ShotBatch(32)
     assert second._buffers is kept
-    assert np.array_equal(second.amps, np.ones((32, 1)))
+    assert np.array_equal(second._amps, np.ones((1, 32)))
 
 
 def test_second_sampled_run_reuses_the_engine_buffers():
@@ -487,7 +489,7 @@ def test_batch_measure_bits_follow_born_rule_on_every_axis():
         batch = ShotBatch(shots)
         for p in WINDOW_POSITIONS:
             batch.add_qubit(p)
-        batch.amps[:] = state.amplitudes
+        batch._amps[:] = state.amplitudes[:, None]
         p1 = born_probabilities(state, (axis,), ("Z",))[1]
         ones = int(batch.measure_z(pos, rng).sum())
         assert abs(ones - shots * p1) < 5 * np.sqrt(shots * p1 * (1 - p1))
@@ -500,14 +502,14 @@ def test_batch_measure_collapses_and_renormalizes():
     batch = ShotBatch(1000)
     batch.add_qubit(0)
     batch.add_qubit(1)
-    batch.apply_gate(0, Gate.H)
+    batch.apply_matrix(0, GATE_MATRICES[Gate.H])
     batch.apply_cnot(0, 1)
     bits = batch.measure_z(0, rng)
     assert set(np.unique(bits)) == {0, 1}
     assert batch.axis_of == {1: 0}
-    norms = np.linalg.norm(batch.amps, axis=1)
+    norms = np.linalg.norm(batch._amps, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    assert np.max(np.abs(np.abs(batch.amps[np.arange(bits.size), bits]) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.abs(batch._amps[bits, np.arange(bits.size)]) - 1.0)) < 1e-12
     again = batch.measure_z(1, rng)
     assert np.array_equal(bits, again)
     assert batch.axis_of == {} and batch.dim == 1
@@ -524,7 +526,7 @@ def test_batch_two_qubit_depolarize_at_p1_applies_one_non_identity_string():
         ops = [_on_axis(PAULI_MATRICES[la], a) @ _on_axis(PAULI_MATRICES[lb], b)
                for la, lb in strings]
         seen = set()
-        for got, s in zip(batch.amps, states):
+        for got, s in zip(batch._amps.T, states):
             match = [k for k, o in enumerate(ops)
                      if np.max(np.abs(got - o @ s.amplitudes)) < 1e-12]
             assert len(match) == 1
@@ -572,7 +574,7 @@ def test_batch_idle_decay_forced_branches_match_normalized_kraus_operators():
 
 def test_sampled_noiseless_dynamic_close_to_ideal():
     rng = np.random.default_rng(0)
-    result = run_teleportation(5, "dynamic", NOISELESS, 4096, rng)
+    result = run_teleportation(PathSpec.line(5), "dynamic", NOISELESS, 4096, rng)
     rho = reconstruct(result.pair_frequencies())
     assert negativity(rho) > 0.47
     assert fidelity(rho, density_from_state(phi_p2())) > 0.97
@@ -580,7 +582,7 @@ def test_sampled_noiseless_dynamic_close_to_ideal():
 
 def test_sampled_noiseless_postselect_categories():
     rng = np.random.default_rng(1)
-    result = run_teleportation(4, "postselect", NOISELESS, 4096, rng)
+    result = run_teleportation(PathSpec.line(4), "postselect", NOISELESS, 4096, rng)
     categories = categorize(result)
     assert set(categories) == set(reachable_configurations(2))
     for config, counts in categories.items():
@@ -592,7 +594,7 @@ def test_sampled_noiseless_postselect_categories():
 
 def test_categorize_matches_manual_classification():
     rng = np.random.default_rng(5)
-    result = run_teleportation(5, "postselect", NOISELESS, 512, rng)
+    result = run_teleportation(PathSpec.line(5), "postselect", NOISELESS, 512, rng)
     categories = categorize(result)
     manual = {}
     for pair, counts in result.counts_by_basis.items():
@@ -606,7 +608,7 @@ def test_categorize_matches_manual_classification():
 
 def test_swap_noiseless_keeps_intermediates_in_ground():
     rng = np.random.default_rng(9)
-    result = run_swap_transport(5, NOISELESS, 2048, rng)
+    result = run_swap_transport(PathSpec.line(5), NOISELESS, 2048, rng)
     for counts in result.counts_by_basis.values():
         for outcome in counts:
             for pos in (1, 2, 3):
@@ -620,9 +622,9 @@ def test_swap_degrades_faster_than_postselect_under_gate_noise():
     noise = NoiseModel(two_qubit_depol=0.01, dynamic_correction_latency_us=0.0)
     rng = np.random.default_rng(21)
     hops = 4
-    swap = run_swap_transport(hops + 2, noise, 4096, rng)
+    swap = run_swap_transport(PathSpec.line(hops + 2), noise, 4096, rng)
     n_swap = negativity(reconstruct(swap.pair_frequencies()))
-    post = run_teleportation(hops + 2, "postselect", noise, 4096, rng)
+    post = run_teleportation(PathSpec.line(hops + 2), "postselect", noise, 4096, rng)
     negs = [negativity(reconstruct(frequencies(c))) for c in categorize(post).values()]
     assert n_swap < float(np.mean(negs))
 
@@ -632,8 +634,8 @@ def test_dynamic_latency_costs_negativity():
     slow = NoiseModel(dynamic_correction_latency_us=2.0, t1_us=33.0, t2_us=25.0)
     rng_a = np.random.default_rng(33)
     rng_b = np.random.default_rng(33)
-    fast_run = run_teleportation(5, "dynamic", quiet, 2048, rng_a)
-    slow_run = run_teleportation(5, "dynamic", slow, 2048, rng_b)
+    fast_run = run_teleportation(PathSpec.line(5), "dynamic", quiet, 2048, rng_a)
+    slow_run = run_teleportation(PathSpec.line(5), "dynamic", slow, 2048, rng_b)
     n_fast = negativity(reconstruct(fast_run.pair_frequencies()))
     n_slow = negativity(reconstruct(slow_run.pair_frequencies()))
     assert n_slow < n_fast - 0.05
@@ -645,12 +647,13 @@ def test_simplified_correction_sampled_and_cheaper():
     noise = NoiseModel(dynamic_correction_latency_us=2.0, t1_us=33.0, t2_us=25.0)
     quiet = NoiseModel(dynamic_correction_latency_us=0.0)
     rng = np.random.default_rng(44)
-    exact = run_teleportation(5, "dynamic", quiet, 2048, rng, simplified_correction=True)
+    exact = run_teleportation(PathSpec.line(5), "dynamic", quiet, 2048, rng,
+                              simplified_correction=True)
     n_exact = negativity(reconstruct(exact.pair_frequencies()))
     assert n_exact > 0.45
-    sequential = run_teleportation(5, "dynamic", noise, 2048,
+    sequential = run_teleportation(PathSpec.line(5), "dynamic", noise, 2048,
                                    np.random.default_rng(45))
-    simplified = run_teleportation(5, "dynamic", noise, 2048,
+    simplified = run_teleportation(PathSpec.line(5), "dynamic", noise, 2048,
                                    np.random.default_rng(45), simplified_correction=True)
     n_seq = negativity(reconstruct(sequential.pair_frequencies()))
     n_simp = negativity(reconstruct(simplified.pair_frequencies()))
@@ -664,7 +667,7 @@ def test_flipped_intermediate_readout_swaps_categories():
     noise = NoiseModel(dynamic_correction_latency_us=0.0,
                        readout=[np.eye(2), always_flip, np.eye(2), np.eye(2)])
     rng = np.random.default_rng(6)
-    result = run_teleportation(4, "postselect", noise, 4096, rng)
+    result = run_teleportation(PathSpec.line(4), "postselect", noise, 4096, rng)
     for config, counts in categorize(result).items():
         rho = reconstruct(frequencies(counts))
         actual = canonical_state((config[0] ^ 1, config[1]), 4)
@@ -676,7 +679,7 @@ def test_dynamic_corrections_follow_noisy_readout():
     bad_readout = NoiseModel(dynamic_correction_latency_us=0.0,
                              readout=[np.eye(2), confusion_matrix(0.4, 0.4), np.eye(2)])
     rng = np.random.default_rng(17)
-    result = run_teleportation(3, "dynamic", bad_readout, 4096, rng)
+    result = run_teleportation(PathSpec.line(3), "dynamic", bad_readout, 4096, rng)
     rho = reconstruct(result.pair_frequencies())
     assert fidelity(rho, density_from_state(phi_p2())) < 0.85
 
@@ -695,6 +698,58 @@ def test_idle_pair_matches_exact_channel_under_noise():
         for k in range(4):
             sigma = np.sqrt(shots * probs[k] * (1 - probs[k]))
             assert abs(counts.get(k, 0) - shots * probs[k]) <= 5 * max(sigma, 1.0)
+
+
+def _raised_device_noise(n: int) -> NoiseModel:
+    """Noise of the best n-qubit `neg` path of the seed-7 heavy-hex device, every rate raised.
+
+    Gate errors are five times the device's (one-qubit depolarizing 0.01),
+    T1 and T2 are shortened by a factor growing along the path, and readout
+    flips are six times the device's, so each record of a schedule moves
+    the key distributions by many standard errors.
+    """
+    device = synthesize_device("heavy-hex-127", seed=7)
+    best = find_best_paths(edge_weights(device, "neg"), n, 1, "neg").paths[0]
+    noise = path_noise_model(device, PathSpec(best.qubits))
+    return dataclasses.replace(
+        noise, one_qubit_depol=0.02,
+        two_qubit_depol_per_edge=[10 * p for p in noise.two_qubit_depol_per_edge],
+        t1_per_qubit_us=[t / (3 + q) for q, t in enumerate(noise.t1_per_qubit_us)],
+        t2_per_qubit_us=[t / (3 + q) for q, t in enumerate(noise.t2_per_qubit_us)],
+        readout=[confusion_matrix(6 * a[1, 0], 6 * a[0, 1]) for a in noise.readout])
+
+
+@pytest.mark.parametrize("n, case", [(2, "idle")] + [
+    (n, case) for n in (3, 4, 5)
+    for case in ("dynamic", "dynamic-simplified", "postselect", "swap")])
+def test_sampled_keys_match_exact_schedule_under_device_noise(n, case):
+    # every key of the full outcome (intermediate reads and the pair) in
+    # every basis, against the dense interpretation of the same schedule
+    mode, _, simplified = case.partition("-")
+    noise, shots, rng = _raised_device_noise(n), 20_000, np.random.default_rng(100 + n)
+    if mode == "idle":
+        result = run_idle_pair(3.0, noise, shots, rng)
+    elif mode == "swap":
+        result = run_swap_transport(PathSpec.line(n), noise, shots, rng)
+    else:
+        result = run_teleportation(PathSpec.line(n), mode, noise, shots, rng,
+                                   simplified_correction=bool(simplified))
+    exact = schedule_distributions(schedule(n, mode, noise, bool(simplified), delay_us=3.0))
+    assert np.allclose(exact.sum(axis=1), 1.0)
+    for pair, probs in zip(BASIS_PAIRS, exact):
+        counts = result.counts_by_basis[pair]
+        assert set(counts) <= set(np.flatnonzero(probs))
+        for key, prob in enumerate(probs):
+            sigma = np.sqrt(shots * prob * (1 - prob))
+            assert abs(counts.get(key, 0) - shots * prob) <= 5 * max(sigma, 1.0), (pair, key)
+
+
+def test_exact_schedule_matches_pure_state_oracle_without_noise():
+    # the dense interpreter against the independent pure-state route
+    for n in (3, 4, 5):
+        exact = schedule_distributions(schedule(n, "postselect", NOISELESS))
+        for pair, probs in zip(BASIS_PAIRS, exact):
+            assert np.max(np.abs(probs - _postselect_joint_oracle(n, pair))) < 1e-12
 
 
 def test_idle_pair_run():
@@ -746,9 +801,9 @@ def _sampled_for_digest(case: str, size: int, shots: int):
     if case == "idle":
         return run_idle_pair(float(size), DIGEST_NOISE, shots, rng)
     if case == "swap":
-        return run_swap_transport(size, DIGEST_NOISE, shots, rng)
+        return run_swap_transport(PathSpec.line(size), DIGEST_NOISE, shots, rng)
     mode, _, simplified = case.partition("-")
-    return run_teleportation(size, mode, DIGEST_NOISE, shots, rng,
+    return run_teleportation(PathSpec.line(size), mode, DIGEST_NOISE, shots, rng,
                              simplified_correction=bool(simplified))
 
 
@@ -785,22 +840,22 @@ def test_pathspec_validation():
 def test_run_argument_errors():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="shot budget"):
-        run_teleportation(4, "dynamic", NOISELESS, 0, rng)
+        run_teleportation(PathSpec.line(4), "dynamic", NOISELESS, 0, rng)
     with pytest.raises(ValueError, match="mode"):
-        run_teleportation(4, "both", NOISELESS, 16, rng)
+        run_teleportation(PathSpec.line(4), "both", NOISELESS, 16, rng)
     with pytest.raises(ValueError, match="intermediate"):
-        run_teleportation(2, "dynamic", NOISELESS, 16, rng)
+        run_teleportation(PathSpec.line(2), "dynamic", NOISELESS, 16, rng)
     with pytest.raises(ValueError, match="intermediate"):
-        run_swap_transport(2, NOISELESS, 16, rng)
+        run_swap_transport(PathSpec.line(2), NOISELESS, 16, rng)
 
 
 def test_paths_beyond_int64_outcome_keys_are_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="64-bit outcome keys"):
-        run_teleportation(70, "postselect", NOISELESS, 4, rng)
+        run_teleportation(PathSpec.line(70), "postselect", NOISELESS, 4, rng)
     with pytest.raises(ValueError, match="64-bit outcome keys"):
-        run_swap_transport(70, NOISELESS, 4, rng)
-    longest = run_teleportation(MAX_PATH_QUBITS, "postselect", NOISELESS, 4, rng)
+        run_swap_transport(PathSpec.line(70), NOISELESS, 4, rng)
+    longest = run_teleportation(PathSpec.line(MAX_PATH_QUBITS), "postselect", NOISELESS, 4, rng)
     keys = [k for counts in longest.counts_by_basis.values() for k in counts]
     assert min(keys) >= 0 and max(keys) < 1 << MAX_PATH_QUBITS
 
