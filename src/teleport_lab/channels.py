@@ -26,6 +26,8 @@ from .tomography import BASIS_PAIRS, rotation_gates
 FITTED_T1_US = 33.0
 FITTED_T2_US = 25.0
 DEFAULT_LATENCY_US = 2.0
+#: One-qubit gate depolarizing of every device path and `gen-device` edge negativity.
+DEFAULT_ONE_QUBIT_DEPOL = 2e-4
 
 
 def confusion_matrix(p_flip_0to1: float, p_flip_1to0: float) -> np.ndarray:
@@ -183,14 +185,6 @@ def depolarizing_channel(rho: np.ndarray, qubits: Sequence[int], p: float) -> np
     return (1.0 - p) * rho + p / (n_words - 1) * (n_words * twirl - rho)
 
 
-def idle_decay_channel(rho: np.ndarray, qubits: Sequence[int], duration_us: float,
-                       t1_us: float, t2_us: float) -> np.ndarray:
-    ks = idle_kraus_ops(duration_us, t1_us, t2_us)
-    for q in qubits:
-        rho = apply_kraus_channel(rho, ks, q)
-    return rho
-
-
 def per_qubit_transform(probs: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Apply one 2x2 matrix per measured qubit, one tensor axis at a time.
 
@@ -223,7 +217,7 @@ def exact_pair_distributions(noise: NoiseModel, delay_us: float = 0.0) -> np.nda
     cz_signs = np.array([1.0, 1.0, 1.0, -1.0])
     rho = depolarizing_channel(rho * np.outer(cz_signs, cz_signs), (0, 1), noise.edge_depol(0))
     for q in (0, 1):
-        rho = idle_decay_channel(rho, (q,), delay_us, *noise.qubit_t1t2(q))
+        rho = apply_kraus_channel(rho, idle_kraus_ops(delay_us, *noise.qubit_t1t2(q)), q)
     confusion = [noise.qubit_confusion(0), noise.qubit_confusion(1)]
     # 4x4 products, not apply_kraus_channel: its other summation order moves
     # gen-device negativities by up to 5e-16

@@ -9,14 +9,19 @@ import math
 import sys
 
 from . import harness, pathfinder, svgplot
-from .channels import NoiseModel, confusion_matrix
+from .channels import DEFAULT_ONE_QUBIT_DEPOL, NoiseModel, confusion_matrix
 from .harness import ExperimentSpec
 from .mitigation import MitigationError
+from .protocols import MAX_PATH_QUBITS
 
 log = logging.getLogger("teleport_lab")
 
 DEFAULT_READOUT_01 = 0.013
 DEFAULT_READOUT_10 = 0.018
+#: Most points a LO:HI:STEP delay range may expand to.
+MAX_DELAY_POINTS = 10_000
+#: `gen-device` noise distribution flags (argparse dest, as synthesize_device names them).
+_DISTRIBUTION_FLAGS = ("gate_error_mean", "gate_error_sd", "readout_mean", "readout_sd")
 
 
 def _parse_hops(text: str) -> tuple[int, ...]:
@@ -29,7 +34,12 @@ def _parse_hops(text: str) -> tuple[int, ...]:
             lo, hi, step = parts
         else:
             raise argparse.ArgumentTypeError(f"bad hops range {text!r}")
-        return tuple(range(lo, hi + 1, step))
+        hops = range(lo, hi + 1, step)
+        # more distinct hop counts than this cannot all be valid; ExperimentSpec names which
+        if hops[MAX_PATH_QUBITS - 2:]:
+            raise argparse.ArgumentTypeError(f"hops range {text!r} holds more than "
+                                             f"{MAX_PATH_QUBITS - 2} hop counts")
+        return tuple(hops)
     return tuple(int(p) for p in text.split(","))
 
 
@@ -48,6 +58,8 @@ def _parse_delays(text: str) -> list[float]:
         out = []
         t = lo
         while t <= hi + 1e-9:
+            if len(out) == MAX_DELAY_POINTS:  # also ends a range whose step is below t's ulp
+                raise ValueError(f"delay range {text!r} holds more than {MAX_DELAY_POINTS} delays")
             out.append(round(t, 9))
             t += step
         if not out:
@@ -61,11 +73,10 @@ def _csv_list(text: str) -> tuple[str, ...]:
 
 
 def cmd_gen_device(args) -> int:
-    device = pathfinder.synthesize_device(
-        topology=args.topology, seed=args.seed,
-        gate_error_mean=args.gate_error_mean, gate_error_sd=args.gate_error_sd,
-        readout_mean=args.readout_mean, readout_sd=args.readout_sd,
-        undefined_edges=args.undefined_edges)
+    given = {flag: getattr(args, flag) for flag in _DISTRIBUTION_FLAGS
+             if getattr(args, flag) is not None}
+    device = pathfinder.synthesize_device(topology=args.topology, seed=args.seed,
+                                          undefined_edges=args.undefined_edges, **given)
     pathfinder.save_device(device, args.out)
     print(f"wrote {args.out}: {len(device.qubits)} qubits, {len(device.edges)} edges")
     return 0
@@ -140,7 +151,7 @@ def _decay_noise(args) -> NoiseModel:
         pair = best.paths[0].qubits
         return harness.path_noise_model(device, harness.PathSpec(pair))
     readout = [confusion_matrix(DEFAULT_READOUT_01, DEFAULT_READOUT_10)] * 2
-    return NoiseModel(one_qubit_depol=harness.DEFAULT_ONE_QUBIT_DEPOL,
+    return NoiseModel(one_qubit_depol=DEFAULT_ONE_QUBIT_DEPOL,
                       two_qubit_depol=0.0075, readout=readout)
 
 
@@ -184,14 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "on simulated qubit paths")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-device", help="synthesize a calibration file")
+    p = sub.add_parser("gen-device", help="synthesize a calibration file",
+                       description="Distribution flags left out take the synthesize_device "
+                                   "defaults.")
     p.add_argument("--topology", default="heavy-hex-127",
                    help="heavy-hex-127, line:N or ring:N")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gate-error-mean", type=float, default=0.0075)
-    p.add_argument("--gate-error-sd", type=float, default=0.003)
-    p.add_argument("--readout-mean", type=float, default=DEFAULT_READOUT_01)
-    p.add_argument("--readout-sd", type=float, default=0.005)
+    for flag in _DISTRIBUTION_FLAGS:
+        p.add_argument("--" + flag.replace("_", "-"), type=float)
     p.add_argument("--undefined-edges", type=int, default=0,
                    help="number of edges stored with the undefined-calibration value 1.0")
     p.add_argument("--out", required=True)

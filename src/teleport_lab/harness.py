@@ -25,7 +25,8 @@ from .protocols import PathSpec, TransportResult
 
 log = logging.getLogger("teleport_lab")
 
-DEFAULT_ONE_QUBIT_DEPOL = 2e-4
+#: Readout calibration shots per prepared state, of a sweep cell and of a decay delay.
+CALIBRATION_SHOTS = 8192
 CSV_HEADER_COMMENT = "# teleport-lab results v1"
 CSV_COLUMNS = ("mode", "protocol", "hops", "path", "trial", "qrem", "configuration",
                "negativity", "fidelity", "shots", "seed")
@@ -46,7 +47,7 @@ class ExperimentSpec:
     trials: int = 4
     shots: int = 4096
     qrem: str = "both"  # on | off | both
-    qrem_calibration_shots: int = 8192
+    qrem_calibration_shots: int = CALIBRATION_SHOTS
     noise_overrides: dict = field(default_factory=dict)
     simplified_correction: bool = False
     seed: int = 0
@@ -86,6 +87,10 @@ class ExperimentSpec:
             noise = NoiseModel(**self.noise_overrides)
         except TypeError as exc:
             raise ValueError(f"invalid noise override: {exc}") from None
+        for scalar, listed in (("two_qubit_depol", "two_qubit_depol_per_edge"),
+                               ("t1_us", "t1_per_qubit_us"), ("t2_us", "t2_per_qubit_us")):
+            if scalar in self.noise_overrides and getattr(noise, listed) is not None:
+                raise ValueError(f"noise overrides {scalar} and {listed} exclude each other")
         longest = max(self.hops, default=0) + 2
         if noise.readout and len(noise.readout) < longest:
             raise ValueError(f"noise override readout has {len(noise.readout)} confusion "
@@ -150,7 +155,7 @@ def path_noise_model(device: DeviceModel, path: PathSpec,
     overrides = overrides or {}
     cals = [device.qubit(label) for label in path.qubit_labels]
     params = dict(
-        one_qubit_depol=DEFAULT_ONE_QUBIT_DEPOL,
+        one_qubit_depol=channels.DEFAULT_ONE_QUBIT_DEPOL,
         readout=[confusion_matrix(c.readout_err_0to1, c.readout_err_1to0) for c in cals],
         two_qubit_depol_per_edge=[device.edge(a, b).gate_error
                                   for a, b in zip(path.qubit_labels, path.qubit_labels[1:])],
@@ -452,26 +457,6 @@ def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
 # Idle-decay experiment
 
 
-def exact_decay_negativity(delays_us: Sequence[float], noise: NoiseModel,
-                           qrem: bool = True) -> np.ndarray:
-    """Infinite-shot negativities of an idling graph-state pair, in one stacked reconstruction."""
-    confusion = [noise.qubit_confusion(0), noise.qubit_confusion(1)]
-    probs = [mitigation.mitigate_distributions(channels.exact_pair_distributions(noise, float(d)),
-                                               qrem, confusion)
-             for d in delays_us]
-    return negativity(tomography.reconstruct(np.reshape(probs, (-1, 9, 4))))
-
-
-def sampled_decay_negativity(delay_us: float, noise: NoiseModel, shots: int,
-                             rng: np.random.Generator, qrem: bool = True,
-                             calibration_shots: int = 8192) -> float:
-    result = protocols.run_idle_pair(delay_us, noise, shots, rng)
-    calibration = mitigation.estimate_confusion_matrices(
-        [noise.qubit_confusion(0), noise.qubit_confusion(1)], calibration_shots, rng)
-    probs = mitigated_pair_distributions(result, qrem, calibration)
-    return negativity(tomography.reconstruct(probs))
-
-
 def crossing_time(delays: Sequence[float], values: Sequence[float], level: float) -> float | None:
     """First delay at which the (piecewise-linear) curve crosses the level downward."""
     for (t0, v0), (t1, v1) in zip(zip(delays, values), zip(delays[1:], values[1:])):
@@ -502,21 +487,28 @@ DECAY_LEVEL_END = 0.376
 
 def run_decay_experiment(delays_us: Sequence[float], noise: NoiseModel, shots: int = 0,
                          seed: int = 0, qrem: bool = True) -> DecayResult:
-    """Negativity of an idling pair versus delay; shots=0 runs the exact channel."""
+    """Negativity of an idling pair versus delay; shots=0 runs the exact channel.
+
+    Delay i samples from child stream i of ``seed``; one reconstruction scores every delay.
+    """
     if len(delays_us) == 0:
         raise ValueError("delays must list at least one delay")
     if shots < 0:
         raise ValueError(f"shots must be 0 (exact channel) or positive, got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if shots == 0:
-        values = [float(v) for v in exact_decay_negativity(list(delays_us), noise, qrem)]
-    else:
-        values = []
-        for i, delay in enumerate(delays_us):
-            child = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-            rng = np.random.default_rng(child)
-            values.append(sampled_decay_negativity(delay, noise, shots, rng, qrem))
+    confusion = [noise.qubit_confusion(0), noise.qubit_confusion(1)]
+    probs = []
+    for i, delay in enumerate(delays_us):
+        if shots == 0:
+            probs.append(mitigation.mitigate_distributions(
+                channels.exact_pair_distributions(noise, float(delay)), qrem, confusion))
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        result = protocols.run_idle_pair(delay, noise, shots, rng)
+        calibration = mitigation.estimate_confusion_matrices(confusion, CALIBRATION_SHOTS, rng)
+        probs.append(mitigated_pair_distributions(result, qrem, calibration))
+    values = [float(v) for v in negativity(tomography.reconstruct(np.array(probs)))]
     return DecayResult(list(delays_us), values,
                        crossing_time(delays_us, values, DECAY_LEVEL_START),
                        crossing_time(delays_us, values, DECAY_LEVEL_END))

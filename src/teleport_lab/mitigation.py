@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import check_confusion_matrix, per_qubit_transform
+from .channels import check_confusion_matrix, confusion_matrix, per_qubit_transform
 
 
 class MitigationError(RuntimeError):
@@ -92,9 +92,4 @@ def estimate_confusion_matrices(true_confusion: Sequence[np.ndarray], shots: int
     p_read1 = np.array([check_confusion_matrix(a)[1] for a in true_confusion])  # (k, prepared)
     flips0 = (rng.random((shots, k)) < p_read1[:, 0]).sum(axis=0)
     flips1 = (rng.random((shots, k)) >= p_read1[:, 1]).sum(axis=0)
-    out = []
-    for q in range(k):
-        e01 = flips0[q] / shots
-        e10 = flips1[q] / shots
-        out.append(np.array([[1.0 - e01, e10], [e01, 1.0 - e10]]))
-    return out
+    return [confusion_matrix(e01 / shots, e10 / shots) for e01, e10 in zip(flips0, flips1)]

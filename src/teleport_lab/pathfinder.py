@@ -50,7 +50,6 @@ class EdgeCal:
 class DeviceModel:
     qubits: list
     edges: list
-    name: str = "device"
 
     def __post_init__(self):
         self._qubit_by_id = {q.id: q for q in self.qubits}
@@ -85,7 +84,7 @@ def _require(record: dict, field_name: str, context: str, optional: bool = False
     return value
 
 
-def device_from_dict(payload: dict, name: str = "device") -> DeviceModel:
+def device_from_dict(payload: dict) -> DeviceModel:
     if not isinstance(payload, dict):
         raise DeviceSchemaError("top level must be an object")
     for key in ("qubits", "edges"):
@@ -144,7 +143,7 @@ def device_from_dict(payload: dict, name: str = "device") -> DeviceModel:
                 raise DeviceSchemaError(f"{ctx}: reverse duplicate of ({prev.a}, {prev.b}) disagrees")
             continue
         merged[key] = edge
-    return DeviceModel(qubits=qubits, edges=list(merged.values()), name=name)
+    return DeviceModel(qubits=qubits, edges=list(merged.values()))
 
 
 def ingest_device(path: str) -> DeviceModel:
@@ -153,7 +152,7 @@ def ingest_device(path: str) -> DeviceModel:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DeviceSchemaError(f"{path}: not valid JSON ({exc})") from exc
-    return device_from_dict(payload, name=str(path))
+    return device_from_dict(payload)
 
 
 def save_device(device: DeviceModel, path: str):
@@ -310,19 +309,19 @@ def _topology_edges(topology: str) -> list[tuple[int, int]]:
 
 
 def pair_negativities(gate_errors: Sequence[float], confusions_a: Sequence[np.ndarray],
-                      confusions_b: Sequence[np.ndarray], one_qubit_depol: float = 0.0):
+                      confusions_b: Sequence[np.ndarray]):
     """Exact (neg, neg_qrem) arrays of a noisy two-qubit graph state on each given edge.
 
     Mirrors the measurement pipeline: the exact tomography distributions of
-    the noisily prepared pair through readout confusion, reconstructed
-    without and with readout correction. Takes one gate error and one
-    confusion matrix per qubit of each edge, and reconstructs every edge
-    in one stacked call.
+    the noisily prepared pair, with the one-qubit gate noise of every device
+    path, through readout confusion, reconstructed without and with readout
+    correction. Takes one gate error and one confusion matrix per qubit of
+    each edge, and reconstructs every edge in one stacked call.
     """
     probs = []
     for eps, a, b in zip(gate_errors, confusions_a, confusions_b):
-        noise = channels.NoiseModel(one_qubit_depol=one_qubit_depol, two_qubit_depol=float(eps),
-                                    readout=[a, b])
+        noise = channels.NoiseModel(one_qubit_depol=channels.DEFAULT_ONE_QUBIT_DEPOL,
+                                    two_qubit_depol=float(eps), readout=[a, b])
         dists = channels.exact_pair_distributions(noise)
         probs += [mitigation.mitigate_distributions(dists, qrem, noise.readout)
                   for qrem in (False, True)]
@@ -333,12 +332,8 @@ def pair_negativities(gate_errors: Sequence[float], confusions_a: Sequence[np.nd
 def synthesize_device(topology: str = "heavy-hex-127", seed: int = 0,
                       gate_error_mean: float = 0.0075, gate_error_sd: float = 0.003,
                       readout_mean: float = 0.013, readout_sd: float = 0.005,
-                      t1_us: float = channels.FITTED_T1_US,
-                      t2_us: float = channels.FITTED_T2_US,
-                      one_qubit_depol: float = 2e-4,
-                      undefined_edges: int = 0,
-                      name: str | None = None) -> DeviceModel:
-    """Generate a calibration with drawn noise statistics and simulated negativities."""
+                      undefined_edges: int = 0) -> DeviceModel:
+    """Calibration with drawn noise statistics, the fitted T1/T2 and simulated negativities."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if undefined_edges < 0:
@@ -350,8 +345,7 @@ def synthesize_device(topology: str = "heavy-hex-127", seed: int = 0,
     for qid in qubit_ids:
         e01 = float(np.clip(rng.normal(readout_mean, readout_sd), 5e-4, 0.4))
         e10 = float(np.clip(rng.normal(readout_mean * 1.4, readout_sd), 5e-4, 0.4))
-        qubits.append(QubitCal(id=qid, readout_err_0to1=e01, readout_err_1to0=e10,
-                               t1_us=t1_us, t2_us=t2_us))
+        qubits.append(QubitCal(id=qid, readout_err_0to1=e01, readout_err_1to0=e10))
     undefined = set()
     if undefined_edges:
         chosen = rng.choice(len(edges_list), size=min(undefined_edges, len(edges_list)),
@@ -366,10 +360,10 @@ def synthesize_device(topology: str = "heavy-hex-127", seed: int = 0,
     # every defined edge in one stacked reconstruction; undefined edges read 0
     measured = dict(zip(defined, zip(*pair_negativities(
         [gate_errors[i] for i in defined], [confusion[edges_list[i][0]] for i in defined],
-        [confusion[edges_list[i][1]] for i in defined], one_qubit_depol))))
+        [confusion[edges_list[i][1]] for i in defined]))))
     edges = []
     for i, (a, b) in enumerate(edges_list):
         neg, neg_qrem = measured.get(i, (0.0, 0.0))
         edges.append(EdgeCal(a=a, b=b, gate_error=gate_errors[i], neg=float(neg),
                              neg_qrem=float(neg_qrem)))
-    return DeviceModel(qubits=qubits, edges=edges, name=name or topology)
+    return DeviceModel(qubits=qubits, edges=edges)

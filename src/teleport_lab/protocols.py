@@ -87,10 +87,6 @@ class PathSpec:
         return len(self.qubit_labels) - 2
 
 
-def _as_path(path) -> PathSpec:
-    return path if isinstance(path, PathSpec) else PathSpec(tuple(path))
-
-
 def reachable_configurations(hops: int) -> tuple[tuple[int, int], ...]:
     """With a single hop only the X-free configurations occur."""
     if hops < 1:
@@ -513,32 +509,34 @@ def _sample_group(steps: Sequence[tuple], bases: Sequence[tuple[str, str]],
     """Outcome keys of a group of bases, slab by slab: the schedule's records in order."""
     batch = ShotBatch(len(bases) * rng.shots, len(bases))
     read, zero = {}, np.zeros(batch.shots, dtype=np.int8)
-    for step in steps:
-        match step:
-            case ("add", pos):
-                batch.add_qubit(pos)
-            case ("gate", pos, matrix):
-                batch.apply_matrix(pos, matrix)
-            case ("cz", a, b):
-                batch.apply_cz(a, b)
-            case ("cnot", control, target):
-                batch.apply_cnot(control, target)
-            case ("depolarize", positions, p):
-                batch.depolarize(positions, p, rng)
-            case ("measure", pos, confusion):
-                read[pos] = batch.readout(batch.measure_z(pos, rng), confusion, rng)
-            case ("idle", pos, duration_us, t1_us, t2_us):
-                batch.idle_decay(pos, duration_us, t1_us, t2_us, rng)
-            case ("pauli_if", pos, letter, p, parity_of):
-                cond = reduce(np.bitwise_xor, (read[q] for q in parity_of), zero) == 1
-                idx = np.flatnonzero(cond)
-                batch.apply_paulis([pos], idx, np.full((1, idx.size), letter))
-                batch.depolarize([pos], p, rng, active=cond)
-            case ("tomography", first, last, p):
-                _rotate_into_bases(batch, bases, (first, last), p, rng)
-            case _:
-                raise ValueError(f"unknown schedule record {step!r}")
-    batch.release()
+    try:
+        for step in steps:
+            match step:
+                case ("add", pos):
+                    batch.add_qubit(pos)
+                case ("gate", pos, matrix):
+                    batch.apply_matrix(pos, matrix)
+                case ("cz", a, b):
+                    batch.apply_cz(a, b)
+                case ("cnot", control, target):
+                    batch.apply_cnot(control, target)
+                case ("depolarize", positions, p):
+                    batch.depolarize(positions, p, rng)
+                case ("measure", pos, confusion):
+                    read[pos] = batch.readout(batch.measure_z(pos, rng), confusion, rng)
+                case ("idle", pos, duration_us, t1_us, t2_us):
+                    batch.idle_decay(pos, duration_us, t1_us, t2_us, rng)
+                case ("pauli_if", pos, letter, p, parity_of):
+                    cond = reduce(np.bitwise_xor, (read[q] for q in parity_of), zero) == 1
+                    idx = np.flatnonzero(cond)
+                    batch.apply_paulis([pos], idx, np.full((1, idx.size), letter))
+                    batch.depolarize([pos], p, rng, active=cond)
+                case ("tomography", first, last, p):
+                    _rotate_into_bases(batch, bases, (first, last), p, rng)
+                case _:
+                    raise ValueError(f"unknown schedule record {step!r}")
+    finally:  # a record that raises leaves the buffers to the next batch too
+        batch.release()
     keys = np.zeros(zero.size, dtype=np.int64)
     for pos, bits in read.items():
         keys |= bits.astype(np.int64) << pos
@@ -565,11 +563,10 @@ def _sample(path: PathSpec, mode: str, noise: NoiseModel, shots: int, rng: np.ra
     return result
 
 
-def run_teleportation(path, mode: str, noise: NoiseModel, shots: int,
+def run_teleportation(path: PathSpec, mode: str, noise: NoiseModel, shots: int,
                       rng: np.random.Generator,
                       simplified_correction: bool = False) -> TransportResult:
     """Sample `shots` trajectories per tomography basis for one teleportation run."""
-    path = _as_path(path)
     if mode not in ("dynamic", "postselect"):
         raise ValueError(f"mode must be dynamic or postselect, got {mode}")
     if path.hops < 1:
@@ -577,10 +574,9 @@ def run_teleportation(path, mode: str, noise: NoiseModel, shots: int,
     return _sample(path, mode, noise, shots, rng, simplified_correction=simplified_correction)
 
 
-def run_swap_transport(path, noise: NoiseModel, shots: int,
+def run_swap_transport(path: PathSpec, noise: NoiseModel, shots: int,
                        rng: np.random.Generator) -> TransportResult:
     """Move the pair qubit with SWAP chains (three noisy CNOTs per hop)."""
-    path = _as_path(path)
     if path.hops < 1:
         raise ValueError("swap transport needs at least one intermediate qubit")
     return _sample(path, "swap", noise, shots, rng)

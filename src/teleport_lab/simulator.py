@@ -20,7 +20,6 @@ class Gate(Enum):
     X = "X"
     Y = "Y"
     Z = "Z"
-    S = "S"
     SDG = "SDG"
 
 
@@ -29,7 +28,6 @@ GATE_MATRICES = {
     Gate.X: np.array([[0, 1], [1, 0]], dtype=complex),
     Gate.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
     Gate.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    Gate.S: np.array([[1, 0], [0, 1j]], dtype=complex),
     Gate.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
 }
 

@@ -15,6 +15,8 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 24, 40, 48
+TICK_TARGET = 5  # about this many ticks per axis
+ERROR_BAR_STDERRS = 2.0  # error bars span this many standard errors each way
 
 
 @dataclass
@@ -30,11 +32,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".2f")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / target
+    raw = span / TICK_TARGET
     mag = 10.0 ** int(f"{raw:e}".split("e")[1])
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -65,8 +67,7 @@ class _Canvas:
         return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
 
 
-def render_chart(series: Sequence[Series], title: str, xlabel: str, ylabel: str,
-                 y_range: tuple[float, float] | None = None) -> str:
+def render_chart(series: Sequence[Series], title: str, xlabel: str, ylabel: str) -> str:
     xs = [p[0] for s in series for p in s.points]
     ys = [p[1] + p[2] for s in series for p in s.points]
     ys += [p[1] - p[2] for s in series for p in s.points]
@@ -77,10 +78,9 @@ def render_chart(series: Sequence[Series], title: str, xlabel: str, ylabel: str,
     x_range = (min(xs), max(xs)) if xs else (0.0, 1.0)
     if x_range[0] == x_range[1]:
         x_range = (x_range[0] - 0.5, x_range[1] + 0.5)
-    if y_range is None:
-        y_range = (min(ys), max(ys)) if ys else (0.0, 1.0)
-        pad = 0.05 * (y_range[1] - y_range[0] or 1.0)
-        y_range = (y_range[0] - pad, y_range[1] + pad)
+    y_range = (min(ys), max(ys)) if ys else (0.0, 1.0)
+    pad = 0.05 * (y_range[1] - y_range[0] or 1.0)
+    y_range = (y_range[0] - pad, y_range[1] + pad)
     c = _Canvas(x_range, y_range)
 
     out = ['<?xml version="1.0" encoding="UTF-8"?>',
@@ -158,11 +158,10 @@ def _filter(rows, **criteria):
     return out
 
 
-def plot_results(rows: Sequence[ResultRow], out_dir: str,
-                 error_scale: float = 2.0) -> list[str]:
+def plot_results(rows: Sequence[ResultRow], out_dir: str) -> list[str]:
     """Fig-style charts: per-mode protocol comparison and cross-mode summary.
 
-    Error bars are ``error_scale`` times the standard error of the sampled
+    Error bars are ``ERROR_BAR_STDERRS`` times the standard error of the sampled
     values at each hop count.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -181,7 +180,7 @@ def plot_results(rows: Sequence[ResultRow], out_dir: str,
                         continue
                     series.append(Series(
                         name=protocol,
-                        points=[(a.hops, a.mean, error_scale * a.stderr) for a in agg],
+                        points=[(a.hops, a.mean, ERROR_BAR_STDERRS * a.stderr) for a in agg],
                         color=PALETTE[i % len(PALETTE)]))
                 if not any(s.points for s in series):
                     continue
@@ -198,7 +197,7 @@ def plot_results(rows: Sequence[ResultRow], out_dir: str,
                     continue
                 series.append(Series(
                     name=mode,
-                    points=[(a.hops, a.mean, error_scale * a.stderr) for a in agg_all],
+                    points=[(a.hops, a.mean, ERROR_BAR_STDERRS * a.stderr) for a in agg_all],
                     band=[(a.hops, a.low, a.high) for a in agg_all],
                     color=PALETTE[i % len(PALETTE)],
                     dashed=True))

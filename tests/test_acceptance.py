@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from teleport_lab import harness, pathfinder, protocols
-from teleport_lab.channels import NoiseModel, confusion_matrix, readout_channel
+from teleport_lab.channels import (DEFAULT_ONE_QUBIT_DEPOL, NoiseModel, confusion_matrix,
+                                   readout_channel)
 from teleport_lab.harness import ExperimentSpec, aggregate_by_hops, run_decay_experiment
 from teleport_lab.metrics import density_from_state, fidelity, nearest_physical, negativity
 from teleport_lab.mitigation import michelot_project, qrem_correct
@@ -260,7 +261,7 @@ def test_criterion_08_paper_trends(trend_rows):
 
 
 def test_criterion_09_decay_experiment():
-    noise = NoiseModel(one_qubit_depol=harness.DEFAULT_ONE_QUBIT_DEPOL,
+    noise = NoiseModel(one_qubit_depol=DEFAULT_ONE_QUBIT_DEPOL,
                        two_qubit_depol=0.0075,
                        readout=[confusion_matrix(0.013, 0.018)] * 2)
     delays = list(np.linspace(0.0, 6.0, 49))

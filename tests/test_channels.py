@@ -9,7 +9,7 @@ import pytest
 from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, apply_kraus_channel,
                                    check_confusion_matrix, confusion_matrix,
                                    decay_probabilities, depolarizing_channel,
-                                   exact_pair_distributions, idle_decay_channel, idle_kraus_ops,
+                                   exact_pair_distributions, idle_kraus_ops,
                                    phase_flip_kraus, readout_channel)
 from teleport_lab.harness import path_noise_model
 from teleport_lab.metrics import density_from_state, negativity
@@ -164,7 +164,9 @@ def test_trajectory_matches_exact_kraus_channel(rng):
     batch = shot_batch(state, 100_000)
     for q in (0, 1):
         batch.idle_decay(q, duration, t1, t2, rng)
-    exact = idle_decay_channel(density_from_state(state.amplitudes), (0, 1), duration, t1, t2)
+    exact = density_from_state(state.amplitudes)
+    for q in (0, 1):
+        exact = apply_kraus_channel(exact, idle_kraus_ops(duration, t1, t2), q)
     assert trace_distance(ensemble_density(batch), exact) < 0.01
 
 

@@ -1,11 +1,12 @@
 """Command-line surface and SVG rendering."""
 import json
 import os
+import time
 
 import pytest
 
 from teleport_lab import svgplot
-from teleport_lab.cli import _parse_delays, _parse_hops, main
+from teleport_lab.cli import MAX_DELAY_POINTS, _parse_delays, _parse_hops, main
 from teleport_lab.harness import ExperimentSpec, ResultRow, read_csv_rows
 from teleport_lab.svgplot import Series, plot_results, render_chart
 
@@ -61,6 +62,28 @@ def test_decay_rejects_empty_delay_range(tmp_path, capsys):
     # a one-point range still runs
     assert main(["decay", "--delays", "1:1:0.5", "--out", str(tmp_path / "d.csv")]) == 0
     assert len((tmp_path / "d.csv").read_text().splitlines()) == 3
+
+
+def test_range_flags_reject_oversized_ranges_fast(tmp_path, capsys):
+    # `1e20:1e20:1` never returned, as t + 1 == t there; `0:1e6:1` took seconds, and
+    # `--hops 1..1000000` built a million hop counts that the spec then rejected
+    out = tmp_path / "never.csv"
+    for text, shots in (("1e20:1e20:1", "0"), ("0:1e6:1", "0"), ("0:1e6:1", "64")):
+        start = time.perf_counter()
+        assert main(["decay", "--delays", text, "--shots", shots, "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (f"error: delay range {text!r} holds more than "
+                                           f"{MAX_DELAY_POINTS} delays\n")
+    assert len(_parse_delays(f"1:{MAX_DELAY_POINTS}:1")) == MAX_DELAY_POINTS
+    for hops in ("1..1000000", "0..60", "1..10000000000000000000"):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:  # argparse rejects a bad flag value itself
+            main(["run", "--device", "unused.json", "--hops", hops, "--out", str(out)])
+        assert exc.value.code == 2 and time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.endswith(f"error: argument --hops: hops range {hops!r} "
+                                                "holds more than 60 hop counts\n")
+    assert _parse_hops("1..60")[-1] == 60
+    assert not out.exists()
 
 
 # --- full pipeline ----------------------------------------------------------------
@@ -198,6 +221,22 @@ def test_run_rejects_nan_noise_inputs(tmp_path, capsys):
     assert main(["run", "--device", str(nan_dev), "--hops", "1", "--shots", "64",
                  "--out", str(out)]) == 2
     assert "t1_per_qubit_us" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_scalar_noise_override_with_its_list(tmp_path, capsys):
+    # the scalar used to be dropped without a word, the per-position list taking effect
+    dev = tmp_path / "line6.json"
+    assert main(["gen-device", "--topology", "line:6", "--out", str(dev)]) == 0
+    out = tmp_path / "never.csv"
+    for scalar, value, listed in (("two_qubit_depol", 0.3, "two_qubit_depol_per_edge"),
+                                  ("t1_us", 20, "t1_per_qubit_us"),
+                                  ("t2_us", 20, "t2_per_qubit_us")):
+        overrides = json.dumps({scalar: value, listed: [0.0 if "depol" in scalar else 50] * 5})
+        assert main(["run", "--device", str(dev), "--hops", "1..3", "--shots", "64",
+                     "--noise-overrides", overrides, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: noise overrides {scalar} and {listed} "
+                                           "exclude each other\n")
     assert not out.exists()
 
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from teleport_lab import harness, protocols
-from teleport_lab.channels import NoiseModel, confusion_matrix
+from teleport_lab.channels import DEFAULT_ONE_QUBIT_DEPOL, NoiseModel, confusion_matrix
 from teleport_lab.harness import (ExperimentSpec, ResultRow,
-                                  aggregate_by_hops, crossing_time, exact_decay_negativity,
+                                  aggregate_by_hops, crossing_time,
                                   mitigated_category_distributions,
                                   mitigated_pair_distributions, path_noise_model,
                                   plan_cells, read_csv_rows, rows_to_csv, run_decay_experiment,
@@ -614,7 +614,7 @@ def test_crossing_time_interpolates():
 
 
 def test_exact_decay_monotone_and_window():
-    noise = NoiseModel(one_qubit_depol=harness.DEFAULT_ONE_QUBIT_DEPOL,
+    noise = NoiseModel(one_qubit_depol=DEFAULT_ONE_QUBIT_DEPOL,
                        two_qubit_depol=0.0075,
                        readout=[confusion_matrix(0.013, 0.018)] * 2)
     delays = list(np.linspace(0.0, 5.0, 21))
@@ -643,6 +643,6 @@ def test_sampled_decay_tracks_exact():
 
 def test_qrem_off_decay_is_lower():
     noise = NoiseModel(readout=[confusion_matrix(0.05, 0.08)] * 2)
-    [with_qrem] = exact_decay_negativity([0.5], noise, qrem=True)
-    [without] = exact_decay_negativity([0.5], noise, qrem=False)
+    [with_qrem] = run_decay_experiment([0.5], noise, qrem=True).negativities
+    [without] = run_decay_experiment([0.5], noise, qrem=False).negativities
     assert with_qrem > without + 0.02

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from teleport_lab.channels import confusion_matrix
+from teleport_lab.channels import NoiseModel, confusion_matrix, exact_pair_distributions
+from teleport_lab.metrics import negativity
+from teleport_lab.mitigation import mitigate_distributions
 from teleport_lab.pathfinder import (DeviceModel, DeviceSchemaError, EdgeCal, QubitCal,
                                      edge_weights, find_best_paths, heavy_hex_127_edges,
                                      ingest_device, pair_negativities, save_device,
                                      synthesize_device)
+from teleport_lab.tomography import reconstruct
 
 
 def line_device(weights=None, errors=None):
@@ -275,10 +278,14 @@ def test_tie_break_is_lexicographic():
 
 
 def test_pair_negativities_noiseless_are_maximal():
+    # the exact route of pair_negativities, without the one-qubit gate noise it always adds
+    dists = exact_pair_distributions(NoiseModel())
+    for qrem in (False, True):
+        probs = mitigate_distributions(dists, qrem, [np.eye(2)] * 2)
+        assert abs(negativity(reconstruct(probs)) - 0.5) < 1e-9
     eye = np.eye(2)
     [neg], [neg_qrem] = pair_negativities([0.0], [eye], [eye])
-    assert abs(neg - 0.5) < 1e-9
-    assert abs(neg_qrem - 0.5) < 1e-9
+    assert 0.499 < neg < 0.5 and 0.499 < neg_qrem < 0.5
 
 
 def test_pair_negativities_qrem_recovers_readout():

@@ -10,12 +10,14 @@ and do not converge within the sweep limit.
 import numpy as np
 import pytest
 
-from teleport_lab.channels import NoiseModel, confusion_matrix
-from teleport_lab.harness import exact_decay_negativity
+from teleport_lab.channels import NoiseModel, confusion_matrix, exact_pair_distributions
+from teleport_lab.harness import mitigated_pair_distributions, run_decay_experiment
 from teleport_lab.metrics import (density_from_state, fidelity, hermitian_eigensystem,
                                   nearest_physical, negativity, project_eigenvalues)
-from teleport_lab.mitigation import michelot_project
+from teleport_lab.mitigation import (estimate_confusion_matrices, michelot_project,
+                                     mitigate_distributions)
 from teleport_lab.pathfinder import pair_negativities
+from teleport_lab.protocols import run_idle_pair
 from teleport_lab.tomography import BASIS_PAIRS, reconstruct
 
 import scalar_reference as ref
@@ -125,20 +127,46 @@ def test_stacked_michelot_matches_scalar_projection(rng, dim):
         _assert_same(michelot_project(v[i]), out[i])
 
 
+DECAY_NOISE = NoiseModel(one_qubit_depol=2e-4, two_qubit_depol=0.01,
+                         readout=[confusion_matrix(0.01, 0.02), confusion_matrix(0.02, 0.03)])
+
+
+def _decay_one_delay_at_a_time(delays, shots, seed, qrem):
+    """Each delay's negativity from a reconstruction of its own (9, 4) distributions."""
+    confusion = DECAY_NOISE.readout
+    out = []
+    for i, delay in enumerate(delays):
+        if shots == 0:
+            probs = mitigate_distributions(exact_pair_distributions(DECAY_NOISE, delay), qrem,
+                                           confusion)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            result = run_idle_pair(delay, DECAY_NOISE, shots, rng)
+            calibration = estimate_confusion_matrices(confusion, 8192, rng)
+            probs = mitigated_pair_distributions(result, qrem, calibration)
+        out.append(negativity(reconstruct(probs)))
+    return out
+
+
 def test_stacked_edges_and_delays_match_one_at_a_time(rng):
-    # gen-device reconstructs every edge, and exact decay every delay, in one call
+    # gen-device reconstructs every edge, and the decay curve every delay, in one call
     errors = list(rng.uniform(1e-4, 0.2, size=6)) + [0.0]
     confusions = [[confusion_matrix(*rng.uniform(0, 0.05, size=2)) for _ in errors]
                   for _ in range(2)]
-    negs, negs_qrem = pair_negativities(errors, *confusions, one_qubit_depol=2e-4)
+    negs, negs_qrem = pair_negativities(errors, *confusions)
     for i, eps in enumerate(errors):
-        [neg], [neg_qrem] = pair_negativities([eps], [confusions[0][i]], [confusions[1][i]],
-                                              one_qubit_depol=2e-4)
+        [neg], [neg_qrem] = pair_negativities([eps], [confusions[0][i]], [confusions[1][i]])
         assert (neg, neg_qrem) == (negs[i], negs_qrem[i])
     assert [len(x) for x in pair_negativities([], [], [])] == [0, 0]
-    noise = NoiseModel(one_qubit_depol=2e-4, two_qubit_depol=0.01,
-                       readout=[confusion_matrix(0.01, 0.02), confusion_matrix(0.02, 0.03)])
     delays = [0.0, 0.5, 1.25, 4.0]
     for qrem in (False, True):
-        stacked = exact_decay_negativity(delays, noise, qrem)
-        assert list(stacked) == [exact_decay_negativity([d], noise, qrem)[0] for d in delays]
+        stacked = run_decay_experiment(delays, DECAY_NOISE, shots=0, qrem=qrem).negativities
+        assert stacked == _decay_one_delay_at_a_time(delays, 0, 0, qrem)
+
+
+def test_sampled_decay_matches_one_delay_at_a_time():
+    delays = [0.0, 1.25, 4.0]
+    for qrem in (False, True):
+        stacked = run_decay_experiment(delays, DECAY_NOISE, shots=64, seed=5,
+                                       qrem=qrem).negativities
+        assert stacked == _decay_one_delay_at_a_time(delays, 64, 5, qrem)
