@@ -83,6 +83,8 @@ def cmd_gen_device(args) -> int:
 
 
 def cmd_find_paths(args) -> int:
+    if args.qubits > MAX_PATH_QUBITS:
+        raise ValueError(f"paths may have at most {MAX_PATH_QUBITS} qubits, got {args.qubits}")
     device = pathfinder.ingest_device(args.device)
     graph = pathfinder.edge_weights(device, args.protocol)
     result = pathfinder.find_best_paths(graph, args.qubits, args.paths, args.protocol)

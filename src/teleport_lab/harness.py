@@ -71,6 +71,9 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.simplified_correction, bool):
+            raise ValueError(f"invalid ExperimentSpec value: simplified_correction must be a "
+                             f"boolean, got {self.simplified_correction!r}")
         if self.qrem not in ("on", "off", "both"):
             raise ValueError("qrem must be on, off or both")
         if not self.protocols:
@@ -167,7 +170,12 @@ def path_noise_model(device: DeviceModel, path: PathSpec,
     if "t1_us" in overrides or "t2_us" in overrides:
         del params["t1_per_qubit_us"], params["t2_per_qubit_us"]
     params.update(overrides)
-    return NoiseModel(**params)
+    noise = NoiseModel(**params)
+    for pos in range(path.n):  # NoiseModel never compares a scalar time with a list
+        t1, t2 = noise.qubit_t1t2(pos)
+        if t2 > 2.0 * t1 + 1e-12:
+            raise ValueError(f"t2 ({t2}) exceeds 2*t1 ({2 * t1}) at path position {pos}")
+    return noise
 
 
 def mitigated_pair_distributions(result: TransportResult, qrem: bool,

@@ -215,6 +215,8 @@ def find_best_paths(graph: dict, n: int, m: int, protocol: str = "") -> PathSear
         raise ValueError("paths need at least 2 qubits")
     if m < 1:
         raise ValueError("m must be at least 1")
+    if n > len(graph):
+        return PathSearchResult(paths=[], complete=False)
     vertices = sorted(graph)
     max_w = 0.0
     for v in vertices:

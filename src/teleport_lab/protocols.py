@@ -26,10 +26,9 @@ The nine tomography bases differ only in their last rotations, so they
 share one run of the schedule: `_sample` builds it once and splits the
 bases into the fewest groups of about `MAX_BATCH_COLUMNS` columns (all
 nine at 1,024 shots, five and four at 2,048), and each group runs as one
-batch whose column slab b belongs to the group's basis b. Every basis keeps its own child stream of
-the run's generator (`BasisStreams`): a draw for the whole batch joins
-one draw per basis, in the order and size a batch of that basis alone
-would make, so the counts do not depend on how the bases are grouped.
+batch whose column slab b belongs to basis b and draws from its own child
+stream of the run's generator, in the order and size a batch of that
+basis alone would, so the counts do not depend on how bases are grouped.
 """
 from __future__ import annotations
 
@@ -131,41 +130,6 @@ _PAULI_FLIPS = np.array([False, True, True, False])
 _PAULI_PHASES = np.array([[1, 1, -1j, 1], [1, 1, 1j, -1]], dtype=complex)
 
 
-class BasisStreams:
-    """Random draws for a batch whose column slab b belongs to stream b.
-
-    `random` and `integers` take the `np.random.Generator` arguments that
-    `ShotBatch` passes. A draw of ``size`` numbers joins one draw of
-    ``shots`` numbers from each stream, in slab order, so slab b gets
-    exactly the numbers its stream would give a batch of its own.
-    """
-
-    def __init__(self, streams: Sequence[np.random.Generator], shots: int):
-        self.streams = list(streams)
-        self.shots = shots
-
-    def _check(self, size: int):
-        if size != len(self.streams) * self.shots:
-            raise ValueError(f"a draw of {size} numbers does not cover "
-                             f"{len(self.streams)} slabs of {self.shots} shots")
-
-    def random(self, size: int) -> np.ndarray:
-        self._check(size)
-        out = np.empty(size)
-        for stream, slab in zip(self.streams, out.reshape(len(self.streams), self.shots)):
-            stream.random(out=slab)
-        return out
-
-    def integers(self, low: int, high: int, size: int) -> np.ndarray:
-        self._check(size)
-        return np.concatenate([stream.integers(low, high, size=self.shots)
-                               for stream in self.streams])
-
-    def select(self, slabs: slice) -> "BasisStreams":
-        """The streams of the chosen slabs, for a step that acts on those slabs alone."""
-        return BasisStreams(self.streams[slabs], self.shots)
-
-
 class ShotBatch:
     """Vectorized pure-state trajectories over a sliding window of qubits.
 
@@ -181,12 +145,12 @@ class ShotBatch:
     conditioned corrections, dephasing) go through one sparse kernel,
     `apply_paulis`, that touches only the listed shots.
 
-    A batch may hold several tomography bases side by side, ``slabs`` equal
-    column slabs of ``shots // slabs`` shots, drawing from a `BasisStreams`.
-    `apply_matrix` and `depolarize` take a slice of slabs for a step that
-    belongs to some bases only. `apply_matrix` multiplies one (2, slab
-    shots) block per slab and window index, so no product is wider than
-    the shots of one basis, as in a batch of that basis alone.
+    The batch holds one column slab of ``slab_shots`` shots per stream, one
+    tomography basis each, and `_random` and `_integers` fill each slab
+    from its own stream, as a batch of that stream alone would. A step of
+    some bases only takes a slice of slabs. `apply_matrix` multiplies one
+    (2, slab shots) block per slab and window index, so no product is
+    wider than the shots of one basis.
 
     The storage lives in kept flat buffers: the live amplitudes, a spare
     complex buffer that steps write their result into before the two swap,
@@ -196,13 +160,12 @@ class ShotBatch:
     never released simply lets them go.
     """
 
-    def __init__(self, shots: int, slabs: int = 1):
-        if shots <= 0:
+    def __init__(self, streams: Sequence[np.random.Generator], slab_shots: int):
+        if slab_shots <= 0:
             raise ValueError("shot budget must be positive")
-        if slabs < 1 or shots % slabs:
-            raise ValueError(f"{shots} shots do not split into {slabs} equal slabs")
-        self.shots = shots
-        self.slabs = slabs
+        self.streams = list(streams)
+        self.slab_shots = slab_shots
+        self.shots = len(self.streams) * slab_shots
         try:
             self._buffers = _FREE_BUFFERS.pop()
         except IndexError:
@@ -228,6 +191,19 @@ class ShotBatch:
         """Make the spare buffer, which holds ``amps``, the live one."""
         self._buffers[0], self._buffers[1] = self._buffers[1], self._buffers[0]
         self._amps = amps.reshape(-1, self.shots)
+
+    def _random(self, slabs: slice = slice(None)) -> np.ndarray:
+        """Uniform numbers for the shots of the chosen slabs, each slab from its own stream."""
+        streams = self.streams[slabs]
+        out = np.empty((len(streams), self.slab_shots))
+        for stream, slab in zip(streams, out):
+            stream.random(out=slab)
+        return out.reshape(-1)
+
+    def _integers(self, high: int, slabs: slice = slice(None)) -> np.ndarray:
+        """Integers in [0, high) for the shots of the chosen slabs, each slab from its own stream."""
+        return np.array([stream.integers(0, high, size=self.slab_shots)
+                         for stream in self.streams[slabs]], np.int64).reshape(-1)
 
     def release(self):
         """Hand the buffers to the next batch of this process; the batch is unusable after."""
@@ -261,10 +237,10 @@ class ShotBatch:
         lo = 1 << self.axis_of[pos]
         spare = self._buffer(1, self.dim)
         # (high bits, low bits, slab, bit of pos, shot of the slab) views of the chosen slabs
-        view, out = (a.reshape(-1, 2, lo, self.slabs, self.shots // self.slabs)[:, :, :, slabs]
+        view, out = (a.reshape(-1, 2, lo, len(self.streams), self.slab_shots)[:, :, :, slabs]
                      .transpose(0, 2, 3, 1, 4) for a in (self._amps, spare))
         np.matmul(matrix, view, out=out)
-        if range(self.slabs)[slabs] == range(self.slabs):
+        if len(self.streams[slabs]) == len(self.streams):
             self._swap(spare)
         else:
             view[...] = out
@@ -298,33 +274,29 @@ class ShotBatch:
             view[:, 1] *= _PAULI_PHASES[1, letter]
         self._amps[:, shots] = sub
 
-    def depolarize(self, positions: Sequence[int], p: float,
-                   rng: np.random.Generator | BasisStreams, active: np.ndarray | None = None,
+    def depolarize(self, positions: Sequence[int], p: float, active: np.ndarray | None = None,
                    slabs: slice = slice(None)):
         """Uniform non-identity Pauli string on the targets with probability p.
 
-        Only the shots of the chosen slabs are drawn for and hit; ``active``
-        masks those shots, in slab order.
+        Only the shots of the chosen slabs are drawn for, from those slabs'
+        streams, and hit; ``active`` masks those shots, in slab order.
         """
         if p <= 0.0:
             return
-        chosen = np.arange(self.slabs)[slabs]
-        slab_shots = self.shots // self.slabs
-        width = chosen.size * slab_shots
-        hit = rng.random(width) < p
+        hit = self._random(slabs) < p
         if active is not None:
             hit &= active
-        n_words = 4 ** len(positions)
-        word = rng.integers(1, n_words, size=width)
+        word = self._integers(4 ** len(positions) - 1, slabs)
         idx = np.flatnonzero(hit)
-        # letter of positions[j] is bits 2j and 2j + 1 of the word
-        letters = (word[idx] >> 2 * np.arange(len(positions))[:, None]) & 3
-        if width < self.shots:
+        # word + 1 is a non-identity string: its bits 2j and 2j + 1 are the letter of positions[j]
+        letters = ((word[idx] + 1) >> 2 * np.arange(len(positions))[:, None]) & 3
+        if hit.size < self.shots:
             # hit index within the chosen slabs -> column of the whole batch
-            idx = chosen[idx // slab_shots] * slab_shots + idx % slab_shots
+            chosen = np.arange(len(self.streams))[slabs]
+            idx = chosen[idx // self.slab_shots] * self.slab_shots + idx % self.slab_shots
         self.apply_paulis(positions, idx, letters)
 
-    def measure_z(self, pos: int, rng: np.random.Generator | BasisStreams) -> np.ndarray:
+    def measure_z(self, pos: int) -> np.ndarray:
         """Sample a Z measurement, collapse onto it and remove the qubit.
 
         Returns the per-shot bits; the other live qubits keep their positions
@@ -336,7 +308,7 @@ class ShotBatch:
         np.abs(view, out=pr)
         np.square(pr, out=pr)
         p1 = pr[:, 1].sum(axis=(0, 1))
-        bits = (rng.random(self.shots) < p1).astype(np.int8)
+        bits = (self._random() < p1).astype(np.int8)
         p_keep = np.where(bits == 1, p1, pr[:, 0].sum(axis=(0, 1)))
         if np.any(p_keep < 1e-15):
             raise RuntimeError("measurement probabilities underflow; state is corrupted")
@@ -355,8 +327,7 @@ class ShotBatch:
                 self.axis_of[p] = axis - 1
         return bits
 
-    def idle_decay(self, pos: int, duration_us: float, t1_us: float, t2_us: float,
-                   rng: np.random.Generator | BasisStreams):
+    def idle_decay(self, pos: int, duration_us: float, t1_us: float, t2_us: float):
         """Trajectory-sampled amplitude damping plus pure dephasing."""
         gamma, p_z = decay_probabilities(duration_us, t1_us, t2_us)
         if gamma > 0.0:
@@ -365,22 +336,20 @@ class ShotBatch:
             pr = self._buffer(2, self.dim // 2).reshape(excited.shape)
             np.abs(excited, out=pr)
             p1 = np.square(pr, out=pr).sum(axis=(0, 1))
-            jump = np.flatnonzero(rng.random(self.shots) < gamma * p1)
+            jump = np.flatnonzero(self._random() < gamma * p1)
             decayed = excited[..., jump]  # a copy, taken before the scaling below
             excited *= sqrt(1.0 - gamma)
             view *= 1.0 / np.sqrt(np.maximum(1.0 - gamma * p1, 1e-300))  # as in measure_z
             ground[..., jump] = decayed * (1.0 / np.sqrt(np.maximum(p1[jump], 1e-300)))
             excited[..., jump] = 0.0
         if p_z > 0.0:
-            flip = rng.random(self.shots) < p_z
-            idx = np.flatnonzero(flip)
+            idx = np.flatnonzero(self._random() < p_z)
             self.apply_paulis([pos], idx, np.full((1, idx.size), 3))
 
-    def readout(self, bits: np.ndarray, confusion: np.ndarray,
-                rng: np.random.Generator | BasisStreams) -> np.ndarray:
+    def readout(self, bits: np.ndarray, confusion: np.ndarray) -> np.ndarray:
         """Classical readout flips per the confusion matrix column."""
         p_read1 = np.where(bits == 1, confusion[1, 1], confusion[1, 0])
-        return (rng.random(self.shots) < p_read1).astype(np.int8)
+        return (self._random() < p_read1).astype(np.int8)
 
 
 @dataclass
@@ -392,7 +361,6 @@ class TransportResult:
     0 and n-1 hold the tomography outcomes.
     """
 
-    mode: str
     path: PathSpec
     shots_per_basis: int
     counts_by_basis: dict = field(default_factory=dict)
@@ -491,8 +459,8 @@ def _slab_slice(slabs: list[int]) -> slice:
 
 
 def _rotate_into_bases(batch: ShotBatch, bases: Sequence[tuple[str, str]],
-                       positions: tuple[int, int], p: float, rng: BasisStreams):
-    """Rotate each slab's first, then last qubit into its basis; noise draws from its streams."""
+                       positions: tuple[int, int], p: float):
+    """Rotate each slab's first, then last qubit into its basis; noise draws from its stream."""
     for side, pos in enumerate(positions):
         for axis in PAULI_AXES:
             members = [b for b, pair in enumerate(bases) if pair[side] == axis]
@@ -501,13 +469,13 @@ def _rotate_into_bases(batch: ShotBatch, bases: Sequence[tuple[str, str]],
             slabs = _slab_slice(members)
             for gate in rotation_gates(axis):
                 batch.apply_matrix(pos, GATE_MATRICES[gate], slabs)
-                batch.depolarize([pos], p, rng.select(slabs), slabs=slabs)
+                batch.depolarize([pos], p, slabs=slabs)
 
 
 def _sample_group(steps: Sequence[tuple], bases: Sequence[tuple[str, str]],
-                  rng: BasisStreams) -> np.ndarray:
-    """Outcome keys of a group of bases, slab by slab: the schedule's records in order."""
-    batch = ShotBatch(len(bases) * rng.shots, len(bases))
+                  streams: Sequence[np.random.Generator], shots: int) -> np.ndarray:
+    """Outcome keys of bases[b] on streams[b], slab by slab: the schedule's records in order."""
+    batch = ShotBatch(streams, shots)
     read, zero = {}, np.zeros(batch.shots, dtype=np.int8)
     try:
         for step in steps:
@@ -521,18 +489,18 @@ def _sample_group(steps: Sequence[tuple], bases: Sequence[tuple[str, str]],
                 case ("cnot", control, target):
                     batch.apply_cnot(control, target)
                 case ("depolarize", positions, p):
-                    batch.depolarize(positions, p, rng)
+                    batch.depolarize(positions, p)
                 case ("measure", pos, confusion):
-                    read[pos] = batch.readout(batch.measure_z(pos, rng), confusion, rng)
+                    read[pos] = batch.readout(batch.measure_z(pos), confusion)
                 case ("idle", pos, duration_us, t1_us, t2_us):
-                    batch.idle_decay(pos, duration_us, t1_us, t2_us, rng)
+                    batch.idle_decay(pos, duration_us, t1_us, t2_us)
                 case ("pauli_if", pos, letter, p, parity_of):
                     cond = reduce(np.bitwise_xor, (read[q] for q in parity_of), zero) == 1
                     idx = np.flatnonzero(cond)
                     batch.apply_paulis([pos], idx, np.full((1, idx.size), letter))
-                    batch.depolarize([pos], p, rng, active=cond)
+                    batch.depolarize([pos], p, active=cond)
                 case ("tomography", first, last, p):
-                    _rotate_into_bases(batch, bases, (first, last), p, rng)
+                    _rotate_into_bases(batch, bases, (first, last), p)
                 case _:
                     raise ValueError(f"unknown schedule record {step!r}")
     finally:  # a record that raises leaves the buffers to the next batch too
@@ -551,13 +519,13 @@ def _sample(path: PathSpec, mode: str, noise: NoiseModel, shots: int, rng: np.ra
     if path.n > MAX_PATH_QUBITS:
         raise ValueError(f"path of {path.n} qubits exceeds the {MAX_PATH_QUBITS}-qubit "
                          "limit of 64-bit outcome keys")
-    result = TransportResult(mode, path, shots)
+    result = TransportResult(path, shots)
     steps = schedule(path.n, mode, noise, simplified_correction, delay_us)
     streams = rng.spawn(len(BASIS_PAIRS))
     n_groups = min(len(BASIS_PAIRS), ceil(len(BASIS_PAIRS) * shots / MAX_BATCH_COLUMNS))
     for group in np.array_split(np.arange(len(BASIS_PAIRS)), n_groups):
         bases = [BASIS_PAIRS[b] for b in group]
-        keys = _sample_group(steps, bases, BasisStreams([streams[b] for b in group], shots))
+        keys = _sample_group(steps, bases, [streams[b] for b in group], shots)
         for pair, slab in zip(bases, keys.reshape(len(bases), shots)):
             result.counts_by_basis[pair] = _count(slab)
     return result

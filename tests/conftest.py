@@ -16,9 +16,9 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:
     return PureState(num_qubits, amps / np.linalg.norm(amps))
 
 
-def shot_batch(state: PureState, shots: int) -> ShotBatch:
-    """Trajectory batch holding `shots` copies of a state; path position q is qubit q."""
-    batch = ShotBatch(shots)
+def shot_batch(state: PureState, shots: int, rng: np.random.Generator) -> ShotBatch:
+    """Trajectory batch of `shots` copies of a state drawing from rng; position q is qubit q."""
+    batch = ShotBatch([rng], shots)
     for q in range(state.num_qubits):
         batch.add_qubit(q)
     batch._amps[:] = state.amplitudes[:, None]  # (dim, shots) storage

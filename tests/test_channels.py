@@ -79,20 +79,20 @@ def ensemble_density(batch: ShotBatch) -> np.ndarray:
 
 def test_depolarizing_p0_is_identity(rng):
     state = random_state(3, rng)
-    batch = shot_batch(state, 64)
-    batch.depolarize([0, 2], 0.0, rng)
+    batch = shot_batch(state, 64, rng)
+    batch.depolarize([0, 2], 0.0)
     assert np.array_equal(batch._amps, np.tile(state.amplitudes[:, None], 64))
 
 
 def test_depolarizing_p1_uniform_paulis(rng):
     # p=1 on one qubit: X, Y, Z each with frequency 1/3
     shots = 30_000
-    zero = shot_batch(PureState.zero(1), shots)
-    zero.depolarize([0], 1.0, rng)
+    zero = shot_batch(PureState.zero(1), shots, rng)
+    zero.depolarize([0], 1.0)
     x_or_y = int((np.abs(zero._amps[1]) > 0.5).sum())
     # Z is invisible on |0>; check via |+> where Z flips the relative sign
-    plus = shot_batch(apply_gates(PureState.zero(1), [op("H", 0)]), shots)
-    plus.depolarize([0], 1.0, rng)
+    plus = shot_batch(apply_gates(PureState.zero(1), [op("H", 0)]), shots, rng)
+    plus.depolarize([0], 1.0)
     z_like = int((plus._amps[0].real * plus._amps[1].real < -1e-12).sum())
     sigma = np.sqrt(shots * (1 / 3) * (2 / 3))
     assert abs(x_or_y - 2 * shots / 3) < 5 * sigma
@@ -101,8 +101,8 @@ def test_depolarizing_p1_uniform_paulis(rng):
 
 def test_depolarized_bell_ensemble_matches_exact_channel(rng):
     p = 0.1
-    batch = shot_batch(BELL, 100_000)
-    batch.depolarize([0, 1], p, rng)
+    batch = shot_batch(BELL, 100_000, rng)
+    batch.depolarize([0, 1], p)
     ensemble = ensemble_density(batch)
     exact = depolarizing_channel(density_from_state(BELL.amplitudes), (0, 1), p)
     assert trace_distance(ensemble, exact) < 0.01
@@ -125,15 +125,15 @@ def test_two_qubit_depolarizing_channel_closed_form():
 
 def test_idle_zero_duration_is_identity(rng):
     state = random_state(2, rng)
-    batch = shot_batch(state, 64)
+    batch = shot_batch(state, 64, rng)
     for q in (0, 1):
-        batch.idle_decay(q, 0.0, 30.0, 20.0, rng)
+        batch.idle_decay(q, 0.0, 30.0, 20.0)
     assert np.array_equal(batch._amps, np.tile(state.amplitudes[:, None], 64))
 
 
 def test_idle_long_duration_relaxes_to_ground(rng):
-    batch = shot_batch(PureState.from_bits((1,)), 200)
-    batch.idle_decay(0, 1e5, 30.0, 20.0, rng)
+    batch = shot_batch(PureState.from_bits((1,)), 200, rng)
+    batch.idle_decay(0, 1e5, 30.0, 20.0)
     assert np.all(np.abs(batch._amps[0]) > 0.999)
 
 
@@ -161,9 +161,9 @@ def test_trajectory_matches_exact_kraus_channel(rng):
     # shot-averaged idle-decay trajectories versus the exact channel
     duration, t1, t2 = 8.0, 30.0, 20.0
     state = apply_gates(PureState.zero(2), [op("H", 0), op("CNOT", 0, 1)])
-    batch = shot_batch(state, 100_000)
+    batch = shot_batch(state, 100_000, rng)
     for q in (0, 1):
-        batch.idle_decay(q, duration, t1, t2, rng)
+        batch.idle_decay(q, duration, t1, t2)
     exact = density_from_state(state.amplitudes)
     for q in (0, 1):
         exact = apply_kraus_channel(exact, idle_kraus_ops(duration, t1, t2), q)
@@ -286,13 +286,13 @@ def test_exact_pair_route_equals_dense_idle_schedule():
 
 def test_readout_identity_matrices(rng):
     bits = np.array([0, 1, 1, 0], dtype=np.int8)
-    assert np.array_equal(ShotBatch(bits.size).readout(bits, np.eye(2), rng), bits)
+    assert np.array_equal(ShotBatch([rng], bits.size).readout(bits, np.eye(2)), bits)
 
 
 def test_readout_flip_rates(rng):
     a = confusion_matrix(0.1, 0.2)
     shots = 100_000
-    flips = int(ShotBatch(shots).readout(np.zeros(shots, dtype=np.int8), a, rng).sum())
+    flips = int(ShotBatch([rng], shots).readout(np.zeros(shots, dtype=np.int8), a).sum())
     sigma = np.sqrt(shots * 0.1 * 0.9)
     assert abs(flips - shots * 0.1) < 5 * sigma
 
@@ -301,9 +301,9 @@ def test_readout_joint_equals_tensor_of_marginals(rng):
     a = confusion_matrix(0.1, 0.05)
     b = confusion_matrix(0.02, 0.3)
     shots = 100_000
-    batch = ShotBatch(shots)
-    r0 = batch.readout(np.zeros(shots, dtype=np.int8), a, rng)
-    r1 = batch.readout(np.ones(shots, dtype=np.int8), b, rng)
+    batch = ShotBatch([rng], shots)
+    r0 = batch.readout(np.zeros(shots, dtype=np.int8), a)
+    r1 = batch.readout(np.ones(shots, dtype=np.int8), b)
     counts = np.bincount(r0 + 2 * r1, minlength=4)
     # analytic joint: prepared (0, 1)
     expected = np.kron(b[:, 1], a[:, 0])
@@ -319,9 +319,9 @@ def test_readout_channel_matches_sampler(rng):
     assert abs(noisy.sum() - 1.0) < 1e-12
     shots = 200_000
     outcomes = rng.choice(4, size=shots, p=probs)
-    batch = ShotBatch(shots)
-    counts = np.bincount(batch.readout(outcomes & 1, a, rng)
-                         + 2 * batch.readout(outcomes >> 1, b, rng), minlength=4)
+    batch = ShotBatch([rng], shots)
+    counts = np.bincount(batch.readout(outcomes & 1, a)
+                         + 2 * batch.readout(outcomes >> 1, b), minlength=4)
     for k in range(4):
         sigma = np.sqrt(shots * noisy[k] * (1 - noisy[k]))
         assert abs(counts[k] - shots * noisy[k]) < 5 * sigma
@@ -333,10 +333,10 @@ def test_seeded_streams_are_deterministic():
 
     def run(seed):
         rng = np.random.default_rng(seed)
-        batch = shot_batch(state, 50)
-        batch.depolarize([0, 1], 0.3, rng)
-        batch.idle_decay(0, 2.0, 30.0, 20.0, rng)
-        return np.stack([batch.readout(batch.measure_z(q, rng), a, rng) for q in (0, 1)])
+        batch = shot_batch(state, 50, rng)
+        batch.depolarize([0, 1], 0.3)
+        batch.idle_decay(0, 2.0, 30.0, 20.0)
+        return np.stack([batch.readout(batch.measure_z(q), a) for q in (0, 1)])
 
     assert np.array_equal(run(99), run(99))
     assert not np.array_equal(run(99), run(100))

@@ -132,6 +132,36 @@ def test_find_paths_warns_when_too_few(workdir, capsys):
     assert "warning" in captured.err
 
 
+def test_find_paths_longer_than_the_device_returns_no_path_fast(tmp_path, capsys):
+    # a path of more qubits than the device has used to enumerate every
+    # shorter simple path first: on this 12-qubit complete graph, 12! of them
+    qubits = [{"id": q, "readout_err_0to1": 0.01, "readout_err_1to0": 0.02, "t1_us": 33.0,
+               "t2_us": 25.0} for q in range(12)]
+    edges = [{"a": a, "b": b, "gate_error": 0.005, "neg": 0.45, "neg_qrem": 0.49}
+             for a in range(12) for b in range(a + 1, 12)]
+    dev, listing = tmp_path / "complete12.json", tmp_path / "paths.json"
+    dev.write_text(json.dumps({"qubits": qubits, "edges": edges}))
+    start = time.perf_counter()
+    assert main(["find-paths", "--device", str(dev), "-n", "13", "-m", "1",
+                 "--out", str(listing)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "warning: only 0 path(s) of 13 qubits exist\n"
+    payload = json.loads(listing.read_text())
+    assert payload["paths"] == [] and not payload["complete"]
+
+
+def test_find_paths_rejects_paths_the_sampler_cannot_run(tmp_path, capsys):
+    # -n 128 and -n 90 on the 127-qubit device were still searching after 10 s
+    dev = tmp_path / "hh7.json"
+    assert main(["gen-device", "--seed", "7", "--out", str(dev)]) == 0
+    capsys.readouterr()
+    for n in ("128", "90", "63"):
+        start = time.perf_counter()
+        assert main(["find-paths", "--device", str(dev), "-n", n, "-m", "1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: paths may have at most 62 qubits, got {n}\n"
+
+
 def test_gen_device_is_deterministic(workdir):
     a = workdir / "a.json"
     b = workdir / "b.json"
@@ -292,6 +322,29 @@ def test_run_rejects_path_noise_conflict_before_any_cell(workdir, capsys, monkey
         assert err.startswith("error: noise on path ") and err.count("\n") == 1
         assert "per-qubit t2 (25.0) exceeds 2*t1 (10)" in err
     assert not out.exists()
+
+
+def test_run_rejects_mixed_form_t1_t2_conflict_before_any_cell(tmp_path, capsys):
+    # a scalar T1 with a per-qubit T2 list (or the mirror) used to fail every
+    # cell that idles and exit 1, while swap cells ran
+    dev = tmp_path / "line6.json"
+    assert main(["gen-device", "--topology", "line:6", "--out", str(dev)]) == 0
+    out = tmp_path / "mixed.csv"
+    base = ["run", "--device", str(dev), "--hops", "1", "--protocol", "neg", "--paths", "1",
+            "--trials", "1", "--shots", "64", "--qrem", "off", "--out", str(out)]
+    for overrides in ('{"t1_us": 20, "t2_per_qubit_us": [50, 50, 50]}',
+                      '{"t2_us": 50, "t1_per_qubit_us": [20, 20, 20]}'):
+        for mode in ("dynamic", "postselect", "swap"):
+            assert main(base + ["--mode", mode, "--noise-overrides", overrides]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: noise on path ") and err.count("\n") == 1
+            assert "t2 (50) exceeds 2*t1 (40) at path position 0" in err
+    assert not out.exists()
+    # mixed forms that fit still run, as does a T1 list alone that fits the device's T2
+    for overrides in ('{"t1_us": 100, "t2_per_qubit_us": [50, 50, 50]}',
+                      '{"t1_per_qubit_us": [20, 20, 20]}'):
+        assert main(base + ["--mode", "dynamic", "--noise-overrides", overrides]) == 0
+        assert len(read_csv_rows(str(out))) == 1
 
 
 def test_run_rejects_sweep_flags_with_spec(workdir, capsys):

@@ -116,10 +116,12 @@ def test_spec_rejects_empty_sweep_fields(field, value):
 
 @pytest.mark.parametrize("field, value", [("hops", [1.7]), ("shots", 2.5), ("trials", True),
                                           ("paths_per_hop", 2.0),
-                                          ("qrem_calibration_shots", "8192"), ("seed", False)])
+                                          ("qrem_calibration_shots", "8192"), ("seed", False),
+                                          ("simplified_correction", "false"),
+                                          ("simplified_correction", 0)])
 def test_spec_rejects_non_integer_counts(field, value):
-    # "shots": 2.5 used to fail every cell, "hops": [1.7] ran hop 1 and
-    # "trials": true ran one trial
+    # "shots": 2.5 used to fail every cell, "hops": [1.7] ran hop 1,
+    # "trials": true ran one trial and "simplified_correction": "false" turned it on
     with pytest.raises(ValueError, match=field):
         ExperimentSpec(**{field: value})
     with pytest.raises(ValueError, match=field):
@@ -259,7 +261,7 @@ def random_counts_result(n: int, shots: int, distinct: int,
         keys = rng.choice(1 << n, size=distinct, replace=False)
         hits = rng.multinomial(shots, rng.dirichlet(np.ones(distinct)))
         counts_by_basis[pair] = {int(k): int(c) for k, c in zip(keys, hits) if c}
-    return TransportResult("postselect", PathSpec.line(n), shots, counts_by_basis)
+    return TransportResult(PathSpec.line(n), shots, counts_by_basis)
 
 
 def dense_category_oracle(result: TransportResult, qrem: bool, calibration) -> dict:
@@ -375,7 +377,7 @@ def test_category_route_memory_does_not_grow_with_path_length(rng):
     peaks = []
     for n in (20, 60):
         keys = rng.choice(1 << n, size=(len(BASIS_PAIRS), 2000), replace=False)
-        result = TransportResult("postselect", PathSpec.line(n), 2000,
+        result = TransportResult(PathSpec.line(n), 2000,
                                  {pair: dict.fromkeys(row.tolist(), 1)
                                   for pair, row in zip(BASIS_PAIRS, keys)})
         calibration = [confusion_matrix(0.02, 0.03)] * n

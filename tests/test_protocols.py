@@ -14,7 +14,7 @@ from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, apply_kr
 from teleport_lab.harness import path_noise_model
 from teleport_lab.metrics import density_from_state, fidelity, negativity
 from teleport_lab.pathfinder import edge_weights, find_best_paths, synthesize_device
-from teleport_lab.protocols import (MAX_PATH_QUBITS, MODES, BasisStreams, PathSpec,
+from teleport_lab.protocols import (MAX_PATH_QUBITS, MODES, PathSpec,
                                     ShotBatch, canonical_state, configuration_unitary, phi_p2,
                                     reachable_configurations, run_idle_pair, run_swap_transport,
                                     run_teleportation, schedule)
@@ -223,13 +223,13 @@ def test_batch_postselect_matches_dense_joint_distribution():
 def test_batch_depolarize_matches_exact_channel():
     shots = 200_000
     rng = np.random.default_rng(7)
-    batch = ShotBatch(shots)
+    batch = ShotBatch([rng], shots)
     batch.add_qubit(0)
     batch.add_qubit(1)
     batch.apply_matrix(0, GATE_MATRICES[Gate.H])
     batch.apply_cnot(0, 1)
     before = density_from_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
-    batch.depolarize([0, 1], 0.2, rng)
+    batch.depolarize([0, 1], 0.2)
     ensemble = np.einsum("is,js->ij", batch._amps, batch._amps.conj()) / shots
     exact = depolarizing_channel(before, (0, 1), 0.2)
     assert trace_distance(ensemble, exact) < 0.01
@@ -238,7 +238,7 @@ def test_batch_depolarize_matches_exact_channel():
 def test_batch_idle_decay_matches_exact_channel():
     shots = 200_000
     rng = np.random.default_rng(11)
-    batch = ShotBatch(shots)
+    batch = ShotBatch([rng], shots)
     batch.add_qubit(0)
     batch.add_qubit(1)
     batch.apply_matrix(0, GATE_MATRICES[Gate.H])
@@ -246,7 +246,7 @@ def test_batch_idle_decay_matches_exact_channel():
     before = density_from_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
     duration, t1, t2 = 10.0, 30.0, 20.0
     for q in (0, 1):
-        batch.idle_decay(q, duration, t1, t2, rng)
+        batch.idle_decay(q, duration, t1, t2)
     ensemble = np.einsum("is,js->ij", batch._amps, batch._amps.conj()) / shots
     exact = before
     for q in (0, 1):
@@ -261,7 +261,7 @@ WINDOW_POSITIONS = (4, 2, 7)
 
 def _random_window(rng: np.random.Generator, shots: int = 8):
     states = [random_state(3, rng) for _ in range(shots)]
-    batch = ShotBatch(shots)
+    batch = ShotBatch([rng], shots)
     for pos in WINDOW_POSITIONS:
         batch.add_qubit(pos)
     batch._amps[:] = np.transpose([s.amplitudes for s in states])
@@ -321,18 +321,19 @@ def test_batch_per_shot_paulis_match_dense_operators():
             _assert_shots_equal(batch, want)
 
 
-def _random_slabs(rng: np.random.Generator, slabs: int, slab_shots: int) -> ShotBatch:
-    batch = ShotBatch(slabs * slab_shots, slabs)
+def _random_slabs(rng: np.random.Generator, streams: list, slab_shots: int) -> ShotBatch:
+    """A batch of one slab per stream whose amplitudes are random numbers from rng."""
+    batch = ShotBatch(streams, slab_shots)
     for pos in WINDOW_POSITIONS:
         batch.add_qubit(pos)
     batch._amps[:] = rng.normal(size=batch._amps.shape) + 1j * rng.normal(size=batch._amps.shape)
     return batch
 
 
-def _slab_copy(batch: ShotBatch, slab: int) -> ShotBatch:
-    """One slab of a batch as a batch of its own."""
-    width = batch.shots // batch.slabs
-    alone = ShotBatch(width)
+def _slab_copy(batch: ShotBatch, slab: int, stream: np.random.Generator) -> ShotBatch:
+    """One slab of a batch as a batch of its own, drawing from the given stream."""
+    width = batch.slab_shots
+    alone = ShotBatch([stream], width)
     for pos in WINDOW_POSITIONS:
         alone.add_qubit(pos)
     alone._amps[:] = batch._amps[:, slab * width:(slab + 1) * width]
@@ -344,8 +345,8 @@ def test_wide_batch_gates_equal_per_slab_batches_bit_for_bit():
     rng = np.random.default_rng(75)
     for pos in WINDOW_POSITIONS:
         for gate in (Gate.H, Gate.SDG, Gate.X):
-            wide = _random_slabs(rng, 9, 1024)
-            alone = [_slab_copy(wide, b) for b in range(9)]
+            wide = _random_slabs(rng, [rng] * 9, 1024)
+            alone = [_slab_copy(wide, b, rng) for b in range(9)]
             wide.apply_matrix(pos, GATE_MATRICES[gate])
             for b, one in enumerate(alone):
                 one.apply_matrix(pos, GATE_MATRICES[gate])
@@ -359,57 +360,63 @@ def test_slab_gates_and_noise_leave_other_slabs_untouched():
     slabs, width = 5, 300
     for pos in WINDOW_POSITIONS:
         for chosen in (slice(1, 2), slice(0, 5, 3), slice(2, 5), slice(None)):
-            wide = _random_slabs(rng, slabs, width)
+            seeds = np.random.SeedSequence(int(rng.integers(1 << 30))).spawn(slabs)
+            wide = _random_slabs(rng, [np.random.default_rng(q) for q in seeds], width)
             before = wide._amps.copy()
             picked = range(slabs)[chosen]
-            alone = {b: _slab_copy(wide, b) for b in picked}
-            seeds = np.random.SeedSequence(int(rng.integers(1 << 30))).spawn(slabs)
-            streams = BasisStreams([np.random.default_rng(q) for q in seeds], width)
+            alone = {b: _slab_copy(wide, b, np.random.default_rng(seeds[b])) for b in picked}
             wide.apply_matrix(pos, GATE_MATRICES[Gate.SDG], chosen)
             wide.apply_matrix(pos, GATE_MATRICES[Gate.H], chosen)
-            wide.depolarize([pos], 0.5, streams.select(chosen), slabs=chosen)
+            wide.depolarize([pos], 0.5, slabs=chosen)
             for b in range(slabs):
                 cols = slice(b * width, (b + 1) * width)
                 if b in alone:
                     one = alone[b]
                     one.apply_matrix(pos, GATE_MATRICES[Gate.SDG])
                     one.apply_matrix(pos, GATE_MATRICES[Gate.H])
-                    one.depolarize([pos], 0.5, np.random.default_rng(seeds[b]))
+                    one.depolarize([pos], 0.5)
                     assert np.array_equal(wide._amps[:, cols], one._amps)
                     assert not np.array_equal(wide._amps[:, cols], before[:, cols])
                 else:
                     assert np.array_equal(wide._amps[:, cols], before[:, cols])
 
 
-def test_basis_streams_join_one_draw_per_stream():
-    seeds = np.random.SeedSequence(5).spawn(3)
-    streams = BasisStreams([np.random.default_rng(q) for q in seeds], 4)
-    joined = np.concatenate([streams.random(12), streams.integers(1, 16, 12)])
-    alone = [np.random.default_rng(q) for q in seeds]
-    want = np.concatenate([np.concatenate([g.random(4) for g in alone]),
-                           np.concatenate([g.integers(1, 16, size=4) for g in alone])])
-    assert np.array_equal(joined, want)
-    with pytest.raises(ValueError, match="does not cover"):
-        streams.random(8)
-    with pytest.raises(ValueError, match="equal slabs"):
-        ShotBatch(10, 3)
-
-
-def _every_step(batch: ShotBatch, rng: np.random.Generator, bits: list):
-    """Each kind of engine step on a two-slab batch, yielding after every one."""
-    h, sdg = GATE_MATRICES[Gate.H], GATE_MATRICES[Gate.SDG]
+def _every_step(batch: ShotBatch, bits: list, chosen: slice = slice(1, 2)):
+    """Each kind of engine step, the sliced ones on the slabs ``chosen``, yielding after each."""
+    h, sdg, confusion = GATE_MATRICES[Gate.H], GATE_MATRICES[Gate.SDG], confusion_matrix(0.1, 0.2)
     for step in (lambda: batch.add_qubit(0), lambda: batch.add_qubit(1),
                  lambda: batch.apply_matrix(0, h), lambda: batch.apply_cz(0, 1),
                  lambda: batch.add_qubit(2), lambda: batch.apply_matrix(2, h),
-                 lambda: batch.apply_cnot(1, 2), lambda: batch.depolarize([1, 2], 0.3, rng),
-                 lambda: batch.apply_matrix(2, sdg, slice(1, 2)),
-                 lambda: batch.idle_decay(0, 2.0, 30.0, 25.0, rng),
-                 lambda: bits.append(batch.measure_z(1, rng)),
+                 lambda: batch.apply_cnot(1, 2), lambda: batch.depolarize([1, 2], 0.3),
+                 lambda: batch.apply_matrix(2, sdg, chosen),
+                 lambda: batch.depolarize([2], 0.5, slabs=chosen),
+                 lambda: batch.idle_decay(0, 2.0, 30.0, 25.0),
+                 lambda: bits.append(batch.readout(batch.measure_z(1), confusion)),
+                 lambda: batch.depolarize([0, 2], 0.4, active=bits[-1] == 1),
                  lambda: batch.apply_paulis([2], np.arange(0, batch.shots, 3),
                                             np.full((1, batch.shots // 3), 2)),
-                 lambda: bits.append(batch.measure_z(0, rng))):
+                 lambda: bits.append(batch.measure_z(0))):
         step()
         yield
+
+
+def test_slabs_draw_as_batches_of_their_own_streams():
+    # every drawing step of a three-slab batch, full and sliced, gives each
+    # slab the amplitudes and bits of a one-slab batch on that slab's stream
+    seeds = np.random.SeedSequence(8).spawn(3)
+    for chosen in (slice(1, 2), slice(0, 3, 2), slice(None)):
+        wide, wide_bits = ShotBatch([np.random.default_rng(q) for q in seeds], 300), []
+        for _ in _every_step(wide, wide_bits, chosen):
+            pass
+        for b, seed in enumerate(seeds):
+            one, bits = ShotBatch([np.random.default_rng(seed)], 300), []
+            on_slab = slice(None) if b in range(3)[chosen] else slice(0)
+            for _ in _every_step(one, bits, on_slab):
+                pass
+            cols = slice(b * 300, (b + 1) * 300)
+            assert np.array_equal(wide._amps[:, cols], one._amps)
+            assert len(bits) == 2
+            assert all(np.array_equal(w[cols], o) for w, o in zip(wide_bits, bits))
 
 
 def test_batches_stepped_in_turn_equal_batches_run_alone():
@@ -417,15 +424,14 @@ def test_batches_stepped_in_turn_equal_batches_run_alone():
     # earlier batch released gives the bits of one on fresh buffers
     alone = []
     for seed in (1, 2):
-        batch, bits = ShotBatch(600, 2), []
-        for _ in _every_step(batch, np.random.default_rng(seed), bits):
+        batch, bits = ShotBatch(np.random.default_rng(seed).spawn(2), 300), []
+        for _ in _every_step(batch, bits):
             pass
         alone.append((batch._amps.copy(), bits))
         batch.release()
-    batches = [ShotBatch(600, 2), ShotBatch(600, 2)]
+    batches = [ShotBatch(np.random.default_rng(seed).spawn(2), 300) for seed in (1, 2)]
     bits = [[], []]
-    steps = [_every_step(b, np.random.default_rng(seed), out)
-             for b, seed, out in zip(batches, (1, 2), bits)]
+    steps = [_every_step(b, out) for b, out in zip(batches, bits)]
     for _ in zip(*steps):
         assert not any(np.shares_memory(a, b)
                        for a in batches[0]._buffers for b in batches[1]._buffers)
@@ -436,11 +442,11 @@ def test_batches_stepped_in_turn_equal_batches_run_alone():
 
 
 def test_released_buffers_go_to_the_next_batch():
-    first = ShotBatch(64)
+    first = ShotBatch([np.random.default_rng(0)], 64)
     first.add_qubit(0)
     kept = first._buffers
     first.release()
-    second = ShotBatch(32)
+    second = ShotBatch([np.random.default_rng(1)], 32)
     assert second._buffers is kept
     assert np.array_equal(second._amps, np.ones((1, 32)))
 
@@ -485,7 +491,7 @@ def test_batch_drop_qubit_matches_dense_removal():
     rng = np.random.default_rng(74)
     for axis, pos in enumerate(WINDOW_POSITIONS):
         batch, states = _random_window(rng, shots=16)
-        bits = batch.measure_z(pos, rng)
+        bits = batch.measure_z(pos)
         assert 0 < bits.sum() < bits.size
         want = [remove_qubit(postselect(s, axis, "Z", int(bit))[0], axis)
                 for s, bit in zip(states, bits)]
@@ -499,12 +505,12 @@ def test_batch_measure_bits_follow_born_rule_on_every_axis():
     shots = 20_000
     state = random_state(3, rng)
     for axis, pos in enumerate(WINDOW_POSITIONS):
-        batch = ShotBatch(shots)
+        batch = ShotBatch([rng], shots)
         for p in WINDOW_POSITIONS:
             batch.add_qubit(p)
         batch._amps[:] = state.amplitudes[:, None]
         p1 = born_probabilities(state, (axis,), ("Z",))[1]
-        ones = int(batch.measure_z(pos, rng).sum())
+        ones = int(batch.measure_z(pos).sum())
         assert abs(ones - shots * p1) < 5 * np.sqrt(shots * p1 * (1 - p1))
 
 
@@ -512,18 +518,18 @@ def test_batch_measure_collapses_and_renormalizes():
     # measuring one half of a Bell pair removes it and leaves the partner,
     # renormalized, in the recorded bit, so measuring the partner repeats it
     rng = np.random.default_rng(3)
-    batch = ShotBatch(1000)
+    batch = ShotBatch([rng], 1000)
     batch.add_qubit(0)
     batch.add_qubit(1)
     batch.apply_matrix(0, GATE_MATRICES[Gate.H])
     batch.apply_cnot(0, 1)
-    bits = batch.measure_z(0, rng)
+    bits = batch.measure_z(0)
     assert set(np.unique(bits)) == {0, 1}
     assert batch.axis_of == {1: 0}
     norms = np.linalg.norm(batch._amps, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     assert np.max(np.abs(np.abs(batch._amps[bits, np.arange(bits.size)]) - 1.0)) < 1e-12
-    again = batch.measure_z(1, rng)
+    again = batch.measure_z(1)
     assert np.array_equal(bits, again)
     assert batch.axis_of == {} and batch.dim == 1
 
@@ -534,7 +540,7 @@ def test_batch_two_qubit_depolarize_at_p1_applies_one_non_identity_string():
     rng = np.random.default_rng(76)
     for a, b in itertools.permutations(range(3), 2):
         batch, states = _random_window(rng, shots=240)
-        batch.depolarize([WINDOW_POSITIONS[a], WINDOW_POSITIONS[b]], 1.0, rng)
+        batch.depolarize([WINDOW_POSITIONS[a], WINDOW_POSITIONS[b]], 1.0)
         strings = [(la, lb) for la in "IXYZ" for lb in "IXYZ" if (la, lb) != ("I", "I")]
         ops = [_on_axis(PAULI_MATRICES[la], a) @ _on_axis(PAULI_MATRICES[lb], b)
                for la, lb in strings]
@@ -548,15 +554,15 @@ def test_batch_two_qubit_depolarize_at_p1_applies_one_non_identity_string():
 
 
 class _ScriptedUniforms:
-    """Stands in for a Generator whose `random` calls return preset arrays."""
+    """Stands in for a Generator whose `random` calls fill in preset arrays."""
 
     def __init__(self, *draws):
         self._draws = list(draws)
 
-    def random(self, size):
-        out = self._draws.pop(0)
-        assert out.shape == (size,)
-        return out
+    def random(self, out):
+        draw = self._draws.pop(0)
+        assert out.shape == draw.shape
+        out[:] = draw
 
 
 def test_batch_idle_decay_forced_branches_match_normalized_kraus_operators():
@@ -570,8 +576,8 @@ def test_batch_idle_decay_forced_branches_match_normalized_kraus_operators():
     for axis, pos in enumerate(WINDOW_POSITIONS):
         batch, states = _random_window(rng, shots=jump.size)
         # uniforms of 0 force a branch and uniforms of 1 forbid it
-        batch.idle_decay(pos, duration, t1, t2,
-                         _ScriptedUniforms(np.where(jump, 0.0, 1.0), np.where(flip, 0.0, 1.0)))
+        batch.streams = [_ScriptedUniforms(np.where(jump, 0.0, 1.0), np.where(flip, 0.0, 1.0))]
+        batch.idle_decay(pos, duration, t1, t2)
         want = []
         for s, j, f in zip(states, jump, flip):
             v = _on_axis(k1 if j else k0, axis) @ s.amplitudes

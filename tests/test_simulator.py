@@ -64,10 +64,10 @@ def test_index_of_bits_is_little_endian():
 
 
 def test_measure_underflow_reports_corrupted_state(rng):
-    batch = shot_batch(PureState.zero(1), 8)
+    batch = shot_batch(PureState.zero(1), 8, rng)
     batch._amps[:, 3] = 0.0  # corrupt one trajectory in place
     with pytest.raises(RuntimeError, match="corrupted"):
-        batch.measure_z(0, rng)
+        batch.measure_z(0)
 
 
 # --- gate actions -------------------------------------------------------------
@@ -135,13 +135,13 @@ def test_norm_preserved_over_random_sequences(rng):
 
 def test_measure_plus_in_x_is_deterministic(rng):
     # an X measurement is a Hadamard followed by a Z measurement
-    batch = shot_batch(apply_gate(PureState.zero(1), op("H", 0)), 1000)
+    batch = shot_batch(apply_gate(PureState.zero(1), op("H", 0)), 1000, rng)
     batch.apply_matrix(0, GATE_MATRICES[Gate.H])
-    assert not batch.measure_z(0, rng).any()
+    assert not batch.measure_z(0).any()
 
 
 def test_measure_zero_in_z_is_deterministic(rng):
-    assert not shot_batch(PureState.zero(1), 1000).measure_z(0, rng).any()
+    assert not shot_batch(PureState.zero(1), 1000, rng).measure_z(0).any()
 
 
 def test_remeasure_same_bit(rng):
@@ -154,13 +154,13 @@ def test_remeasure_same_bit(rng):
         if basis == "X":
             state = apply_gate(state, op("H", 1))
         state = apply_gate(add_qubit(state), op("CNOT", 1, 3))
-        batch = shot_batch(state, 1000)
-        bits = batch.measure_z(1, rng)
+        batch = shot_batch(state, 1000, rng)
+        bits = batch.measure_z(1)
         assert 0 < bits.sum() < bits.size
         for bit in (0, 1):
             want = remove_qubit(postselect(state, 1, "Z", bit)[0], 1).amplitudes
             assert np.max(np.abs(batch._amps[:, bits == bit] - want[:, None])) < 1e-12
-        assert np.array_equal(batch.measure_z(3, rng), bits)
+        assert np.array_equal(batch.measure_z(3), bits)
 
 
 def test_measure_teleports_single_qubit(rng):
@@ -177,9 +177,9 @@ def test_measurement_statistics_match_born(rng):
     state = apply_gates(PureState.zero(2), [op("H", 0), op("CNOT", 0, 1), op("H", 1)])
     probs = born_probabilities(state, (0, 1), ("Z", "Z"))
     shots = 100_000
-    batch = shot_batch(state, shots)
-    m0 = batch.measure_z(0, rng)
-    m1 = batch.measure_z(1, rng)
+    batch = shot_batch(state, shots, rng)
+    m0 = batch.measure_z(0)
+    m1 = batch.measure_z(1)
     counts = np.bincount(m0 + 2 * m1, minlength=4)
     for k in range(4):
         sigma = np.sqrt(shots * probs[k] * (1 - probs[k]))
