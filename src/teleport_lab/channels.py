@@ -87,12 +87,16 @@ class NoiseModel:
             bad = [t for t in getattr(self, name) or () if not t >= 0]
             if bad:
                 raise ValueError(f"{name} values must be non-negative, got {bad[0]}")
-        if self.t2_us > 2.0 * self.t1_us + 1e-12:
+        # exactly the (T1, T2) pairs that qubit_t1t2 serves: one per listed position,
+        # or the scalar pair when no list is given
+        listed = [len(ts) for ts in (self.t1_per_qubit_us, self.t2_per_qubit_us) if ts is not None]
+        if not listed and self.t2_us > 2.0 * self.t1_us + 1e-12:
             raise ValueError(f"t2 ({self.t2_us}) must not exceed 2*t1 ({2 * self.t1_us})")
-        if self.t1_per_qubit_us is not None and self.t2_per_qubit_us is not None:
-            for t1, t2 in zip(self.t1_per_qubit_us, self.t2_per_qubit_us):
-                if t2 > 2.0 * t1 + 1e-12:
-                    raise ValueError(f"per-qubit t2 ({t2}) exceeds 2*t1 ({2 * t1})")
+        for pos in range(min(listed, default=0)):
+            t1, t2 = self.qubit_t1t2(pos)
+            if t2 > 2.0 * t1 + 1e-12:
+                raise ValueError(f"per-qubit t2 ({t2}) exceeds 2*t1 ({2 * t1}) "
+                                 f"at path position {pos}")
         try:
             self.readout = [check_confusion_matrix(a) for a in self.readout]
         except ValueError as exc:

@@ -205,11 +205,19 @@ def edge_weights(device: DeviceModel, protocol: str) -> dict:
 def find_best_paths(graph: dict, n: int, m: int, protocol: str = "") -> PathSearchResult:
     """The m simple paths of exactly n vertices with the largest weight product.
 
-    Exact search: depth-first enumeration over simple paths with an upper
-    bound prune (current product times the best possible remaining edge
-    weights against the m-th best product found so far). Paths are
-    undirected; the canonical orientation starts at the smaller endpoint.
-    Ties are broken by lexicographic qubit sequence.
+    Exact search over non-negative weights: depth-first enumeration over
+    simple paths, pruned by a non-backtracking bound in the spirit of
+    Hashimoto's edge operator (Adv. Stud. Pure Math. 15, 1989).
+    ``bound[k][(u, v)]`` is the best product of k further edges leaving v
+    that never step straight back to u: 1 for k = 0, and for k > 0 the
+    maximum over neighbours w != u of ``w(v, w) * bound[k-1][(v, w)]``.
+    Every simple continuation is such a walk, so an extension whose product
+    times its bound falls below the m-th best product found so far is
+    skipped, as is a start vertex whose best first edge already does. The
+    bound multiplies in another order than a path product, so it is scaled
+    by 1 + 1e-12 and rounding never prunes a path tied with the m-th best.
+    Paths are undirected; the canonical orientation starts at the smaller
+    endpoint. Ties are broken by lexicographic qubit sequence.
     """
     if n < 2:
         raise ValueError("paths need at least 2 qubits")
@@ -218,10 +226,22 @@ def find_best_paths(graph: dict, n: int, m: int, protocol: str = "") -> PathSear
     if n > len(graph):
         return PathSearchResult(paths=[], complete=False)
     vertices = sorted(graph)
-    max_w = 0.0
-    for v in vertices:
-        for w in graph[v].values():
-            max_w = max(max_w, w)
+    # directed edges (u, v), by u and then v; arc len(arcs) is a zero-weight sentinel
+    arcs = [(u, v) for u in vertices for v in sorted(graph[u])]
+    arc_index = {arc: e for e, arc in enumerate(arcs)}
+    weights = np.array([graph[u][v] for u, v in arcs] + [0.0])
+    # successors (v, w), w != u, of each arc (u, v), padded with the sentinel
+    successors = [[arc_index[(v, w)] for w in sorted(graph[v]) if w != u] for u, v in arcs]
+    width = 1 + max(map(len, successors), default=0)
+    padded = np.array([s + [len(arcs)] * (width - len(s)) for s in successors],
+                      dtype=np.intp).reshape(len(arcs), width)
+    bound = np.ones((n - 1, len(arcs) + 1))
+    for k in range(1, n - 1):
+        bound[k, :-1] = (weights * bound[k - 1])[padded].max(axis=1)
+    out_arcs = {u: [] for u in vertices}  # (neighbour, weight, arc) in neighbour order
+    for e, (u, v) in enumerate(arcs):
+        out_arcs[u].append((v, graph[u][v], e))
+    slack = 1.0 + 1e-12
     # best holds (-product, qubits) sorted ascending, so best[0] is the leader
     best: list[tuple[float, tuple[int, ...]]] = []
 
@@ -247,19 +267,21 @@ def find_best_paths(graph: dict, n: int, m: int, protocol: str = "") -> PathSear
         if len(path) == n:
             consider(product, tuple(path))
         else:
-            remaining = n - len(path)
-            for nbr in sorted(graph[vertex]):
+            level = bound[n - len(path) - 1]  # edges still to add after the next one
+            for nbr, w, e in out_arcs[vertex]:
                 if nbr in on_path:
                     continue
-                p = product * graph[vertex][nbr]
-                if p * max_w ** (remaining - 1) < threshold():
+                p = product * w
+                if p * level[e] * slack < threshold():
                     continue
                 extend(nbr, p)
         path.pop()
         on_path.remove(vertex)
 
     for start in vertices:
-        extend(start, 1.0)
+        first = max((w * bound[n - 2, e] for _, w, e in out_arcs[start]), default=0.0)
+        if first * slack >= threshold():
+            extend(start, 1.0)
     paths = [WeightedPath(qubits=q, weight_product=-negp, protocol=protocol)
              for negp, q in best]
     return PathSearchResult(paths=paths, complete=len(paths) >= m)

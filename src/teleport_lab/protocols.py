@@ -356,9 +356,12 @@ class ShotBatch:
 class TransportResult:
     """Raw per-basis outcome counts of a sampled transport run.
 
-    Outcome integers carry one bit per path position (bit i = position i):
-    intermediate positions hold their recorded measurement bits, positions
-    0 and n-1 hold the tomography outcomes.
+    ``counts_by_basis`` maps each basis pair to a ``(distinct, 2)`` int64
+    array of ``(key, count)`` rows in ascending key order, so ``len()`` of
+    a value is its number of distinct outcomes. Outcome keys carry one bit
+    per path position (bit i = position i): intermediate positions hold
+    their recorded measurement bits, positions 0 and n-1 hold the
+    tomography outcomes.
     """
 
     path: PathSpec
@@ -373,17 +376,15 @@ class TransportResult:
         """(9, 4) outcome frequencies of the surviving pair (positions 0 and n-1)."""
         out = np.empty((len(BASIS_PAIRS), 4))
         for row, pair in zip(out, BASIS_PAIRS):
-            counts = self.counts_by_basis[pair]
-            keys = np.fromiter(counts, np.int64, len(counts))
-            weights = np.fromiter(counts.values(), float, len(counts))
+            keys, counts = self.counts_by_basis[pair].T
             k = (keys & 1) | (((keys >> (self.n - 1)) & 1) << 1)
-            row[:] = np.bincount(k, weights, 4)
+            row[:] = np.bincount(k, counts, 4)
         return out / self.shots_per_basis
 
 
-def _count(ints: np.ndarray) -> dict[int, int]:
-    values, counts = np.unique(ints, return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
+def _count(ints: np.ndarray) -> np.ndarray:
+    """(distinct, 2) int64 rows of (key, count), in ascending key order."""
+    return np.stack(np.unique(ints, return_counts=True), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -403,7 +403,7 @@ def categorize(result) -> dict[tuple[int, int], np.ndarray]:
     n = result.n
     out = {c: np.zeros((len(BASIS_PAIRS), 4)) for c in reachable_configurations(result.path.hops)}
     for b, pair in enumerate(BASIS_PAIRS):
-        for outcome, weight in result.counts_by_basis[pair].items():
+        for outcome, weight in result.counts_by_basis[pair].tolist():
             config = discriminator([(outcome >> pos) & 1 for pos in range(1, n - 1)])
             k = (outcome & 1) | (((outcome >> (n - 1)) & 1) << 1)
             out[config][b, k] += weight

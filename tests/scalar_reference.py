@@ -164,8 +164,8 @@ def stacked_category_distributions(result, qrem: bool, calibration) -> tuple:
     inverses = (np.stack([mitigation.confusion_inverse(a, i) for i, a in enumerate(calibration)])
                 if qrem else np.broadcast_to(np.eye(2), (n, 2, 2)))
     counts = [result.counts_by_basis[pair] for pair in tomography.BASIS_PAIRS]
-    keys = np.array([key for c in counts for key in c], dtype=np.int64)
-    freqs = np.array([w for c in counts for w in c.values()], dtype=float) / result.shots_per_basis
+    keys = np.array([key for c in counts for key in c[:, 0]], dtype=np.int64)
+    freqs = np.array([w for c in counts for w in c[:, 1]], dtype=float) / result.shots_per_basis
     basis = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
     bits = (keys >> np.arange(n)[:, None]) & 1  # one row per path position
     slot = bits + np.arange(0, 2 * n, 2)[:, None]  # (position, bit) in a flat (n, 2) table

@@ -51,6 +51,14 @@ def test_noise_model_validation():
         NoiseModel(one_qubit_depol=1.5)
     model = NoiseModel(two_qubit_depol=0.01, two_qubit_depol_per_edge=[0.1, 0.2])
     assert NoiseModel(t1_us=np.inf, t2_us=25.0).qubit_t1t2(0) == (np.inf, 25.0)
+    # exactly the pairs qubit_t1t2 serves: a list meets the other time's scalar,
+    # and an unused scalar pair is not checked
+    NoiseModel(t1_us=10.0, t2_per_qubit_us=[15.0, 20.0])
+    NoiseModel(t2_us=70.0, t1_per_qubit_us=[40.0, 35.0])
+    with pytest.raises(ValueError, match=r"t2 \(25.0\) exceeds 2\*t1 \(20.0\) at path position 1"):
+        NoiseModel(t1_us=10.0, t2_per_qubit_us=[15.0, 25.0])
+    with pytest.raises(ValueError, match="at path position 0"):
+        NoiseModel(t2_us=70.0, t1_per_qubit_us=[30.0, 40.0])
     with pytest.raises(ValueError, match="dynamic_correction_latency_us must be finite"):
         NoiseModel(dynamic_correction_latency_us=np.inf)
     assert model.edge_depol(1) == 0.2

@@ -326,7 +326,8 @@ def test_run_rejects_path_noise_conflict_before_any_cell(workdir, capsys, monkey
 
 def test_run_rejects_mixed_form_t1_t2_conflict_before_any_cell(tmp_path, capsys):
     # a scalar T1 with a per-qubit T2 list (or the mirror) used to fail every
-    # cell that idles and exit 1, while swap cells ran
+    # cell that idles and exit 1, while swap cells ran; the overrides alone fix
+    # every pair of such a path, so the spec rejects them
     dev = tmp_path / "line6.json"
     assert main(["gen-device", "--topology", "line:6", "--out", str(dev)]) == 0
     out = tmp_path / "mixed.csv"
@@ -336,15 +337,25 @@ def test_run_rejects_mixed_form_t1_t2_conflict_before_any_cell(tmp_path, capsys)
                       '{"t2_us": 50, "t1_per_qubit_us": [20, 20, 20]}'):
         for mode in ("dynamic", "postselect", "swap"):
             assert main(base + ["--mode", mode, "--noise-overrides", overrides]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: noise on path ") and err.count("\n") == 1
-            assert "t2 (50) exceeds 2*t1 (40) at path position 0" in err
+            assert capsys.readouterr().err == ("error: per-qubit t2 (50) exceeds 2*t1 (40) "
+                                               "at path position 0\n")
     assert not out.exists()
-    # mixed forms that fit still run, as does a T1 list alone that fits the device's T2
+    # mixed forms that fit still run, as does a T1 list alone that fits the device's
+    # T2; the last two fit, although the default scalar of the other time (T2 25,
+    # T1 33), which no path uses, would not
     for overrides in ('{"t1_us": 100, "t2_per_qubit_us": [50, 50, 50]}',
-                      '{"t1_per_qubit_us": [20, 20, 20]}'):
+                      '{"t1_per_qubit_us": [20, 20, 20]}',
+                      '{"t1_us": 10, "t2_per_qubit_us": [15, 15, 15]}',
+                      '{"t2_us": 70, "t1_per_qubit_us": [40, 40, 40]}'):
         assert main(base + ["--mode", "dynamic", "--noise-overrides", overrides]) == 0
         assert len(read_csv_rows(str(out))) == 1
+    # a list alone meets the device's other list, not that default
+    payload = json.loads(dev.read_text())
+    for qubit in payload["qubits"]:
+        qubit["t2_us"] = 15.0
+    dev.write_text(json.dumps(payload))
+    assert main(base + ["--mode", "dynamic", "--noise-overrides",
+                        '{"t1_per_qubit_us": [10, 10, 10]}']) == 0
 
 
 def test_run_rejects_sweep_flags_with_spec(workdir, capsys):

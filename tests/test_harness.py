@@ -260,7 +260,8 @@ def random_counts_result(n: int, shots: int, distinct: int,
     for pair in BASIS_PAIRS:
         keys = rng.choice(1 << n, size=distinct, replace=False)
         hits = rng.multinomial(shots, rng.dirichlet(np.ones(distinct)))
-        counts_by_basis[pair] = {int(k): int(c) for k, c in zip(keys, hits) if c}
+        rows = np.stack([keys, hits], axis=1)[hits > 0]
+        counts_by_basis[pair] = rows[np.argsort(rows[:, 0])]
     return TransportResult(PathSpec.line(n), shots, counts_by_basis)
 
 
@@ -281,7 +282,7 @@ def dense_category_oracle(result: TransportResult, qrem: bool, calibration) -> d
     out = {c: {"weight": 0.0, "probs": np.zeros((len(BASIS_PAIRS), 4))} for c in configs}
     for b, pair in enumerate(BASIS_PAIRS):
         joint = np.zeros(1 << n)
-        for key, count in result.counts_by_basis[pair].items():
+        for key, count in result.counts_by_basis[pair].tolist():
             joint[key] = count / result.shots_per_basis
         if qrem:
             joint = joint_inverse @ joint
@@ -378,7 +379,7 @@ def test_category_route_memory_does_not_grow_with_path_length(rng):
     for n in (20, 60):
         keys = rng.choice(1 << n, size=(len(BASIS_PAIRS), 2000), replace=False)
         result = TransportResult(PathSpec.line(n), 2000,
-                                 {pair: dict.fromkeys(row.tolist(), 1)
+                                 {pair: np.stack([np.sort(row), np.ones_like(row)], axis=1)
                                   for pair, row in zip(BASIS_PAIRS, keys)})
         calibration = [confusion_matrix(0.02, 0.03)] * n
         tracemalloc.start()

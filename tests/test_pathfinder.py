@@ -1,10 +1,12 @@
 """Device ingestion, edge weighting and the top-m path search."""
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from teleport_lab import pathfinder
 from teleport_lab.channels import NoiseModel, confusion_matrix, exact_pair_distributions
 from teleport_lab.metrics import negativity
 from teleport_lab.mitigation import mitigate_distributions
@@ -215,6 +217,48 @@ def test_random_graphs_match_bruteforce(rng):
         want = exhaustive_paths(graph, n, m)
         got = [(round(p.weight_product, 12), p.qubits) for p in res.paths]
         assert got == [(round(w, 12), q) for w, q in want]
+
+
+def test_tied_and_zero_weights_match_bruteforce(rng):
+    # few distinct weights make many products tie with the m-th best, where the
+    # bound's own rounding must not prune; products compare bit for bit
+    for _ in range(200):
+        nv = int(rng.integers(3, 10))
+        graph = {v: {} for v in range(nv)}
+        for a in range(nv):
+            for b in range(a + 1, nv):
+                if rng.random() < 0.5:
+                    w = float(rng.choice([0.0, 0.3, 0.7, 0.7, 0.9, 1.0]))
+                    graph[a][b] = w
+                    graph[b][a] = w
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+        res = find_best_paths(graph, n, m)
+        assert [(p.weight_product, p.qubits) for p in res.paths] == exhaustive_paths(graph, n, m)
+
+
+@pytest.mark.parametrize("protocol", ["neg", "gate_fid"])
+def test_longest_heavy_hex_search_stays_small(protocol):
+    # a search pruned by the largest edge weight alone passes the cap within
+    # seconds (and takes a minute or more to finish); the non-backtracking bound
+    # makes 131,956 calls with neg and 89,886 with gate_fid
+    graph = edge_weights(synthesize_device("heavy-hex-127", seed=7), protocol)
+    calls, cap = 0, 500_000
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if (event == "call" and frame.f_code.co_name == "extend"
+                and frame.f_code.co_filename == pathfinder.__file__):
+            calls += 1
+            if calls > cap:
+                raise RuntimeError(f"path search passed {cap} calls")
+
+    sys.setprofile(count)
+    try:
+        res = find_best_paths(graph, 62, 4, protocol)
+    finally:
+        sys.setprofile(None)
+    assert len(res.paths) == 4 and all(len(p.qubits) == 62 for p in res.paths)
+    assert res.paths[0].weight_product >= res.paths[-1].weight_product > 0.0
 
 
 def test_log_space_ordering_agrees(rng):

@@ -212,7 +212,7 @@ def test_batch_postselect_matches_dense_joint_distribution():
     for pair in (("Z", "Z"), ("X", "Y"), ("Y", "X")):
         expected = _postselect_joint_oracle(n, pair)
         counts = np.zeros(1 << n)
-        for outcome, c in result.counts_by_basis[pair].items():
+        for outcome, c in result.counts_by_basis[pair]:
             counts[outcome] = c
         assert abs(counts.sum() - shots) < 0.5
         for k in range(1 << n):
@@ -617,7 +617,7 @@ def test_categorize_matches_manual_classification():
     categories = categorize(result)
     manual = {}
     for pair, counts in result.counts_by_basis.items():
-        for outcome, c in counts.items():
+        for outcome, c in counts.tolist():
             s = tuple((outcome >> pos) & 1 for pos in (1, 2, 3))
             key = discriminator(s)
             manual[key] = manual.get(key, 0) + c
@@ -629,7 +629,7 @@ def test_swap_noiseless_keeps_intermediates_in_ground():
     rng = np.random.default_rng(9)
     result = run_swap_transport(PathSpec.line(5), NOISELESS, 2048, rng)
     for counts in result.counts_by_basis.values():
-        for outcome in counts:
+        for outcome in counts[:, 0].tolist():
             for pos in (1, 2, 3):
                 assert (outcome >> pos) & 1 == 0
     rho = reconstruct(result.pair_frequencies())
@@ -712,7 +712,7 @@ def test_idle_pair_matches_exact_channel_under_noise():
     result = run_idle_pair(delay, noise, shots, np.random.default_rng(19))
     exact = exact_pair_distributions(noise, delay)
     for pair, probs in zip(BASIS_PAIRS, exact):
-        counts = result.counts_by_basis[pair]
+        counts = dict(result.counts_by_basis[pair].tolist())
         assert sum(counts.values()) == shots
         for k in range(4):
             sigma = np.sqrt(shots * probs[k] * (1 - probs[k]))
@@ -756,7 +756,7 @@ def test_sampled_keys_match_exact_schedule_under_device_noise(n, case):
     exact = schedule_distributions(schedule(n, mode, noise, bool(simplified), delay_us=3.0))
     assert np.allclose(exact.sum(axis=1), 1.0)
     for pair, probs in zip(BASIS_PAIRS, exact):
-        counts = result.counts_by_basis[pair]
+        counts = dict(result.counts_by_basis[pair].tolist())
         assert set(counts) <= set(np.flatnonzero(probs))
         for key, prob in enumerate(probs):
             sigma = np.sqrt(shots * prob * (1 - prob))
@@ -829,9 +829,34 @@ def _sampled_for_digest(case: str, size: int, shots: int):
 def _counts_digest(case: str, shots: int) -> str:
     # n = 3 and 7 for the transport modes, delays of 3 and 7 us for the idle pair
     results = [_sampled_for_digest(case, size, shots) for size in (3, 7)]
-    counts = [sorted((pair, sorted(c.items())) for pair, c in r.counts_by_basis.items())
+    counts = [sorted((pair, [(int(key), int(hits)) for key, hits in c])
+                     for pair, c in r.counts_by_basis.items())
               for r in results]
     return hashlib.sha256(repr(counts).encode()).hexdigest()
+
+
+def _assert_count_rows(result: protocols.TransportResult):
+    """Every basis holds int64 (key, count) rows, keys strictly ascending."""
+    assert list(result.counts_by_basis) == list(BASIS_PAIRS)
+    for rows in result.counts_by_basis.values():
+        assert rows.dtype == np.int64 and rows.ndim == 2 and rows.shape[1] == 2
+        keys, counts = rows.T
+        assert np.all(np.diff(keys) > 0) and keys.min() >= 0 and keys.max() < 1 << result.n
+        assert counts.min() >= 1 and counts.sum() == result.shots_per_basis
+        assert len(rows) == np.unique(keys).size
+
+
+@pytest.mark.parametrize("case", ["dynamic", "dynamic-simplified", "postselect", "swap"])
+def test_counts_are_ascending_key_rows(case):
+    for hops in (1, 2, 3):
+        _assert_count_rows(_sampled_for_digest(case, hops + 2, 300))
+    if case == "postselect":
+        # at 19 hops nearly every shot is its own outcome
+        noise = NoiseModel(one_qubit_depol=0.01, two_qubit_depol=0.03)
+        longest = run_teleportation(PathSpec.line(21), case, noise, 2048,
+                                    np.random.default_rng(21))
+        _assert_count_rows(longest)
+        assert min(len(rows) for rows in longest.counts_by_basis.values()) > 2000
 
 
 @pytest.mark.parametrize("case", sorted(COUNT_DIGESTS))
@@ -875,7 +900,7 @@ def test_paths_beyond_int64_outcome_keys_are_rejected():
     with pytest.raises(ValueError, match="64-bit outcome keys"):
         run_swap_transport(PathSpec.line(70), NOISELESS, 4, rng)
     longest = run_teleportation(PathSpec.line(MAX_PATH_QUBITS), "postselect", NOISELESS, 4, rng)
-    keys = [k for counts in longest.counts_by_basis.values() for k in counts]
+    keys = [k for counts in longest.counts_by_basis.values() for k in counts[:, 0]]
     assert min(keys) >= 0 and max(keys) < 1 << MAX_PATH_QUBITS
 
 

@@ -141,7 +141,8 @@ def test_expectations_of_bell():
 
 def test_tomography_set_accumulates():
     # outcome keys of a 3-qubit path: the pair is bits 0 and 2, bit 1 is marginalized
-    counts = {pair: {0b010: 1, 0b011: 1, 0b100: 1, 0b111: 1} for pair in BASIS_PAIRS}
+    counts = {pair: np.array([[0b010, 1], [0b011, 1], [0b100, 1], [0b111, 1]])
+              for pair in BASIS_PAIRS}
     result = TransportResult(PathSpec.line(3), 4, counts)
     freqs = result.pair_frequencies()
     assert freqs.shape == (len(BASIS_PAIRS), 4)
