@@ -27,6 +27,8 @@ log = logging.getLogger("teleport_lab")
 
 #: Readout calibration shots per prepared state, of a sweep cell and of a decay delay.
 CALIBRATION_SHOTS = 8192
+#: Keys per chunk of `mitigated_category_distributions`, which bounds its per-key arrays.
+CATEGORY_CHUNK_KEYS = 4096
 CSV_HEADER_COMMENT = "# teleport-lab results v1"
 CSV_COLUMNS = ("mode", "protocol", "hops", "path", "trial", "qrem", "configuration",
                "negativity", "fidelity", "shots", "seed")
@@ -195,15 +197,17 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     """Post-selected per-configuration distributions after full-path mitigation.
 
     Matrix-free, as in M3 (Nation et al., PRX Quantum 2, 040326, 2021): the
-    observed keys of all nine bases go, as one batch, through the per-qubit
-    inverse confusion matrices (identities without QREM) straight into the
-    16 (Z parity, X parity, t0, t1) bins, in O(distinct outcomes x n) time
-    and O(distinct outcomes) memory. A key's bin vector is the outer product
-    of inv_0[:, x_0], inv_{n-1}[:, x_{n-1}] and (prod s+ +- prod s-) / 2 over
-    the odd and over the even intermediate positions, with s+- = inv_i[0, x_i]
-    +- inv_i[1, x_i]. The products run over the positions in order and each
-    bin is summed per basis by one `np.bincount`, so only arrays of one entry
-    per key are built.
+    observed keys go through the per-qubit inverse confusion matrices
+    (identities without QREM) straight into the 16 (Z parity, X parity, t0,
+    t1) bins, in O(distinct outcomes x n) time. A key's bin vector is the
+    outer product of inv_0[:, x_0], inv_{n-1}[:, x_{n-1}] and
+    (prod s+ +- prod s-) / 2 over the odd and over the even intermediate
+    positions, with s+- = inv_i[0, x_i] +- inv_i[1, x_i]. The nine bases
+    run in chunks of consecutive bases that hold at most
+    `CATEGORY_CHUNK_KEYS` keys (or one basis, when it alone holds more), so
+    only arrays of one entry per key of a chunk are built. The products run
+    over the positions in order and each bin is summed per basis by one
+    `np.bincount`, so a bin has the same bits however the bases are chunked.
     Each configuration's conditional vector per basis is then projected onto
     the simplex, which keeps shot-starved bins at long path lengths from
     being clipped away as a projection of the sparse joint would.
@@ -216,26 +220,14 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     inverses = (np.stack([mitigation.confusion_inverse(a, i) for i, a in enumerate(calibration)])
                 if qrem else np.broadcast_to(np.eye(2), (n, 2, 2)))
     counts = [result.counts_by_basis[pair] for pair in tomography.BASIS_PAIRS]
-    keys, hits = np.concatenate(counts).T.copy()  # two contiguous columns
-    freqs = hits / result.shots_per_basis
-    basis = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
-    s_plus, s_minus = inverses[:, 0] + inverses[:, 1], inverses[:, 0] - inverses[:, 1]
-    parities = []  # (parity 0, parity 1) factors of the odd and of the even positions
-    for positions in (range(1, n - 1, 2), range(2, n - 1, 2)):
-        plus, minus = np.ones(keys.size), np.ones(keys.size)
-        for pos in positions:
-            bit = (keys >> pos) & 1
-            plus *= s_plus[pos][bit]
-            minus *= s_minus[pos][bit]
-        parities.append(((plus + minus) / 2, (plus - minus) / 2))
-    z, x = parities
-    first, last = keys & 1, (keys >> (n - 1)) & 1
     by_basis = np.empty((len(counts), 16))
-    for t in range(4):  # bin z | x << 1 | t0 << 2 | t1 << 3, with t = t0 | t1 << 1
-        pair = freqs * inverses[-1][t >> 1, last] * inverses[0][t & 1, first]
-        for xz in range(4):
-            by_basis[:, 4 * t + xz] = np.bincount(basis, pair * (x[xz >> 1] * z[xz & 1]),
-                                                  len(counts))
+    start, held = 0, 0  # the chunk counts[start:b] holds `held` keys
+    for b, rows in enumerate(counts):
+        if b > start and held + len(rows) > CATEGORY_CHUNK_KEYS:
+            by_basis[start:b] = _category_bins(counts[start:b], result.shots_per_basis, inverses)
+            start, held = b, 0
+        held += len(rows)
+    by_basis[start:] = _category_bins(counts[start:], result.shots_per_basis, inverses)
 
     configs = protocols.reachable_configurations(result.path.hops)
     # (basis, configuration, t) bins of each configuration's four pair outcomes
@@ -248,6 +240,32 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     # each configuration's mean runs over a contiguous row, as np.mean of a list does
     mean_weights = mitigation.michelot_project(np.ascontiguousarray(weights.T).mean(axis=-1))
     return configs, mean_weights, probs.swapaxes(0, 1)
+
+
+def _category_bins(counts: Sequence[np.ndarray], shots: int, inverses: np.ndarray) -> np.ndarray:
+    """(bases, 16) bins of the given bases' key rows, summed per basis in key order."""
+    n = len(inverses)
+    keys, hits = np.concatenate(counts).T.copy()  # two contiguous columns
+    freqs = hits / shots
+    basis = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
+    s_plus, s_minus = inverses[:, 0] + inverses[:, 1], inverses[:, 0] - inverses[:, 1]
+    parities = []  # (parity 0, parity 1) factors of the odd and of the even positions
+    for positions in (range(1, n - 1, 2), range(2, n - 1, 2)):
+        plus, minus = np.ones(keys.size), np.ones(keys.size)
+        for pos in positions:
+            bit = (keys >> pos) & 1
+            plus *= s_plus[pos][bit]
+            minus *= s_minus[pos][bit]
+        parities.append(((plus + minus) / 2, (plus - minus) / 2))
+    z, x = parities
+    first, last = keys & 1, (keys >> (n - 1)) & 1
+    bins = np.empty((len(counts), 16))
+    for t in range(4):  # bin z | x << 1 | t0 << 2 | t1 << 3, with t = t0 | t1 << 1
+        pair = freqs * inverses[-1][t >> 1, last] * inverses[0][t & 1, first]
+        for xz in range(4):
+            bins[:, 4 * t + xz] = np.bincount(basis, pair * (x[xz >> 1] * z[xz & 1]),
+                                              len(counts))
+    return bins
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ import numpy as np
 from .channels import check_confusion_matrix, confusion_matrix, per_qubit_transform
 
 
+#: Uniform numbers a calibration holds at once, in rows of one per qubit.
+CALIBRATION_BLOCK_VALUES = 1 << 15
+
+
 class MitigationError(RuntimeError):
     """Raised when readout mitigation cannot be applied."""
 
@@ -84,12 +88,23 @@ def estimate_confusion_matrices(true_confusion: Sequence[np.ndarray], shots: int
     """Calibrate per-qubit confusion matrices from simulated readout shots.
 
     Prepares the all-zeros and all-ones registers ``shots`` times each and
-    counts per-qubit flips, assuming independent qubits.
+    counts per-qubit flips, assuming independent qubits. The (shots, k)
+    uniforms of each register are drawn in blocks of rows that hold at most
+    `CALIBRATION_BLOCK_VALUES` numbers; the generator fills rows in order,
+    so the draws and the counts are those of one (shots, k) draw.
     """
     if shots <= 0:
         raise ValueError("calibration needs a positive shot count")
     k = len(true_confusion)
     p_read1 = np.array([check_confusion_matrix(a)[1] for a in true_confusion])  # (k, prepared)
-    flips0 = (rng.random((shots, k)) < p_read1[:, 0]).sum(axis=0)
-    flips1 = (rng.random((shots, k)) >= p_read1[:, 1]).sum(axis=0)
-    return [confusion_matrix(e01 / shots, e10 / shots) for e01, e10 in zip(flips0, flips1)]
+    block = np.empty((min(shots, max(1, CALIBRATION_BLOCK_VALUES // max(k, 1))), k))
+    flips = []
+    for prepared in (0, 1):
+        count = np.zeros(k, dtype=np.int64)
+        for start in range(0, shots, len(block)):
+            draws = block[:shots - start]  # the last block may be shorter
+            rng.random(out=draws)
+            read1 = draws < p_read1[:, prepared]
+            count += (~read1 if prepared else read1).sum(axis=0)
+        flips.append(count)
+    return [confusion_matrix(e01 / shots, e10 / shots) for e01, e10 in zip(*flips)]

@@ -8,6 +8,7 @@ with a pruned depth-first enumeration.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 from dataclasses import dataclass, asdict
 from typing import Sequence
@@ -202,6 +203,29 @@ def edge_weights(device: DeviceModel, protocol: str) -> dict:
     return graph
 
 
+@functools.lru_cache(maxsize=8)
+def _arc_table(frozen_graph: tuple) -> tuple:
+    """(arc weights, padded successor arcs, out arcs by vertex, bound levels) of a graph.
+
+    The graph comes as sorted (vertex, sorted (neighbour, weight) pairs);
+    the bound levels are a list that `find_best_paths` extends.
+    """
+    graph = {u: dict(nbrs) for u, nbrs in frozen_graph}
+    # directed edges (u, v), by u and then v; arc len(arcs) is a zero-weight sentinel
+    arcs = [(u, v) for u in graph for v in graph[u]]
+    arc_index = {arc: e for e, arc in enumerate(arcs)}
+    weights = np.array([graph[u][v] for u, v in arcs] + [0.0])
+    # successors (v, w), w != u, of each arc (u, v), padded with the sentinel
+    successors = [[arc_index[(v, w)] for w in graph[v] if w != u] for u, v in arcs]
+    width = 1 + max(map(len, successors), default=0)
+    padded = np.array([s + [len(arcs)] * (width - len(s)) for s in successors],
+                      dtype=np.intp).reshape(len(arcs), width)
+    out_arcs = {u: [] for u in graph}  # (neighbour, weight, arc) in neighbour order
+    for e, (u, v) in enumerate(arcs):
+        out_arcs[u].append((v, graph[u][v], e))
+    return weights, padded, out_arcs, [np.ones(len(arcs) + 1)]
+
+
 def find_best_paths(graph: dict, n: int, m: int, protocol: str = "") -> PathSearchResult:
     """The m simple paths of exactly n vertices with the largest weight product.
 
@@ -216,6 +240,8 @@ def find_best_paths(graph: dict, n: int, m: int, protocol: str = "") -> PathSear
     skipped, as is a start vertex whose best first edge already does. The
     bound multiplies in another order than a path product, so it is scaled
     by 1 + 1e-12 and rounding never prunes a path tied with the m-th best.
+    The arcs and bound levels are kept per graph content, so a sweep's
+    searches of one graph at several n build them once.
     Paths are undirected; the canonical orientation starts at the smaller
     endpoint. Ties are broken by lexicographic qubit sequence.
     """
@@ -225,22 +251,12 @@ def find_best_paths(graph: dict, n: int, m: int, protocol: str = "") -> PathSear
         raise ValueError("m must be at least 1")
     if n > len(graph):
         return PathSearchResult(paths=[], complete=False)
-    vertices = sorted(graph)
-    # directed edges (u, v), by u and then v; arc len(arcs) is a zero-weight sentinel
-    arcs = [(u, v) for u in vertices for v in sorted(graph[u])]
-    arc_index = {arc: e for e, arc in enumerate(arcs)}
-    weights = np.array([graph[u][v] for u, v in arcs] + [0.0])
-    # successors (v, w), w != u, of each arc (u, v), padded with the sentinel
-    successors = [[arc_index[(v, w)] for w in sorted(graph[v]) if w != u] for u, v in arcs]
-    width = 1 + max(map(len, successors), default=0)
-    padded = np.array([s + [len(arcs)] * (width - len(s)) for s in successors],
-                      dtype=np.intp).reshape(len(arcs), width)
-    bound = np.ones((n - 1, len(arcs) + 1))
-    for k in range(1, n - 1):
-        bound[k, :-1] = (weights * bound[k - 1])[padded].max(axis=1)
-    out_arcs = {u: [] for u in vertices}  # (neighbour, weight, arc) in neighbour order
-    for e, (u, v) in enumerate(arcs):
-        out_arcs[u].append((v, graph[u][v], e))
+    weights, padded, out_arcs, bound = _arc_table(
+        tuple((u, tuple(sorted(nbrs.items()))) for u, nbrs in sorted(graph.items())))
+    while len(bound) < n - 1:  # levels 0..n-2, kept for later searches of this graph
+        level = np.ones_like(bound[0])
+        level[:-1] = (weights * bound[-1])[padded].max(axis=1)
+        bound.append(level)
     slack = 1.0 + 1e-12
     # best holds (-product, qubits) sorted ascending, so best[0] is the leader
     best: list[tuple[float, tuple[int, ...]]] = []
@@ -278,8 +294,8 @@ def find_best_paths(graph: dict, n: int, m: int, protocol: str = "") -> PathSear
         path.pop()
         on_path.remove(vertex)
 
-    for start in vertices:
-        first = max((w * bound[n - 2, e] for _, w, e in out_arcs[start]), default=0.0)
+    for start in out_arcs:
+        first = max((w * bound[n - 2][e] for _, w, e in out_arcs[start]), default=0.0)
         if first * slack >= threshold():
             extend(start, 1.0)
     paths = [WeightedPath(qubits=q, weight_product=-negp, protocol=protocol)

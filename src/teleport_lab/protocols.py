@@ -33,7 +33,8 @@ basis alone would, so the counts do not depend on how bases are grouped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
+from itertools import accumulate
 from math import ceil, sqrt
 from typing import Sequence
 
@@ -114,10 +115,27 @@ def phi_p2() -> np.ndarray:
 
 
 def canonical_state(config: tuple[int, int], n: int) -> np.ndarray:
-    """Amplitudes of a configuration's two-qubit state: (I x U_config) |phi(P2)>."""
-    u = configuration_unitary(config, n)
-    full = np.kron(u, np.eye(2, dtype=complex))  # second qubit is the high bit
-    return full @ phi_p2()
+    """Amplitudes of a configuration's two-qubit state: (I x U_config) |phi(P2)>.
+
+    The state depends only on the configuration and the parity of n, so it
+    is a read-only view of a table built on first use.
+    """
+    return _canonical_states()[n % 2][config]
+
+
+@cache
+def _canonical_states() -> np.ndarray:
+    """[parity of n][z][x] table of `canonical_state`; the second qubit is the high bit.
+
+    Built on first use, not at import: its first np.kron and matrix product
+    fault in about 0.3 MB of numpy and BLAS state, which a process that
+    never scores a post-selected row, such as a pool's parent, need not hold.
+    """
+    table = np.array([[[np.kron(configuration_unitary((z, x), 2 + parity),
+                                np.eye(2, dtype=complex)) @ phi_p2()
+                        for x in (0, 1)] for z in (0, 1)] for parity in (0, 1)])
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +172,16 @@ class ShotBatch:
 
     The storage lives in kept flat buffers: the live amplitudes, a spare
     complex buffer that steps write their result into before the two swap,
-    and a real scratch buffer for probabilities. `release` hands them to a
-    per-process free list that the next batch takes them from, so a run
-    reuses memory that earlier runs already faulted in; a batch that is
+    and a real scratch buffer for probabilities. The constructor sizes all
+    three for ``window`` live qubits, so a batch told its widest window
+    never grows one; a step that needs more grows it. `release` hands them
+    to a per-process free list that the next batch takes them from, so a
+    run reuses memory that earlier runs already faulted in; a batch that is
     never released simply lets them go.
     """
 
-    def __init__(self, streams: Sequence[np.random.Generator], slab_shots: int):
+    def __init__(self, streams: Sequence[np.random.Generator], slab_shots: int,
+                 window: int = 0):
         if slab_shots <= 0:
             raise ValueError("shot budget must be positive")
         self.streams = list(streams)
@@ -170,6 +191,8 @@ class ShotBatch:
             self._buffers = _FREE_BUFFERS.pop()
         except IndexError:
             self._buffers = [np.empty(0, complex), np.empty(0, complex), np.empty(0)]
+        for i in range(len(self._buffers)):
+            self._buffer(i, 1 << window)
         self._amps = self._buffer(0, 1)
         self._amps[:] = 1.0
         self.axis_of: dict[int, int] = {}
@@ -177,13 +200,15 @@ class ShotBatch:
     def _buffer(self, i: int, rows: int) -> np.ndarray:
         """(rows, shots) view of the start of buffer i (0 live, 1 spare, 2 scratch).
 
-        A buffer that is too small is replaced by a larger copy of itself.
+        A buffer that is too small is replaced by a larger one. Only the live
+        buffer's old contents are read after it grows, so only they are copied.
         """
         size = rows * self.shots
         buf = self._buffers[i]
         if buf.size < size:
             grown = np.empty(size, buf.dtype)
-            grown[:buf.size] = buf
+            if i == 0:
+                grown[:buf.size] = buf
             self._buffers[i] = buf = grown
         return buf[:size].reshape(rows, self.shots)
 
@@ -476,7 +501,9 @@ def _rotate_into_bases(batch: ShotBatch, bases: Sequence[tuple[str, str]],
 def _sample_group(steps: Sequence[tuple], bases: Sequence[tuple[str, str]],
                   streams: Sequence[np.random.Generator], shots: int) -> np.ndarray:
     """Outcome keys of bases[b] on streams[b], slab by slab: the schedule's records in order."""
-    batch = ShotBatch(streams, shots)
+    # the most qubits live at once, so that the batch sizes its buffers once
+    window = max(accumulate({"add": 1, "measure": -1}.get(step[0], 0) for step in steps))
+    batch = ShotBatch(streams, shots, window)
     read, zero = {}, np.zeros(batch.shots, dtype=np.int8)
     try:
         for step in steps:

@@ -16,7 +16,7 @@ from teleport_lab.harness import (ExperimentSpec, ResultRow,
                                   plan_cells, read_csv_rows, rows_to_csv, run_decay_experiment,
                                   run_experiment, write_csv)
 from teleport_lab.metrics import negativity
-from teleport_lab.mitigation import MitigationError, michelot_project
+from teleport_lab.mitigation import MitigationError, confusion_inverse, michelot_project
 from teleport_lab.pathfinder import synthesize_device
 from teleport_lab.protocols import PathSpec, TransportResult
 from teleport_lab.tomography import BASIS_PAIRS, reconstruct
@@ -372,15 +372,21 @@ def test_streamed_category_route_equals_stacked_reference(rng):
             assert np.array_equal(probs, want_probs)
 
 
+def distinct_keys_result(n: int, distinct: int, rng: np.random.Generator) -> TransportResult:
+    """Hand-built postselect result: `distinct` random keys per basis, one shot each."""
+    keys = rng.choice(1 << n, size=(len(BASIS_PAIRS), distinct), replace=False)
+    return TransportResult(PathSpec.line(n), distinct,
+                           {pair: np.stack([np.sort(row), np.ones_like(row)], axis=1)
+                            for pair, row in zip(BASIS_PAIRS, keys)})
+
+
 def test_category_route_memory_does_not_grow_with_path_length(rng):
     # 18,000 distinct keys: the stacked route peaked at about 19 MB at n = 20
-    # and 41 MB at n = 60, the streamed one at about 2 MB at both
+    # and 41 MB at n = 60, the streamed one at about 2 MB at both, and the
+    # chunked one at about 0.55 MB
     peaks = []
     for n in (20, 60):
-        keys = rng.choice(1 << n, size=(len(BASIS_PAIRS), 2000), replace=False)
-        result = TransportResult(PathSpec.line(n), 2000,
-                                 {pair: np.stack([np.sort(row), np.ones_like(row)], axis=1)
-                                  for pair, row in zip(BASIS_PAIRS, keys)})
+        result = distinct_keys_result(n, 2000, rng)
         calibration = [confusion_matrix(0.02, 0.03)] * n
         tracemalloc.start()
         try:
@@ -389,6 +395,70 @@ def test_category_route_memory_does_not_grow_with_path_length(rng):
         finally:
             tracemalloc.stop()
     assert max(peaks) < 1.2 * min(peaks), peaks
+
+
+def unchunked_category_distributions(result: TransportResult, qrem: bool, calibration) -> tuple:
+    """The category route with all nine bases in one batch of per-key arrays."""
+    n = result.n
+    inverses = (np.stack([confusion_inverse(a, i) for i, a in enumerate(calibration)])
+                if qrem else np.broadcast_to(np.eye(2), (n, 2, 2)))
+    counts = [result.counts_by_basis[pair] for pair in BASIS_PAIRS]
+    keys, hits = np.concatenate(counts).T.copy()
+    freqs = hits / result.shots_per_basis
+    basis = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
+    s_plus, s_minus = inverses[:, 0] + inverses[:, 1], inverses[:, 0] - inverses[:, 1]
+    parities = []
+    for positions in (range(1, n - 1, 2), range(2, n - 1, 2)):
+        plus, minus = np.ones(keys.size), np.ones(keys.size)
+        for pos in positions:
+            bit = (keys >> pos) & 1
+            plus *= s_plus[pos][bit]
+            minus *= s_minus[pos][bit]
+        parities.append(((plus + minus) / 2, (plus - minus) / 2))
+    z, x = parities
+    first, last = keys & 1, (keys >> (n - 1)) & 1
+    by_basis = np.empty((len(counts), 16))
+    for t in range(4):
+        pair = freqs * inverses[-1][t >> 1, last] * inverses[0][t & 1, first]
+        for xz in range(4):
+            by_basis[:, 4 * t + xz] = np.bincount(basis, pair * (x[xz >> 1] * z[xz & 1]),
+                                                  len(counts))
+    configs = protocols.reachable_configurations(result.path.hops)
+    vecs = by_basis[:, [[zc | (xc << 1) | (tt << 2) for tt in range(4)] for zc, xc in configs]]
+    weights = vecs.sum(axis=-1)
+    probs = np.full(vecs.shape, 0.25)
+    seen = weights > 1e-12
+    probs[seen] = michelot_project(vecs[seen] / weights[seen][:, None])
+    mean_weights = michelot_project(np.ascontiguousarray(weights.T).mean(axis=-1))
+    return configs, mean_weights, probs.swapaxes(0, 1)
+
+
+def test_chunked_category_route_equals_one_batch_in_bounded_memory(rng):
+    # all 9 x 4,096 keys in one batch peaked at 3.8 times the 9 x 1,024 keys' peak
+    calibration = [confusion_matrix(0.02, 0.03)] * 20
+    peaks = []
+    for distinct in (1024, 4096):
+        result = distinct_keys_result(20, distinct, rng)
+        tracemalloc.start()
+        try:
+            mitigated_category_distributions(result, True, calibration)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0], peaks
+    # bases of uneven sizes that straddle chunk edges, and one basis larger than a chunk
+    results = [random_counts_result(n, shots=6000, distinct=int(rng.integers(300, 5000)), rng=rng)
+               for n in (14, 17, 21)] + [distinct_keys_result(19, 5000, rng)]
+    for result in results:
+        calibration = [confusion_matrix(*rng.uniform(0.01, 0.3, size=2))
+                       for _ in range(result.n)]
+        for qrem in (False, True):
+            configs, weights, probs = mitigated_category_distributions(result, qrem, calibration)
+            want_configs, want_weights, want_probs = unchunked_category_distributions(
+                result, qrem, calibration)
+            assert configs == want_configs
+            assert np.array_equal(weights, want_weights)
+            assert np.array_equal(probs, want_probs)
 
 
 # --- sweep --------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Readout correction and simplex projection."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,6 +199,36 @@ def test_estimated_confusion_converges(rng):
             sigma = np.sqrt(p * (1 - p) / shots)
             assert abs(e[1, col] - p) < 5 * max(sigma, 1e-6)
         assert np.allclose(e.sum(axis=0), 1.0, atol=1e-12)
+
+
+def one_block_calibration(true_confusion, shots: int, rng: np.random.Generator) -> list:
+    """The calibration drawn as two (shots, k) uniform matrices, one per prepared register."""
+    p_read1 = np.array([a[1] for a in true_confusion])
+    flips0 = (rng.random((shots, len(p_read1))) < p_read1[:, 0]).sum(axis=0)
+    flips1 = (rng.random((shots, len(p_read1))) >= p_read1[:, 1]).sum(axis=0)
+    return [confusion_matrix(e01 / shots, e10 / shots) for e01, e10 in zip(flips0, flips1)]
+
+
+def test_calibration_blocks_draw_the_one_block_stream_in_bounded_memory():
+    # the (8192, 21) uniforms of one register held at once took 1.4 MB
+    truth = [confusion_matrix(e01, e10) for e01, e10
+             in np.random.default_rng(5).uniform(0.005, 0.2, size=(21, 2))]
+    for shots in (1, 1000, 1024, 3000, 8192):
+        got = estimate_confusion_matrices(truth, shots, np.random.default_rng(shots))
+        want = one_block_calibration(truth, shots, np.random.default_rng(shots))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), shots
+    rng = np.random.default_rng(9)
+    tracemalloc.start()
+    try:
+        estimate_confusion_matrices(truth, 8192, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6, peak
+    # the blocks leave the generator where one block would, for the draws after them
+    one_block = np.random.default_rng(9)
+    one_block_calibration(truth, 8192, one_block)
+    assert rng.random() == one_block.random()
 
 
 def test_estimated_confusion_rejects_zero_shots(rng):

@@ -363,3 +363,28 @@ def test_synthesize_undefined_edges():
 def test_unknown_topology_rejected():
     with pytest.raises(ValueError, match="topology"):
         synthesize_device("torus:9", seed=0)
+
+
+def test_search_table_is_built_once_per_graph_and_follows_its_weights():
+    # a plan searched each hop count with a table of its own; one table per
+    # graph now serves them all, and a changed weight makes a new one
+    device = synthesize_device("heavy-hex-127", seed=7)
+    graphs = [edge_weights(device, protocol) for protocol in ("neg", "gate_fid")]
+    lengths = (5, 9, 3, 7)
+    pathfinder._arc_table.cache_clear()
+    searched = [[find_best_paths(graph, n, 4) for n in lengths] for graph in graphs]
+    frozen = [tuple((u, tuple(sorted(nbrs.items()))) for u, nbrs in sorted(graph.items()))
+              for graph in graphs]
+    assert [len(pathfinder._arc_table(f)[-1]) for f in frozen] == [8, 8]  # levels 0..7, n = 9
+    assert pathfinder._arc_table.cache_info().misses == 2
+    for graph, results in zip(graphs, searched):
+        for n, result in zip(lengths, results):
+            pathfinder._arc_table.cache_clear()
+            assert find_best_paths(graph, n, 4) == result  # a table of its own
+    graph = graphs[0]
+    a, b = searched[0][0].paths[0].qubits[:2]
+    graph[a][b] = graph[b][a] = 0.0
+    misses = pathfinder._arc_table.cache_info().misses
+    changed = find_best_paths(graph, 5, 4)
+    assert pathfinder._arc_table.cache_info().misses == misses + 1
+    assert searched[0][0].paths[0] not in changed.paths

@@ -157,6 +157,16 @@ def test_discriminator_soundness():
             assert overlap < 1 - 1e-6
 
 
+def test_canonical_states_come_read_only_from_one_table():
+    # each call used to build its state with np.kron; the table holds the same bits
+    for n in range(2, 10):
+        for config in reachable_configurations(2):
+            state = canonical_state(config, n)
+            built = np.kron(configuration_unitary(config, n), np.eye(2, dtype=complex)) @ phi_p2()
+            assert np.array_equal(state, built)
+            assert not state.flags.writeable
+
+
 # --- analytic runs ---------------------------------------------------------------
 
 
@@ -483,6 +493,32 @@ def test_second_sampled_run_reuses_the_engine_buffers():
         finally:
             tracemalloc.stop()
         assert peak < 2e6, (mode, peak)
+
+
+def test_first_sampled_run_allocates_each_buffer_once(monkeypatch):
+    # the first batch of a process used to copy each buffer into a larger one
+    # every time its window grew; now it sizes them for its widest window
+    monkeypatch.setattr(protocols, "_FREE_BUFFERS", [])
+    seen = {}
+    buffer = ShotBatch._buffer
+
+    def recording(self, i, rows):
+        view = buffer(self, i, rows)
+        seen.update((id(b), b) for b in self._buffers if b.size)
+        return view
+
+    monkeypatch.setattr(ShotBatch, "_buffer", recording)
+    path = PathSpec.line(8)
+    noise = path_noise_model(synthesize_device("line:8", seed=2), path)
+    # 2,048 shots run as batches of five and four bases; the widest window holds 3 qubits
+    for mode in MODES:
+        if mode == "swap":
+            run_swap_transport(path, noise, 2048, np.random.default_rng(0))
+        else:
+            run_teleportation(path, mode, noise, 2048, np.random.default_rng(0))
+        assert len(seen) == 3, mode
+    assert [b.size for b in seen.values()] == [8 * 5 * 2048] * 3
+    assert {id(b) for b in protocols._FREE_BUFFERS[0]} == set(seen)
 
 
 def test_batch_drop_qubit_matches_dense_removal():
