@@ -10,7 +10,6 @@ import json
 import logging
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict, replace
 from math import inf, sqrt
 from typing import NamedTuple, Sequence
@@ -205,9 +204,10 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     positions, with s+- = inv_i[0, x_i] +- inv_i[1, x_i]. The nine bases
     run in chunks of consecutive bases that hold at most
     `CATEGORY_CHUNK_KEYS` keys (or one basis, when it alone holds more), so
-    only arrays of one entry per key of a chunk are built. The products run
-    over the positions in order and each bin is summed per basis by one
-    `np.bincount`, so a bin has the same bits however the bases are chunked.
+    its work arrays hold one entry per key of the largest chunk. The
+    products run over the positions in order and each bin is summed per
+    basis by one `np.bincount`, so a bin has the same bits however the
+    bases are chunked.
     Each configuration's conditional vector per basis is then projected onto
     the simplex, which keeps shot-starved bins at long path lengths from
     being clipped away as a projection of the sparse joint would.
@@ -220,14 +220,20 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     inverses = (np.stack([mitigation.confusion_inverse(a, i) for i, a in enumerate(calibration)])
                 if qrem else np.broadcast_to(np.eye(2), (n, 2, 2)))
     counts = [result.counts_by_basis[pair] for pair in tomography.BASIS_PAIRS]
-    by_basis = np.empty((len(counts), 16))
-    start, held = 0, 0  # the chunk counts[start:b] holds `held` keys
+    chunks, start, held = [], 0, 0  # the chunk counts[start:b] holds `held` keys
     for b, rows in enumerate(counts):
         if b > start and held + len(rows) > CATEGORY_CHUNK_KEYS:
-            by_basis[start:b] = _category_bins(counts[start:b], result.shots_per_basis, inverses)
+            chunks.append(slice(start, b))
             start, held = b, 0
         held += len(rows)
-    by_basis[start:] = _category_bins(counts[start:], result.shots_per_basis, inverses)
+    chunks.append(slice(start, len(counts)))
+    # the per-key work rows of every chunk, allocated once: a chunk's own
+    # temporaries, freed at its end, let glibc trim the top of the heap and
+    # fault it in again for the next chunk
+    size = max(sum(map(len, counts[chunk])) for chunk in chunks)
+    floats, ints = np.empty((7, size)), np.empty((4, size), np.int64)
+    by_basis = np.concatenate([_category_bins(counts[chunk], result.shots_per_basis, inverses,
+                                              floats, ints) for chunk in chunks])
 
     configs = protocols.reachable_configurations(result.path.hops)
     # (basis, configuration, t) bins of each configuration's four pair outcomes
@@ -242,28 +248,46 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     return configs, mean_weights, probs.swapaxes(0, 1)
 
 
-def _category_bins(counts: Sequence[np.ndarray], shots: int, inverses: np.ndarray) -> np.ndarray:
-    """(bases, 16) bins of the given bases' key rows, summed per basis in key order."""
-    n = len(inverses)
-    keys, hits = np.concatenate(counts).T.copy()  # two contiguous columns
-    freqs = hits / shots
-    basis = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
+def _category_bins(counts: Sequence[np.ndarray], shots: int, inverses: np.ndarray,
+                   floats: np.ndarray, ints: np.ndarray) -> np.ndarray:
+    """(bases, 16) bins of the given bases' key rows, summed per basis in key order.
+
+    The per-key arrays that live through the chunk are rows of the (7, keys)
+    float64 and (4, keys) int64 work arrays; only a step's own one or two
+    temporaries are new.
+    """
+    n, size = len(inverses), sum(map(len, counts))
+    freqs, plus, weights, *parities = floats[:, :size]  # parities: z0, z1, x0, x1
+    keys, hits, basis, last = ints[:, :size]
+    np.copyto(ints[:2, :size], np.concatenate(counts).T)
+    np.divide(hits, shots, out=freqs)
+    basis[:] = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
     s_plus, s_minus = inverses[:, 0] + inverses[:, 1], inverses[:, 0] - inverses[:, 1]
-    parities = []  # (parity 0, parity 1) factors of the odd and of the even positions
-    for positions in (range(1, n - 1, 2), range(2, n - 1, 2)):
-        plus, minus = np.ones(keys.size), np.ones(keys.size)
+    # (parity 0, parity 1) factors (prod s+ +- prod s-) / 2 of the odd and the even positions
+    for positions, (zero, one) in zip((range(1, n - 1, 2), range(2, n - 1, 2)),
+                                      (parities[:2], parities[2:])):
+        minus = one  # holds the product of s- until parity 1 replaces it
+        plus[:], minus[:] = 1.0, 1.0
         for pos in positions:
             bit = (keys >> pos) & 1
             plus *= s_plus[pos][bit]
             minus *= s_minus[pos][bit]
-        parities.append(((plus + minus) / 2, (plus - minus) / 2))
-    z, x = parities
-    first, last = keys & 1, (keys >> (n - 1)) & 1
+        np.add(plus, minus, out=zero)
+        np.subtract(plus, minus, out=one)
+        zero /= 2
+        one /= 2
+    z, x = parities[:2], parities[2:]
+    first = hits  # the hits are read
+    np.bitwise_and(keys, 1, out=first)
+    np.bitwise_and(keys >> (n - 1), 1, out=last)
+    pair = plus
     bins = np.empty((len(counts), 16))
     for t in range(4):  # bin z | x << 1 | t0 << 2 | t1 << 3, with t = t0 | t1 << 1
-        pair = freqs * inverses[-1][t >> 1, last] * inverses[0][t & 1, first]
+        np.multiply(freqs, inverses[-1][t >> 1, last], out=pair)
+        pair *= inverses[0][t & 1, first]
         for xz in range(4):
-            bins[:, 4 * t + xz] = np.bincount(basis, pair * (x[xz >> 1] * z[xz & 1]),
+            np.multiply(x[xz >> 1], z[xz & 1], out=weights)
+            bins[:, 4 * t + xz] = np.bincount(basis, np.multiply(pair, weights, out=weights),
                                               len(counts))
     return bins
 
@@ -450,6 +474,8 @@ def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
         except ValueError as exc:
             raise ValueError(f"noise on path {_path_str(path)}: {exc}") from None
     if workers > 1 and len(cells) > 1:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(spec, noise_models)) as pool:
             outcomes = list(pool.map(_pooled_cell, cells))

@@ -15,6 +15,11 @@ from .channels import check_confusion_matrix, confusion_matrix, per_qubit_transf
 
 #: Uniform numbers a calibration holds at once, in rows of one per qubit.
 CALIBRATION_BLOCK_VALUES = 1 << 15
+# The block every calibration of this process draws into. Kept, it stays faulted
+# in: a 256 KB block allocated per call is mapped afresh, or taken from a heap
+# top that glibc has trimmed, whenever the sizes freed before it kept glibc's
+# dynamic mmap and trim thresholds low.
+_BLOCK = [np.empty(0)]
 
 
 class MitigationError(RuntimeError):
@@ -90,14 +95,18 @@ def estimate_confusion_matrices(true_confusion: Sequence[np.ndarray], shots: int
     Prepares the all-zeros and all-ones registers ``shots`` times each and
     counts per-qubit flips, assuming independent qubits. The (shots, k)
     uniforms of each register are drawn in blocks of rows that hold at most
-    `CALIBRATION_BLOCK_VALUES` numbers; the generator fills rows in order,
-    so the draws and the counts are those of one (shots, k) draw.
+    `CALIBRATION_BLOCK_VALUES` numbers, into one block kept by the process;
+    the generator fills rows in order, so the draws and the counts are
+    those of one (shots, k) draw.
     """
     if shots <= 0:
         raise ValueError("calibration needs a positive shot count")
     k = len(true_confusion)
     p_read1 = np.array([check_confusion_matrix(a)[1] for a in true_confusion])  # (k, prepared)
-    block = np.empty((min(shots, max(1, CALIBRATION_BLOCK_VALUES // max(k, 1))), k))
+    rows = min(shots, max(1, CALIBRATION_BLOCK_VALUES // max(k, 1)))
+    if _BLOCK[0].size < rows * k:
+        _BLOCK[0] = np.empty(max(rows * k, CALIBRATION_BLOCK_VALUES))
+    block = _BLOCK[0][:rows * k].reshape(rows, k)
     flips = []
     for prepared in (0, 1):
         count = np.zeros(k, dtype=np.int64)

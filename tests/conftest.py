@@ -17,10 +17,14 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:
 
 
 def shot_batch(state: PureState, shots: int, rng: np.random.Generator) -> ShotBatch:
-    """Trajectory batch of `shots` copies of a state drawing from rng; position q is qubit q."""
-    batch = ShotBatch([rng], shots)
+    """Trajectory batch of `shots` copies of a state drawing from rng; position q is qubit q.
+
+    The batch is in complex storage, as a run's is from its first complex matrix on.
+    """
+    batch = ShotBatch([rng], shots, state.num_qubits, state.num_qubits)
     for q in range(state.num_qubits):
         batch.add_qubit(q)
+    batch._promote()
     batch._amps[:] = state.amplitudes[:, None]  # (dim, shots) storage
     return batch
 

@@ -233,7 +233,7 @@ def test_batch_postselect_matches_dense_joint_distribution():
 def test_batch_depolarize_matches_exact_channel():
     shots = 200_000
     rng = np.random.default_rng(7)
-    batch = ShotBatch([rng], shots)
+    batch = ShotBatch([rng], shots, 2, 0)
     batch.add_qubit(0)
     batch.add_qubit(1)
     batch.apply_matrix(0, GATE_MATRICES[Gate.H])
@@ -248,7 +248,7 @@ def test_batch_depolarize_matches_exact_channel():
 def test_batch_idle_decay_matches_exact_channel():
     shots = 200_000
     rng = np.random.default_rng(11)
-    batch = ShotBatch([rng], shots)
+    batch = ShotBatch([rng], shots, 2, 0)
     batch.add_qubit(0)
     batch.add_qubit(1)
     batch.apply_matrix(0, GATE_MATRICES[Gate.H])
@@ -271,9 +271,10 @@ WINDOW_POSITIONS = (4, 2, 7)
 
 def _random_window(rng: np.random.Generator, shots: int = 8):
     states = [random_state(3, rng) for _ in range(shots)]
-    batch = ShotBatch([rng], shots)
+    batch = ShotBatch([rng], shots, 3, 3)
     for pos in WINDOW_POSITIONS:
         batch.add_qubit(pos)
+    batch._promote()
     batch._amps[:] = np.transpose([s.amplitudes for s in states])
     return batch, states
 
@@ -333,9 +334,10 @@ def test_batch_per_shot_paulis_match_dense_operators():
 
 def _random_slabs(rng: np.random.Generator, streams: list, slab_shots: int) -> ShotBatch:
     """A batch of one slab per stream whose amplitudes are random numbers from rng."""
-    batch = ShotBatch(streams, slab_shots)
+    batch = ShotBatch(streams, slab_shots, 3, 3)
     for pos in WINDOW_POSITIONS:
         batch.add_qubit(pos)
+    batch._promote()
     batch._amps[:] = rng.normal(size=batch._amps.shape) + 1j * rng.normal(size=batch._amps.shape)
     return batch
 
@@ -343,9 +345,10 @@ def _random_slabs(rng: np.random.Generator, streams: list, slab_shots: int) -> S
 def _slab_copy(batch: ShotBatch, slab: int, stream: np.random.Generator) -> ShotBatch:
     """One slab of a batch as a batch of its own, drawing from the given stream."""
     width = batch.slab_shots
-    alone = ShotBatch([stream], width)
+    alone = ShotBatch([stream], width, 3, 3)
     for pos in WINDOW_POSITIONS:
         alone.add_qubit(pos)
+    alone._promote()
     alone._amps[:] = batch._amps[:, slab * width:(slab + 1) * width]
     return alone
 
@@ -415,11 +418,11 @@ def test_slabs_draw_as_batches_of_their_own_streams():
     # slab the amplitudes and bits of a one-slab batch on that slab's stream
     seeds = np.random.SeedSequence(8).spawn(3)
     for chosen in (slice(1, 2), slice(0, 3, 2), slice(None)):
-        wide, wide_bits = ShotBatch([np.random.default_rng(q) for q in seeds], 300), []
+        wide, wide_bits = ShotBatch([np.random.default_rng(q) for q in seeds], 300, 3, 3), []
         for _ in _every_step(wide, wide_bits, chosen):
             pass
         for b, seed in enumerate(seeds):
-            one, bits = ShotBatch([np.random.default_rng(seed)], 300), []
+            one, bits = ShotBatch([np.random.default_rng(seed)], 300, 3, 3), []
             on_slab = slice(None) if b in range(3)[chosen] else slice(0)
             for _ in _every_step(one, bits, on_slab):
                 pass
@@ -434,12 +437,12 @@ def test_batches_stepped_in_turn_equal_batches_run_alone():
     # earlier batch released gives the bits of one on fresh buffers
     alone = []
     for seed in (1, 2):
-        batch, bits = ShotBatch(np.random.default_rng(seed).spawn(2), 300), []
+        batch, bits = ShotBatch(np.random.default_rng(seed).spawn(2), 300, 3, 3), []
         for _ in _every_step(batch, bits):
             pass
         alone.append((batch._amps.copy(), bits))
         batch.release()
-    batches = [ShotBatch(np.random.default_rng(seed).spawn(2), 300) for seed in (1, 2)]
+    batches = [ShotBatch(np.random.default_rng(seed).spawn(2), 300, 3, 3) for seed in (1, 2)]
     bits = [[], []]
     steps = [_every_step(b, out) for b, out in zip(batches, bits)]
     for _ in zip(*steps):
@@ -452,11 +455,11 @@ def test_batches_stepped_in_turn_equal_batches_run_alone():
 
 
 def test_released_buffers_go_to_the_next_batch():
-    first = ShotBatch([np.random.default_rng(0)], 64)
+    first = ShotBatch([np.random.default_rng(0)], 64, 1, 0)
     first.add_qubit(0)
     kept = first._buffers
     first.release()
-    second = ShotBatch([np.random.default_rng(1)], 32)
+    second = ShotBatch([np.random.default_rng(1)], 32, 0, 0)
     assert second._buffers is kept
     assert np.array_equal(second._amps, np.ones((1, 32)))
 
@@ -502,22 +505,26 @@ def test_first_sampled_run_allocates_each_buffer_once(monkeypatch):
     seen = {}
     buffer = ShotBatch._buffer
 
-    def recording(self, i, rows):
-        view = buffer(self, i, rows)
+    def recording(self, i, rows, dtype=None):
+        view = buffer(self, i, rows, dtype)
         seen.update((id(b), b) for b in self._buffers if b.size)
         return view
 
     monkeypatch.setattr(ShotBatch, "_buffer", recording)
     path = PathSpec.line(8)
     noise = path_noise_model(synthesize_device("line:8", seed=2), path)
-    # 2,048 shots run as batches of five and four bases; the widest window holds 3 qubits
-    for mode in MODES:
-        if mode == "swap":
+    # 2,048 shots run as batches of five and four bases, each taking 8 float64 entries
+    # per shot: the idle pair, run first, for its complex 2-qubit window from the
+    # tomography layer on (its real window needs 4), the modes for their real 3-qubit one
+    for mode in ("idle", *MODES):
+        if mode == "idle":
+            run_idle_pair(3.0, noise, 2048, np.random.default_rng(0))
+        elif mode == "swap":
             run_swap_transport(path, noise, 2048, np.random.default_rng(0))
         else:
             run_teleportation(path, mode, noise, 2048, np.random.default_rng(0))
         assert len(seen) == 3, mode
-    assert [b.size for b in seen.values()] == [8 * 5 * 2048] * 3
+    assert [(b.dtype, b.size) for b in seen.values()] == [(np.float64, 8 * 5 * 2048)] * 3
     assert {id(b) for b in protocols._FREE_BUFFERS[0]} == set(seen)
 
 
@@ -541,9 +548,10 @@ def test_batch_measure_bits_follow_born_rule_on_every_axis():
     shots = 20_000
     state = random_state(3, rng)
     for axis, pos in enumerate(WINDOW_POSITIONS):
-        batch = ShotBatch([rng], shots)
+        batch = ShotBatch([rng], shots, 3, 3)
         for p in WINDOW_POSITIONS:
             batch.add_qubit(p)
+        batch._promote()
         batch._amps[:] = state.amplitudes[:, None]
         p1 = born_probabilities(state, (axis,), ("Z",))[1]
         ones = int(batch.measure_z(pos).sum())
@@ -554,7 +562,7 @@ def test_batch_measure_collapses_and_renormalizes():
     # measuring one half of a Bell pair removes it and leaves the partner,
     # renormalized, in the recorded bit, so measuring the partner repeats it
     rng = np.random.default_rng(3)
-    batch = ShotBatch([rng], 1000)
+    batch = ShotBatch([rng], 1000, 2, 0)
     batch.add_qubit(0)
     batch.add_qubit(1)
     batch.apply_matrix(0, GATE_MATRICES[Gate.H])
@@ -587,6 +595,78 @@ def test_batch_two_qubit_depolarize_at_p1_applies_one_non_identity_string():
             assert len(match) == 1
             seen.add(match[0])
         assert seen == set(range(len(strings)))
+
+
+def _where_half(v0, v1, bits, out, scratch):
+    """`protocols._keep_half` as a masked select."""
+    np.copyto(out, np.where(bits == 1, v1, v0))
+    return out
+
+
+def _signed_zeros(rng: np.random.Generator, parts: np.ndarray):
+    """Set about a quarter of the entries to +0.0 and another quarter to -0.0, in place."""
+    draw = rng.integers(4, size=parts.shape)
+    parts[draw == 0] = 0.0
+    parts[draw == 1] = -0.0
+
+
+@pytest.mark.parametrize("storage", [np.float64, np.complex128])
+def test_measure_blend_equals_a_masked_select_bit_for_bit(storage, monkeypatch):
+    # measure_z keeps each shot's half as v1 b + v0 (1 - b); on every axis, in
+    # real and in complex storage, that gives the bits of np.where(bits, v1, v0)
+    # up to the sign of a zero, among amplitudes that hold zeros of both signs
+    rng = np.random.default_rng(79)
+    blend = protocols._keep_half
+    for axis, pos in enumerate(WINDOW_POSITIONS):
+        amps = rng.normal(size=(8, 512)).astype(storage)
+        if storage == np.complex128:
+            amps += 1j * rng.normal(size=amps.shape)
+        # rows 0 and 7 stay nonzero, so each half of every axis keeps some weight
+        for parts in (amps.real, amps.imag) if storage == np.complex128 else (amps,):
+            _signed_zeros(rng, parts[1:7])
+        amps /= np.linalg.norm(amps, axis=0)
+        got = []
+        for keep in (blend, _where_half):
+            monkeypatch.setattr(protocols, "_keep_half", keep)
+            batch = ShotBatch([np.random.default_rng(axis)], 512, 3, 3)
+            for p in WINDOW_POSITIONS:
+                batch.add_qubit(p)
+            if storage == np.complex128:
+                batch._promote()
+            batch._amps[:] = amps
+            got.append((batch.measure_z(pos), batch._amps.copy()))
+        (bits, kept), (want_bits, want) = got
+        assert 0 < bits.sum() < bits.size
+        assert np.array_equal(bits, want_bits)
+        assert kept.dtype == storage and kept.shape == (4, 512)
+        assert np.count_nonzero(kept == 0) > 0
+        # adding +0.0 turns -0.0 into +0.0 and leaves every other value as it is
+        assert (kept + 0.0).tobytes() == (want + 0.0).tobytes()
+        assert np.abs(kept).tobytes() == np.abs(want).tobytes()
+
+
+def test_measure_blend_differs_from_a_masked_select_only_in_the_sign_of_zero():
+    # the one difference: a kept -0.0 beside a dropped +0.0 sums to +0.0
+    v0, v1, out, scratch = np.array([-0.0, -0.0]), np.array([0.0, -1.0]), np.empty(2), np.empty(2)
+    kept = protocols._keep_half(v0, v1, np.array([0, 0], dtype=np.int8), out, scratch)
+    assert kept.tobytes() == np.array([0.0, -0.0]).tobytes()
+    assert np.where([False, False], v1, v0).tobytes() == np.array([-0.0, -0.0]).tobytes()
+
+
+def test_real_storage_y_letter_is_minus_i_times_the_dense_y():
+    # real storage drops the factor i of a Y letter, exactly: -iY = [[0, -1], [1, 0]]
+    rng = np.random.default_rng(80)
+    for axis, pos in enumerate(WINDOW_POSITIONS):
+        amps = rng.normal(size=(8, 64))
+        batch = ShotBatch([rng], 64, 3, 0)
+        for p in WINDOW_POSITIONS:
+            batch.add_qubit(p)
+        batch._amps[:] = amps
+        batch.apply_paulis([pos], np.arange(64), np.full((1, 64), 2))
+        want = -1j * (_on_axis(PAULI_MATRICES["Y"], axis) @ amps)
+        assert batch._amps.dtype == np.float64
+        assert np.array_equal(want.imag, np.zeros_like(amps))
+        assert np.array_equal(batch._amps, want.real)
 
 
 class _ScriptedUniforms:
@@ -797,6 +877,83 @@ def test_sampled_keys_match_exact_schedule_under_device_noise(n, case):
         for key, prob in enumerate(probs):
             sigma = np.sqrt(shots * prob * (1 - prob))
             assert abs(counts.get(key, 0) - shots * prob) <= 5 * max(sigma, 1.0), (pair, key)
+
+
+_STORAGE_CASES = [("dynamic", False), ("dynamic", True), ("postselect", False), ("swap", False),
+                  ("idle", False)]
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3, 4, 5])
+def test_real_storage_gives_the_keys_of_complex_storage(hops, monkeypatch):
+    # a schedule whose first gate is a global phase i runs in complex storage from
+    # its start and must give the keys of the plain schedule bit for bit, in every
+    # mode under device noise; a plain schedule's batch promotes exactly once, in
+    # the tomography layer, so a complex record added earlier cannot pass unseen
+    noise, n = _raised_device_noise(hops + 2), hops + 2
+    plain_schedule, rotate, promote = schedule, protocols._rotate_into_bases, ShotBatch._promote
+    init, events, in_tomography = ShotBatch.__init__, [], [False]
+
+    def phase_first(*args, **kwargs):
+        steps = plain_schedule(*args, **kwargs)
+        return (steps[0], ("gate", steps[0][1], 1j * np.eye(2)), *steps[1:])
+
+    def recording_init(self, *args):
+        events.append("batch")
+        init(self, *args)
+
+    def recording_promote(self):
+        events.append("tomography" if in_tomography[0] else "promote")
+        promote(self)
+
+    def recording_rotate(*args):
+        in_tomography[0] = True
+        try:
+            rotate(*args)
+        finally:
+            in_tomography[0] = False
+
+    monkeypatch.setattr(ShotBatch, "__init__", recording_init)
+    monkeypatch.setattr(ShotBatch, "_promote", recording_promote)
+    monkeypatch.setattr(protocols, "_rotate_into_bases", recording_rotate)
+    for shots, groups in ((300, 1), (2048, 2)):
+        for mode, simplified in _STORAGE_CASES:
+            results = {}
+            for name, steps in (("plain", plain_schedule), ("phase", phase_first)):
+                monkeypatch.setattr(protocols, "schedule", steps)
+                events.clear()
+                results[name] = protocols._sample(PathSpec.line(n), mode, noise, shots,
+                                                  np.random.default_rng(hops), simplified, 3.0)
+                want = "tomography" if name == "plain" else "promote"
+                assert events == ["batch", want] * groups, (mode, simplified, shots, name)
+            for pair in BASIS_PAIRS:
+                assert np.array_equal(results["plain"].counts_by_basis[pair],
+                                      results["phase"].counts_by_basis[pair]), (mode, pair)
+
+
+def test_batch_sizing_and_promotion_follow_one_rule(monkeypatch):
+    # the buffer sizing and apply_matrix read the same records the same way: bases
+    # that rotate no qubit into Y apply no complex matrix, so their batch is sized
+    # with no complex window and stays real; one Y basis brings both in
+    sized, promotions = [], []
+    init, promote = ShotBatch.__init__, ShotBatch._promote
+
+    def recording_init(self, streams, slab_shots, window, complex_window):
+        sized.append((window, complex_window))
+        init(self, streams, slab_shots, window, complex_window)
+
+    def recording_promote(self):
+        promotions.append(self.dim)
+        promote(self)
+
+    monkeypatch.setattr(ShotBatch, "__init__", recording_init)
+    monkeypatch.setattr(ShotBatch, "_promote", recording_promote)
+    steps = schedule(4, "dynamic", _raised_device_noise(4))
+    for bases, window, dims in (([("X", "X"), ("Z", "X"), ("Z", "Z")], (3, 0), []),
+                                ([("X", "Z"), ("X", "Y")], (3, 2), [4])):
+        sized.clear()
+        promotions.clear()
+        protocols._sample_group(steps, bases, np.random.default_rng(0).spawn(len(bases)), 64)
+        assert sized == [window] and promotions == dims, bases
 
 
 def test_exact_schedule_matches_pure_state_oracle_without_noise():
