@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import exp, inf, sqrt
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -40,77 +41,74 @@ def confusion_matrix(p_flip_0to1: float, p_flip_1to0: float) -> np.ndarray:
 
 
 def check_confusion_matrix(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a)
     if a.shape != (2, 2):
         raise ValueError("confusion matrix must be 2x2")
-    if not np.all((a >= -1e-12) & (a <= 1 + 1e-12)):  # NaN fails both comparisons
+    # NaN fails both comparisons; bools, strings and None are no probabilities either
+    if a.dtype.kind not in "iuf" or not np.all((a >= -1e-12) & (a <= 1 + 1e-12)):
         raise ValueError("confusion matrix entries must be probabilities")
     if np.max(np.abs(a.sum(axis=0) - 1.0)) > 1e-12:
         raise ValueError("confusion matrix columns must sum to 1")
-    return a
+    return a.astype(float, copy=False)
+
+
+#: The NoiseModel fields that take a list with one value per path position.
+_LISTED = ("two_qubit_depol", "t1_us", "t2_us")
+
+
+def _at(value: float | list, position: int) -> float:
+    return value[position] if isinstance(value, list) else value
 
 
 @dataclass
 class NoiseModel:
     """Per-shot stochastic error model for one transport run.
 
-    Scalar fields are defaults; the optional per-edge / per-qubit lists
-    override them positionally along the path when a device calibration
-    is in play. ``readout`` holds one confusion matrix per path qubit.
+    ``two_qubit_depol`` (per path edge), ``t1_us`` and ``t2_us`` (per path
+    qubit) each hold one number for every position or a list with one
+    number per position. ``readout`` holds one confusion matrix per path
+    qubit, or none for ideal readout.
     """
 
     one_qubit_depol: float = 0.0
-    two_qubit_depol: float = 0.0
-    t1_us: float = FITTED_T1_US
-    t2_us: float = FITTED_T2_US
+    two_qubit_depol: float | list = 0.0
+    t1_us: float | list = FITTED_T1_US
+    t2_us: float | list = FITTED_T2_US
     dynamic_correction_latency_us: float = DEFAULT_LATENCY_US
     readout: list = field(default_factory=list)
-    two_qubit_depol_per_edge: list | None = None
-    t1_per_qubit_us: list | None = None
-    t2_per_qubit_us: list | None = None
 
     def __post_init__(self):
-        for name in ("one_qubit_depol", "two_qubit_depol"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name}={p} outside [0, 1]")
-        # written as `not t >= 0` so that NaN, for which every comparison is False, fails
-        for name in ("t1_us", "t2_us", "dynamic_correction_latency_us"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name, high in (("one_qubit_depol", 1.0), ("two_qubit_depol", 1.0), ("t1_us", inf),
+                           ("t2_us", inf), ("dynamic_correction_latency_us", inf)):
+            value = getattr(self, name)
+            for v in value if name in _LISTED and isinstance(value, list) else (value,):
+                if isinstance(v, bool) or not isinstance(v, Real):
+                    kind = "a number or a list of numbers" if name in _LISTED else "a number"
+                    raise ValueError(f"{name} must be {kind}, got {v!r}")
+                # written as `not 0 <= v` so that NaN, for which every comparison is False, fails
+                if not 0.0 <= v <= high:
+                    bounds = "outside [0, 1]" if high == 1.0 else "must be non-negative"
+                    raise ValueError(f"{name} value {v} {bounds}")
         if self.dynamic_correction_latency_us == inf:
             raise ValueError("dynamic_correction_latency_us must be finite, got inf")
-        for p in self.two_qubit_depol_per_edge or ():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"two_qubit_depol_per_edge value {p} outside [0, 1]")
-        for name in ("t1_per_qubit_us", "t2_per_qubit_us"):
-            bad = [t for t in getattr(self, name) or () if not t >= 0]
-            if bad:
-                raise ValueError(f"{name} values must be non-negative, got {bad[0]}")
         # exactly the (T1, T2) pairs that qubit_t1t2 serves: one per listed position,
-        # or the scalar pair when no list is given
-        listed = [len(ts) for ts in (self.t1_per_qubit_us, self.t2_per_qubit_us) if ts is not None]
-        if not listed and self.t2_us > 2.0 * self.t1_us + 1e-12:
-            raise ValueError(f"t2 ({self.t2_us}) must not exceed 2*t1 ({2 * self.t1_us})")
-        for pos in range(min(listed, default=0)):
+        # or the scalar pair when neither time is listed
+        listed = [len(ts) for ts in (self.t1_us, self.t2_us) if isinstance(ts, list)]
+        for pos in range(min(listed, default=1)):
             t1, t2 = self.qubit_t1t2(pos)
             if t2 > 2.0 * t1 + 1e-12:
-                raise ValueError(f"per-qubit t2 ({t2}) exceeds 2*t1 ({2 * t1}) "
-                                 f"at path position {pos}")
+                where = f" at path position {pos}" if listed else ""
+                raise ValueError(f"t2 ({t2}) exceeds 2*t1 ({2 * t1}){where}")
         try:
             self.readout = [check_confusion_matrix(a) for a in self.readout]
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:  # TypeError: not a list
             raise ValueError(f"readout: {exc}") from None
 
     def edge_depol(self, edge_index: int) -> float:
-        if self.two_qubit_depol_per_edge is not None:
-            return self.two_qubit_depol_per_edge[edge_index]
-        return self.two_qubit_depol
+        return _at(self.two_qubit_depol, edge_index)
 
     def qubit_t1t2(self, qubit: int) -> tuple[float, float]:
-        t1 = self.t1_us if self.t1_per_qubit_us is None else self.t1_per_qubit_us[qubit]
-        t2 = self.t2_us if self.t2_per_qubit_us is None else self.t2_per_qubit_us[qubit]
-        return t1, t2
+        return _at(self.t1_us, qubit), _at(self.t2_us, qubit)
 
     def qubit_confusion(self, qubit: int) -> np.ndarray:
         if not self.readout:

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 
 from . import harness, pathfinder, svgplot
@@ -66,6 +67,16 @@ def _parse_delays(text: str) -> list[float]:
             raise ValueError(f"delay range {text!r} holds no delay")
         return out
     return values
+
+
+def _check_out_paths(*paths: str | None):
+    """Fail before any work when an output path names a folder or lies in a missing one."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"output directory {folder!r} does not exist")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path {path!r} is a directory")
 
 
 def _csv_list(text: str) -> tuple[str, ...]:
@@ -132,6 +143,7 @@ def _spec_from_args(args) -> ExperimentSpec:
 
 
 def cmd_run(args) -> int:
+    _check_out_paths(args.out)
     device = pathfinder.ingest_device(args.device)
     spec = _spec_from_args(args)
     rows = harness.run_experiment(device, spec)
@@ -158,6 +170,7 @@ def _decay_noise(args) -> NoiseModel:
 
 
 def cmd_decay(args) -> int:
+    _check_out_paths(args.out, args.plot)
     noise = _decay_noise(args)
     delays = _parse_delays(args.delays)
     result = harness.run_decay_experiment(delays, noise, shots=args.shots,
@@ -260,7 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (pathfinder.DeviceSchemaError, FileNotFoundError, ValueError, MitigationError) as exc:
+    except (pathfinder.DeviceSchemaError, OSError, ValueError, MitigationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -87,28 +87,24 @@ class ExperimentSpec:
         for mode in self.modes:
             if mode not in protocols.MODES:
                 raise ValueError(f"unknown mode {mode}")
-        overrides = dict(self.noise_overrides)
-        if not {"t1_us", "t2_us"} & overrides.keys():
-            # a per-qubit time list given alone meets the device's list of the other
-            # time, which only a path's model holds and checks; here an infinite T1
-            # and a zero T2, which fit any partner, stand in for it
-            overrides |= {"t1_us": inf, "t2_us": 0.0}
+        for name, values in (("hops", self.hops), ("protocols", self.protocols),
+                             ("modes", self.modes)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
         try:
-            noise = NoiseModel(**overrides)
-        except TypeError as exc:
-            raise ValueError(f"invalid noise override: {exc}") from None
-        for scalar, listed in (("two_qubit_depol", "two_qubit_depol_per_edge"),
-                               ("t1_us", "t1_per_qubit_us"), ("t2_us", "t2_per_qubit_us")):
-            if scalar in self.noise_overrides and getattr(noise, listed) is not None:
-                raise ValueError(f"noise overrides {scalar} and {listed} exclude each other")
-        longest = max(self.hops, default=0) + 2
+            # a time the overrides leave out comes from each path's device, whose model
+            # checks it; an infinite T1 and a zero T2, which fit any partner, stand in for it
+            noise = NoiseModel(**{"t1_us": inf, "t2_us": 0.0, **self.noise_overrides})
+        except TypeError as exc:  # an unknown key, or overrides that are no mapping
+            raise ValueError(f"invalid noise overrides: {exc}") from None
+        longest = max(self.hops) + 2
         if noise.readout and len(noise.readout) < longest:
             raise ValueError(f"noise override readout has {len(noise.readout)} confusion "
                              f"matrices; paths of {longest} qubits need one per qubit")
-        for name, need in (("two_qubit_depol_per_edge", longest - 1),
-                           ("t1_per_qubit_us", longest), ("t2_per_qubit_us", longest)):
+        for name, need in (("two_qubit_depol", longest - 1), ("t1_us", longest),
+                           ("t2_us", longest)):
             values = getattr(noise, name)
-            if values is not None and len(values) < need:
+            if isinstance(values, list) and len(values) < need:
                 raise ValueError(f"noise override {name} has {len(values)} values; paths of "
                                  f"{longest} qubits need {need}")
 
@@ -158,26 +154,17 @@ def path_noise_model(device: DeviceModel, path: PathSpec,
                      overrides: dict | None = None) -> NoiseModel:
     """Path-local noise model; position i carries the calibration of label i.
 
-    A scalar override replaces the device's per-position values:
-    ``two_qubit_depol`` drops the per-edge gate errors, and ``t1_us`` or
-    ``t2_us`` drops both per-qubit T1 and T2 lists.
+    An override replaces the device's values of its own key only.
     """
-    overrides = overrides or {}
     cals = [device.qubit(label) for label in path.qubit_labels]
-    params = dict(
-        one_qubit_depol=channels.DEFAULT_ONE_QUBIT_DEPOL,
-        readout=[confusion_matrix(c.readout_err_0to1, c.readout_err_1to0) for c in cals],
-        two_qubit_depol_per_edge=[device.edge(a, b).gate_error
-                                  for a, b in zip(path.qubit_labels, path.qubit_labels[1:])],
-        t1_per_qubit_us=[c.t1_us for c in cals],
-        t2_per_qubit_us=[c.t2_us for c in cals],
-    )
-    if "two_qubit_depol" in overrides:
-        del params["two_qubit_depol_per_edge"]
-    if "t1_us" in overrides or "t2_us" in overrides:
-        del params["t1_per_qubit_us"], params["t2_per_qubit_us"]
-    params.update(overrides)
-    return NoiseModel(**params)
+    return NoiseModel(**{
+        "one_qubit_depol": channels.DEFAULT_ONE_QUBIT_DEPOL,
+        "readout": [confusion_matrix(c.readout_err_0to1, c.readout_err_1to0) for c in cals],
+        "two_qubit_depol": [device.edge(a, b).gate_error
+                            for a, b in zip(path.qubit_labels, path.qubit_labels[1:])],
+        "t1_us": [c.t1_us for c in cals],
+        "t2_us": [c.t2_us for c in cals],
+        **(overrides or {})})
 
 
 def mitigated_pair_distributions(result: TransportResult, qrem: bool,

@@ -45,24 +45,40 @@ def test_confusion_matrix_validation():
 
 
 def test_noise_model_validation():
-    with pytest.raises(ValueError, match="t2"):
+    with pytest.raises(ValueError, match=r"t2 \(25.0\) exceeds 2\*t1 \(20.0\)$"):
         NoiseModel(t1_us=10.0, t2_us=25.0)
     with pytest.raises(ValueError, match="outside"):
         NoiseModel(one_qubit_depol=1.5)
-    model = NoiseModel(two_qubit_depol=0.01, two_qubit_depol_per_edge=[0.1, 0.2])
     assert NoiseModel(t1_us=np.inf, t2_us=25.0).qubit_t1t2(0) == (np.inf, 25.0)
-    # exactly the pairs qubit_t1t2 serves: a list meets the other time's scalar,
-    # and an unused scalar pair is not checked
-    NoiseModel(t1_us=10.0, t2_per_qubit_us=[15.0, 20.0])
-    NoiseModel(t2_us=70.0, t1_per_qubit_us=[40.0, 35.0])
+    # exactly the pairs qubit_t1t2 serves: a list meets the other time's number
+    NoiseModel(t1_us=10.0, t2_us=[15.0, 20.0])
+    NoiseModel(t2_us=70.0, t1_us=[40.0, 35.0])
     with pytest.raises(ValueError, match=r"t2 \(25.0\) exceeds 2\*t1 \(20.0\) at path position 1"):
-        NoiseModel(t1_us=10.0, t2_per_qubit_us=[15.0, 25.0])
+        NoiseModel(t1_us=10.0, t2_us=[15.0, 25.0])
     with pytest.raises(ValueError, match="at path position 0"):
-        NoiseModel(t2_us=70.0, t1_per_qubit_us=[30.0, 40.0])
+        NoiseModel(t2_us=70.0, t1_us=[30.0, 40.0])
     with pytest.raises(ValueError, match="dynamic_correction_latency_us must be finite"):
         NoiseModel(dynamic_correction_latency_us=np.inf)
-    assert model.edge_depol(1) == 0.2
+    assert NoiseModel(two_qubit_depol=[0.1, 0.2]).edge_depol(1) == 0.2
     assert NoiseModel(two_qubit_depol=0.01).edge_depol(5) == 0.01
+    assert NoiseModel(t1_us=[30.0, 40.0], t2_us=20.0).qubit_t1t2(1) == (40.0, 20.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("one_qubit_depol", True), ("two_qubit_depol", None), ("two_qubit_depol", [0.01, False]),
+    ("t1_us", "33"), ("t2_us", [20.0, None]), ("dynamic_correction_latency_us", [2.0]),
+    ("one_qubit_depol", [0.01])])
+def test_noise_model_rejects_non_numbers(field, value):
+    # True used to run as probability 1.0; only the three per-position fields take lists
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        NoiseModel(**{field: value})
+
+
+@pytest.mark.parametrize("value", [True, None, "eye", [[[True, False], [False, True]]],
+                                   [[["1", "0"], ["0", "1"]]]])
+def test_noise_model_rejects_non_numeric_readout(value):
+    with pytest.raises(ValueError, match="readout"):
+        NoiseModel(readout=value)
 
 
 NAN = float("nan")
@@ -70,7 +86,7 @@ NAN = float("nan")
 
 @pytest.mark.parametrize("field, value", [
     ("t1_us", NAN), ("t2_us", NAN), ("dynamic_correction_latency_us", NAN),
-    ("t1_per_qubit_us", [30.0, NAN]), ("t2_per_qubit_us", [NAN, 20.0]),
+    ("t1_us", [30.0, NAN]), ("t2_us", [NAN, 20.0]),
     ("readout", [np.eye(2), [[1.0, 0.0], [0.0, NAN]]])])
 def test_noise_model_rejects_nan(field, value):
     # a NaN T1 used to run as gamma = 1 and a NaN latency as no latency
@@ -249,8 +265,8 @@ def test_reshaped_kraus_matches_embedded_operators(num_qubits, rng):
 
 def test_exact_pair_distributions_match_oracle_pipeline():
     # preparation, idle, noisy rotations and readout, each step through an oracle
-    noise = NoiseModel(one_qubit_depol=0.01, two_qubit_depol=0.05, t1_per_qubit_us=[30.0, 40.0],
-                       t2_per_qubit_us=[20.0, 50.0],
+    noise = NoiseModel(one_qubit_depol=0.01, two_qubit_depol=0.05, t1_us=[30.0, 40.0],
+                       t2_us=[20.0, 50.0],
                        readout=[confusion_matrix(0.03, 0.06), confusion_matrix(0.05, 0.02)])
     delay = 4.0
     plus = np.full(4, 0.5, dtype=complex)
@@ -282,8 +298,8 @@ def test_exact_pair_route_equals_dense_idle_schedule():
     for edge in device.edges[::12]:
         t1 = rng.uniform(15.0, 60.0, size=2)
         noise = dataclasses.replace(path_noise_model(device, PathSpec((edge.a, edge.b))),
-                                    t1_per_qubit_us=list(t1),
-                                    t2_per_qubit_us=list(t1 * rng.uniform(0.3, 2.0, size=2)))
+                                    t1_us=list(t1),
+                                    t2_us=list(t1 * rng.uniform(0.3, 2.0, size=2)))
         for delay in (0.0, *rng.uniform(0.0, 8.0, size=3)):
             want = schedule_distributions(schedule(2, "idle", noise, delay_us=delay))
             assert np.max(np.abs(exact_pair_distributions(noise, delay) - want)) < 1e-14

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from teleport_lab import svgplot
+from teleport_lab import harness, svgplot
 from teleport_lab.cli import MAX_DELAY_POINTS, _parse_delays, _parse_hops, main
 from teleport_lab.harness import ExperimentSpec, ResultRow, read_csv_rows
 from teleport_lab.svgplot import Series, plot_results, render_chart
@@ -216,10 +216,9 @@ def test_run_rejects_bad_spec_inputs_with_one_line_error(workdir, capsys):
     assert err.startswith("error: noise override readout has 1") and err.count("\n") == 1
     # per-edge gate errors outside [0, 1], short per-edge or per-qubit lists and
     # negative per-qubit times used to run silently or fail every cell
-    for field, value in (("two_qubit_depol_per_edge", [-0.5] * 8),
-                         ("two_qubit_depol_per_edge", [1.7] * 8),
-                         ("two_qubit_depol_per_edge", [0.01]), ("t1_per_qubit_us", [30]),
-                         ("t2_per_qubit_us", [20]), ("t1_per_qubit_us", [-30] * 8)):
+    for field, value in (("two_qubit_depol", [-0.5] * 8), ("two_qubit_depol", [1.7] * 8),
+                         ("two_qubit_depol", [0.01]), ("t1_us", [30]), ("t2_us", [20]),
+                         ("t1_us", [-30] * 8)):
         overrides = json.dumps({field: value})
         assert main(["run", "--device", str(dev), "--hops", "1", "--noise-overrides", overrides,
                      "--out", str(out)]) == 2
@@ -235,8 +234,8 @@ def test_run_rejects_nan_noise_inputs(tmp_path, capsys):
     out = tmp_path / "never_nan.csv"
     nan, eye = float("nan"), [[1, 0], [0, 1]]
     for field, value in (("t1_us", nan), ("t2_us", nan), ("dynamic_correction_latency_us", nan),
-                         ("t1_per_qubit_us", [30, nan, 30, 30, 30, 30]),
-                         ("t2_per_qubit_us", [20, 20, 20, 20, 20, nan]),
+                         ("t1_us", [30, nan, 30, 30, 30, 30]),
+                         ("t2_us", [20, 20, 20, 20, 20, nan]),
                          ("readout", [eye] * 3 + [[[1, 0], [0, nan]]] + [eye] * 2)):
         overrides = json.dumps({field: value})  # NaN is written as the bare literal NaN
         assert main(["run", "--device", str(dev), "--hops", "1..4", "--shots", "64",
@@ -250,23 +249,58 @@ def test_run_rejects_nan_noise_inputs(tmp_path, capsys):
     nan_dev.write_text(json.dumps(payload))
     assert main(["run", "--device", str(nan_dev), "--hops", "1", "--shots", "64",
                  "--out", str(out)]) == 2
-    assert "t1_per_qubit_us" in capsys.readouterr().err
+    assert "t1_us value nan must be non-negative" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_run_rejects_scalar_noise_override_with_its_list(tmp_path, capsys):
-    # the scalar used to be dropped without a word, the per-position list taking effect
+def test_run_rejects_noise_overrides_that_are_not_an_object_of_numbers(tmp_path, capsys):
+    # '[1]' used to end in a TypeError traceback (exit 1), and true ran as probability 1.0
     dev = tmp_path / "line6.json"
     assert main(["gen-device", "--topology", "line:6", "--out", str(dev)]) == 0
     out = tmp_path / "never.csv"
-    for scalar, value, listed in (("two_qubit_depol", 0.3, "two_qubit_depol_per_edge"),
-                                  ("t1_us", 20, "t1_per_qubit_us"),
-                                  ("t2_us", 20, "t2_per_qubit_us")):
-        overrides = json.dumps({scalar: value, listed: [0.0 if "depol" in scalar else 50] * 5})
+    base = ["run", "--device", str(dev), "--hops", "1..3", "--shots", "64", "--out", str(out)]
+    for overrides, message in (("[1]", "invalid noise overrides: 'list' object is not a mapping"),
+                               ('"t1_us"', "invalid noise overrides: 'str' object is not a "),
+                               ('{"two_qubit_depol": true}',
+                                "two_qubit_depol must be a number or a list of numbers, got True"),
+                               ('{"t1_us": null}', "t1_us must be a number"),
+                               ('{"t2_us": [25, "25", 25, 25, 25]}', "t2_us must be a number"),
+                               ('{"one_qubit_depol": "0.01"}', "one_qubit_depol must be a number"),
+                               ('{"readout": null}', "readout: 'NoneType' object is not "),
+                               ('{"readout": [[[true, false], [false, true]]]}',
+                                "readout: confusion matrix entries")):
+        assert main(base + ["--noise-overrides", overrides]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_rejects_removed_per_position_keys_by_name(tmp_path, capsys):
+    dev = tmp_path / "line6.json"
+    assert main(["gen-device", "--topology", "line:6", "--out", str(dev)]) == 0
+    out = tmp_path / "never.csv"
+    for key in ("two_qubit_depol_per_edge", "t1_per_qubit_us", "t2_per_qubit_us"):
+        overrides = json.dumps({key: [0.01] * 5})
         assert main(["run", "--device", str(dev), "--hops", "1..3", "--shots", "64",
                      "--noise-overrides", overrides, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (f"error: noise overrides {scalar} and {listed} "
-                                           "exclude each other\n")
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid noise overrides: ") and f"'{key}'" in err
+        assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_rejects_repeated_sweep_values(workdir, capsys):
+    # --hops 1,1 --mode swap,swap used to run one cell four times under four seeds
+    dev = workdir / "dev.json"
+    out = workdir / "never_repeated.csv"
+    base = ["run", "--device", str(dev), "--paths", "1", "--trials", "1", "--qrem", "on",
+            "--out", str(out)]
+    for extra, field in ((["--hops", "1,1", "--mode", "swap"], "hops"),
+                         (["--hops", "1", "--mode", "swap,swap"], "modes"),
+                         (["--hops", "1", "--protocol", "neg,neg"], "protocols")):
+        assert main(base + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must not repeat a value") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -316,46 +350,47 @@ def test_run_rejects_path_noise_conflict_before_any_cell(workdir, capsys, monkey
     for workers in ("1", "2"):
         monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
         assert main(["run", "--device", str(dev), "--hops", "1", "--protocol", "neg",
-                     "--noise-overrides", '{"t1_per_qubit_us": [5, 5, 5]}',
+                     "--noise-overrides", '{"t1_us": [5, 5, 5]}',
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: noise on path ") and err.count("\n") == 1
-        assert "per-qubit t2 (25.0) exceeds 2*t1 (10)" in err
+        assert "t2 (25.0) exceeds 2*t1 (10) at path position 0" in err
     assert not out.exists()
 
 
 def test_run_rejects_mixed_form_t1_t2_conflict_before_any_cell(tmp_path, capsys):
-    # a scalar T1 with a per-qubit T2 list (or the mirror) used to fail every
-    # cell that idles and exit 1, while swap cells ran; the overrides alone fix
-    # every pair of such a path, so the spec rejects them
+    # a T1 number with a T2 list (or the mirror) used to fail every cell that
+    # idles and exit 1, while swap cells ran; the overrides alone fix every
+    # pair of such a path, so the spec rejects them
     dev = tmp_path / "line6.json"
     assert main(["gen-device", "--topology", "line:6", "--out", str(dev)]) == 0
     out = tmp_path / "mixed.csv"
     base = ["run", "--device", str(dev), "--hops", "1", "--protocol", "neg", "--paths", "1",
             "--trials", "1", "--shots", "64", "--qrem", "off", "--out", str(out)]
-    for overrides in ('{"t1_us": 20, "t2_per_qubit_us": [50, 50, 50]}',
-                      '{"t2_us": 50, "t1_per_qubit_us": [20, 20, 20]}'):
+    for overrides in ('{"t1_us": 20, "t2_us": [50, 50, 50]}',
+                      '{"t2_us": 50, "t1_us": [20, 20, 20]}'):
         for mode in ("dynamic", "postselect", "swap"):
             assert main(base + ["--mode", mode, "--noise-overrides", overrides]) == 2
-            assert capsys.readouterr().err == ("error: per-qubit t2 (50) exceeds 2*t1 (40) "
+            assert capsys.readouterr().err == ("error: t2 (50) exceeds 2*t1 (40) "
                                                "at path position 0\n")
     assert not out.exists()
-    # mixed forms that fit still run, as does a T1 list alone that fits the device's
-    # T2; the last two fit, although the default scalar of the other time (T2 25,
-    # T1 33), which no path uses, would not
-    for overrides in ('{"t1_us": 100, "t2_per_qubit_us": [50, 50, 50]}',
-                      '{"t1_per_qubit_us": [20, 20, 20]}',
-                      '{"t1_us": 10, "t2_per_qubit_us": [15, 15, 15]}',
-                      '{"t2_us": 70, "t1_per_qubit_us": [40, 40, 40]}'):
+    # mixed forms that fit still run, as does a T1 list alone that fits the device's T2
+    for overrides in ('{"t1_us": 100, "t2_us": [50, 50, 50]}', '{"t1_us": [20, 20, 20]}',
+                      '{"t1_us": 10, "t2_us": [15, 15, 15]}',
+                      '{"t2_us": 70, "t1_us": [40, 40, 40]}'):
         assert main(base + ["--mode", "dynamic", "--noise-overrides", overrides]) == 0
         assert len(read_csv_rows(str(out))) == 1
-    # a list alone meets the device's other list, not that default
+    # a time given alone, as a list or a number, meets the device's other time
     payload = json.loads(dev.read_text())
     for qubit in payload["qubits"]:
         qubit["t2_us"] = 15.0
     dev.write_text(json.dumps(payload))
-    assert main(base + ["--mode", "dynamic", "--noise-overrides",
-                        '{"t1_per_qubit_us": [10, 10, 10]}']) == 0
+    for overrides in ('{"t1_us": [10, 10, 10]}', '{"t1_us": 10}'):
+        assert main(base + ["--mode", "dynamic", "--noise-overrides", overrides]) == 0
+    for overrides in ('{"t1_us": [7, 7, 7]}', '{"t1_us": 7}'):
+        assert main(base + ["--mode", "dynamic", "--noise-overrides", overrides]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise on path ") and "t2 (15.0) exceeds 2*t1 (14)" in err
 
 
 def test_run_rejects_sweep_flags_with_spec(workdir, capsys):
@@ -457,6 +492,35 @@ def test_schema_error_exits_nonzero(workdir, capsys):
 
 def test_missing_device_file_exits_nonzero(workdir, capsys):
     assert main(["find-paths", "--device", str(workdir / "nope.json"), "-n", "3"]) == 2
+
+
+def test_file_errors_end_early_in_one_line(workdir, capsys, monkeypatch):
+    # a folder given for a file used to end in an IsADirectoryError traceback and
+    # exit 1, and a missing --out folder failed only after the whole sweep had run
+    for argv in (["find-paths", "--device", str(workdir), "-n", "3"],
+                 ["gen-device", "--topology", "line:3", "--out", str(workdir)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    monkeypatch.setattr(harness, "run_experiment", no_work)
+    monkeypatch.setattr(harness, "run_decay_experiment", no_work)
+    missing = workdir / "missing_dir" / "x.csv"
+    run = ["run", "--device", str(workdir / "dev.json"), "--hops", "1", "--out"]
+    for argv, message in ((run + [str(missing)], f"output directory {str(missing.parent)!r} "
+                                                  "does not exist"),
+                          (["decay", "--out", str(missing)], "output directory"),
+                          (["decay", "--out", str(workdir / "d.csv"), "--plot",
+                            str(workdir / "missing_dir" / "d.svg")], "output directory"),
+                          (run + [str(workdir)], f"output path {str(workdir)!r} is a directory"),
+                          (["decay", "--out", str(workdir)], "output path")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not missing.parent.exists() and not (workdir / "d.csv").exists()
 
 
 def test_singular_readout_calibration_exits_nonzero(workdir, capsys):

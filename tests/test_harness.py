@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from scalar_reference import stacked_category_distributions
 
 NOISELESS_OVERRIDES = {
     "one_qubit_depol": 0.0,
-    "two_qubit_depol_per_edge": None,
+    "two_qubit_depol": 0.0,
     "readout": [],
     "dynamic_correction_latency_us": 0.0,
 }
@@ -78,14 +79,16 @@ def test_spec_rejects_readout_override_shorter_than_longest_path():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("two_qubit_depol_per_edge", [-0.5, 0.01], "outside"),
-    ("two_qubit_depol_per_edge", [1.7, 0.01], "outside"),
-    ("two_qubit_depol_per_edge", [0.01], "has 1 values"),
-    ("two_qubit_depol_per_edge", [], "has 0 values"),
-    ("t1_per_qubit_us", [30.0], "has 1 values"),
-    ("t2_per_qubit_us", [20.0], "has 1 values"),
-    ("t1_per_qubit_us", [-30.0, 30.0, 30.0], "non-negative"),
-    ("t2_per_qubit_us", [20.0, -1.0, 20.0], "non-negative")])
+    ("two_qubit_depol", [-0.5, 0.01], "outside"),
+    ("two_qubit_depol", [1.7, 0.01], "outside"),
+    ("two_qubit_depol", [0.01], "has 1 values"),
+    ("two_qubit_depol", [], "has 0 values"),
+    ("t1_us", [30.0], "has 1 values"),
+    ("t2_us", [20.0], "has 1 values"),
+    ("t1_us", [-30.0, 30.0, 30.0], "non-negative"),
+    ("t2_us", [20.0, -1.0, 20.0], "non-negative")], ids=[
+    "depol-negative", "depol-above-one", "depol-short", "depol-empty", "t1-short", "t2-short",
+    "t1-negative", "t2-negative"])
 def test_spec_rejects_bad_per_position_noise_overrides(field, value, message):
     # out-of-range gate errors used to run as p = 0 or p = 1, and short lists
     # or negative times failed every cell instead of the spec
@@ -93,8 +96,35 @@ def test_spec_rejects_bad_per_position_noise_overrides(field, value, message):
         ExperimentSpec(hops=(1,), noise_overrides={field: value})
     with pytest.raises(ValueError, match=field):
         ExperimentSpec.from_json(json.dumps({"hops": [1], "noise_overrides": {field: value}}))
-    fits = [0.01] * 2 if field == "two_qubit_depol_per_edge" else [30.0] * 3
+    fits = [0.01] * 2 if field == "two_qubit_depol" else [30.0] * 3
     assert ExperimentSpec(hops=(1,), noise_overrides={field: fits}).noise_overrides
+
+
+@pytest.mark.parametrize("key", ["two_qubit_depol_per_edge", "t1_per_qubit_us",
+                                 "t2_per_qubit_us"])
+def test_spec_rejects_removed_per_position_keys(key):
+    # the per-position lists now go under two_qubit_depol, t1_us and t2_us
+    with pytest.raises(ValueError, match=f"invalid noise overrides: .*'{key}'"):
+        ExperimentSpec(hops=(1,), noise_overrides={key: [0.01] * 3})
+
+
+def test_spec_rejects_noise_overrides_that_are_not_an_object_of_numbers():
+    # a list used to fail with a TypeError from dict(), and True ran as probability 1.0
+    for overrides in ([1], "t1_us", None):
+        with pytest.raises(ValueError, match="invalid noise overrides: .* is not a mapping"):
+            ExperimentSpec(hops=(1,), noise_overrides=overrides)
+    for value in (True, None, "0.01"):
+        with pytest.raises(ValueError, match="two_qubit_depol must be a number"):
+            ExperimentSpec(hops=(1,), noise_overrides={"two_qubit_depol": value})
+
+
+def test_spec_rejects_repeated_sweep_values():
+    # a repeated value used to run one cell several times under different seeds,
+    # writing rows with identical keys that `plot` pooled as separate samples
+    for name, values in (("hops", (1, 1)), ("protocols", ("neg", "gate_fid", "neg")),
+                         ("modes", ("swap", "swap"))):
+        with pytest.raises(ValueError, match=f"^{name} must not repeat a value"):
+            ExperimentSpec(**{name: values})
 
 
 @pytest.mark.parametrize("field, value", [("trials", 0), ("paths_per_hop", 0),
@@ -170,12 +200,12 @@ def test_path_noise_model_positions_follow_path():
     device = small_device()
     path = PathSpec((3, 2, 1))
     noise = path_noise_model(device, path)
-    assert noise.two_qubit_depol_per_edge == [device.edge(3, 2).gate_error,
-                                              device.edge(2, 1).gate_error]
+    assert noise.two_qubit_depol == [device.edge(3, 2).gate_error, device.edge(2, 1).gate_error]
     expected = confusion_matrix(device.qubit(3).readout_err_0to1,
                                 device.qubit(3).readout_err_1to0)
     assert np.allclose(noise.qubit_confusion(0), expected)
-    assert noise.t1_per_qubit_us == [device.qubit(q).t1_us for q in (3, 2, 1)]
+    assert noise.t1_us == [device.qubit(q).t1_us for q in (3, 2, 1)]
+    assert noise.t2_us == [device.qubit(q).t2_us for q in (3, 2, 1)]
 
 
 def test_path_noise_model_overrides():
@@ -189,22 +219,44 @@ def test_path_noise_model_overrides():
 def test_scalar_gate_error_override_replaces_edge_calibration():
     device = small_device()
     noise = path_noise_model(device, PathSpec((0, 1, 2, 3)), {"two_qubit_depol": 0.03})
-    assert noise.two_qubit_depol_per_edge is None
     assert [noise.edge_depol(i) for i in range(3)] == [0.03] * 3
 
 
-def test_scalar_t1_override_replaces_qubit_calibration():
+def _device_with_distinct_times():
     device = small_device()
-    noise = path_noise_model(device, PathSpec((0, 1, 2)), {"t1_us": 40.0})
-    assert noise.t1_per_qubit_us is None and noise.t2_per_qubit_us is None
-    assert [noise.qubit_t1t2(i) for i in range(3)] == [(40.0, NoiseModel().t2_us)] * 3
+    for i, q in enumerate(device.qubits):
+        q.t1_us, q.t2_us = 40.0 + i, 30.0 + i
+    return device
+
+
+def test_scalar_t1_override_replaces_qubit_calibration():
+    # a T1 override used to drop the device's T2 list too, for the fitted 25 us
+    device = _device_with_distinct_times()
+    noise = path_noise_model(device, PathSpec((0, 1, 2)), {"t1_us": 70.0})
+    assert [noise.qubit_t1t2(i) for i in range(3)] == [(70.0, device.qubit(q).t2_us)
+                                                       for q in (0, 1, 2)]
 
 
 def test_scalar_t2_override_replaces_qubit_calibration():
-    device = small_device()
+    # a T2 override used to drop the device's T1 list too, for the fitted 33 us
+    device = _device_with_distinct_times()
     noise = path_noise_model(device, PathSpec((0, 1, 2)), {"t2_us": 10.0})
-    assert noise.t1_per_qubit_us is None and noise.t2_per_qubit_us is None
-    assert [noise.qubit_t1t2(i) for i in range(3)] == [(NoiseModel().t1_us, 10.0)] * 3
+    assert [noise.qubit_t1t2(i) for i in range(3)] == [(device.qubit(q).t1_us, 10.0)
+                                                       for q in (0, 1, 2)]
+
+
+def test_overrides_repeating_the_device_lists_change_nothing():
+    # a list override under the same key as the device's calibration takes its place
+    device = _device_with_distinct_times()
+    spec = ExperimentSpec(hops=(4,), protocols=("neg",), paths_per_hop=1, trials=1, shots=64,
+                          seed=3)
+    (labels,) = {c.path_labels for c in plan_cells(device, spec)}
+    calibrated = path_noise_model(device, PathSpec(labels))
+    overrides = {"two_qubit_depol": calibrated.two_qubit_depol, "t1_us": calibrated.t1_us,
+                 "t2_us": calibrated.t2_us}
+    repeated = run_experiment(device, replace(spec, noise_overrides=overrides))
+    assert repeated and repeated.failed == 0
+    assert rows_to_csv(repeated) == rows_to_csv(run_experiment(device, spec))
 
 
 # --- mitigation pipelines ----------------------------------------------------------

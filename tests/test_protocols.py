@@ -848,9 +848,9 @@ def _raised_device_noise(n: int) -> NoiseModel:
     noise = path_noise_model(device, PathSpec(best.qubits))
     return dataclasses.replace(
         noise, one_qubit_depol=0.02,
-        two_qubit_depol_per_edge=[10 * p for p in noise.two_qubit_depol_per_edge],
-        t1_per_qubit_us=[t / (3 + q) for q, t in enumerate(noise.t1_per_qubit_us)],
-        t2_per_qubit_us=[t / (3 + q) for q, t in enumerate(noise.t2_per_qubit_us)],
+        two_qubit_depol=[10 * p for p in noise.two_qubit_depol],
+        t1_us=[t / (3 + q) for q, t in enumerate(noise.t1_us)],
+        t2_us=[t / (3 + q) for q, t in enumerate(noise.t2_us)],
         readout=[confusion_matrix(6 * a[1, 0], 6 * a[0, 1]) for a in noise.readout])
 
 
