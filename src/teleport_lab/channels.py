@@ -10,14 +10,15 @@ oracle of the sampled idle pair all come from it.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from math import exp, inf, sqrt
-from numbers import Real
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 
-from .simulator import Gate, GATE_MATRICES
+from .simulator import GATE_MATRICES
 from .tomography import BASIS_PAIRS, rotation_gates
 
 #: Idle-decay constants fitted so that a two-qubit graph state loses
@@ -29,19 +30,48 @@ FITTED_T2_US = 25.0
 DEFAULT_LATENCY_US = 2.0
 #: One-qubit gate depolarizing of every device path and `gen-device` edge negativity.
 DEFAULT_ONE_QUBIT_DEPOL = 2e-4
+_FLOAT_MAX = sys.float_info.max
+
+
+def check_number(name: str, value, low: float = -inf, high: float = inf, *,
+                 integer: bool = False, finite: bool = False):
+    """`value` if it is a number in [low, high], else ValueError naming `name`.
+
+    The one check of every number read from outside. A bool is no number,
+    and NaN fails every comparison, so it lies in no range. `integer` asks
+    for an int; any other number must fit a float, and `finite` rules out
+    the infinities too.
+    """
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    if real and low <= value <= high and (
+            isinstance(value, Integral) if integer
+            else abs(value) <= _FLOAT_MAX or abs(value) == inf and not finite):
+        return value
+    kind = "an integer" if integer else "a finite number" if finite else "a number"
+    bounds = f" in [{low:g}, {high:g}]" if (low, high) != (-inf, inf) else ""
+    raise ValueError(f"{name} must be {kind}{bounds}, got {value if real else repr(value)}")
 
 
 def confusion_matrix(p_flip_0to1: float, p_flip_1to0: float) -> np.ndarray:
     """2x2 column-stochastic readout matrix A[read][prepared]."""
     for p in (p_flip_0to1, p_flip_1to0):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"flip probability {p} outside [0, 1]")
+        check_number("flip probability", p, 0.0, 1.0)
     return np.array([[1.0 - p_flip_0to1, p_flip_1to0],
                      [p_flip_0to1, 1.0 - p_flip_1to0]])
 
 
-def check_confusion_matrix(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
+def check_confusion_matrix(a) -> np.ndarray:
+    """`a` as a float 2x2 column-stochastic matrix.
+
+    An array is checked as a whole; any other value, such as nested lists
+    read from JSON, has each entry checked by `check_number` first, since
+    `np.asarray([[1, 0], [False, True]])` would read the bools as ints.
+    """
+    if not isinstance(a, np.ndarray):
+        a = np.asarray(a, dtype=object)
+        if a.shape == (2, 2):
+            a = np.array([check_number("confusion matrix entry", v, 0.0, 1.0) for v in a.flat],
+                         dtype=float).reshape(2, 2)
     if a.shape != (2, 2):
         raise ValueError("confusion matrix must be 2x2")
     # NaN fails both comparisons; bools, strings and None are no probabilities either
@@ -82,15 +112,7 @@ class NoiseModel:
                            ("t2_us", inf), ("dynamic_correction_latency_us", inf)):
             value = getattr(self, name)
             for v in value if name in _LISTED and isinstance(value, list) else (value,):
-                if isinstance(v, bool) or not isinstance(v, Real):
-                    kind = "a number or a list of numbers" if name in _LISTED else "a number"
-                    raise ValueError(f"{name} must be {kind}, got {v!r}")
-                # written as `not 0 <= v` so that NaN, for which every comparison is False, fails
-                if not 0.0 <= v <= high:
-                    bounds = "outside [0, 1]" if high == 1.0 else "must be non-negative"
-                    raise ValueError(f"{name} value {v} {bounds}")
-        if self.dynamic_correction_latency_us == inf:
-            raise ValueError("dynamic_correction_latency_us must be finite, got inf")
+                check_number(name, v, 0.0, high, finite=name == "dynamic_correction_latency_us")
         # exactly the (T1, T2) pairs that qubit_t1t2 serves: one per listed position,
         # or the scalar pair when neither time is listed
         listed = [len(ts) for ts in (self.t1_us, self.t2_us) if isinstance(ts, list)]
@@ -135,21 +157,6 @@ def decay_probabilities(duration_us: float, t1_us: float, t2_us: float) -> tuple
 # Exact channel forms on density matrices. Qubit q is bit q of the matrix
 # index, as in the simulator.
 
-def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
-    return [np.array([[1.0, 0.0], [0.0, sqrt(1.0 - gamma)]], dtype=complex),
-            np.array([[0.0, sqrt(gamma)], [0.0, 0.0]], dtype=complex)]
-
-
-def phase_flip_kraus(p_z: float) -> list[np.ndarray]:
-    return [sqrt(1.0 - p_z) * np.eye(2, dtype=complex),
-            sqrt(p_z) * GATE_MATRICES[Gate.Z]]
-
-
-def idle_kraus_ops(duration_us: float, t1_us: float, t2_us: float) -> list[np.ndarray]:
-    gamma, p_z = decay_probabilities(duration_us, t1_us, t2_us)
-    return [kz @ ka for ka in amplitude_damping_kraus(gamma) for kz in phase_flip_kraus(p_z)]
-
-
 def _split(rho: np.ndarray, qubit: int) -> np.ndarray:
     """View of a 2^n x 2^n matrix with qubit's row and column bits on axes 1 and 4."""
     n = rho.shape[0].bit_length() - 1
@@ -157,11 +164,20 @@ def _split(rho: np.ndarray, qubit: int) -> np.ndarray:
     return rho.reshape(hi, 2, lo, hi, 2, lo)
 
 
-def apply_kraus_channel(rho: np.ndarray, kraus: Sequence[np.ndarray], qubit: int) -> np.ndarray:
-    """Exact single-qubit Kraus channel on a multi-qubit density matrix."""
-    view = _split(np.asarray(rho, dtype=complex), qubit)
-    out = sum(np.einsum("ij,ajbckd,lk->aibcld", k, view, np.conj(k)) for k in kraus)
-    return out.reshape(rho.shape)
+def idle_channel(rho: np.ndarray, qubit: int, gamma: float, p_z: float) -> np.ndarray:
+    """Amplitude damping of branch weight gamma, then a phase flip of probability p_z.
+
+    Written on the qubit's 2x2 blocks: the excited population decays into
+    the ground one, and the coherences shrink by sqrt(1 - gamma) (1 - 2 p_z).
+    """
+    out = np.array(rho, dtype=complex)
+    view = _split(out, qubit)
+    view[:, 0, :, :, 0] += gamma * view[:, 1, :, :, 1]
+    view[:, 1, :, :, 1] *= 1.0 - gamma
+    coherence = sqrt(1.0 - gamma) * (1.0 - 2.0 * p_z)
+    view[:, 0, :, :, 1] *= coherence
+    view[:, 1, :, :, 0] *= coherence
+    return out
 
 
 def _twirl(rho: np.ndarray, qubit: int) -> np.ndarray:
@@ -219,9 +235,9 @@ def exact_pair_distributions(noise: NoiseModel, delay_us: float = 0.0) -> np.nda
     cz_signs = np.array([1.0, 1.0, 1.0, -1.0])
     rho = depolarizing_channel(rho * np.outer(cz_signs, cz_signs), (0, 1), noise.edge_depol(0))
     for q in (0, 1):
-        rho = apply_kraus_channel(rho, idle_kraus_ops(delay_us, *noise.qubit_t1t2(q)), q)
+        rho = idle_channel(rho, q, *decay_probabilities(delay_us, *noise.qubit_t1t2(q)))
     confusion = [noise.qubit_confusion(0), noise.qubit_confusion(1)]
-    # 4x4 products, not apply_kraus_channel: its other summation order moves
+    # 4x4 products: a reshaped form sums in another order, which moves
     # gen-device negativities by up to 5e-16
     eye = np.eye(2, dtype=complex)
     out = np.empty((len(BASIS_PAIRS), 4))

@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import harness, pathfinder, svgplot
-from .channels import DEFAULT_ONE_QUBIT_DEPOL, NoiseModel, confusion_matrix
+from .channels import DEFAULT_ONE_QUBIT_DEPOL, NoiseModel, check_number, confusion_matrix
 from .harness import ExperimentSpec
 from .mitigation import MitigationError
 from .protocols import MAX_PATH_QUBITS
@@ -94,8 +94,7 @@ def cmd_gen_device(args) -> int:
 
 
 def cmd_find_paths(args) -> int:
-    if args.qubits > MAX_PATH_QUBITS:
-        raise ValueError(f"paths may have at most {MAX_PATH_QUBITS} qubits, got {args.qubits}")
+    check_number("--qubits", args.qubits, 2, MAX_PATH_QUBITS, integer=True)
     device = pathfinder.ingest_device(args.device)
     graph = pathfinder.edge_weights(device, args.protocol)
     result = pathfinder.find_best_paths(graph, args.qubits, args.paths, args.protocol)

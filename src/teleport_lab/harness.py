@@ -12,12 +12,13 @@ import os
 import traceback
 from dataclasses import dataclass, field, fields, asdict, replace
 from math import inf, sqrt
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import channels, mitigation, pathfinder, protocols, tomography
-from .channels import NoiseModel, confusion_matrix
+from .channels import NoiseModel, check_number, confusion_matrix
 from .metrics import density_from_state, fidelity, negativity
 from .pathfinder import DeviceModel
 from .protocols import PathSpec, TransportResult
@@ -33,13 +34,21 @@ CSV_COLUMNS = ("mode", "protocol", "hops", "path", "trial", "qrem", "configurati
                "negativity", "fidelity", "shots", "seed")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _plain(value):
+    """A checked noise override value as JSON numbers and lists."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in value]
+    return int(value) if isinstance(value, Integral) else float(value)
 
 
 @dataclass
 class ExperimentSpec:
-    """Declarative sweep configuration."""
+    """Declarative sweep configuration.
+
+    The constructor checks every field and keeps one plain form of each:
+    `hops`, `protocols` and `modes` as tuples, and `noise_overrides` as JSON
+    numbers and lists, so that `from_json(spec.to_json()) == spec`.
+    """
 
     hops: tuple[int, ...] = tuple(range(1, 20))
     protocols: tuple[str, ...] = ("neg", "neg_qrem", "gate_fid")
@@ -48,49 +57,33 @@ class ExperimentSpec:
     trials: int = 4
     shots: int = 4096
     qrem: str = "both"  # on | off | both
-    qrem_calibration_shots: int = CALIBRATION_SHOTS
     noise_overrides: dict = field(default_factory=dict)
     simplified_correction: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        self.hops = tuple(self.hops)
-        if not all(_is_int(h) for h in self.hops):
-            raise ValueError(f"invalid ExperimentSpec value: hops must be integers, "
-                             f"got {list(self.hops)}")
-        for name in ("shots", "trials", "paths_per_hop", "qrem_calibration_shots", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"invalid ExperimentSpec value: {name} must be an integer, "
-                                 f"got {getattr(self, name)!r}")
-        if not self.hops:
-            raise ValueError("hops must list at least one hop count")
         max_hops = protocols.MAX_PATH_QUBITS - 2
-        if any(not 1 <= h <= max_hops for h in self.hops):
-            raise ValueError(f"hop counts must be between 1 and {max_hops}")
-        for name in ("shots", "trials", "paths_per_hop", "qrem_calibration_shots"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not isinstance(self.simplified_correction, bool):
-            raise ValueError(f"invalid ExperimentSpec value: simplified_correction must be a "
-                             f"boolean, got {self.simplified_correction!r}")
-        if self.qrem not in ("on", "off", "both"):
-            raise ValueError("qrem must be on, off or both")
-        if not self.protocols:
-            raise ValueError("protocols must list at least one weighting protocol")
-        if not self.modes:
-            raise ValueError("modes must list at least one transport mode")
-        for p in self.protocols:
-            if p not in pathfinder.PROTOCOLS:
-                raise ValueError(f"unknown weighting protocol {p}")
-        for mode in self.modes:
-            if mode not in protocols.MODES:
-                raise ValueError(f"unknown mode {mode}")
-        for name, values in (("hops", self.hops), ("protocols", self.protocols),
-                             ("modes", self.modes)):
+        for name, allowed in (("hops", None), ("protocols", pathfinder.PROTOCOLS),
+                              ("modes", protocols.MODES)):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(f"{name} must be a non-empty list, got {values!r}")
+            for v in values:
+                if allowed is None:
+                    check_number(name, v, 1, max_hops, integer=True)
+                elif v not in allowed:
+                    raise ValueError(f"{name} holds {v!r}, which is not one of "
+                                     f"{', '.join(allowed)}")
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat a value, got {list(values)}")
+            setattr(self, name, tuple(map(int if allowed is None else str, values)))
+        for name, low in (("shots", 1), ("trials", 1), ("paths_per_hop", 1), ("seed", 0)):
+            setattr(self, name, int(check_number(name, getattr(self, name), low, integer=True)))
+        if not isinstance(self.simplified_correction, bool):
+            raise ValueError(f"simplified_correction must be a boolean, "
+                             f"got {self.simplified_correction!r}")
+        if self.qrem not in ("on", "off", "both"):
+            raise ValueError("qrem must be on, off or both")
         try:
             # a time the overrides leave out comes from each path's device, whose model
             # checks it; an infinite T1 and a zero T2, which fit any partner, stand in for it
@@ -101,12 +94,22 @@ class ExperimentSpec:
         if noise.readout and len(noise.readout) < longest:
             raise ValueError(f"noise override readout has {len(noise.readout)} confusion "
                              f"matrices; paths of {longest} qubits need one per qubit")
+        if noise.readout and self.qrem != "off":
+            # a cell's QREM inverts its end qubits' matrices, and in postselect every qubit's
+            corrected = (range(longest) if "postselect" in self.modes
+                         else sorted({0, *(h + 1 for h in self.hops)}))
+            try:
+                for i in corrected:
+                    mitigation.confusion_inverse(noise.readout[i], i)
+            except mitigation.MitigationError as exc:
+                raise ValueError(f"noise override readout: {exc}") from None
         for name, need in (("two_qubit_depol", longest - 1), ("t1_us", longest),
                            ("t2_us", longest)):
             values = getattr(noise, name)
             if isinstance(values, list) and len(values) < need:
                 raise ValueError(f"noise override {name} has {len(values)} values; paths of "
                                  f"{longest} qubits need {need}")
+        self.noise_overrides = {key: _plain(value) for key, value in self.noise_overrides.items()}
 
     @property
     def qrem_flags(self) -> tuple[bool, ...]:
@@ -123,10 +126,7 @@ class ExperimentSpec:
         unknown = sorted(set(payload) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown ExperimentSpec keys: {', '.join(unknown)}")
-        try:
-            return cls(**payload)
-        except TypeError as exc:  # a value of the wrong JSON type
-            raise ValueError(f"invalid ExperimentSpec value: {exc}") from None
+        return cls(**payload)
 
 
 @dataclass
@@ -313,8 +313,7 @@ def _cell_rows(noise: NoiseModel, spec: ExperimentSpec, cell: _Cell) -> _CellRow
         result = protocols.run_teleportation(path, cell.mode, noise, spec.shots, rng,
                                              simplified_correction=spec.simplified_correction)
     calibration = mitigation.estimate_confusion_matrices(
-        [noise.qubit_confusion(i) for i in range(path.n)],
-        spec.qrem_calibration_shots, rng)
+        [noise.qubit_confusion(i) for i in range(path.n)], CALIBRATION_SHOTS, rng)
 
     rows, scored, probs, ideals = [], [], [], []
     path_label = _path_str(path)
@@ -396,15 +395,12 @@ def _worker_count() -> int:
     try:
         workers = int(raw)
     except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"TELEPORT_LAB_THREADS must be a positive integer, got {raw!r}")
-    return workers
+        workers = raw
+    return check_number("TELEPORT_LAB_THREADS", workers, 1, integer=True)
 
 
 def plan_cells(device: DeviceModel, spec: ExperimentSpec) -> list[_Cell]:
     """Deterministic cell grid with per-cell seeds derived from the master seed."""
-    root = np.random.SeedSequence(spec.seed)
     cells: list[_Cell] = []
     searches: dict[tuple[str, int], list] = {}
     for protocol in spec.protocols:
@@ -533,10 +529,8 @@ def run_decay_experiment(delays_us: Sequence[float], noise: NoiseModel, shots: i
     """
     if len(delays_us) == 0:
         raise ValueError("delays must list at least one delay")
-    if shots < 0:
-        raise ValueError(f"shots must be 0 (exact channel) or positive, got {shots}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_number("shots", shots, 0, integer=True)
+    check_number("seed", seed, 0, integer=True)
     confusion = [noise.qubit_confusion(0), noise.qubit_confusion(1)]
     probs = []
     for i, delay in enumerate(delays_us):

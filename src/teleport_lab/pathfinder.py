@@ -11,6 +11,7 @@ import bisect
 import functools
 import json
 from dataclasses import dataclass, asdict
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -53,19 +54,24 @@ class DeviceModel:
     edges: list
 
     def __post_init__(self):
-        self._qubit_by_id = {q.id: q for q in self.qubits}
-        if len(self._qubit_by_id) != len(self.qubits):
-            raise DeviceSchemaError("duplicate qubit ids")
+        """Index the qubits and edges; edges that repeat a pair merge when they agree."""
+        self._qubit_by_id = {}
+        for i, q in enumerate(self.qubits):
+            if q.id in self._qubit_by_id:
+                raise DeviceSchemaError(f"qubits[{i}].id: duplicate qubit id {q.id}")
+            self._qubit_by_id[q.id] = q
         self._edge_by_key = {}
-        for e in self.edges:
+        for i, e in enumerate(self.edges):
             if e.a == e.b:
-                raise DeviceSchemaError(f"self-loop on qubit {e.a}")
+                raise DeviceSchemaError(f"edges[{i}]: self-loop on qubit {e.a}")
             if e.a not in self._qubit_by_id or e.b not in self._qubit_by_id:
-                raise DeviceSchemaError(f"edge ({e.a}, {e.b}) references unknown qubits")
-            key = (min(e.a, e.b), max(e.a, e.b))
-            if key in self._edge_by_key:
-                raise DeviceSchemaError(f"edge ({e.a}, {e.b}) appears twice")
-            self._edge_by_key[key] = e
+                raise DeviceSchemaError(f"edges[{i}]: edge ({e.a}, {e.b}) references unknown "
+                                        "qubits")
+            prev = self._edge_by_key.setdefault((min(e.a, e.b), max(e.a, e.b)), e)
+            if prev is not e and not all(_close(getattr(prev, f), getattr(e, f))
+                                         for f in ("gate_error", "neg", "neg_qrem")):
+                raise DeviceSchemaError(f"edges[{i}]: duplicate of ({prev.a}, {prev.b}) disagrees")
+        self.edges = list(self._edge_by_key.values())
 
     def qubit(self, qubit_id: int) -> QubitCal:
         return self._qubit_by_id[qubit_id]
@@ -74,77 +80,57 @@ class DeviceModel:
         return self._edge_by_key[(min(a, b), max(a, b))]
 
 
-def _require(record: dict, field_name: str, context: str, optional: bool = False):
-    if field_name not in record or record[field_name] is None:
-        if optional:
-            return None
+def _close(x: float | None, y: float | None) -> bool:
+    return x is None if y is None else x is not None and abs(x - y) <= 1e-9
+
+
+def _require(record: dict, field_name: str, context: str, low: float = -inf, high: float = inf,
+             integer: bool = False, optional: bool = False):
+    """The record's number, checked by `channels.check_number`; None if optional and absent."""
+    value = record.get(field_name)
+    if value is None and optional:
+        return None
+    if value is None:
         raise DeviceSchemaError(f"{context}.{field_name}: missing value")
-    value = record[field_name]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise DeviceSchemaError(f"{context}.{field_name}: expected a number, got {value!r}")
-    return value
+    try:
+        return channels.check_number(f"{context}.{field_name}", value, low, high,
+                                     integer=integer)
+    except ValueError as exc:
+        raise DeviceSchemaError(str(exc)) from None
 
 
 def device_from_dict(payload: dict) -> DeviceModel:
     if not isinstance(payload, dict):
-        raise DeviceSchemaError("top level must be an object")
+        raise DeviceSchemaError(f"top level must be an object, got {type(payload).__name__}")
     for key in ("qubits", "edges"):
-        if key not in payload or not isinstance(payload[key], list):
-            raise DeviceSchemaError(f"top-level key '{key}' must be a list")
+        if not isinstance(payload.get(key), list):
+            raise DeviceSchemaError(f"{key} must be a list")
     qubits = []
     for i, rec in enumerate(payload["qubits"]):
         ctx = f"qubits[{i}]"
         if not isinstance(rec, dict):
             raise DeviceSchemaError(f"{ctx}: expected an object")
-        qid = _require(rec, "id", ctx)
-        if qid != int(qid):
-            raise DeviceSchemaError(f"{ctx}.id: must be an integer")
         q = QubitCal(
-            id=int(qid),
-            readout_err_0to1=float(_require(rec, "readout_err_0to1", ctx)),
-            readout_err_1to0=float(_require(rec, "readout_err_1to0", ctx)),
-            t1_us=float(_require(rec, "t1_us", ctx)),
-            t2_us=float(_require(rec, "t2_us", ctx)),
+            id=_require(rec, "id", ctx, integer=True),
+            readout_err_0to1=float(_require(rec, "readout_err_0to1", ctx, 0.0, 1.0)),
+            readout_err_1to0=float(_require(rec, "readout_err_1to0", ctx, 0.0, 1.0)),
+            t1_us=float(_require(rec, "t1_us", ctx, 0.0)),
+            t2_us=float(_require(rec, "t2_us", ctx, 0.0)),
         )
-        for p_name in ("readout_err_0to1", "readout_err_1to0"):
-            p = getattr(q, p_name)
-            if not 0.0 <= p <= 1.0:
-                raise DeviceSchemaError(f"{ctx}.{p_name}: {p} outside [0, 1]")
         if q.t2_us > 2 * q.t1_us + 1e-12:
             raise DeviceSchemaError(f"{ctx}: t2_us exceeds 2*t1_us")
         qubits.append(q)
-
-    merged: dict[tuple[int, int], EdgeCal] = {}
+    edges = []
     for i, rec in enumerate(payload["edges"]):
         ctx = f"edges[{i}]"
         if not isinstance(rec, dict):
             raise DeviceSchemaError(f"{ctx}: expected an object")
-        a = _require(rec, "a", ctx)
-        b = _require(rec, "b", ctx)
-        edge = EdgeCal(
-            a=int(a), b=int(b),
-            gate_error=float(_require(rec, "gate_error", ctx)),
-            neg=_require(rec, "neg", ctx, optional=True),
-            neg_qrem=_require(rec, "neg_qrem", ctx, optional=True),
-        )
-        if not 0.0 <= edge.gate_error <= 1.0:
-            raise DeviceSchemaError(f"{ctx}.gate_error: {edge.gate_error} outside [0, 1]")
-        for field_name in ("neg", "neg_qrem"):
-            v = getattr(edge, field_name)
-            if v is not None and not 0.0 <= v <= 0.5 + 1e-9:
-                raise DeviceSchemaError(f"{ctx}.{field_name}: {v} outside [0, 0.5]")
-        key = (min(edge.a, edge.b), max(edge.a, edge.b))
-        if key in merged:
-            prev = merged[key]
-            same = abs(prev.gate_error - edge.gate_error) <= 1e-9
-            for field_name in ("neg", "neg_qrem"):
-                pv, ev = getattr(prev, field_name), getattr(edge, field_name)
-                same &= (pv is None) == (ev is None) and (pv is None or abs(pv - ev) <= 1e-9)
-            if not same:
-                raise DeviceSchemaError(f"{ctx}: reverse duplicate of ({prev.a}, {prev.b}) disagrees")
-            continue
-        merged[key] = edge
-    return DeviceModel(qubits=qubits, edges=list(merged.values()))
+        edges.append(EdgeCal(
+            a=_require(rec, "a", ctx, integer=True), b=_require(rec, "b", ctx, integer=True),
+            gate_error=float(_require(rec, "gate_error", ctx, 0.0, 1.0)),
+            neg=_require(rec, "neg", ctx, 0.0, 0.5 + 1e-9, optional=True),
+            neg_qrem=_require(rec, "neg_qrem", ctx, 0.0, 0.5 + 1e-9, optional=True)))
+    return DeviceModel(qubits=qubits, edges=edges)
 
 
 def ingest_device(path: str) -> DeviceModel:
@@ -245,10 +231,8 @@ def find_best_paths(graph: dict, n: int, m: int, protocol: str = "") -> PathSear
     Paths are undirected; the canonical orientation starts at the smaller
     endpoint. Ties are broken by lexicographic qubit sequence.
     """
-    if n < 2:
-        raise ValueError("paths need at least 2 qubits")
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    channels.check_number("path length n", n, 2, integer=True)
+    channels.check_number("path count m", m, 1, integer=True)
     if n > len(graph):
         return PathSearchResult(paths=[], complete=False)
     weights, padded, out_arcs, bound = _arc_table(
@@ -374,11 +358,14 @@ def synthesize_device(topology: str = "heavy-hex-127", seed: int = 0,
                       readout_mean: float = 0.013, readout_sd: float = 0.005,
                       undefined_edges: int = 0) -> DeviceModel:
     """Calibration with drawn noise statistics, the fitted T1/T2 and simulated negativities."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if undefined_edges < 0:
-        raise ValueError(f"undefined_edges must be non-negative, got {undefined_edges}")
+    channels.check_number("seed", seed, 0, integer=True)
+    for name, value, high in (("gate_error_mean", gate_error_mean, 1.0),
+                              ("gate_error_sd", gate_error_sd, inf),
+                              ("readout_mean", readout_mean, 1.0),
+                              ("readout_sd", readout_sd, inf)):
+        channels.check_number(name, value, 0.0, high, finite=True)
     edges_list = _topology_edges(topology)
+    channels.check_number("undefined_edges", undefined_edges, 0, len(edges_list), integer=True)
     qubit_ids = sorted({q for e in edges_list for q in e})
     rng = np.random.default_rng(seed)
     qubits = []
@@ -388,8 +375,7 @@ def synthesize_device(topology: str = "heavy-hex-127", seed: int = 0,
         qubits.append(QubitCal(id=qid, readout_err_0to1=e01, readout_err_1to0=e10))
     undefined = set()
     if undefined_edges:
-        chosen = rng.choice(len(edges_list), size=min(undefined_edges, len(edges_list)),
-                            replace=False)
+        chosen = rng.choice(len(edges_list), size=undefined_edges, replace=False)
         undefined = {int(i) for i in chosen}
     gate_errors = [1.0 if i in undefined else
                    float(np.clip(rng.normal(gate_error_mean, gate_error_sd), 1e-4, 0.45))

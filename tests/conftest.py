@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from teleport_lab.protocols import ShotBatch
 
 from dense_oracle import PureState
+
+# every property test draws the same examples on every run, with no time limit per example
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -420,7 +420,7 @@ def frequencies(counts: np.ndarray) -> np.ndarray:
 # Exact interpretation of a transport schedule under noise
 
 
-def _idle_kraus(duration_us: float, t1_us: float, t2_us: float) -> list[np.ndarray]:
+def idle_kraus(duration_us: float, t1_us: float, t2_us: float) -> list[np.ndarray]:
     """Amplitude damping, then pure dephasing at rate 1/T2 - 1/(2 T1)."""
     gamma = 1.0 - np.exp(-duration_us / t1_us)
     p_z = 0.5 * (1.0 - np.exp(-duration_us * max(1.0 / t2_us - 0.5 / t1_us, 0.0)))
@@ -428,6 +428,24 @@ def _idle_kraus(duration_us: float, t1_us: float, t2_us: float) -> list[np.ndarr
             np.array([[0.0, sqrt(gamma)], [0.0, 0.0]])]
     dephase = [sqrt(1.0 - p_z) * np.eye(2), sqrt(p_z) * np.diag([1.0, -1.0])]
     return [z @ a for a in damp for z in dephase]
+
+
+def embed_single(k: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
+    """A 1-qubit operator on one qubit of a register, as a full-space matrix."""
+    out = np.array([[1.0]], dtype=complex)
+    for q in range(num_qubits):
+        out = np.kron(k if q == qubit else np.eye(2, dtype=complex), out)
+    return out
+
+
+def kraus_oracle(rho: np.ndarray, kraus, qubit: int) -> np.ndarray:
+    """A 1-qubit Kraus channel on one qubit of a density matrix, through full-space operators."""
+    n = int(np.log2(rho.shape[0]))
+    out = np.zeros_like(rho, dtype=complex)
+    for k in kraus:
+        full = embed_single(np.asarray(k, dtype=complex), qubit, n)
+        out += full @ rho @ full.conj().T
+    return out
 
 
 class _Window:
@@ -509,7 +527,7 @@ def _interpret(steps: Sequence[tuple], pair: tuple[str, str]) -> dict[int, float
             case ("measure", pos, confusion):
                 w.measure(pos, confusion)
             case ("idle", pos, duration_us, t1_us, t2_us):
-                w.channel([w.on(pos, k) for k in _idle_kraus(duration_us, t1_us, t2_us)])
+                w.channel([w.on(pos, k) for k in idle_kraus(duration_us, t1_us, t2_us)])
             case ("pauli_if", pos, letter, p, parity_of):
                 fires = {key for key in w.branches if w.parity(key, parity_of)}
                 w.channel([w.on(pos, PAULI_MATRICES["IXYZ"[letter]])], fires)

@@ -6,11 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
-from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, apply_kraus_channel,
-                                   check_confusion_matrix, confusion_matrix,
+from teleport_lab.channels import (NoiseModel, check_confusion_matrix, confusion_matrix,
                                    decay_probabilities, depolarizing_channel,
-                                   exact_pair_distributions, idle_kraus_ops,
-                                   phase_flip_kraus, readout_channel)
+                                   exact_pair_distributions, idle_channel, readout_channel)
 from teleport_lab.harness import path_noise_model
 from teleport_lab.metrics import density_from_state, negativity
 from teleport_lab.pathfinder import synthesize_device
@@ -18,9 +16,9 @@ from teleport_lab.protocols import PathSpec, ShotBatch, schedule
 from teleport_lab.simulator import GATE_MATRICES, PAULI_MATRICES
 from teleport_lab.tomography import BASIS_PAIRS, rotation_gates
 
-from conftest import (random_density_matrix, random_state, random_unitary, shot_batch,
-                      trace_distance)
-from dense_oracle import PureState, apply_gates, op, schedule_distributions
+from conftest import random_density_matrix, random_state, shot_batch, trace_distance
+from dense_oracle import (PureState, apply_gates, embed_single, idle_kraus, kraus_oracle, op,
+                          schedule_distributions)
 
 BELL = PureState(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
@@ -47,7 +45,8 @@ def test_confusion_matrix_validation():
 def test_noise_model_validation():
     with pytest.raises(ValueError, match=r"t2 \(25.0\) exceeds 2\*t1 \(20.0\)$"):
         NoiseModel(t1_us=10.0, t2_us=25.0)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"^one_qubit_depol must be a number in \[0, 1\], "
+                                         r"got 1.5$"):
         NoiseModel(one_qubit_depol=1.5)
     assert NoiseModel(t1_us=np.inf, t2_us=25.0).qubit_t1t2(0) == (np.inf, 25.0)
     # exactly the pairs qubit_t1t2 serves: a list meets the other time's number
@@ -57,7 +56,7 @@ def test_noise_model_validation():
         NoiseModel(t1_us=10.0, t2_us=[15.0, 25.0])
     with pytest.raises(ValueError, match="at path position 0"):
         NoiseModel(t2_us=70.0, t1_us=[30.0, 40.0])
-    with pytest.raises(ValueError, match="dynamic_correction_latency_us must be finite"):
+    with pytest.raises(ValueError, match="dynamic_correction_latency_us must be a finite number"):
         NoiseModel(dynamic_correction_latency_us=np.inf)
     assert NoiseModel(two_qubit_depol=[0.1, 0.2]).edge_depol(1) == 0.2
     assert NoiseModel(two_qubit_depol=0.01).edge_depol(5) == 0.01
@@ -70,12 +69,12 @@ def test_noise_model_validation():
     ("one_qubit_depol", [0.01])])
 def test_noise_model_rejects_non_numbers(field, value):
     # True used to run as probability 1.0; only the three per-position fields take lists
-    with pytest.raises(ValueError, match=f"{field} must be a number"):
+    with pytest.raises(ValueError, match=f"^{field} must be a (finite )?number"):
         NoiseModel(**{field: value})
 
 
 @pytest.mark.parametrize("value", [True, None, "eye", [[[True, False], [False, True]]],
-                                   [[["1", "0"], ["0", "1"]]]])
+                                   [[["1", "0"], ["0", "1"]]], [[[1, 0], [False, True]]]])
 def test_noise_model_rejects_non_numeric_readout(value):
     with pytest.raises(ValueError, match="readout"):
         NoiseModel(readout=value)
@@ -175,10 +174,14 @@ def test_decay_probabilities_reject_non_finite_durations():
     assert decay_probabilities(5.0, np.inf, np.inf) == (0.0, 0.0)
 
 
-def test_kraus_sets_are_trace_preserving():
-    for ks in (amplitude_damping_kraus(0.3), phase_flip_kraus(0.2), idle_kraus_ops(1.5, 30, 20)):
-        acc = sum(k.conj().T @ k for k in ks)
+def test_kraus_sets_are_trace_preserving(rng):
+    # the oracle's Kraus sets, and the closed-form idle channel built to match them
+    rho = random_density_matrix(4, rng)
+    for duration, t1, t2 in ((1.5, 30.0, 20.0), (0.0, 30.0, 20.0), (4.0, 5.0, 10.0)):
+        acc = sum(k.conj().T @ k for k in idle_kraus(duration, t1, t2))
         assert np.max(np.abs(acc - np.eye(2))) < 1e-12
+        out = idle_channel(rho, 1, *decay_probabilities(duration, t1, t2))
+        assert abs(np.trace(out) - 1.0) < 1e-12
 
 
 def test_trajectory_matches_exact_kraus_channel(rng):
@@ -190,7 +193,7 @@ def test_trajectory_matches_exact_kraus_channel(rng):
         batch.idle_decay(q, duration, t1, t2)
     exact = density_from_state(state.amplitudes)
     for q in (0, 1):
-        exact = apply_kraus_channel(exact, idle_kraus_ops(duration, t1, t2), q)
+        exact = kraus_oracle(exact, idle_kraus(duration, t1, t2), q)
     assert trace_distance(ensemble_density(batch), exact) < 0.01
 
 
@@ -198,28 +201,11 @@ def test_exact_idle_decay_coherence_rate():
     # off-diagonal elements of a |+> projector decay as exp(-t/T2)
     t1, t2, t = 30.0, 20.0, 5.0
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    out = apply_kraus_channel(plus, idle_kraus_ops(t, t1, t2), 0)
+    out = idle_channel(plus, 0, *decay_probabilities(t, t1, t2))
     assert abs(out[0, 1] - 0.5 * np.exp(-t / t2)) < 1e-12
 
 
 # --- exact forms against Kronecker-product oracles ----------------------------------
-
-
-def embed_single(k: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    """A 1-qubit operator on one qubit of a register, as a full-space matrix."""
-    out = np.array([[1.0]], dtype=complex)
-    for q in range(num_qubits):
-        out = np.kron(k if q == qubit else np.eye(2, dtype=complex), out)
-    return out
-
-
-def kraus_oracle(rho: np.ndarray, kraus, qubit: int) -> np.ndarray:
-    n = int(np.log2(rho.shape[0]))
-    out = np.zeros_like(rho, dtype=complex)
-    for k in kraus:
-        full = embed_single(np.asarray(k, dtype=complex), qubit, n)
-        out += full @ rho @ full.conj().T
-    return out
 
 
 def depolarizing_oracle(rho: np.ndarray, qubits, p: float) -> np.ndarray:
@@ -254,12 +240,14 @@ def test_depolarizing_closed_form_matches_pauli_sum(num_qubits, p, rng):
 
 @pytest.mark.parametrize("num_qubits", (2, 3))
 def test_reshaped_kraus_matches_embedded_operators(num_qubits, rng):
+    # the closed-form idle channel on each qubit's 2x2 blocks against the
+    # oracle's Kraus operators: mixed decay, pure amplitude damping (T2 = 2 T1)
+    # and dominant dephasing
     rho = random_density_matrix(1 << num_qubits, rng)
-    kraus_sets = (idle_kraus_ops(3.0, 30.0, 20.0), amplitude_damping_kraus(0.4),
-                  [random_unitary(2, rng)])
     for qubit in range(num_qubits):
-        for kraus in kraus_sets:
-            diff = apply_kraus_channel(rho, kraus, qubit) - kraus_oracle(rho, kraus, qubit)
+        for duration, t1, t2 in ((3.0, 30.0, 20.0), (4.0, 5.0, 10.0), (2.0, 50.0, 1.0)):
+            diff = (idle_channel(rho, qubit, *decay_probabilities(duration, t1, t2))
+                    - kraus_oracle(rho, idle_kraus(duration, t1, t2), qubit))
             assert np.max(np.abs(diff)) < 1e-15, qubit
 
 
@@ -276,7 +264,7 @@ def test_exact_pair_distributions_match_oracle_pipeline():
     cz = np.diag([1.0, 1.0, 1.0, -1.0])
     rho = depolarizing_oracle(cz @ rho @ cz, (0, 1), noise.edge_depol(0))
     for q in (0, 1):
-        rho = kraus_oracle(rho, idle_kraus_ops(delay, *noise.qubit_t1t2(q)), q)
+        rho = kraus_oracle(rho, idle_kraus(delay, *noise.qubit_t1t2(q)), q)
     exact = exact_pair_distributions(noise, delay)
     assert exact.shape == (len(BASIS_PAIRS), 4)
     for got, pair in zip(exact, BASIS_PAIRS):

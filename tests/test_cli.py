@@ -1,9 +1,13 @@
 """Command-line surface and SVG rendering."""
+import contextlib
+import io
 import json
 import os
+import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teleport_lab import harness, svgplot
 from teleport_lab.cli import MAX_DELAY_POINTS, _parse_delays, _parse_hops, main
@@ -118,9 +122,44 @@ def test_gen_device_and_find_paths(workdir, capsys):
         assert main(["gen-device", "--topology", topology, "--out", str(rejected)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: topology {topology!r} needs at least {smallest} qubits\n"
+    # a negative spread used to print `error: scale < 0`, a NaN mean was blamed on
+    # two_qubit_depol, and more undefined edges than the topology has were capped silently
+    for flags, message in ((["--gate-error-sd", "-1"],
+                            "gate_error_sd must be a finite number in [0, inf], got -1.0"),
+                           (["--gate-error-mean", "nan"],
+                            "gate_error_mean must be a finite number in [0, 1], got nan"),
+                           (["--readout-mean", "1.5"],
+                            "readout_mean must be a finite number in [0, 1], got 1.5"),
+                           (["--readout-sd", "inf"],
+                            "readout_sd must be a finite number in [0, inf], got inf"),
+                           (["--topology", "line:3", "--undefined-edges", "5"],
+                            "undefined_edges must be an integer in [0, 2], got 5")):
+        assert main(["gen-device", *flags, "--out", str(rejected)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert not rejected.exists()
     for topology in ("line:2", "ring:3"):
         assert main(["gen-device", "--topology", topology, "--out", str(rejected)]) == 0
+    assert main(["gen-device", "--topology", "line:3", "--undefined-edges", "2",
+                 "--out", str(rejected)]) == 0
+    payload = json.loads(rejected.read_text())
+    assert [e["gate_error"] for e in payload["edges"]] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("id", float("inf"), "qubits[1].id must be an integer, got inf"),
+    ("t1_us", float("nan"), "qubits[1].t1_us must be a number in [0, inf], got nan"),
+    ("b", 2.6, "edges[0].b must be an integer, got 2.6")])
+def test_find_paths_names_the_field_of_a_bad_device(tmp_path, capsys, field, value, message):
+    # an id of Infinity used to end in an OverflowError traceback (exit 1), an edge
+    # "b": 2.6 loaded as qubit 2 and a NaN T1 passed the T2 <= 2 T1 check
+    dev = tmp_path / "dev.json"
+    assert main(["gen-device", "--topology", "line:4", "--out", str(dev)]) == 0
+    payload = json.loads(dev.read_text())
+    payload["edges" if field == "b" else "qubits"][0 if field == "b" else 1][field] = value
+    dev.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["find-paths", "--device", str(dev), "-n", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_find_paths_warns_when_too_few(workdir, capsys):
@@ -159,7 +198,8 @@ def test_find_paths_rejects_paths_the_sampler_cannot_run(tmp_path, capsys):
         start = time.perf_counter()
         assert main(["find-paths", "--device", str(dev), "-n", n, "-m", "1"]) == 2
         assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().err == f"error: paths may have at most 62 qubits, got {n}\n"
+        assert capsys.readouterr().err == ("error: --qubits must be an integer in [2, 62], "
+                                           f"got {n}\n")
 
 
 def test_gen_device_is_deterministic(workdir):
@@ -249,7 +289,8 @@ def test_run_rejects_nan_noise_inputs(tmp_path, capsys):
     nan_dev.write_text(json.dumps(payload))
     assert main(["run", "--device", str(nan_dev), "--hops", "1", "--shots", "64",
                  "--out", str(out)]) == 2
-    assert "t1_us value nan must be non-negative" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: qubits[2].t1_us must be a number in [0, inf], "
+                                       "got nan\n")
     assert not out.exists()
 
 
@@ -262,13 +303,18 @@ def test_run_rejects_noise_overrides_that_are_not_an_object_of_numbers(tmp_path,
     for overrides, message in (("[1]", "invalid noise overrides: 'list' object is not a mapping"),
                                ('"t1_us"', "invalid noise overrides: 'str' object is not a "),
                                ('{"two_qubit_depol": true}',
-                                "two_qubit_depol must be a number or a list of numbers, got True"),
+                                "two_qubit_depol must be a number in [0, 1], got True"),
                                ('{"t1_us": null}', "t1_us must be a number"),
                                ('{"t2_us": [25, "25", 25, 25, 25]}', "t2_us must be a number"),
                                ('{"one_qubit_depol": "0.01"}', "one_qubit_depol must be a number"),
                                ('{"readout": null}', "readout: 'NoneType' object is not "),
                                ('{"readout": [[[true, false], [false, true]]]}',
-                                "readout: confusion matrix entries")):
+                                "readout: confusion matrix entry must be a number in [0, 1], "
+                                "got True"),
+                               # np.asarray reads [[1, 0], [false, true]] as the identity
+                               ('{"readout": [[[1, 0], [false, true]]]}',
+                                "readout: confusion matrix entry must be a number in [0, 1], "
+                                "got False")):
         assert main(base + ["--noise-overrides", overrides]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
@@ -304,6 +350,110 @@ def test_run_rejects_repeated_sweep_values(workdir, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_singular_readout_override_when_correcting(line4, capsys):
+    # a singular override failed every cell that corrects it and exited 1; swap and
+    # dynamic cells correct only the end qubits, postselect cells every qubit
+    dev, out = line4 / "dev.json", line4 / "singular_override.csv"
+    eye, singular = [[1, 0], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]
+    base = ["run", "--device", str(dev), "--hops", "1", "--paths", "1", "--trials", "1",
+            "--shots", "16", "--out", str(out)]
+    for readout, mode, qubit in (([singular] * 3, "swap", 0),
+                                 ([eye, singular, eye], "postselect", 1)):
+        overrides = ["--noise-overrides", json.dumps({"readout": readout}), "--mode", mode]
+        for qrem in ("on", "both"):
+            assert main(base + overrides + ["--qrem", qrem]) == 2
+            assert capsys.readouterr().err == ("error: noise override readout: confusion matrix "
+                                               f"for qubit {qubit} is singular\n")
+        assert not out.exists()
+        assert main(base + overrides + ["--qrem", "off"]) == 0
+        out.unlink()
+    assert main(base + ["--noise-overrides", json.dumps({"readout": [eye, singular, eye]}),
+                        "--mode", "dynamic,swap", "--qrem", "on"]) == 0
+
+
+_ANY = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4)
+        | st.lists(st.integers(-1, 3) | st.text(max_size=4), max_size=2))
+
+
+def _mostly(valid):
+    """Valid values, and about one time in ten any small JSON value."""
+    return st.integers(0, 9).flatmap(lambda k: _ANY if k == 4 else valid)
+
+
+_PROBABILITY = _mostly(st.floats(0.0, 1.0))
+_TIME = _mostly(st.floats(0.0, 100.0) | st.integers(0, 100))
+_CONFUSION = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+    lambda p: [[1 - p[0], p[1]], [p[0], 1 - p[1]]])
+_SPEC_OBJECTS = st.fixed_dictionaries({
+    "hops": _mostly(st.lists(st.integers(1, 2), min_size=1, max_size=2, unique=True)),
+    "paths_per_hop": _mostly(st.integers(1, 2)), "trials": _mostly(st.integers(1, 2)),
+    "shots": _mostly(st.integers(1, 16))}, optional={
+    "protocols": _mostly(st.lists(st.sampled_from(["neg", "neg_qrem", "gate_fid"]),
+                                  min_size=1, max_size=2, unique=True)),
+    "modes": _mostly(st.lists(st.sampled_from(["dynamic", "postselect", "swap"]),
+                              min_size=1, max_size=2, unique=True)),
+    "qrem": _mostly(st.sampled_from(["on", "off", "both"])),
+    "simplified_correction": _mostly(st.booleans()), "seed": _mostly(st.integers(0, 2**64)),
+    "noise_overrides": _mostly(st.fixed_dictionaries({}, optional={
+        "one_qubit_depol": _PROBABILITY,
+        "two_qubit_depol": _PROBABILITY | st.lists(_PROBABILITY, min_size=2, max_size=3),
+        "t1_us": _TIME | st.lists(_TIME, min_size=3, max_size=4), "t2_us": _TIME,
+        "dynamic_correction_latency_us": _mostly(st.floats(0.0, 5.0)),
+        "readout": _mostly(st.lists(_CONFUSION, min_size=3, max_size=4))}))})
+# now and then a key that is no field, of the spec or of its noise overrides
+_LINE4_SPECS = st.integers(0, 9).flatmap(lambda k: _SPEC_OBJECTS.map(
+    lambda spec: {**spec, "bogus": 1} if k == 4 else
+    {**spec, "noise_overrides": {"gate": 1}} if k == 5 else spec))
+# every spec and noise field, under the names its messages use
+_FIELD_NAME = re.compile(r"^error: (.* )?(hops|protocols|modes|paths_per_hop|trials|shots|qrem|"
+                         r"noise|simplified_correction|seed|one_qubit_depol|two_qubit_depol|t1|t2|"
+                         r"dynamic_correction_latency_us|readout|unknown ExperimentSpec keys)")
+
+
+def _run_spec(dev, spec_file, payload) -> tuple[int, str]:
+    spec_file.write_text(json.dumps(payload))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--device", str(dev), "--spec", str(spec_file),
+                     "--out", str(spec_file.with_suffix(".csv"))])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def line4(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("line4")
+    assert main(["gen-device", "--topology", "line:4", "--out", str(folder / "dev.json")]) == 0
+    return folder
+
+
+@settings(max_examples=40)
+@given(_LINE4_SPECS)
+def test_any_spec_object_runs_or_names_its_field(line4, payload):
+    code, err = _run_spec(line4 / "dev.json", line4 / "spec.json", payload)
+    assert code in (0, 2), err
+    lines = err.splitlines()
+    if code == 2:
+        assert len(lines) == 1 and _FIELD_NAME.match(lines[0]), err
+    assert "Traceback" not in err
+
+
+def test_spec_examples_end_the_same_way_on_two_workers(line4, monkeypatch):
+    base = {"paths_per_hop": 1, "trials": 1, "shots": 8}
+    for payload, exit_code in (({"hops": [1, 2], **base, "paths_per_hop": 2,
+                                 "modes": ["postselect", "swap"], "qrem": "both"}, 0),
+                               ({"hops": [1], **base, "protocols": "neg"}, 2),
+                               ({"hops": [2], **base, "noise_overrides": {"t1_us": 5}}, 2),
+                               ({"hops": [1], **base,
+                                 "noise_overrides": {"readout": [[[0, 0], [1, 1]]] * 3}}, 2)):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", "1")
+        serial = _run_spec(line4 / "dev.json", line4 / "serial.json", payload)
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", "2")
+        pooled = _run_spec(line4 / "dev.json", line4 / "pooled.json", payload)
+        assert serial[0] == exit_code and pooled == serial
+        if exit_code == 0:
+            assert (line4 / "pooled.csv").read_bytes() == (line4 / "serial.csv").read_bytes()
+
+
 def test_run_rejects_infinite_latency(tmp_path, capsys):
     # JSON reads 1e400 as infinity; an infinite latency used to run and exit 0
     dev = tmp_path / "line6.json"
@@ -311,8 +461,8 @@ def test_run_rejects_infinite_latency(tmp_path, capsys):
     out = tmp_path / "never.csv"
     assert main(["run", "--device", str(dev), "--hops", "1", "--shots", "64", "--noise-overrides",
                  '{"dynamic_correction_latency_us": 1e400}', "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("error: dynamic_correction_latency_us must be finite, "
-                                       "got inf\n")
+    assert capsys.readouterr().err == ("error: dynamic_correction_latency_us must be a finite "
+                                       "number in [0, inf], got inf\n")
     assert not out.exists()
 
 
@@ -321,13 +471,14 @@ def test_run_rejects_empty_sweeps_and_bad_worker_counts(workdir, capsys, monkeyp
     dev = workdir / "dev.json"
     out = workdir / "never_empty.csv"
     base = ["run", "--device", str(dev), "--out", str(out)]
-    zero_calibration = workdir / "zero_calibration.json"
-    zero_calibration.write_text('{"hops": [1], "qrem_calibration_shots": 0}')
+    removed_key = workdir / "removed_key.json"
+    removed_key.write_text('{"hops": [1], "qrem_calibration_shots": 0}')
     negative_seed = workdir / "negative_seed.json"
     negative_seed.write_text('{"hops": [1], "seed": -1}')
     for extra, field in ((["--trials", "0"], "trials"), (["--paths", "0"], "paths_per_hop"),
                          (["--hops", "5..1"], "hops"),
-                         (["--spec", str(zero_calibration)], "qrem_calibration_shots"),
+                         (["--spec", str(removed_key)],
+                          "unknown ExperimentSpec keys: qrem_calibration_shots"),
                          (["--hops", "1", "--protocol", ""], "protocols"),
                          (["--hops", "1", "--mode", " "], "modes"),
                          (["--spec", str(negative_seed)], "seed"),

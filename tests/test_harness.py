@@ -7,8 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from teleport_lab import harness, protocols
+from teleport_lab import harness, pathfinder, protocols
 from teleport_lab.channels import DEFAULT_ONE_QUBIT_DEPOL, NoiseModel, confusion_matrix
 from teleport_lab.harness import (ExperimentSpec, ResultRow,
                                   aggregate_by_hops, crossing_time,
@@ -54,7 +55,7 @@ def test_spec_validation():
 def test_spec_rejects_paths_beyond_int64_outcome_keys():
     assert ExperimentSpec(hops=(1, 60)).hops == (1, 60)
     for hops in ((61,), (1, 200)):
-        with pytest.raises(ValueError, match="between 1 and 60"):
+        with pytest.raises(ValueError, match=r"^hops must be an integer in \[1, 60\], got"):
             ExperimentSpec(hops=hops)
 
 
@@ -62,7 +63,7 @@ def test_spec_rejects_bad_noise_overrides():
     # unknown keys (here a removed field) and invalid values fail at spec time
     with pytest.raises(ValueError, match="gate_time_2q_ns"):
         ExperimentSpec(noise_overrides={"gate_time_2q_ns": 533.0})
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"one_qubit_depol must be a number in \[0, 1\]"):
         ExperimentSpec(noise_overrides={"one_qubit_depol": 1.5})
     assert ExperimentSpec(noise_overrides=NOISELESS_OVERRIDES).noise_overrides
 
@@ -79,14 +80,14 @@ def test_spec_rejects_readout_override_shorter_than_longest_path():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("two_qubit_depol", [-0.5, 0.01], "outside"),
-    ("two_qubit_depol", [1.7, 0.01], "outside"),
+    ("two_qubit_depol", [-0.5, 0.01], r"must be a number in \[0, 1\]"),
+    ("two_qubit_depol", [1.7, 0.01], r"must be a number in \[0, 1\]"),
     ("two_qubit_depol", [0.01], "has 1 values"),
     ("two_qubit_depol", [], "has 0 values"),
     ("t1_us", [30.0], "has 1 values"),
     ("t2_us", [20.0], "has 1 values"),
-    ("t1_us", [-30.0, 30.0, 30.0], "non-negative"),
-    ("t2_us", [20.0, -1.0, 20.0], "non-negative")], ids=[
+    ("t1_us", [-30.0, 30.0, 30.0], r"must be a number in \[0, inf\]"),
+    ("t2_us", [20.0, -1.0, 20.0], r"must be a number in \[0, inf\]")], ids=[
     "depol-negative", "depol-above-one", "depol-short", "depol-empty", "t1-short", "t2-short",
     "t1-negative", "t2-negative"])
 def test_spec_rejects_bad_per_position_noise_overrides(field, value, message):
@@ -127,9 +128,8 @@ def test_spec_rejects_repeated_sweep_values():
             ExperimentSpec(**{name: values})
 
 
-@pytest.mark.parametrize("field, value", [("trials", 0), ("paths_per_hop", 0),
-                                          ("qrem_calibration_shots", 0), ("hops", ()),
-                                          ("protocols", ()), ("modes", ()), ("seed", -1)])
+@pytest.mark.parametrize("field, value", [("trials", 0), ("paths_per_hop", 0), ("seed", -1),
+                                          ("hops", ()), ("protocols", ()), ("modes", ())])
 def test_spec_rejects_empty_sweep_fields(field, value):
     # each of these used to plan no cell, or fail every cell, and exit 0
     # with a header-only CSV; a negative seed failed in plan_cells with a
@@ -145,8 +145,7 @@ def test_spec_rejects_empty_sweep_fields(field, value):
 
 
 @pytest.mark.parametrize("field, value", [("hops", [1.7]), ("shots", 2.5), ("trials", True),
-                                          ("paths_per_hop", 2.0),
-                                          ("qrem_calibration_shots", "8192"), ("seed", False),
+                                          ("paths_per_hop", 2.0), ("seed", False),
                                           ("simplified_correction", "false"),
                                           ("simplified_correction", 0)])
 def test_spec_rejects_non_integer_counts(field, value):
@@ -174,8 +173,22 @@ def test_spec_json_rejects_unknown_keys_and_bad_values():
         ExperimentSpec.from_json('{"hops": [1], "extra": 0, "bogus": 1}')
     with pytest.raises(ValueError, match="JSON object"):
         ExperimentSpec.from_json("[1, 2]")
-    for text in ('{"hops": 5}', '{"hops": [1], "shots": "many"}'):
-        with pytest.raises(ValueError, match="invalid ExperimentSpec value"):
+    # a string used to be read character by character (`unknown weighting protocol n`),
+    # and a bare number failed with `'int' object is not iterable`, naming no field
+    for text, message in (
+            ('{"hops": 5}', "hops must be a non-empty list, got 5"),
+            ('{"hops": [1], "protocols": "neg"}', "protocols must be a non-empty list, got 'neg'"),
+            ('{"hops": [1], "modes": "swap"}', "modes must be a non-empty list, got 'swap'"),
+            ('{"hops": [1], "modes": ["swap", 3]}',
+             "modes holds 3, which is not one of dynamic, postselect, swap"),
+            ('{"hops": [1], "protocols": [["neg"]]}',
+             r"protocols holds \['neg'\], which is not one of neg, neg_qrem, gate_fid"),
+            ('{"hops": [1], "shots": "many"}',
+             r"shots must be an integer in \[1, inf\], got 'many'"),
+            # readout calibration always takes CALIBRATION_SHOTS; the field that set it is gone
+            ('{"hops": [1], "qrem_calibration_shots": 8192}',
+             "unknown ExperimentSpec keys: qrem_calibration_shots")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ExperimentSpec.from_json(text)
 
 
@@ -186,6 +199,50 @@ def test_spec_json_roundtrip():
     assert again.hops == (1, 3)
     assert tuple(again.modes) == ("swap",)
     assert again.noise_overrides == {"two_qubit_depol": 0.01}
+    # protocols and modes used to stay JSON lists, so a spec did not equal its own
+    # JSON, and numpy readout overrides made to_json raise TypeError
+    assert ExperimentSpec.from_json(ExperimentSpec().to_json()) == ExperimentSpec()
+    spec = ExperimentSpec(hops=[1], protocols=["neg"], modes=["swap"], seed=np.int64(3),
+                          noise_overrides={"readout": [confusion_matrix(0.01, 0.02)] * 3,
+                                           "t1_us": np.float64(40.0),
+                                           "two_qubit_depol": [np.float64(0.01), 0.02]})
+    assert (spec.hops, spec.protocols, spec.modes) == ((1,), ("neg",), ("swap",))
+    assert spec.noise_overrides == {"readout": [[[0.99, 0.02], [0.01, 0.98]]] * 3,
+                                    "t1_us": 40.0, "two_qubit_depol": [0.01, 0.02]}
+    assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+
+_SPEC_FIELDS = {
+    "hops": st.lists(st.integers(-1, 61), max_size=3) | st.tuples(st.integers(1, 60)),
+    "protocols": st.lists(st.sampled_from(pathfinder.PROTOCOLS + ("bogus",)), max_size=3),
+    "modes": st.lists(st.sampled_from(protocols.MODES), max_size=3),
+    "paths_per_hop": st.integers(0, 5), "trials": st.integers(0, 5),
+    "shots": st.integers(0, 5) | st.just(np.int64(64)),
+    "qrem": st.sampled_from(["on", "off", "both"]),
+    "simplified_correction": st.booleans(), "seed": st.integers(-1, 2**70)}
+_PROBABILITY = st.floats(0.0, 1.0) | st.sampled_from([0, 1, np.float64(0.25)])
+_TIME = st.floats(0.0, 200.0) | st.integers(0, 200) | st.sampled_from([np.inf, np.int64(30)])
+_CONFUSION = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+    lambda p: confusion_matrix(*p))
+_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "one_qubit_depol": _PROBABILITY,
+    "two_qubit_depol": _PROBABILITY | st.lists(_PROBABILITY, min_size=61, max_size=61),
+    "t1_us": _TIME | st.lists(_TIME, min_size=62, max_size=62),
+    "t2_us": _TIME, "dynamic_correction_latency_us": st.floats(0.0, 10.0),
+    "readout": st.lists(_CONFUSION, min_size=62, max_size=62)
+    | _CONFUSION.map(lambda a: np.stack([a] * 62)) | st.just([])})
+
+
+@settings(max_examples=150)
+@given(st.fixed_dictionaries({}, optional={**_SPEC_FIELDS, "noise_overrides": _OVERRIDES}))
+def test_every_accepted_spec_round_trips_through_json(payload):
+    try:
+        spec = ExperimentSpec(**payload)
+    except ValueError:
+        return
+    text = spec.to_json()
+    assert ExperimentSpec.from_json(text) == spec
+    assert ExperimentSpec.from_json(text).to_json() == text
 
 
 def test_qrem_flags():

@@ -92,7 +92,7 @@ def test_michelot_rejects_bad_input():
         michelot_project(np.zeros(0))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1,
                 max_size=16))
 def test_michelot_output_is_a_distribution(values):

@@ -1,19 +1,24 @@
 """Device ingestion, edge weighting and the top-m path search."""
+import contextlib
+import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teleport_lab import pathfinder
 from teleport_lab.channels import NoiseModel, confusion_matrix, exact_pair_distributions
+from teleport_lab.cli import main
 from teleport_lab.metrics import negativity
 from teleport_lab.mitigation import mitigate_distributions
 from teleport_lab.pathfinder import (DeviceModel, DeviceSchemaError, EdgeCal, QubitCal,
-                                     edge_weights, find_best_paths, heavy_hex_127_edges,
-                                     ingest_device, pair_negativities, save_device,
-                                     synthesize_device)
+                                     device_from_dict, edge_weights, find_best_paths,
+                                     heavy_hex_127_edges, ingest_device, pair_negativities,
+                                     save_device, synthesize_device)
 from teleport_lab.tomography import reconstruct
 
 
@@ -92,6 +97,94 @@ def test_ingest_merges_reverse_duplicates(tmp_path):
     f.write_text(json.dumps(payload))
     with pytest.raises(DeviceSchemaError, match="disagrees"):
         ingest_device(str(f))
+
+
+def _record(**fields):
+    return {"id": 0, "readout_err_0to1": 0.01, "readout_err_1to0": 0.02, "t1_us": 30.0,
+            "t2_us": 20.0, **fields}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"qubits": [_record(id=math.inf)]}, "qubits[0].id must be an integer, got inf"),
+    ({"edges": [{"a": 0, "b": 2.6, "gate_error": 0.01}]},
+     "edges[0].b must be an integer, got 2.6"),
+    ({"qubits": [_record(id=0), _record(id=1, t1_us=math.nan)]},
+     "qubits[1].t1_us must be a number in [0, inf], got nan"),
+    ({"qubits": [_record(t2_us=10**400)]},
+     "qubits[0].t2_us must be a number in [0, inf], got 1000"),
+    ({"edges": [{"a": 0, "b": 1, "gate_error": True}]},
+     "edges[0].gate_error must be a number in [0, 1], got True"),
+    ({"qubits": [_record(), _record(readout_err_1to0="0.1")]},
+     "qubits[1].readout_err_1to0 must be a number in [0, 1], got '0.1'"),
+    ({"qubits": [_record(), _record()]}, "qubits[1].id: duplicate qubit id 0"),
+    ({"edges": [{"a": 1, "b": 1, "gate_error": 0.01}]}, "edges[0]: self-loop on qubit 1"),
+    ({"edges": "none"}, "edges must be a list")])
+def test_device_errors_name_the_field(change, message):
+    # an id of Infinity used to raise OverflowError, "b": 2.6 loaded as qubit 2,
+    # and a NaN T1 passed the T2 <= 2 T1 check
+    payload = {"qubits": [_record(id=0), _record(id=1)], "edges": [], **change}
+    with pytest.raises(DeviceSchemaError) as info:
+        device_from_dict(payload)
+    assert str(info.value).startswith(message)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+def _mostly(valid):
+    """Valid values, and one time in eight any JSON value (null stands for a missing key)."""
+    return st.integers(0, 7).flatmap(lambda k: _JSON if k == 7 else valid)
+
+
+_QUBIT = st.fixed_dictionaries({
+    "id": _mostly(st.integers(0, 3)), "readout_err_0to1": _mostly(st.floats(0.0, 1.0)),
+    "readout_err_1to0": _mostly(st.floats(0.0, 1.0)), "t1_us": _mostly(st.floats(10.0, 50.0)),
+    "t2_us": _mostly(st.floats(0.0, 20.0))})
+_EDGE = st.fixed_dictionaries({
+    "a": _mostly(st.integers(0, 3)), "b": _mostly(st.integers(0, 3)),
+    "gate_error": _mostly(st.floats(0.0, 1.0)), "neg": _mostly(st.floats(0.0, 0.5)),
+    "neg_qrem": _mostly(st.floats(0.0, 0.5))})
+DEVICE_PAYLOADS = _mostly(st.fixed_dictionaries({
+    "qubits": _mostly(st.lists(_mostly(_QUBIT), max_size=4, unique_by=lambda q: repr(
+        q.get("id") if isinstance(q, dict) else q))),
+    "edges": _mostly(st.lists(_mostly(_EDGE), max_size=4))}))
+_FIELD_PATH = re.compile(r"(top level|qubits|edges)(\[\d+\](\.\w+)?)?[ :]")
+
+
+@settings(max_examples=250)
+@given(DEVICE_PAYLOADS)
+def test_any_json_device_loads_or_names_its_field(payload):
+    # only a DeviceSchemaError may escape, never OverflowError, TypeError or KeyError
+    try:
+        device = device_from_dict(payload)
+    except DeviceSchemaError as exc:
+        assert _FIELD_PATH.match(str(exc)), str(exc)
+    else:
+        assert len(device.qubits) == len(payload["qubits"])
+
+
+@pytest.fixture(scope="module")
+def device_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("devices")
+
+
+@settings(max_examples=30)
+@given(DEVICE_PAYLOADS, st.sampled_from(["neg", "gate_fid"]))
+def test_find_paths_on_any_json_device_exits_0_or_2(device_dir, payload, protocol):
+    dev = device_dir / "any.json"
+    dev.write_text(json.dumps(payload))  # NaN and infinities as the bare literals
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["find-paths", "--device", str(dev), "--protocol", protocol, "-n", "2"])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2)
+    errors = [line for line in lines if line.startswith("error: ")]
+    assert len(errors) == (code == 2) and all(line.startswith(("error: ", "warning: "))
+                                              for line in lines)
 
 
 def test_schema_rejects_structural_problems():
@@ -302,9 +395,9 @@ def test_fewer_paths_than_requested_flagged():
 
 
 def test_search_argument_validation():
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ValueError, match=r"^path length n must be an integer in \[2, inf\]"):
         find_best_paths({0: {}}, 1, 1)
-    with pytest.raises(ValueError, match="m must"):
+    with pytest.raises(ValueError, match=r"^path count m must be an integer in \[1, inf\]"):
         find_best_paths({0: {}}, 2, 0)
 
 

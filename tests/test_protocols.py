@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from teleport_lab import protocols
-from teleport_lab.channels import (NoiseModel, amplitude_damping_kraus, apply_kraus_channel,
-                                   confusion_matrix, decay_probabilities, depolarizing_channel,
-                                   exact_pair_distributions, idle_kraus_ops)
+from teleport_lab.channels import (NoiseModel, confusion_matrix, decay_probabilities,
+                                   depolarizing_channel, exact_pair_distributions)
 from teleport_lab.harness import path_noise_model
 from teleport_lab.metrics import density_from_state, fidelity, negativity
 from teleport_lab.pathfinder import edge_weights, find_best_paths, synthesize_device
@@ -25,7 +24,8 @@ from conftest import random_state, trace_distance
 from dense_oracle import (GateOp, PureState, analytic_swap, analytic_teleportation,
                           apply_gate, apply_gates, born_probabilities, byproduct_sequence,
                           categorize, correction_sequence, discriminator, frequencies,
-                          index_of_bits, op, postselect, prepare_path_graph_state,
+                          idle_kraus, index_of_bits, kraus_oracle, op, postselect,
+                          prepare_path_graph_state,
                           remove_qubit, representative_outcomes, schedule_distributions,
                           sequence_unitary, states_equal, teleport_pure, tomography_rotations)
 
@@ -260,7 +260,7 @@ def test_batch_idle_decay_matches_exact_channel():
     ensemble = np.einsum("is,js->ij", batch._amps, batch._amps.conj()) / shots
     exact = before
     for q in (0, 1):
-        exact = apply_kraus_channel(exact, idle_kraus_ops(duration, t1, t2), q)
+        exact = kraus_oracle(exact, idle_kraus(duration, t1, t2), q)
     assert trace_distance(ensemble, exact) < 0.01
 
 
@@ -686,7 +686,8 @@ def test_batch_idle_decay_forced_branches_match_normalized_kraus_operators():
     duration, t1, t2 = 10.0, 30.0, 20.0
     gamma, p_z = decay_probabilities(duration, t1, t2)
     assert gamma > 0 and p_z > 0
-    k0, k1 = amplitude_damping_kraus(gamma)
+    k0 = np.diag([1.0, np.sqrt(1.0 - gamma)])  # the amplitude-damping Kraus pair
+    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
     jump = np.array([1, 0, 0, 1, 1, 0, 1, 0], dtype=bool)
     flip = np.array([0, 0, 1, 1, 0, 1, 1, 0], dtype=bool)
     for axis, pos in enumerate(WINDOW_POSITIONS):

@@ -248,7 +248,7 @@ def test_states_equal_ignores_global_phase(rng):
     assert not states_equal(state, PureState.from_bits((0, 0)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.sampled_from(["H", "X", "Y", "Z", "SDG"]), max_size=30),
        st.integers(min_value=0, max_value=997))
 def test_random_1q_sequences_preserve_norm(kinds, seed):
