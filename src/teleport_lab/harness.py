@@ -11,6 +11,7 @@ import logging
 import os
 import traceback
 from dataclasses import dataclass, field, fields, asdict, replace
+from itertools import groupby
 from math import inf, sqrt
 from numbers import Integral
 from typing import NamedTuple, Sequence
@@ -371,10 +372,10 @@ def _guarded(fn, *args) -> tuple:
         return None, traceback.format_exc()
 
 
-def _run_cell(spec: ExperimentSpec, noise_models: dict,
-              cell: _Cell) -> tuple[_CellRows | None, str | None]:
-    """(rows, None) for a finished cell, (None, traceback text) for a failed one."""
-    return _guarded(_cell_rows, noise_models[cell.path_labels], spec, cell)
+def _run_cells(spec: ExperimentSpec, noise_models: dict,
+               cells: Sequence[_Cell]) -> list[tuple[_CellRows | None, str | None]]:
+    """Per cell in order: (rows, None) if it finished, (None, traceback text) if it failed."""
+    return [_guarded(_cell_rows, noise_models[cell.path_labels], spec, cell) for cell in cells]
 
 
 # (spec, noise models by path) of a pool worker process, set once by _init_worker
@@ -386,8 +387,8 @@ def _init_worker(spec: ExperimentSpec, noise_models: dict):
     _worker_sweep = (spec, noise_models)
 
 
-def _pooled_cell(cell: _Cell) -> tuple[_CellRows | None, str | None]:
-    return _run_cell(*_worker_sweep, cell)
+def _pooled_cells(cells: Sequence[_Cell]) -> list[tuple[_CellRows | None, str | None]]:
+    return _run_cells(*_worker_sweep, cells)
 
 
 def _worker_count() -> int:
@@ -438,32 +439,48 @@ class SweepRows(list):
 def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
     """Execute the sweep; a failed cell is logged, counted and skipped, serial or pooled.
 
-    The noise model of every planned path is built first, once, so that a
-    noise conflict raises ValueError before any cell runs; each cell runs
-    on its path's model. Cells run one per task, serially or in a process
-    pool whose workers receive the spec and the models once, at start-up,
-    so that a task carries only its `_Cell`. The main process then
+    The noise model of every planned path is built first, once, and the
+    readout matrices that QREM will invert are checked, so that a noise
+    conflict or a singular readout raises ValueError before any cell runs;
+    each cell runs on its path's model. A sweep that plans no cell raises
+    ValueError too. Cells run serially, or in a process pool of at most one
+    worker per path whose workers receive the spec and the models once, at
+    start-up. A pool task is one path's cells, in plan order; tasks go out
+    most hops first, so that the longest paths do not finish last, and
+    their outcomes are put back in plan order. The main process then
     reconstructs and scores the rows of every finished cell in one stacked
     call; if that raises, it scores each cell alone and skips the ones
     that fail.
     """
     workers = _worker_count()
     cells = plan_cells(device, spec)
+    if not cells:
+        raise ValueError(f"no cell to run: the device has no path for hops "
+                         f"{', '.join(map(str, spec.hops))}")
     noise_models = {}
     for labels in dict.fromkeys(c.path_labels for c in cells):
         path = PathSpec(labels)
+        # a cell's QREM inverts its end qubits' matrices, and in postselect every qubit's
+        corrected = range(path.n) if "postselect" in spec.modes else (0, path.n - 1)
         try:
-            noise_models[labels] = path_noise_model(device, path, spec.noise_overrides)
-        except ValueError as exc:
+            noise = noise_models[labels] = path_noise_model(device, path, spec.noise_overrides)
+            if spec.qrem != "off":
+                for i in corrected:
+                    mitigation.confusion_inverse(noise.qubit_confusion(i), labels[i])
+        except (ValueError, mitigation.MitigationError) as exc:
             raise ValueError(f"noise on path {_path_str(path)}: {exc}") from None
-    if workers > 1 and len(cells) > 1:
+    paths = [list(block) for _, block in
+             groupby(cells, lambda c: (c.protocol, c.hops, c.path_index))]
+    if workers > 1 and len(paths) > 1:
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+        order = sorted(range(len(paths)), key=lambda i: -paths[i][0].hops)
+        with ProcessPoolExecutor(max_workers=min(workers, len(paths)), initializer=_init_worker,
                                  initargs=(spec, noise_models)) as pool:
-            outcomes = list(pool.map(_pooled_cell, cells))
+            done = dict(zip(order, pool.map(_pooled_cells, [paths[i] for i in order])))
+        outcomes = [outcome for i in range(len(paths)) for outcome in done[i]]
     else:
-        outcomes = [_run_cell(spec, noise_models, cell) for cell in cells]
+        outcomes = _run_cells(spec, noise_models, cells)
     rows = SweepRows(len(cells))
 
     def skip(cell, error):

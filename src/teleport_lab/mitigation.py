@@ -1,4 +1,8 @@
-"""Readout error mitigation and probability-simplex projection.
+"""Readout calibration, readout error mitigation and probability-simplex projection.
+
+Calibration and correction are tensored, one 2x2 confusion matrix per
+qubit, as in M3 (Nation et al., PRX Quantum 2, 040326, 2021); calibration
+draws its flip counts as binomials.
 
 Probability vectors are indexed so that bit i of the outcome index
 (weight 2^i) is the i-th measured qubit, matching the simulator and
@@ -11,15 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .channels import check_confusion_matrix, confusion_matrix, per_qubit_transform
-
-
-#: Uniform numbers a calibration holds at once, in rows of one per qubit.
-CALIBRATION_BLOCK_VALUES = 1 << 15
-# The block every calibration of this process draws into. Kept, it stays faulted
-# in: a 256 KB block allocated per call is mapped afresh, or taken from a heap
-# top that glibc has trimmed, whenever the sizes freed before it kept glibc's
-# dynamic mmap and trim thresholds low.
-_BLOCK = [np.empty(0)]
 
 
 class MitigationError(RuntimeError):
@@ -93,27 +88,15 @@ def estimate_confusion_matrices(true_confusion: Sequence[np.ndarray], shots: int
     """Calibrate per-qubit confusion matrices from simulated readout shots.
 
     Prepares the all-zeros and all-ones registers ``shots`` times each and
-    counts per-qubit flips, assuming independent qubits. The (shots, k)
-    uniforms of each register are drawn in blocks of rows that hold at most
-    `CALIBRATION_BLOCK_VALUES` numbers, into one block kept by the process;
-    the generator fills rows in order, so the draws and the counts are
-    those of one (shots, k) draw.
+    counts per-qubit flips, assuming independent qubits. A qubit's flip
+    count over independent shots is binomial, so one ``rng.binomial`` call
+    draws all 2k counts: row 0 at ``A[1, 0]``, the chance of reading 1 from
+    a prepared 0, and row 1 at ``1 - A[1, 1]``. Entries that the matrix
+    check admits just outside [0, 1] are clipped to it.
     """
     if shots <= 0:
         raise ValueError("calibration needs a positive shot count")
-    k = len(true_confusion)
     p_read1 = np.array([check_confusion_matrix(a)[1] for a in true_confusion])  # (k, prepared)
-    rows = min(shots, max(1, CALIBRATION_BLOCK_VALUES // max(k, 1)))
-    if _BLOCK[0].size < rows * k:
-        _BLOCK[0] = np.empty(max(rows * k, CALIBRATION_BLOCK_VALUES))
-    block = _BLOCK[0][:rows * k].reshape(rows, k)
-    flips = []
-    for prepared in (0, 1):
-        count = np.zeros(k, dtype=np.int64)
-        for start in range(0, shots, len(block)):
-            draws = block[:shots - start]  # the last block may be shorter
-            rng.random(out=draws)
-            read1 = draws < p_read1[:, prepared]
-            count += (~read1 if prepared else read1).sum(axis=0)
-        flips.append(count)
-    return [confusion_matrix(e01 / shots, e10 / shots) for e01, e10 in zip(*flips)]
+    flip = np.clip([p_read1[:, 0], 1.0 - p_read1[:, 1]], 0.0, 1.0)
+    e01, e10 = rng.binomial(shots, flip) / shots
+    return [confusion_matrix(a, b) for a, b in zip(e01, e10)]

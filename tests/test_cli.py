@@ -371,6 +371,27 @@ def test_run_rejects_singular_readout_override_when_correcting(line4, capsys):
                         "--mode", "dynamic,swap", "--qrem", "on"]) == 0
 
 
+def test_run_rejects_singular_device_readout_when_correcting(line4, capsys, monkeypatch):
+    # a singular readout in the device file failed every cell that corrects it
+    # and exited 1; swap and dynamic cells correct only the end qubits
+    device = json.loads((line4 / "dev.json").read_text())
+    device["qubits"][1].update(readout_err_0to1=1.0, readout_err_1to0=0.0)
+    dev, out = line4 / "singular_device.json", line4 / "singular_device.csv"
+    dev.write_text(json.dumps(device))
+    base = ["run", "--device", str(dev), "--protocol", "neg", "--hops", "1", "--paths", "1",
+            "--trials", "1", "--shots", "16", "--out", str(out)]
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        for qrem in ("on", "both"):
+            assert main(base + ["--mode", "postselect", "--qrem", qrem]) == 2
+            assert capsys.readouterr().err == ("error: noise on path 0-1-2: confusion matrix "
+                                               "for qubit 1 is singular\n")
+            assert not out.exists()
+        assert main(base + ["--mode", "postselect", "--qrem", "off"]) == 0
+        assert main(base + ["--mode", "dynamic,swap", "--qrem", "on"]) == 0
+        out.unlink()
+
+
 _ANY = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4)
         | st.lists(st.integers(-1, 3) | st.text(max_size=4), max_size=2))
 
@@ -482,7 +503,9 @@ def test_run_rejects_empty_sweeps_and_bad_worker_counts(workdir, capsys, monkeyp
                          (["--hops", "1", "--protocol", ""], "protocols"),
                          (["--hops", "1", "--mode", " "], "modes"),
                          (["--spec", str(negative_seed)], "seed"),
-                         (["--hops", "1", "--seed", "-3"], "seed")):
+                         (["--hops", "1", "--seed", "-3"], "seed"),
+                         (["--hops", "6,7"],
+                          "no cell to run: the device has no path for hops 6, 7\n")):
         assert main(base + extra) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}") and err.count("\n") == 1

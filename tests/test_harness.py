@@ -698,18 +698,71 @@ def test_each_path_noise_model_is_built_once_in_the_main_process(monkeypatch):
 
 
 def test_parallel_run_matches_serial(monkeypatch):
+    # the pool has at most one worker per path, and a one-path sweep runs serially
+    import concurrent.futures
+
+    sizes = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     device = small_device()
-    spec = ExperimentSpec(hops=(1,), protocols=("neg",), modes=("swap",),
-                          paths_per_hop=2, trials=1, shots=256, qrem="off", seed=9)
-    serial = rows_to_csv(run_experiment(device, spec))
-    monkeypatch.setenv("TELEPORT_LAB_THREADS", "2")
-    parallel = rows_to_csv(run_experiment(device, spec))
-    assert serial == parallel
+    for paths, pool_sizes in ((2, [2]), (1, [])):
+        spec = ExperimentSpec(hops=(1,), protocols=("neg",), modes=("swap",),
+                              paths_per_hop=paths, trials=2, shots=256, qrem="off", seed=9)
+        monkeypatch.delenv("TELEPORT_LAB_THREADS", raising=False)
+        serial = rows_to_csv(run_experiment(device, spec))
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", "3")
+        sizes.clear()
+        assert rows_to_csv(run_experiment(device, spec)) == serial
+        assert sizes == pool_sizes
+
+
+def test_pool_runs_one_task_per_path_most_hops_first(monkeypatch, caplog, tmp_path):
+    # a pool task is one path's cells, sent out most hops first; the outcomes
+    # and failures come back in plan order, as a serial run gives them
+    device = small_device()
+    spec = ExperimentSpec(hops=(1, 2), protocols=("neg",), modes=("swap", "postselect"),
+                          paths_per_hop=2, trials=2, shots=64, qrem="both", seed=6)
+    cells = plan_cells(device, spec)
+    bad = [cells[5], cells[6], cells[10]]  # mid-plan, in two paths
+    real = harness._cell_rows
+    started = tmp_path / "started.txt"
+
+    def flaky(noise, sp, cell):
+        with open(started, "a") as fh:  # short appends from two workers do not interleave
+            fh.write(f"{os.getpid()} {cell.hops} {cell.path_labels}\n")
+        if cell in bad:
+            raise RuntimeError("boom")
+        return real(noise, sp, cell)
+
+    monkeypatch.setattr(harness, "_cell_rows", flaky)
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        started.write_text("")
+        caplog.clear()
+        rows = run_experiment(device, spec)
+        failures = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert (rows.failed, rows.planned) == (3, 16)
+        assert len(failures) == 3 and all(str(c) in f for c, f in zip(bad, failures))
+        runs.append((rows_to_csv(rows), failures))
+    log = [line.split(" ", 2) for line in started.read_text().splitlines()]
+    assert len(log) == 16 and log[0][1] == "2"  # the first task is a two-hop path
+    workers_of = {}
+    for pid, _, labels in log:
+        workers_of.setdefault(labels, set()).add(pid)
+    assert len(workers_of) == 4 and all(len(pids) == 1 for pids in workers_of.values())
+    assert runs[0] == runs[1]
 
 
 #: SHA-256 of the CSV text of `test_sweep_csv_matches_recorded_digest`, recorded
-#: before the post-selection bins were streamed and the engine kept its buffers.
-SWEEP_DIGEST = "c8cc5c9afb9bc9f8332ec45f4f0146afbfc8af369a6dca72ebc8b60035c87fa2"
+#: when calibration flip counts became binomial draws; its QREM-off rows are
+#: those recorded before the post-selection bins were streamed.
+SWEEP_DIGEST = "22b6e17b756529a73b4c9f9434754f6862095924de93ab423583f74561f09e90"
 
 
 def test_sweep_csv_matches_recorded_digest():

@@ -1,6 +1,4 @@
 """Readout correction and simplex projection."""
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,33 +200,49 @@ def test_estimated_confusion_converges(rng):
 
 
 def one_block_calibration(true_confusion, shots: int, rng: np.random.Generator) -> list:
-    """The calibration drawn as two (shots, k) uniform matrices, one per prepared register."""
+    """The calibration drawn per shot: a (shots, k) uniform matrix per prepared register."""
     p_read1 = np.array([a[1] for a in true_confusion])
     flips0 = (rng.random((shots, len(p_read1))) < p_read1[:, 0]).sum(axis=0)
     flips1 = (rng.random((shots, len(p_read1))) >= p_read1[:, 1]).sum(axis=0)
     return [confusion_matrix(e01 / shots, e10 / shots) for e01, e10 in zip(flips0, flips1)]
 
 
-def test_calibration_blocks_draw_the_one_block_stream_in_bounded_memory():
-    # the (8192, 21) uniforms of one register held at once took 1.4 MB
+def test_binomial_calibration_matches_per_shot_draws_in_distribution():
+    # binomial flip counts replace per-shot uniforms: over many seeds, each
+    # qubit's two flip rates keep the per-shot draws' mean and variance
     truth = [confusion_matrix(e01, e10) for e01, e10
-             in np.random.default_rng(5).uniform(0.005, 0.2, size=(21, 2))]
-    for shots in (1, 1000, 1024, 3000, 8192):
-        got = estimate_confusion_matrices(truth, shots, np.random.default_rng(shots))
-        want = one_block_calibration(truth, shots, np.random.default_rng(shots))
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), shots
-    rng = np.random.default_rng(9)
-    tracemalloc.start()
-    try:
-        estimate_confusion_matrices(truth, 8192, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5e6, peak
-    # the blocks leave the generator where one block would, for the draws after them
-    one_block = np.random.default_rng(9)
-    one_block_calibration(truth, 8192, one_block)
-    assert rng.random() == one_block.random()
+             in ((0.0, 0.0), (0.013, 0.018), (0.1, 0.35), (0.5, 0.02), (1.0, 0.97))]
+    shots, seeds = 200, 500
+
+    def flip_rates(calibrate):  # (seeds, qubits, 2): rates of 0 -> 1 and of 1 -> 0
+        return np.array([[(a[1, 0], a[0, 1]) for a in
+                          calibrate(truth, shots, np.random.default_rng(seed))]
+                         for seed in range(seeds)])
+
+    got, want = flip_rates(estimate_confusion_matrices), flip_rates(one_block_calibration)
+
+    def mean_var(x):  # sample mean and variance, with their standard errors
+        var = x.var(axis=0, ddof=1)
+        fourth = ((x - x.mean(axis=0)) ** 4).mean(axis=0)
+        var_se = np.sqrt(np.abs(fourth - var ** 2) / seeds)
+        return x.mean(axis=0), np.sqrt(var / seeds), var, var_se
+
+    g_mean, g_mean_se, g_var, g_var_se = mean_var(got)
+    w_mean, w_mean_se, w_var, w_var_se = mean_var(want)
+    assert np.all(np.abs(g_mean - w_mean) <= 5 * np.hypot(g_mean_se, w_mean_se))
+    assert np.all(np.abs(g_var - w_var) <= 5 * np.hypot(g_var_se, w_var_se))
+    # the sure flips of qubits 0 and 4 stay exact
+    assert np.all(got[:, 0] == 0) and np.all(got[:, 4, 0] == 1)
+
+
+def test_calibration_clips_entries_just_outside_the_unit_interval(rng):
+    # the matrix check admits entries 1e-12 outside [0, 1]; binomial draws reject them
+    eps = 1e-12
+    near_identity = np.array([[1 + eps, -eps], [-eps, 1 + eps]])
+    near_swap = np.array([[-eps, 1 + eps], [1 + eps, -eps]])
+    est = estimate_confusion_matrices([near_identity, near_swap], 1000, rng)
+    assert np.array_equal(est[0], np.eye(2))
+    assert np.array_equal(est[1], [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_estimated_confusion_rejects_zero_shots(rng):
