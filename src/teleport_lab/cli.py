@@ -84,6 +84,7 @@ def _csv_list(text: str) -> tuple[str, ...]:
 
 
 def cmd_gen_device(args) -> int:
+    _check_out_paths(args.out)
     given = {flag: getattr(args, flag) for flag in _DISTRIBUTION_FLAGS
              if getattr(args, flag) is not None}
     device = pathfinder.synthesize_device(topology=args.topology, seed=args.seed,
@@ -94,6 +95,7 @@ def cmd_gen_device(args) -> int:
 
 
 def cmd_find_paths(args) -> int:
+    _check_out_paths(args.out)
     check_number("--qubits", args.qubits, 2, MAX_PATH_QUBITS, integer=True)
     device = pathfinder.ingest_device(args.device)
     graph = pathfinder.edge_weights(device, args.protocol)
@@ -160,7 +162,7 @@ def _decay_noise(args) -> NoiseModel:
         graph = pathfinder.edge_weights(device, "gate_fid")
         best = pathfinder.find_best_paths(graph, 2, 1, "gate_fid")
         if not best.paths:
-            raise SystemExit("device has no usable edge for the decay experiment")
+            raise ValueError("device has no usable edge for the decay experiment")
         pair = best.paths[0].qubits
         return harness.path_noise_model(device, harness.PathSpec(pair))
     readout = [confusion_matrix(DEFAULT_READOUT_01, DEFAULT_READOUT_10)] * 2

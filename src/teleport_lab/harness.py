@@ -46,9 +46,10 @@ def _plain(value):
 class ExperimentSpec:
     """Declarative sweep configuration.
 
-    The constructor checks every field and keeps one plain form of each:
-    `hops`, `protocols` and `modes` as tuples, and `noise_overrides` as JSON
-    numbers and lists, so that `from_json(spec.to_json()) == spec`.
+    The constructor makes every check that needs no path and keeps one plain
+    form of each field: `hops`, `protocols` and `modes` as tuples, and
+    `noise_overrides` as JSON numbers and lists, so that
+    `from_json(spec.to_json()) == spec`.
     """
 
     hops: tuple[int, ...] = tuple(range(1, 20))
@@ -86,30 +87,11 @@ class ExperimentSpec:
         if self.qrem not in ("on", "off", "both"):
             raise ValueError("qrem must be on, off or both")
         try:
-            # a time the overrides leave out comes from each path's device, whose model
-            # checks it; an infinite T1 and a zero T2, which fit any partner, stand in for it
-            noise = NoiseModel(**{"t1_us": inf, "t2_us": 0.0, **self.noise_overrides})
+            # the values only, as each path's model checks their lengths; T1 inf and T2 0,
+            # which fit any partner, stand in for a time left to the paths' devices
+            NoiseModel(**{"t1_us": inf, "t2_us": 0.0, **self.noise_overrides})
         except TypeError as exc:  # an unknown key, or overrides that are no mapping
             raise ValueError(f"invalid noise overrides: {exc}") from None
-        longest = max(self.hops) + 2
-        if noise.readout and len(noise.readout) < longest:
-            raise ValueError(f"noise override readout has {len(noise.readout)} confusion "
-                             f"matrices; paths of {longest} qubits need one per qubit")
-        if noise.readout and self.qrem != "off":
-            # a cell's QREM inverts its end qubits' matrices, and in postselect every qubit's
-            corrected = (range(longest) if "postselect" in self.modes
-                         else sorted({0, *(h + 1 for h in self.hops)}))
-            try:
-                for i in corrected:
-                    mitigation.confusion_inverse(noise.readout[i], i)
-            except mitigation.MitigationError as exc:
-                raise ValueError(f"noise override readout: {exc}") from None
-        for name, need in (("two_qubit_depol", longest - 1), ("t1_us", longest),
-                           ("t2_us", longest)):
-            values = getattr(noise, name)
-            if isinstance(values, list) and len(values) < need:
-                raise ValueError(f"noise override {name} has {len(values)} values; paths of "
-                                 f"{longest} qubits need {need}")
         self.noise_overrides = {key: _plain(value) for key, value in self.noise_overrides.items()}
 
     @property
@@ -155,10 +137,13 @@ def path_noise_model(device: DeviceModel, path: PathSpec,
                      overrides: dict | None = None) -> NoiseModel:
     """Path-local noise model; position i carries the calibration of label i.
 
-    An override replaces the device's values of its own key only.
+    An override replaces the device's values of its own key only. A listed
+    field shorter than the path needs raises ValueError: `two_qubit_depol`
+    needs one value per edge, `t1_us` and `t2_us` one per qubit, and a
+    non-empty `readout` one matrix per qubit.
     """
     cals = [device.qubit(label) for label in path.qubit_labels]
-    return NoiseModel(**{
+    noise = NoiseModel(**{
         "one_qubit_depol": channels.DEFAULT_ONE_QUBIT_DEPOL,
         "readout": [confusion_matrix(c.readout_err_0to1, c.readout_err_1to0) for c in cals],
         "two_qubit_depol": [device.edge(a, b).gate_error
@@ -166,6 +151,12 @@ def path_noise_model(device: DeviceModel, path: PathSpec,
         "t1_us": [c.t1_us for c in cals],
         "t2_us": [c.t2_us for c in cals],
         **(overrides or {})})
+    for name, need in (("two_qubit_depol", path.n - 1), ("t1_us", path.n), ("t2_us", path.n),
+                       ("readout", path.n if noise.readout else 0)):
+        values = getattr(noise, name)
+        if isinstance(values, list) and len(values) < need:
+            raise ValueError(f"{name} has {len(values)} values; the path needs {need}")
+    return noise
 
 
 def mitigated_pair_distributions(result: TransportResult, qrem: bool,
@@ -403,7 +394,6 @@ def _worker_count() -> int:
 def plan_cells(device: DeviceModel, spec: ExperimentSpec) -> list[_Cell]:
     """Deterministic cell grid with per-cell seeds derived from the master seed."""
     cells: list[_Cell] = []
-    searches: dict[tuple[str, int], list] = {}
     for protocol in spec.protocols:
         graph = pathfinder.edge_weights(device, protocol)
         for hops in spec.hops:
@@ -411,19 +401,14 @@ def plan_cells(device: DeviceModel, spec: ExperimentSpec) -> list[_Cell]:
             if not found.complete:
                 log.warning("protocol %s, hops %d: only %d path(s) available",
                             protocol, hops, len(found.paths))
-            searches[(protocol, hops)] = found.paths
-    counter = 0
-    for protocol in spec.protocols:
-        for hops in spec.hops:
-            for path_index, wpath in enumerate(searches[(protocol, hops)]):
+            for path_index, wpath in enumerate(found.paths):
                 for trial in range(spec.trials):
                     for mode in spec.modes:
                         child = np.random.SeedSequence(entropy=spec.seed,
-                                                       spawn_key=(counter,))
+                                                       spawn_key=(len(cells),))
                         seed = int(child.generate_state(1, np.uint64)[0])
                         cells.append(_Cell(protocol, hops, path_index, wpath.qubits,
                                            trial, mode, seed))
-                        counter += 1
     return cells
 
 
@@ -441,16 +426,16 @@ def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
 
     The noise model of every planned path is built first, once, and the
     readout matrices that QREM will invert are checked, so that a noise
-    conflict or a singular readout raises ValueError before any cell runs;
-    each cell runs on its path's model. A sweep that plans no cell raises
-    ValueError too. Cells run serially, or in a process pool of at most one
-    worker per path whose workers receive the spec and the models once, at
-    start-up. A pool task is one path's cells, in plan order; tasks go out
-    most hops first, so that the longest paths do not finish last, and
-    their outcomes are put back in plan order. The main process then
-    reconstructs and scores the rows of every finished cell in one stacked
-    call; if that raises, it scores each cell alone and skips the ones
-    that fail.
+    conflict, a listed field shorter than the path or a singular readout
+    raises ValueError before any cell runs; each cell runs on its path's
+    model. A sweep that plans no cell raises ValueError too. Cells run
+    serially, or in a process pool of at most one worker per path whose
+    workers receive the spec and the models once, at start-up. A pool task
+    is one path's cells, in plan order; tasks go out most hops first, so
+    that the longest paths do not finish last, and their outcomes are put
+    back in plan order. The main process then reconstructs and scores the
+    rows of every finished cell in one stacked call; if that raises, it
+    scores each cell alone and skips the ones that fail.
     """
     workers = _worker_count()
     cells = plan_cells(device, spec)

@@ -91,12 +91,13 @@ def estimate_confusion_matrices(true_confusion: Sequence[np.ndarray], shots: int
     counts per-qubit flips, assuming independent qubits. A qubit's flip
     count over independent shots is binomial, so one ``rng.binomial`` call
     draws all 2k counts: row 0 at ``A[1, 0]``, the chance of reading 1 from
-    a prepared 0, and row 1 at ``1 - A[1, 1]``. Entries that the matrix
-    check admits just outside [0, 1] are clipped to it.
+    a prepared 0, and row 1 at ``1 - A[1, 1]``. The matrices are taken as
+    checked, as ``NoiseModel.qubit_confusion`` serves them; entries that
+    the matrix check admits just outside [0, 1] are clipped to it.
     """
     if shots <= 0:
         raise ValueError("calibration needs a positive shot count")
-    p_read1 = np.array([check_confusion_matrix(a)[1] for a in true_confusion])  # (k, prepared)
+    p_read1 = np.array([a[1] for a in true_confusion])  # (k, prepared)
     flip = np.clip([p_read1[:, 0], 1.0 - p_read1[:, 1]], 0.0, 1.0)
     e01, e10 = rng.binomial(shots, flip) / shots
     return [confusion_matrix(a, b) for a, b in zip(e01, e10)]

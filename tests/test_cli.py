@@ -241,7 +241,7 @@ def test_run_with_spec_file(workdir):
     assert {r.mode for r in rows} == {"swap"}
 
 
-def test_run_rejects_bad_spec_inputs_with_one_line_error(workdir, capsys):
+def test_run_rejects_bad_spec_inputs_with_one_line_error(workdir, capsys, monkeypatch):
     dev = workdir / "dev.json"
     spec_file = workdir / "bogus_spec.json"
     spec_file.write_text('{"hops": [1], "bogus": 1}')
@@ -249,21 +249,25 @@ def test_run_rejects_bad_spec_inputs_with_one_line_error(workdir, capsys):
     assert main(["run", "--device", str(dev), "--spec", str(spec_file), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: unknown ExperimentSpec keys: bogus\n"
-    short_readout = json.dumps({"readout": [[[1, 0], [0, 1]]]})
-    assert main(["run", "--device", str(dev), "--hops", "1", "--noise-overrides", short_readout,
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: noise override readout has 1") and err.count("\n") == 1
     # per-edge gate errors outside [0, 1], short per-edge or per-qubit lists and
-    # negative per-qubit times used to run silently or fail every cell
-    for field, value in (("two_qubit_depol", [-0.5] * 8), ("two_qubit_depol", [1.7] * 8),
-                         ("two_qubit_depol", [0.01]), ("t1_us", [30]), ("t2_us", [20]),
-                         ("t1_us", [-30] * 8)):
-        overrides = json.dumps({field: value})
-        assert main(["run", "--device", str(dev), "--hops", "1", "--noise-overrides", overrides,
-                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and field in err and err.count("\n") == 1
+    # negative per-qubit times used to run silently or fail every cell; a short
+    # list is named with the first planned path that it does not cover
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        for field, value, message in (
+                ("readout", [[[1, 0], [0, 1]]], "readout has 1 values; the path needs 3"),
+                ("two_qubit_depol", [-0.5] * 8, None), ("two_qubit_depol", [1.7] * 8, None),
+                ("two_qubit_depol", [0.01], "two_qubit_depol has 1 values; the path needs 2"),
+                ("t1_us", [30], "t1_us has 1 values; the path needs 3"),
+                ("t2_us", [20], "t2_us has 1 values; the path needs 3"),
+                ("t1_us", [-30] * 8, None)):
+            overrides = json.dumps({field: value})
+            assert main(["run", "--device", str(dev), "--hops", "1", "--noise-overrides",
+                         overrides, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and field in err and err.count("\n") == 1
+            if message:
+                assert re.fullmatch(rf"error: noise on path \d+-\d+-\d+: {message}\n", err)
     assert not out.exists()
 
 
@@ -350,25 +354,44 @@ def test_run_rejects_repeated_sweep_values(workdir, capsys):
     assert not out.exists()
 
 
-def test_run_rejects_singular_readout_override_when_correcting(line4, capsys):
+def test_run_rejects_singular_readout_override_when_correcting(line4, capsys, monkeypatch):
     # a singular override failed every cell that corrects it and exited 1; swap and
     # dynamic cells correct only the end qubits, postselect cells every qubit
     dev, out = line4 / "dev.json", line4 / "singular_override.csv"
     eye, singular = [[1, 0], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]
     base = ["run", "--device", str(dev), "--hops", "1", "--paths", "1", "--trials", "1",
             "--shots", "16", "--out", str(out)]
-    for readout, mode, qubit in (([singular] * 3, "swap", 0),
-                                 ([eye, singular, eye], "postselect", 1)):
-        overrides = ["--noise-overrides", json.dumps({"readout": readout}), "--mode", mode]
-        for qrem in ("on", "both"):
-            assert main(base + overrides + ["--qrem", qrem]) == 2
-            assert capsys.readouterr().err == ("error: noise override readout: confusion matrix "
-                                               f"for qubit {qubit} is singular\n")
-        assert not out.exists()
-        assert main(base + overrides + ["--qrem", "off"]) == 0
-        out.unlink()
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        for readout, mode, qubit in (([singular] * 3, "swap", 0),
+                                     ([eye, singular, eye], "postselect", 1)):
+            overrides = ["--noise-overrides", json.dumps({"readout": readout}), "--mode", mode]
+            for qrem in ("on", "both"):
+                assert main(base + overrides + ["--qrem", qrem]) == 2
+                assert capsys.readouterr().err == ("error: noise on path 0-1-2: confusion "
+                                                   f"matrix for qubit {qubit} is singular\n")
+            assert not out.exists()
+            assert main(base + overrides + ["--qrem", "off"]) == 0
+            out.unlink()
     assert main(base + ["--noise-overrides", json.dumps({"readout": [eye, singular, eye]}),
                         "--mode", "dynamic,swap", "--qrem", "on"]) == 0
+
+
+def test_run_checks_list_overrides_against_the_planned_paths_only(line4, caplog, monkeypatch):
+    # a two-edge gate error list was rejected for the 32-qubit paths of hops 30,
+    # which a line:4 device does not hold; the planned paths have two edges
+    dev, out = line4 / "dev.json", line4 / "planned_paths.csv"
+    base = ["run", "--device", str(dev), "--hops", "1,30", "--paths", "1", "--trials", "1",
+            "--shots", "16", "--noise-overrides", json.dumps({"two_qubit_depol": [0.01, 0.02]})]
+    csvs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        caplog.clear()
+        assert main(base + ["--out", str(out)]) == 0
+        assert "hops 30: only 0 path(s)" in caplog.text
+        csvs.append(out.read_bytes())
+        assert {row.hops for row in read_csv_rows(str(out))} == {1}
+    assert csvs[0] == csvs[1]
 
 
 def test_run_rejects_singular_device_readout_when_correcting(line4, capsys, monkeypatch):
@@ -671,11 +694,9 @@ def test_missing_device_file_exits_nonzero(workdir, capsys):
 def test_file_errors_end_early_in_one_line(workdir, capsys, monkeypatch):
     # a folder given for a file used to end in an IsADirectoryError traceback and
     # exit 1, and a missing --out folder failed only after the whole sweep had run
-    for argv in (["find-paths", "--device", str(workdir), "-n", "3"],
-                 ["gen-device", "--topology", "line:3", "--out", str(workdir)]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+    assert main(["find-paths", "--device", str(workdir), "-n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the output paths were checked")
@@ -695,6 +716,35 @@ def test_file_errors_end_early_in_one_line(workdir, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not missing.parent.exists() and not (workdir / "d.csv").exists()
+
+
+def test_gen_device_and_find_paths_check_out_paths_before_any_work(workdir, capsys,
+                                                                  monkeypatch):
+    # gen-device synthesized the whole device, and find-paths printed its whole
+    # ranking, before a missing --out folder ended them with exit status 2
+    dev = workdir / "dev.json"
+    missing = workdir / "missing_out" / "x.json"
+    for argv in (["gen-device", "--topology", "line:3", "--out"],
+                 ["find-paths", "--device", str(dev), "-n", "3", "--out"]):
+        for out, message in ((missing, f"output directory {str(missing.parent)!r} does not "
+                                       "exist"),
+                             (workdir, f"output path {str(workdir)!r} is a directory")):
+            assert main(argv + [str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not missing.parent.exists()
+
+
+def test_decay_rejects_a_device_without_a_usable_edge(tmp_path, capsys):
+    # this used to end with exit status 1 and a bare message, raised as SystemExit
+    dev, out = tmp_path / "undefined.json", tmp_path / "never.csv"
+    assert main(["gen-device", "--topology", "line:3", "--undefined-edges", "2",
+                 "--out", str(dev)]) == 0
+    capsys.readouterr()
+    assert main(["decay", "--device", str(dev), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: device has no usable edge for the decay "
+                                       "experiment\n")
+    assert not out.exists()
 
 
 def test_singular_readout_calibration_exits_nonzero(workdir, capsys):

@@ -68,37 +68,82 @@ def test_spec_rejects_bad_noise_overrides():
     assert ExperimentSpec(noise_overrides=NOISELESS_OVERRIDES).noise_overrides
 
 
-def test_spec_rejects_readout_override_shorter_than_longest_path():
+def _rejected_before_any_cell(monkeypatch, device, spec, match):
+    """run_experiment raises ValueError matching `match`, serially and on two workers,
+    before any cell runs or any pool starts."""
+    import concurrent.futures
+
+    started = []
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_run_cells", lambda *args: started.append("cells"))
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                      lambda *args, **kwargs: started.append("pool"))
+        for workers in ("1", "2"):
+            patch.setenv("TELEPORT_LAB_THREADS", workers)
+            with pytest.raises(ValueError, match=match):
+                run_experiment(device, spec)
+    assert not started
+
+
+#: A sweep of several three-qubit paths, so that two workers start a pool.
+SHORT_SWEEP = dict(protocols=("neg",), modes=("swap",), paths_per_hop=2, trials=1, shots=16)
+
+
+def test_run_rejects_readout_override_shorter_than_a_path(monkeypatch):
     # each path position reads its own confusion matrix, so a short list
-    # would fail every cell of the sweep instead of the spec
+    # would fail every cell of the path instead of the run
     three = [confusion_matrix(0.01, 0.02)] * 3
-    assert ExperimentSpec(hops=(1,), noise_overrides={"readout": three}).noise_overrides
-    with pytest.raises(ValueError, match="readout has 3 confusion matrices"):
-        ExperimentSpec(hops=(1, 2), noise_overrides={"readout": three})
+    device = small_device()
+    assert run_experiment(device, ExperimentSpec(hops=(1,), noise_overrides={"readout": three},
+                                                 **SHORT_SWEEP))
+    _rejected_before_any_cell(
+        monkeypatch, device, ExperimentSpec(hops=(1, 2), noise_overrides={"readout": three},
+                                            **SHORT_SWEEP),
+        r"^noise on path \d+(-\d+){3}: readout has 3 values; the path needs 4$")
     assert ExperimentSpec(hops=(5,), noise_overrides={"readout": []}).noise_overrides == {
         "readout": []}
+    assert run_experiment(small_device(7), ExperimentSpec(
+        hops=(5,), noise_overrides={"readout": []}, **SHORT_SWEEP))
 
 
 @pytest.mark.parametrize("field, value, message", [
     ("two_qubit_depol", [-0.5, 0.01], r"must be a number in \[0, 1\]"),
     ("two_qubit_depol", [1.7, 0.01], r"must be a number in \[0, 1\]"),
-    ("two_qubit_depol", [0.01], "has 1 values"),
-    ("two_qubit_depol", [], "has 0 values"),
-    ("t1_us", [30.0], "has 1 values"),
-    ("t2_us", [20.0], "has 1 values"),
     ("t1_us", [-30.0, 30.0, 30.0], r"must be a number in \[0, inf\]"),
     ("t2_us", [20.0, -1.0, 20.0], r"must be a number in \[0, inf\]")], ids=[
-    "depol-negative", "depol-above-one", "depol-short", "depol-empty", "t1-short", "t2-short",
-    "t1-negative", "t2-negative"])
+    "depol-negative", "depol-above-one", "t1-negative", "t2-negative"])
 def test_spec_rejects_bad_per_position_noise_overrides(field, value, message):
-    # out-of-range gate errors used to run as p = 0 or p = 1, and short lists
-    # or negative times failed every cell instead of the spec
+    # out-of-range gate errors used to run as p = 0 or p = 1, and negative
+    # times failed every cell instead of the spec
     with pytest.raises(ValueError, match=f"{field}.*{message}"):
         ExperimentSpec(hops=(1,), noise_overrides={field: value})
     with pytest.raises(ValueError, match=field):
         ExperimentSpec.from_json(json.dumps({"hops": [1], "noise_overrides": {field: value}}))
     fits = [0.01] * 2 if field == "two_qubit_depol" else [30.0] * 3
     assert ExperimentSpec(hops=(1,), noise_overrides={field: fits}).noise_overrides
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("two_qubit_depol", [0.01], "has 1 values"),
+    ("two_qubit_depol", [], "has 0 values"),
+    ("t1_us", [30.0], "has 1 values"),
+    ("t2_us", [20.0], "has 1 values")], ids=["depol-short", "depol-empty", "t1-short",
+                                             "t2-short"])
+def test_run_rejects_per_position_noise_overrides_shorter_than_a_path(monkeypatch, field, value,
+                                                                      message):
+    # short lists failed every cell instead of the run; a spec knows no path,
+    # so each path's model checks them, before any cell runs
+    device = small_device()
+    need = 2 if field == "two_qubit_depol" else 3
+    for spec in (ExperimentSpec(hops=(1,), noise_overrides={field: value}, **SHORT_SWEEP),
+                 ExperimentSpec.from_json(json.dumps({"hops": [1], **SHORT_SWEEP,
+                                                      "noise_overrides": {field: value}}))):
+        _rejected_before_any_cell(monkeypatch, device, spec,
+                                  rf"^noise on path \d+-\d+-\d+: {field} {message}; "
+                                  rf"the path needs {need}$")
+    fits = [0.01] * 2 if field == "two_qubit_depol" else [30.0] * 3
+    assert run_experiment(device, ExperimentSpec(hops=(1,), noise_overrides={field: fits},
+                                                 **SHORT_SWEEP))
 
 
 @pytest.mark.parametrize("key", ["two_qubit_depol_per_edge", "t1_per_qubit_us",
