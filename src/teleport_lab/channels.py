@@ -6,7 +6,8 @@ Kraus branch weights of its idle decay. The exact channel forms at the
 bottom act on small density matrices by reshaping, without embedding any
 operator in the full space. `exact_pair_distributions` is the one exact
 two-qubit route: `gen-device` edge negativities, `decay --shots 0` and the
-oracle of the sampled idle pair all come from it.
+oracle of the sampled idle pair all come from it. `per_qubit_transform`
+gives that route its readout, and `mitigation.qrem_correct` its correction.
 """
 from __future__ import annotations
 
@@ -48,7 +49,8 @@ def check_number(name: str, value, low: float = -inf, high: float = inf, *,
             else abs(value) <= _FLOAT_MAX or abs(value) == inf and not finite):
         return value
     kind = "an integer" if integer else "a finite number" if finite else "a number"
-    bounds = f" in [{low:g}, {high:g}]" if (low, high) != (-inf, inf) else ""
+    spell = str if integer else "{:g}".format  # integer bounds in full, not as 1e+06
+    bounds = f" in [{spell(low)}, {spell(high)}]" if (low, high) != (-inf, inf) else ""
     raise ValueError(f"{name} must be {kind}{bounds}, got {value if real else repr(value)}")
 
 
@@ -206,20 +208,17 @@ def depolarizing_channel(rho: np.ndarray, qubits: Sequence[int], p: float) -> np
 def per_qubit_transform(probs: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Apply one 2x2 matrix per measured qubit, one tensor axis at a time.
 
-    Outcome index bit i (weight 2^i) belongs to the i-th matrix.
+    Takes one outcome vector or a ``(..., 2^k)`` stack of them; outcome
+    index bit i (weight 2^i) belongs to the i-th matrix. The matrices are
+    used as given, so a caller checks them first.
     """
     k = len(matrices)
-    out = np.asarray(probs, dtype=float)
-    if out.shape != (1 << k,):
+    probs = out = np.asarray(probs, dtype=float)
+    if probs.shape[-1:] != (1 << k,):
         raise ValueError(f"expected {1 << k} outcomes for {k} per-qubit matrices")
     for i, a in enumerate(matrices):
-        out = np.einsum("ij,ajb->aib", a, out.reshape(-1, 2, 1 << i)).reshape(-1)
-    return out
-
-
-def readout_channel(probs: np.ndarray, confusion: Sequence[np.ndarray]) -> np.ndarray:
-    """Exact action of per-qubit readout confusion on an outcome distribution."""
-    return per_qubit_transform(probs, [check_confusion_matrix(a) for a in confusion])
+        out = np.einsum("ij,ajb->aib", a, out.reshape(-1, 2, 1 << i))
+    return out.reshape(probs.shape)
 
 
 def exact_pair_distributions(noise: NoiseModel, delay_us: float = 0.0) -> np.ndarray:
@@ -236,17 +235,16 @@ def exact_pair_distributions(noise: NoiseModel, delay_us: float = 0.0) -> np.nda
     rho = depolarizing_channel(rho * np.outer(cz_signs, cz_signs), (0, 1), noise.edge_depol(0))
     for q in (0, 1):
         rho = idle_channel(rho, q, *decay_probabilities(delay_us, *noise.qubit_t1t2(q)))
-    confusion = [noise.qubit_confusion(0), noise.qubit_confusion(1)]
     # 4x4 products: a reshaped form sums in another order, which moves
     # gen-device negativities by up to 5e-16
     eye = np.eye(2, dtype=complex)
-    out = np.empty((len(BASIS_PAIRS), 4))
-    for row, pair in zip(out, BASIS_PAIRS):
+    diagonals = np.empty((len(BASIS_PAIRS), 4))
+    for row, pair in zip(diagonals, BASIS_PAIRS):
         rotated = rho
         for q, axis in enumerate(pair):
             for g in rotation_gates(axis):
                 u = np.kron(GATE_MATRICES[g], eye) if q == 1 else np.kron(eye, GATE_MATRICES[g])
                 rotated = depolarizing_channel(u @ rotated @ u.conj().T, (q,),
                                                noise.one_qubit_depol)
-        row[:] = readout_channel(np.real(np.diag(rotated)), confusion)
-    return out
+        row[:] = np.real(np.diag(rotated))
+    return per_qubit_transform(diagonals, [noise.qubit_confusion(0), noise.qubit_confusion(1)])

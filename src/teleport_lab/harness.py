@@ -30,6 +30,10 @@ log = logging.getLogger("teleport_lab")
 CALIBRATION_SHOTS = 8192
 #: Keys per chunk of `mitigated_category_distributions`, which bounds its per-key arrays.
 CATEGORY_CHUNK_KEYS = 4096
+#: Count bounds of a sweep and of decay shots: a mistyped count fails before it sizes memory.
+MAX_SHOTS = 1_000_000
+MAX_TRIALS = 1_000
+MAX_PATHS_PER_HOP = 1_000
 CSV_HEADER_COMMENT = "# teleport-lab results v1"
 CSV_COLUMNS = ("mode", "protocol", "hops", "path", "trial", "qrem", "configuration",
                "negativity", "fidelity", "shots", "seed")
@@ -79,8 +83,10 @@ class ExperimentSpec:
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat a value, got {list(values)}")
             setattr(self, name, tuple(map(int if allowed is None else str, values)))
-        for name, low in (("shots", 1), ("trials", 1), ("paths_per_hop", 1), ("seed", 0)):
-            setattr(self, name, int(check_number(name, getattr(self, name), low, integer=True)))
+        for name, low, high in (("shots", 1, MAX_SHOTS), ("trials", 1, MAX_TRIALS),
+                                ("paths_per_hop", 1, MAX_PATHS_PER_HOP), ("seed", 0, inf)):
+            setattr(self, name, int(check_number(name, getattr(self, name), low, high,
+                                                 integer=True)))
         if not isinstance(self.simplified_correction, bool):
             raise ValueError(f"simplified_correction must be a boolean, "
                              f"got {self.simplified_correction!r}")
@@ -93,6 +99,14 @@ class ExperimentSpec:
         except TypeError as exc:  # an unknown key, or overrides that are no mapping
             raise ValueError(f"invalid noise overrides: {exc}") from None
         self.noise_overrides = {key: _plain(value) for key, value in self.noise_overrides.items()}
+        # protocols.schedule reads both only in mode dynamic
+        if "dynamic" not in self.modes:
+            for name, given in (("simplified_correction", self.simplified_correction),
+                                ("dynamic_correction_latency_us",
+                                 "dynamic_correction_latency_us" in self.noise_overrides)):
+                if given:
+                    raise ValueError(f"{name} takes effect only in mode dynamic, and modes "
+                                     f"holds only {', '.join(self.modes)}")
 
     @property
     def qrem_flags(self) -> tuple[bool, ...]:
@@ -183,10 +197,9 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     positions, with s+- = inv_i[0, x_i] +- inv_i[1, x_i]. The nine bases
     run in chunks of consecutive bases that hold at most
     `CATEGORY_CHUNK_KEYS` keys (or one basis, when it alone holds more), so
-    its work arrays hold one entry per key of the largest chunk. The
-    products run over the positions in order and each bin is summed per
-    basis by one `np.bincount`, so a bin has the same bits however the
-    bases are chunked.
+    its per-key arrays hold one entry per key of a chunk. The products run
+    over the positions in order and each bin is summed per basis by one
+    `np.bincount`, so a bin has the same bits however the bases are chunked.
     Each configuration's conditional vector per basis is then projected onto
     the simplex, which keeps shot-starved bins at long path lengths from
     being clipped away as a projection of the sparse joint would.
@@ -206,13 +219,8 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
             start, held = b, 0
         held += len(rows)
     chunks.append(slice(start, len(counts)))
-    # the per-key work rows of every chunk, allocated once: a chunk's own
-    # temporaries, freed at its end, let glibc trim the top of the heap and
-    # fault it in again for the next chunk
-    size = max(sum(map(len, counts[chunk])) for chunk in chunks)
-    floats, ints = np.empty((7, size)), np.empty((4, size), np.int64)
-    by_basis = np.concatenate([_category_bins(counts[chunk], result.shots_per_basis, inverses,
-                                              floats, ints) for chunk in chunks])
+    by_basis = np.concatenate([_category_bins(counts[chunk], result.shots_per_basis, inverses)
+                               for chunk in chunks])
 
     configs = protocols.reachable_configurations(result.path.hops)
     # (basis, configuration, t) bins of each configuration's four pair outcomes
@@ -227,47 +235,29 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     return configs, mean_weights, probs.swapaxes(0, 1)
 
 
-def _category_bins(counts: Sequence[np.ndarray], shots: int, inverses: np.ndarray,
-                   floats: np.ndarray, ints: np.ndarray) -> np.ndarray:
-    """(bases, 16) bins of the given bases' key rows, summed per basis in key order.
-
-    The per-key arrays that live through the chunk are rows of the (7, keys)
-    float64 and (4, keys) int64 work arrays; only a step's own one or two
-    temporaries are new.
-    """
-    n, size = len(inverses), sum(map(len, counts))
-    freqs, plus, weights, *parities = floats[:, :size]  # parities: z0, z1, x0, x1
-    keys, hits, basis, last = ints[:, :size]
-    np.copyto(ints[:2, :size], np.concatenate(counts).T)
-    np.divide(hits, shots, out=freqs)
-    basis[:] = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
+def _category_bins(counts: Sequence[np.ndarray], shots: int, inverses: np.ndarray) -> np.ndarray:
+    """(bases, 16) bins of the given bases' key rows, summed per basis in key order."""
+    n = len(inverses)
+    keys, hits = np.concatenate(counts).T
+    freqs = hits / shots
+    basis = np.repeat(np.arange(len(counts)), [len(c) for c in counts])
     s_plus, s_minus = inverses[:, 0] + inverses[:, 1], inverses[:, 0] - inverses[:, 1]
     # (parity 0, parity 1) factors (prod s+ +- prod s-) / 2 of the odd and the even positions
-    for positions, (zero, one) in zip((range(1, n - 1, 2), range(2, n - 1, 2)),
-                                      (parities[:2], parities[2:])):
-        minus = one  # holds the product of s- until parity 1 replaces it
-        plus[:], minus[:] = 1.0, 1.0
+    factors = []
+    for positions in (range(1, n - 1, 2), range(2, n - 1, 2)):
+        plus = minus = np.ones(len(keys))
         for pos in positions:
             bit = (keys >> pos) & 1
-            plus *= s_plus[pos][bit]
-            minus *= s_minus[pos][bit]
-        np.add(plus, minus, out=zero)
-        np.subtract(plus, minus, out=one)
-        zero /= 2
-        one /= 2
-    z, x = parities[:2], parities[2:]
-    first = hits  # the hits are read
-    np.bitwise_and(keys, 1, out=first)
-    np.bitwise_and(keys >> (n - 1), 1, out=last)
-    pair = plus
+            plus = plus * s_plus[pos][bit]
+            minus = minus * s_minus[pos][bit]
+        factors.append(((plus + minus) / 2, (plus - minus) / 2))
+    z, x = factors
+    first, last = keys & 1, (keys >> (n - 1)) & 1
     bins = np.empty((len(counts), 16))
     for t in range(4):  # bin z | x << 1 | t0 << 2 | t1 << 3, with t = t0 | t1 << 1
-        np.multiply(freqs, inverses[-1][t >> 1, last], out=pair)
-        pair *= inverses[0][t & 1, first]
+        pair = freqs * inverses[-1][t >> 1, last] * inverses[0][t & 1, first]
         for xz in range(4):
-            np.multiply(x[xz >> 1], z[xz & 1], out=weights)
-            bins[:, 4 * t + xz] = np.bincount(basis, np.multiply(pair, weights, out=weights),
-                                              len(counts))
+            bins[:, 4 * t + xz] = np.bincount(basis, pair * (x[xz >> 1] * z[xz & 1]), len(counts))
     return bins
 
 
@@ -531,7 +521,7 @@ def run_decay_experiment(delays_us: Sequence[float], noise: NoiseModel, shots: i
     """
     if len(delays_us) == 0:
         raise ValueError("delays must list at least one delay")
-    check_number("shots", shots, 0, integer=True)
+    check_number("shots", shots, 0, MAX_SHOTS, integer=True)
     check_number("seed", seed, 0, integer=True)
     confusion = [noise.qubit_confusion(0), noise.qubit_confusion(1)]
     probs = []

@@ -152,30 +152,43 @@ def fidelity(rho: np.ndarray, ideal: np.ndarray):
     return float(overlap) if overlap.ndim == 0 else overlap
 
 
-def project_eigenvalues(eigvals: np.ndarray) -> np.ndarray:
-    """Closest probability-simplex point to a unit-sum eigenvalue list, sorted descending.
+def michelot_project(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex, of one vector or of each row of a stack.
 
-    Repeatedly zeroes the most negative eigenvalue and spreads the deficit
-    uniformly over the remaining ones. Takes one list or a stack of them
-    along the last axis.
+    Iteratively shifts the active entries by the common slack and drops
+    the ones that fall to zero or below, until all retained entries
+    exceed the shift. Each row keeps its own active set and stops on its
+    own.
     """
-    vals = np.sort(np.asarray(eigvals, dtype=float), axis=-1)[..., ::-1]
-    d = vals.shape[-1]
-    acc = np.zeros(vals.shape[:-1])
-    kept = np.full(vals.shape[:-1], d)
-    for i in range(d, 0, -1):
-        drop = (kept == i) & (vals[..., i - 1] + acc / i < 0)
-        acc = np.where(drop, acc + vals[..., i - 1], acc)
-        kept = np.where(drop, i - 1, kept)
-    spread = acc / np.maximum(kept, 1)
-    return np.where(np.arange(d) < kept[..., None], vals + spread[..., None], 0.0)
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] == 0:
+        raise ValueError("input must be a non-empty 1-d vector or a 2-d stack of them")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("input must be finite")
+    rows = v.reshape(-1, v.shape[-1])
+    active = np.ones(rows.shape, dtype=bool)
+    n_active = np.full(len(rows), rows.shape[-1])
+    shift = np.zeros(len(rows))
+    live = np.arange(len(rows))  # rows whose active set may still shrink
+    while live.size:
+        # masked-out entries add exact zeros, so each sum equals that of the active entries
+        shift[live] = (np.where(active[live], rows[live], 0.0).sum(axis=-1) - 1.0) / n_active[live]
+        keep = (rows[live] > shift[live, None]) & active[live]
+        n_keep = keep.sum(axis=-1)
+        shrink = (n_keep != n_active[live]) & (n_keep != 0)
+        live, keep, n_keep = live[shrink], keep[shrink], n_keep[shrink]
+        active[live] = keep
+        n_active[live] = n_keep
+    out = np.where(active, np.maximum(rows - shift[:, None], 0.0), 0.0)
+    return out.reshape(v.shape)
 
 
 def nearest_physical(rho_raw: np.ndarray) -> np.ndarray:
     """Closest PSD unit-trace matrix in Frobenius norm, eigenvectors unchanged.
 
     Takes one matrix or a stack; a matrix that is already PSD comes back
-    symmetrized, the others have their spectrum projected.
+    symmetrized, the others have their spectrum projected by `michelot_project`
+    (Smolin, Gambetta and Smith, PRL 108, 070502, 2012).
     """
     rho_raw = np.asarray(rho_raw, dtype=complex)
     if not np.all(np.isfinite(rho_raw)):
@@ -188,9 +201,8 @@ def nearest_physical(rho_raw: np.ndarray) -> np.ndarray:
     out = rho_raw.copy()
     fix = eigvals[..., 0] < 0
     if np.any(fix):
-        clipped = project_eigenvalues(eigvals[fix])[..., ::-1]  # back to ascending
-        vecs = vecs[fix]
-        out[fix] = (vecs * clipped[:, None, :]) @ _dagger(vecs)  # V diag(clipped) V^dagger
+        vecs = vecs[fix]  # V diag(projected ascending spectrum) V^dagger
+        out[fix] = (vecs * michelot_project(eigvals[fix])[:, None, :]) @ _dagger(vecs)
     out += _dagger(out)
     out /= 2.0
     return out

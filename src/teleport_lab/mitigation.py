@@ -1,12 +1,13 @@
-"""Readout calibration, readout error mitigation and probability-simplex projection.
+"""Readout calibration and readout error mitigation.
 
 Calibration and correction are tensored, one 2x2 confusion matrix per
 qubit, as in M3 (Nation et al., PRX Quantum 2, 040326, 2021); calibration
-draws its flip counts as binomials.
+draws its flip counts as binomials. Correction applies the inverses with
+``channels.per_qubit_transform``, and ``metrics.michelot_project``
+projects the result onto the probability simplex.
 
 Probability vectors are indexed so that bit i of the outcome index
-(weight 2^i) is the i-th measured qubit, matching the simulator and
-``channels.readout_channel``.
+(weight 2^i) is the i-th measured qubit, matching the simulator.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import check_confusion_matrix, confusion_matrix, per_qubit_transform
+from .metrics import michelot_project
 
 
 class MitigationError(RuntimeError):
@@ -33,14 +35,11 @@ def confusion_inverse(a: np.ndarray, qubit: int) -> np.ndarray:
 def qrem_correct(p_meas: np.ndarray, confusion: Sequence[np.ndarray]) -> np.ndarray:
     """Invert per-qubit readout confusion, one tensor axis at a time.
 
-    Corrects one outcome vector or each row of a stack of them. Each matrix
-    is checked and inverted once per call, however many rows there are.
-    The result keeps unit sum but may contain negative entries.
+    Corrects one outcome vector or each row of a stack of them, all in one
+    transform. Each matrix is checked and inverted once per call. The
+    result keeps unit sum but may contain negative entries.
     """
-    inverses = [confusion_inverse(a, i) for i, a in enumerate(confusion)]
-    p_meas = np.atleast_1d(np.asarray(p_meas, dtype=float))
-    rows = p_meas.reshape(-1, p_meas.shape[-1])
-    return np.array([per_qubit_transform(vec, inverses) for vec in rows]).reshape(p_meas.shape)
+    return per_qubit_transform(p_meas, [confusion_inverse(a, i) for i, a in enumerate(confusion)])
 
 
 def mitigate_distributions(probs: np.ndarray, qrem: bool,
@@ -50,37 +49,6 @@ def mitigate_distributions(probs: np.ndarray, qrem: bool,
     The projections of all bases run as one stack.
     """
     return michelot_project(qrem_correct(probs, confusion) if qrem else probs)
-
-
-def michelot_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex, of one vector or of each row of a stack.
-
-    Iteratively shifts the active entries by the common slack and drops
-    the ones that fall to zero or below, until all retained entries
-    exceed the shift. Each row keeps its own active set and stops on its
-    own.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[-1] == 0:
-        raise ValueError("input must be a non-empty 1-d vector or a 2-d stack of them")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("input must be finite")
-    rows = v.reshape(-1, v.shape[-1])
-    active = np.ones(rows.shape, dtype=bool)
-    n_active = np.full(len(rows), rows.shape[-1])
-    shift = np.zeros(len(rows))
-    live = np.arange(len(rows))  # rows whose active set may still shrink
-    while live.size:
-        # masked-out entries add exact zeros, so each sum equals that of the active entries
-        shift[live] = (np.where(active[live], rows[live], 0.0).sum(axis=-1) - 1.0) / n_active[live]
-        keep = (rows[live] > shift[live, None]) & active[live]
-        n_keep = keep.sum(axis=-1)
-        shrink = (n_keep != n_active[live]) & (n_keep != 0)
-        live, keep, n_keep = live[shrink], keep[shrink], n_keep[shrink]
-        active[live] = keep
-        n_active[live] = n_keep
-    out = np.where(active, np.maximum(rows - shift[:, None], 0.0), 0.0)
-    return out.reshape(v.shape)
 
 
 def estimate_confusion_matrices(true_confusion: Sequence[np.ndarray], shots: int,

@@ -1,10 +1,12 @@
-"""Earlier forms of program functions, kept unchanged as bit-for-bit references.
+"""Earlier forms of program functions, kept as bit-for-bit references.
 
-The program's `hermitian_eigensystem`, `project_eigenvalues`,
-`nearest_physical`, `negativity`, `fidelity`, `pauli_expectations`,
-`reconstruct` and `michelot_project` each take a stack of inputs with a leading axis. These
-are their single-input forms, kept unchanged so that the stacked
-functions can be checked against them bit for bit.
+The program's `hermitian_eigensystem`, `nearest_physical`, `negativity`,
+`fidelity`, `pauli_expectations`, `reconstruct`, `michelot_project` and
+`per_qubit_transform` each take a stack of inputs with a leading axis.
+These are their single-input forms, so that the stacked functions can be
+checked against them bit for bit. `nearest_physical` projects its
+ascending spectrum with this file's own scalar `michelot_project`, as the
+program's projects it with the stacked one.
 
 `stacked_category_distributions` is the post-selection route before it
 streamed its bins: it builds (positions, keys) and (16, keys) arrays, so
@@ -70,20 +72,6 @@ def hermitian_eigensystem(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: in
     return eigvals[order], v[:, order]
 
 
-def project_eigenvalues(eigvals: np.ndarray) -> np.ndarray:
-    vals = sorted((float(x) for x in eigvals), reverse=True)
-    d = len(vals)
-    out = [0.0] * d
-    acc = 0.0
-    i = d
-    while i > 0 and vals[i - 1] + acc / i < 0:
-        acc += vals[i - 1]
-        i -= 1
-    for j in range(i):
-        out[j] = vals[j] + acc / i
-    return np.array(out)
-
-
 def nearest_physical(rho_raw: np.ndarray) -> np.ndarray:
     rho_raw = np.asarray(rho_raw, dtype=complex)
     if np.max(np.abs(rho_raw - rho_raw.conj().T)) > 1e-6:
@@ -93,7 +81,7 @@ def nearest_physical(rho_raw: np.ndarray) -> np.ndarray:
     eigvals, vecs = hermitian_eigensystem(rho_raw)
     if eigvals[0] >= 0:
         return (rho_raw + rho_raw.conj().T) / 2.0
-    clipped = project_eigenvalues(eigvals)[::-1].astype(complex)
+    clipped = michelot_project(eigvals).astype(complex)
     rho = vecs @ np.diag(clipped) @ vecs.conj().T
     return (rho + rho.conj().T) / 2.0
 
@@ -155,6 +143,16 @@ def michelot_project(v: np.ndarray) -> np.ndarray:
         active = keep
         n_active = n_keep
     return np.where(active, np.maximum(v - shift, 0.0), 0.0)
+
+
+def per_qubit_transform(probs: np.ndarray, matrices) -> np.ndarray:
+    k = len(matrices)
+    out = np.asarray(probs, dtype=float)
+    if out.shape != (1 << k,):
+        raise ValueError(f"expected {1 << k} outcomes for {k} per-qubit matrices")
+    for i, a in enumerate(matrices):
+        out = np.einsum("ij,ajb->aib", a, out.reshape(-1, 2, 1 << i)).reshape(-1)
+    return out
 
 
 def stacked_category_distributions(result, qrem: bool, calibration) -> tuple:

@@ -10,7 +10,7 @@ import pytest
 
 from teleport_lab import harness, pathfinder, protocols
 from teleport_lab.channels import (DEFAULT_ONE_QUBIT_DEPOL, NoiseModel, confusion_matrix,
-                                   readout_channel)
+                                   per_qubit_transform)
 from teleport_lab.harness import ExperimentSpec, aggregate_by_hops, run_decay_experiment
 from teleport_lab.metrics import density_from_state, fidelity, nearest_physical, negativity
 from teleport_lab.mitigation import michelot_project, qrem_correct
@@ -154,14 +154,14 @@ def test_criterion_06_qrem_roundtrip(rng):
     for _ in range(100):
         truth = rng.dirichlet(np.ones(8))
         worst = max(worst, float(np.max(np.abs(
-            qrem_correct(readout_channel(truth, mats), mats) - truth))))
+            qrem_correct(per_qubit_transform(truth, mats), mats) - truth))))
     _verdict("criterion 6a: analytic forward-then-correct roundtrip exact (1e-9)",
              worst < 1e-9, f"worst deviation {worst:.2e}")
 
     shots = 100_000
     truth = np.array([0.5, 0.2, 0.2, 0.1])
     pair_mats = mats[:2]
-    noisy = readout_channel(truth, pair_mats)
+    noisy = per_qubit_transform(truth, pair_mats)
     counts = rng.multinomial(shots, noisy) / shots
     corrected = qrem_correct(counts, pair_mats)
     ok = True

@@ -8,7 +8,7 @@ import pytest
 
 from teleport_lab.channels import (NoiseModel, check_confusion_matrix, confusion_matrix,
                                    decay_probabilities, depolarizing_channel,
-                                   exact_pair_distributions, idle_channel, readout_channel)
+                                   exact_pair_distributions, idle_channel, per_qubit_transform)
 from teleport_lab.harness import path_noise_model
 from teleport_lab.metrics import density_from_state, negativity
 from teleport_lab.pathfinder import synthesize_device
@@ -273,7 +273,7 @@ def test_exact_pair_distributions_match_oracle_pipeline():
             for g in rotation_gates(axis):
                 rotated = kraus_oracle(rotated, [GATE_MATRICES[g]], q)
                 rotated = depolarizing_oracle(rotated, (q,), noise.one_qubit_depol)
-        expected = readout_channel(np.real(np.diag(rotated)), noise.readout)
+        expected = per_qubit_transform(np.real(np.diag(rotated)), noise.readout)
         assert np.max(np.abs(got - expected)) < 1e-15, pair
 
 
@@ -327,7 +327,7 @@ def test_readout_channel_matches_sampler(rng):
     a = confusion_matrix(0.08, 0.15)
     b = confusion_matrix(0.01, 0.02)
     probs = np.array([0.4, 0.1, 0.25, 0.25])
-    noisy = readout_channel(probs, [a, b])
+    noisy = per_qubit_transform(probs, [a, b])
     assert abs(noisy.sum() - 1.0) < 1e-12
     shots = 200_000
     outcomes = rng.choice(4, size=shots, p=probs)

@@ -540,6 +540,67 @@ def test_run_rejects_empty_sweeps_and_bad_worker_counts(workdir, capsys, monkeyp
     assert not out.exists()
 
 
+def test_run_rejects_inputs_that_only_mode_dynamic_reads(line4, capsys, monkeypatch):
+    # protocols.schedule reads both only in mode dynamic, so without it they
+    # used to run, silently ignored, and exit 0
+    dev = line4 / "dev.json"
+    out = line4 / "never_ignored.csv"
+    spec_file = line4 / "ignored_spec.json"
+    base = ["run", "--device", str(dev), "--out", str(out)]
+    for field, flags, payload in (
+            ("simplified_correction", ["--simplified-correction"],
+             {"simplified_correction": True}),
+            ("dynamic_correction_latency_us",
+             ["--noise-overrides", '{"dynamic_correction_latency_us": 1.0}'],
+             {"noise_overrides": {"dynamic_correction_latency_us": 1.0}})):
+        spec_file.write_text(json.dumps({"hops": [1], "modes": ["swap", "postselect"], **payload}))
+        for workers in ("1", "2"):
+            monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+            for args in (["--hops", "1", "--mode", "swap,postselect", *flags],
+                         ["--spec", str(spec_file)]):
+                assert main(base + args) == 2
+                assert capsys.readouterr().err == (f"error: {field} takes effect only in mode "
+                                                   "dynamic, and modes holds only swap, "
+                                                   "postselect\n")
+        # with dynamic among the modes both take effect, and the spec holds them
+        spec = ExperimentSpec(modes=("swap", "dynamic"), **payload)
+        assert spec == ExperimentSpec.from_json(spec.to_json())
+    assert not out.exists()
+
+
+def test_counts_above_their_bounds_exit_2_before_any_cell(line4, capsys, monkeypatch):
+    # 10^9 shots used to size transport buffers of gigabytes, and 10^9 trials
+    # planned cells for as long as memory lasted
+    def never(*args, **kwargs):
+        raise AssertionError("work started for a count above its bound")
+
+    for module, name in ((harness, "plan_cells"), (harness.protocols, "run_idle_pair"),
+                         (harness.channels, "exact_pair_distributions")):
+        monkeypatch.setattr(module, name, never)
+    dev = line4 / "dev.json"
+    out = line4 / "never_bounded.csv"
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        for flag, field, bound in (("--shots", "shots", harness.MAX_SHOTS),
+                                   ("--trials", "trials", harness.MAX_TRIALS),
+                                   ("--paths", "paths_per_hop", harness.MAX_PATHS_PER_HOP)):
+            assert main(["run", "--device", str(dev), "--hops", "1", flag, str(bound + 1),
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (f"error: {field} must be an integer in "
+                                               f"[1, {bound}], got {bound + 1}\n")
+    for device in ([], ["--device", str(dev)]):
+        assert main(["decay", *device, "--shots", str(harness.MAX_SHOTS + 1),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: shots must be an integer in "
+                                           f"[0, {harness.MAX_SHOTS}], got "
+                                           f"{harness.MAX_SHOTS + 1}\n")
+    assert not out.exists()
+    # the bounds themselves are accepted; no cell runs here
+    spec = ExperimentSpec(shots=harness.MAX_SHOTS, trials=harness.MAX_TRIALS,
+                          paths_per_hop=harness.MAX_PATHS_PER_HOP)
+    assert (spec.shots, spec.trials, spec.paths_per_hop) == (1_000_000, 1_000, 1_000)
+
+
 def test_run_rejects_path_noise_conflict_before_any_cell(workdir, capsys, monkeypatch):
     # a T1 override below half the device T2 used to fail every cell and exit 1
     dev = workdir / "dev.json"

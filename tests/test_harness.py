@@ -229,7 +229,7 @@ def test_spec_json_rejects_unknown_keys_and_bad_values():
             ('{"hops": [1], "protocols": [["neg"]]}',
              r"protocols holds \['neg'\], which is not one of neg, neg_qrem, gate_fid"),
             ('{"hops": [1], "shots": "many"}',
-             r"shots must be an integer in \[1, inf\], got 'many'"),
+             r"shots must be an integer in \[1, 1000000\], got 'many'"),
             # readout calibration always takes CALIBRATION_SHOTS; the field that set it is gone
             ('{"hops": [1], "qrem_calibration_shots": 8192}',
              "unknown ExperimentSpec keys: qrem_calibration_shots")):

@@ -3,11 +3,12 @@ import numpy as np
 import pytest
 
 from teleport_lab.metrics import (check_density_matrix, density_from_state, fidelity,
-                                  hermitian_eigensystem, nearest_physical, negativity,
-                                  partial_transpose, project_eigenvalues)
+                                  hermitian_eigensystem, michelot_project, nearest_physical,
+                                  negativity, partial_transpose)
 from teleport_lab.tomography import reconstruct
 
 from conftest import random_density_matrix, random_unitary
+from test_acceptance import _simplex_sort_oracle
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 GRAPH2 = np.array([1, 1, 1, -1], dtype=complex) / 2
@@ -152,20 +153,9 @@ def test_fidelity_rejects_mixed_ideal():
 # --- nearest physical state -----------------------------------------------------
 
 
-def _simplex_sort_projection(v: np.ndarray) -> np.ndarray:
-    """Sort-based Euclidean simplex projection (independent oracle)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, len(v) + 1)
-    cond = u + (1.0 - css) / ks > 0
-    k = ks[cond][-1]
-    tau = (1.0 - css[k - 1]) / k
-    return np.maximum(v + tau, 0.0)
-
-
 def _oracle_nearest(rho: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(rho)
-    clipped = _simplex_sort_projection(vals)
+    clipped = _simplex_sort_oracle(vals)
     return vecs @ np.diag(clipped.astype(complex)) @ vecs.conj().T
 
 
@@ -175,8 +165,11 @@ def test_nearest_physical_fixed_point(rng):
 
 
 def test_project_eigenvalues_fixtures():
-    assert np.allclose(project_eigenvalues([0.6, 0.5, 0.0, -0.1]), [0.55, 0.45, 0.0, 0.0])
-    assert np.allclose(project_eigenvalues([1.2, -0.1, -0.05, -0.05]), [1.0, 0.0, 0.0, 0.0])
+    # unit-sum spectra, as given and in the ascending order nearest_physical projects
+    for spectrum, want in (([0.6, 0.5, 0.0, -0.1], [0.55, 0.45, 0.0, 0.0]),
+                           ([1.2, -0.1, -0.05, -0.05], [1.0, 0.0, 0.0, 0.0])):
+        assert np.allclose(michelot_project(np.array(spectrum)), want, atol=1e-12)
+        assert np.allclose(michelot_project(np.sort(spectrum)), np.sort(want), atol=1e-12)
 
 
 def test_nearest_physical_fixture_spectra(rng):
@@ -184,6 +177,11 @@ def test_nearest_physical_fixture_spectra(rng):
     raw = u @ np.diag([0.6, 0.5, 0.0, -0.1]) @ u.conj().T
     fixed = nearest_physical(raw)
     assert np.allclose(np.sort(np.linalg.eigvalsh(fixed)), [0.0, 0.0, 0.45, 0.55], atol=1e-9)
+    # a spectrum with two negative eigenvalues, against the sort-based oracle
+    spectrum = np.array([0.7, 0.45, -0.05, -0.1])
+    clipped = nearest_physical(u @ np.diag(spectrum) @ u.conj().T)
+    assert np.allclose(np.linalg.eigvalsh(clipped), np.sort(_simplex_sort_oracle(spectrum)),
+                       atol=1e-12)
     # eigenvectors unchanged: commutes with the original matrix
     assert np.max(np.abs(raw @ fixed - fixed @ raw)) < 1e-9
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teleport_lab import mitigation
-from teleport_lab.channels import NoiseModel, confusion_matrix, per_qubit_transform, readout_channel
+from teleport_lab.channels import NoiseModel, confusion_matrix, per_qubit_transform
 from teleport_lab.mitigation import (MitigationError, estimate_confusion_matrices,
                                      michelot_project, mitigate_distributions, qrem_correct)
 
@@ -117,7 +117,7 @@ def test_qrem_roundtrip_two_qubits():
     a = confusion_matrix(0.08, 0.12)
     b = confusion_matrix(0.02, 0.04)
     truth = np.array([0.55, 0.15, 0.10, 0.20])
-    noisy = readout_channel(truth, [a, b])
+    noisy = per_qubit_transform(truth, [a, b])
     assert np.allclose(qrem_correct(noisy, [a, b]), truth, atol=1e-9)
 
 
@@ -125,7 +125,7 @@ def test_qrem_roundtrip_many_qubits(rng):
     k = 6
     mats = [confusion_matrix(rng.uniform(0, 0.2), rng.uniform(0, 0.2)) for _ in range(k)]
     truth = rng.dirichlet(np.ones(1 << k))
-    noisy = readout_channel(truth, mats)
+    noisy = per_qubit_transform(truth, mats)
     assert np.max(np.abs(qrem_correct(noisy, mats) - truth)) < 1e-9
 
 

@@ -10,10 +10,11 @@ and do not converge within the sweep limit.
 import numpy as np
 import pytest
 
-from teleport_lab.channels import NoiseModel, confusion_matrix, exact_pair_distributions
+from teleport_lab.channels import (NoiseModel, confusion_matrix, exact_pair_distributions,
+                                   per_qubit_transform)
 from teleport_lab.harness import mitigated_pair_distributions, run_decay_experiment
 from teleport_lab.metrics import (density_from_state, fidelity, hermitian_eigensystem,
-                                  nearest_physical, negativity, project_eigenvalues)
+                                  nearest_physical, negativity)
 from teleport_lab.mitigation import (estimate_confusion_matrices, michelot_project,
                                      mitigate_distributions)
 from teleport_lab.pathfinder import pair_negativities
@@ -94,8 +95,6 @@ def test_stacked_nearest_physical_and_negativity_match_scalar_forms(rng):
         _assert_same(fixed[i], ref.nearest_physical(raw[i]))
         assert negs[i] == ref.negativity(fixed[i])
     assert isinstance(negativity(fixed[3]), float) and negativity(fixed[3]) == negs[3]
-    assert np.array_equal(project_eigenvalues(np.linalg.eigvalsh(raw)),
-                          [ref.project_eigenvalues(v) for v in np.linalg.eigvalsh(raw)])
 
 
 def test_stacked_reconstruct_matches_scalar_reconstruct(rng):
@@ -125,6 +124,19 @@ def test_stacked_michelot_matches_scalar_projection(rng, dim):
     for i in range(len(v)):
         _assert_same(out[i], ref.michelot_project(v[i]))
         _assert_same(michelot_project(v[i]), out[i])
+
+
+@pytest.mark.parametrize("shape", [(50, 2), (50, 8), (50, 64), (20, 9, 4)],
+                         ids=["50x2", "50x8", "50x64", "20x9x4"])
+def test_stacked_per_qubit_transform_matches_rows(rng, shape):
+    k = shape[-1].bit_length() - 1
+    mats = [confusion_matrix(*rng.uniform(0.0, 0.2, size=2)) for _ in range(k)]
+    probs = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    for matrices in (mats, [np.linalg.inv(a) for a in mats]):  # readout, and its correction
+        out = per_qubit_transform(probs, matrices)
+        for index in np.ndindex(shape[:-1]):
+            _assert_same(out[index], ref.per_qubit_transform(probs[index], matrices))
+            _assert_same(per_qubit_transform(probs[index], matrices), out[index])
 
 
 DECAY_NOISE = NoiseModel(one_qubit_depol=2e-4, two_qubit_depol=0.01,

@@ -7,18 +7,25 @@ Each checkout runs the same commands with its own `src/` on the Python
 path, from its own folder under the work directory (a temporary one by
 default, removed at the end), so that each writes its own files:
 
-  gen-device --seed 7, 8 and 9 (heavy-hex-127) and a line:6 device;
+  gen-device --seed 7, 8, 9 and 10 (heavy-hex-127) and a line:6 device;
   the acceptance trend spec on device 7 (protocol neg, all three modes,
   odd hops 1..19, 4 paths, 2 trials, 2048 shots, seed 11), serially and
   with TELEPORT_LAB_THREADS=2;
+  on devices 8, 9 and 10, with TELEPORT_LAB_THREADS=2, a sweep of all
+  three protocols and modes at hops 1, 2, 3, 17 and 19 (2 paths, 1 trial,
+  2048 shots, --qrem both);
+  a dynamic sweep with --simplified-correction on device 7;
   decay --shots 0 and --shots 256, with QREM on and off, with the fitted
   default noise and with --device on device 7;
   a line:6 sweep with list overrides of two_qubit_depol, t1_us and t2_us
-  and --qrem both.
+  and --qrem both;
+  find-paths --out listings on device 7;
+  plot SVGs of the serial trend CSV.
 
-It then prints one `identical NAME` or `differs NAME` line per file and
-exits 1 if any file differs or is missing on one side. A command that
-exits with a status other than 0 stops the script with exit status 2.
+It then prints one `identical NAME` or `differs NAME` line per file, with
+files in subfolders named by their relative path, and exits 1 if any file
+differs or is missing on one side. A command that exits with a status
+other than 0 stops the script with exit status 2.
 """
 from __future__ import annotations
 
@@ -33,6 +40,8 @@ import tempfile
 
 TREND = ["--protocol", "neg", "--mode", "dynamic,postselect,swap", "--hops", "1..19..2",
          "--paths", "4", "--trials", "2", "--shots", "2048", "--seed", "11"]
+WIDE = ["--protocol", "neg,neg_qrem,gate_fid", "--hops", "1,2,3,17,19", "--paths", "2",
+        "--trials", "1", "--shots", "2048", "--qrem", "both"]
 LINE6_OVERRIDES = {"two_qubit_depol": [0.01, 0.02, 0.015, 0.03, 0.012],
                    "t1_us": [40, 35, 50, 45, 38, 42], "t2_us": [30, 28, 45, 40, 25, 33]}
 
@@ -40,12 +49,19 @@ LINE6_OVERRIDES = {"two_qubit_depol": [0.01, 0.02, 0.015, 0.03, 0.012],
 def commands() -> list[tuple[dict, list[str]]]:
     """(extra environment, `teleport-lab` arguments) of every run, in order."""
     runs = [({}, ["gen-device", "--seed", str(seed), "--out", f"dev{seed}.json"])
-            for seed in (7, 8, 9)]
+            for seed in (7, 8, 9, 10)]
     runs.append(({}, ["gen-device", "--topology", "line:6", "--seed", "8",
                       "--out", "line6.json"]))
     for threads in ("1", "2"):
         runs.append(({"TELEPORT_LAB_THREADS": threads},
                      ["run", "--device", "dev7.json", *TREND, "--out", f"trend_t{threads}.csv"]))
+    for seed in (8, 9, 10):
+        runs.append(({"TELEPORT_LAB_THREADS": "2"},
+                     ["run", "--device", f"dev{seed}.json", *WIDE, "--out", f"wide{seed}.csv"]))
+    runs.append(({}, ["run", "--device", "dev7.json", "--mode", "dynamic",
+                      "--simplified-correction", "--protocol", "neg", "--hops", "1..9..2",
+                      "--paths", "2", "--trials", "2", "--shots", "1024", "--seed", "5",
+                      "--out", "simplified.csv"]))
     for shots in ("0", "256"):
         for qrem in ("on", "off"):
             for device in ([], ["--device", "dev7.json"]):
@@ -56,6 +72,10 @@ def commands() -> list[tuple[dict, list[str]]]:
                       "--trials", "2", "--shots", "256", "--qrem", "both", "--seed", "3",
                       "--noise-overrides", json.dumps(LINE6_OVERRIDES),
                       "--out", "line6_lists.csv"]))
+    for protocol, qubits in (("neg", "21"), ("gate_fid", "8")):
+        runs.append(({}, ["find-paths", "--device", "dev7.json", "--protocol", protocol,
+                          "-n", qubits, "-m", "4", "--out", f"paths_{protocol}.json"]))
+    runs.append(({}, ["plot", "--csv", "trend_t1.csv", "--out-dir", "plots"]))
     return runs
 
 
@@ -73,6 +93,12 @@ def run_all(checkout: str, folder: str):
             raise SystemExit(2)
 
 
+def _files(folder: str) -> list[str]:
+    """Paths of every file under `folder`, relative to it."""
+    return [os.path.relpath(os.path.join(root, name), folder)
+            for root, _, names in os.walk(folder) for name in names]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="parent checkout")
@@ -85,7 +111,7 @@ def main(argv=None) -> int:
         sides = [os.path.join(work, side) for side in ("parent", "change")]
         for checkout, folder in zip((args.parent, args.change), sides):
             run_all(checkout, folder)
-        names = sorted(set(os.listdir(sides[0])) | set(os.listdir(sides[1])))
+        names = sorted(set(_files(sides[0])) | set(_files(sides[1])))
         differing = 0
         for name in names:
             paths = [os.path.join(folder, name) for folder in sides]
