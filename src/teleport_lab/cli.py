@@ -97,20 +97,22 @@ def cmd_gen_device(args) -> int:
 def cmd_find_paths(args) -> int:
     _check_out_paths(args.out)
     check_number("--qubits", args.qubits, 2, MAX_PATH_QUBITS, integer=True)
+    check_number("--paths", args.paths, 1, harness.MAX_PATHS_PER_HOP, integer=True)
     device = pathfinder.ingest_device(args.device)
     graph = pathfinder.edge_weights(device, args.protocol)
-    result = pathfinder.find_best_paths(graph, args.qubits, args.paths, args.protocol)
-    if not result.complete:
-        print(f"warning: only {len(result.paths)} path(s) of {args.qubits} qubits exist",
+    paths = pathfinder.find_best_paths(graph, args.qubits, args.paths)
+    complete = len(paths) == args.paths
+    if not complete:
+        print(f"warning: only {len(paths)} path(s) of {args.qubits} qubits exist",
               file=sys.stderr)
-    for rank, p in enumerate(result.paths, start=1):
+    for rank, p in enumerate(paths, start=1):
         labels = "-".join(str(q) for q in p.qubits)
         print(f"{rank:2d}  product={p.weight_product:.6f}  {labels}")
     if args.out:
         payload = {"protocol": args.protocol, "qubits": args.qubits, "paths": [
             {"rank": i + 1, "qubits": list(p.qubits), "weight_product": p.weight_product}
-            for i, p in enumerate(result.paths)],
-            "complete": result.complete}
+            for i, p in enumerate(paths)],
+            "complete": complete}
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -160,11 +162,10 @@ def _decay_noise(args) -> NoiseModel:
     if args.device:
         device = pathfinder.ingest_device(args.device)
         graph = pathfinder.edge_weights(device, "gate_fid")
-        best = pathfinder.find_best_paths(graph, 2, 1, "gate_fid")
-        if not best.paths:
+        best = pathfinder.find_best_paths(graph, 2, 1)
+        if not best:
             raise ValueError("device has no usable edge for the decay experiment")
-        pair = best.paths[0].qubits
-        return harness.path_noise_model(device, harness.PathSpec(pair))
+        return harness.path_noise_model(device, harness.PathSpec(best[0].qubits))
     readout = [confusion_matrix(DEFAULT_READOUT_01, DEFAULT_READOUT_10)] * 2
     return NoiseModel(one_qubit_depol=DEFAULT_ONE_QUBIT_DEPOL,
                       two_qubit_depol=0.0075, readout=readout)

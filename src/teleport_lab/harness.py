@@ -34,6 +34,9 @@ CATEGORY_CHUNK_KEYS = 4096
 MAX_SHOTS = 1_000_000
 MAX_TRIALS = 1_000
 MAX_PATHS_PER_HOP = 1_000
+#: Most sweep workers: a fork pool starts all of its workers at once, so a mistyped
+#: TELEPORT_LAB_THREADS would otherwise fork one process per path of the sweep.
+MAX_WORKERS = 64
 CSV_HEADER_COMMENT = "# teleport-lab results v1"
 CSV_COLUMNS = ("mode", "protocol", "hops", "path", "trial", "qrem", "configuration",
                "negativity", "fidelity", "shots", "seed")
@@ -378,7 +381,7 @@ def _worker_count() -> int:
         workers = int(raw)
     except ValueError:
         workers = raw
-    return check_number("TELEPORT_LAB_THREADS", workers, 1, integer=True)
+    return check_number("TELEPORT_LAB_THREADS", workers, 1, MAX_WORKERS, integer=True)
 
 
 def plan_cells(device: DeviceModel, spec: ExperimentSpec) -> list[_Cell]:
@@ -387,11 +390,11 @@ def plan_cells(device: DeviceModel, spec: ExperimentSpec) -> list[_Cell]:
     for protocol in spec.protocols:
         graph = pathfinder.edge_weights(device, protocol)
         for hops in spec.hops:
-            found = pathfinder.find_best_paths(graph, hops + 2, spec.paths_per_hop, protocol)
-            if not found.complete:
+            found = pathfinder.find_best_paths(graph, hops + 2, spec.paths_per_hop)
+            if len(found) < spec.paths_per_hop:
                 log.warning("protocol %s, hops %d: only %d path(s) available",
-                            protocol, hops, len(found.paths))
-            for path_index, wpath in enumerate(found.paths):
+                            protocol, hops, len(found))
+            for path_index, wpath in enumerate(found):
                 for trial in range(spec.trials):
                     for mode in spec.modes:
                         child = np.random.SeedSequence(entropy=spec.seed,
@@ -523,6 +526,8 @@ def run_decay_experiment(delays_us: Sequence[float], noise: NoiseModel, shots: i
         raise ValueError("delays must list at least one delay")
     check_number("shots", shots, 0, MAX_SHOTS, integer=True)
     check_number("seed", seed, 0, integer=True)
+    for delay in delays_us:
+        check_number("delay", delay, 0.0, finite=True)
     confusion = [noise.qubit_confusion(0), noise.qubit_confusion(1)]
     probs = []
     for i, delay in enumerate(delays_us):

@@ -8,7 +8,6 @@ with a pruned depth-first enumeration.
 from __future__ import annotations
 
 import bisect
-import functools
 import json
 from dataclasses import dataclass, asdict
 from math import inf
@@ -160,13 +159,6 @@ def save_device(device: DeviceModel, path: str):
 class WeightedPath:
     qubits: tuple[int, ...]
     weight_product: float
-    protocol: str
-
-
-@dataclass
-class PathSearchResult:
-    paths: list
-    complete: bool  # False when fewer than the requested m paths exist
 
 
 def edge_weights(device: DeviceModel, protocol: str) -> dict:
@@ -189,30 +181,7 @@ def edge_weights(device: DeviceModel, protocol: str) -> dict:
     return graph
 
 
-@functools.lru_cache(maxsize=8)
-def _arc_table(frozen_graph: tuple) -> tuple:
-    """(arc weights, padded successor arcs, out arcs by vertex, bound levels) of a graph.
-
-    The graph comes as sorted (vertex, sorted (neighbour, weight) pairs);
-    the bound levels are a list that `find_best_paths` extends.
-    """
-    graph = {u: dict(nbrs) for u, nbrs in frozen_graph}
-    # directed edges (u, v), by u and then v; arc len(arcs) is a zero-weight sentinel
-    arcs = [(u, v) for u in graph for v in graph[u]]
-    arc_index = {arc: e for e, arc in enumerate(arcs)}
-    weights = np.array([graph[u][v] for u, v in arcs] + [0.0])
-    # successors (v, w), w != u, of each arc (u, v), padded with the sentinel
-    successors = [[arc_index[(v, w)] for w in graph[v] if w != u] for u, v in arcs]
-    width = 1 + max(map(len, successors), default=0)
-    padded = np.array([s + [len(arcs)] * (width - len(s)) for s in successors],
-                      dtype=np.intp).reshape(len(arcs), width)
-    out_arcs = {u: [] for u in graph}  # (neighbour, weight, arc) in neighbour order
-    for e, (u, v) in enumerate(arcs):
-        out_arcs[u].append((v, graph[u][v], e))
-    return weights, padded, out_arcs, [np.ones(len(arcs) + 1)]
-
-
-def find_best_paths(graph: dict, n: int, m: int, protocol: str = "") -> PathSearchResult:
+def find_best_paths(graph: dict, n: int, m: int) -> list[WeightedPath]:
     """The m simple paths of exactly n vertices with the largest weight product.
 
     Exact search over non-negative weights: depth-first enumeration over
@@ -226,18 +195,29 @@ def find_best_paths(graph: dict, n: int, m: int, protocol: str = "") -> PathSear
     skipped, as is a start vertex whose best first edge already does. The
     bound multiplies in another order than a path product, so it is scaled
     by 1 + 1e-12 and rounding never prunes a path tied with the m-th best.
-    The arcs and bound levels are kept per graph content, so a sweep's
-    searches of one graph at several n build them once.
     Paths are undirected; the canonical orientation starts at the smaller
-    endpoint. Ties are broken by lexicographic qubit sequence.
+    endpoint. Ties are broken by lexicographic qubit sequence, so the
+    ranking does not depend on the graph's insertion order. Fewer than m
+    paths come back when fewer exist.
     """
     channels.check_number("path length n", n, 2, integer=True)
     channels.check_number("path count m", m, 1, integer=True)
     if n > len(graph):
-        return PathSearchResult(paths=[], complete=False)
-    weights, padded, out_arcs, bound = _arc_table(
-        tuple((u, tuple(sorted(nbrs.items()))) for u, nbrs in sorted(graph.items())))
-    while len(bound) < n - 1:  # levels 0..n-2, kept for later searches of this graph
+        return []
+    # directed edges (u, v); arc len(arcs) is a zero-weight sentinel
+    arcs = [(u, v) for u in graph for v in graph[u]]
+    arc_index = {arc: e for e, arc in enumerate(arcs)}
+    weights = np.array([graph[u][v] for u, v in arcs] + [0.0])
+    # successors (v, w), w != u, of each arc (u, v), padded with the sentinel
+    successors = [[arc_index[(v, w)] for w in graph[v] if w != u] for u, v in arcs]
+    width = 1 + max(map(len, successors), default=0)
+    padded = np.array([s + [len(arcs)] * (width - len(s)) for s in successors],
+                      dtype=np.intp).reshape(len(arcs), width)
+    out_arcs = {u: [] for u in graph}  # (neighbour, weight, arc)
+    for e, (u, v) in enumerate(arcs):
+        out_arcs[u].append((v, graph[u][v], e))
+    bound = [np.ones(len(arcs) + 1)]  # levels 0..n-2
+    for _ in range(n - 2):
         level = np.ones_like(bound[0])
         level[:-1] = (weights * bound[-1])[padded].max(axis=1)
         bound.append(level)
@@ -282,9 +262,7 @@ def find_best_paths(graph: dict, n: int, m: int, protocol: str = "") -> PathSear
         first = max((w * bound[n - 2][e] for _, w, e in out_arcs[start]), default=0.0)
         if first * slack >= threshold():
             extend(start, 1.0)
-    paths = [WeightedPath(qubits=q, weight_product=-negp, protocol=protocol)
-             for negp, q in best]
-    return PathSearchResult(paths=paths, complete=len(paths) >= m)
+    return [WeightedPath(qubits=q, weight_product=-negp) for negp, q in best]
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_criterion_07_pathfinder_exactness(rng):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 6))
         got = [(round(p.weight_product, 12), p.qubits)
-               for p in pathfinder.find_best_paths(graph, n, m).paths]
+               for p in pathfinder.find_best_paths(graph, n, m)]
         if got != oracle(graph, n, m):
             mismatches += 1
     _verdict("criterion 7a: top-m sets equal exhaustive enumeration on 1000 graphs",
@@ -212,10 +212,10 @@ def test_criterion_07_pathfinder_exactness(rng):
     device = pathfinder.synthesize_device("heavy-hex-127", seed=7)
     graph = pathfinder.edge_weights(device, "neg")
     start = time.time()
-    result = pathfinder.find_best_paths(graph, 21, 4, "neg")
+    result = pathfinder.find_best_paths(graph, 21, 4)
     elapsed = time.time() - start
     _verdict("criterion 7b: 127-qubit heavy-hex search (n=21, m=4) under 60 s",
-             elapsed < 60 and len(result.paths) == 4, f"{elapsed:.2f} s")
+             elapsed < 60 and len(result) == 4, f"{elapsed:.2f} s")
 
 
 @pytest.fixture(scope="module")

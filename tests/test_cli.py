@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teleport_lab import harness, svgplot
+from teleport_lab import harness, pathfinder, svgplot
 from teleport_lab.cli import MAX_DELAY_POINTS, _parse_delays, _parse_hops, main
 from teleport_lab.harness import ExperimentSpec, ResultRow, read_csv_rows
 from teleport_lab.svgplot import Series, plot_results, render_chart
@@ -68,6 +68,23 @@ def test_decay_rejects_empty_delay_range(tmp_path, capsys):
     assert len((tmp_path / "d.csv").read_text().splitlines()) == 3
 
 
+def test_decay_rejects_negative_delays_before_any_delay_runs(tmp_path, capsys, monkeypatch):
+    # a negative delay used to fail deep in the engine with a message that named
+    # no input, and one late in the list only after the earlier delays had run
+    def never(*args, **kwargs):
+        raise AssertionError("a delay ran before every delay was checked")
+
+    monkeypatch.setattr(harness.protocols, "run_idle_pair", never)
+    monkeypatch.setattr(harness.channels, "exact_pair_distributions", never)
+    out = tmp_path / "d.csv"
+    for text, bad in (("-1,0", "-1.0"), ("0,1,-2", "-2.0"), ("-1:1:0.5", "-1.0")):
+        for shots in ("0", "64"):
+            assert main(["decay", f"--delays={text}", "--shots", shots, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == ("error: delay must be a finite number in "
+                                               f"[0, inf], got {bad}\n")
+    assert not out.exists()
+
+
 def test_range_flags_reject_oversized_ranges_fast(tmp_path, capsys):
     # `1e20:1e20:1` never returned, as t + 1 == t there; `0:1e6:1` took seconds, and
     # `--hops 1..1000000` built a million hop counts that the spec then rejected
@@ -96,6 +113,14 @@ def test_range_flags_reject_oversized_ranges_fast(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
+
+
+@pytest.fixture(scope="module")
+def dev(tmp_path_factory):
+    """The module's line:7 seed-4 device file, written once for every test that reads it."""
+    path = tmp_path_factory.mktemp("line7") / "dev.json"
+    assert main(["gen-device", "--topology", "line:7", "--seed", "4", "--out", str(path)]) == 0
+    return path
 
 
 def test_gen_device_and_find_paths(workdir, capsys):
@@ -162,8 +187,7 @@ def test_find_paths_names_the_field_of_a_bad_device(tmp_path, capsys, field, val
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_find_paths_warns_when_too_few(workdir, capsys):
-    dev = workdir / "dev.json"
+def test_find_paths_warns_when_too_few(dev, capsys):
     code = main(["find-paths", "--device", str(dev), "--protocol", "gate_fid",
                  "-n", "7", "-m", "10"])
     captured = capsys.readouterr()
@@ -202,6 +226,21 @@ def test_find_paths_rejects_paths_the_sampler_cannot_run(tmp_path, capsys):
                                            f"got {n}\n")
 
 
+def test_find_paths_rejects_a_path_count_above_the_bound_before_any_work(dev, capsys,
+                                                                          monkeypatch):
+    # -m 200000 on a heavy-hex device printed nothing for 40 s before it was stopped
+    def never(*args, **kwargs):
+        raise AssertionError("work started for a path count above its bound")
+
+    for name in ("ingest_device", "find_best_paths"):
+        monkeypatch.setattr(pathfinder, name, never)
+    bound = harness.MAX_PATHS_PER_HOP
+    for count in (bound + 1, 10**6):
+        assert main(["find-paths", "--device", str(dev), "-n", "3", "-m", str(count)]) == 2
+        assert capsys.readouterr().err == (f"error: --paths must be an integer in [1, {bound}], "
+                                           f"got {count}\n")
+
+
 def test_gen_device_is_deterministic(workdir):
     a = workdir / "a.json"
     b = workdir / "b.json"
@@ -210,8 +249,7 @@ def test_gen_device_is_deterministic(workdir):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_run_and_plot_pipeline(workdir):
-    dev = workdir / "dev.json"
+def test_run_and_plot_pipeline(workdir, dev):
     csv = workdir / "rows.csv"
     assert main(["run", "--device", str(dev), "--protocol", "neg",
                  "--mode", "postselect,swap", "--hops", "1..2", "--paths", "1",
@@ -228,8 +266,7 @@ def test_run_and_plot_pipeline(workdir):
     assert "</svg>" in content
 
 
-def test_run_with_spec_file(workdir):
-    dev = workdir / "dev.json"
+def test_run_with_spec_file(workdir, dev):
     spec = ExperimentSpec(hops=(1,), protocols=("neg",), modes=("swap",),
                           paths_per_hop=1, trials=1, shots=128, qrem="off", seed=3)
     spec_file = workdir / "spec.json"
@@ -241,8 +278,7 @@ def test_run_with_spec_file(workdir):
     assert {r.mode for r in rows} == {"swap"}
 
 
-def test_run_rejects_bad_spec_inputs_with_one_line_error(workdir, capsys, monkeypatch):
-    dev = workdir / "dev.json"
+def test_run_rejects_bad_spec_inputs_with_one_line_error(workdir, dev, capsys, monkeypatch):
     spec_file = workdir / "bogus_spec.json"
     spec_file.write_text('{"hops": [1], "bogus": 1}')
     out = workdir / "never.csv"
@@ -339,9 +375,8 @@ def test_run_rejects_removed_per_position_keys_by_name(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_rejects_repeated_sweep_values(workdir, capsys):
+def test_run_rejects_repeated_sweep_values(workdir, dev, capsys):
     # --hops 1,1 --mode swap,swap used to run one cell four times under four seeds
-    dev = workdir / "dev.json"
     out = workdir / "never_repeated.csv"
     base = ["run", "--device", str(dev), "--paths", "1", "--trials", "1", "--qrem", "on",
             "--out", str(out)]
@@ -510,9 +545,8 @@ def test_run_rejects_infinite_latency(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_rejects_empty_sweeps_and_bad_worker_counts(workdir, capsys, monkeypatch):
+def test_run_rejects_empty_sweeps_and_bad_worker_counts(workdir, dev, capsys, monkeypatch):
     # each of these used to write a header-only CSV and exit 0
-    dev = workdir / "dev.json"
     out = workdir / "never_empty.csv"
     base = ["run", "--device", str(dev), "--out", str(out)]
     removed_key = workdir / "removed_key.json"
@@ -601,9 +635,32 @@ def test_counts_above_their_bounds_exit_2_before_any_cell(line4, capsys, monkeyp
     assert (spec.shots, spec.trials, spec.paths_per_hop) == (1_000_000, 1_000, 1_000)
 
 
-def test_run_rejects_path_noise_conflict_before_any_cell(workdir, capsys, monkeypatch):
+def test_worker_counts_above_their_bound_exit_2_before_any_work(line4, capsys, monkeypatch):
+    # a fork pool starts all of its workers at once, so a count of thousands on
+    # a sweep of as many paths would have forked thousands of processes
+    import concurrent.futures
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started for a worker count above its bound")
+
+    monkeypatch.setattr(harness, "plan_cells", never)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+    out = line4 / "never_workers.csv"
+    bound = harness.MAX_WORKERS
+    for count in (bound + 1, 10**6):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", str(count))
+        assert main(["run", "--device", str(line4 / "dev.json"), "--hops", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: TELEPORT_LAB_THREADS must be an integer in "
+                                           f"[1, {bound}], got {count}\n")
+    assert not out.exists()
+    # the bound itself is accepted; no pool starts here
+    monkeypatch.setenv("TELEPORT_LAB_THREADS", str(bound))
+    assert harness._worker_count() == bound == 64
+
+
+def test_run_rejects_path_noise_conflict_before_any_cell(workdir, dev, capsys, monkeypatch):
     # a T1 override below half the device T2 used to fail every cell and exit 1
-    dev = workdir / "dev.json"
     out = workdir / "noise_conflict.csv"
     for workers in ("1", "2"):
         monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
@@ -651,9 +708,8 @@ def test_run_rejects_mixed_form_t1_t2_conflict_before_any_cell(tmp_path, capsys)
         assert err.startswith("error: noise on path ") and "t2 (15.0) exceeds 2*t1 (14)" in err
 
 
-def test_run_rejects_sweep_flags_with_spec(workdir, capsys):
+def test_run_rejects_sweep_flags_with_spec(workdir, dev, capsys):
     # these flags used to be dropped without a word
-    dev = workdir / "dev.json"
     spec_file = workdir / "flag_spec.json"
     spec_file.write_text('{"hops": [1], "shots": 64}')
     out = workdir / "flag_spec.csv"
@@ -665,8 +721,7 @@ def test_run_rejects_sweep_flags_with_spec(workdir, capsys):
     assert not out.exists()
 
 
-def test_run_seed_overrides_spec(workdir):
-    dev = workdir / "dev.json"
+def test_run_seed_overrides_spec(workdir, dev):
     outs = []
     for spec_seed, flag in ((3, ["--seed", "8"]), (8, [])):
         spec_file = workdir / f"seed_spec_{spec_seed}.json"
@@ -679,7 +734,7 @@ def test_run_seed_overrides_spec(workdir):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_run_exits_1_when_cells_fail(workdir, capsys, monkeypatch):
+def test_run_exits_1_when_cells_fail(workdir, dev, capsys, monkeypatch):
     # every cell failing used to leave a header-only CSV and exit status 0
     from teleport_lab import harness
 
@@ -691,7 +746,6 @@ def test_run_exits_1_when_cells_fail(workdir, capsys, monkeypatch):
         return real(noise, spec, cell)
 
     monkeypatch.setattr(harness, "_cell_rows", flaky)
-    dev = workdir / "dev.json"
     summaries = []
     for workers in ("1", "2"):
         monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
@@ -705,8 +759,7 @@ def test_run_exits_1_when_cells_fail(workdir, capsys, monkeypatch):
     assert summaries == ["error: 2 of 4 cells failed"] * 2
 
 
-def test_run_is_byte_deterministic(workdir):
-    dev = workdir / "dev.json"
+def test_run_is_byte_deterministic(workdir, dev):
     a = workdir / "det_a.csv"
     b = workdir / "det_b.csv"
     args = ["run", "--device", str(dev), "--protocol", "neg", "--mode", "swap",
@@ -752,7 +805,7 @@ def test_missing_device_file_exits_nonzero(workdir, capsys):
     assert main(["find-paths", "--device", str(workdir / "nope.json"), "-n", "3"]) == 2
 
 
-def test_file_errors_end_early_in_one_line(workdir, capsys, monkeypatch):
+def test_file_errors_end_early_in_one_line(workdir, dev, capsys, monkeypatch):
     # a folder given for a file used to end in an IsADirectoryError traceback and
     # exit 1, and a missing --out folder failed only after the whole sweep had run
     assert main(["find-paths", "--device", str(workdir), "-n", "3"]) == 2
@@ -765,7 +818,7 @@ def test_file_errors_end_early_in_one_line(workdir, capsys, monkeypatch):
     monkeypatch.setattr(harness, "run_experiment", no_work)
     monkeypatch.setattr(harness, "run_decay_experiment", no_work)
     missing = workdir / "missing_dir" / "x.csv"
-    run = ["run", "--device", str(workdir / "dev.json"), "--hops", "1", "--out"]
+    run = ["run", "--device", str(dev), "--hops", "1", "--out"]
     for argv, message in ((run + [str(missing)], f"output directory {str(missing.parent)!r} "
                                                   "does not exist"),
                           (["decay", "--out", str(missing)], "output directory"),
@@ -779,11 +832,10 @@ def test_file_errors_end_early_in_one_line(workdir, capsys, monkeypatch):
     assert not missing.parent.exists() and not (workdir / "d.csv").exists()
 
 
-def test_gen_device_and_find_paths_check_out_paths_before_any_work(workdir, capsys,
+def test_gen_device_and_find_paths_check_out_paths_before_any_work(workdir, dev, capsys,
                                                                   monkeypatch):
     # gen-device synthesized the whole device, and find-paths printed its whole
     # ranking, before a missing --out folder ended them with exit status 2
-    dev = workdir / "dev.json"
     missing = workdir / "missing_out" / "x.json"
     for argv in (["gen-device", "--topology", "line:3", "--out"],
                  ["find-paths", "--device", str(dev), "-n", "3", "--out"]):
@@ -808,8 +860,7 @@ def test_decay_rejects_a_device_without_a_usable_edge(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_singular_readout_calibration_exits_nonzero(workdir, capsys):
-    dev = workdir / "dev.json"
+def test_singular_readout_calibration_exits_nonzero(workdir, dev, capsys):
     payload = json.loads(dev.read_text())
     for qubit in payload["qubits"]:
         qubit["readout_err_0to1"] = qubit["readout_err_1to0"] = 0.5

@@ -845,7 +845,7 @@ def _raised_device_noise(n: int) -> NoiseModel:
     the key distributions by many standard errors.
     """
     device = synthesize_device("heavy-hex-127", seed=7)
-    best = find_best_paths(edge_weights(device, "neg"), n, 1, "neg").paths[0]
+    best = find_best_paths(edge_weights(device, "neg"), n, 1)[0]
     noise = path_noise_model(device, PathSpec(best.qubits))
     return dataclasses.replace(
         noise, one_qubit_depol=0.02,

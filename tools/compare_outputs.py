@@ -19,7 +19,8 @@ default, removed at the end), so that each writes its own files:
   default noise and with --device on device 7;
   a line:6 sweep with list overrides of two_qubit_depol, t1_us and t2_us
   and --qrem both;
-  find-paths --out listings on device 7;
+  find-paths --out listings of 4 paths on device 7: neg at n = 21 and gate_fid
+  at n = 8, and both at n = 62, the longest path the sampler runs;
   plot SVGs of the serial trend CSV.
 
 It then prints one `identical NAME` or `differs NAME` line per file, with
@@ -72,9 +73,9 @@ def commands() -> list[tuple[dict, list[str]]]:
                       "--trials", "2", "--shots", "256", "--qrem", "both", "--seed", "3",
                       "--noise-overrides", json.dumps(LINE6_OVERRIDES),
                       "--out", "line6_lists.csv"]))
-    for protocol, qubits in (("neg", "21"), ("gate_fid", "8")):
+    for protocol, qubits in (("neg", "21"), ("gate_fid", "8"), ("neg", "62"), ("gate_fid", "62")):
         runs.append(({}, ["find-paths", "--device", "dev7.json", "--protocol", protocol,
-                          "-n", qubits, "-m", "4", "--out", f"paths_{protocol}.json"]))
+                          "-n", qubits, "-m", "4", "--out", f"paths_{protocol}_n{qubits}.json"]))
     runs.append(({}, ["plot", "--csv", "trend_t1.csv", "--out-dir", "plots"]))
     return runs
 
