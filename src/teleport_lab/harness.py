@@ -34,6 +34,13 @@ CATEGORY_CHUNK_KEYS = 4096
 MAX_SHOTS = 1_000_000
 MAX_TRIALS = 1_000
 MAX_PATHS_PER_HOP = 1_000
+#: Work bounds, as each count is bounded only alone: a sweep's trajectory-qubits (path
+#: qubits x 9 bases x shots, summed over its cells) and decay's delays x shots. On a
+#: 2-CPU machine a serial sweep runs about 6e6 trajectory-qubits and decay about 4.5e5
+#: delay-shots per second, so each bound allows roughly 50 and 37 minutes. The default
+#: spec is 1.2e9 trajectory-qubits.
+MAX_RUN_WORK = 18 * 10**9
+MAX_DECAY_WORK = 10**9
 #: Most sweep workers: a fork pool starts all of its workers at once, so a mistyped
 #: TELEPORT_LAB_THREADS would otherwise fork one process per path of the sweep.
 MAX_WORKERS = 64
@@ -90,6 +97,12 @@ class ExperimentSpec:
                                 ("paths_per_hop", 1, MAX_PATHS_PER_HOP), ("seed", 0, inf)):
             setattr(self, name, int(check_number(name, getattr(self, name), low, high,
                                                  integer=True)))
+        work = (sum(hops + 2 for hops in self.hops) * len(self.protocols) * self.paths_per_hop
+                * self.trials * len(self.modes) * len(tomography.BASIS_PAIRS) * self.shots)
+        if work > MAX_RUN_WORK:
+            raise ValueError(f"the sweep plans {work} trajectory-qubits (path qubits x protocols "
+                             "x paths_per_hop x trials x modes x 9 bases x shots, summed over "
+                             f"hops), above the bound of {MAX_RUN_WORK}")
         if not isinstance(self.simplified_correction, bool):
             raise ValueError(f"simplified_correction must be a boolean, "
                              f"got {self.simplified_correction!r}")
@@ -356,23 +369,10 @@ def _guarded(fn, *args) -> tuple:
         return None, traceback.format_exc()
 
 
-def _run_cells(spec: ExperimentSpec, noise_models: dict,
+def _run_cells(spec: ExperimentSpec, noise: NoiseModel,
                cells: Sequence[_Cell]) -> list[tuple[_CellRows | None, str | None]]:
-    """Per cell in order: (rows, None) if it finished, (None, traceback text) if it failed."""
-    return [_guarded(_cell_rows, noise_models[cell.path_labels], spec, cell) for cell in cells]
-
-
-# (spec, noise models by path) of a pool worker process, set once by _init_worker
-_worker_sweep: tuple | None = None
-
-
-def _init_worker(spec: ExperimentSpec, noise_models: dict):
-    global _worker_sweep
-    _worker_sweep = (spec, noise_models)
-
-
-def _pooled_cells(cells: Sequence[_Cell]) -> list[tuple[_CellRows | None, str | None]]:
-    return _run_cells(*_worker_sweep, cells)
+    """Per cell of one path, in order: (rows, None) if it finished, (None, traceback) if not."""
+    return [_guarded(_cell_rows, noise, spec, cell) for cell in cells]
 
 
 def _worker_count() -> int:
@@ -421,12 +421,12 @@ def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
     readout matrices that QREM will invert are checked, so that a noise
     conflict, a listed field shorter than the path or a singular readout
     raises ValueError before any cell runs; each cell runs on its path's
-    model. A sweep that plans no cell raises ValueError too. Cells run
-    serially, or in a process pool of at most one worker per path whose
-    workers receive the spec and the models once, at start-up. A pool task
-    is one path's cells, in plan order; tasks go out most hops first, so
-    that the longest paths do not finish last, and their outcomes are put
-    back in plan order. The main process then reconstructs and scores the
+    model. A sweep that plans no cell raises ValueError too. A task is one
+    path's cells, in plan order, with the spec and that path's model, so
+    it carries all it reads. Tasks run most hops first, so that the longest
+    paths do not finish last: serially, or in a process pool of at most one
+    worker per path. Their outcomes are put back in plan order, so both
+    give the same rows. The main process then reconstructs and scores the
     rows of every finished cell in one stacked call; if that raises, it
     scores each cell alone and skips the ones that fail.
     """
@@ -449,16 +449,16 @@ def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
             raise ValueError(f"noise on path {_path_str(path)}: {exc}") from None
     paths = [list(block) for _, block in
              groupby(cells, lambda c: (c.protocol, c.hops, c.path_index))]
+    order = sorted(range(len(paths)), key=lambda i: -paths[i][0].hops)
+    tasks = [(spec, noise_models[paths[i][0].path_labels], paths[i]) for i in order]
     if workers > 1 and len(paths) > 1:
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        order = sorted(range(len(paths)), key=lambda i: -paths[i][0].hops)
-        with ProcessPoolExecutor(max_workers=min(workers, len(paths)), initializer=_init_worker,
-                                 initargs=(spec, noise_models)) as pool:
-            done = dict(zip(order, pool.map(_pooled_cells, [paths[i] for i in order])))
-        outcomes = [outcome for i in range(len(paths)) for outcome in done[i]]
+        with ProcessPoolExecutor(max_workers=min(workers, len(paths))) as pool:
+            done = dict(zip(order, pool.map(_run_cells, *zip(*tasks))))
     else:
-        outcomes = _run_cells(spec, noise_models, cells)
+        done = dict(zip(order, map(_run_cells, *zip(*tasks))))
+    outcomes = [outcome for i in range(len(paths)) for outcome in done[i]]
     rows = SweepRows(len(cells))
 
     def skip(cell, error):
@@ -528,6 +528,10 @@ def run_decay_experiment(delays_us: Sequence[float], noise: NoiseModel, shots: i
     check_number("seed", seed, 0, integer=True)
     for delay in delays_us:
         check_number("delay", delay, 0.0, finite=True)
+    work = len(delays_us) * max(shots, 1)
+    if work > MAX_DECAY_WORK:
+        raise ValueError(f"decay plans {work} delay-shots (delays x shots), above the bound "
+                         f"of {MAX_DECAY_WORK}")
     confusion = [noise.qubit_confusion(0), noise.qubit_confusion(1)]
     probs = []
     for i, delay in enumerate(delays_us):

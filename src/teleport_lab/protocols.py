@@ -29,6 +29,8 @@ nine at 1,024 shots, five and four at 2,048), and each group runs as one
 batch whose column slab b belongs to basis b and draws from its own child
 stream of the run's generator, in the order and size a batch of that
 basis alone would, so the counts do not depend on how bases are grouped.
+A batch allocates its own buffers and nothing outlives it, so no run
+depends on the runs before it.
 """
 from __future__ import annotations
 
@@ -49,11 +51,6 @@ MODES = ("dynamic", "postselect", "swap")
 #: Longest path the sampler accepts: outcome keys are int64 with one bit per
 #: path position.
 MAX_PATH_QUBITS = 62
-
-#: Buffers of released `ShotBatch`es, taken by the next batch of this process.
-#: A batch overwrites whatever a buffer held before it reads it, so what an
-#: earlier batch left behind never reaches a result.
-_FREE_BUFFERS: list[list[np.ndarray]] = []
 
 #: Column budget of one sampled batch: `_sample` runs the nine bases in
 #: ceil(9 * shots / MAX_BATCH_COLUMNS) groups of as near equal size as can be.
@@ -203,15 +200,13 @@ class ShotBatch:
     (2, slab shots) block per slab and window index, so no product is
     wider than the shots of one basis.
 
-    The storage lives in three kept flat float64 buffers: the live
-    amplitudes, a spare buffer that steps write their result into before
-    the two swap, and a scratch buffer for probabilities; complex storage
-    is a complex128 view of them. The constructor sizes all three once,
-    for ``window`` live real qubits and for ``complex_window`` live qubits
-    from promotion on, and no step grows them. `release` hands them to a
-    per-process free list that the next batch takes them from, so a run
-    reuses memory that earlier runs already faulted in; a batch that is
-    never released simply lets them go.
+    The storage lives in three flat float64 buffers that the batch owns:
+    the live amplitudes, a spare buffer that steps write their result into
+    before the two swap, and a scratch buffer for probabilities; complex
+    storage is a complex128 view of them. The constructor allocates all
+    three once, for ``window`` live real qubits and for ``complex_window``
+    live qubits from promotion on, and no step grows them. They go with
+    the batch, so no run sees memory that another run wrote.
     """
 
     def __init__(self, streams: Sequence[np.random.Generator], slab_shots: int,
@@ -221,15 +216,9 @@ class ShotBatch:
         self.streams = list(streams)
         self.slab_shots = slab_shots
         self.shots = len(self.streams) * slab_shots
-        try:
-            self._buffers = _FREE_BUFFERS.pop()
-        except IndexError:
-            self._buffers = [np.empty(0), np.empty(0), np.empty(0)]
         # a complex amplitude takes two float64 entries
         size = max(1 << window, 2 << complex_window) * self.shots
-        for i, buf in enumerate(self._buffers):
-            if buf.size < size:
-                self._buffers[i] = np.empty(size)
+        self._buffers = [np.empty(size) for _ in range(3)]
         self._amps = self._buffer(0, 1, np.float64)
         self._amps[:] = 1.0
         self.axis_of: dict[int, int] = {}
@@ -266,11 +255,6 @@ class ShotBatch:
         """Integers in [0, high) for the shots of the chosen slabs, each slab from its own stream."""
         return np.array([stream.integers(0, high, size=self.slab_shots)
                          for stream in self.streams[slabs]], np.int64).reshape(-1)
-
-    def release(self):
-        """Hand the buffers to the next batch of this process; the batch is unusable after."""
-        _FREE_BUFFERS.append(self._buffers)
-        self._buffers = self._amps = None
 
     @property
     def dim(self) -> int:
@@ -565,34 +549,31 @@ def _sample_group(steps: Sequence[tuple], bases: Sequence[tuple[str, str]],
                   if any(map(_is_complex, _record_matrices(step, bases)))), len(steps))
     batch = ShotBatch(streams, shots, max(live[:first], default=0), max(live[first:], default=0))
     read, zero = {}, np.zeros(batch.shots, dtype=np.int8)
-    try:
-        for step in steps:
-            match step:
-                case ("add", pos):
-                    batch.add_qubit(pos)
-                case ("gate", pos, matrix):
-                    batch.apply_matrix(pos, matrix)
-                case ("cz", a, b):
-                    batch.apply_cz(a, b)
-                case ("cnot", control, target):
-                    batch.apply_cnot(control, target)
-                case ("depolarize", positions, p):
-                    batch.depolarize(positions, p)
-                case ("measure", pos, confusion):
-                    read[pos] = batch.readout(batch.measure_z(pos), confusion)
-                case ("idle", pos, duration_us, t1_us, t2_us):
-                    batch.idle_decay(pos, duration_us, t1_us, t2_us)
-                case ("pauli_if", pos, letter, p, parity_of):
-                    cond = reduce(np.bitwise_xor, (read[q] for q in parity_of), zero) == 1
-                    idx = np.flatnonzero(cond)
-                    batch.apply_paulis([pos], idx, np.full((1, idx.size), letter))
-                    batch.depolarize([pos], p, active=cond)
-                case ("tomography", first, last, p):
-                    _rotate_into_bases(batch, bases, (first, last), p)
-                case _:
-                    raise ValueError(f"unknown schedule record {step!r}")
-    finally:  # a record that raises leaves the buffers to the next batch too
-        batch.release()
+    for step in steps:
+        match step:
+            case ("add", pos):
+                batch.add_qubit(pos)
+            case ("gate", pos, matrix):
+                batch.apply_matrix(pos, matrix)
+            case ("cz", a, b):
+                batch.apply_cz(a, b)
+            case ("cnot", control, target):
+                batch.apply_cnot(control, target)
+            case ("depolarize", positions, p):
+                batch.depolarize(positions, p)
+            case ("measure", pos, confusion):
+                read[pos] = batch.readout(batch.measure_z(pos), confusion)
+            case ("idle", pos, duration_us, t1_us, t2_us):
+                batch.idle_decay(pos, duration_us, t1_us, t2_us)
+            case ("pauli_if", pos, letter, p, parity_of):
+                cond = reduce(np.bitwise_xor, (read[q] for q in parity_of), zero) == 1
+                idx = np.flatnonzero(cond)
+                batch.apply_paulis([pos], idx, np.full((1, idx.size), letter))
+                batch.depolarize([pos], p, active=cond)
+            case ("tomography", first, last, p):
+                _rotate_into_bases(batch, bases, (first, last), p)
+            case _:
+                raise ValueError(f"unknown schedule record {step!r}")
     keys = np.zeros(zero.size, dtype=np.int64)
     for pos, bits in read.items():
         keys |= bits.astype(np.int64) << pos

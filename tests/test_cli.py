@@ -629,10 +629,52 @@ def test_counts_above_their_bounds_exit_2_before_any_cell(line4, capsys, monkeyp
                                            f"[0, {harness.MAX_SHOTS}], got "
                                            f"{harness.MAX_SHOTS + 1}\n")
     assert not out.exists()
-    # the bounds themselves are accepted; no cell runs here
-    spec = ExperimentSpec(shots=harness.MAX_SHOTS, trials=harness.MAX_TRIALS,
-                          paths_per_hop=harness.MAX_PATHS_PER_HOP)
-    assert (spec.shots, spec.trials, spec.paths_per_hop) == (1_000_000, 1_000, 1_000)
+    # each bound itself is accepted, on a sweep small enough for the work bound; no cell runs
+    for field, bound in (("shots", harness.MAX_SHOTS), ("trials", harness.MAX_TRIALS),
+                         ("paths_per_hop", harness.MAX_PATHS_PER_HOP)):
+        spec = ExperimentSpec(hops=(1,), protocols=("neg",), modes=("swap",), **{field: bound})
+        assert getattr(spec, field) == bound
+    assert (harness.MAX_SHOTS, harness.MAX_TRIALS, harness.MAX_PATHS_PER_HOP) == (
+        1_000_000, 1_000, 1_000)
+
+
+def test_work_above_its_bound_exits_2_before_any_work(line4, capsys, monkeypatch):
+    # every count used to be bounded only alone, so 3 protocols x 60 hop counts x
+    # 1,000 paths x 1,000 trials x 3 modes at 10^6 shots, or 10,000 delays x 10^6
+    # decay shots, passed every check
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in ((harness, "plan_cells"), (harness.protocols, "run_idle_pair"),
+                         (harness.channels, "exact_pair_distributions")):
+        monkeypatch.setattr(module, name, never)
+    dev = line4 / "dev.json"
+    out = line4 / "never_worked.csv"
+    # 20 path qubits x 1,000 paths x 9 bases x 100,000 shots is the run bound itself
+    sweep = ["--protocol", "neg", "--mode", "swap", "--hops", "18", "--paths", "1000",
+             "--trials", "1"]
+    bound = harness.MAX_RUN_WORK
+    assert ExperimentSpec(hops=(18,), protocols=("neg",), modes=("swap",), paths_per_hop=1000,
+                          trials=1, shots=100_000)
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        assert main(["run", "--device", str(dev), *sweep, "--shots", "100001",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the sweep plans {bound + 180_000} trajectory-qubits (path qubits x "
+            "protocols x paths_per_hop x trials x modes x 9 bases x shots, summed over hops), "
+            f"above the bound of {bound}\n")
+    # 1,001 delays x 999,001 shots is the decay bound plus one
+    bound = harness.MAX_DECAY_WORK
+    assert 1001 * 999_001 == bound + 1
+    for device in ([], ["--device", str(dev)]):
+        assert main(["decay", *device, "--delays", "0:1000:1", "--shots", "999001",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: decay plans {bound + 1} delay-shots "
+                                           f"(delays x shots), above the bound of {bound}\n")
+    assert not out.exists()
+    with pytest.raises(AssertionError, match="work started"):  # the bound itself passes
+        harness.run_decay_experiment([0.0] * 1000, harness.NoiseModel(), shots=1_000_000)
 
 
 def test_worker_counts_above_their_bound_exit_2_before_any_work(line4, capsys, monkeypatch):

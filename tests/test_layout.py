@@ -7,6 +7,11 @@ mates included, reads it as an attribute, or a perfbench script names it.
 An ``Enum`` member is in use when a top-level statement outside its own
 class reads it. Definitions used only by tests belong in the tests, as the
 dense oracle does.
+
+State guard: no function keeps state in its module, through a ``global``
+statement or by changing a module-level list, dict or set, so that one run
+never depends on an earlier one in the same process. Constant tables, and
+the tables that ``functools.cache`` keeps, stay allowed.
 """
 import ast
 import re
@@ -112,3 +117,59 @@ def _unused_enum_members() -> list[str]:
 
 def test_no_enum_member_in_src_is_used_only_by_tests():
     assert _unused_enum_members() == []
+
+
+#: Methods that change a list, dict or set in place.
+MUTATORS = {"append", "pop", "extend", "insert", "update", "setdefault", "clear", "remove",
+            "add", "discard"}
+CONTAINERS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _module_containers(tree: ast.Module) -> set[str]:
+    """Names that a module's top level binds to a list, dict or set."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, CONTAINERS) or (isinstance(value, ast.Call)
+                                             and isinstance(value.func, ast.Name)
+                                             and value.func.id in ("list", "dict", "set")):
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _module_state_writes() -> list[str]:
+    """"module.function: what" for each global statement and module container change."""
+    flagged = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        containers = _module_containers(tree)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            local = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                     args.vararg, args.kwarg] if a is not None}
+            local |= {n.id for n in ast.walk(fn)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            shared = containers - local
+            where = f"{path.stem}.{fn.name}"
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Global):
+                    flagged.add(f"{where}: global {', '.join(node.names)}")
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and isinstance(node.func.value, ast.Name)
+                      and node.func.value.id in shared and node.func.attr in MUTATORS):
+                    flagged.add(f"{where}: {node.func.value.id}.{node.func.attr}")
+                elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                      and isinstance(node.value, ast.Name) and node.value.id in shared):
+                    flagged.add(f"{where}: {node.value.id}[...]")
+    return sorted(flagged)
+
+
+def test_no_function_in_src_keeps_module_state():
+    assert _module_state_writes() == []

@@ -2,7 +2,6 @@
 import dataclasses
 import hashlib
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,15 +432,14 @@ def test_slabs_draw_as_batches_of_their_own_streams():
 
 
 def test_batches_stepped_in_turn_equal_batches_run_alone():
-    # live batches never share a buffer, and a batch on buffers that an
-    # earlier batch released gives the bits of one on fresh buffers
+    # live batches never share a buffer, and batches stepped in turn give
+    # the amplitudes and bits of batches run one after the other
     alone = []
     for seed in (1, 2):
         batch, bits = ShotBatch(np.random.default_rng(seed).spawn(2), 300, 3, 3), []
         for _ in _every_step(batch, bits):
             pass
         alone.append((batch._amps.copy(), bits))
-        batch.release()
     batches = [ShotBatch(np.random.default_rng(seed).spawn(2), 300, 3, 3) for seed in (1, 2)]
     bits = [[], []]
     steps = [_every_step(b, out) for b, out in zip(batches, bits)]
@@ -454,78 +452,34 @@ def test_batches_stepped_in_turn_equal_batches_run_alone():
         assert all(np.array_equal(a, b) for a, b in zip(batch_bits, want_bits))
 
 
-def test_released_buffers_go_to_the_next_batch():
-    first = ShotBatch([np.random.default_rng(0)], 64, 1, 0)
-    first.add_qubit(0)
-    kept = first._buffers
-    first.release()
-    second = ShotBatch([np.random.default_rng(1)], 32, 0, 0)
-    assert second._buffers is kept
-    assert np.array_equal(second._amps, np.ones((1, 32)))
-
-
-def test_a_raising_run_leaves_the_free_buffers_as_it_found_them():
-    # a record that raised used to drop its batch's buffers from the free list
-    run_idle_pair(1.0, NOISELESS, 64, np.random.default_rng(3))
-    free = list(protocols._FREE_BUFFERS)
-    with pytest.raises(ValueError, match="duration must be finite and non-negative"):
-        run_idle_pair(-1.0, NOISELESS, 64, np.random.default_rng(3))
-    assert len(protocols._FREE_BUFFERS) == len(free)
-    assert all(a is b for a, b in zip(protocols._FREE_BUFFERS, free))
-
-
-def test_second_sampled_run_reuses_the_engine_buffers():
-    # the nine bases of 1,024 shots run as one batch of 9,216 columns; once a
-    # first run has sized the buffers, a second allocates none of them again
-    path = PathSpec.line(7)
-    noise = path_noise_model(synthesize_device("line:7", seed=2), path)
-
-    def run(mode: str, seed: int):
-        rng = np.random.default_rng(seed)
-        if mode == "swap":
-            return run_swap_transport(path, noise, 1024, rng)
-        return run_teleportation(path, mode, noise, 1024, rng)
-
-    for mode in MODES:
-        run(mode, 0)
-    for mode in MODES:
-        tracemalloc.start()
-        try:
-            run(mode, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2e6, (mode, peak)
-
-
 def test_first_sampled_run_allocates_each_buffer_once(monkeypatch):
-    # the first batch of a process used to copy each buffer into a larger one
-    # every time its window grew; now it sizes them for its widest window
-    monkeypatch.setattr(protocols, "_FREE_BUFFERS", [])
+    # a batch used to copy each buffer into a larger one every time its window
+    # grew; now each batch allocates its three for its widest window, and no
+    # step replaces them
     seen = {}
     buffer = ShotBatch._buffer
 
     def recording(self, i, rows, dtype=None):
         view = buffer(self, i, rows, dtype)
-        seen.update((id(b), b) for b in self._buffers if b.size)
+        seen.setdefault(self, {}).update((id(b), b) for b in self._buffers)
         return view
 
     monkeypatch.setattr(ShotBatch, "_buffer", recording)
     path = PathSpec.line(8)
     noise = path_noise_model(synthesize_device("line:8", seed=2), path)
     # 2,048 shots run as batches of five and four bases, each taking 8 float64 entries
-    # per shot: the idle pair, run first, for its complex 2-qubit window from the
-    # tomography layer on (its real window needs 4), the modes for their real 3-qubit one
+    # per column: the idle pair for its complex 2-qubit window from the tomography
+    # layer on (its real window needs 4), the modes for their real 3-qubit one
     for mode in ("idle", *MODES):
+        seen.clear()
         if mode == "idle":
             run_idle_pair(3.0, noise, 2048, np.random.default_rng(0))
         elif mode == "swap":
             run_swap_transport(path, noise, 2048, np.random.default_rng(0))
         else:
             run_teleportation(path, mode, noise, 2048, np.random.default_rng(0))
-        assert len(seen) == 3, mode
-    assert [(b.dtype, b.size) for b in seen.values()] == [(np.float64, 8 * 5 * 2048)] * 3
-    assert {id(b) for b in protocols._FREE_BUFFERS[0]} == set(seen)
+        assert [[(b.dtype, b.size) for b in buffers.values()] for buffers in seen.values()] == [
+            [(np.float64, 8 * bases * 2048)] * 3 for bases in (5, 4)], mode
 
 
 def test_batch_drop_qubit_matches_dense_removal():

@@ -24,8 +24,11 @@ default, removed at the end), so that each writes its own files:
   plot SVGs of the serial trend CSV.
 
 It then prints one `identical NAME` or `differs NAME` line per file, with
-files in subfolders named by their relative path, and exits 1 if any file
-differs or is missing on one side. A command that exits with a status
+files in subfolders named by their relative path, and one
+`identical serial-vs-pooled SIDE` or `differs serial-vs-pooled SIDE` line
+per side, which compares that side's serial and pooled trend CSVs. It
+exits 1 if any file differs or is missing on one side, or if either side's
+pooled run differs from its serial one. A command that exits with a status
 other than 0 stops the script with exit status 2.
 """
 from __future__ import annotations
@@ -119,6 +122,11 @@ def main(argv=None) -> int:
             same = all(map(os.path.isfile, paths)) and filecmp.cmp(*paths, shallow=False)
             differing += not same
             print(f"{'identical' if same else 'differs'} {name}")
+        for side, folder in zip(("parent", "change"), sides):
+            same = filecmp.cmp(*(os.path.join(folder, f"trend_t{threads}.csv")
+                                 for threads in ("1", "2")), shallow=False)
+            differing += not same
+            print(f"{'identical' if same else 'differs'} serial-vs-pooled {side}")
     finally:
         if not args.work:
             shutil.rmtree(work)
