@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .simulator import GATE_MATRICES
 from .tomography import BASIS_PAIRS, rotation_gates
 
 #: Idle-decay constants fitted so that a two-qubit graph state loses
@@ -157,7 +156,7 @@ def decay_probabilities(duration_us: float, t1_us: float, t2_us: float) -> tuple
 
 # ---------------------------------------------------------------------------
 # Exact channel forms on density matrices. Qubit q is bit q of the matrix
-# index, as in the simulator.
+# index, the outcome-index convention of the whole package.
 
 def _split(rho: np.ndarray, qubit: int) -> np.ndarray:
     """View of a 2^n x 2^n matrix with qubit's row and column bits on axes 1 and 4."""
@@ -243,7 +242,7 @@ def exact_pair_distributions(noise: NoiseModel, delay_us: float = 0.0) -> np.nda
         rotated = rho
         for q, axis in enumerate(pair):
             for g in rotation_gates(axis):
-                u = np.kron(GATE_MATRICES[g], eye) if q == 1 else np.kron(eye, GATE_MATRICES[g])
+                u = np.kron(g, eye) if q == 1 else np.kron(eye, g)
                 rotated = depolarizing_channel(u @ rotated @ u.conj().T, (q,),
                                                noise.one_qubit_depol)
         row[:] = np.real(np.diag(rotated))

@@ -165,7 +165,7 @@ def _decay_noise(args) -> NoiseModel:
         best = pathfinder.find_best_paths(graph, 2, 1)
         if not best:
             raise ValueError("device has no usable edge for the decay experiment")
-        return harness.path_noise_model(device, harness.PathSpec(best[0].qubits))
+        return harness.path_noise_model(device, best[0].qubits)
     readout = [confusion_matrix(DEFAULT_READOUT_01, DEFAULT_READOUT_10)] * 2
     return NoiseModel(one_qubit_depol=DEFAULT_ONE_QUBIT_DEPOL,
                       two_qubit_depol=0.0075, readout=readout)

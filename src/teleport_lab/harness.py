@@ -22,7 +22,7 @@ from . import channels, mitigation, pathfinder, protocols, tomography
 from .channels import NoiseModel, check_number, confusion_matrix
 from .metrics import density_from_state, fidelity, negativity
 from .pathfinder import DeviceModel
-from .protocols import PathSpec, TransportResult
+from .protocols import TransportResult
 
 log = logging.getLogger("teleport_lab")
 
@@ -35,12 +35,14 @@ MAX_SHOTS = 1_000_000
 MAX_TRIALS = 1_000
 MAX_PATHS_PER_HOP = 1_000
 #: Work bounds, as each count is bounded only alone: a sweep's trajectory-qubits (path
-#: qubits x 9 bases x shots, summed over its cells) and decay's delays x shots. On a
-#: 2-CPU machine a serial sweep runs about 6e6 trajectory-qubits and decay about 4.5e5
-#: delay-shots per second, so each bound allows roughly 50 and 37 minutes. The default
-#: spec is 1.2e9 trajectory-qubits.
+#: qubits x 9 bases x (shots + CELL_FIXED_SHOTS), as a cell's fixed cost is about that of
+#: 330 shots, summed over its cells) and decay's delays x shots. On a 2-CPU machine a
+#: serial sweep runs 4.2e6 (1-shot cells at hops 1) to 7.1e6 (1,024 shots at hops 17)
+#: trajectory-qubits and decay about 4.5e5 delay-shots per second, so the bounds allow
+#: 43 to 71 and about 37 minutes. The default spec is 1.3e9 trajectory-qubits.
 MAX_RUN_WORK = 18 * 10**9
 MAX_DECAY_WORK = 10**9
+CELL_FIXED_SHOTS = 330
 #: Most sweep workers: a fork pool starts all of its workers at once, so a mistyped
 #: TELEPORT_LAB_THREADS would otherwise fork one process per path of the sweep.
 MAX_WORKERS = 64
@@ -98,11 +100,13 @@ class ExperimentSpec:
             setattr(self, name, int(check_number(name, getattr(self, name), low, high,
                                                  integer=True)))
         work = (sum(hops + 2 for hops in self.hops) * len(self.protocols) * self.paths_per_hop
-                * self.trials * len(self.modes) * len(tomography.BASIS_PAIRS) * self.shots)
+                * self.trials * len(self.modes) * len(tomography.BASIS_PAIRS)
+                * (self.shots + CELL_FIXED_SHOTS))
         if work > MAX_RUN_WORK:
             raise ValueError(f"the sweep plans {work} trajectory-qubits (path qubits x protocols "
-                             "x paths_per_hop x trials x modes x 9 bases x shots, summed over "
-                             f"hops), above the bound of {MAX_RUN_WORK}")
+                             "x paths_per_hop x trials x modes x 9 bases x (shots + "
+                             f"{CELL_FIXED_SHOTS} per cell), summed over hops), above the bound "
+                             f"of {MAX_RUN_WORK}")
         if not isinstance(self.simplified_correction, bool):
             raise ValueError(f"simplified_correction must be a boolean, "
                              f"got {self.simplified_correction!r}")
@@ -163,26 +167,30 @@ class ResultRow:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
 
-def path_noise_model(device: DeviceModel, path: PathSpec,
+def path_noise_model(device: DeviceModel, labels: Sequence[int],
                      overrides: dict | None = None) -> NoiseModel:
-    """Path-local noise model; position i carries the calibration of label i.
+    """Noise model of a path of at least 2 distinct device qubits; position i has labels[i]'s.
 
     An override replaces the device's values of its own key only. A listed
     field shorter than the path needs raises ValueError: `two_qubit_depol`
     needs one value per edge, `t1_us` and `t2_us` one per qubit, and a
     non-empty `readout` one matrix per qubit.
     """
-    cals = [device.qubit(label) for label in path.qubit_labels]
+    n = len(labels)
+    if n < 2:
+        raise ValueError("a path needs at least 2 qubits")
+    if len(set(labels)) != n:
+        raise ValueError(f"path qubits must be distinct, got {tuple(labels)}")
+    cals = [device.qubit(label) for label in labels]
     noise = NoiseModel(**{
         "one_qubit_depol": channels.DEFAULT_ONE_QUBIT_DEPOL,
         "readout": [confusion_matrix(c.readout_err_0to1, c.readout_err_1to0) for c in cals],
-        "two_qubit_depol": [device.edge(a, b).gate_error
-                            for a, b in zip(path.qubit_labels, path.qubit_labels[1:])],
+        "two_qubit_depol": [device.edge(a, b).gate_error for a, b in zip(labels, labels[1:])],
         "t1_us": [c.t1_us for c in cals],
         "t2_us": [c.t2_us for c in cals],
         **(overrides or {})})
-    for name, need in (("two_qubit_depol", path.n - 1), ("t1_us", path.n), ("t2_us", path.n),
-                       ("readout", path.n if noise.readout else 0)):
+    for name, need in (("two_qubit_depol", n - 1), ("t1_us", n), ("t2_us", n),
+                       ("readout", n if noise.readout else 0)):
         values = getattr(noise, name)
         if isinstance(values, list) and len(values) < need:
             raise ValueError(f"{name} has {len(values)} values; the path needs {need}")
@@ -238,7 +246,7 @@ def mitigated_category_distributions(result: TransportResult, qrem: bool,
     by_basis = np.concatenate([_category_bins(counts[chunk], result.shots_per_basis, inverses)
                                for chunk in chunks])
 
-    configs = protocols.reachable_configurations(result.path.hops)
+    configs = protocols.reachable_configurations(result.n - 2)
     # (basis, configuration, t) bins of each configuration's four pair outcomes
     vecs = by_basis[:, [[zc | (xc << 1) | (tt << 2) for tt in range(4)] for zc, xc in configs]]
     weights = vecs.sum(axis=-1)
@@ -303,18 +311,18 @@ class _CellRows(NamedTuple):
 
 def _cell_rows(noise: NoiseModel, spec: ExperimentSpec, cell: _Cell) -> _CellRows:
     """Transport, calibration and mitigation of one cell; `_score_rows` does the rest."""
-    path = PathSpec(cell.path_labels)
+    n = len(cell.path_labels)
     rng = np.random.default_rng(np.random.SeedSequence(cell.seed))
     if cell.mode == "swap":
-        result = protocols.run_swap_transport(path, noise, spec.shots, rng)
+        result = protocols.run_swap_transport(n, noise, spec.shots, rng)
     else:
-        result = protocols.run_teleportation(path, cell.mode, noise, spec.shots, rng,
+        result = protocols.run_teleportation(n, cell.mode, noise, spec.shots, rng,
                                              simplified_correction=spec.simplified_correction)
     calibration = mitigation.estimate_confusion_matrices(
-        [noise.qubit_confusion(i) for i in range(path.n)], CALIBRATION_SHOTS, rng)
+        [noise.qubit_confusion(i) for i in range(n)], CALIBRATION_SHOTS, rng)
 
     rows, scored, probs, ideals = [], [], [], []
-    path_label = _path_str(path)
+    path_label = _path_str(cell.path_labels)
     for qrem in spec.qrem_flags:
         flag = "on" if qrem else "off"
         if cell.mode == "postselect":
@@ -325,7 +333,7 @@ def _cell_rows(noise: NoiseModel, spec: ExperimentSpec, cell: _Cell) -> _CellRow
                 if eff_shots:  # a configuration with no effective shot keeps empty metrics
                     scored.append(len(rows))
                     probs.append(config_prob)
-                    ideals.append(protocols.canonical_state(config, path.n))
+                    ideals.append(protocols.canonical_state(config, n))
                 rows.append(ResultRow(cell.mode, cell.protocol, cell.hops, path_label,
                                       cell.trial, flag, f"{config[0]}{config[1]}", None, None,
                                       eff_shots, cell.seed))
@@ -357,8 +365,8 @@ def _score_rows(cells: Sequence[_CellRows]) -> list[ResultRow]:
     return out
 
 
-def _path_str(path: PathSpec) -> str:
-    return "-".join(str(q) for q in path.qubit_labels)
+def _path_str(labels: Sequence[int]) -> str:
+    return "-".join(map(str, labels))
 
 
 def _guarded(fn, *args) -> tuple:
@@ -437,16 +445,15 @@ def run_experiment(device: DeviceModel, spec: ExperimentSpec) -> SweepRows:
                          f"{', '.join(map(str, spec.hops))}")
     noise_models = {}
     for labels in dict.fromkeys(c.path_labels for c in cells):
-        path = PathSpec(labels)
         # a cell's QREM inverts its end qubits' matrices, and in postselect every qubit's
-        corrected = range(path.n) if "postselect" in spec.modes else (0, path.n - 1)
+        corrected = range(len(labels)) if "postselect" in spec.modes else (0, len(labels) - 1)
         try:
-            noise = noise_models[labels] = path_noise_model(device, path, spec.noise_overrides)
+            noise = noise_models[labels] = path_noise_model(device, labels, spec.noise_overrides)
             if spec.qrem != "off":
                 for i in corrected:
                     mitigation.confusion_inverse(noise.qubit_confusion(i), labels[i])
         except (ValueError, mitigation.MitigationError) as exc:
-            raise ValueError(f"noise on path {_path_str(path)}: {exc}") from None
+            raise ValueError(f"noise on path {_path_str(labels)}: {exc}") from None
     paths = [list(block) for _, block in
              groupby(cells, lambda c: (c.protocol, c.hops, c.path_index))]
     order = sorted(range(len(paths)), key=lambda i: -paths[i][0].hops)

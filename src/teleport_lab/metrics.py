@@ -1,8 +1,8 @@
 """Entanglement and quality measures on two-qubit density matrices.
 
-Density matrices are plain 4x4 complex ndarrays indexed with the same
-bit convention as the simulator: the first qubit of the pair is the
-least significant bit of the row/column index. Every function here also
+Density matrices are plain 4x4 complex ndarrays indexed by the outcome-
+index convention: the first qubit of the pair is the least significant
+bit of the row/column index, as of a tomography outcome index. Every function here also
 takes a stack of them along a leading axis and treats each on its own.
 """
 from __future__ import annotations

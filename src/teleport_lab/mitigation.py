@@ -6,8 +6,8 @@ draws its flip counts as binomials. Correction applies the inverses with
 ``channels.per_qubit_transform``, and ``metrics.michelot_project``
 projects the result onto the probability simplex.
 
-Probability vectors are indexed so that bit i of the outcome index
-(weight 2^i) is the i-th measured qubit, matching the simulator.
+Probability vectors follow the outcome-index convention: bit i of the
+outcome index (weight 2^i) is the i-th measured qubit.
 """
 from __future__ import annotations
 

@@ -42,9 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import NoiseModel, decay_probabilities
-from .simulator import GATE_MATRICES, Gate
-from .tomography import BASIS_PAIRS, PAULI_AXES, rotation_gates
+from .channels import NoiseModel, check_number, decay_probabilities
+from .tomography import BASIS_PAIRS, H, PAULI_AXES, PAULI_MATRICES, rotation_gates
 
 MODES = ("dynamic", "postselect", "swap")
 
@@ -55,33 +54,6 @@ MAX_PATH_QUBITS = 62
 #: Column budget of one sampled batch: `_sample` runs the nine bases in
 #: ceil(9 * shots / MAX_BATCH_COLUMNS) groups of as near equal size as can be.
 MAX_BATCH_COLUMNS = 9 * 1024
-
-
-@dataclass(frozen=True)
-class PathSpec:
-    """Ordered device qubit labels of a transport path."""
-
-    qubit_labels: tuple[int, ...]
-
-    def __post_init__(self):
-        labels = tuple(int(q) for q in self.qubit_labels)
-        object.__setattr__(self, "qubit_labels", labels)
-        if len(labels) < 2:
-            raise ValueError("a path needs at least 2 qubits")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"path qubits must be distinct, got {labels}")
-
-    @classmethod
-    def line(cls, n: int) -> "PathSpec":
-        return cls(tuple(range(n)))
-
-    @property
-    def n(self) -> int:
-        return len(self.qubit_labels)
-
-    @property
-    def hops(self) -> int:
-        return len(self.qubit_labels) - 2
 
 
 def reachable_configurations(hops: int) -> tuple[tuple[int, int], ...]:
@@ -98,11 +70,11 @@ def configuration_unitary(config: tuple[int, int], n: int) -> np.ndarray:
     z, x = config
     u = np.eye(2, dtype=complex)
     if x:
-        u = GATE_MATRICES[Gate.X] @ u
+        u = PAULI_MATRICES["X"] @ u
     if z:
-        u = GATE_MATRICES[Gate.Z] @ u
+        u = PAULI_MATRICES["Z"] @ u
     if n % 2:
-        u = GATE_MATRICES[Gate.H] @ u
+        u = H @ u
     return u
 
 
@@ -409,7 +381,7 @@ class ShotBatch:
 
 @dataclass
 class TransportResult:
-    """Raw per-basis outcome counts of a sampled transport run.
+    """Raw per-basis outcome counts of a sampled transport run on a path of n qubits.
 
     ``counts_by_basis`` maps each basis pair to a ``(distinct, 2)`` int64
     array of ``(key, count)`` rows in ascending key order, so ``len()`` of
@@ -419,13 +391,9 @@ class TransportResult:
     tomography outcomes.
     """
 
-    path: PathSpec
+    n: int
     shots_per_basis: int
     counts_by_basis: dict = field(default_factory=dict)
-
-    @property
-    def n(self) -> int:
-        return self.path.n
 
     def pair_frequencies(self) -> np.ndarray:
         """(9, 4) outcome frequencies of the surviving pair (positions 0 and n-1)."""
@@ -471,7 +439,7 @@ def schedule(n: int, mode: str, noise: NoiseModel, simplified_correction: bool =
     last, p1 = n - 1, noise.one_qubit_depol
 
     def hadamard(pos):
-        return [("gate", pos, GATE_MATRICES[Gate.H]), ("depolarize", (pos,), p1)]
+        return [("gate", pos, H), ("depolarize", (pos,), p1)]
 
     def idle(duration_us):
         return [("idle", pos, duration_us, *noise.qubit_t1t2(pos)) for pos in (0, last)]
@@ -524,7 +492,7 @@ def _rotate_into_bases(batch: ShotBatch, bases: Sequence[tuple[str, str]],
                 continue
             slabs = _slab_slice(members)
             for gate in rotation_gates(axis):
-                batch.apply_matrix(pos, GATE_MATRICES[gate], slabs)
+                batch.apply_matrix(pos, gate, slabs)
                 batch.depolarize([pos], p, slabs=slabs)
 
 
@@ -534,8 +502,7 @@ def _record_matrices(step: tuple, bases: Sequence[tuple[str, str]]) -> list[np.n
         case ("gate", _, matrix):
             return [matrix]
         case ("tomography", *_):
-            return [GATE_MATRICES[gate] for pair in bases for axis in pair
-                    for gate in rotation_gates(axis)]
+            return [gate for pair in bases for axis in pair for gate in rotation_gates(axis)]
     return []
 
 
@@ -580,16 +547,13 @@ def _sample_group(steps: Sequence[tuple], bases: Sequence[tuple[str, str]],
     return keys
 
 
-def _sample(path: PathSpec, mode: str, noise: NoiseModel, shots: int, rng: np.random.Generator,
+def _sample(n: int, mode: str, noise: NoiseModel, shots: int, rng: np.random.Generator,
             simplified_correction: bool = False, delay_us: float = 0.0) -> TransportResult:
     """Run the tomography bases in groups, each basis on its own child stream, and count keys."""
     if shots <= 0:
         raise ValueError("shot budget must be positive")
-    if path.n > MAX_PATH_QUBITS:
-        raise ValueError(f"path of {path.n} qubits exceeds the {MAX_PATH_QUBITS}-qubit "
-                         "limit of 64-bit outcome keys")
-    result = TransportResult(path, shots)
-    steps = schedule(path.n, mode, noise, simplified_correction, delay_us)
+    result = TransportResult(n, shots)
+    steps = schedule(n, mode, noise, simplified_correction, delay_us)
     streams = rng.spawn(len(BASIS_PAIRS))
     n_groups = min(len(BASIS_PAIRS), ceil(len(BASIS_PAIRS) * shots / MAX_BATCH_COLUMNS))
     for group in np.array_split(np.arange(len(BASIS_PAIRS)), n_groups):
@@ -600,26 +564,34 @@ def _sample(path: PathSpec, mode: str, noise: NoiseModel, shots: int, rng: np.ra
     return result
 
 
-def run_teleportation(path: PathSpec, mode: str, noise: NoiseModel, shots: int,
+def _check_path_length(n: int):
+    """Reject a transport path length that is no int, has no intermediate qubit or is too long."""
+    check_number("path length", n, integer=True)
+    if n < 3:
+        raise ValueError(f"transport needs at least one intermediate qubit, got a path of {n}")
+    if n > MAX_PATH_QUBITS:
+        raise ValueError(f"path of {n} qubits exceeds the {MAX_PATH_QUBITS}-qubit "
+                         "limit of 64-bit outcome keys")
+
+
+def run_teleportation(n: int, mode: str, noise: NoiseModel, shots: int,
                       rng: np.random.Generator,
                       simplified_correction: bool = False) -> TransportResult:
-    """Sample `shots` trajectories per tomography basis for one teleportation run."""
+    """Sample `shots` trajectories per tomography basis for one teleportation run on n qubits."""
     if mode not in ("dynamic", "postselect"):
         raise ValueError(f"mode must be dynamic or postselect, got {mode}")
-    if path.hops < 1:
-        raise ValueError("teleportation needs at least one intermediate qubit")
-    return _sample(path, mode, noise, shots, rng, simplified_correction=simplified_correction)
+    _check_path_length(n)
+    return _sample(n, mode, noise, shots, rng, simplified_correction=simplified_correction)
 
 
-def run_swap_transport(path: PathSpec, noise: NoiseModel, shots: int,
+def run_swap_transport(n: int, noise: NoiseModel, shots: int,
                        rng: np.random.Generator) -> TransportResult:
-    """Move the pair qubit with SWAP chains (three noisy CNOTs per hop)."""
-    if path.hops < 1:
-        raise ValueError("swap transport needs at least one intermediate qubit")
-    return _sample(path, "swap", noise, shots, rng)
+    """Move the pair qubit along n qubits with SWAP chains (three noisy CNOTs per hop)."""
+    _check_path_length(n)
+    return _sample(n, "swap", noise, shots, rng)
 
 
 def run_idle_pair(delay_us: float, noise: NoiseModel, shots: int,
                   rng: np.random.Generator) -> TransportResult:
     """Prepare the two-qubit graph state, idle both qubits, then run tomography."""
-    return _sample(PathSpec.line(2), "idle", noise, shots, rng, delay_us=delay_us)
+    return _sample(2, "idle", noise, shots, rng, delay_us=delay_us)

@@ -4,28 +4,38 @@ Tomography distributions are float arrays of shape (..., 9, 4): one row
 per basis pair in `BASIS_PAIRS` order, and outcome index
 ``b_first + 2 * b_second`` within a row. Leading axes stack independent
 pairs.
+
+The module also holds the one-qubit gate matrices, in the basis (|0>, |1>),
+that the transport engine and the exact channels apply: `H`, `SDG`
+(S-dagger) and the Paulis in `PAULI_MATRICES`.
 """
 from __future__ import annotations
 
 import itertools
+from math import sqrt
 
 import numpy as np
 
 from .metrics import nearest_physical
-from .simulator import Gate, PAULI_MATRICES
+
+H = np.array([[1, 1], [1, -1]], dtype=complex) * (1.0 / sqrt(2.0))
+SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 PAULI_AXES = ("X", "Y", "Z")
 BASIS_PAIRS: tuple[tuple[str, str], ...] = tuple(itertools.product(PAULI_AXES, PAULI_AXES))
 
-_ROTATIONS = {"X": (Gate.H,), "Y": (Gate.SDG, Gate.H), "Z": ()}
+_ROTATIONS = {"X": (H,), "Y": (SDG, H), "Z": ()}
 
 
-def rotation_gates(axis: str) -> tuple[Gate, ...]:
-    """Gates mapping one Pauli eigenbasis onto Z, in application order."""
-    try:
-        return _ROTATIONS[axis.upper()]
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis}") from None
+def rotation_gates(axis: str) -> tuple[np.ndarray, ...]:
+    """Matrices mapping the eigenbasis of Pauli axis X, Y or Z onto Z, in application order."""
+    return _ROTATIONS[axis]
 
 
 _SIGN_FIRST = np.array([1.0, -1.0, 1.0, -1.0])

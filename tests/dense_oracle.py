@@ -6,9 +6,11 @@ transport, against which the sampled engine (`protocols.ShotBatch`) and
 acceptance criteria 1-3 are checked. Under noise, `schedule_distributions`
 interprets the records of `protocols.schedule` on density matrices with
 its own channel forms, as the exact reference of the sampler. Nothing here
-samples or comes from the engine. Qubit ``q`` is bit q, least significant
-first, of the amplitude index; global phase is kept (compare with
-`states_equal`); registers are capped at 24 qubits.
+samples or comes from the engine, and the oracle keeps its own gate table
+(`GATE_MATRICES`, `PAULI_MATRICES`) and basis rotations (`BASIS_ROTATIONS`).
+Qubit ``q`` is bit q, least significant first, of the amplitude index;
+global phase is kept (compare with `states_equal`); registers are capped at
+24 qubits.
 """
 from __future__ import annotations
 
@@ -22,10 +24,40 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from teleport_lab.protocols import phi_p2, reachable_configurations
-from teleport_lab.simulator import GATE_MATRICES, PAULI_MATRICES, Gate
-from teleport_lab.tomography import BASIS_PAIRS, rotation_gates
+from teleport_lab.tomography import BASIS_PAIRS
 
 MAX_QUBITS = 24
+
+
+class Gate(Enum):
+    """One-qubit gates of the oracle."""
+
+    H = "H"
+    X = "X"
+    Y = "Y"
+    Z = "Z"
+    SDG = "SDG"
+
+
+GATE_MATRICES = {
+    Gate.H: np.array([[1, 1], [1, -1]], dtype=complex) * (1.0 / sqrt(2.0)),
+    Gate.X: np.array([[0, 1], [1, 0]], dtype=complex),
+    Gate.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
+    Gate.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+    Gate.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
+}
+PAULI_MATRICES = {"I": np.eye(2, dtype=complex), "X": GATE_MATRICES[Gate.X],
+                  "Y": GATE_MATRICES[Gate.Y], "Z": GATE_MATRICES[Gate.Z]}
+#: Gates mapping each Pauli eigenbasis onto Z, in application order.
+BASIS_ROTATIONS = {"Z": (), "X": (Gate.H,), "Y": (Gate.SDG, Gate.H)}
+
+
+def basis_rotation(axis: str) -> tuple[Gate, ...]:
+    """`BASIS_ROTATIONS` of one axis, in either case."""
+    try:
+        return BASIS_ROTATIONS[axis.upper()]
+    except KeyError:
+        raise ValueError(f"unknown Pauli axis {axis}") from None
 
 
 @dataclass(frozen=True)
@@ -39,7 +71,7 @@ class GateOp:
 def tomography_rotations(basis_pair: tuple[str, str], qubits: tuple[int, int]) -> list[GateOp]:
     """Gates mapping the requested Pauli eigenbases onto Z before measurement."""
     return [GateOp(g, qubit) for axis, qubit in zip(basis_pair, qubits)
-            for g in rotation_gates(axis)]
+            for g in basis_rotation(axis)]
 
 
 class TwoQubitGate(Enum):
@@ -199,13 +231,6 @@ def postselect(state: PureState, qubit: int, basis: str, bit: int) -> tuple[Pure
     return PureState(state.num_qubits, (out / sqrt(prob)).reshape(-1)), prob
 
 
-_BASIS_ROTATIONS = {
-    "Z": [],
-    "X": [Gate.H],
-    "Y": [Gate.SDG, Gate.H],
-}
-
-
 def born_probabilities(state: PureState, qubits: Sequence[int], bases: Sequence[str]) -> np.ndarray:
     """Exact joint outcome distribution for the listed qubits and bases.
 
@@ -219,7 +244,7 @@ def born_probabilities(state: PureState, qubits: Sequence[int], bases: Sequence[
     _check_targets(state, qubits)
     amps = state.amplitudes
     for q, b in zip(qubits, bases):
-        for g in _BASIS_ROTATIONS[b.upper()]:
+        for g in basis_rotation(b):
             amps = _apply_single(amps, GATE_MATRICES[g], q)
     probs = np.abs(amps) ** 2
     idx = np.arange(probs.size)
@@ -401,7 +426,7 @@ def analytic_swap() -> dict:
 def categorize(result) -> dict[tuple[int, int], np.ndarray]:
     """(9, 4) pair counts of a transport result split by the discriminator, one key at a time."""
     n = result.n
-    out = {c: np.zeros((len(BASIS_PAIRS), 4)) for c in reachable_configurations(result.path.hops)}
+    out = {c: np.zeros((len(BASIS_PAIRS), 4)) for c in reachable_configurations(result.n - 2)}
     for b, pair in enumerate(BASIS_PAIRS):
         for outcome, weight in result.counts_by_basis[pair].tolist():
             config = discriminator([(outcome >> pos) & 1 for pos in range(1, n - 1)])
@@ -534,7 +559,7 @@ def _interpret(steps: Sequence[tuple], pair: tuple[str, str]) -> dict[int, float
                 w.depolarize([pos], p, fires)
             case ("tomography", first, last, p):
                 for pos, axis in zip((first, last), pair):
-                    for gate in rotation_gates(axis):
+                    for gate in basis_rotation(axis):
                         w.channel([w.on(pos, GATE_MATRICES[gate])])
                         w.depolarize([pos], p)
             case _:

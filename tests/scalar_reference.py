@@ -18,8 +18,14 @@ import numpy as np
 
 from teleport_lab import mitigation, protocols, tomography
 from teleport_lab.metrics import check_density_matrix, partial_transpose
-from teleport_lab.simulator import PAULI_MATRICES
 from teleport_lab.tomography import BASIS_PAIRS, PAULI_AXES
+
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 _SIGN_FIRST = np.array([1.0, -1.0, 1.0, -1.0])
 _SIGN_SECOND = np.array([1.0, 1.0, -1.0, -1.0])
@@ -177,7 +183,7 @@ def stacked_category_distributions(result, qrem: bool, calibration) -> tuple:
     bin_index = np.arange(16)[:, None] * len(counts) + basis
     by_basis = np.bincount(bin_index.ravel(), vecs.ravel(), 16 * len(counts)).reshape(16, -1).T
 
-    configs = protocols.reachable_configurations(result.path.hops)
+    configs = protocols.reachable_configurations(result.n - 2)
     vecs = by_basis[:, [[zc | (xc << 1) | (tt << 2) for tt in range(4)] for zc, xc in configs]]
     weights = vecs.sum(axis=-1)
     probs = np.full(vecs.shape, 0.25)

@@ -14,7 +14,7 @@ from teleport_lab.channels import (DEFAULT_ONE_QUBIT_DEPOL, NoiseModel, confusio
 from teleport_lab.harness import ExperimentSpec, aggregate_by_hops, run_decay_experiment
 from teleport_lab.metrics import density_from_state, fidelity, nearest_physical, negativity
 from teleport_lab.mitigation import michelot_project, qrem_correct
-from teleport_lab.protocols import PathSpec, configuration_unitary, phi_p2, run_teleportation
+from teleport_lab.protocols import configuration_unitary, phi_p2, run_teleportation
 from teleport_lab.tomography import reconstruct
 
 from conftest import random_density_matrix, random_unitary
@@ -59,7 +59,7 @@ def test_criterion_01_noiseless_exactness():
     worst_sampled = 0.0
     for hops in range(1, 20, 3):
         rng = np.random.default_rng(1000 + hops)
-        result = run_teleportation(PathSpec.line(hops + 2), "dynamic", NOISELESS, 4096, rng)
+        result = run_teleportation(hops + 2, "dynamic", NOISELESS, 4096, rng)
         neg = negativity(reconstruct(result.pair_frequencies()))
         worst_sampled = max(worst_sampled, abs(neg - 0.5))
     elapsed = time.time() - start

@@ -12,13 +12,12 @@ from teleport_lab.channels import (NoiseModel, check_confusion_matrix, confusion
 from teleport_lab.harness import path_noise_model
 from teleport_lab.metrics import density_from_state, negativity
 from teleport_lab.pathfinder import synthesize_device
-from teleport_lab.protocols import PathSpec, ShotBatch, schedule
-from teleport_lab.simulator import GATE_MATRICES, PAULI_MATRICES
-from teleport_lab.tomography import BASIS_PAIRS, rotation_gates
+from teleport_lab.protocols import ShotBatch, schedule
+from teleport_lab.tomography import BASIS_PAIRS
 
 from conftest import random_density_matrix, random_state, shot_batch, trace_distance
-from dense_oracle import (PureState, apply_gates, embed_single, idle_kraus, kraus_oracle, op,
-                          schedule_distributions)
+from dense_oracle import (GATE_MATRICES, PAULI_MATRICES, PureState, apply_gates, basis_rotation,
+                          embed_single, idle_kraus, kraus_oracle, op, schedule_distributions)
 
 BELL = PureState(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
@@ -270,7 +269,7 @@ def test_exact_pair_distributions_match_oracle_pipeline():
     for got, pair in zip(exact, BASIS_PAIRS):
         rotated = rho
         for q, axis in enumerate(pair):
-            for g in rotation_gates(axis):
+            for g in basis_rotation(axis):
                 rotated = kraus_oracle(rotated, [GATE_MATRICES[g]], q)
                 rotated = depolarizing_oracle(rotated, (q,), noise.one_qubit_depol)
         expected = per_qubit_transform(np.real(np.diag(rotated)), noise.readout)
@@ -285,7 +284,7 @@ def test_exact_pair_route_equals_dense_idle_schedule():
     rng = np.random.default_rng(23)
     for edge in device.edges[::12]:
         t1 = rng.uniform(15.0, 60.0, size=2)
-        noise = dataclasses.replace(path_noise_model(device, PathSpec((edge.a, edge.b))),
+        noise = dataclasses.replace(path_noise_model(device, (edge.a, edge.b)),
                                     t1_us=list(t1),
                                     t2_us=list(t1 * rng.uniform(0.3, 2.0, size=2)))
         for delay in (0.0, *rng.uniform(0.0, 8.0, size=3)):

@@ -650,20 +650,27 @@ def test_work_above_its_bound_exits_2_before_any_work(line4, capsys, monkeypatch
         monkeypatch.setattr(module, name, never)
     dev = line4 / "dev.json"
     out = line4 / "never_worked.csv"
-    # 20 path qubits x 1,000 paths x 9 bases x 100,000 shots is the run bound itself
+    # 20 path qubits x 1,000 paths x 9 bases x (99,670 shots + 330 per cell) is the run
+    # bound itself
     sweep = ["--protocol", "neg", "--mode", "swap", "--hops", "18", "--paths", "1000",
              "--trials", "1"]
     bound = harness.MAX_RUN_WORK
+    assert harness.CELL_FIXED_SHOTS == 330
     assert ExperimentSpec(hops=(18,), protocols=("neg",), modes=("swap",), paths_per_hop=1000,
-                          trials=1, shots=100_000)
-    for workers in ("1", "2"):
-        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
-        assert main(["run", "--device", str(dev), *sweep, "--shots", "100001",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: the sweep plans {bound + 180_000} trajectory-qubits (path qubits x "
-            "protocols x paths_per_hop x trials x modes x 9 bases x shots, summed over hops), "
-            f"above the bound of {bound}\n")
+                          trials=1, shots=99_670)
+    # a 1-shot cell costs about as much as 330 shots, so 9,000,000 cells of one shot each
+    # on 7 qubits, which would run for hours, are 7 x 3 x 1,000 x 1,000 x 3 x 9 x 331
+    # trajectory-qubits
+    many_cells = ["--hops", "5", "--paths", "1000", "--trials", "1000", "--shots", "1"]
+    for args, work in (([*sweep, "--shots", "99671"], bound + 180_000),
+                       (many_cells, 187_677_000_000)):
+        for workers in ("1", "2"):
+            monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+            assert main(["run", "--device", str(dev), *args, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: the sweep plans {work} trajectory-qubits (path qubits x protocols x "
+                "paths_per_hop x trials x modes x 9 bases x (shots + 330 per cell), summed over "
+                f"hops), above the bound of {bound}\n")
     # 1,001 delays x 999,001 shots is the decay bound plus one
     bound = harness.MAX_DECAY_WORK
     assert 1001 * 999_001 == bound + 1

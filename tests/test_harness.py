@@ -20,7 +20,7 @@ from teleport_lab.harness import (ExperimentSpec, ResultRow,
 from teleport_lab.metrics import negativity
 from teleport_lab.mitigation import MitigationError, confusion_inverse, michelot_project
 from teleport_lab.pathfinder import synthesize_device
-from teleport_lab.protocols import PathSpec, TransportResult
+from teleport_lab.protocols import TransportResult
 from teleport_lab.tomography import BASIS_PAIRS, reconstruct
 
 from dense_oracle import categorize, discriminator, frequencies
@@ -300,8 +300,7 @@ def test_qrem_flags():
 
 def test_path_noise_model_positions_follow_path():
     device = small_device()
-    path = PathSpec((3, 2, 1))
-    noise = path_noise_model(device, path)
+    noise = path_noise_model(device, (3, 2, 1))
     assert noise.two_qubit_depol == [device.edge(3, 2).gate_error, device.edge(2, 1).gate_error]
     expected = confusion_matrix(device.qubit(3).readout_err_0to1,
                                 device.qubit(3).readout_err_1to0)
@@ -310,9 +309,18 @@ def test_path_noise_model_positions_follow_path():
     assert noise.t2_us == [device.qubit(q).t2_us for q in (3, 2, 1)]
 
 
+def test_path_noise_model_rejects_short_and_repeated_paths():
+    device = small_device()
+    with pytest.raises(ValueError, match="at least 2"):
+        path_noise_model(device, (1,))
+    with pytest.raises(ValueError, match="distinct"):
+        path_noise_model(device, (1, 2, 1))
+    assert len(path_noise_model(device, (4, 3, 2)).two_qubit_depol) == 2
+
+
 def test_path_noise_model_overrides():
     device = small_device()
-    noise = path_noise_model(device, PathSpec((0, 1, 2)), NOISELESS_OVERRIDES)
+    noise = path_noise_model(device, (0, 1, 2), NOISELESS_OVERRIDES)
     assert noise.one_qubit_depol == 0.0
     assert noise.edge_depol(0) == 0.0
     assert np.allclose(noise.qubit_confusion(1), np.eye(2))
@@ -320,7 +328,7 @@ def test_path_noise_model_overrides():
 
 def test_scalar_gate_error_override_replaces_edge_calibration():
     device = small_device()
-    noise = path_noise_model(device, PathSpec((0, 1, 2, 3)), {"two_qubit_depol": 0.03})
+    noise = path_noise_model(device, (0, 1, 2, 3), {"two_qubit_depol": 0.03})
     assert [noise.edge_depol(i) for i in range(3)] == [0.03] * 3
 
 
@@ -334,7 +342,7 @@ def _device_with_distinct_times():
 def test_scalar_t1_override_replaces_qubit_calibration():
     # a T1 override used to drop the device's T2 list too, for the fitted 25 us
     device = _device_with_distinct_times()
-    noise = path_noise_model(device, PathSpec((0, 1, 2)), {"t1_us": 70.0})
+    noise = path_noise_model(device, (0, 1, 2), {"t1_us": 70.0})
     assert [noise.qubit_t1t2(i) for i in range(3)] == [(70.0, device.qubit(q).t2_us)
                                                        for q in (0, 1, 2)]
 
@@ -342,7 +350,7 @@ def test_scalar_t1_override_replaces_qubit_calibration():
 def test_scalar_t2_override_replaces_qubit_calibration():
     # a T2 override used to drop the device's T1 list too, for the fitted 33 us
     device = _device_with_distinct_times()
-    noise = path_noise_model(device, PathSpec((0, 1, 2)), {"t2_us": 10.0})
+    noise = path_noise_model(device, (0, 1, 2), {"t2_us": 10.0})
     assert [noise.qubit_t1t2(i) for i in range(3)] == [(device.qubit(q).t1_us, 10.0)
                                                        for q in (0, 1, 2)]
 
@@ -353,7 +361,7 @@ def test_overrides_repeating_the_device_lists_change_nothing():
     spec = ExperimentSpec(hops=(4,), protocols=("neg",), paths_per_hop=1, trials=1, shots=64,
                           seed=3)
     (labels,) = {c.path_labels for c in plan_cells(device, spec)}
-    calibrated = path_noise_model(device, PathSpec(labels))
+    calibrated = path_noise_model(device, labels)
     overrides = {"two_qubit_depol": calibrated.two_qubit_depol, "t1_us": calibrated.t1_us,
                  "t2_us": calibrated.t2_us}
     repeated = run_experiment(device, replace(spec, noise_overrides=overrides))
@@ -367,7 +375,7 @@ def test_overrides_repeating_the_device_lists_change_nothing():
 def test_pair_pipeline_matches_exact_distribution():
     noise = NoiseModel(dynamic_correction_latency_us=0.0)
     rng = np.random.default_rng(4)
-    result = protocols.run_teleportation(PathSpec.line(4), "dynamic", noise, 8192, rng)
+    result = protocols.run_teleportation(4, "dynamic", noise, 8192, rng)
     probs = mitigated_pair_distributions(result, qrem=False,
                                          calibration=[np.eye(2)] * 4)
     rho = reconstruct(probs)
@@ -377,7 +385,7 @@ def test_pair_pipeline_matches_exact_distribution():
 def test_category_pipeline_matches_manual_recomputation():
     noise = NoiseModel(dynamic_correction_latency_us=0.0)
     rng = np.random.default_rng(8)
-    result = protocols.run_teleportation(PathSpec.line(4), "postselect", noise, 2048, rng)
+    result = protocols.run_teleportation(4, "postselect", noise, 2048, rng)
     configs, weights, probs = mitigated_category_distributions(result, qrem=False,
                                                                calibration=[np.eye(2)] * 4)
     raw = categorize(result)
@@ -395,7 +403,7 @@ def test_category_pipeline_qrem_recovers_flipped_categories():
     noise = NoiseModel(dynamic_correction_latency_us=0.0,
                        readout=[np.eye(2), flipper, np.eye(2), np.eye(2)])
     rng = np.random.default_rng(12)
-    result = protocols.run_teleportation(PathSpec.line(4), "postselect", noise, 20_000, rng)
+    result = protocols.run_teleportation(4, "postselect", noise, 20_000, rng)
     calibration = [np.eye(2), flipper, np.eye(2), np.eye(2)]
     configs, _, raw = mitigated_category_distributions(result, qrem=False,
                                                        calibration=calibration)
@@ -416,7 +424,7 @@ def random_counts_result(n: int, shots: int, distinct: int,
         hits = rng.multinomial(shots, rng.dirichlet(np.ones(distinct)))
         rows = np.stack([keys, hits], axis=1)[hits > 0]
         counts_by_basis[pair] = rows[np.argsort(rows[:, 0])]
-    return TransportResult(PathSpec.line(n), shots, counts_by_basis)
+    return TransportResult(n, shots, counts_by_basis)
 
 
 def dense_category_oracle(result: TransportResult, qrem: bool, calibration) -> dict:
@@ -511,7 +519,7 @@ def test_streamed_category_route_equals_stacked_reference(rng):
     # term in the order of the (16, keys) route, so the bits agree
     noise = NoiseModel(one_qubit_depol=0.01, two_qubit_depol=0.02,
                        readout=[confusion_matrix(0.03, 0.05)] * 11)
-    sampled = protocols.run_teleportation(PathSpec.line(11), "postselect", noise, 1024, rng)
+    sampled = protocols.run_teleportation(11, "postselect", noise, 1024, rng)
     results = [random_counts_result(n, shots=3000, distinct=min(1 << n, 300), rng=rng)
                for n in range(3, 26)] + [sampled]
     for result in results:
@@ -529,7 +537,7 @@ def test_streamed_category_route_equals_stacked_reference(rng):
 def distinct_keys_result(n: int, distinct: int, rng: np.random.Generator) -> TransportResult:
     """Hand-built postselect result: `distinct` random keys per basis, one shot each."""
     keys = rng.choice(1 << n, size=(len(BASIS_PAIRS), distinct), replace=False)
-    return TransportResult(PathSpec.line(n), distinct,
+    return TransportResult(n, distinct,
                            {pair: np.stack([np.sort(row), np.ones_like(row)], axis=1)
                             for pair, row in zip(BASIS_PAIRS, keys)})
 
@@ -577,7 +585,7 @@ def unchunked_category_distributions(result: TransportResult, qrem: bool, calibr
         for xz in range(4):
             by_basis[:, 4 * t + xz] = np.bincount(basis, pair * (x[xz >> 1] * z[xz & 1]),
                                                   len(counts))
-    configs = protocols.reachable_configurations(result.path.hops)
+    configs = protocols.reachable_configurations(result.n - 2)
     vecs = by_basis[:, [[zc | (xc << 1) | (tt << 2) for tt in range(4)] for zc, xc in configs]]
     weights = vecs.sum(axis=-1)
     probs = np.full(vecs.shape, 0.25)
@@ -724,11 +732,11 @@ def test_each_path_noise_model_is_built_once_in_the_main_process(monkeypatch):
     real = harness.path_noise_model
     built = []
 
-    def counted(dev, path, overrides=None):
+    def counted(dev, labels, overrides=None):
         if os.getpid() != main_pid:
             raise RuntimeError("noise model built in a worker")
-        built.append(path.qubit_labels)
-        return real(dev, path, overrides)
+        built.append(labels)
+        return real(dev, labels, overrides)
 
     monkeypatch.setattr(harness, "path_noise_model", counted)
     csvs = []

@@ -12,13 +12,20 @@ State guard: no function keeps state in its module, through a ``global``
 statement or by changing a module-level list, dict or set, so that one run
 never depends on an earlier one in the same process. Constant tables, and
 the tables that ``functools.cache`` keeps, stay allowed.
+
+Oracle guard: the dense oracle, the independent reference of the engine's
+gates, takes no gate matrix or basis-rotation table from the package.
 """
 import ast
+import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "teleport_lab"
+ORACLE = ROOT / "tests" / "dense_oracle.py"
 
 
 def _reads(tree: ast.AST, strings: bool = False) -> set[str]:
@@ -173,3 +180,53 @@ def _module_state_writes() -> list[str]:
 
 def test_no_function_in_src_keeps_module_state():
     assert _module_state_writes() == []
+
+
+def _holds_gate_matrix(value) -> bool:
+    """Whether a value is a 2x2 matrix, or a dict, list or tuple that holds one."""
+    if isinstance(value, np.ndarray):
+        return value.shape == (2, 2)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (list, tuple)) and any(map(_holds_gate_matrix, value))
+
+
+def _gate_tables_taken(source: str) -> list[str]:
+    """Package names a module's source imports or reads that hold gate matrices or rotations.
+
+    A name counts if its value holds a 2x2 matrix or is `tomography.rotation_gates`;
+    a package module bound to a name counts through the attributes read from it.
+    """
+    from teleport_lab import tomography
+
+    tree = ast.parse(source)
+    bound = {}  # local name -> (qualified name, value)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("teleport_lab"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (f"{node.module}.{alias.name}",
+                                                     getattr(module, alias.name, None))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("teleport_lab") and alias.asname:
+                    bound[alias.asname] = (alias.name, importlib.import_module(alias.name))
+    values = dict(bound.values())
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound
+                and type(bound[node.value.id][1]) is type(tomography)):
+            name, module = bound[node.value.id]
+            values[f"{name}.{node.attr}"] = getattr(module, node.attr, None)
+    return sorted(name for name, value in values.items()
+                  if _holds_gate_matrix(value) or value is tomography.rotation_gates)
+
+
+def test_dense_oracle_takes_no_gate_table_from_src():
+    assert _gate_tables_taken(ORACLE.read_text()) == []
+    # the guard sees each way of taking one
+    for source in ("from teleport_lab.tomography import H, BASIS_PAIRS",
+                   "from teleport_lab.tomography import PAULI_MATRICES as P",
+                   "from teleport_lab import tomography\ntomography.rotation_gates('X')",
+                   "import teleport_lab.tomography as t\nt.SDG"):
+        assert len(_gate_tables_taken(source)) == 1, source

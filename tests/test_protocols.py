@@ -6,29 +6,30 @@ import itertools
 import numpy as np
 import pytest
 
-from teleport_lab import protocols
+from teleport_lab import protocols, tomography
 from teleport_lab.channels import (NoiseModel, confusion_matrix, decay_probabilities,
                                    depolarizing_channel, exact_pair_distributions)
 from teleport_lab.harness import path_noise_model
 from teleport_lab.metrics import density_from_state, fidelity, negativity
 from teleport_lab.pathfinder import edge_weights, find_best_paths, synthesize_device
-from teleport_lab.protocols import (MAX_PATH_QUBITS, MODES, PathSpec,
-                                    ShotBatch, canonical_state, configuration_unitary, phi_p2,
-                                    reachable_configurations, run_idle_pair, run_swap_transport,
-                                    run_teleportation, schedule)
-from teleport_lab.simulator import GATE_MATRICES, PAULI_MATRICES, Gate
+from teleport_lab.protocols import (MAX_PATH_QUBITS, MODES, ShotBatch, canonical_state,
+                                    configuration_unitary, phi_p2, reachable_configurations,
+                                    run_idle_pair, run_swap_transport, run_teleportation, schedule)
 from teleport_lab.tomography import BASIS_PAIRS, reconstruct
 
 from conftest import random_state, trace_distance
-from dense_oracle import (GateOp, PureState, analytic_swap, analytic_teleportation,
-                          apply_gate, apply_gates, born_probabilities, byproduct_sequence,
-                          categorize, correction_sequence, discriminator, frequencies,
-                          idle_kraus, index_of_bits, kraus_oracle, op, postselect,
-                          prepare_path_graph_state,
-                          remove_qubit, representative_outcomes, schedule_distributions,
-                          sequence_unitary, states_equal, teleport_pure, tomography_rotations)
+from dense_oracle import (PAULI_MATRICES, Gate, GateOp, PureState, analytic_swap,
+                          analytic_teleportation, apply_gate, apply_gates, born_probabilities,
+                          byproduct_sequence, categorize, correction_sequence, discriminator,
+                          frequencies, idle_kraus, index_of_bits, kraus_oracle, op, postselect,
+                          prepare_path_graph_state, remove_qubit, representative_outcomes,
+                          schedule_distributions, sequence_unitary, states_equal, teleport_pure,
+                          tomography_rotations)
 
 NOISELESS = NoiseModel(dynamic_correction_latency_us=0.0)
+#: The engine's matrix of each oracle gate, from the tables of `tomography`.
+ENGINE_MATRICES = {Gate.H: tomography.H, Gate.SDG: tomography.SDG,
+                   **{Gate(axis): tomography.PAULI_MATRICES[axis] for axis in "XYZ"}}
 
 
 def noiseless_unitary_states_equal(a, b):
@@ -217,7 +218,7 @@ def _postselect_joint_oracle(n: int, pair) -> np.ndarray:
 def test_batch_postselect_matches_dense_joint_distribution():
     n, shots = 4, 20_000
     rng = np.random.default_rng(42)
-    result = run_teleportation(PathSpec.line(n), "postselect", NOISELESS, shots, rng)
+    result = run_teleportation(n, "postselect", NOISELESS, shots, rng)
     for pair in (("Z", "Z"), ("X", "Y"), ("Y", "X")):
         expected = _postselect_joint_oracle(n, pair)
         counts = np.zeros(1 << n)
@@ -235,7 +236,7 @@ def test_batch_depolarize_matches_exact_channel():
     batch = ShotBatch([rng], shots, 2, 0)
     batch.add_qubit(0)
     batch.add_qubit(1)
-    batch.apply_matrix(0, GATE_MATRICES[Gate.H])
+    batch.apply_matrix(0, ENGINE_MATRICES[Gate.H])
     batch.apply_cnot(0, 1)
     before = density_from_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
     batch.depolarize([0, 1], 0.2)
@@ -250,7 +251,7 @@ def test_batch_idle_decay_matches_exact_channel():
     batch = ShotBatch([rng], shots, 2, 0)
     batch.add_qubit(0)
     batch.add_qubit(1)
-    batch.apply_matrix(0, GATE_MATRICES[Gate.H])
+    batch.apply_matrix(0, ENGINE_MATRICES[Gate.H])
     batch.apply_cnot(0, 1)
     before = density_from_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
     duration, t1, t2 = 10.0, 30.0, 20.0
@@ -294,7 +295,7 @@ def test_batch_gates_match_dense_simulator_on_every_axis():
     for axis, pos in enumerate(WINDOW_POSITIONS):
         for gate in (Gate.H, Gate.X, Gate.Y, Gate.Z, Gate.SDG):
             batch, states = _random_window(rng)
-            batch.apply_matrix(pos, GATE_MATRICES[gate])
+            batch.apply_matrix(pos, ENGINE_MATRICES[gate])
             _assert_shots_equal(batch, [apply_gate(s, GateOp(gate, axis)) for s in states])
 
 
@@ -359,9 +360,9 @@ def test_wide_batch_gates_equal_per_slab_batches_bit_for_bit():
         for gate in (Gate.H, Gate.SDG, Gate.X):
             wide = _random_slabs(rng, [rng] * 9, 1024)
             alone = [_slab_copy(wide, b, rng) for b in range(9)]
-            wide.apply_matrix(pos, GATE_MATRICES[gate])
+            wide.apply_matrix(pos, ENGINE_MATRICES[gate])
             for b, one in enumerate(alone):
-                one.apply_matrix(pos, GATE_MATRICES[gate])
+                one.apply_matrix(pos, ENGINE_MATRICES[gate])
                 assert np.array_equal(wide._amps[:, b * 1024:(b + 1) * 1024], one._amps)
 
 
@@ -377,15 +378,15 @@ def test_slab_gates_and_noise_leave_other_slabs_untouched():
             before = wide._amps.copy()
             picked = range(slabs)[chosen]
             alone = {b: _slab_copy(wide, b, np.random.default_rng(seeds[b])) for b in picked}
-            wide.apply_matrix(pos, GATE_MATRICES[Gate.SDG], chosen)
-            wide.apply_matrix(pos, GATE_MATRICES[Gate.H], chosen)
+            wide.apply_matrix(pos, ENGINE_MATRICES[Gate.SDG], chosen)
+            wide.apply_matrix(pos, ENGINE_MATRICES[Gate.H], chosen)
             wide.depolarize([pos], 0.5, slabs=chosen)
             for b in range(slabs):
                 cols = slice(b * width, (b + 1) * width)
                 if b in alone:
                     one = alone[b]
-                    one.apply_matrix(pos, GATE_MATRICES[Gate.SDG])
-                    one.apply_matrix(pos, GATE_MATRICES[Gate.H])
+                    one.apply_matrix(pos, ENGINE_MATRICES[Gate.SDG])
+                    one.apply_matrix(pos, ENGINE_MATRICES[Gate.H])
                     one.depolarize([pos], 0.5)
                     assert np.array_equal(wide._amps[:, cols], one._amps)
                     assert not np.array_equal(wide._amps[:, cols], before[:, cols])
@@ -395,7 +396,7 @@ def test_slab_gates_and_noise_leave_other_slabs_untouched():
 
 def _every_step(batch: ShotBatch, bits: list, chosen: slice = slice(1, 2)):
     """Each kind of engine step, the sliced ones on the slabs ``chosen``, yielding after each."""
-    h, sdg, confusion = GATE_MATRICES[Gate.H], GATE_MATRICES[Gate.SDG], confusion_matrix(0.1, 0.2)
+    h, sdg, confusion = tomography.H, tomography.SDG, confusion_matrix(0.1, 0.2)
     for step in (lambda: batch.add_qubit(0), lambda: batch.add_qubit(1),
                  lambda: batch.apply_matrix(0, h), lambda: batch.apply_cz(0, 1),
                  lambda: batch.add_qubit(2), lambda: batch.apply_matrix(2, h),
@@ -465,8 +466,7 @@ def test_first_sampled_run_allocates_each_buffer_once(monkeypatch):
         return view
 
     monkeypatch.setattr(ShotBatch, "_buffer", recording)
-    path = PathSpec.line(8)
-    noise = path_noise_model(synthesize_device("line:8", seed=2), path)
+    noise = path_noise_model(synthesize_device("line:8", seed=2), tuple(range(8)))
     # 2,048 shots run as batches of five and four bases, each taking 8 float64 entries
     # per column: the idle pair for its complex 2-qubit window from the tomography
     # layer on (its real window needs 4), the modes for their real 3-qubit one
@@ -475,9 +475,9 @@ def test_first_sampled_run_allocates_each_buffer_once(monkeypatch):
         if mode == "idle":
             run_idle_pair(3.0, noise, 2048, np.random.default_rng(0))
         elif mode == "swap":
-            run_swap_transport(path, noise, 2048, np.random.default_rng(0))
+            run_swap_transport(8, noise, 2048, np.random.default_rng(0))
         else:
-            run_teleportation(path, mode, noise, 2048, np.random.default_rng(0))
+            run_teleportation(8, mode, noise, 2048, np.random.default_rng(0))
         assert [[(b.dtype, b.size) for b in buffers.values()] for buffers in seen.values()] == [
             [(np.float64, 8 * bases * 2048)] * 3 for bases in (5, 4)], mode
 
@@ -519,7 +519,7 @@ def test_batch_measure_collapses_and_renormalizes():
     batch = ShotBatch([rng], 1000, 2, 0)
     batch.add_qubit(0)
     batch.add_qubit(1)
-    batch.apply_matrix(0, GATE_MATRICES[Gate.H])
+    batch.apply_matrix(0, ENGINE_MATRICES[Gate.H])
     batch.apply_cnot(0, 1)
     bits = batch.measure_z(0)
     assert set(np.unique(bits)) == {0, 1}
@@ -664,7 +664,7 @@ def test_batch_idle_decay_forced_branches_match_normalized_kraus_operators():
 
 def test_sampled_noiseless_dynamic_close_to_ideal():
     rng = np.random.default_rng(0)
-    result = run_teleportation(PathSpec.line(5), "dynamic", NOISELESS, 4096, rng)
+    result = run_teleportation(5, "dynamic", NOISELESS, 4096, rng)
     rho = reconstruct(result.pair_frequencies())
     assert negativity(rho) > 0.47
     assert fidelity(rho, density_from_state(phi_p2())) > 0.97
@@ -672,7 +672,7 @@ def test_sampled_noiseless_dynamic_close_to_ideal():
 
 def test_sampled_noiseless_postselect_categories():
     rng = np.random.default_rng(1)
-    result = run_teleportation(PathSpec.line(4), "postselect", NOISELESS, 4096, rng)
+    result = run_teleportation(4, "postselect", NOISELESS, 4096, rng)
     categories = categorize(result)
     assert set(categories) == set(reachable_configurations(2))
     for config, counts in categories.items():
@@ -684,7 +684,7 @@ def test_sampled_noiseless_postselect_categories():
 
 def test_categorize_matches_manual_classification():
     rng = np.random.default_rng(5)
-    result = run_teleportation(PathSpec.line(5), "postselect", NOISELESS, 512, rng)
+    result = run_teleportation(5, "postselect", NOISELESS, 512, rng)
     categories = categorize(result)
     manual = {}
     for pair, counts in result.counts_by_basis.items():
@@ -698,7 +698,7 @@ def test_categorize_matches_manual_classification():
 
 def test_swap_noiseless_keeps_intermediates_in_ground():
     rng = np.random.default_rng(9)
-    result = run_swap_transport(PathSpec.line(5), NOISELESS, 2048, rng)
+    result = run_swap_transport(5, NOISELESS, 2048, rng)
     for counts in result.counts_by_basis.values():
         for outcome in counts[:, 0].tolist():
             for pos in (1, 2, 3):
@@ -712,9 +712,9 @@ def test_swap_degrades_faster_than_postselect_under_gate_noise():
     noise = NoiseModel(two_qubit_depol=0.01, dynamic_correction_latency_us=0.0)
     rng = np.random.default_rng(21)
     hops = 4
-    swap = run_swap_transport(PathSpec.line(hops + 2), noise, 4096, rng)
+    swap = run_swap_transport(hops + 2, noise, 4096, rng)
     n_swap = negativity(reconstruct(swap.pair_frequencies()))
-    post = run_teleportation(PathSpec.line(hops + 2), "postselect", noise, 4096, rng)
+    post = run_teleportation(hops + 2, "postselect", noise, 4096, rng)
     negs = [negativity(reconstruct(frequencies(c))) for c in categorize(post).values()]
     assert n_swap < float(np.mean(negs))
 
@@ -724,8 +724,8 @@ def test_dynamic_latency_costs_negativity():
     slow = NoiseModel(dynamic_correction_latency_us=2.0, t1_us=33.0, t2_us=25.0)
     rng_a = np.random.default_rng(33)
     rng_b = np.random.default_rng(33)
-    fast_run = run_teleportation(PathSpec.line(5), "dynamic", quiet, 2048, rng_a)
-    slow_run = run_teleportation(PathSpec.line(5), "dynamic", slow, 2048, rng_b)
+    fast_run = run_teleportation(5, "dynamic", quiet, 2048, rng_a)
+    slow_run = run_teleportation(5, "dynamic", slow, 2048, rng_b)
     n_fast = negativity(reconstruct(fast_run.pair_frequencies()))
     n_slow = negativity(reconstruct(slow_run.pair_frequencies()))
     assert n_slow < n_fast - 0.05
@@ -737,13 +737,13 @@ def test_simplified_correction_sampled_and_cheaper():
     noise = NoiseModel(dynamic_correction_latency_us=2.0, t1_us=33.0, t2_us=25.0)
     quiet = NoiseModel(dynamic_correction_latency_us=0.0)
     rng = np.random.default_rng(44)
-    exact = run_teleportation(PathSpec.line(5), "dynamic", quiet, 2048, rng,
+    exact = run_teleportation(5, "dynamic", quiet, 2048, rng,
                               simplified_correction=True)
     n_exact = negativity(reconstruct(exact.pair_frequencies()))
     assert n_exact > 0.45
-    sequential = run_teleportation(PathSpec.line(5), "dynamic", noise, 2048,
+    sequential = run_teleportation(5, "dynamic", noise, 2048,
                                    np.random.default_rng(45))
-    simplified = run_teleportation(PathSpec.line(5), "dynamic", noise, 2048,
+    simplified = run_teleportation(5, "dynamic", noise, 2048,
                                    np.random.default_rng(45), simplified_correction=True)
     n_seq = negativity(reconstruct(sequential.pair_frequencies()))
     n_simp = negativity(reconstruct(simplified.pair_frequencies()))
@@ -757,7 +757,7 @@ def test_flipped_intermediate_readout_swaps_categories():
     noise = NoiseModel(dynamic_correction_latency_us=0.0,
                        readout=[np.eye(2), always_flip, np.eye(2), np.eye(2)])
     rng = np.random.default_rng(6)
-    result = run_teleportation(PathSpec.line(4), "postselect", noise, 4096, rng)
+    result = run_teleportation(4, "postselect", noise, 4096, rng)
     for config, counts in categorize(result).items():
         rho = reconstruct(frequencies(counts))
         actual = canonical_state((config[0] ^ 1, config[1]), 4)
@@ -769,7 +769,7 @@ def test_dynamic_corrections_follow_noisy_readout():
     bad_readout = NoiseModel(dynamic_correction_latency_us=0.0,
                              readout=[np.eye(2), confusion_matrix(0.4, 0.4), np.eye(2)])
     rng = np.random.default_rng(17)
-    result = run_teleportation(PathSpec.line(3), "dynamic", bad_readout, 4096, rng)
+    result = run_teleportation(3, "dynamic", bad_readout, 4096, rng)
     rho = reconstruct(result.pair_frequencies())
     assert fidelity(rho, density_from_state(phi_p2())) < 0.85
 
@@ -800,7 +800,7 @@ def _raised_device_noise(n: int) -> NoiseModel:
     """
     device = synthesize_device("heavy-hex-127", seed=7)
     best = find_best_paths(edge_weights(device, "neg"), n, 1)[0]
-    noise = path_noise_model(device, PathSpec(best.qubits))
+    noise = path_noise_model(device, best.qubits)
     return dataclasses.replace(
         noise, one_qubit_depol=0.02,
         two_qubit_depol=[10 * p for p in noise.two_qubit_depol],
@@ -820,9 +820,9 @@ def test_sampled_keys_match_exact_schedule_under_device_noise(n, case):
     if mode == "idle":
         result = run_idle_pair(3.0, noise, shots, rng)
     elif mode == "swap":
-        result = run_swap_transport(PathSpec.line(n), noise, shots, rng)
+        result = run_swap_transport(n, noise, shots, rng)
     else:
-        result = run_teleportation(PathSpec.line(n), mode, noise, shots, rng,
+        result = run_teleportation(n, mode, noise, shots, rng,
                                    simplified_correction=bool(simplified))
     exact = schedule_distributions(schedule(n, mode, noise, bool(simplified), delay_us=3.0))
     assert np.allclose(exact.sum(axis=1), 1.0)
@@ -876,7 +876,7 @@ def test_real_storage_gives_the_keys_of_complex_storage(hops, monkeypatch):
             for name, steps in (("plain", plain_schedule), ("phase", phase_first)):
                 monkeypatch.setattr(protocols, "schedule", steps)
                 events.clear()
-                results[name] = protocols._sample(PathSpec.line(n), mode, noise, shots,
+                results[name] = protocols._sample(n, mode, noise, shots,
                                                   np.random.default_rng(hops), simplified, 3.0)
                 want = "tomography" if name == "plain" else "promote"
                 assert events == ["batch", want] * groups, (mode, simplified, shots, name)
@@ -968,9 +968,9 @@ def _sampled_for_digest(case: str, size: int, shots: int):
     if case == "idle":
         return run_idle_pair(float(size), DIGEST_NOISE, shots, rng)
     if case == "swap":
-        return run_swap_transport(PathSpec.line(size), DIGEST_NOISE, shots, rng)
+        return run_swap_transport(size, DIGEST_NOISE, shots, rng)
     mode, _, simplified = case.partition("-")
-    return run_teleportation(PathSpec.line(size), mode, DIGEST_NOISE, shots, rng,
+    return run_teleportation(size, mode, DIGEST_NOISE, shots, rng,
                              simplified_correction=bool(simplified))
 
 
@@ -1001,7 +1001,7 @@ def test_counts_are_ascending_key_rows(case):
     if case == "postselect":
         # at 19 hops nearly every shot is its own outcome
         noise = NoiseModel(one_qubit_depol=0.01, two_qubit_depol=0.03)
-        longest = run_teleportation(PathSpec.line(21), case, noise, 2048,
+        longest = run_teleportation(21, case, noise, 2048,
                                     np.random.default_rng(21))
         _assert_count_rows(longest)
         assert min(len(rows) for rows in longest.counts_by_basis.values()) > 2000
@@ -1020,34 +1020,29 @@ def test_multi_group_counts_match_recorded_digest(case, shots):
 # --- interfaces -------------------------------------------------------------------
 
 
-def test_pathspec_validation():
-    with pytest.raises(ValueError, match="at least 2"):
-        PathSpec((0,))
-    with pytest.raises(ValueError, match="distinct"):
-        PathSpec((0, 1, 1))
-    path = PathSpec((4, 2, 7))
-    assert path.hops == 1
-
-
 def test_run_argument_errors():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="shot budget"):
-        run_teleportation(PathSpec.line(4), "dynamic", NOISELESS, 0, rng)
+        run_teleportation(4, "dynamic", NOISELESS, 0, rng)
     with pytest.raises(ValueError, match="mode"):
-        run_teleportation(PathSpec.line(4), "both", NOISELESS, 16, rng)
-    with pytest.raises(ValueError, match="intermediate"):
-        run_teleportation(PathSpec.line(2), "dynamic", NOISELESS, 16, rng)
-    with pytest.raises(ValueError, match="intermediate"):
-        run_swap_transport(PathSpec.line(2), NOISELESS, 16, rng)
+        run_teleportation(4, "both", NOISELESS, 16, rng)
+    # a path length below 3, above the longest or of no int type is rejected at the entry points
+    for n, match in ((2, "intermediate"), (MAX_PATH_QUBITS + 1, "64-bit outcome keys"),
+                     (True, "path length must be an integer"),
+                     (3.0, "path length must be an integer")):
+        with pytest.raises(ValueError, match=match):
+            run_teleportation(n, "dynamic", NOISELESS, 16, rng)
+        with pytest.raises(ValueError, match=match):
+            run_swap_transport(n, NOISELESS, 16, rng)
 
 
 def test_paths_beyond_int64_outcome_keys_are_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="64-bit outcome keys"):
-        run_teleportation(PathSpec.line(70), "postselect", NOISELESS, 4, rng)
+        run_teleportation(70, "postselect", NOISELESS, 4, rng)
     with pytest.raises(ValueError, match="64-bit outcome keys"):
-        run_swap_transport(PathSpec.line(70), NOISELESS, 4, rng)
-    longest = run_teleportation(PathSpec.line(MAX_PATH_QUBITS), "postselect", NOISELESS, 4, rng)
+        run_swap_transport(70, NOISELESS, 4, rng)
+    longest = run_teleportation(MAX_PATH_QUBITS, "postselect", NOISELESS, 4, rng)
     keys = [k for counts in longest.counts_by_basis.values() for k in counts[:, 0]]
     assert min(keys) >= 0 and max(keys) < 1 << MAX_PATH_QUBITS
 

@@ -1,16 +1,17 @@
-"""Dense oracle and gate tables: gates, measurement, exact outcome distributions.
+"""Dense oracle and its own gate table: gates, measurement, exact outcome distributions.
 
 Sampled measurement lives in the trajectory engine (`ShotBatch.measure_z`);
-its tests here check it against the Born rule of the dense oracle.
+its tests here check it against the Born rule of the dense oracle. The
+engine's gate matrices have their checks in test_tomography.py.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teleport_lab.simulator import GATE_MATRICES, Gate
+from teleport_lab.tomography import H
 
 from conftest import random_state, shot_batch
-from dense_oracle import (GateOp, PureState, TwoQubitGate, TwoQubitOp, add_qubit, apply_gate,
+from dense_oracle import (Gate, GateOp, PureState, TwoQubitGate, TwoQubitOp, add_qubit, apply_gate,
                           apply_gates, bits_of_index, born_probabilities, index_of_bits, op,
                           postselect, remove_qubit, states_equal)
 
@@ -136,7 +137,7 @@ def test_norm_preserved_over_random_sequences(rng):
 def test_measure_plus_in_x_is_deterministic(rng):
     # an X measurement is a Hadamard followed by a Z measurement
     batch = shot_batch(apply_gate(PureState.zero(1), op("H", 0)), 1000, rng)
-    batch.apply_matrix(0, GATE_MATRICES[Gate.H])
+    batch.apply_matrix(0, H)
     assert not batch.measure_z(0).any()
 
 

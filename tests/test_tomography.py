@@ -1,32 +1,68 @@
 """Basis rotations, count bookkeeping and linear-inversion reconstruction."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teleport_lab.metrics import fidelity
-from teleport_lab.protocols import PathSpec, TransportResult
-from teleport_lab.simulator import Gate
-from teleport_lab.tomography import BASIS_PAIRS, pauli_expectations, reconstruct, rotation_gates
+from teleport_lab.protocols import TransportResult
+from teleport_lab.tomography import (BASIS_PAIRS, H, PAULI_MATRICES, SDG, pauli_expectations,
+                                     reconstruct)
 
-from conftest import random_density_matrix, trace_distance
-from dense_oracle import PureState, apply_gates, born_probabilities, tomography_rotations
+from conftest import random_density_matrix, random_state, trace_distance
+from dense_oracle import (GATE_MATRICES, Gate, PureState, apply_gates, basis_rotation,
+                          born_probabilities, embed_single, tomography_rotations)
 
 BELL = PureState(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
+#: The gate matrices of the package, by the names the oracle's `op` takes.
+MATRICES = {"H": H, "SDG": SDG, **PAULI_MATRICES}
 
 
 def exact_probs_from_density(rho: np.ndarray) -> np.ndarray:
     """Oracle distributions: rotate the density matrix and read the diagonal."""
-    from teleport_lab.simulator import GATE_MATRICES
-
     out = np.empty((len(BASIS_PAIRS), 4))
     eye = np.eye(2, dtype=complex)
     for row, pair in zip(out, BASIS_PAIRS):
         rotated = rho
         for q, axis in enumerate(pair):
-            for g in rotation_gates(axis):
+            for g in basis_rotation(axis):
                 u = np.kron(GATE_MATRICES[g], eye) if q == 1 else np.kron(eye, GATE_MATRICES[g])
                 rotated = u @ rotated @ u.conj().T
         row[:] = np.real(np.diag(rotated))
     return out
+
+
+def apply_matrix(state: PureState, matrix: np.ndarray, qubit: int) -> PureState:
+    """A one-qubit matrix on one qubit of a dense state."""
+    return PureState(state.num_qubits,
+                     embed_single(matrix, qubit, state.num_qubits) @ state.amplitudes)
+
+
+# --- gate matrices ----------------------------------------------------------------
+
+
+def test_h_squared_is_identity(rng):
+    state = random_state(3, rng)
+    out = apply_matrix(apply_matrix(state, H, 1), H, 1)
+    assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
+
+
+def test_gate_algebra_conjugations(rng):
+    # HXH = Z and HZH = X, checked by action on random states
+    for inner, outer in (("X", "Z"), ("Z", "X")):
+        state = random_state(2, rng)
+        lhs = apply_matrix(apply_matrix(apply_matrix(state, H, 0), MATRICES[inner], 0), H, 0)
+        rhs = apply_matrix(state, MATRICES[outer], 0)
+        assert np.max(np.abs(lhs.amplitudes - rhs.amplitudes)) < 1e-12
+
+
+@settings(max_examples=60)
+@given(st.lists(st.sampled_from(["H", "X", "Y", "Z", "SDG"]), max_size=30),
+       st.integers(min_value=0, max_value=997))
+def test_random_1q_sequences_preserve_norm(kinds, seed):
+    state = random_state(1, np.random.default_rng(seed))
+    for kind in kinds:
+        state = apply_matrix(state, MATRICES[kind], 0)
+    assert abs(state.norm() - 1.0) < 1e-9
 
 
 # --- rotations ------------------------------------------------------------------
@@ -44,9 +80,7 @@ def test_xz_rotates_first_qubit_only():
 
 def test_y_rotation_diagonalizes_y():
     # S^dagger then H maps the +i eigenstate of Y onto |0>
-    from teleport_lab.simulator import GATE_MATRICES
-
-    u = GATE_MATRICES[Gate.H] @ GATE_MATRICES[Gate.SDG]
+    u = H @ SDG
     plus_i = np.array([1, 1j]) / np.sqrt(2)
     assert abs((u @ plus_i)[0]) > 1 - 1e-12
 
@@ -143,7 +177,7 @@ def test_tomography_set_accumulates():
     # outcome keys of a 3-qubit path: the pair is bits 0 and 2, bit 1 is marginalized
     counts = {pair: np.array([[0b010, 1], [0b011, 1], [0b100, 1], [0b111, 1]])
               for pair in BASIS_PAIRS}
-    result = TransportResult(PathSpec.line(3), 4, counts)
+    result = TransportResult(3, 4, counts)
     freqs = result.pair_frequencies()
     assert freqs.shape == (len(BASIS_PAIRS), 4)
     assert np.allclose(freqs[BASIS_PAIRS.index(("X", "Y"))], 0.25)
