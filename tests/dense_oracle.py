@@ -426,7 +426,7 @@ def analytic_swap() -> dict:
 def categorize(result) -> dict[tuple[int, int], np.ndarray]:
     """(9, 4) pair counts of a transport result split by the discriminator, one key at a time."""
     n = result.n
-    out = {c: np.zeros((len(BASIS_PAIRS), 4)) for c in reachable_configurations(result.n - 2)}
+    out = {c: np.zeros((len(BASIS_PAIRS), 4)) for c in reachable_configurations(n - 2)}
     for b, pair in enumerate(BASIS_PAIRS):
         for outcome, weight in result.counts_by_basis[pair].tolist():
             config = discriminator([(outcome >> pos) & 1 for pos in range(1, n - 1)])
