@@ -119,11 +119,11 @@ class ExperimentSpec:
         except TypeError as exc:  # an unknown key, or overrides that are no mapping
             raise ValueError(f"invalid noise overrides: {exc}") from None
         self.noise_overrides = {key: _plain(value) for key, value in self.noise_overrides.items()}
-        # protocols.schedule reads both only in mode dynamic
+        # protocols.schedule reads these only in mode dynamic, whose corrections idle
         if "dynamic" not in self.modes:
             for name, given in (("simplified_correction", self.simplified_correction),
-                                ("dynamic_correction_latency_us",
-                                 "dynamic_correction_latency_us" in self.noise_overrides)):
+                                *((key, key in self.noise_overrides) for key in
+                                  ("dynamic_correction_latency_us", "t1_us", "t2_us"))):
                 if given:
                     raise ValueError(f"{name} takes effect only in mode dynamic, and modes "
                                      f"holds only {', '.join(self.modes)}")
@@ -304,9 +304,8 @@ class _CellRows(NamedTuple):
     """One cell's result rows before reconstruction, with what scoring them needs."""
 
     rows: list[ResultRow]  # negativity and fidelity still None
-    scored: list[int]  # the rows that get metrics: all but empty post-selected categories
-    probs: np.ndarray  # (scored, 9, 4) mitigated tomography distributions
-    ideals: np.ndarray  # (scored, 4) ideal pair states the fidelities are taken against
+    probs: np.ndarray  # (rows, 9, 4) mitigated tomography distributions
+    ideals: np.ndarray  # (rows, 4) ideal pair states the fidelities are taken against
 
 
 def _cell_rows(noise: NoiseModel, spec: ExperimentSpec, cell: _Cell) -> _CellRows:
@@ -321,30 +320,25 @@ def _cell_rows(noise: NoiseModel, spec: ExperimentSpec, cell: _Cell) -> _CellRow
     calibration = mitigation.estimate_confusion_matrices(
         [noise.qubit_confusion(i) for i in range(n)], CALIBRATION_SHOTS, rng)
 
-    rows, scored, probs, ideals = [], [], [], []
+    rows, probs, ideals = [], [], []
     path_label = _path_str(cell.path_labels)
     for qrem in spec.qrem_flags:
         flag = "on" if qrem else "off"
         if cell.mode == "postselect":
             configs, weights, config_probs = mitigated_category_distributions(result, qrem,
                                                                               calibration)
-            for config, weight, config_prob in zip(configs, weights, config_probs):
-                eff_shots = int(round(weight * spec.shots))
-                if eff_shots:  # a configuration with no effective shot keeps empty metrics
-                    scored.append(len(rows))
-                    probs.append(config_prob)
-                    ideals.append(protocols.canonical_state(config, n))
+            for (z, x), weight, config_prob in zip(configs, weights, config_probs):
+                probs.append(config_prob)
+                ideals.append(protocols.PAIR_STATES[n % 2][z][x])
                 rows.append(ResultRow(cell.mode, cell.protocol, cell.hops, path_label,
-                                      cell.trial, flag, f"{config[0]}{config[1]}", None, None,
-                                      eff_shots, cell.seed))
+                                      cell.trial, flag, f"{z}{x}", None, None,
+                                      int(round(weight * spec.shots)), cell.seed))
         else:
-            scored.append(len(rows))
             probs.append(mitigated_pair_distributions(result, qrem, calibration))
-            ideals.append(protocols.phi_p2())
+            ideals.append(protocols.PAIR_STATES[0][0][0])
             rows.append(ResultRow(cell.mode, cell.protocol, cell.hops, path_label, cell.trial,
                                   flag, "", None, None, spec.shots, cell.seed))
-    return _CellRows(rows, scored, np.array(probs).reshape(-1, 9, 4),
-                     np.array(ideals).reshape(-1, 4))
+    return _CellRows(rows, np.array(probs), np.array(ideals))
 
 
 def _score_rows(cells: Sequence[_CellRows]) -> list[ResultRow]:
@@ -355,14 +349,9 @@ def _score_rows(cells: Sequence[_CellRows]) -> list[ResultRow]:
     rhos = tomography.reconstruct(np.concatenate([c.probs for c in cells]))
     negs = negativity(rhos)
     fids = fidelity(rhos, density_from_state(np.concatenate([c.ideals for c in cells])))
-    metrics = zip(negs, fids)
-    out = []
-    for cell in cells:
-        rows = list(cell.rows)
-        for i, (neg, fid) in zip(cell.scored, metrics):  # takes len(cell.scored) items
-            rows[i] = replace(rows[i], negativity=float(neg), fidelity=float(fid))
-        out.extend(rows)
-    return out
+    # a post-selected configuration with no effective shot keeps empty metrics
+    return [replace(row, negativity=float(neg), fidelity=float(fid)) if row.shots else row
+            for row, neg, fid in zip((row for c in cells for row in c.rows), negs, fids)]
 
 
 def _path_str(labels: Sequence[int]) -> str:

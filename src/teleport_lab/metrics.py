@@ -11,6 +11,10 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
+#: Jacobi rotations skip an entry, and a matrix stops sweeping, at or below this
+#: fraction of its largest entry; a matrix still above it stops after the last sweep.
+JACOBI_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 60
 
 
 def check_density_matrix(rho: np.ndarray, atol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -40,7 +44,7 @@ def density_from_state(amplitudes: np.ndarray) -> np.ndarray:
     return v[..., :, None] * v.conj()[..., None, :]  # np.outer, over the last axis
 
 
-def hermitian_eigensystem(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
+def hermitian_eigensystem(matrix: np.ndarray):
     """Eigenvalues and eigenvectors of a Hermitian matrix by cyclic Jacobi rotations.
 
     Takes one (n, n) matrix or a (k, n, n) stack and returns (eigenvalues
@@ -64,9 +68,9 @@ def hermitian_eigensystem(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: in
     a += _dagger(a)
     a /= 2.0
     v = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
-    threshold = tol * np.maximum(np.max(np.abs(a), axis=(1, 2)), 1e-300)
+    threshold = JACOBI_TOL * np.maximum(np.max(np.abs(a), axis=(1, 2)), 1e-300)
     live = np.arange(len(a))  # matrices still sweeping
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         if not live.size:
             break
         off = np.zeros(live.size)

@@ -31,11 +31,15 @@ stream of the run's generator, in the order and size a batch of that
 basis alone would, so the counts do not depend on how bases are grouped.
 A batch allocates its own buffers and nothing outlives it, so no run
 depends on the runs before it.
+
+`PAIR_STATES` is the constant table of the pair states the results are
+scored against: the one each post-selected configuration leaves, and the
+graph state CZ|++> of the other modes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import reduce
 from itertools import accumulate
 from math import ceil, sqrt
 from typing import Sequence
@@ -43,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import NoiseModel, check_number, decay_probabilities
-from .tomography import BASIS_PAIRS, H, PAULI_AXES, PAULI_MATRICES, rotation_gates
+from .tomography import BASIS_PAIRS, H, PAULI_AXES, rotation_gates
 
 MODES = ("dynamic", "postselect", "swap")
 
@@ -65,46 +69,16 @@ def reachable_configurations(hops: int) -> tuple[tuple[int, int], ...]:
     return ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def configuration_unitary(config: tuple[int, int], n: int) -> np.ndarray:
-    """Single-qubit unitary H^n Z^z X^x of a configuration for an n-qubit path."""
-    z, x = config
-    u = np.eye(2, dtype=complex)
-    if x:
-        u = PAULI_MATRICES["X"] @ u
-    if z:
-        u = PAULI_MATRICES["Z"] @ u
-    if n % 2:
-        u = H @ u
-    return u
+_R = 1.0 / sqrt(2.0)
 
-
-def phi_p2() -> np.ndarray:
-    """Amplitudes of the two-qubit graph state CZ|++>."""
-    return np.array([0.5, 0.5, 0.5, -0.5], dtype=complex)
-
-
-def canonical_state(config: tuple[int, int], n: int) -> np.ndarray:
-    """Amplitudes of a configuration's two-qubit state: (I x U_config) |phi(P2)>.
-
-    The state depends only on the configuration and the parity of n, so it
-    is a read-only view of a table built on first use.
-    """
-    return _canonical_states()[n % 2][config]
-
-
-@cache
-def _canonical_states() -> np.ndarray:
-    """[parity of n][z][x] table of `canonical_state`; the second qubit is the high bit.
-
-    Built on first use, not at import: its first np.kron and matrix product
-    fault in about 0.3 MB of numpy and BLAS state, which a process that
-    never scores a post-selected row, such as a pool's parent, need not hold.
-    """
-    table = np.array([[[np.kron(configuration_unitary((z, x), 2 + parity),
-                                np.eye(2, dtype=complex)) @ phi_p2()
-                        for x in (0, 1)] for z in (0, 1)] for parity in (0, 1)])
-    table.setflags(write=False)
-    return table
+#: Amplitudes of the pair state a post-selected configuration (z, x) leaves on an
+#: n-qubit path, PAIR_STATES[n % 2][z][x] = (I x H^n Z^z X^x) CZ|++>, with the
+#: second qubit as the high bit; [0][0][0] is the graph state CZ|++> itself.
+PAIR_STATES = np.array([[[[0.5, 0.5, 0.5, -0.5], [0.5, -0.5, 0.5, 0.5]],
+                         [[0.5, 0.5, -0.5, 0.5], [0.5, -0.5, -0.5, -0.5]]],
+                        [[[_R, 0.0, 0.0, _R], [_R, 0.0, 0.0, -_R]],
+                         [[0.0, _R, _R, 0.0], [0.0, -_R, _R, 0.0]]]], dtype=complex)
+PAIR_STATES.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------

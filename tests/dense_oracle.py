@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from teleport_lab.protocols import phi_p2, reachable_configurations
+from teleport_lab.protocols import reachable_configurations
 from teleport_lab.tomography import BASIS_PAIRS
 
 MAX_QUBITS = 24
@@ -50,6 +50,24 @@ PAULI_MATRICES = {"I": np.eye(2, dtype=complex), "X": GATE_MATRICES[Gate.X],
                   "Y": GATE_MATRICES[Gate.Y], "Z": GATE_MATRICES[Gate.Z]}
 #: Gates mapping each Pauli eigenbasis onto Z, in application order.
 BASIS_ROTATIONS = {"Z": (), "X": (Gate.H,), "Y": (Gate.SDG, Gate.H)}
+
+
+def phi_p2() -> np.ndarray:
+    """Amplitudes of the two-qubit graph state CZ|++>."""
+    return np.array([0.5, 0.5, 0.5, -0.5], dtype=complex)
+
+
+def configuration_unitary(config: tuple[int, int], n: int) -> np.ndarray:
+    """Single-qubit unitary H^n Z^z X^x of a configuration (z, x) for an n-qubit path."""
+    z, x = config
+    u = np.eye(2, dtype=complex)
+    if x:
+        u = GATE_MATRICES[Gate.X] @ u
+    if z:
+        u = GATE_MATRICES[Gate.Z] @ u
+    if n % 2:
+        u = GATE_MATRICES[Gate.H] @ u
+    return u
 
 
 def basis_rotation(axis: str) -> tuple[Gate, ...]:

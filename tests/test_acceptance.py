@@ -8,19 +8,19 @@ import time
 import numpy as np
 import pytest
 
-from teleport_lab import harness, pathfinder, protocols
+from teleport_lab import harness, pathfinder
 from teleport_lab.channels import (DEFAULT_ONE_QUBIT_DEPOL, NoiseModel, confusion_matrix,
                                    per_qubit_transform)
 from teleport_lab.harness import ExperimentSpec, aggregate_by_hops, run_decay_experiment
 from teleport_lab.metrics import density_from_state, fidelity, nearest_physical, negativity
 from teleport_lab.mitigation import michelot_project, qrem_correct
-from teleport_lab.protocols import configuration_unitary, phi_p2, run_teleportation
+from teleport_lab.protocols import run_teleportation
 from teleport_lab.tomography import reconstruct
 
 from conftest import random_density_matrix, random_unitary
 from dense_oracle import (PureState, analytic_swap, analytic_teleportation, apply_gates,
-                          byproduct_sequence, discriminator, sequence_unitary, states_equal,
-                          teleport_pure)
+                          byproduct_sequence, configuration_unitary, discriminator, phi_p2,
+                          sequence_unitary, states_equal, teleport_pure)
 
 NOISELESS = NoiseModel(dynamic_correction_latency_us=0.0)
 
@@ -40,7 +40,7 @@ def test_criterion_01_noiseless_exactness():
     for hops in range(1, 9):
         for s in itertools.product((0, 1), repeat=hops):
             got = teleport_pure(hops + 2, s)
-            want = apply_gates(PureState(2, protocols.phi_p2()), byproduct_sequence(s, target=1))
+            want = apply_gates(PureState(2, phi_p2()), byproduct_sequence(s, target=1))
             if not states_equal(got, want, 1e-9):
                 exhaustive_ok = False
     _verdict("criterion 1a: teleported state matches byproduct form (hops 1..8, all outcomes)",

@@ -575,31 +575,46 @@ def test_run_rejects_empty_sweeps_and_bad_worker_counts(workdir, dev, capsys, mo
 
 
 def test_run_rejects_inputs_that_only_mode_dynamic_reads(line4, capsys, monkeypatch):
-    # protocols.schedule reads both only in mode dynamic, so without it they
-    # used to run, silently ignored, and exit 0
+    # protocols.schedule reads these only in mode dynamic, so without it they
+    # used to run, silently ignored, and exit 0; T1 and T2 could still fail a run
+    def never(*args, **kwargs):
+        raise AssertionError("cells planned for an input that no mode reads")
+
     dev = line4 / "dev.json"
     out = line4 / "never_ignored.csv"
     spec_file = line4 / "ignored_spec.json"
     base = ["run", "--device", str(dev), "--out", str(out)]
-    for field, flags, payload in (
-            ("simplified_correction", ["--simplified-correction"],
-             {"simplified_correction": True}),
-            ("dynamic_correction_latency_us",
-             ["--noise-overrides", '{"dynamic_correction_latency_us": 1.0}'],
-             {"noise_overrides": {"dynamic_correction_latency_us": 1.0}})):
-        spec_file.write_text(json.dumps({"hops": [1], "modes": ["swap", "postselect"], **payload}))
-        for workers in ("1", "2"):
-            monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
-            for args in (["--hops", "1", "--mode", "swap,postselect", *flags],
-                         ["--spec", str(spec_file)]):
-                assert main(base + args) == 2
-                assert capsys.readouterr().err == (f"error: {field} takes effect only in mode "
-                                                   "dynamic, and modes holds only swap, "
-                                                   "postselect\n")
-        # with dynamic among the modes both take effect, and the spec holds them
-        spec = ExperimentSpec(modes=("swap", "dynamic"), **payload)
-        assert spec == ExperimentSpec.from_json(spec.to_json())
+    overrides = [(key, {key: value}) for key, value in (
+        ("dynamic_correction_latency_us", 1.0), ("t1_us", 20), ("t2_us", 10),
+        ("t1_us", [20, 30, 40]))]
+    cases = [("simplified_correction", ["--simplified-correction"],
+              {"simplified_correction": True})]
+    cases += [(key, ["--noise-overrides", json.dumps(given)], {"noise_overrides": given})
+              for key, given in overrides]
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "plan_cells", never)
+        for field, flags, payload in cases:
+            spec_file.write_text(json.dumps({"hops": [1], "modes": ["swap", "postselect"],
+                                             **payload}))
+            for workers in ("1", "2"):
+                patched.setenv("TELEPORT_LAB_THREADS", workers)
+                for args in (["--hops", "1", "--mode", "swap,postselect", *flags],
+                             ["--spec", str(spec_file)]):
+                    assert main(base + args) == 2
+                    assert capsys.readouterr().err == (f"error: {field} takes effect only in "
+                                                       "mode dynamic, and modes holds only "
+                                                       "swap, postselect\n")
+            # with dynamic among the modes each takes effect, and the spec holds it
+            spec = ExperimentSpec(modes=("swap", "dynamic"), **payload)
+            assert spec == ExperimentSpec.from_json(spec.to_json())
     assert not out.exists()
+    # with dynamic among the modes, a run takes the times
+    ran = line4 / "dynamic_times.csv"
+    for _, flags, _ in cases[2:]:
+        assert main(["run", "--device", str(dev), "--hops", "1", "--mode", "swap,dynamic",
+                     "--protocol", "neg", "--paths", "1", "--trials", "1", "--shots", "8",
+                     "--out", str(ran), *flags]) == 0
+    ran.unlink()
 
 
 def test_counts_above_their_bounds_exit_2_before_any_cell(line4, capsys, monkeypatch):

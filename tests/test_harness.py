@@ -132,18 +132,20 @@ def test_spec_rejects_bad_per_position_noise_overrides(field, value, message):
 def test_run_rejects_per_position_noise_overrides_shorter_than_a_path(monkeypatch, field, value,
                                                                       message):
     # short lists failed every cell instead of the run; a spec knows no path,
-    # so each path's model checks them, before any cell runs
+    # so each path's model checks them, before any cell runs (T1 and T2 take
+    # effect only in mode dynamic)
     device = small_device()
     need = 2 if field == "two_qubit_depol" else 3
-    for spec in (ExperimentSpec(hops=(1,), noise_overrides={field: value}, **SHORT_SWEEP),
-                 ExperimentSpec.from_json(json.dumps({"hops": [1], **SHORT_SWEEP,
+    sweep = {**SHORT_SWEEP, "modes": ("swap", "dynamic")}
+    for spec in (ExperimentSpec(hops=(1,), noise_overrides={field: value}, **sweep),
+                 ExperimentSpec.from_json(json.dumps({"hops": [1], **sweep,
                                                       "noise_overrides": {field: value}}))):
         _rejected_before_any_cell(monkeypatch, device, spec,
                                   rf"^noise on path \d+-\d+-\d+: {field} {message}; "
                                   rf"the path needs {need}$")
     fits = [0.01] * 2 if field == "two_qubit_depol" else [30.0] * 3
     assert run_experiment(device, ExperimentSpec(hops=(1,), noise_overrides={field: fits},
-                                                 **SHORT_SWEEP))
+                                                 **sweep))
 
 
 @pytest.mark.parametrize("key", ["two_qubit_depol_per_edge", "t1_per_qubit_us",
@@ -247,11 +249,12 @@ def test_spec_json_roundtrip():
     # protocols and modes used to stay JSON lists, so a spec did not equal its own
     # JSON, and numpy readout overrides made to_json raise TypeError
     assert ExperimentSpec.from_json(ExperimentSpec().to_json()) == ExperimentSpec()
-    spec = ExperimentSpec(hops=[1], protocols=["neg"], modes=["swap"], seed=np.int64(3),
+    spec = ExperimentSpec(hops=[1], protocols=["neg"], modes=["swap", "dynamic"],
+                          seed=np.int64(3),
                           noise_overrides={"readout": [confusion_matrix(0.01, 0.02)] * 3,
                                            "t1_us": np.float64(40.0),
                                            "two_qubit_depol": [np.float64(0.01), 0.02]})
-    assert (spec.hops, spec.protocols, spec.modes) == ((1,), ("neg",), ("swap",))
+    assert (spec.hops, spec.protocols, spec.modes) == ((1,), ("neg",), ("swap", "dynamic"))
     assert spec.noise_overrides == {"readout": [[[0.99, 0.02], [0.01, 0.98]]] * 3,
                                     "t1_us": 40.0, "two_qubit_depol": [0.01, 0.02]}
     assert ExperimentSpec.from_json(spec.to_json()) == spec
@@ -658,6 +661,30 @@ def test_absent_configurations_not_reported_at_one_hop():
     rows = run_experiment(device, spec)
     configs = {row.configuration for row in rows}
     assert configs == {"00", "10"}
+
+
+def test_configurations_with_no_effective_shot_keep_empty_metrics(monkeypatch):
+    # 2 shots over four configurations leave some with none; those rows write
+    # empty negativity and fidelity cells, and every other row is scored
+    device = small_device()
+    spec = ExperimentSpec(hops=(2, 3), protocols=("neg",), modes=("postselect",),
+                          paths_per_hop=2, trials=2, shots=2, qrem="both", seed=4)
+    csvs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        csvs.append(rows_to_csv(run_experiment(device, spec)))
+    assert csvs[0] == csvs[1]
+    header, *lines = [line.split(",") for line in csvs[0].splitlines()[1:]]
+    column = {name: header.index(name) for name in ("negativity", "fidelity", "shots")}
+    empty = [line for line in lines if line[column["shots"]] == "0"]
+    assert 0 < len(empty) < len(lines)
+    for line in lines:
+        metrics = [line[column["negativity"]], line[column["fidelity"]]]
+        if line[column["shots"]] == "0":
+            assert metrics == ["", ""]
+        else:
+            neg, fid = map(float, metrics)
+            assert 0.0 <= neg <= 0.5 and 0.0 <= fid <= 1.0
 
 
 def test_failed_cells_are_skipped(monkeypatch, caplog):

@@ -12,16 +12,17 @@ from teleport_lab.channels import (NoiseModel, confusion_matrix, decay_probabili
 from teleport_lab.harness import path_noise_model
 from teleport_lab.metrics import density_from_state, fidelity, negativity
 from teleport_lab.pathfinder import edge_weights, find_best_paths, synthesize_device
-from teleport_lab.protocols import (MAX_PATH_QUBITS, MODES, ShotBatch, canonical_state,
-                                    configuration_unitary, phi_p2, reachable_configurations,
-                                    run_idle_pair, run_swap_transport, run_teleportation, schedule)
+from teleport_lab.protocols import (MAX_PATH_QUBITS, MODES, PAIR_STATES, ShotBatch,
+                                    reachable_configurations, run_idle_pair, run_swap_transport,
+                                    run_teleportation, schedule)
 from teleport_lab.tomography import BASIS_PAIRS, reconstruct
 
 from conftest import random_state, trace_distance
 from dense_oracle import (PAULI_MATRICES, Gate, GateOp, PureState, analytic_swap,
                           analytic_teleportation, apply_gate, apply_gates, born_probabilities,
-                          byproduct_sequence, categorize, correction_sequence, discriminator,
-                          frequencies, idle_kraus, index_of_bits, kraus_oracle, op, postselect,
+                          byproduct_sequence, categorize, configuration_unitary,
+                          correction_sequence, discriminator, frequencies, idle_kraus,
+                          index_of_bits, kraus_oracle, op, phi_p2, postselect,
                           prepare_path_graph_state, remove_qubit, representative_outcomes,
                           schedule_distributions, sequence_unitary, states_equal, teleport_pure,
                           tomography_rotations)
@@ -148,7 +149,7 @@ def test_discriminator_soundness():
             groups.setdefault(discriminator(s), []).append(teleport_pure(hops + 2, s))
         assert len(groups) == len(reachable_configurations(hops))
         for config, states in groups.items():
-            canon = canonical_state(config, hops + 2)
+            canon = PAIR_STATES[hops % 2][config]
             for state in states:
                 assert noiseless_unitary_states_equal(state, canon)
         configs = list(groups)
@@ -158,13 +159,16 @@ def test_discriminator_soundness():
 
 
 def test_canonical_states_come_read_only_from_one_table():
-    # each call used to build its state with np.kron; the table holds the same bits
+    # the constant table holds the bits of (I x U_config) |phi(P2)> built with the oracle's gates
     for n in range(2, 10):
-        for config in reachable_configurations(2):
-            state = canonical_state(config, n)
-            built = np.kron(configuration_unitary(config, n), np.eye(2, dtype=complex)) @ phi_p2()
-            assert np.array_equal(state, built)
-            assert not state.flags.writeable
+        for z, x in reachable_configurations(2):
+            built = np.kron(configuration_unitary((z, x), n), np.eye(2, dtype=complex)) @ phi_p2()
+            assert PAIR_STATES[n % 2][z][x].tobytes() == built.tobytes()
+    assert PAIR_STATES[0][0][0].tobytes() == phi_p2().tobytes()
+    assert PAIR_STATES.shape == (2, 2, 2, 4) and PAIR_STATES.dtype == complex
+    assert not PAIR_STATES.flags.writeable
+    with pytest.raises(ValueError):
+        PAIR_STATES[0, 0, 0, 0] = 1.0
 
 
 # --- analytic runs ---------------------------------------------------------------
@@ -192,7 +196,7 @@ def test_analytic_postselect_categories():
         for config, payload in branches.items():
             rho = reconstruct(payload["probs"])
             assert abs(negativity(rho) - 0.5) < 1e-6
-            ideal = canonical_state(config, n)
+            ideal = PAIR_STATES[n % 2][config]
             assert abs(fidelity(rho, density_from_state(ideal)) - 1.0) < 1e-6
             assert abs(payload["weight"] - 1.0 / len(branches)) < 1e-12
 
@@ -678,7 +682,7 @@ def test_sampled_noiseless_postselect_categories():
     for config, counts in categories.items():
         rho = reconstruct(frequencies(counts))
         assert negativity(rho) > 0.45
-        ideal = canonical_state(config, 4)
+        ideal = PAIR_STATES[0][config]
         assert fidelity(rho, density_from_state(ideal)) > 0.95
 
 
@@ -760,7 +764,7 @@ def test_flipped_intermediate_readout_swaps_categories():
     result = run_teleportation(4, "postselect", noise, 4096, rng)
     for config, counts in categorize(result).items():
         rho = reconstruct(frequencies(counts))
-        actual = canonical_state((config[0] ^ 1, config[1]), 4)
+        actual = PAIR_STATES[0][config[0] ^ 1, config[1]]
         assert fidelity(rho, density_from_state(actual)) > 0.95
 
 

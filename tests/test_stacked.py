@@ -10,6 +10,7 @@ and do not converge within the sweep limit.
 import numpy as np
 import pytest
 
+from teleport_lab import metrics
 from teleport_lab.channels import (NoiseModel, confusion_matrix, exact_pair_distributions,
                                    per_qubit_transform)
 from teleport_lab.harness import mitigated_pair_distributions, run_decay_experiment
@@ -41,18 +42,25 @@ def _assert_same(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _eigensystem(h, sweeps: int, monkeypatch):
+    """`hermitian_eigensystem` with its sweep limit set to `sweeps`."""
+    with monkeypatch.context() as patched:
+        patched.setattr(metrics, "JACOBI_MAX_SWEEPS", sweeps)
+        return hermitian_eigensystem(h)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_stacked_eigensystem_matches_scalar_solver_bit_for_bit(rng, n):
+def test_stacked_eigensystem_matches_scalar_solver_bit_for_bit(rng, n, monkeypatch):
     h = _hermitian_stack(rng, 60, n)
     for sweeps in (1, 2, 60):
-        vals, vecs = hermitian_eigensystem(h, max_sweeps=sweeps)
+        vals, vecs = _eigensystem(h, sweeps, monkeypatch)
         for i, matrix in enumerate(h):
             want_vals, want_vecs = ref.hermitian_eigensystem(matrix, max_sweeps=sweeps)
             _assert_same(vals[i], want_vals)
             _assert_same(vecs[i], want_vecs)
     if n > 2:  # one rotation solves a 2x2 matrix exactly
         # two sweeps leave the diagonal matrices converged and most others not
-        short, full = hermitian_eigensystem(h, max_sweeps=2)[1], hermitian_eigensystem(h)[1]
+        short, full = _eigensystem(h, 2, monkeypatch)[1], hermitian_eigensystem(h)[1]
         done = [np.array_equal(a, b) for a, b in zip(short, full)]
         assert all(done[0::5]) and not all(done)
 

@@ -15,6 +15,10 @@ default, removed at the end), so that each writes its own files:
   three protocols and modes at hops 1, 2, 3, 17 and 19 (2 paths, 1 trial,
   2048 shots, --qrem both);
   a dynamic sweep with --simplified-correction on device 7;
+  on device 7, with TELEPORT_LAB_THREADS=2, a 2-shot postselect and swap
+  sweep at hops 1, 2, 3 and 5 (protocols neg and gate_fid, 2 paths, 2
+  trials, --qrem both), whose post-selected rows with no effective shot
+  write empty metrics;
   decay --shots 0 and --shots 256, with QREM on and off, with the fitted
   default noise and with --device on device 7;
   a line:6 sweep with list overrides of two_qubit_depol, t1_us and t2_us
@@ -66,6 +70,11 @@ def commands() -> list[tuple[dict, list[str]]]:
                       "--simplified-correction", "--protocol", "neg", "--hops", "1..9..2",
                       "--paths", "2", "--trials", "2", "--shots", "1024", "--seed", "5",
                       "--out", "simplified.csv"]))
+    runs.append(({"TELEPORT_LAB_THREADS": "2"},
+                 ["run", "--device", "dev7.json", "--protocol", "neg,gate_fid",
+                  "--mode", "postselect,swap", "--hops", "1,2,3,5", "--paths", "2",
+                  "--trials", "2", "--shots", "2", "--qrem", "both", "--seed", "4",
+                  "--out", "empty_categories.csv"]))
     for shots in ("0", "256"):
         for qrem in ("on", "off"):
             for device in ([], ["--device", "dev7.json"]):
