@@ -153,57 +153,56 @@ def _module_containers(tree: ast.Module) -> set[str]:
 CACHES = {"cache", "lru_cache"}
 
 
-def _state_writes(module: str, source: str) -> set[str]:
+def _module_state_writes(folder: Path = PACKAGE) -> list[str]:
     """"module.function: what" for each global statement, module container change and cache."""
-    tree = ast.parse(source)
-    containers = _module_containers(tree)
     flagged = set()
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        args = fn.args
-        local = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
-                                 args.vararg, args.kwarg] if a is not None}
-        local |= {n.id for n in ast.walk(fn)
-                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
-        shared = containers - local
-        where = f"{module}.{fn.name}"
-        for decorator in fn.decorator_list:
-            # @cache, @functools.cache, @lru_cache(maxsize=...) and the like
-            named = decorator.func if isinstance(decorator, ast.Call) else decorator
-            name = named.attr if isinstance(named, ast.Attribute) else getattr(named, "id", None)
-            if name in CACHES:
-                flagged.add(f"{where}: @{name}")
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Global):
-                flagged.add(f"{where}: global {', '.join(node.names)}")
-            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and isinstance(node.func.value, ast.Name)
-                  and node.func.value.id in shared and node.func.attr in MUTATORS):
-                flagged.add(f"{where}: {node.func.value.id}.{node.func.attr}")
-            elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
-                  and isinstance(node.value, ast.Name) and node.value.id in shared):
-                flagged.add(f"{where}: {node.value.id}[...]")
-    return flagged
+    for path in sorted(folder.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        containers = _module_containers(tree)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            local = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                     args.vararg, args.kwarg] if a is not None}
+            local |= {n.id for n in ast.walk(fn)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            shared = containers - local
+            where = f"{path.stem}.{fn.name}"
+            for decorator in fn.decorator_list:
+                # @cache, @functools.cache, @lru_cache(maxsize=...) and the like
+                named = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = named.attr if isinstance(named, ast.Attribute) else getattr(named, "id", "")
+                if name in CACHES:
+                    flagged.add(f"{where}: @{name}")
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Global):
+                    flagged.add(f"{where}: global {', '.join(node.names)}")
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and isinstance(node.func.value, ast.Name)
+                      and node.func.value.id in shared and node.func.attr in MUTATORS):
+                    flagged.add(f"{where}: {node.func.value.id}.{node.func.attr}")
+                elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                      and isinstance(node.value, ast.Name) and node.value.id in shared):
+                    flagged.add(f"{where}: {node.value.id}[...]")
+    return sorted(flagged)
 
 
-def _module_state_writes() -> list[str]:
-    return sorted(set().union(*(_state_writes(path.stem, path.read_text())
-                                for path in sorted(PACKAGE.glob("*.py")))))
-
-
-def test_no_function_in_src_keeps_module_state():
+def test_no_function_in_src_keeps_module_state(tmp_path):
     assert _module_state_writes() == []
-    # the guard sees each way of keeping state
-    for source in ("TABLE = {}\ndef f(k):\n    TABLE[k] = 1",
-                   "SEEN = []\ndef f(k):\n    SEEN.append(k)",
-                   "def f():\n    global COUNT",
-                   "from functools import cache\n@cache\ndef f(): pass",
-                   "import functools\n@functools.cache\ndef f(): pass",
-                   "from functools import lru_cache\n@lru_cache\ndef f(): pass",
-                   "import functools\n@functools.lru_cache(maxsize=8)\ndef f(): pass"):
-        assert len(_state_writes("m", source)) == 1, source
-    assert _state_writes("m", "TABLE = {}\ndef f():\n    TABLE = {}\n    TABLE[1] = 2") == set()
+    # the guard sees each way of keeping state, one per module, and a local table is no state
+    ways = ("TABLE = {}\ndef f(k):\n    TABLE[k] = 1",
+            "SEEN = []\ndef f(k):\n    SEEN.append(k)",
+            "def f():\n    global COUNT",
+            "from functools import cache\n@cache\ndef f(): pass",
+            "import functools\n@functools.cache\ndef f(): pass",
+            "from functools import lru_cache\n@lru_cache\ndef f(): pass",
+            "import functools\n@functools.lru_cache(maxsize=8)\ndef f(): pass")
+    for i, source in enumerate(ways):
+        (tmp_path / f"way{i}.py").write_text(source)
+    (tmp_path / "local.py").write_text("TABLE = {}\ndef f():\n    TABLE = {}\n    TABLE[1] = 2")
+    flagged = _module_state_writes(tmp_path)
+    assert sorted(line.split(".")[0] for line in flagged) == [f"way{i}" for i in range(len(ways))]
 
 
 def _holds_gate_matrix(value) -> bool:
