@@ -135,10 +135,16 @@ def _spec_from_args(args) -> ExperimentSpec:
             raise ValueError(f"{flags} cannot be combined with --spec; put the value in "
                              "the spec file")
         with open(args.spec) as fh:
-            spec = ExperimentSpec.from_json(fh.read())
+            try:
+                spec = ExperimentSpec.from_json(fh.read())
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.spec}: not valid JSON ({exc})") from exc
     else:
         if "noise_overrides" in given:
-            given["noise_overrides"] = json.loads(given["noise_overrides"])
+            try:
+                given["noise_overrides"] = json.loads(given["noise_overrides"])
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"--noise-overrides: not valid JSON ({exc})") from exc
         spec = ExperimentSpec(**{_SWEEP_FLAGS[flag]: value for flag, value in given.items()})
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -173,13 +179,17 @@ def _decay_noise(args) -> NoiseModel:
 
 def cmd_decay(args) -> int:
     _check_out_paths(args.out, args.plot)
+    if args.seed is not None and args.shots == 0:
+        raise ValueError("seed takes effect only with shots above 0; shots 0 runs the "
+                         "exact channel, which draws nothing")
+    seed = 0 if args.seed is None else args.seed
     noise = _decay_noise(args)
     delays = _parse_delays(args.delays)
     result = harness.run_decay_experiment(delays, noise, shots=args.shots,
-                                          seed=args.seed, qrem=args.qrem == "on")
+                                          seed=seed, qrem=args.qrem == "on")
     lines = ["# teleport-lab decay v1", "delay_us,negativity,shots,seed"]
     for t, v in zip(result.delays_us, result.negativities):
-        lines.append(f"{t:.12g},{v:.12g},{args.shots},{args.seed}")
+        lines.append(f"{t:.12g},{v:.12g},{args.shots},{seed}")
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     window = result.crossing_window_us
@@ -257,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=0,
                    help="shots per tomography basis; 0 = exact channel")
     p.add_argument("--qrem", default="on", choices=("on", "off"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="seed of the sampled route (default 0); not with --shots 0")
     p.add_argument("--out", required=True)
     p.add_argument("--plot", help="optional SVG path")
     p.set_defaults(func=cmd_decay)

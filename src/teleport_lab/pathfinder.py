@@ -24,6 +24,9 @@ PROTOCOLS = ("neg", "neg_qrem", "gate_fid")
 #: calibrations are stored as 1) and their edges are excluded from search.
 GATE_ERROR_CUTOFF = 0.5
 
+#: Most qubits of a line:N or ring:N topology; synthesizing costs about 1 ms per edge.
+MAX_TOPOLOGY_QUBITS = 10_000
+
 
 class DeviceSchemaError(ValueError):
     """Calibration file violates the device schema."""
@@ -307,6 +310,9 @@ def _topology_edges(topology: str) -> list[tuple[int, int]]:
         raise ValueError(f"unknown topology {topology!r}")
     if int(arg) < smallest:
         raise ValueError(f"topology {topology!r} needs at least {smallest} qubits")
+    if int(arg) > MAX_TOPOLOGY_QUBITS:
+        raise ValueError(f"topology {topology!r} exceeds the limit of "
+                         f"{MAX_TOPOLOGY_QUBITS} qubits")
     return (line_edges if kind == "line" else ring_edges)(int(arg))
 
 

@@ -142,9 +142,9 @@ class ShotBatch:
     The batch holds one column slab of ``slab_shots`` shots per stream, one
     tomography basis each, and `_random` and `_integers` fill each slab
     from its own stream, as a batch of that stream alone would. A step of
-    some bases only takes a slice of slabs. `apply_matrix` multiplies one
-    (2, slab shots) block per slab and window index, so no product is
-    wider than the shots of one basis.
+    some bases only takes the indices of their slabs, in any order.
+    `apply_matrix` multiplies one (2, slab shots) block per slab and window
+    index, so no product is wider than the shots of one basis.
 
     The storage lives in three flat float64 buffers that the batch owns:
     the live amplitudes, a spare buffer that steps write their result into
@@ -189,18 +189,19 @@ class ShotBatch:
         amps[:] = self._amps
         self._swap(amps)
 
-    def _random(self, slabs: slice = slice(None)) -> np.ndarray:
-        """Uniform numbers for the shots of the chosen slabs, each slab from its own stream."""
-        streams = self.streams[slabs]
+    def _random(self, slabs: Sequence[int] | None = None) -> np.ndarray:
+        """Uniform numbers for the shots of the listed slabs, each slab from its own stream."""
+        streams = self.streams if slabs is None else [self.streams[s] for s in slabs]
         out = np.empty((len(streams), self.slab_shots))
         for stream, slab in zip(streams, out):
             stream.random(out=slab)
         return out.reshape(-1)
 
-    def _integers(self, high: int, slabs: slice = slice(None)) -> np.ndarray:
-        """Integers in [0, high) for the shots of the chosen slabs, each slab from its own stream."""
+    def _integers(self, high: int, slabs: Sequence[int] | None = None) -> np.ndarray:
+        """Integers in [0, high) for the shots of the listed slabs, each slab from its own stream."""
+        streams = self.streams if slabs is None else [self.streams[s] for s in slabs]
         return np.array([stream.integers(0, high, size=self.slab_shots)
-                         for stream in self.streams[slabs]], np.int64).reshape(-1)
+                         for stream in streams], np.int64).reshape(-1)
 
     @property
     def dim(self) -> int:
@@ -220,13 +221,13 @@ class ShotBatch:
         self._amps = self._buffer(0, 2 * dim)
         self._amps[dim:] = 0.0
 
-    def apply_matrix(self, pos: int, matrix: np.ndarray, slabs: slice = slice(None)):
-        """The 2x2 matrix on one position of every shot of the chosen slabs.
+    def apply_matrix(self, pos: int, matrix: np.ndarray, slabs: Sequence[int] | None = None):
+        """The 2x2 matrix on one position of every shot of the listed slabs (None: all).
 
         Real storage takes a matrix's real part when its imaginary part is
-        zero, and is promoted to complex storage otherwise. The product goes
-        into the spare buffer, which becomes the live one; a step on some
-        slabs only copies its slabs back instead.
+        zero, and is promoted to complex storage otherwise. On every slab the
+        product goes into the spare buffer, which becomes the live one; on
+        listed slabs each slab's product is written back through its view.
         """
         if self._amps.dtype == np.float64:
             if _is_complex(matrix):
@@ -235,14 +236,15 @@ class ShotBatch:
                 matrix = matrix.real
         lo = 1 << self.axis_of[pos]
         spare = self._buffer(1, self.dim)
-        # (high bits, low bits, slab, bit of pos, shot of the slab) views of the chosen slabs
-        view, out = (a.reshape(-1, 2, lo, len(self.streams), self.slab_shots)[:, :, :, slabs]
+        # (high bits, low bits, slab, bit of pos, shot of the slab) views
+        view, out = (a.reshape(-1, 2, lo, len(self.streams), self.slab_shots)
                      .transpose(0, 2, 3, 1, 4) for a in (self._amps, spare))
-        np.matmul(matrix, view, out=out)
-        if len(self.streams[slabs]) == len(self.streams):
+        if slabs is None:
+            np.matmul(matrix, view, out=out)
             self._swap(spare)
-        else:
-            view[...] = out
+            return
+        for s in slabs:
+            view[:, :, s] = matrix @ view[:, :, s]
 
     def apply_cz(self, pos1: int, pos2: int):
         low, high = sorted((self.axis_of[pos1], self.axis_of[pos2]))
@@ -276,11 +278,12 @@ class ShotBatch:
         self._amps[:, shots] = sub
 
     def depolarize(self, positions: Sequence[int], p: float, active: np.ndarray | None = None,
-                   slabs: slice = slice(None)):
+                   slabs: Sequence[int] | None = None):
         """Uniform non-identity Pauli string on the targets with probability p.
 
-        Only the shots of the chosen slabs are drawn for, from those slabs'
-        streams, and hit; ``active`` masks those shots, in slab order.
+        Only the shots of the listed slabs (None: all) are drawn for, from
+        those slabs' streams, and hit; ``active`` masks those shots, in the
+        listed order.
         """
         if p <= 0.0:
             return
@@ -291,10 +294,10 @@ class ShotBatch:
         idx = np.flatnonzero(hit)
         # word + 1 is a non-identity string: its bits 2j and 2j + 1 are the letter of positions[j]
         letters = ((word[idx] + 1) >> 2 * np.arange(len(positions))[:, None]) & 3
-        if hit.size < self.shots:
-            # hit index within the chosen slabs -> column of the whole batch
-            chosen = np.arange(len(self.streams))[slabs]
-            idx = chosen[idx // self.slab_shots] * self.slab_shots + idx % self.slab_shots
+        if slabs is not None:
+            # hit index within the listed slabs -> column of the whole batch
+            slab, shot = divmod(idx, self.slab_shots)
+            idx = np.asarray(slabs)[slab] * self.slab_shots + shot
         self.apply_paulis(positions, idx, letters)
 
     def measure_z(self, pos: int) -> np.ndarray:
@@ -444,32 +447,6 @@ def schedule(n: int, mode: str, noise: NoiseModel, simplified_correction: bool =
             ("measure", last, noise.qubit_confusion(last)))
 
 
-def _slab_slice(slabs: list[int]) -> slice:
-    """The slice selecting exactly the listed slabs, which must be evenly spaced.
-
-    In `BASIS_PAIRS` order the bases sharing a first-qubit axis are
-    adjacent and those sharing a last-qubit axis are three apart.
-    """
-    step = slabs[1] - slabs[0] if len(slabs) > 1 else 1
-    if slabs != list(range(slabs[0], slabs[-1] + 1, step)):
-        raise ValueError(f"slabs {slabs} are not evenly spaced")
-    return slice(slabs[0], slabs[-1] + 1, step)
-
-
-def _rotate_into_bases(batch: ShotBatch, bases: Sequence[tuple[str, str]],
-                       positions: tuple[int, int], p: float):
-    """Rotate each slab's first, then last qubit into its basis; noise draws from its stream."""
-    for side, pos in enumerate(positions):
-        for axis in PAULI_AXES:
-            members = [b for b, pair in enumerate(bases) if pair[side] == axis]
-            if not members:
-                continue
-            slabs = _slab_slice(members)
-            for gate in rotation_gates(axis):
-                batch.apply_matrix(pos, gate, slabs)
-                batch.depolarize([pos], p, slabs=slabs)
-
-
 def _record_matrices(step: tuple, bases: Sequence[tuple[str, str]]) -> list[np.ndarray]:
     """The matrices a schedule record applies with `ShotBatch.apply_matrix` for these bases."""
     match step:
@@ -511,8 +488,14 @@ def _sample_group(steps: Sequence[tuple], bases: Sequence[tuple[str, str]],
                 idx = np.flatnonzero(cond)
                 batch.apply_paulis([pos], idx, np.full((1, idx.size), letter))
                 batch.depolarize([pos], p, active=cond)
-            case ("tomography", first, last, p):
-                _rotate_into_bases(batch, bases, (first, last), p)
+            case ("tomography", *positions, p):
+                # each slab's first, then last qubit into its basis; noise draws from its stream
+                for side, pos in enumerate(positions):
+                    for axis in PAULI_AXES:
+                        slabs = [b for b, pair in enumerate(bases) if pair[side] == axis]
+                        for gate in rotation_gates(axis) if slabs else ():
+                            batch.apply_matrix(pos, gate, slabs)
+                            batch.depolarize([pos], p, slabs=slabs)
             case _:
                 raise ValueError(f"unknown schedule record {step!r}")
     keys = np.zeros(zero.size, dtype=np.int64)

@@ -285,11 +285,24 @@ def test_run_rejects_bad_spec_inputs_with_one_line_error(workdir, dev, capsys, m
     assert main(["run", "--device", str(dev), "--spec", str(spec_file), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: unknown ExperimentSpec keys: bogus\n"
+    # text that is not JSON, in a spec file or in --noise-overrides, used to be
+    # reported by the parser's message alone, which named neither input;
     # per-edge gate errors outside [0, 1], short per-edge or per-qubit lists and
     # negative per-qubit times used to run silently or fail every cell; a short
     # list is named with the first planned path that it does not cover
+    not_json = workdir / "not_json_spec.json"
+    not_json.write_text("{hops: [1]}")
     for workers in ("1", "2"):
         monkeypatch.setenv("TELEPORT_LAB_THREADS", workers)
+        assert main(["run", "--device", str(dev), "--spec", str(not_json),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {not_json}: not valid JSON (Expecting property name enclosed in double "
+            "quotes: line 1 column 2 (char 1))\n")
+        assert main(["run", "--device", str(dev), "--noise-overrides", "nope",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: --noise-overrides: not valid JSON "
+                                           "(Expecting value: line 1 column 1 (char 0))\n")
         for field, value, message in (
                 ("readout", [[[1, 0], [0, 1]]], "readout has 1 values; the path needs 3"),
                 ("two_qubit_depol", [-0.5] * 8, None), ("two_qubit_depol", [1.7] * 8, None),
@@ -856,6 +869,40 @@ def test_decay_rejects_negative_shots(workdir, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_decay_rejects_a_seed_with_shots_0(workdir, capsys):
+    # the exact route draws nothing: --seed 5 and --seed 9 used to write the same
+    # negativities, and only the seed column differed; the seed is checked before
+    # the device file, which does not exist, is read
+    out, missing = workdir / "seeded_exact.csv", workdir / "missing_device.json"
+    for seed in ("0", "5"):
+        assert main(["decay", "--delays", "0,1", "--seed", seed, "--device", str(missing),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: seed takes effect only with shots above 0; "
+                                           "shots 0 runs the exact channel, which draws "
+                                           "nothing\n")
+    assert not out.exists()
+    # without --seed the exact route still records seed 0; a sampled run records its seed
+    for flags, seed in (([], "0"), (["--shots", "64", "--seed", "5"], "5")):
+        assert main(["decay", "--delays", "0,1", *flags, "--out", str(out)]) == 0
+        assert [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[2:]] == [seed] * 2
+
+
+def test_gen_device_rejects_topologies_above_the_qubit_bound(workdir, capsys, monkeypatch):
+    # line:N and ring:N used to accept any N at about 1 ms per edge, so a large N
+    # would build its whole edge list before anything failed
+    def no_work(*args, **kwargs):
+        raise AssertionError("edges were scored past the topology bound")
+
+    monkeypatch.setattr(pathfinder, "pair_negativities", no_work)
+    out = workdir / "too_large.json"
+    for topology in ("line:10001", "ring:10001", "line:1000000000000"):
+        assert main(["gen-device", "--topology", topology, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: topology {topology!r} exceeds the limit "
+                                           f"of {pathfinder.MAX_TOPOLOGY_QUBITS} qubits\n")
+    assert not out.exists()
+    assert len(pathfinder._topology_edges(f"line:{pathfinder.MAX_TOPOLOGY_QUBITS}")) == 9_999
 
 
 def test_schema_error_exits_nonzero(workdir, capsys):

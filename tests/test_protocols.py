@@ -371,16 +371,17 @@ def test_wide_batch_gates_equal_per_slab_batches_bit_for_bit():
 
 
 def test_slab_gates_and_noise_leave_other_slabs_untouched():
-    # a step on some slabs equals the same step on each chosen slab alone,
-    # drawing from that slab's own stream, and leaves every other column as it was
+    # a step on some slabs equals the same step on each listed slab alone, drawing
+    # from that slab's own stream, and leaves every other column as it was; the
+    # listed slabs need not be evenly spaced or in order
     rng = np.random.default_rng(78)
     slabs, width = 5, 300
     for pos in WINDOW_POSITIONS:
-        for chosen in (slice(1, 2), slice(0, 5, 3), slice(2, 5), slice(None)):
+        for chosen in ([1], [0, 3], [2, 3, 4], [4, 0, 1], None):
             seeds = np.random.SeedSequence(int(rng.integers(1 << 30))).spawn(slabs)
             wide = _random_slabs(rng, [np.random.default_rng(q) for q in seeds], width)
             before = wide._amps.copy()
-            picked = range(slabs)[chosen]
+            picked = range(slabs) if chosen is None else chosen
             alone = {b: _slab_copy(wide, b, np.random.default_rng(seeds[b])) for b in picked}
             wide.apply_matrix(pos, ENGINE_MATRICES[Gate.SDG], chosen)
             wide.apply_matrix(pos, ENGINE_MATRICES[Gate.H], chosen)
@@ -398,8 +399,8 @@ def test_slab_gates_and_noise_leave_other_slabs_untouched():
                     assert np.array_equal(wide._amps[:, cols], before[:, cols])
 
 
-def _every_step(batch: ShotBatch, bits: list, chosen: slice = slice(1, 2)):
-    """Each kind of engine step, the sliced ones on the slabs ``chosen``, yielding after each."""
+def _every_step(batch: ShotBatch, bits: list, chosen: tuple[int, ...] | None = (1,)):
+    """Each kind of engine step, the slab steps on the slabs ``chosen``, yielding after each."""
     h, sdg, confusion = tomography.H, tomography.SDG, confusion_matrix(0.1, 0.2)
     for step in (lambda: batch.add_qubit(0), lambda: batch.add_qubit(1),
                  lambda: batch.apply_matrix(0, h), lambda: batch.apply_cz(0, 1),
@@ -418,16 +419,16 @@ def _every_step(batch: ShotBatch, bits: list, chosen: slice = slice(1, 2)):
 
 
 def test_slabs_draw_as_batches_of_their_own_streams():
-    # every drawing step of a three-slab batch, full and sliced, gives each
-    # slab the amplitudes and bits of a one-slab batch on that slab's stream
+    # every drawing step of a three-slab batch, on every slab and on listed ones,
+    # gives each slab the amplitudes and bits of a one-slab batch on that slab's stream
     seeds = np.random.SeedSequence(8).spawn(3)
-    for chosen in (slice(1, 2), slice(0, 3, 2), slice(None)):
+    for chosen in ((1,), (0, 2), (2, 0), None):
         wide, wide_bits = ShotBatch([np.random.default_rng(q) for q in seeds], 300, 3, 3), []
         for _ in _every_step(wide, wide_bits, chosen):
             pass
         for b, seed in enumerate(seeds):
             one, bits = ShotBatch([np.random.default_rng(seed)], 300, 3, 3), []
-            on_slab = slice(None) if b in range(3)[chosen] else slice(0)
+            on_slab = None if chosen is None or b in chosen else ()
             for _ in _every_step(one, bits, on_slab):
                 pass
             cols = slice(b * 300, (b + 1) * 300)
@@ -849,7 +850,7 @@ def test_real_storage_gives_the_keys_of_complex_storage(hops, monkeypatch):
     # mode under device noise; a plain schedule's batch promotes exactly once, in
     # the tomography layer, so a complex record added earlier cannot pass unseen
     noise, n = _raised_device_noise(hops + 2), hops + 2
-    plain_schedule, rotate, promote = schedule, protocols._rotate_into_bases, ShotBatch._promote
+    plain_schedule, apply_matrix, promote = schedule, ShotBatch.apply_matrix, ShotBatch._promote
     init, events, in_tomography = ShotBatch.__init__, [], [False]
 
     def phase_first(*args, **kwargs):
@@ -864,16 +865,17 @@ def test_real_storage_gives_the_keys_of_complex_storage(hops, monkeypatch):
         events.append("tomography" if in_tomography[0] else "promote")
         promote(self)
 
-    def recording_rotate(*args):
-        in_tomography[0] = True
+    def recording_apply_matrix(self, pos, matrix, slabs=None):
+        # only the tomography layer lists slabs
+        in_tomography[0] = slabs is not None
         try:
-            rotate(*args)
+            apply_matrix(self, pos, matrix, slabs)
         finally:
             in_tomography[0] = False
 
     monkeypatch.setattr(ShotBatch, "__init__", recording_init)
     monkeypatch.setattr(ShotBatch, "_promote", recording_promote)
-    monkeypatch.setattr(protocols, "_rotate_into_bases", recording_rotate)
+    monkeypatch.setattr(ShotBatch, "apply_matrix", recording_apply_matrix)
     for shots, groups in ((300, 1), (2048, 2)):
         for mode, simplified in _STORAGE_CASES:
             results = {}
@@ -913,6 +915,19 @@ def test_batch_sizing_and_promotion_follow_one_rule(monkeypatch):
         promotions.clear()
         protocols._sample_group(steps, bases, np.random.default_rng(0).spawn(len(bases)), 64)
         assert sized == [window] and promotions == dims, bases
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_unevenly_spaced_bases_draw_as_one_basis_batches(mode):
+    # in this order the bases rotating the last qubit into X sit in slabs 0, 1 and 3,
+    # which no slice selects; each slab must still get the keys of a batch of its
+    # basis alone on its own stream, under device noise
+    bases = [("X", "X"), ("Y", "X"), ("Z", "Y"), ("Z", "X")]
+    steps = schedule(4, mode, _raised_device_noise(4))
+    keys = protocols._sample_group(steps, bases, np.random.default_rng(6).spawn(4), 256)
+    for b, (pair, stream) in enumerate(zip(bases, np.random.default_rng(6).spawn(4))):
+        alone = protocols._sample_group(steps, [pair], [stream], 256)
+        assert np.array_equal(keys[b * 256:(b + 1) * 256], alone), pair
 
 
 def test_exact_schedule_matches_pure_state_oracle_without_noise():

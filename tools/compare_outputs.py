@@ -23,6 +23,9 @@ default, removed at the end), so that each writes its own files:
   default noise and with --device on device 7;
   a line:6 sweep with list overrides of two_qubit_depol, t1_us and t2_us
   and --qrem both;
+  line:6 sweeps of protocol neg, all three modes, hops 1..3, 1 path and
+  1 trial at 4096 shots, which group the nine bases 3, 2, 2 and 2, and at
+  9000 shots, one basis per group;
   find-paths --out listings of 4 paths on device 7: neg at n = 21 and gate_fid
   at n = 8, and both at n = 62, the longest path the sampler runs;
   plot SVGs of the serial trend CSV.
@@ -85,6 +88,10 @@ def commands() -> list[tuple[dict, list[str]]]:
                       "--trials", "2", "--shots", "256", "--qrem", "both", "--seed", "3",
                       "--noise-overrides", json.dumps(LINE6_OVERRIDES),
                       "--out", "line6_lists.csv"]))
+    for shots in ("4096", "9000"):
+        runs.append(({}, ["run", "--device", "line6.json", "--protocol", "neg", "--hops", "1..3",
+                          "--paths", "1", "--trials", "1", "--shots", shots,
+                          "--out", f"line6_s{shots}.csv"]))
     for protocol, qubits in (("neg", "21"), ("gate_fid", "8"), ("neg", "62"), ("gate_fid", "62")):
         runs.append(({}, ["find-paths", "--device", "dev7.json", "--protocol", protocol,
                           "-n", qubits, "-m", "4", "--out", f"paths_{protocol}_n{qubits}.json"]))
