@@ -306,7 +306,7 @@ def _topology_edges(topology: str) -> list[tuple[int, int]]:
         return TOPOLOGIES[topology]()
     kind, _, arg = topology.partition(":")
     smallest = {"line": 2, "ring": 3}.get(kind)
-    if smallest is None or not arg.isdigit():
+    if smallest is None or not arg.isdecimal():
         raise ValueError(f"unknown topology {topology!r}")
     if int(arg) < smallest:
         raise ValueError(f"topology {topology!r} needs at least {smallest} qubits")

@@ -452,8 +452,11 @@ def test_synthesize_undefined_edges():
 
 
 def test_unknown_topology_rejected():
-    with pytest.raises(ValueError, match="topology"):
-        synthesize_device("torus:9", seed=0)
+    # a superscript digit passes str.isdigit but not int(), and was reported as
+    # `invalid literal for int()`, which named no topology
+    for topology in ("torus:9", "line:\u00b2"):
+        with pytest.raises(ValueError, match=f"unknown topology {topology!r}"):
+            synthesize_device(topology, seed=0)
 
 
 def test_search_follows_a_changed_weight():
