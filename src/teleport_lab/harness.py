@@ -524,6 +524,9 @@ def run_decay_experiment(delays_us: Sequence[float], noise: NoiseModel, shots: i
     check_number("seed", seed, 0, integer=True)
     for delay in delays_us:
         check_number("delay", delay, 0.0, finite=True)
+    for a, b in zip(delays_us, delays_us[1:]):  # crossing_time walks the delays in order
+        if b <= a:
+            raise ValueError(f"delays must be strictly increasing, got {b:g} after {a:g}")
     work = len(delays_us) * max(shots, 1)
     if work > MAX_DECAY_WORK:
         raise ValueError(f"decay plans {work} delay-shots (delays x shots), above the bound "
@@ -584,7 +587,9 @@ def read_csv_rows(path: str) -> list[ResultRow]:
                 header_seen = True
                 continue
             parts = line.split(",")
-            if len(parts) != len(CSV_COLUMNS):
+            # plot writes mode, protocol and qrem into SVG text and file names
+            if (len(parts) != len(CSV_COLUMNS) or parts[0] not in protocols.MODES
+                    or parts[1] not in pathfinder.PROTOCOLS or parts[5] not in ("on", "off")):
                 log.warning("%s:%d: malformed row skipped", path, line_no)
                 continue
             try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from math import inf
 from typing import Sequence
 
@@ -101,9 +101,16 @@ def _require(record: dict, field_name: str, context: str, low: float = -inf, hig
         raise DeviceSchemaError(str(exc)) from None
 
 
+def _check_keys(record: dict, schema, context: str):
+    """Reject a key that the schema's fields do not name, as a misspelt one would be ignored."""
+    if unknown := sorted(set(record) - {f.name for f in fields(schema)}):
+        raise DeviceSchemaError(f"{context}: unknown keys: {', '.join(unknown)}")
+
+
 def device_from_dict(payload: dict) -> DeviceModel:
     if not isinstance(payload, dict):
         raise DeviceSchemaError(f"top level must be an object, got {type(payload).__name__}")
+    _check_keys(payload, DeviceModel, "top level")
     for key in ("qubits", "edges"):
         if not isinstance(payload.get(key), list):
             raise DeviceSchemaError(f"{key} must be a list")
@@ -112,6 +119,7 @@ def device_from_dict(payload: dict) -> DeviceModel:
         ctx = f"qubits[{i}]"
         if not isinstance(rec, dict):
             raise DeviceSchemaError(f"{ctx}: expected an object")
+        _check_keys(rec, QubitCal, ctx)
         q = QubitCal(
             id=_require(rec, "id", ctx, integer=True),
             readout_err_0to1=float(_require(rec, "readout_err_0to1", ctx, 0.0, 1.0)),
@@ -127,6 +135,7 @@ def device_from_dict(payload: dict) -> DeviceModel:
         ctx = f"edges[{i}]"
         if not isinstance(rec, dict):
             raise DeviceSchemaError(f"{ctx}: expected an object")
+        _check_keys(rec, EdgeCal, ctx)
         edges.append(EdgeCal(
             a=_require(rec, "a", ctx, integer=True), b=_require(rec, "b", ctx, integer=True),
             gate_error=float(_require(rec, "gate_error", ctx, 0.0, 1.0)),

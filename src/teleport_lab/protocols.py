@@ -99,9 +99,8 @@ def _is_complex(matrix: np.ndarray) -> bool:
     return bool(np.any(np.imag(matrix)))
 
 
-def _keep_half(v0: np.ndarray, v1: np.ndarray, bits: np.ndarray, out: np.ndarray,
-               scratch: np.ndarray) -> np.ndarray:
-    """Each shot's v1 where its bit is 1, else its v0, into out.
+def _keep_half(v0: np.ndarray, v1: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each shot's v1 where its bit is 1, else its v0, into out; v0 and v1 are overwritten.
 
     Computed as v1 b + v0 (1 - b) with b exactly 0 or 1: each product is
     the amplitude or a zero and the sum adds that zero, so for finite
@@ -109,12 +108,12 @@ def _keep_half(v0: np.ndarray, v1: np.ndarray, bits: np.ndarray, out: np.ndarray
     of a zero (a kept -0.0 beside a dropped +0.0 sums to +0.0), which no
     probability sees. On real storage it takes a quarter of the time of a
     masked copy (39 against 153 us for a 3-qubit window of 10,240 shots).
-    ``scratch`` has the shape and dtype of ``out``.
+    The products go over v0 and v1, the halves the measurement drops.
     """
     b = bits.astype(float)
-    np.multiply(v1, b, out=out)
-    np.multiply(v0, 1.0 - b, out=scratch)
-    return np.add(out, scratch, out=out)
+    np.multiply(v1, b, out=v1)
+    np.multiply(v0, 1.0 - b, out=v0)
+    return np.add(v1, v0, out=out)
 
 
 class ShotBatch:
@@ -131,7 +130,7 @@ class ShotBatch:
     corrections, Pauli noise with Y taken as its real part, and damping.
     The first matrix with a nonzero imaginary part (`_is_complex`), the
     tomography layer's S-dagger, promotes the live window to complex128
-    once; `_sample_group` sizes the buffers by the same rule.
+    once.
 
     Measurement removes the measured qubit: `measure_z` samples the bits,
     keeps each shot's half of the window for its bit and renormalizes it,
@@ -146,31 +145,29 @@ class ShotBatch:
     `apply_matrix` multiplies one (2, slab shots) block per slab and window
     index, so no product is wider than the shots of one basis.
 
-    The storage lives in three flat float64 buffers that the batch owns:
-    the live amplitudes, a spare buffer that steps write their result into
-    before the two swap, and a scratch buffer for probabilities; complex
-    storage is a complex128 view of them. The constructor allocates all
-    three once, for ``window`` live real qubits and for ``complex_window``
-    live qubits from promotion on, and no step grows them. They go with
-    the batch, so no run sees memory that another run wrote.
+    The storage lives in two flat float64 buffers that the batch owns: the
+    live amplitudes, and a spare buffer that steps write their result or
+    their probabilities into, before the two swap; complex storage is a
+    complex128 view of them. The constructor allocates both once, for
+    ``window`` live qubits in complex storage, of which real storage fills
+    the first half, and no step grows them. They go with the batch, so no
+    run sees memory that another run wrote.
     """
 
-    def __init__(self, streams: Sequence[np.random.Generator], slab_shots: int,
-                 window: int, complex_window: int):
+    def __init__(self, streams: Sequence[np.random.Generator], slab_shots: int, window: int):
         if slab_shots <= 0:
             raise ValueError("shot budget must be positive")
         self.streams = list(streams)
         self.slab_shots = slab_shots
         self.shots = len(self.streams) * slab_shots
         # a complex amplitude takes two float64 entries
-        size = max(1 << window, 2 << complex_window) * self.shots
-        self._buffers = [np.empty(size) for _ in range(3)]
+        self._buffers = [np.empty((2 << window) * self.shots) for _ in range(2)]
         self._amps = self._buffer(0, 1, np.float64)
         self._amps[:] = 1.0
         self.axis_of: dict[int, int] = {}
 
     def _buffer(self, i: int, rows: int, dtype=None) -> np.ndarray:
-        """(rows, shots) view of the start of buffer i (0 live, 1 spare, 2 scratch).
+        """(rows, shots) view of the start of buffer i (0 live, 1 spare).
 
         The view has the dtype of the live amplitudes unless one is given.
         """
@@ -308,7 +305,7 @@ class ShotBatch:
         """
         b = self.axis_of[pos]
         view = self._halves(pos)
-        pr = self._buffer(2, self.dim, np.float64).reshape(view.shape)
+        pr = self._buffer(1, self.dim, np.float64).reshape(view.shape)
         np.abs(view, out=pr)
         np.square(pr, out=pr)
         p1 = pr[:, 1].sum(axis=(0, 1))
@@ -316,11 +313,9 @@ class ShotBatch:
         p_keep = np.where(bits == 1, p1, pr[:, 0].sum(axis=(0, 1)))
         if np.any(p_keep < 1e-15):
             raise RuntimeError("measurement probabilities underflow; state is corrupted")
-        # the probabilities are read, so the scratch buffer takes the blend's second product
-        half = view[:, 0].shape
+        # the probabilities are read, so the spare buffer takes the kept half
         kept = _keep_half(view[:, 0], view[:, 1], bits,
-                          self._buffer(1, self.dim // 2).reshape(half),
-                          self._buffer(2, self.dim // 2).reshape(half))
+                          self._buffer(1, self.dim // 2).reshape(view[:, 0].shape))
         # numpy divides a complex number by a real one as a product with the
         # reciprocal, so this gives the bits of a division at a quarter of its cost
         kept *= 1.0 / np.sqrt(p_keep)
@@ -337,7 +332,7 @@ class ShotBatch:
         if gamma > 0.0:
             view = self._halves(pos)
             ground, excited = view[:, 0], view[:, 1]
-            pr = self._buffer(2, self.dim // 2, np.float64).reshape(excited.shape)
+            pr = self._buffer(1, self.dim // 2, np.float64).reshape(excited.shape)
             np.abs(excited, out=pr)
             p1 = np.square(pr, out=pr).sum(axis=(0, 1))
             jump = np.flatnonzero(self._random() < gamma * p1)
@@ -447,25 +442,12 @@ def schedule(n: int, mode: str, noise: NoiseModel, simplified_correction: bool =
             ("measure", last, noise.qubit_confusion(last)))
 
 
-def _record_matrices(step: tuple, bases: Sequence[tuple[str, str]]) -> list[np.ndarray]:
-    """The matrices a schedule record applies with `ShotBatch.apply_matrix` for these bases."""
-    match step:
-        case ("gate", _, matrix):
-            return [matrix]
-        case ("tomography", *_):
-            return [gate for pair in bases for axis in pair for gate in rotation_gates(axis)]
-    return []
-
-
 def _sample_group(steps: Sequence[tuple], bases: Sequence[tuple[str, str]],
                   streams: Sequence[np.random.Generator], shots: int) -> np.ndarray:
     """Outcome keys of bases[b] on streams[b], slab by slab: the schedule's records in order."""
-    # the most qubits live at once before and from the first record that promotes the
-    # batch to complex storage, so that the batch sizes its buffers once
-    live = list(accumulate({"add": 1, "measure": -1}.get(step[0], 0) for step in steps))
-    first = next((i for i, step in enumerate(steps)
-                  if any(map(_is_complex, _record_matrices(step, bases)))), len(steps))
-    batch = ShotBatch(streams, shots, max(live[:first], default=0), max(live[first:], default=0))
+    # the most qubits live at once, so that the batch sizes its buffers once
+    live = accumulate({"add": 1, "measure": -1}.get(step[0], 0) for step in steps)
+    batch = ShotBatch(streams, shots, max(live, default=0))
     read, zero = {}, np.zeros(batch.shots, dtype=np.int8)
     for step in steps:
         match step:

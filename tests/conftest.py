@@ -26,7 +26,7 @@ def shot_batch(state: PureState, shots: int, rng: np.random.Generator) -> ShotBa
 
     The batch is in complex storage, as a run's is from its first complex matrix on.
     """
-    batch = ShotBatch([rng], shots, state.num_qubits, state.num_qubits)
+    batch = ShotBatch([rng], shots, state.num_qubits)
     for q in range(state.num_qubits):
         batch.add_qubit(q)
     batch._promote()

@@ -297,13 +297,13 @@ def test_exact_pair_route_equals_dense_idle_schedule():
 
 def test_readout_identity_matrices(rng):
     bits = np.array([0, 1, 1, 0], dtype=np.int8)
-    assert np.array_equal(ShotBatch([rng], bits.size, 0, 0).readout(bits, np.eye(2)), bits)
+    assert np.array_equal(ShotBatch([rng], bits.size, 0).readout(bits, np.eye(2)), bits)
 
 
 def test_readout_flip_rates(rng):
     a = confusion_matrix(0.1, 0.2)
     shots = 100_000
-    flips = int(ShotBatch([rng], shots, 0, 0).readout(np.zeros(shots, dtype=np.int8), a).sum())
+    flips = int(ShotBatch([rng], shots, 0).readout(np.zeros(shots, dtype=np.int8), a).sum())
     sigma = np.sqrt(shots * 0.1 * 0.9)
     assert abs(flips - shots * 0.1) < 5 * sigma
 
@@ -312,7 +312,7 @@ def test_readout_joint_equals_tensor_of_marginals(rng):
     a = confusion_matrix(0.1, 0.05)
     b = confusion_matrix(0.02, 0.3)
     shots = 100_000
-    batch = ShotBatch([rng], shots, 0, 0)
+    batch = ShotBatch([rng], shots, 0)
     r0 = batch.readout(np.zeros(shots, dtype=np.int8), a)
     r1 = batch.readout(np.ones(shots, dtype=np.int8), b)
     counts = np.bincount(r0 + 2 * r1, minlength=4)
@@ -330,7 +330,7 @@ def test_readout_channel_matches_sampler(rng):
     assert abs(noisy.sum() - 1.0) < 1e-12
     shots = 200_000
     outcomes = rng.choice(4, size=shots, p=probs)
-    batch = ShotBatch([rng], shots, 0, 0)
+    batch = ShotBatch([rng], shots, 0)
     counts = np.bincount(batch.readout(outcomes & 1, a)
                          + 2 * batch.readout(outcomes >> 1, b), minlength=4)
     for k in range(4):

@@ -1,10 +1,13 @@
 """Command-line surface and SVG rendering."""
 import contextlib
+import dataclasses
 import io
 import json
+import logging
 import os
 import re
 import time
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +85,24 @@ def test_decay_rejects_negative_delays_before_any_delay_runs(tmp_path, capsys, m
             assert main(["decay", f"--delays={text}", "--shots", shots, "--out", str(out)]) == 2
             assert capsys.readouterr().err == ("error: delay must be a finite number in "
                                                f"[0, inf], got {bad}\n")
+    assert not out.exists()
+
+
+def test_decay_rejects_delays_that_do_not_increase_before_any_delay_runs(tmp_path, capsys,
+                                                                          monkeypatch):
+    # the crossing window walks the delays in list order, so descending delays used
+    # to report that the curve does not bracket the levels, and a repeated one ran twice
+    def never(*args, **kwargs):
+        raise AssertionError("a delay ran before every delay was checked")
+
+    monkeypatch.setattr(harness.protocols, "run_idle_pair", never)
+    monkeypatch.setattr(harness.channels, "exact_pair_distributions", never)
+    out = tmp_path / "d.csv"
+    for text, bad in (("3,2.5,2,1.5,1,0.5,0", "2.5 after 3"), ("0,1,1", "1 after 1")):
+        for shots in ("0", "64"):
+            assert main(["decay", "--delays", text, "--shots", shots, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == ("error: delays must be strictly increasing, "
+                                               f"got {bad}\n")
     assert not out.exists()
 
 
@@ -185,6 +206,27 @@ def test_find_paths_names_the_field_of_a_bad_device(tmp_path, capsys, field, val
     capsys.readouterr()
     assert main(["find-paths", "--device", str(dev), "-n", "2"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_device_with_an_unknown_key_exits_2_and_names_it(tmp_path, capsys):
+    # a top-level "extra", a qubit's "t1" and an edge's "gate_eror" used to load
+    # silently, the qubit with the fitted T1; every file gen-device writes still loads
+    dev = tmp_path / "dev.json"
+    for topology in ("line:4", "ring:5", "heavy-hex-127"):
+        assert main(["gen-device", "--topology", topology, "--undefined-edges", "1",
+                     "--out", str(dev)]) == 0
+        assert main(["find-paths", "--device", str(dev), "-n", "2"]) == 0
+    capsys.readouterr()
+    written = dev.read_text()
+    for record, key, where in ((None, "extra", "top level"), ("qubits", "t1", "qubits[1]"),
+                               ("edges", "gate_eror", "edges[1]")):
+        payload = json.loads(written)
+        (payload if record is None else payload[record][1])[key] = 40.0
+        dev.write_text(json.dumps(payload))
+        for command in (["find-paths", "-n", "2"], ["decay", "--out", str(tmp_path / "d.csv")]):
+            assert main([command[0], "--device", str(dev), *command[1:]]) == 2
+            assert capsys.readouterr().err == f"error: {where}: unknown keys: {key}\n"
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_find_paths_warns_when_too_few(dev, capsys):
@@ -709,7 +751,7 @@ def test_work_above_its_bound_exits_2_before_any_work(line4, capsys, monkeypatch
                                            f"(delays x shots), above the bound of {bound}\n")
     assert not out.exists()
     with pytest.raises(AssertionError, match="work started"):  # the bound itself passes
-        harness.run_decay_experiment([0.0] * 1000, harness.NoiseModel(), shots=1_000_000)
+        harness.run_decay_experiment(list(range(1000)), harness.NoiseModel(), shots=1_000_000)
 
 
 def test_worker_counts_above_their_bound_exit_2_before_any_work(line4, capsys, monkeypatch):
@@ -1023,3 +1065,24 @@ def test_plot_results_two_modes_have_distinct_colors(tmp_path):
 
 def test_plot_results_empty_rows(tmp_path):
     assert plot_results([], str(tmp_path)) == []
+
+
+@pytest.mark.parametrize("column, value", [("mode", "a&b<c"), ("mode", "../evil"),
+                                           ("protocol", "neg<x>"), ("qrem", "maybe")])
+def test_plot_skips_rows_with_an_unknown_mode_protocol_or_qrem(tmp_path, caplog, column, value):
+    # plot writes these columns into SVG text and file names: a mode of a&b<c wrote
+    # SVGs that were no XML, ../evil built a path outside --out-dir, and qrem maybe passed
+    good = ResultRow("swap", "neg", 1, "0-1-2", 0, "on", "", 0.4, 0.9, 64, 1)
+    bad = dataclasses.replace(good, **{column: value})
+    csv = tmp_path / "rows.csv"
+    csv.write_text(harness.rows_to_csv([good, bad, bad]))
+    plots = tmp_path / "plots"
+    with caplog.at_level(logging.WARNING, logger="teleport_lab"):
+        assert main(["plot", "--csv", str(csv), "--out-dir", str(plots)]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{csv}:{line_no}: malformed row skipped" for line_no in (4, 5)]
+    assert sorted(os.listdir(tmp_path)) == ["plots", "rows.csv"]
+    names = sorted(os.listdir(plots))
+    assert names == sorted(plot_results([good], str(tmp_path / "good_only")))
+    for name in names:
+        ElementTree.parse(plots / name)

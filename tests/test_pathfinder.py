@@ -118,10 +118,14 @@ def _record(**fields):
      "qubits[1].readout_err_1to0 must be a number in [0, 1], got '0.1'"),
     ({"qubits": [_record(), _record()]}, "qubits[1].id: duplicate qubit id 0"),
     ({"edges": [{"a": 1, "b": 1, "gate_error": 0.01}]}, "edges[0]: self-loop on qubit 1"),
-    ({"edges": "none"}, "edges must be a list")])
+    ({"edges": "none"}, "edges must be a list"),
+    ({"extra": 1}, "top level: unknown keys: extra"),
+    ({"qubits": [_record(t1=50.0)]}, "qubits[0]: unknown keys: t1"),
+    ({"edges": [{"a": 0, "b": 1, "gate_error": 0.01, "gate_eror": 0.2}]},
+     "edges[0]: unknown keys: gate_eror")])
 def test_device_errors_name_the_field(change, message):
     # an id of Infinity used to raise OverflowError, "b": 2.6 loaded as qubit 2,
-    # and a NaN T1 passed the T2 <= 2 T1 check
+    # a NaN T1 passed the T2 <= 2 T1 check, and a misspelt key was ignored
     payload = {"qubits": [_record(id=0), _record(id=1)], "edges": [], **change}
     with pytest.raises(DeviceSchemaError) as info:
         device_from_dict(payload)

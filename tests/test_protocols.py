@@ -237,7 +237,7 @@ def test_batch_postselect_matches_dense_joint_distribution():
 def test_batch_depolarize_matches_exact_channel():
     shots = 200_000
     rng = np.random.default_rng(7)
-    batch = ShotBatch([rng], shots, 2, 0)
+    batch = ShotBatch([rng], shots, 2)
     batch.add_qubit(0)
     batch.add_qubit(1)
     batch.apply_matrix(0, ENGINE_MATRICES[Gate.H])
@@ -252,7 +252,7 @@ def test_batch_depolarize_matches_exact_channel():
 def test_batch_idle_decay_matches_exact_channel():
     shots = 200_000
     rng = np.random.default_rng(11)
-    batch = ShotBatch([rng], shots, 2, 0)
+    batch = ShotBatch([rng], shots, 2)
     batch.add_qubit(0)
     batch.add_qubit(1)
     batch.apply_matrix(0, ENGINE_MATRICES[Gate.H])
@@ -275,7 +275,7 @@ WINDOW_POSITIONS = (4, 2, 7)
 
 def _random_window(rng: np.random.Generator, shots: int = 8):
     states = [random_state(3, rng) for _ in range(shots)]
-    batch = ShotBatch([rng], shots, 3, 3)
+    batch = ShotBatch([rng], shots, 3)
     for pos in WINDOW_POSITIONS:
         batch.add_qubit(pos)
     batch._promote()
@@ -338,7 +338,7 @@ def test_batch_per_shot_paulis_match_dense_operators():
 
 def _random_slabs(rng: np.random.Generator, streams: list, slab_shots: int) -> ShotBatch:
     """A batch of one slab per stream whose amplitudes are random numbers from rng."""
-    batch = ShotBatch(streams, slab_shots, 3, 3)
+    batch = ShotBatch(streams, slab_shots, 3)
     for pos in WINDOW_POSITIONS:
         batch.add_qubit(pos)
     batch._promote()
@@ -349,7 +349,7 @@ def _random_slabs(rng: np.random.Generator, streams: list, slab_shots: int) -> S
 def _slab_copy(batch: ShotBatch, slab: int, stream: np.random.Generator) -> ShotBatch:
     """One slab of a batch as a batch of its own, drawing from the given stream."""
     width = batch.slab_shots
-    alone = ShotBatch([stream], width, 3, 3)
+    alone = ShotBatch([stream], width, 3)
     for pos in WINDOW_POSITIONS:
         alone.add_qubit(pos)
     alone._promote()
@@ -423,11 +423,11 @@ def test_slabs_draw_as_batches_of_their_own_streams():
     # gives each slab the amplitudes and bits of a one-slab batch on that slab's stream
     seeds = np.random.SeedSequence(8).spawn(3)
     for chosen in ((1,), (0, 2), (2, 0), None):
-        wide, wide_bits = ShotBatch([np.random.default_rng(q) for q in seeds], 300, 3, 3), []
+        wide, wide_bits = ShotBatch([np.random.default_rng(q) for q in seeds], 300, 3), []
         for _ in _every_step(wide, wide_bits, chosen):
             pass
         for b, seed in enumerate(seeds):
-            one, bits = ShotBatch([np.random.default_rng(seed)], 300, 3, 3), []
+            one, bits = ShotBatch([np.random.default_rng(seed)], 300, 3), []
             on_slab = None if chosen is None or b in chosen else ()
             for _ in _every_step(one, bits, on_slab):
                 pass
@@ -442,11 +442,11 @@ def test_batches_stepped_in_turn_equal_batches_run_alone():
     # the amplitudes and bits of batches run one after the other
     alone = []
     for seed in (1, 2):
-        batch, bits = ShotBatch(np.random.default_rng(seed).spawn(2), 300, 3, 3), []
+        batch, bits = ShotBatch(np.random.default_rng(seed).spawn(2), 300, 3), []
         for _ in _every_step(batch, bits):
             pass
         alone.append((batch._amps.copy(), bits))
-    batches = [ShotBatch(np.random.default_rng(seed).spawn(2), 300, 3, 3) for seed in (1, 2)]
+    batches = [ShotBatch(np.random.default_rng(seed).spawn(2), 300, 3) for seed in (1, 2)]
     bits = [[], []]
     steps = [_every_step(b, out) for b, out in zip(batches, bits)]
     for _ in zip(*steps):
@@ -460,7 +460,7 @@ def test_batches_stepped_in_turn_equal_batches_run_alone():
 
 def test_first_sampled_run_allocates_each_buffer_once(monkeypatch):
     # a batch used to copy each buffer into a larger one every time its window
-    # grew; now each batch allocates its three for its widest window, and no
+    # grew; now each batch allocates its two for its widest window, and no
     # step replaces them
     seen = {}
     buffer = ShotBatch._buffer
@@ -472,9 +472,9 @@ def test_first_sampled_run_allocates_each_buffer_once(monkeypatch):
 
     monkeypatch.setattr(ShotBatch, "_buffer", recording)
     noise = path_noise_model(synthesize_device("line:8", seed=2), tuple(range(8)))
-    # 2,048 shots run as batches of five and four bases, each taking 8 float64 entries
-    # per column: the idle pair for its complex 2-qubit window from the tomography
-    # layer on (its real window needs 4), the modes for their real 3-qubit one
+    # 2,048 shots run as batches of five and four bases, each taking two float64
+    # entries per complex amplitude of its widest window: 3 qubits in every mode,
+    # 2 for the idle pair
     for mode in ("idle", *MODES):
         seen.clear()
         if mode == "idle":
@@ -483,8 +483,9 @@ def test_first_sampled_run_allocates_each_buffer_once(monkeypatch):
             run_swap_transport(8, noise, 2048, np.random.default_rng(0))
         else:
             run_teleportation(8, mode, noise, 2048, np.random.default_rng(0))
+        entries = 8 if mode == "idle" else 16
         assert [[(b.dtype, b.size) for b in buffers.values()] for buffers in seen.values()] == [
-            [(np.float64, 8 * bases * 2048)] * 3 for bases in (5, 4)], mode
+            [(np.float64, entries * bases * 2048)] * 2 for bases in (5, 4)], mode
 
 
 def test_batch_drop_qubit_matches_dense_removal():
@@ -507,7 +508,7 @@ def test_batch_measure_bits_follow_born_rule_on_every_axis():
     shots = 20_000
     state = random_state(3, rng)
     for axis, pos in enumerate(WINDOW_POSITIONS):
-        batch = ShotBatch([rng], shots, 3, 3)
+        batch = ShotBatch([rng], shots, 3)
         for p in WINDOW_POSITIONS:
             batch.add_qubit(p)
         batch._promote()
@@ -521,7 +522,7 @@ def test_batch_measure_collapses_and_renormalizes():
     # measuring one half of a Bell pair removes it and leaves the partner,
     # renormalized, in the recorded bit, so measuring the partner repeats it
     rng = np.random.default_rng(3)
-    batch = ShotBatch([rng], 1000, 2, 0)
+    batch = ShotBatch([rng], 1000, 2)
     batch.add_qubit(0)
     batch.add_qubit(1)
     batch.apply_matrix(0, ENGINE_MATRICES[Gate.H])
@@ -556,7 +557,7 @@ def test_batch_two_qubit_depolarize_at_p1_applies_one_non_identity_string():
         assert seen == set(range(len(strings)))
 
 
-def _where_half(v0, v1, bits, out, scratch):
+def _where_half(v0, v1, bits, out):
     """`protocols._keep_half` as a masked select."""
     np.copyto(out, np.where(bits == 1, v1, v0))
     return out
@@ -587,7 +588,7 @@ def test_measure_blend_equals_a_masked_select_bit_for_bit(storage, monkeypatch):
         got = []
         for keep in (blend, _where_half):
             monkeypatch.setattr(protocols, "_keep_half", keep)
-            batch = ShotBatch([np.random.default_rng(axis)], 512, 3, 3)
+            batch = ShotBatch([np.random.default_rng(axis)], 512, 3)
             for p in WINDOW_POSITIONS:
                 batch.add_qubit(p)
             if storage == np.complex128:
@@ -605,11 +606,14 @@ def test_measure_blend_equals_a_masked_select_bit_for_bit(storage, monkeypatch):
 
 
 def test_measure_blend_differs_from_a_masked_select_only_in_the_sign_of_zero():
-    # the one difference: a kept -0.0 beside a dropped +0.0 sums to +0.0
-    v0, v1, out, scratch = np.array([-0.0, -0.0]), np.array([0.0, -1.0]), np.empty(2), np.empty(2)
-    kept = protocols._keep_half(v0, v1, np.array([0, 0], dtype=np.int8), out, scratch)
-    assert kept.tobytes() == np.array([0.0, -0.0]).tobytes()
+    # the one difference: a kept -0.0 beside a dropped +0.0 sums to +0.0; the
+    # two products go over the halves, and their sum into out
+    v0, v1, out = np.array([-0.0, -0.0]), np.array([0.0, -1.0]), np.empty(2)
     assert np.where([False, False], v1, v0).tobytes() == np.array([-0.0, -0.0]).tobytes()
+    kept = protocols._keep_half(v0, v1, np.array([0, 0], dtype=np.int8), out)
+    assert kept is out and kept.tobytes() == np.array([0.0, -0.0]).tobytes()
+    assert v1.tobytes() == np.array([0.0, -0.0]).tobytes()
+    assert v0.tobytes() == np.array([-0.0, -0.0]).tobytes()
 
 
 def test_real_storage_y_letter_is_minus_i_times_the_dense_y():
@@ -617,7 +621,7 @@ def test_real_storage_y_letter_is_minus_i_times_the_dense_y():
     rng = np.random.default_rng(80)
     for axis, pos in enumerate(WINDOW_POSITIONS):
         amps = rng.normal(size=(8, 64))
-        batch = ShotBatch([rng], 64, 3, 0)
+        batch = ShotBatch([rng], 64, 3)
         for p in WINDOW_POSITIONS:
             batch.add_qubit(p)
         batch._amps[:] = amps
@@ -892,15 +896,15 @@ def test_real_storage_gives_the_keys_of_complex_storage(hops, monkeypatch):
 
 
 def test_batch_sizing_and_promotion_follow_one_rule(monkeypatch):
-    # the buffer sizing and apply_matrix read the same records the same way: bases
-    # that rotate no qubit into Y apply no complex matrix, so their batch is sized
-    # with no complex window and stays real; one Y basis brings both in
+    # the buffers are sized by the most qubits live at once, whatever the bases;
+    # apply_matrix alone reads the records for complex matrices: bases that rotate
+    # no qubit into Y apply none and stay real, and one Y basis promotes once
     sized, promotions = [], []
     init, promote = ShotBatch.__init__, ShotBatch._promote
 
-    def recording_init(self, streams, slab_shots, window, complex_window):
-        sized.append((window, complex_window))
-        init(self, streams, slab_shots, window, complex_window)
+    def recording_init(self, streams, slab_shots, window):
+        sized.append(window)
+        init(self, streams, slab_shots, window)
 
     def recording_promote(self):
         promotions.append(self.dim)
@@ -909,12 +913,12 @@ def test_batch_sizing_and_promotion_follow_one_rule(monkeypatch):
     monkeypatch.setattr(ShotBatch, "__init__", recording_init)
     monkeypatch.setattr(ShotBatch, "_promote", recording_promote)
     steps = schedule(4, "dynamic", _raised_device_noise(4))
-    for bases, window, dims in (([("X", "X"), ("Z", "X"), ("Z", "Z")], (3, 0), []),
-                                ([("X", "Z"), ("X", "Y")], (3, 2), [4])):
+    for bases, dims in (([("X", "X"), ("Z", "X"), ("Z", "Z")], []),
+                        ([("X", "Z"), ("X", "Y")], [4])):
         sized.clear()
         promotions.clear()
         protocols._sample_group(steps, bases, np.random.default_rng(0).spawn(len(bases)), 64)
-        assert sized == [window] and promotions == dims, bases
+        assert sized == [3] and promotions == dims, bases
 
 
 @pytest.mark.parametrize("mode", MODES)
