@@ -986,6 +986,18 @@ MULTI_GROUP_DIGESTS = {
 }
 
 
+# Digests at an odd shot count, recorded while each word was drawn by
+# `Generator.integers`: a draw of an odd number of words leaves half of a
+# 64-bit output for the slab's next draw, which the even counts above never do.
+ODD_SHOT_DIGESTS = {
+    "dynamic": "6bb68c19d8c3f1d915dbd893ed05c608c16b63cc849e921dd7d35818c5e20d21",
+    "dynamic-simplified": "0d365cd242baad1f0aa959e41eef2fdc33172ea8433066c4a1e437e181684956",
+    "idle": "70cf5be78513fafb9a444fe80536bd9a8fb7c5dbd8b45685e9e1f6735d077918",
+    "postselect": "ca4c521995b095bc6c8ace4806b009ef7f8c3cc56e83fc1b6e5259f26cc414d5",
+    "swap": "bd7107d712503d72240580c7a704553833845936d73140c52f8d206f5bff9044",
+}
+
+
 def _sampled_for_digest(case: str, size: int, shots: int):
     rng = np.random.default_rng(1000 + size)
     if case == "idle":
@@ -1038,6 +1050,11 @@ def test_sampled_counts_match_recorded_digest(case):
 @pytest.mark.parametrize("case, shots", sorted(MULTI_GROUP_DIGESTS))
 def test_multi_group_counts_match_recorded_digest(case, shots):
     assert _counts_digest(case, shots) == MULTI_GROUP_DIGESTS[(case, shots)]
+
+
+@pytest.mark.parametrize("case", sorted(ODD_SHOT_DIGESTS))
+def test_odd_shot_counts_match_recorded_digest(case):
+    assert _counts_digest(case, 301) == ODD_SHOT_DIGESTS[case]
 
 
 # --- interfaces -------------------------------------------------------------------

@@ -24,8 +24,9 @@ default, removed at the end), so that each writes its own files:
   a line:6 sweep with list overrides of two_qubit_depol, t1_us and t2_us
   and --qrem both;
   line:6 sweeps of protocol neg, all three modes, hops 1..3, 1 path and
-  1 trial at 4096 shots, which group the nine bases 3, 2, 2 and 2, and at
-  9000 shots, one basis per group;
+  1 trial at 4096 shots, which group the nine bases 3, 2, 2 and 2, at
+  9000 shots, one basis per group, and at 301 shots, an odd count, so
+  that a draw of one word per shot leaves half of a 64-bit output over;
   find-paths --out listings of 4 paths on device 7: neg at n = 21 and gate_fid
   at n = 8, and both at n = 62, the longest path the sampler runs;
   plot SVGs of the serial trend CSV.
@@ -88,7 +89,7 @@ def commands() -> list[tuple[dict, list[str]]]:
                       "--trials", "2", "--shots", "256", "--qrem", "both", "--seed", "3",
                       "--noise-overrides", json.dumps(LINE6_OVERRIDES),
                       "--out", "line6_lists.csv"]))
-    for shots in ("4096", "9000"):
+    for shots in ("4096", "9000", "301"):
         runs.append(({}, ["run", "--device", "line6.json", "--protocol", "neg", "--hops", "1..3",
                           "--paths", "1", "--trials", "1", "--shots", shots,
                           "--out", f"line6_s{shots}.csv"]))
