@@ -8,6 +8,7 @@ import logging
 import math
 import os
 import sys
+from itertools import accumulate
 
 from . import harness, pathfinder, svgplot
 from .channels import DEFAULT_ONE_QUBIT_DEPOL, NoiseModel, check_number, confusion_matrix
@@ -56,15 +57,17 @@ def _parse_delays(text: str) -> list[float]:
         lo, hi, step = values
         if not step > 0:
             raise ValueError(f"delay step must be positive, got {step:g}")
-        out = []
-        t = lo
-        while t <= hi + 1e-9:
-            if len(out) == MAX_DELAY_POINTS:  # also ends a range whose step is below t's ulp
-                raise ValueError(f"delay range {text!r} holds more than {MAX_DELAY_POINTS} delays")
-            out.append(round(t, 9))
-            t += step
-        if not out:
+        # HI a billionth of a step off the grid counts as on it; a step below
+        # the ulp of LO never ends the range
+        span = (hi - lo) / step + 1e-9 if lo + step > lo else math.inf
+        if span >= MAX_DELAY_POINTS:
+            raise ValueError(f"delay range {text!r} holds more than {MAX_DELAY_POINTS} delays")
+        if span < 0:
             raise ValueError(f"delay range {text!r} holds no delay")
+        out = [round(t, 9) for t in accumulate([lo] + [step] * math.floor(span))]
+        if any(b <= a for a, b in zip(out, out[1:])):
+            raise ValueError(f"delay range {text!r} steps by {step:g} us, which does not "
+                             "survive rounding each delay to 9 decimals")
         return out
     return values
 

@@ -99,6 +99,13 @@ def _is_complex(matrix: np.ndarray) -> bool:
     return bool(np.any(np.imag(matrix)))
 
 
+def _square_magnitudes(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|amps|^2 into the float64 out; a real x squares directly, as x^2 is |x|^2 to the bit."""
+    if amps.dtype == np.float64:
+        return np.square(amps, out=out)
+    return np.square(np.abs(amps, out=out), out=out)
+
+
 def _keep_half(v0: np.ndarray, v1: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Each shot's v1 where its bit is 1, else its v0, into out; v0 and v1 are overwritten.
 
@@ -139,9 +146,11 @@ class ShotBatch:
     `apply_paulis`, that touches only the listed shots.
 
     The batch holds one column slab of ``slab_shots`` shots per stream, one
-    tomography basis each, and `_random` and `_integers` fill each slab
-    from its own stream, as a batch of that stream alone would. A step of
-    some bases only takes the indices of their slabs, in any order.
+    tomography basis each, and `_random` and `_words` draw each slab from
+    its own stream, as a batch of that stream alone would. A step of some
+    bases only takes the indices of their slabs, in any order. `depolarize`
+    draws a uniform per shot, then a Pauli word per shot, as
+    ``integers`` would, but computes the word only where the uniform hits.
     `apply_matrix` multiplies one (2, slab shots) block per slab and window
     index, so no product is wider than the shots of one basis.
 
@@ -165,6 +174,8 @@ class ShotBatch:
         self._amps = self._buffer(0, 1, np.float64)
         self._amps[:] = 1.0
         self.axis_of: dict[int, int] = {}
+        # per stream, the 32-bit half of a raw output that its last word draw left over
+        self._halves_left = [np.empty(0, np.uint32)] * len(self.streams)
 
     def _buffer(self, i: int, rows: int, dtype=None) -> np.ndarray:
         """(rows, shots) view of the start of buffer i (0 live, 1 spare).
@@ -194,11 +205,40 @@ class ShotBatch:
             stream.random(out=slab)
         return out.reshape(-1)
 
-    def _integers(self, high: int, slabs: Sequence[int] | None = None) -> np.ndarray:
-        """Integers in [0, high) for the shots of the listed slabs, each slab from its own stream."""
-        streams = self.streams if slabs is None else [self.streams[s] for s in slabs]
-        return np.array([stream.integers(0, high, size=self.slab_shots)
-                         for stream in streams], np.int64).reshape(-1)
+    def _words(self, strings: int, slabs: Sequence[int], hits: np.ndarray) -> np.ndarray:
+        """Words in [0, strings) of the listed slabs' shots at the indices ``hits``.
+
+        Each slab draws as ``integers(0, strings, size=slab_shots)`` on its
+        stream would, by numpy's Lemire method (arXiv:1805.10941): a shot
+        takes the next 32-bit half of the stream (`_fill`), and a half h with
+        h * strings mod 2^32 below 2^32 mod strings is rejected for the next.
+        Every shot draws its half, so the stream stays that of `integers`, but
+        the word, (h * strings) >> 32, is computed only at the hits.
+        """
+        floor = (1 << 32) % strings
+        halves = np.empty((len(slabs), self.slab_shots), np.uint32)
+        for row, s in zip(halves, slabs):
+            self._fill(row, s)
+        while (halves * strings).min(initial=floor) < floor:  # rare: 3 and 15 reject only 0
+            for row, s in zip(halves, slabs):
+                kept = row[row * strings >= floor]
+                if kept.size < row.size:
+                    row[:kept.size] = kept
+                    self._fill(row[kept.size:], s)
+        return (halves.reshape(-1)[hits].astype(np.int64) * strings) >> 32
+
+    def _fill(self, row: np.ndarray, s: int):
+        """The next 32-bit halves of stream s into row, low half of each raw 64-bit output first.
+
+        A half left over by an odd count waits for the next fill, as PCG64's
+        own buffer would hold it for the next `integers` call.
+        """
+        left = self._halves_left[s]
+        row[:left.size] = left
+        raw = self.streams[s].bit_generator.random_raw((row.size - left.size + 1) // 2)
+        raw = raw.astype("<u8", copy=False).view("<u4")
+        row[left.size:] = raw[:row.size - left.size]
+        self._halves_left[s] = raw[row.size - left.size:]
 
     @property
     def dim(self) -> int:
@@ -287,10 +327,11 @@ class ShotBatch:
         hit = self._random(slabs) < p
         if active is not None:
             hit &= active
-        word = self._integers(4 ** len(positions) - 1, slabs)
         idx = np.flatnonzero(hit)
+        word = self._words(4 ** len(positions) - 1,
+                           range(len(self.streams)) if slabs is None else slabs, idx)
         # word + 1 is a non-identity string: its bits 2j and 2j + 1 are the letter of positions[j]
-        letters = ((word[idx] + 1) >> 2 * np.arange(len(positions))[:, None]) & 3
+        letters = ((word + 1) >> 2 * np.arange(len(positions))[:, None]) & 3
         if slabs is not None:
             # hit index within the listed slabs -> column of the whole batch
             slab, shot = divmod(idx, self.slab_shots)
@@ -305,9 +346,7 @@ class ShotBatch:
         """
         b = self.axis_of[pos]
         view = self._halves(pos)
-        pr = self._buffer(1, self.dim, np.float64).reshape(view.shape)
-        np.abs(view, out=pr)
-        np.square(pr, out=pr)
+        pr = _square_magnitudes(view, self._buffer(1, self.dim, np.float64).reshape(view.shape))
         p1 = pr[:, 1].sum(axis=(0, 1))
         bits = (self._random() < p1).astype(np.int8)
         p_keep = np.where(bits == 1, p1, pr[:, 0].sum(axis=(0, 1)))
@@ -333,8 +372,7 @@ class ShotBatch:
             view = self._halves(pos)
             ground, excited = view[:, 0], view[:, 1]
             pr = self._buffer(1, self.dim // 2, np.float64).reshape(excited.shape)
-            np.abs(excited, out=pr)
-            p1 = np.square(pr, out=pr).sum(axis=(0, 1))
+            p1 = _square_magnitudes(excited, pr).sum(axis=(0, 1))
             jump = np.flatnonzero(self._random() < gamma * p1)
             decayed = excited[..., jump]  # a copy, taken before the scaling below
             excited *= sqrt(1.0 - gamma)
@@ -347,7 +385,7 @@ class ShotBatch:
 
     def readout(self, bits: np.ndarray, confusion: np.ndarray) -> np.ndarray:
         """Classical readout flips per the confusion matrix column."""
-        p_read1 = np.where(bits == 1, confusion[1, 1], confusion[1, 0])
+        p_read1 = confusion[1].take(bits)
         return (self._random() < p_read1).astype(np.int8)
 
 

@@ -106,6 +106,31 @@ def test_decay_rejects_delays_that_do_not_increase_before_any_delay_runs(tmp_pat
     assert not out.exists()
 
 
+def test_delay_ranges_with_tiny_steps_end_at_hi_or_name_the_range(tmp_path, capsys):
+    # an absolute end tolerance of 1e-9 us gave `0:3e-9:1e-9` a fifth delay, 4e-9,
+    # beyond HI, and `0:1e-9:1e-10` rounded to repeated delays that decay then
+    # rejected as not strictly increasing, without naming the range
+    out = tmp_path / "d.csv"
+    assert _parse_delays("0:3e-9:1e-9") == [0.0, 1e-9, 2e-9, 3e-9]
+    assert main(["decay", "--delays", "0:3e-9:1e-9", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out}: 4 delay points\n")
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[2:]] == [
+        "0", "1e-09", "2e-09", "3e-09"]
+    out.unlink()
+    for shots in ("0", "64"):
+        assert main(["decay", "--delays", "0:1e-9:1e-10", "--shots", shots,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: delay range '0:1e-9:1e-10' steps by 1e-10 "
+                                           "us, which does not survive rounding each delay "
+                                           "to 9 decimals\n")
+    assert not out.exists()
+    # the end tolerance is a billionth of a step: a HI just off the grid ends the range
+    # before the grid point beyond it, and a point the sum of many steps carries just
+    # past HI stays in
+    assert _parse_delays("0:2.333333:0.333333333")[-1] == 1.999999998
+    assert _parse_delays("1000:3999.7:0.3")[-1] == 3999.700000001
+
+
 def test_range_flags_reject_oversized_ranges_fast(tmp_path, capsys):
     # `1e20:1e20:1` never returned, as t + 1 == t there; `0:1e6:1` took seconds, and
     # `--hops 1..1000000` built a million hop counts that the spec then rejected

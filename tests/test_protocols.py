@@ -557,6 +557,82 @@ def test_batch_two_qubit_depolarize_at_p1_applies_one_non_identity_string():
         assert seen == set(range(len(strings)))
 
 
+@pytest.mark.parametrize("strings", [3, 15, 63])
+@pytest.mark.parametrize("size", [1, 299, 300, 1024])
+def test_words_are_those_of_integers_on_twin_streams(strings, size):
+    # each listed slab's words are integers(0, strings, size) on a twin of its
+    # stream, for slabs in any order, none listed, and uniforms drawn in between
+    # (an odd size leaves half of a raw output over, an even one none); words are
+    # computed at the hits only, and every slab still draws for all of its shots
+    seeds = np.random.SeedSequence([strings, size]).spawn(3)
+    batch = ShotBatch([np.random.default_rng(seed) for seed in seeds], size, 1)
+    twins = [np.random.default_rng(seed) for seed in seeds]
+    for k, slabs in enumerate(([2, 0], [], [1], [0, 1, 2], [1, 2, 0], [2], [0, 2, 1])):
+        want = np.concatenate([np.empty(0, np.int64),
+                               *(twins[s].integers(0, strings, size=size) for s in slabs)])
+        hits = np.arange(0, want.size, 1 + k % 3)
+        assert np.array_equal(batch._words(strings, slabs, hits), want[hits])
+        for s, twin in enumerate(twins):
+            assert np.array_equal(batch.streams[s].random(s + k), twin.random(s + k))
+    assert [stream.random() for stream in batch.streams] == [twin.random() for twin in twins]
+
+
+class _RawStub:
+    """A stream whose bit generator returns the given 64-bit outputs in turn."""
+
+    def __init__(self, raws):
+        self.raws, self.drawn = raws, 0
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        self.drawn += size
+        assert self.drawn <= len(self.raws)
+        return np.array(self.raws[self.drawn - size:self.drawn], np.uint64)
+
+
+def _lemire_words(halves: list[int], start: int, strings: int, count: int):
+    """`count` words in [0, strings) from halves[start:] by Lemire's method, and the next index."""
+    words, i = [], start
+    while len(words) < count:
+        m, i = halves[i] * strings, i + 1
+        if m % (1 << 32) >= (1 << 32) % strings:
+            words.append(m >> 32)
+    return words, i
+
+
+def _halves_of(raws) -> list[int]:
+    """The 32-bit halves of 64-bit outputs, low half first."""
+    return [h for r in map(int, raws) for h in (r & 0xFFFFFFFF, r >> 32)]
+
+
+@pytest.mark.parametrize("strings", [3, 15, 63])
+def test_words_reject_the_halves_lemire_rejects(strings):
+    # halves with h * strings mod 2^32 below 2^32 mod strings (h = 0 for 3 and 15
+    # strings, four values for 63) are skipped for the next, in runs, at either
+    # end of a draw and in the half an odd count leaves over; the batch reads the
+    # words and the number of raw outputs of a pure-Python reference
+    rng = np.random.default_rng(strings)
+    rejected = [r * pow(strings, -1, 1 << 32) % (1 << 32) for r in range((1 << 32) % strings)]
+    assert len(rejected) == (1 if strings < 63 else 4)
+    # the reference draws what integers draws from the halves of a real stream
+    real = _halves_of(np.random.default_rng(5).bit_generator.random_raw(8))
+    assert _lemire_words(real, 0, strings, 15)[0] == list(
+        np.random.default_rng(5).integers(0, strings, 15))
+    halves = [[int(rng.choice(rejected)) if rng.random() < 0.4 else int(h)
+               for h in rng.integers(0, 1 << 32, size=400)] for _ in range(2)]
+    stubs = [_RawStub([lo | hi << 32 for lo, hi in zip(h[::2], h[1::2])]) for h in halves]
+    read = [0, 0]  # halves the reference has read, per stream
+    batch = ShotBatch(stubs, 5, 1)
+    for slabs in ([1, 0], [0], [1], [], [0, 1], [1, 0], [0, 1], [0]):
+        want = []
+        for s in slabs:
+            words, read[s] = _lemire_words(halves[s], read[s], strings, 5)
+            want += words
+        assert batch._words(strings, slabs, np.arange(5 * len(slabs))).tolist() == want
+        assert [stub.drawn for stub in stubs] == [(n + 1) // 2 for n in read]
+    assert any(h in rejected for h in halves[0][:read[0]])
+
+
 def _where_half(v0, v1, bits, out):
     """`protocols._keep_half` as a masked select."""
     np.copyto(out, np.where(bits == 1, v1, v0))
